@@ -8,12 +8,19 @@
 //	    [-trace-json FILE] [-profile FILE] [-folded FILE]
 //	    [-profile-every N] [-audit] [-audit-json FILE]
 //	    [-sfip-learn FILE] [-sfip FILE] [-sfip-mode MODE] [-sfip-json FILE]
-//	    [-spans FILE] [-perfetto FILE] [-critpath] PROG [ARGS...]
+//	    [-spans FILE] [-perfetto FILE] [-critpath] [-probe PROG]
+//	    [-seed N] [-requests N] [-chaos SEED]
+//	    [-record FILE | -replay FILE] [-until S,...] PROG [ARGS...]
 //
 // PROG is one of the registered workloads (pwd, touch, ls, cat, clear,
-// nginx, lighttpd, redis-server, sqlite3) by basename or full path.
-// K23 variants automatically run the offline phase on the same
-// invocation first.
+// nginx, lighttpd, redis-server, sqlite3) by basename or full path;
+// servers are driven by one injected keepalive connection. K23 variants
+// automatically run the offline phase on the same invocation first.
+// Every run — live, recorded or replayed — goes through the one machine
+// runner with the recorder observing, so every flag works with -record
+// and -replay alike. k23 exits 0 when the run completes (the guest's
+// exit status is printed), 128+N when the guest dies by signal N, 3
+// when a replay diverges from its recording, and 1 on a run error.
 //
 // When the guest dies by signal and the flight recorder is on, k23
 // prints the recorder excerpt around the fatal event — the crash-time
@@ -24,21 +31,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"k23/internal/apps"
-	"k23/internal/core"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
 	"k23/internal/obsv"
 	"k23/internal/probe"
+	"k23/internal/rr"
 	"k23/internal/sfip"
 	"k23/internal/span"
 )
 
 // resolveProg maps a basename to a registered binary path.
-func resolveProg(name string) (string, []string, bool) {
+func resolveProg(name string) (string, bool) {
 	paths := map[string]string{
 		"pwd": apps.PwdPath, "touch": apps.TouchPath, "ls": apps.LsPath,
 		"cat": apps.CatPath, "clear": apps.ClearPath, "nginx": apps.NginxPath,
@@ -46,10 +54,10 @@ func resolveProg(name string) (string, []string, bool) {
 		"sqlite3": apps.SqlitePath,
 	}
 	if strings.HasPrefix(name, "/") {
-		return name, nil, true
+		return name, true
 	}
 	p, ok := paths[name]
-	return p, nil, ok
+	return p, ok
 }
 
 // defaultArgs supplies workable arguments for workloads that need them.
@@ -89,8 +97,7 @@ func writeFile(path, what string, write func(f *os.File) error) {
 	fmt.Fprintf(os.Stderr, "[obsv] %s written to %s\n", what, path)
 }
 
-// writeSpanOutputs emits the span-layer artifacts shared by the plain
-// and record/replay paths.
+// writeSpanOutputs emits the span-layer artifacts.
 func writeSpanOutputs(sets []*span.Set, spansOut, perfettoOut string, critPath bool) {
 	if len(sets) == 0 {
 		return
@@ -113,8 +120,8 @@ func writeSpanOutputs(sets []*span.Set, spansOut, perfettoOut string, critPath b
 	}
 }
 
-// writeProbeOutputs emits the probe aggregation JSONL shared by the
-// plain and record/replay paths (stdout when no -probe-out file).
+// writeProbeOutputs emits the probe aggregation JSONL (stdout when no
+// -probe-out file).
 func writeProbeOutputs(snap *probe.Snapshot, out string) {
 	if snap == nil {
 		return
@@ -130,10 +137,9 @@ func writeProbeOutputs(snap *probe.Snapshot, out string) {
 	})
 }
 
-// writeSfipOutputs emits the SFIP artifacts shared by the plain and
-// record/replay paths: the learned policy and/or the enforcement report.
-func writeSfipOutputs(o *obsv.Observer, learnOut, reportOut string) {
-	snap := o.Snapshot()
+// writeSfipOutputs emits the SFIP artifacts: the learned policy and/or
+// the enforcement report.
+func writeSfipOutputs(snap *obsv.Snapshot, learnOut, reportOut string) {
 	if learnOut != "" && snap.SfipPolicy != nil {
 		p := snap.SfipPolicy
 		fmt.Fprintf(os.Stderr, "[sfip] learned policy: %d origin(s), %d edge(s), hash %#x\n",
@@ -150,6 +156,11 @@ func writeSfipOutputs(o *obsv.Observer, learnOut, reportOut string) {
 			})
 		}
 	}
+}
+
+// isServerApp marks the workloads driven by an injected connection.
+func isServerApp(path string) bool {
+	return path == apps.NginxPath || path == apps.LighttpdPath || path == apps.RedisPath
 }
 
 func main() {
@@ -177,13 +188,13 @@ func main() {
 	critPath := flag.Bool("critpath", false, "print the critical path of the longest syscall lifecycle chain (requires -spans or -perfetto)")
 	stats := flag.Bool("stats", false, "print interposition statistics")
 	chaosSeed := flag.Uint64("chaos", 0,
-		"arm deterministic fault injection with this seed (0 = off); perturbations appear in the trace as chaos events")
-	recordOut := flag.String("record", "", "record the run's nondeterminism frontier, event stream and checkpoints as JSONL to FILE (replay with -replay)")
+		"arm deterministic fault injection salted with this seed (0 = off); perturbations appear in the trace as chaos events")
+	recordOut := flag.String("record", "", "write the run's nondeterminism frontier, event stream and checkpoints as JSONL to FILE (replay with -replay)")
 	replayIn := flag.String("replay", "", "replay the recording in FILE instead of running PROG; verifies bit-identical re-execution")
 	untilSeqs := flag.String("until", "", "after the run, seek to these comma-separated event ordinals from the nearest checkpoint (use the seq column of -audit-json escapes)")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint interval in virtual ticks for -record/-replay (0 = default)")
-	seed := flag.Uint64("seed", 1, "world seed for -record (derives the virtual clock and server payloads)")
-	requests := flag.Int("requests", 10, "requests per injected connection for server workloads under -record")
+	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint interval in virtual ticks (0 = default)")
+	seed := flag.Uint64("seed", 1, "world seed (derives the virtual clock and server payloads)")
+	requests := flag.Int("requests", 10, "requests per injected connection for server workloads")
 	list := flag.Bool("list", false, "list interposer variants")
 	flag.Parse()
 
@@ -197,27 +208,48 @@ func main() {
 		}
 		return
 	}
-	args := flag.Args()
-	var path string
-	var argv []string
-	if *replayIn == "" {
+	if _, ok := variants.ByName(*variant); !ok {
+		fmt.Fprintf(os.Stderr, "k23: unknown variant %q (try -list)\n", *variant)
+		os.Exit(2)
+	}
+	var rec *rr.Recording
+	var spec rr.RunSpec
+	if *replayIn != "" {
+		f, err := os.Open(*replayIn)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "k23: replay:", err)
+			os.Exit(1)
+		}
+		rec, err = rr.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "k23: replay:", err)
+			os.Exit(1)
+		}
+		spec = rec.Spec
+	} else {
+		args := flag.Args()
 		if len(args) == 0 {
 			fmt.Fprintln(os.Stderr, "usage: k23 [-variant NAME] [-trace] [-stats] [-metrics FILE] [-profile FILE] [-record FILE | -replay FILE [-until S,...]] PROG [ARGS...]")
 			os.Exit(2)
 		}
-		var ok bool
-		path, _, ok = resolveProg(args[0])
+		path, ok := resolveProg(args[0])
 		if !ok {
 			fmt.Fprintf(os.Stderr, "k23: unknown program %q\n", args[0])
 			os.Exit(2)
 		}
-		argv = defaultArgs(path, args)
-	}
-
-	spec, ok := variants.ByName(*variant)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "k23: unknown variant %q (try -list)\n", *variant)
-		os.Exit(2)
+		argv := defaultArgs(path, args)
+		spec = rr.RunSpec{
+			Name: argv[0], Mechanism: *variant,
+			Path: path, Argv: argv,
+			Server: isServerApp(path), Requests: *requests,
+			Seed: *seed, CheckpointEvery: *ckptEvery,
+		}
+		if *chaosSeed != 0 {
+			prof := kernel.DefaultChaosProfile()
+			spec.Chaos = &prof
+			spec.ChaosSeed = *chaosSeed
+		}
 	}
 
 	sfipMode, err := sfip.ParseMode(*sfipModeFlag)
@@ -261,29 +293,26 @@ func main() {
 		}
 	}
 
-	if *recordOut != "" || *replayIn != "" {
-		c := rrCLI{
-			recordOut: *recordOut, replayIn: *replayIn, until: *untilSeqs,
-			variant: *variant, seed: *seed, chaosSeed: *chaosSeed,
-			ckptEvery: *ckptEvery, requests: *requests,
-			trace: *trace, stats: *stats,
-			audit: *auditFlag, auditJSON: *auditJSON, ring: *ringSize,
-			spansOut: *spansOut, perfettoOut: *perfettoOut, critPath: *critPath,
-			sfipLearn: *sfipLearn, sfipPolicy: sfipPolicy,
-			sfipMode: sfipMode, sfipJSON: *sfipJSON,
-			probes: probes, probeOut: *probeOut,
-		}
-		os.Exit(c.run(path, argv))
-	}
-
-	// Derive the observability options from the requested outputs: any
-	// trace output needs the recorder, any metrics output the
-	// aggregator, any profile output the sampler.
+	// Derive the observer from the requested outputs: any trace output
+	// needs the recorder, any metrics output the aggregator, any profile
+	// output the sampler. It attaches at the runner's attach point —
+	// after the offline phase, the controlled environment no observer
+	// covers — both live and on -replay, which is what makes live and
+	// replay-derived artifacts byte-comparable. On replay the probe mech
+	// context comes from the recording's spec, not the -variant default.
+	mech := spec.Mech()
 	opts := obsv.Options{
-		Trace:    *trace || *traceJSON != "",
-		RingSize: *ringSize,
-		Metrics:  *metricsOut != "" || *promOut != "",
-		Spans:    *spansOut != "" || *perfettoOut != "" || *critPath,
+		Machine:    spec.Name,
+		Trace:      *trace || *traceJSON != "",
+		RingSize:   *ringSize,
+		Metrics:    *metricsOut != "" || *promOut != "",
+		Spans:      *spansOut != "" || *perfettoOut != "" || *critPath,
+		Audit:      *auditFlag || *auditJSON != "",
+		SfipLearn:  *sfipLearn != "",
+		SfipPolicy: sfipPolicy,
+		SfipMode:   sfipMode,
+		Probes:     probes,
+		ProbeMech:  mech,
 	}
 	if *profileOut != "" || *foldedOut != "" || *profileEvery != 0 {
 		opts.ProfileEvery = *profileEvery
@@ -291,90 +320,56 @@ func main() {
 			opts.ProfileEvery = obsv.DefaultProfileEvery
 		}
 	}
-
-	var kopts []kernel.Option
-	if *chaosSeed != 0 {
-		kopts = append(kopts, kernel.WithChaos(*chaosSeed, kernel.DefaultChaosProfile()))
-	}
-	w := interpose.NewWorld(kopts...)
-	apps.RegisterAll(w.Reg)
-	if err := apps.SetupFS(w.K.FS); err != nil {
-		fmt.Fprintln(os.Stderr, "k23:", err)
-		os.Exit(1)
-	}
-
 	var obs *obsv.Observer
-	if opts.Enabled() {
-		obs = obsv.New(opts)
-		obs.Install(w.K)
-	}
-
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, path, argv, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "k23: offline:", err)
-			os.Exit(1)
+	hooks := rr.Hooks{BeforeLaunch: func(w *interpose.World) {
+		if opts.Enabled() {
+			obs = obsv.New(opts)
+			obs.Install(w.K)
 		}
-		_ = w.K.RunUntilExit(run.Process(), 500_000_000)
-		n, err := run.Finish()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "k23: offline:", err)
-			os.Exit(1)
-		}
-		name := path[strings.LastIndexByte(path, '/')+1:]
-		logPath = off.LogPath(name)
-		fmt.Fprintf(os.Stderr, "[offline] %d unique syscall sites logged to %s\n", n, logPath)
-	}
+	}}
 
-	// The auditor attaches only now — after the offline phase, which is
-	// the controlled environment the audit deliberately excludes — so the
-	// report covers exactly the production run.
-	var auditObs *obsv.Observer
-	if *auditFlag || *auditJSON != "" {
-		auditObs = obsv.New(obsv.Options{Audit: true})
-		auditObs.Install(w.K)
+	// Every run is recorded — the recorder only observes — so -record
+	// merely writes the recording out, and -until can seek in any run.
+	var s *rr.Session
+	if rec != nil {
+		s, err = rr.Replay(rec, hooks)
+	} else {
+		s, err = rr.Record(spec, hooks)
 	}
-
-	// Probes attach post-offline too — the same attach point the fleet
-	// and the replay path's BeforeLaunch hook use, which is what makes
-	// live and replay-derived probe output byte-comparable.
-	var probeObs *obsv.Observer
-	if probes != nil {
-		probeObs = obsv.New(obsv.Options{Probes: probes, ProbeMech: *variant})
-		probeObs.Install(w.K)
+	if err == nil {
+		err = s.Run()
 	}
-
-	// SFIP attaches at the same post-offline point: policies are learned
-	// from — and enforced on — the production run only.
-	var sfipObs *obsv.Observer
-	if *sfipLearn != "" || sfipPolicy != nil {
-		sfipObs = obsv.New(obsv.Options{
-			Machine:    args[0],
-			SfipLearn:  *sfipLearn != "",
-			SfipPolicy: sfipPolicy,
-			SfipMode:   sfipMode,
-		})
-		sfipObs.Install(w.K)
-	}
-
-	l := spec.New(interpose.Config{}, logPath)
-	p, err := l.Launch(w, path, argv, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "k23: launch:", err)
-		os.Exit(1)
-	}
-	if err := w.K.RunUntilExit(p, 2_000_000_000); err != nil {
 		fmt.Fprintln(os.Stderr, "k23: run:", err)
 		os.Exit(1)
 	}
+	p, l := s.P, s.Launcher()
 	os.Stdout.Write(p.Stdout)
 	os.Stderr.Write(p.Stderr)
 	fmt.Fprintf(os.Stderr, "[%s] %s\n", l.Name(), p.Exit)
-	if *chaosSeed != 0 {
+	if spec.Chaos != nil {
 		fmt.Fprintf(os.Stderr, "[chaos] seed %#x: %d perturbations injected\n",
-			*chaosSeed, w.K.ChaosInjected())
+			spec.ChaosSeed, s.Rec.Final.ChaosInjected)
+	}
+	exitStatus := 0
+	if p.Exit.Signal != 0 {
+		exitStatus = 128 + p.Exit.Signal
+	}
+	if *recordOut != "" || rec != nil {
+		fmt.Fprintf(os.Stderr, "[rr] %d events, %d checkpoints, trace %#x event %#x vfs %#x\n",
+			s.Rec.Final.Events, s.NumCheckpoints(),
+			s.Rec.Final.TraceHash, s.Rec.Final.EventHash, s.Rec.Final.VFSHash)
+	}
+	if rec != nil {
+		if i, diverged := s.Diverged(); diverged {
+			fmt.Fprintf(os.Stderr, "[rr] replay DIVERGED at checkpoint %d of %d\n", i, s.NumCheckpoints())
+			if d := rr.Bisect(rec, s.Rec); d != nil {
+				fmt.Fprintf(os.Stderr, "[rr] bisect: %s\n", d)
+			}
+			exitStatus = 3
+		} else {
+			fmt.Fprintln(os.Stderr, "[rr] replay bit-identical to the recording")
+		}
 	}
 	if *stats {
 		st := l.Stats(p)
@@ -409,9 +404,9 @@ func main() {
 		}
 		if *promOut != "" {
 			writeFile(*promOut, "Prometheus metrics", func(f *os.File) error {
-				snap.Metrics.WritePrometheus(f, [][2]string{{"variant", *variant}})
+				snap.Metrics.WritePrometheus(f, [][2]string{{"variant", mech}})
 				if len(snap.Spans) != 0 {
-					obsv.WriteSpanPrometheus(f, snap.Spans, [][2]string{{"variant", *variant}})
+					obsv.WriteSpanPrometheus(f, snap.Spans, [][2]string{{"variant", mech}})
 				}
 				return nil
 			})
@@ -427,31 +422,58 @@ func main() {
 			})
 		}
 		writeSpanOutputs(snap.Spans, *spansOut, *perfettoOut, *critPath)
-	}
-
-	if auditObs != nil {
-		audit := auditObs.Snapshot().Audit
-		if *auditFlag {
-			fmt.Fprintf(os.Stderr, "[audit] ground-truth coverage report for %s under %s:\n", args[0], l.Name())
-			audit.Format(os.Stderr)
+		if audit := snap.Audit; audit != nil {
+			if *auditFlag {
+				fmt.Fprintf(os.Stderr, "[audit] ground-truth coverage report for %s under %s:\n", spec.Name, l.Name())
+				audit.Format(os.Stderr)
+			}
+			if *auditJSON != "" {
+				writeFile(*auditJSON, "audit JSONL", func(f *os.File) error {
+					return audit.WriteJSONL(f)
+				})
+			}
 		}
-		if *auditJSON != "" {
-			writeFile(*auditJSON, "audit JSONL", func(f *os.File) error {
-				return audit.WriteJSONL(f)
-			})
+		writeProbeOutputs(snap.Probes, *probeOut)
+		writeSfipOutputs(snap, *sfipLearn, *sfipJSON)
+	}
+
+	if *recordOut != "" {
+		f, err := os.Create(*recordOut)
+		if err == nil {
+			err = s.Rec.WriteJSONL(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "k23: record:", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "[rr] recording written to %s\n", *recordOut)
+	}
+
+	// Time-travel: seek to each requested event ordinal from the nearest
+	// checkpoint at or below it, reporting how much re-execution that
+	// cost versus a replay from tick 0.
+	if *untilSeqs != "" {
+		for _, tok := range strings.Split(*untilSeqs, ",") {
+			target, err := strconv.ParseUint(strings.TrimSpace(tok), 10, 64)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "k23: -until: bad seq %q\n", tok)
+				os.Exit(2)
+			}
+			sk, err := s.SeekSeq(target)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "k23: seek:", err)
+				os.Exit(1)
+			}
+			from := fmt.Sprintf("restored checkpoint %d", sk.From)
+			if sk.From < 0 {
+				from = "replayed launch from tick 0"
+			}
+			fmt.Fprintf(os.Stderr, "[rr] seek seq=%d: %s, re-executed %d of %d steps (vclock %d)\n",
+				sk.Target, from, sk.ReExecuted, s.Rec.Final.Steps, sk.VClock)
 		}
 	}
-
-	if probeObs != nil {
-		writeProbeOutputs(probeObs.Snapshot().Probes, *probeOut)
-	}
-
-	if sfipObs != nil {
-		writeSfipOutputs(sfipObs, *sfipLearn, *sfipJSON)
-	}
-
-	if p.Exit.Signal != 0 {
-		os.Exit(128 + p.Exit.Signal)
-	}
-	os.Exit(p.Exit.Code)
+	os.Exit(exitStatus)
 }

@@ -4,15 +4,16 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"k23/internal/apps"
 	"k23/internal/audit"
-	"k23/internal/core"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 )
 
@@ -40,24 +41,12 @@ func AuditApp(spec variants.Spec, path string, argv []string) (*audit.Snapshot, 
 	if err != nil {
 		return nil, err
 	}
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, path, argv, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.K.RunUntilExit(run.Process(), 3_000_000_000); err != nil {
-			return nil, err
-		}
-		if _, err := run.Finish(); err != nil {
-			return nil, err
-		}
-		logPath = off.LogPath(path[strings.LastIndexByte(path, '/')+1:])
+	l, err := machine.Launcher(context.Background(), w, spec, interpose.Config{}, path, argv, 0)
+	if err != nil {
+		return nil, err
 	}
 	o := obsv.New(obsv.Options{Audit: true})
 	o.Install(w.K)
-	l := spec.New(interpose.Config{}, logPath)
 	p, err := l.Launch(w, path, argv, nil)
 	if err != nil {
 		return nil, err

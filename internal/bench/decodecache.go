@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"k23/internal/apps"
 	"k23/internal/cpu"
 	"k23/internal/interpose"
+	"k23/internal/machine"
 )
 
 // DecodeCacheRun is one wall-clock measurement of raw simulator speed
@@ -70,17 +72,8 @@ func MeasureDecodeCacheMacro(requests int, cacheOff bool) (DecodeCacheRun, error
 	if err != nil {
 		return DecodeCacheRun{}, err
 	}
-	req := make([]byte, apps.RequestSize)
-	port := apps.BasePort + p.PID
-	injected := false
-	for i := 0; i < 5000 && !injected; i++ {
-		w.K.Run(10_000)
-		if err := w.K.InjectConn(port, req, requests, nil); err == nil {
-			injected = true
-		}
-	}
-	if !injected {
-		return DecodeCacheRun{}, fmt.Errorf("bench: redis never listened on %d", port)
+	if err := machine.Listen(context.Background(), w.K, p, make([]byte, apps.RequestSize), requests); err != nil {
+		return DecodeCacheRun{}, err
 	}
 	if err := w.K.RunUntilExit(p, 3_000_000_000); err != nil {
 		return DecodeCacheRun{}, err
@@ -90,18 +83,13 @@ func MeasureDecodeCacheMacro(requests int, cacheOff bool) (DecodeCacheRun, error
 }
 
 func finishDecodeCacheRun(w *interpose.World, name string, cacheOff bool, elapsed time.Duration) DecodeCacheRun {
-	run := DecodeCacheRun{
+	return DecodeCacheRun{
 		Workload: name,
 		CacheOff: cacheOff,
 		Elapsed:  elapsed,
 		Stats:    w.K.DecodeCacheStats(),
+		Steps:    machine.Insts(w.K),
 	}
-	for _, p := range w.K.Processes() {
-		for _, t := range p.Threads {
-			run.Steps += t.Core.Insts
-		}
-	}
-	return run
 }
 
 // FormatDecodeCache renders cache-on/cache-off measurement pairs with

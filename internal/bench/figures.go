@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -12,6 +13,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 )
 
 // Figure1 regenerates the content of the paper's Figure 1: a code region
@@ -67,10 +69,10 @@ func Figure1() string {
 		return strings.Join(tags, ", ")
 	}
 	interesting := map[string]uint64{
-		"real syscall":            im.Symbols["real_site"],
-		"partial instruction+2":   im.Symbols["partial"] + 2,
-		"embedded data+1":         im.Symbols["data_blob"] + 1,
-		"real sysenter":           im.Symbols["real_site2"],
+		"real syscall":          im.Symbols["real_site"],
+		"partial instruction+2": im.Symbols["partial"] + 2,
+		"embedded data+1":       im.Symbols["data_blob"] + 1,
+		"real sysenter":         im.Symbols["real_site2"],
 	}
 	for _, name := range []string{"real syscall", "partial instruction+2", "embedded data+1", "real sysenter"} {
 		off := interesting[name]
@@ -106,15 +108,7 @@ func Figure2() (string, error) {
 			fmt.Fprintf(&out, "  (4) libLogger re-executes the call, returns its result, resumes the app\n\n")
 		}
 	}
-	off := &core.Offline{LogDir: "/var/k23/logs"}
-	run, err := off.Start(w, apps.LsPath, []string{"ls", "/data"}, nil)
-	if err != nil {
-		return "", err
-	}
-	if err := w.K.RunUntilExit(run.Process(), 500_000_000); err != nil {
-		return "", err
-	}
-	n, err := run.Finish()
+	_, n, err := machine.Offline(context.Background(), w, apps.LsPath, []string{"ls", "/data"}, 0)
 	if err != nil {
 		return "", err
 	}
@@ -130,34 +124,12 @@ func Figure4() (string, error) {
 		return "", err
 	}
 	// Offline first, so the single rewriting step has sites.
-	off := &core.Offline{LogDir: "/var/k23/logs"}
-	run, err := off.Start(w, apps.LsPath, []string{"ls", "/data"}, nil)
+	logPath, _, err := machine.Offline(context.Background(), w, apps.LsPath, []string{"ls", "/data"}, 0)
 	if err != nil {
 		return "", err
 	}
-	if err := w.K.RunUntilExit(run.Process(), 500_000_000); err != nil {
-		return "", err
-	}
-	if _, err := run.Finish(); err != nil {
-		return "", err
-	}
-
-	var ptraced, rewritten, sudFallback int
-	cfg := interpose.Config{
-		Hook: func(c *interpose.Call) (uint64, bool) {
-			switch c.Mechanism {
-			case interpose.MechPtrace:
-				ptraced++
-			case interpose.MechRewrite:
-				rewritten++
-			case interpose.MechSUD:
-				sudFallback++
-			}
-			return 0, false
-		},
-	}
 	spec, _ := variants.ByName("k23-ultra+")
-	k23 := spec.New(cfg, off.LogPath("ls")).(*core.K23)
+	k23 := spec.New(interpose.Config{}, logPath).(*core.K23)
 	p, err := k23.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
 	if err != nil {
 		return "", err
@@ -176,9 +148,6 @@ func Figure4() (string, error) {
 	fmt.Fprintf(&out, "  [libK23: interposition]   %d calls via rewritten trampoline path\n", st.Rewritten)
 	fmt.Fprintf(&out, "  [SUD fallback]            %d calls from sites the offline phase missed\n", st.SUD)
 	fmt.Fprintf(&out, "\n  exhaustive: every mechanism reaches the same interposition code; exit: %s\n", p.Exit)
-	_ = ptraced
-	_ = rewritten
-	_ = sudFallback
 	return out.String(), nil
 }
 
@@ -211,22 +180,10 @@ func ClaimP4b() (string, error) {
 			return nil, err
 		}
 		spec, _ := variants.ByName(name)
-		logPath := ""
-		if spec.NeedsOfflineLog {
-			off := &core.Offline{LogDir: "/var/k23/logs"}
-			r, err := off.Start(w, apps.LsPath, []string{"ls", "/data"}, nil)
-			if err != nil {
-				return nil, err
-			}
-			if err := w.K.RunUntilExit(r.Process(), 500_000_000); err != nil {
-				return nil, err
-			}
-			if _, err := r.Finish(); err != nil {
-				return nil, err
-			}
-			logPath = off.LogPath("ls")
+		l, err := machine.Launcher(context.Background(), w, spec, interpose.Config{}, apps.LsPath, []string{"ls", "/data"}, 0)
+		if err != nil {
+			return nil, err
 		}
-		l := spec.New(interpose.Config{}, logPath)
 		p, err := l.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
 		if err != nil {
 			return nil, err

@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"k23/internal/apps"
 	"k23/internal/cpu"
 	"k23/internal/interpose"
+	"k23/internal/machine"
 )
 
 // JITRun is one wall-clock measurement of raw simulator speed with the
@@ -66,17 +68,8 @@ func MeasureJITMacro(requests int, jitOff bool) (JITRun, error) {
 	if err != nil {
 		return JITRun{}, err
 	}
-	req := make([]byte, apps.RequestSize)
-	port := apps.BasePort + p.PID
-	injected := false
-	for i := 0; i < 5000 && !injected; i++ {
-		w.K.Run(10_000)
-		if err := w.K.InjectConn(port, req, requests, nil); err == nil {
-			injected = true
-		}
-	}
-	if !injected {
-		return JITRun{}, fmt.Errorf("bench: redis never listened on %d", port)
+	if err := machine.Listen(context.Background(), w.K, p, make([]byte, apps.RequestSize), requests); err != nil {
+		return JITRun{}, err
 	}
 	if err := w.K.RunUntilExit(p, 3_000_000_000); err != nil {
 		return JITRun{}, err
@@ -85,18 +78,13 @@ func MeasureJITMacro(requests int, jitOff bool) (JITRun, error) {
 }
 
 func finishJITRun(w *interpose.World, name string, jitOff bool, elapsed time.Duration) JITRun {
-	run := JITRun{
+	return JITRun{
 		Workload: name,
 		JITOff:   jitOff,
 		Elapsed:  elapsed,
 		Stats:    w.K.JITStats(),
+		Steps:    machine.Insts(w.K),
 	}
-	for _, p := range w.K.Processes() {
-		for _, t := range p.Threads {
-			run.Steps += t.Core.Insts
-		}
-	}
-	return run
 }
 
 // FormatJIT renders jit-on/jit-off measurement pairs with the speedup

@@ -1,14 +1,15 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"k23/internal/apps"
-	"k23/internal/core"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 )
 
 // Request counts for the per-request slope measurement.
@@ -87,11 +88,7 @@ func Table6Variants() []string {
 // macroWorld builds a fresh world with workloads registered.
 func macroWorld() (*interpose.World, error) {
 	w := interpose.NewWorld()
-	apps.RegisterAll(w.Reg)
-	if err := apps.SetupFS(w.K.FS); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return w, machine.StandardSetup(w)
 }
 
 // serveRequests launches one server worker under l, drives r keepalive
@@ -101,17 +98,8 @@ func serveRequests(w *interpose.World, l interpose.Launcher, cfg MacroConfig, r 
 	if err != nil {
 		return 0, err
 	}
-	req := make([]byte, apps.RequestSize)
-	port := apps.BasePort + p.PID
-	injected := false
-	for i := 0; i < 5000 && !injected; i++ {
-		w.K.Run(10_000)
-		if err := w.K.InjectConn(port, req, r, nil); err == nil {
-			injected = true
-		}
-	}
-	if !injected {
-		return 0, fmt.Errorf("bench: %s under %s never listened", cfg.Name, l.Name())
+	if err := machine.Listen(context.Background(), w.K, p, make([]byte, apps.RequestSize), r); err != nil {
+		return 0, fmt.Errorf("bench: %s under %s: %w", cfg.Name, l.Name(), err)
 	}
 	if err := w.K.RunUntilExit(p, 3_000_000_000); err != nil {
 		return 0, err
@@ -145,36 +133,18 @@ func runToExit(w *interpose.World, l interpose.Launcher, path string, argv []str
 	return cycles, nil
 }
 
-// offlineFor runs the offline phase for a macro workload in w (servers
-// get a representative request stream, §6.2) and returns the log path.
-func offlineFor(w *interpose.World, cfg MacroConfig) (string, error) {
-	off := &core.Offline{LogDir: "/var/k23/logs"}
-	argv := cfg.Argv
+// macroLauncher returns spec's launcher for a macro workload in w,
+// running the offline phase first when spec needs a log (servers get a
+// representative request stream, §6.2).
+func macroLauncher(w *interpose.World, spec variants.Spec, cfg MacroConfig) (interpose.Launcher, error) {
+	argv, requests := cfg.Argv, 40
 	if cfg.OfflineArgv != nil {
 		argv = cfg.OfflineArgv
 	}
-	run, err := off.Start(w, cfg.Path, argv, nil)
-	if err != nil {
-		return "", err
+	if cfg.Sqlite {
+		requests = 0
 	}
-	if !cfg.Sqlite {
-		req := make([]byte, apps.RequestSize)
-		port := apps.BasePort + run.Process().PID
-		for i := 0; i < 5000; i++ {
-			w.K.Run(10_000)
-			if err := w.K.InjectConn(port, req, 40, nil); err == nil {
-				break
-			}
-		}
-	}
-	if err := w.K.RunUntilExit(run.Process(), 3_000_000_000); err != nil {
-		return "", err
-	}
-	if _, err := run.Finish(); err != nil {
-		return "", err
-	}
-	name := cfg.Path[strings.LastIndexByte(cfg.Path, '/')+1:]
-	return off.LogPath(name), nil
+	return machine.Launcher(context.Background(), w, spec, interpose.Config{}, cfg.Path, argv, requests)
 }
 
 // cyclesPerRequest measures the marginal per-request cycle cost via the
@@ -184,13 +154,10 @@ func cyclesPerRequest(spec variants.Spec, cfg MacroConfig) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		if logPath, err = offlineFor(w, cfg); err != nil {
-			return 0, err
-		}
+	l, err := macroLauncher(w, spec, cfg)
+	if err != nil {
+		return 0, err
 	}
-	l := spec.New(interpose.Config{}, logPath)
 	c1, err := serveRequests(w, l, cfg, macroR1)
 	if err != nil {
 		return 0, err
@@ -217,13 +184,10 @@ func redisMainCycles(spec variants.Spec) (float64, error) {
 		Sqlite:      true, // no connection driving
 		OfflineArgv: []string{"redis-server", "main"},
 	}
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		if logPath, err = offlineFor(w, mainCfg); err != nil {
-			return 0, err
-		}
+	l, err := macroLauncher(w, spec, mainCfg)
+	if err != nil {
+		return 0, err
 	}
-	l := spec.New(interpose.Config{}, logPath)
 	total, err := runToExit(w, l, apps.RedisPath, []string{"redis-server", "main"})
 	if err != nil {
 		return 0, err
@@ -266,13 +230,10 @@ func sqliteCycles(spec variants.Spec, cfg MacroConfig) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		if logPath, err = offlineFor(w, cfg); err != nil {
-			return 0, err
-		}
+	l, err := macroLauncher(w, spec, cfg)
+	if err != nil {
+		return 0, err
 	}
-	l := spec.New(interpose.Config{}, logPath)
 	const ops1, ops2 = 300, 1500
 	c1, err := runToExit(w, l, cfg.Path, []string{cfg.Argv[0], fmt.Sprintf("%d", ops1)})
 	if err != nil {
@@ -335,16 +296,16 @@ func Table6() ([]MacroRow, error) {
 
 // PaperTable6 holds the paper's relative-throughput percentages.
 var PaperTable6 = map[string]map[string]float64{
-	"nginx (1 worker, 0 KB)":       {"zpoline-default": 99.05, "zpoline-ultra": 98.40, "lazypoline": 97.85, "k23-default": 97.94, "k23-ultra": 97.29, "k23-ultra+": 96.70, "sud": 51.29},
-	"nginx (1 worker, 4 KB)":       {"zpoline-default": 96.73, "zpoline-ultra": 96.14, "lazypoline": 96.04, "k23-default": 96.24, "k23-ultra": 95.89, "k23-ultra+": 95.76, "sud": 45.95},
-	"nginx (10 workers, 0 KB)":     {"zpoline-default": 99.62, "zpoline-ultra": 99.34, "lazypoline": 98.79, "k23-default": 99.52, "k23-ultra": 98.39, "k23-ultra+": 97.83, "sud": 53.93},
-	"nginx (10 workers, 4 KB)":     {"zpoline-default": 98.83, "zpoline-ultra": 98.76, "lazypoline": 98.14, "k23-default": 98.59, "k23-ultra": 98.12, "k23-ultra+": 98.23, "sud": 53.97},
-	"lighttpd (1 worker, 0 KB)":    {"zpoline-default": 98.76, "zpoline-ultra": 99.48, "lazypoline": 98.23, "k23-default": 99.15, "k23-ultra": 97.89, "k23-ultra+": 97.50, "sud": 61.25},
-	"lighttpd (1 worker, 4 KB)":    {"zpoline-default": 99.28, "zpoline-ultra": 98.37, "lazypoline": 97.93, "k23-default": 98.56, "k23-ultra": 98.01, "k23-ultra+": 97.62, "sud": 61.62},
-	"lighttpd (10 workers, 0 KB)":  {"zpoline-default": 98.77, "zpoline-ultra": 98.60, "lazypoline": 98.18, "k23-default": 98.16, "k23-ultra": 98.36, "k23-ultra+": 97.69, "sud": 59.83},
-	"lighttpd (10 workers, 4 KB)":  {"zpoline-default": 99.17, "zpoline-ultra": 98.98, "lazypoline": 98.67, "k23-default": 99.01, "k23-ultra": 98.65, "k23-ultra+": 98.62, "sud": 65.06},
-	"redis (1 I/O thread)":         {"zpoline-default": 100.00, "zpoline-ultra": 99.93, "lazypoline": 99.98, "k23-default": 100.21, "k23-ultra": 100.17, "k23-ultra+": 99.90, "sud": 96.15},
-	"redis (6 I/O threads)":        {"zpoline-default": 99.94, "zpoline-ultra": 99.80, "lazypoline": 99.80, "k23-default": 99.97, "k23-ultra": 99.97, "k23-ultra+": 99.95, "sud": 35.75},
+	"nginx (1 worker, 0 KB)":        {"zpoline-default": 99.05, "zpoline-ultra": 98.40, "lazypoline": 97.85, "k23-default": 97.94, "k23-ultra": 97.29, "k23-ultra+": 96.70, "sud": 51.29},
+	"nginx (1 worker, 4 KB)":        {"zpoline-default": 96.73, "zpoline-ultra": 96.14, "lazypoline": 96.04, "k23-default": 96.24, "k23-ultra": 95.89, "k23-ultra+": 95.76, "sud": 45.95},
+	"nginx (10 workers, 0 KB)":      {"zpoline-default": 99.62, "zpoline-ultra": 99.34, "lazypoline": 98.79, "k23-default": 99.52, "k23-ultra": 98.39, "k23-ultra+": 97.83, "sud": 53.93},
+	"nginx (10 workers, 4 KB)":      {"zpoline-default": 98.83, "zpoline-ultra": 98.76, "lazypoline": 98.14, "k23-default": 98.59, "k23-ultra": 98.12, "k23-ultra+": 98.23, "sud": 53.97},
+	"lighttpd (1 worker, 0 KB)":     {"zpoline-default": 98.76, "zpoline-ultra": 99.48, "lazypoline": 98.23, "k23-default": 99.15, "k23-ultra": 97.89, "k23-ultra+": 97.50, "sud": 61.25},
+	"lighttpd (1 worker, 4 KB)":     {"zpoline-default": 99.28, "zpoline-ultra": 98.37, "lazypoline": 97.93, "k23-default": 98.56, "k23-ultra": 98.01, "k23-ultra+": 97.62, "sud": 61.62},
+	"lighttpd (10 workers, 0 KB)":   {"zpoline-default": 98.77, "zpoline-ultra": 98.60, "lazypoline": 98.18, "k23-default": 98.16, "k23-ultra": 98.36, "k23-ultra+": 97.69, "sud": 59.83},
+	"lighttpd (10 workers, 4 KB)":   {"zpoline-default": 99.17, "zpoline-ultra": 98.98, "lazypoline": 98.67, "k23-default": 99.01, "k23-ultra": 98.65, "k23-ultra+": 98.62, "sud": 65.06},
+	"redis (1 I/O thread)":          {"zpoline-default": 100.00, "zpoline-ultra": 99.93, "lazypoline": 99.98, "k23-default": 100.21, "k23-ultra": 100.17, "k23-ultra+": 99.90, "sud": 96.15},
+	"redis (6 I/O threads)":         {"zpoline-default": 99.94, "zpoline-ultra": 99.80, "lazypoline": 99.80, "k23-default": 99.97, "k23-ultra": 99.97, "k23-ultra+": 99.95, "sud": 35.75},
 	"sqlite (speedtest1, size 800)": {"zpoline-default": 98.12, "zpoline-ultra": 97.80, "lazypoline": 97.31, "k23-default": 97.56, "k23-ultra": 97.13, "k23-ultra+": 97.20, "sud": 55.90},
 }
 

@@ -12,15 +12,16 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"k23/internal/asm"
-	"k23/internal/core"
 	"k23/internal/cpu"
 	"k23/internal/image"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 // MicroPath is the microbenchmark binary.
@@ -89,6 +90,12 @@ func microWorld() *interpose.World {
 	return w
 }
 
+// microLauncher returns spec's launcher in w, profiling a short micro
+// run offline first when spec needs a log.
+func microLauncher(w *interpose.World, spec variants.Spec) (interpose.Launcher, error) {
+	return machine.Launcher(context.Background(), w, spec, interpose.Config{}, MicroPath, []string{"micro", "50"}, 0)
+}
+
 // runMicroOnce runs the stress test for n iterations under l and returns
 // the main thread's total cycles.
 func runMicroOnce(w *interpose.World, l interpose.Launcher, n int) (uint64, error) {
@@ -113,22 +120,10 @@ func runMicroOnce(w *interpose.World, l interpose.Launcher, n int) (uint64, erro
 // variant.
 func MicroSlope(spec variants.Spec) (float64, error) {
 	w := microWorld()
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, MicroPath, []string{"micro", "50"}, nil)
-		if err != nil {
-			return 0, err
-		}
-		if err := w.K.RunUntilExit(run.Process(), 500_000_000); err != nil {
-			return 0, err
-		}
-		if _, err := run.Finish(); err != nil {
-			return 0, err
-		}
-		logPath = off.LogPath("micro")
+	l, err := microLauncher(w, spec)
+	if err != nil {
+		return 0, err
 	}
-	l := spec.New(interpose.Config{}, logPath)
 	c1, err := runMicroOnce(w, l, microN1)
 	if err != nil {
 		return 0, err
@@ -223,4 +218,3 @@ func FormatTable5(rows []MicroRow) string {
 	}
 	return out
 }
-

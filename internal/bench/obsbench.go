@@ -5,8 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"k23/internal/core"
-	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/obsv"
 )
@@ -36,24 +34,12 @@ func MetricsSidecar(names []string) ([]SidecarRow, error) {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
 		w := microWorld()
-		logPath := ""
-		if spec.NeedsOfflineLog {
-			off := &core.Offline{LogDir: "/var/k23/logs"}
-			run, err := off.Start(w, MicroPath, []string{"micro", "50"}, nil)
-			if err != nil {
-				return nil, err
-			}
-			if err := w.K.RunUntilExit(run.Process(), 500_000_000); err != nil {
-				return nil, err
-			}
-			if _, err := run.Finish(); err != nil {
-				return nil, err
-			}
-			logPath = off.LogPath("micro")
+		l, err := microLauncher(w, spec)
+		if err != nil {
+			return nil, err
 		}
 		obs := obsv.New(obsv.Options{Metrics: true})
 		obs.Install(w.K)
-		l := spec.New(interpose.Config{}, logPath)
 		if _, err := runMicroOnce(w, l, sidecarIters); err != nil {
 			return nil, fmt.Errorf("bench: sidecar %s: %w", name, err)
 		}
@@ -86,25 +72,13 @@ const obsOverheadRounds = 5
 // wall time of the instrumented run.
 func obsOverheadOnce(spec variants.Spec, opts obsv.Options, installEmpty bool) (uint64, time.Duration, error) {
 	w := microWorld()
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, MicroPath, []string{"micro", "50"}, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := w.K.RunUntilExit(run.Process(), 500_000_000); err != nil {
-			return 0, 0, err
-		}
-		if _, err := run.Finish(); err != nil {
-			return 0, 0, err
-		}
-		logPath = off.LogPath("micro")
+	l, err := microLauncher(w, spec)
+	if err != nil {
+		return 0, 0, err
 	}
 	if opts.Enabled() || installEmpty {
 		obsv.New(opts).Install(w.K)
 	}
-	l := spec.New(interpose.Config{}, logPath)
 	start := time.Now()
 	p, err := l.Launch(w, MicroPath, []string{"micro", fmt.Sprintf("%d", obsOverheadIters)}, nil)
 	if err != nil {

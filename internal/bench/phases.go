@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"k23/internal/core"
-	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/obsv"
 	"k23/internal/span"
@@ -41,24 +39,12 @@ type PhasesRow struct {
 // fixed costs exactly as MicroSlope does.
 func measurePhasesOnce(spec variants.Spec, n int) (uint64, map[string]uint64, error) {
 	w := microWorld()
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, MicroPath, []string{"micro", "50"}, nil)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := w.K.RunUntilExit(run.Process(), 500_000_000); err != nil {
-			return 0, nil, err
-		}
-		if _, err := run.Finish(); err != nil {
-			return 0, nil, err
-		}
-		logPath = off.LogPath("micro")
+	l, err := microLauncher(w, spec)
+	if err != nil {
+		return 0, nil, err
 	}
 	obs := obsv.New(obsv.Options{Spans: true})
 	obs.Install(w.K)
-	l := spec.New(interpose.Config{}, logPath)
 	total, err := runMicroOnce(w, l, n)
 	if err != nil {
 		return 0, nil, err

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"k23/internal/apps"
-	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/obsv"
 	"k23/internal/probe"
@@ -56,15 +55,12 @@ func MeasureProbes() (*probe.Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		logPath := ""
-		if spec.NeedsOfflineLog {
-			if logPath, err = offlineFor(w, probesConfig); err != nil {
-				return nil, err
-			}
+		l, err := macroLauncher(w, spec, probesConfig)
+		if err != nil {
+			return nil, err
 		}
 		obs := obsv.New(obsv.Options{Probes: compiled, ProbeMech: name})
 		obs.Install(w.K)
-		l := spec.New(interpose.Config{}, logPath)
 		if _, err := serveRequests(w, l, probesConfig, probesRequests); err != nil {
 			return nil, fmt.Errorf("bench: probes %s: %w", name, err)
 		}

@@ -16,14 +16,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"k23/internal/apps"
-	"k23/internal/core"
-	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 	"k23/internal/pitfalls"
 	"k23/internal/sfip"
@@ -143,32 +143,19 @@ func sfipAppSnapshot(spec variants.Spec, wl sfipWorkload, oo obsv.Options) (*obs
 	if err != nil {
 		return nil, err
 	}
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		cfg := MacroConfig{Name: wl.name, Path: wl.path, Argv: wl.argv, Sqlite: !wl.server}
-		if logPath, err = offlineFor(w, cfg); err != nil {
-			return nil, fmt.Errorf("bench: sfip offline %s: %w", wl.name, err)
-		}
+	l, err := macroLauncher(w, spec, MacroConfig{Name: wl.name, Path: wl.path, Argv: wl.argv, Sqlite: !wl.server})
+	if err != nil {
+		return nil, fmt.Errorf("bench: sfip offline %s: %w", wl.name, err)
 	}
 	o := obsv.New(oo)
 	o.Install(w.K)
-	l := spec.New(interpose.Config{}, logPath)
 	p, err := l.Launch(w, wl.path, wl.argv, nil)
 	if err != nil {
 		return nil, err
 	}
 	if wl.server {
-		req := make([]byte, apps.RequestSize)
-		port := apps.BasePort + p.PID
-		injected := false
-		for i := 0; i < 5000 && !injected; i++ {
-			w.K.Run(10_000)
-			if err := w.K.InjectConn(port, req, wl.requests, nil); err == nil {
-				injected = true
-			}
-		}
-		if !injected {
-			return nil, fmt.Errorf("bench: sfip %s never listened", wl.name)
+		if err := machine.Listen(context.Background(), w.K, p, make([]byte, apps.RequestSize), wl.requests); err != nil {
+			return nil, fmt.Errorf("bench: sfip %s: %w", wl.name, err)
 		}
 	}
 	if err := w.K.RunUntilExit(p, 3_000_000_000); err != nil {
@@ -243,25 +230,13 @@ type SfipMicroRow struct {
 // enforcement path, not a security verdict).
 func sfipTrainMicro(spec variants.Spec) (*sfip.Policy, error) {
 	w := microWorld()
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, MicroPath, []string{"micro", "50"}, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.K.RunUntilExit(run.Process(), 500_000_000); err != nil {
-			return nil, err
-		}
-		if _, err := run.Finish(); err != nil {
-			return nil, err
-		}
-		logPath = off.LogPath("micro")
+	l, err := microLauncher(w, spec)
+	if err != nil {
+		return nil, err
 	}
 	o := obsv.New(obsv.Options{SfipLearn: true})
 	o.Learner.LearnAll = true
 	o.Install(w.K)
-	l := spec.New(interpose.Config{}, logPath)
 	// Train at both measurement sizes so every transition either run
 	// exercises is in the policy.
 	if _, err := runMicroOnce(w, l, microN1); err != nil {
@@ -278,25 +253,13 @@ func sfipTrainMicro(spec variants.Spec) (*sfip.Policy, error) {
 // the plain slope isolates the SFIP check itself).
 func sfipMicroSlope(spec variants.Spec, policy *sfip.Policy, mode sfip.Mode) (float64, error) {
 	w := microWorld()
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, MicroPath, []string{"micro", "50"}, nil)
-		if err != nil {
-			return 0, err
-		}
-		if err := w.K.RunUntilExit(run.Process(), 500_000_000); err != nil {
-			return 0, err
-		}
-		if _, err := run.Finish(); err != nil {
-			return 0, err
-		}
-		logPath = off.LogPath("micro")
+	l, err := microLauncher(w, spec)
+	if err != nil {
+		return 0, err
 	}
 	// Installed after the offline phase: the controlled environment is
 	// not policed.
 	w.K.Sfip = sfip.NewEnforcer(policy, mode)
-	l := spec.New(interpose.Config{}, logPath)
 	c1, err := runMicroOnce(w, l, microN1)
 	if err != nil {
 		return 0, err

@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"k23/internal/apps"
-	"k23/internal/core"
+	"k23/internal/machine"
 )
 
 // Table2Row is one application's offline-phase profile.
@@ -44,27 +45,9 @@ func Table2() ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, wl.path, wl.argv, nil)
+		_, n, err := machine.Offline(context.Background(), w, wl.path, wl.argv, wl.requests)
 		if err != nil {
-			return nil, fmt.Errorf("bench: offline %s: %w", wl.name, err)
-		}
-		if wl.server {
-			req := make([]byte, apps.RequestSize)
-			port := apps.BasePort + run.Process().PID
-			for i := 0; i < 5000; i++ {
-				w.K.Run(10_000)
-				if err := w.K.InjectConn(port, req, wl.requests, nil); err == nil {
-					break
-				}
-			}
-		}
-		if err := w.K.RunUntilExit(run.Process(), 2_000_000_000); err != nil {
-			return nil, fmt.Errorf("bench: offline run %s: %w", wl.name, err)
-		}
-		n, err := run.Finish()
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bench: %s: %w", wl.name, err)
 		}
 		rows = append(rows, Table2Row{Name: wl.name, Sites: n, Paper: wl.paper})
 	}

@@ -28,6 +28,7 @@ import (
 	"k23/internal/fleet"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 	"k23/internal/pitfalls"
 )
 
@@ -66,21 +67,12 @@ func (r *Report) Merge(other *Report) {
 	r.Violations = append(r.Violations, other.Violations...)
 }
 
-// splitmix64 expands the sweep base seed (same public-domain constants as
-// the kernel injector and the fleet seed derivation).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Seeds derives n sweep seeds from base, deterministically.
 func Seeds(base uint64, n int) []uint64 {
 	out := make([]uint64, n)
 	s := base
 	for i := range out {
-		s = splitmix64(s)
+		s = machine.Splitmix64(s)
 		out[i] = s
 	}
 	return out

@@ -23,7 +23,6 @@ import (
 	"k23/internal/cpu"
 	"k23/internal/interpose"
 	"k23/internal/kernel"
-	"k23/internal/vfs"
 )
 
 // ThreadState is the architecturally visible final state of one thread.
@@ -205,7 +204,7 @@ func RunOpts(w Workload, cacheOff bool, opts ...kernel.Option) (*Snapshot, error
 	snap.Stdout = string(p.Stdout)
 	snap.Stderr = string(p.Stderr)
 	snap.Exit = p.Exit
-	snap.VFSHash = HashFS(world.K.FS)
+	snap.VFSHash = world.K.FS.TreeHash()
 	snap.ChaosInjected = world.K.ChaosInjected()
 	return snap, nil
 }
@@ -225,43 +224,6 @@ func drive(world *interpose.World, p *kernel.Process, n int) error {
 		}
 	}
 	return fmt.Errorf("difftest: server on port %d never listened", port)
-}
-
-// HashFS hashes the filesystem tree: every path with its mode and
-// content, in sorted order.
-func HashFS(fs *vfs.FS) uint64 {
-	h := fnv.New64a()
-	var walk func(dir string)
-	walk = func(dir string) {
-		names, err := fs.ReadDir(dir)
-		if err != nil {
-			fmt.Fprintf(h, "!%s:%v", dir, err)
-			return
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			p := dir + "/" + name
-			if dir == "/" {
-				p = "/" + name
-			}
-			if fs.IsDir(p) {
-				fmt.Fprintf(h, "d %s\n", p)
-				walk(p)
-				continue
-			}
-			mode, _ := fs.Mode(p)
-			data, err := fs.ReadFile(p)
-			if err != nil {
-				fmt.Fprintf(h, "f %s %v !%v\n", p, mode, err)
-				continue
-			}
-			fmt.Fprintf(h, "f %s %v %d ", p, mode, len(data))
-			h.Write(data)
-			h.Write([]byte{'\n'})
-		}
-	}
-	walk("/")
-	return h.Sum64()
 }
 
 func le32(b []byte, v uint32) {

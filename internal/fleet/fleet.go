@@ -16,19 +16,16 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"strings"
 	"sync"
 	"time"
 
-	"k23/internal/apps"
-	"k23/internal/core"
 	"k23/internal/cpu"
 	"k23/internal/cpu/difftest"
 	"k23/internal/interpose"
-	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 	"k23/internal/probe"
 	"k23/internal/rr"
@@ -61,22 +58,13 @@ type Machine struct {
 	// Requests is the number of requests per injected connection
 	// (servers only).
 	Requests int
-	// MaxInsts bounds the run; 0 means DefaultMaxInsts.
+	// MaxInsts bounds the run; 0 means machine.DefaultMaxInsts.
 	MaxInsts uint64
 	// Setup, if non-nil, replaces the default world preparation
 	// (apps.RegisterAll + apps.SetupFS). It must be self-contained: it
 	// may not capture mutable state shared with any other machine.
 	Setup func(w *interpose.World) error
 }
-
-// DefaultMaxInsts is the per-machine instruction budget when
-// Machine.MaxInsts is zero.
-const DefaultMaxInsts = 500_000_000
-
-// ctxCheckInterval is how many instructions a machine retires between
-// cancellation checks. Small enough that a wedged guest is reclaimed
-// promptly, large enough to be invisible in throughput.
-const ctxCheckInterval = 2_000_000
 
 // Result is the observable outcome and statistics of one machine.
 type Result struct {
@@ -88,7 +76,9 @@ type Result struct {
 	TraceHash uint64
 	// EventHash hashes the kernel event stream (always computed).
 	EventHash uint64
-	// Steps counts retired guest instructions.
+	// Steps counts retired guest instructions. Like the hashes, it covers
+	// the run from the runner's attach point: a K23 machine's offline
+	// phase is not part of it.
 	Steps uint64
 	// Syscalls counts syscall-entry kernel events.
 	Syscalls uint64
@@ -146,14 +136,13 @@ type Options struct {
 	// ChaosSeed salts the per-machine chaos seed derivation.
 	ChaosSeed uint64
 	// Record captures each machine as a replayable recording
-	// (Result.Recording). Recorded machines are driven by the rr
-	// engine's canonical run slicing — the schedule a later replay
-	// reproduces — so for multi-threaded guests the hashes of a
-	// recorded fleet are self-consistent but need not match an
-	// unrecorded run of the same machines. The frontier derivations
-	// (virtual clock, payload, chaos seed) are shared with the normal
-	// path, and trace hashing is always on under Record. Machines with
-	// a custom Setup cannot be recorded and report an error.
+	// (Result.Recording): the recorder attaches at the runner's attach
+	// point as one more observer, so a recorded machine is the same
+	// execution as an unrecorded one: hashes, steps, syscalls and exit
+	// equal the unrecorded run's with Hash set. Trace hashing is always
+	// on under Record. Machines with a custom
+	// Setup cannot be recorded (a replay could not rebuild their world)
+	// and report an error.
 	Record bool
 	// CheckpointEvery is the recorded checkpoint interval in virtual
 	// ticks (0 = the rr default); only meaningful with Record.
@@ -268,26 +257,6 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// splitmix64 is the seed-expansion PRNG (public-domain constants); it
-// derives per-machine payloads and clock offsets from Machine.Seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// seedPayload derives a deterministic request payload from the seed.
-func seedPayload(seed uint64, n int) []byte {
-	b := make([]byte, n)
-	s := splitmix64(seed)
-	for i := range b {
-		s = splitmix64(s)
-		b[i] = 'A' + byte(s%26)
-	}
-	return b
-}
-
 // Run executes the fleet across the worker pool and returns the report.
 // Results are indexed in machine order regardless of completion order.
 // Cancelling the context stops every machine at its next check point;
@@ -331,175 +300,23 @@ func Run(ctx context.Context, machines []Machine, opt Options) (*Report, error) 
 }
 
 // runMachine boots and drives one machine to completion on the calling
-// goroutine. Everything it touches is private to the machine's World.
-func runMachine(ctx context.Context, m Machine, opt Options) Result {
-	res := Result{Name: m.Name, Seed: m.Seed}
+// goroutine through the machine runner. Everything it touches is private
+// to the machine's World. Recording only adds the recorder observer at
+// the runner's attach point, so a recorded machine is the same execution
+// as an unrecorded one.
+func runMachine(ctx context.Context, m Machine, opt Options) (res Result) {
+	res = Result{Name: m.Name, Seed: m.Seed}
 	start := time.Now()
 	defer func() { res.Wall = time.Since(start) }()
 	if err := ctx.Err(); err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	if opt.Record {
-		runRecorded(m, opt, &res)
-		return res
-	}
-
-	// One virtual-clock second per seed step keeps the offset well clear
-	// of wrap-around while making gettimeofday visibly seed-dependent.
-	kopts := []kernel.Option{kernel.WithVClock(splitmix64(m.Seed) % (1 << 40))}
-	if opt.JITOff {
-		kopts = append(kopts, kernel.WithJITOff(true))
-	}
-	if opt.Chaos != nil {
-		kopts = append(kopts, kernel.WithChaos(splitmix64(m.Seed^opt.ChaosSeed), *opt.Chaos))
-	}
-	world := interpose.NewWorld(kopts...)
-	if m.Setup != nil {
-		if err := m.Setup(world); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	} else {
-		apps.RegisterAll(world.Reg)
-		if err := apps.SetupFS(world.K.FS); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	}
-
-	eh := fnv.New64a()
-	world.K.EventHook = func(e kernel.Event) {
-		if e.Kind == kernel.EvEnter {
-			res.Syscalls++
-		}
-		fmt.Fprintf(eh, "%d/%d %s %d %#x %#x %s\n", e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail)
-	}
-	var th *fnvHasher
-	if opt.Hash {
-		th = newFNVHasher()
-		world.K.StepTrace = func(tid int, rip uint64, op cpu.Op) {
-			th.write(uint64(tid), rip, uint64(op))
-		}
-	}
-	// Resolve the boot path: native spawn, or launch under the machine's
-	// interposer variant — running the variant's offline phase first when
-	// it needs a log.
-	launch := func() (*kernel.Process, error) { return world.L.Spawn(m.Path, m.Argv, m.Env) }
-	if m.Mechanism != "" {
-		spec, ok := variants.ByName(m.Mechanism)
-		if !ok {
-			res.Err = fmt.Sprintf("unknown mechanism %q", m.Mechanism)
-			return res
-		}
-		logPath := ""
-		if spec.NeedsOfflineLog {
-			off := &core.Offline{LogDir: "/var/k23/logs"}
-			run, err := off.Start(world, m.Path, m.Argv, m.Env)
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			_ = world.K.RunUntilExit(run.Process(), DefaultMaxInsts)
-			if _, err := run.Finish(); err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			logPath = off.LogPath(m.Path[strings.LastIndexByte(m.Path, '/')+1:])
-		}
-		l := spec.New(interpose.Config{}, logPath)
-		launch = func() (*kernel.Process, error) { return l.Launch(world, m.Path, m.Argv, m.Env) }
-	}
-
-	var obs *obsv.Observer
-	oo := opt.Obs
-	oo.Machine = m.Name
-	if p := opt.SfipPolicies[m.Name]; p != nil {
-		oo.SfipPolicy = p
-		oo.SfipMode = opt.SfipMode
-	}
-	if opt.Probes != nil {
-		oo.Probes = opt.Probes
-		oo.ProbeMech = probeMech(m)
-	}
-	if oo.Enabled() {
-		// Installed after the hash hook so AddEventHook chains both, and
-		// after any offline phase — the controlled environment the audit
-		// and SFIP layers deliberately exclude, the same attach point the
-		// k23 CLI and the PoC matrix use. The observer is private to this
-		// World, keeping the machine race-free and bit-identical at any
-		// worker count. Span sets are keyed by machine name so a fleet
-		// merge stays deterministic.
-		obs = obsv.New(oo)
-		obs.Install(world.K)
-	}
-
-	p, err := launch()
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-
-	maxInsts := m.MaxInsts
-	if maxInsts == 0 {
-		maxInsts = DefaultMaxInsts
-	}
-	var retired uint64
-	if m.Server {
-		if err := inject(ctx, world, p, m, &retired, maxInsts); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	}
-	for p.State == kernel.ProcRunning {
-		if err := ctx.Err(); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		if retired >= maxInsts {
-			res.Err = fmt.Sprintf("budget exhausted after %d instructions", retired)
-			return res
-		}
-		slice := minU64(ctxCheckInterval, maxInsts-retired)
-		n := world.K.Run(slice)
-		retired += n
-		if n == 0 && p.State == kernel.ProcRunning {
-			res.Err = fmt.Sprintf("deadlock: pid %d has no runnable threads", p.PID)
-			return res
-		}
-	}
-
-	res.Exit = p.Exit
-	res.EventHash = eh.Sum64()
-	if th != nil {
-		res.TraceHash = th.sum()
-	}
-	res.VFSHash = difftest.HashFS(world.K.FS)
-	res.ChaosInjected = world.K.ChaosInjected()
-	res.DecodeCache = world.K.DecodeCacheStats()
-	res.JIT = world.K.JITStats()
-	if obs != nil {
-		res.Obs = obs.Snapshot()
-	}
-	for _, proc := range world.K.Processes() {
-		for _, t := range proc.Threads {
-			res.Steps += t.Core.Insts
-		}
-	}
-	return res
-}
-
-// runRecorded drives one machine through the rr engine, producing a
-// replayable recording alongside the usual result fields. The rr
-// session owns scheduling (its canonical slices are what a replay will
-// reproduce); the fleet keeps ownership of worker placement and
-// reporting.
-func runRecorded(m Machine, opt Options, res *Result) {
-	if m.Setup != nil {
+	if opt.Record && m.Setup != nil {
 		res.Err = "record: custom Setup not supported"
-		return
+		return res
 	}
-	spec := rr.RunSpec{
+	spec := machine.Spec{
 		Name: m.Name, Mechanism: m.Mechanism,
 		Path: m.Path, Argv: m.Argv, Env: m.Env,
 		Server: m.Server, Requests: m.Requests,
@@ -507,8 +324,10 @@ func runRecorded(m Machine, opt Options, res *Result) {
 		Chaos: opt.Chaos, ChaosSeed: opt.ChaosSeed,
 		CheckpointEvery: opt.CheckpointEvery,
 	}
-	var obs *obsv.Observer
-	hooks := rr.Hooks{}
+	var kopts []kernel.Option
+	if opt.JITOff {
+		kopts = append(kopts, kernel.WithJITOff(true))
+	}
 	oo := opt.Obs
 	oo.Machine = m.Name
 	if p := opt.SfipPolicies[m.Name]; p != nil {
@@ -517,93 +336,47 @@ func runRecorded(m Machine, opt Options, res *Result) {
 	}
 	if opt.Probes != nil {
 		oo.Probes = opt.Probes
-		oo.ProbeMech = probeMech(m)
+		oo.ProbeMech = spec.Mech()
 	}
-	if oo.Enabled() {
-		hooks.BeforeLaunch = func(w *interpose.World) {
-			obs = obsv.New(oo)
-			obs.Install(w.K)
+	var obs *obsv.Observer
+	var rec *rr.Session
+	r, err := machine.Start(ctx, spec, machine.Config{Setup: m.Setup, Kernel: kopts, Attach: func(r *machine.Run) {
+		if opt.Hash {
+			r.HashTrace()
 		}
+		// The observer is private to this World, keeping the machine
+		// race-free and bit-identical at any worker count. Span sets are
+		// keyed by machine name so a fleet merge stays deterministic.
+		if oo.Enabled() {
+			obs = obsv.New(oo)
+			obs.Install(r.W.K)
+		}
+		if opt.Record {
+			rec = rr.Attach(r)
+		}
+	}})
+	if err == nil {
+		err = r.Drive(ctx, 0)
 	}
-	s, err := rr.Record(spec, hooks)
 	if err != nil {
 		res.Err = err.Error()
-		return
+		return res
 	}
-	if err := s.Run(); err != nil {
-		res.Err = err.Error()
-		return
+	if rec != nil {
+		rec.Finish()
+		res.Recording = rec.Rec
 	}
-	f := s.Rec.Final
-	res.Recording = s.Rec
-	res.TraceHash = f.TraceHash
-	res.EventHash = f.EventHash
-	res.VFSHash = f.VFSHash
-	res.Steps = f.Steps
-	res.Syscalls = f.Syscalls
-	res.Exit = kernel.ExitInfo{Code: f.ExitCode, Signal: f.ExitSignal}
-	res.ChaosInjected = f.ChaosInjected
-	res.DecodeCache = s.W.K.DecodeCacheStats()
-	res.JIT = s.W.K.JITStats()
+	o := r.Outcome()
+	res.TraceHash, res.EventHash, res.VFSHash = o.TraceHash, o.EventHash, o.VFSHash
+	res.Steps, res.Syscalls, res.Exit = o.Steps, o.Syscalls, o.Exit
+	res.ChaosInjected = o.ChaosInjected
+	res.DecodeCache = r.W.K.DecodeCacheStats()
+	res.JIT = r.W.K.JITStats()
 	if obs != nil {
 		res.Obs = obs.Snapshot()
 	}
+	return res
 }
-
-// probeMech is the static mechanism context a machine's probe engine
-// reports for the `mech` field on streams that do not carry one.
-func probeMech(m Machine) string {
-	if m.Mechanism != "" {
-		return m.Mechanism
-	}
-	return "native"
-}
-
-// inject waits for the server to listen and queues one keepalive
-// connection carrying the machine's seed-derived request payload.
-func inject(ctx context.Context, world *interpose.World, p *kernel.Process, m Machine, retired *uint64, maxInsts uint64) error {
-	req := seedPayload(m.Seed, apps.RequestSize)
-	port := apps.BasePort + p.PID
-	for i := 0; i < 5000; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if *retired >= maxInsts {
-			return fmt.Errorf("budget exhausted while waiting for listen")
-		}
-		*retired += world.K.Run(10_000)
-		if err := world.K.InjectConn(port, req, m.Requests, nil); err == nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("server on port %d never listened", port)
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// fnvHasher is an allocation-free FNV-1a accumulator for the trace
-// stream (hash.Hash64's Write path allocates via the interface).
-type fnvHasher struct{ h uint64 }
-
-func newFNVHasher() *fnvHasher { return &fnvHasher{h: 14695981039346656037} }
-
-func (f *fnvHasher) write(vs ...uint64) {
-	h := f.h
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(v >> (8 * i)))
-			h *= 1099511628211
-		}
-	}
-	f.h = h
-}
-
-func (f *fnvHasher) sum() uint64 { return f.h }
 
 // StandardFleet builds n machines cycling through the app workload
 // matrix (the Table 2 set), seeded deterministically: machine i always

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"k23/internal/machine"
 	"k23/internal/obsv"
 	"k23/internal/probe"
 )
@@ -100,7 +101,7 @@ func TestFleetProbeDeterminism(t *testing.T) {
 	// so the merged by-mech rows cover every mechanism the fleet runs.
 	want := map[string]bool{}
 	for _, m := range machines {
-		want[probeMech(m)] = true
+		want[machine.Spec{Mechanism: m.Mechanism}.Mech()] = true
 	}
 	got := map[string]bool{}
 	for _, r := range serialSnap.Rows {

@@ -86,3 +86,40 @@ func TestFleetRecordRejectsCustomSetup(t *testing.T) {
 		t.Fatalf("custom-Setup machine recorded without error")
 	}
 }
+
+// TestFleetRecordedEqualsUnrecorded: recording is an observer, not a
+// second way of running a machine — every observable of a recorded
+// machine equals the unrecorded run's, including machines whose
+// mechanism runs an offline phase and servers under K23.
+func TestFleetRecordedEqualsUnrecorded(t *testing.T) {
+	machines := StandardFleet(9)
+	for _, w := range StandardFleet(9) {
+		switch w.Name[:len(w.Name)-3] {
+		case "pwd", "touch", "ls", "cat", "clear", "nginx", "lighttpd", "redis":
+			w.Name += "@k23-ultra+"
+			w.Mechanism = "k23-ultra+"
+			machines = append(machines, w)
+		}
+	}
+	run := func(record bool) []Result {
+		rep, err := Run(context.Background(), machines, Options{Workers: 4, Hash: true, Record: record})
+		if err != nil {
+			t.Fatalf("fleet run (record=%v): %v", record, err)
+		}
+		if err := rep.FirstErr(); err != nil {
+			t.Fatalf("fleet run (record=%v): %v", record, err)
+		}
+		return rep.Machines
+	}
+	plain, recorded := run(false), run(true)
+	for i := range plain {
+		p, r := plain[i], recorded[i]
+		if p.TraceHash != r.TraceHash || p.EventHash != r.EventHash || p.VFSHash != r.VFSHash ||
+			p.Steps != r.Steps || p.Syscalls != r.Syscalls || p.Exit != r.Exit {
+			t.Errorf("machine %s: recorded run differs from unrecorded:\n plain    %+v\n recorded %+v", p.Name, p, r)
+		}
+		if p.Recording != nil || r.Recording == nil {
+			t.Errorf("machine %s: recording attached only with Record", p.Name)
+		}
+	}
+}

@@ -296,6 +296,44 @@ func TestFleetCancellation(t *testing.T) {
 	}
 }
 
+// TestFleetOfflineCancellation: the K23 offline phase is driven under
+// the machine's context too — a guest that spins forever while being
+// profiled returns the context error promptly after cancel.
+func TestFleetOfflineCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	m := spinMachine("spin@k23-ultra", 1<<62)
+	m.Mechanism = "k23-ultra"
+	var cancelled time.Time
+	time.AfterFunc(200*time.Millisecond, func() {
+		cancelled = time.Now()
+		cancel()
+	})
+	rep, err := Run(ctx, []Machine{m}, Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	if took := time.Since(cancelled); took > 2*time.Second {
+		t.Errorf("machine returned %s after cancel, want < 2s", took)
+	}
+	if got := rep.Machines[0].Err; !strings.Contains(got, "context canceled") {
+		t.Errorf("got err %q, want context canceled", got)
+	}
+}
+
+// TestFleetWall: every machine reports the host time it took, bounded by
+// the whole fleet's.
+func TestFleetWall(t *testing.T) {
+	rep, err := Run(context.Background(), StandardFleet(4), Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	for _, m := range rep.Machines {
+		if m.Wall <= 0 || m.Wall > rep.Wall {
+			t.Errorf("machine %s: wall %s, want in (0, %s]", m.Name, m.Wall, rep.Wall)
+		}
+	}
+}
+
 // TestFleetBudget: a machine that exhausts its instruction budget
 // reports the exhaustion instead of hanging.
 func TestFleetBudget(t *testing.T) {
@@ -306,25 +344,6 @@ func TestFleetBudget(t *testing.T) {
 	}
 	if got := rep.Machines[0].Err; !strings.Contains(got, "budget exhausted") {
 		t.Errorf("got err %q, want budget exhaustion", got)
-	}
-}
-
-// TestSeedPayload: the seed-derived payload is deterministic per seed
-// and distinct across seeds.
-func TestSeedPayload(t *testing.T) {
-	a := seedPayload(42, 64)
-	b := seedPayload(42, 64)
-	c := seedPayload(43, 64)
-	if string(a) != string(b) {
-		t.Error("same seed produced different payloads")
-	}
-	if string(a) == string(c) {
-		t.Error("different seeds produced identical payloads")
-	}
-	for i, ch := range a {
-		if ch < 'A' || ch > 'Z' {
-			t.Fatalf("payload byte %d out of range: %q", i, ch)
-		}
 	}
 }
 

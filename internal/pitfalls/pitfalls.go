@@ -11,15 +11,15 @@
 package pitfalls
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"k23/internal/apps"
 	"k23/internal/audit"
-	"k23/internal/core"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 )
 
@@ -42,20 +42,30 @@ type PoC struct {
 	// world the PoC builds internally (the decode-cache parity tests
 	// run whole scenarios with the cache disabled this way).
 	Run func(spec variants.Spec, opts ...kernel.Option) (handled bool, detail string, err error)
+
+	run func(h harness, spec variants.Spec) (bool, string, error)
+}
+
+// newPoC builds a PoC whose Run uses a harness without observers.
+func newPoC(id, title string, run func(h harness, spec variants.Spec) (bool, string, error)) PoC {
+	return PoC{ID: id, Title: title, run: run,
+		Run: func(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
+			return run(harness{opts: opts}, spec)
+		}}
 }
 
 // All returns the PoCs in paper order.
 func All() []PoC {
 	return []PoC{
-		{ID: "P1a", Title: "Interposition bypass via environment scrubbing (Listing 1)", Run: runP1a},
-		{ID: "P1b", Title: "Interposition bypass via prctl SUD-off (Listing 2)", Run: runP1b},
-		{ID: "P2a", Title: "System call overlook: code loaded after rewriting", Run: runP2a},
-		{ID: "P2b", Title: "System call overlook: startup and vdso calls", Run: runP2b},
-		{ID: "P3a", Title: "Misidentification: embedded data rewritten (disassembly)", Run: runP3a},
-		{ID: "P3b", Title: "Misidentification: hijacked partial instruction rewritten", Run: runP3b},
-		{ID: "P4a", Title: "NULL-code-pointer execution diverted into the trampoline", Run: runP4a},
-		{ID: "P4b", Title: "NULL-execution-check memory overhead", Run: runP4b},
-		{ID: "P5", Title: "Runtime rewriting: torn writes, stale I-cache, lost permissions", Run: runP5},
+		newPoC("P1a", "Interposition bypass via environment scrubbing (Listing 1)", runP1a),
+		newPoC("P1b", "Interposition bypass via prctl SUD-off (Listing 2)", runP1b),
+		newPoC("P2a", "System call overlook: code loaded after rewriting", runP2a),
+		newPoC("P2b", "System call overlook: startup and vdso calls", runP2b),
+		newPoC("P3a", "Misidentification: embedded data rewritten (disassembly)", runP3a),
+		newPoC("P3b", "Misidentification: hijacked partial instruction rewritten", runP3b),
+		newPoC("P4a", "NULL-code-pointer execution diverted into the trampoline", runP4a),
+		newPoC("P4b", "NULL-execution-check memory overhead", runP4b),
+		newPoC("P5", "Runtime rewriting: torn writes, stale I-cache, lost permissions", runP5),
 	}
 }
 
@@ -119,7 +129,7 @@ func ObservedMatrix(specs []variants.Spec, optsFor func(poc PoC, spec variants.S
 	for _, poc := range All() {
 		for _, spec := range specs {
 			var observers []*obsv.Observer
-			observeInstall = func(w *interpose.World) {
+			attach := func(w *interpose.World) {
 				oo := optsFor(poc, spec, len(observers))
 				if !oo.Enabled() {
 					observers = append(observers, nil)
@@ -129,8 +139,7 @@ func ObservedMatrix(specs []variants.Spec, optsFor func(poc PoC, spec variants.S
 				o.Install(w.K)
 				observers = append(observers, o)
 			}
-			handled, detail, err := poc.Run(spec, opts...)
-			observeInstall = nil
+			handled, detail, err := poc.run(harness{opts: opts, attach: attach}, spec)
 			if err != nil {
 				return nil, fmt.Errorf("pitfalls: %s under %s: %w", poc.ID, spec.Name, err)
 			}
@@ -278,56 +287,46 @@ func FormatAuditMatrix(cells []AuditCell) string {
 // shared harness
 // ---------------------------------------------------------------------
 
+// harness is what a PoC builds its worlds with: the kernel options for
+// every world, and the function attaching observers to each world at
+// the runner's attach point (nil: none).
+type harness struct {
+	opts   []kernel.Option
+	attach func(w *interpose.World)
+}
+
 // world builds a fresh world with the PoC binaries and workload apps
 // registered.
-func world(opts ...kernel.Option) *interpose.World {
-	w := interpose.NewWorld(opts...)
-	apps.RegisterAll(w.Reg)
-	_ = apps.SetupFS(w.K.FS)
+func (h harness) world() *interpose.World {
+	w := interpose.NewWorld(h.opts...)
+	_ = machine.StandardSetup(w)
 	registerPoCBinaries(w)
 	return w
 }
 
-// observeInstall, when non-nil, is invoked on every PoC world at the
-// moment production interposition starts — after any offline phase, so
-// observers never attribute the controlled offline environment's
-// syscalls to the production attack surface. Set only by
-// ObservedMatrix; the PoC suite runs serially.
-var observeInstall func(w *interpose.World)
-
-// launcherFor constructs the launcher for a spec, running the offline
-// phase with benign arguments first when the variant needs a log.
-func launcherFor(w *interpose.World, spec variants.Spec, cfg interpose.Config,
+// launcher constructs the launcher for a spec through the runner, which
+// runs the offline phase with benign arguments first when the variant
+// needs a log, then attaches the observers. PoC binaries are
+// self-contained; signal deaths during the offline run (e.g. a
+// deliberately crashing benign path) still produce a usable log.
+func (h harness) launcher(w *interpose.World, spec variants.Spec, cfg interpose.Config,
 	target string, benignArgv []string) (interpose.Launcher, error) {
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, target, benignArgv, nil)
-		if err != nil {
-			return nil, err
-		}
-		// PoC binaries are self-contained; signal deaths during the
-		// offline run (e.g. a deliberately crashing benign path) still
-		// produce a usable log.
-		_ = w.K.RunUntilExit(run.Process(), 200_000_000)
-		if _, err := run.Finish(); err != nil {
-			return nil, err
-		}
-		name := target[strings.LastIndexByte(target, '/')+1:]
-		logPath = off.LogPath(name)
+	l, err := machine.Launcher(context.Background(), w, spec, cfg, target, benignArgv, 0)
+	if err != nil {
+		return nil, err
 	}
-	if observeInstall != nil {
-		observeInstall(w)
+	if h.attach != nil {
+		h.attach(w)
 	}
-	return spec.New(cfg, logPath), nil
+	return l, nil
 }
 
 // runUnder launches target under the spec with the hook config, runs it
 // to completion (tolerating signal deaths), and returns launcher+process.
-func runUnder(spec variants.Spec, cfg interpose.Config, target string,
-	benignArgv, attackArgv []string, opts ...kernel.Option) (*interpose.World, interpose.Launcher, *kernel.Process, error) {
-	w := world(opts...)
-	l, err := launcherFor(w, spec, cfg, target, benignArgv)
+func (h harness) runUnder(spec variants.Spec, cfg interpose.Config, target string,
+	benignArgv, attackArgv []string) (*interpose.World, interpose.Launcher, *kernel.Process, error) {
+	w := h.world()
+	l, err := h.launcher(w, spec, cfg, target, benignArgv)
 	if err != nil {
 		return nil, nil, nil, err
 	}

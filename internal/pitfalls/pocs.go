@@ -348,7 +348,7 @@ func buildP5mt() *asm.Builder {
 // PoC run functions
 // ---------------------------------------------------------------------
 
-func runP1a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
+func runP1a(h harness, spec variants.Spec) (bool, string, error) {
 	postExec := 0
 	sawExec := false
 	cfg := interpose.Config{
@@ -361,8 +361,8 @@ func runP1a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 			return 0, false
 		},
 	}
-	_, _, p, err := runUnder(spec, cfg, execerPath,
-		[]string{"execer"}, []string{"execer"}, opts...)
+	_, _, p, err := h.runUnder(spec, cfg, execerPath,
+		[]string{"execer"}, []string{"execer"})
 	if err != nil {
 		return false, "", err
 	}
@@ -375,7 +375,7 @@ func runP1a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 	return false, fmt.Sprintf("interposition silently disabled after execve with empty env (%d post-exec getpids seen)", postExec), nil
 }
 
-func runP1b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
+func runP1b(h harness, spec variants.Spec) (bool, string, error) {
 	getpids := 0
 	cfg := interpose.Config{
 		Hook: func(c *interpose.Call) (uint64, bool) {
@@ -385,7 +385,7 @@ func runP1b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 			return 0, false
 		},
 	}
-	_, _, p, err := runUnder(spec, cfg, p1bPath, []string{"p1b", "b"}, []string{"p1b", "a"}, opts...)
+	_, _, p, err := h.runUnder(spec, cfg, p1bPath, []string{"p1b", "b"}, []string{"p1b", "a"})
 	if err != nil {
 		return false, "", err
 	}
@@ -398,7 +398,7 @@ func runP1b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 	return false, fmt.Sprintf("syscalls escaped after prctl SUD-off (%d of 2 sites interposed)", getpids), nil
 }
 
-func runP2a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
+func runP2a(h harness, spec variants.Spec) (bool, string, error) {
 	lateCalls := 0
 	cfg := interpose.Config{
 		Hook: func(c *interpose.Call) (uint64, bool) {
@@ -408,7 +408,7 @@ func runP2a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 			return 0, false
 		},
 	}
-	_, _, p, err := runUnder(spec, cfg, p2aPath, []string{"p2a"}, []string{"p2a"}, opts...)
+	_, _, p, err := h.runUnder(spec, cfg, p2aPath, []string{"p2a"}, []string{"p2a"})
 	if err != nil {
 		return false, "", err
 	}
@@ -421,7 +421,7 @@ func runP2a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 	return false, "syscall from runtime-loaded code escaped interposition", nil
 }
 
-func runP2b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
+func runP2b(h harness, spec variants.Spec) (bool, string, error) {
 	startup, timeCalls := 0, 0
 	cfg := interpose.Config{
 		Hook: func(c *interpose.Call) (uint64, bool) {
@@ -434,7 +434,7 @@ func runP2b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 			return 0, false
 		},
 	}
-	_, _, p, err := runUnder(spec, cfg, p2bPath, []string{"p2b"}, []string{"p2b"}, opts...)
+	_, _, p, err := h.runUnder(spec, cfg, p2bPath, []string{"p2b"}, []string{"p2b"})
 	if err != nil {
 		return false, "", err
 	}
@@ -476,8 +476,8 @@ func blobIntact(w *interpose.World, p *kernel.Process, path, label string, want 
 	return false, fmt.Errorf("pitfalls: %s not loaded", path)
 }
 
-func runP3a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
-	w, l, p, err := runUnder(spec, interpose.Config{}, p3aPath, []string{"p3a"}, []string{"p3a"}, opts...)
+func runP3a(h harness, spec variants.Spec) (bool, string, error) {
+	w, l, p, err := h.runUnder(spec, interpose.Config{}, p3aPath, []string{"p3a"}, []string{"p3a"})
 	if err != nil {
 		return false, "", err
 	}
@@ -492,8 +492,8 @@ func runP3a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 	return false, fmt.Sprintf("embedded data corrupted (%d corrupting rewrites)", st.Corruptions), nil
 }
 
-func runP3b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
-	w, l, p, err := runUnder(spec, interpose.Config{}, p3bPath, []string{"p3b", "b"}, []string{"p3b", "a"}, opts...)
+func runP3b(h harness, spec variants.Spec) (bool, string, error) {
+	w, l, p, err := h.runUnder(spec, interpose.Config{}, p3bPath, []string{"p3b", "b"}, []string{"p3b", "a"})
 	if err != nil {
 		return false, "", err
 	}
@@ -509,8 +509,8 @@ func runP3b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 	return false, fmt.Sprintf("hijacked partial instruction rewritten (%d corrupting rewrites)", st.Corruptions), nil
 }
 
-func runP4a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
-	_, _, p, err := runUnder(spec, interpose.Config{}, p4aPath, []string{"p4a", "b"}, []string{"p4a", "a"}, opts...)
+func runP4a(h harness, spec variants.Spec) (bool, string, error) {
+	_, _, p, err := h.runUnder(spec, interpose.Config{}, p4aPath, []string{"p4a", "b"}, []string{"p4a", "a"})
 	if err != nil {
 		return false, "", err
 	}
@@ -523,8 +523,8 @@ func runP4a(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 	return false, fmt.Sprintf("unexpected exit %s", p.Exit), nil
 }
 
-func runP4b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
-	_, l, p, err := runUnder(spec, interpose.Config{}, victimPath, []string{"victim"}, []string{"victim"}, opts...)
+func runP4b(h harness, spec variants.Spec) (bool, string, error) {
+	_, l, p, err := h.runUnder(spec, interpose.Config{}, victimPath, []string{"victim"}, []string{"victim"})
 	if err != nil {
 		return false, "", err
 	}
@@ -536,13 +536,12 @@ func runP4b(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 	return false, fmt.Sprintf("check memory: %d B reserved, %d B resident (address-space bitmap)", st.MemReservedBytes, st.MemResidentBytes), nil
 }
 
-func runP5(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
+func runP5(h harness, spec variants.Spec) (bool, string, error) {
 	// (a) permission preservation around rewriting.
-	w, l, p, err := runUnder(spec, interpose.Config{}, p5jitPath, []string{"p5jit"}, []string{"p5jit"}, opts...)
+	_, l, p, err := h.runUnder(spec, interpose.Config{}, p5jitPath, []string{"p5jit"}, []string{"p5jit"})
 	if err != nil {
 		return false, "", err
 	}
-	_ = w
 	st := l.Stats(p)
 	if p.Exit.Signal != 0 || st.PermClobbers > 0 {
 		return false, fmt.Sprintf("JIT page permissions lost after rewrite (%s, %d clobbers)", p.Exit, st.PermClobbers), nil
@@ -550,9 +549,9 @@ func runP5(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
 
 	// (b) torn writes / stale I-cache under concurrent rewriting. Scan
 	// worker-delay alignments; deterministic per alignment.
-	wmt := world(opts...)
+	wmt := h.world()
 	wmt.K.Quantum = 1
-	lmt, err := launcherFor(wmt, spec, interpose.Config{}, p5mtPath, []string{"p5mt", "0"})
+	lmt, err := h.launcher(wmt, spec, interpose.Config{}, p5mtPath, []string{"p5mt", "0"})
 	if err != nil {
 		return false, "", err
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"k23/internal/kernel"
+	"k23/internal/machine"
 )
 
 // FormatVersion is the recording schema version; ReadJSONL rejects
@@ -29,21 +30,16 @@ type EventRec struct {
 	Detail string   `json:"detail,omitempty"`
 }
 
-// hashLine is the canonical accumulation line for the running event
-// hash — the recorder writes exactly this per event, and Validate
-// recomputes it over the stored stream to detect edited event lines.
-func (e *EventRec) hashLine() string {
-	return fmt.Sprintf("%d/%d %s %d %#x %#x %s\n",
-		e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail)
-}
-
-// eventStreamHash folds the whole stream through hashLine.
+// eventStreamHash recomputes the run's event hash over a stored stream
+// (machine.Hash.Event per event), so Validate detects edited event
+// lines.
 func eventStreamHash(events []EventRec) uint64 {
-	h := newFNV()
+	h := machine.NewHash()
 	for i := range events {
-		h.writeString(events[i].hashLine())
+		e := &events[i]
+		h.Event(e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail)
 	}
-	return h.h
+	return uint64(h)
 }
 
 // CkptMeta describes one checkpoint: where it sits in the run (event
@@ -98,16 +94,16 @@ type Recording struct {
 // jsonLine is the JSONL envelope: one line per record, discriminated by
 // T ("header", "chaos", "event", "ckpt", "final").
 type jsonLine struct {
-	T             string                 `json:"t"`
-	Version       int                    `json:"version,omitempty"`
-	Spec          *RunSpec               `json:"spec,omitempty"`
-	VClock0       uint64                 `json:"vclock0,omitempty"`
-	Payload       string                 `json:"payload,omitempty"`
-	PayloadDigest uint64                 `json:"payload_digest,omitempty"`
-	Chaos         *kernel.ChaosDecision  `json:"chaos,omitempty"`
-	Event         *EventRec              `json:"event,omitempty"`
-	Ckpt          *CkptMeta              `json:"ckpt,omitempty"`
-	Final         *Final                 `json:"final,omitempty"`
+	T             string                `json:"t"`
+	Version       int                   `json:"version,omitempty"`
+	Spec          *RunSpec              `json:"spec,omitempty"`
+	VClock0       uint64                `json:"vclock0,omitempty"`
+	Payload       string                `json:"payload,omitempty"`
+	PayloadDigest uint64                `json:"payload_digest,omitempty"`
+	Chaos         *kernel.ChaosDecision `json:"chaos,omitempty"`
+	Event         *EventRec             `json:"event,omitempty"`
+	Ckpt          *CkptMeta             `json:"ckpt,omitempty"`
+	Final         *Final                `json:"final,omitempty"`
 }
 
 // WriteJSONL serializes the recording: a header line, then every chaos
@@ -227,7 +223,7 @@ func (r *Recording) Validate() error {
 	if r.Version != FormatVersion {
 		return fmt.Errorf("rr: format version %d, want %d", r.Version, FormatVersion)
 	}
-	if r.Payload != "" && digest([]byte(r.Payload)) != r.PayloadDigest {
+	if r.Payload != "" && machine.Digest([]byte(r.Payload)) != r.PayloadDigest {
 		return fmt.Errorf("rr: payload digest mismatch (corrupted payload)")
 	}
 	for i := 1; i < len(r.Events); i++ {

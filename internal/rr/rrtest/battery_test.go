@@ -110,3 +110,56 @@ func TestChaosSeedsReplayEquivalence(t *testing.T) {
 		}
 	})
 }
+
+// TestSeekSequences: seeks compose. A forward SeekSeq after an earlier
+// one lands exactly where a fresh session's single seek does, and after
+// any seek the checkpoints still re-execute to the recorded final state
+// — the restore always starts from the primary run's event log.
+func TestSeekSequences(t *testing.T) {
+	for _, spec := range AppSpecs() {
+		switch spec.Name {
+		case "sqlite", "nginx", "lighttpd", "redis":
+		default:
+			continue
+		}
+		t.Run(SubtestName(spec), func(t *testing.T) {
+			t.Parallel()
+			record := func() *rr.Session {
+				s, err := rr.Record(spec, rr.Hooks{})
+				if err != nil {
+					t.Fatalf("Record: %v", err)
+				}
+				if err := s.Run(); err != nil {
+					t.Fatalf("record run: %v", err)
+				}
+				return s
+			}
+			s, fresh := record(), record()
+			ev := s.Rec.Events
+			mid := max(ev[len(ev)/2].Seq, s.Rec.Checkpoints[0].Seq)
+			tail := ev[len(ev)-1].Seq
+			seek := func(s *rr.Session, target uint64) *rr.Seek {
+				sk, err := s.SeekSeq(target)
+				if err != nil {
+					t.Fatalf("SeekSeq(%d): %v", target, err)
+				}
+				return sk
+			}
+			seek(s, mid)
+			if got, want := seek(s, tail), seek(fresh, tail); *got != *want {
+				t.Errorf("SeekSeq(%d) after SeekSeq(%d) = %+v, fresh session %+v", tail, mid, *got, *want)
+			}
+			seek(s, mid)
+			n := s.NumCheckpoints()
+			for _, i := range []int{0, n / 2, n - 1} {
+				got, err := s.RunFromCheckpoint(i)
+				if err != nil {
+					t.Fatalf("RunFromCheckpoint(%d) after seeks: %v", i, err)
+				}
+				if got != s.Rec.Final {
+					t.Fatalf("RunFromCheckpoint(%d) after seeks diverged:\n got  %+v\n want %+v", i, got, s.Rec.Final)
+				}
+			}
+		})
+	}
+}

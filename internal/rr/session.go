@@ -1,44 +1,38 @@
 package rr
 
 import (
+	"context"
 	"fmt"
-	"strings"
 
-	"k23/internal/apps"
-	"k23/internal/core"
-	"k23/internal/cpu"
-	"k23/internal/cpu/difftest"
 	"k23/internal/interpose"
-	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 )
 
 // Hooks customizes session construction.
 type Hooks struct {
-	// BeforeLaunch runs after the world is prepared and any offline phase
-	// has finished, immediately before production interposition starts —
-	// the correct attach point for observers (audit, flight recorder)
-	// that must cover exactly the production run.
+	// BeforeLaunch runs at the runner's attach point — after any offline
+	// phase, immediately before production interposition starts — the
+	// correct attach point for observers (audit, flight recorder) that
+	// must cover exactly the production run.
 	BeforeLaunch func(w *interpose.World)
 }
 
 // liveCkpt pairs a checkpoint's metadata with its in-memory kernel
-// snapshot and the resumable recorder state (hash accumulators,
-// counters) needed to continue the recording from it.
+// snapshot and the resumable runner state (hash accumulators, syscall
+// count, injection) needed to continue the run from it. Steps need no
+// saving: they are read off the restored cores.
 type liveCkpt struct {
-	meta     CkptMeta
-	snap     *kernel.Snapshot
-	traceH   uint64
-	eventH   uint64
-	steps    uint64
-	syscalls uint64
-	evCount  int
-	injected bool
+	meta          CkptMeta
+	snap          *kernel.Snapshot
+	trace, events machine.Hash
+	syscalls      uint64
+	injected      bool
 }
 
-// Session drives one machine under the recorder. A session records (or
-// replays) a run to completion, holding live snapshots at every
-// checkpoint; afterwards it can re-execute from any checkpoint
+// Session is the recorder attached to one machine run. A session
+// records (or replays) a run to completion, holding live snapshots at
+// every checkpoint; afterwards it can re-execute from any checkpoint
 // (RunFromCheckpoint) or seek to an event ordinal (SeekSeq) by
 // restoring the nearest snapshot and running forward.
 type Session struct {
@@ -48,18 +42,14 @@ type Session struct {
 	// Rec is this session's recording, complete after Run.
 	Rec *Recording
 
-	launcher interpose.Launcher
+	m        *machine.Run
 	replayOf *Recording
 	ckpts    []*liveCkpt
-	th, eh   fnvState
-	steps    uint64
-	syscalls uint64
 	events   []EventRec
 	lastCkpt uint64 // VClock at the last checkpoint
-	injected bool
-	// retracing suppresses checkpoint-taking and event/divergence
-	// bookkeeping while re-executing a stretch the session already
-	// recorded (RunFromCheckpoint, SeekSeq).
+	// retracing suppresses checkpoint-taking and divergence bookkeeping
+	// while re-executing a stretch the session already recorded
+	// (RunFromCheckpoint, SeekSeq).
 	retracing bool
 	// divergence is the first checkpoint index whose replayed metadata
 	// mismatched the recording being replayed; -1 means none (so far).
@@ -72,142 +62,94 @@ type Session struct {
 
 // Record builds a session that records spec from scratch: the frontier
 // values (initial clock, payload, chaos stream) are derived from
-// spec.Seed and captured into the recording as they are consumed.
+// spec.Seed by the runner and captured into the recording.
 func Record(spec RunSpec, hooks Hooks) (*Session, error) {
-	rec := &Recording{Version: FormatVersion, Spec: spec, VClock0: deriveVClock0(spec.Seed)}
-	if spec.Server {
-		p := seedPayload(spec.Seed, apps.RequestSize)
-		rec.Payload = string(p)
-		rec.PayloadDigest = digest(p)
-	}
-	kopts := []kernel.Option{kernel.WithVClock(rec.VClock0)}
-	if spec.Chaos != nil {
-		kopts = append(kopts, kernel.WithChaos(splitmix64(spec.Seed^spec.ChaosSeed), *spec.Chaos))
-	}
-	s := &Session{Spec: spec, Rec: rec, divergence: -1}
-	if err := s.boot(kopts, hooks); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return start(spec, hooks, nil, nil)
 }
 
 // Replay builds a session that re-executes a recording. It consumes
 // only the recorded frontier — initial clock, payload bytes, chaos
-// decision script — never re-deriving anything from the seed, so a
-// matching outcome proves the frontier captured every source of
-// nondeterminism. The session records its own trace as it goes and
-// flags the first checkpoint where it diverges from rec.
+// decision script — which override everything the runner derives from
+// the seed, so a matching outcome proves the frontier captured every
+// source of nondeterminism. The session records its own trace as it
+// goes and flags the first checkpoint where it diverges from rec.
 func Replay(rec *Recording, hooks Hooks) (*Session, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
-	spec := rec.Spec
-	newRec := &Recording{
-		Version: FormatVersion, Spec: spec,
-		VClock0: rec.VClock0, Payload: rec.Payload, PayloadDigest: rec.PayloadDigest,
-	}
 	kopts := []kernel.Option{kernel.WithVClock(rec.VClock0)}
-	if spec.Chaos != nil {
-		kopts = append(kopts, kernel.WithChaosScript(*spec.Chaos, rec.Chaos))
+	if rec.Spec.Chaos != nil {
+		kopts = append(kopts, kernel.WithChaosScript(*rec.Spec.Chaos, rec.Chaos))
 	}
-	s := &Session{Spec: spec, Rec: newRec, replayOf: rec, divergence: -1}
-	if err := s.boot(kopts, hooks); err != nil {
+	return start(rec.Spec, hooks, kopts, rec)
+}
+
+// start boots spec through the runner with the hooks' observers and the
+// recorder attached at the attach point; the recorder takes checkpoint
+// 0 right after launch.
+func start(spec RunSpec, hooks Hooks, kopts []kernel.Option, replayOf *Recording) (*Session, error) {
+	var s *Session
+	_, err := machine.Start(context.Background(), spec, machine.Config{Kernel: kopts, Attach: func(r *machine.Run) {
+		if replayOf != nil {
+			r.Payload = []byte(replayOf.Payload)
+		}
+		if hooks.BeforeLaunch != nil {
+			hooks.BeforeLaunch(r.W)
+		}
+		s = Attach(r)
+		s.replayOf = replayOf
+	}})
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// boot prepares the world, runs any offline phase, installs the
-// recording hooks, launches the workload, and takes checkpoint 0.
-func (s *Session) boot(kopts []kernel.Option, hooks Hooks) error {
-	mech := s.Spec.Mechanism
-	if mech == "" {
-		mech = "native"
+// Attach attaches a recorder to r: it turns on trace hashing, captures
+// every kernel event, and takes checkpoints on r's drive boundaries.
+// Call it from a machine.Config.Attach function, after the run's other
+// observers; after r.Drive returns, Finish completes the recording.
+func Attach(r *machine.Run) *Session {
+	s := &Session{
+		Spec: r.Spec, W: r.W, m: r, divergence: -1,
+		Rec: &Recording{Version: FormatVersion, Spec: r.Spec, VClock0: r.VClock0},
 	}
-	vs, ok := variants.ByName(mech)
-	if !ok {
-		return fmt.Errorf("rr: unknown mechanism %q", mech)
+	if r.Spec.Server {
+		s.Rec.Payload = string(r.Payload)
+		s.Rec.PayloadDigest = machine.Digest(r.Payload)
 	}
-
-	w := interpose.NewWorld(kopts...)
-	s.W = w
-	apps.RegisterAll(w.Reg)
-	if err := apps.SetupFS(w.K.FS); err != nil {
-		return err
-	}
-
-	// The K23 offline phase runs before the recording hooks attach: it is
-	// the controlled pre-production environment, deterministic given the
-	// spec, and with no event hook installed the kernel's event ordinal
-	// does not advance — identically so on replay.
-	logPath := ""
-	if vs.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, s.Spec.Path, s.Spec.Argv, nil)
-		if err != nil {
-			return err
-		}
-		if s.Spec.Server {
-			// Drive the offline server with an all-zeros connection so it
-			// serves and exits instead of polling its whole budget away.
-			// The payload is a constant, so the offline phase stays
-			// deterministic and identical between record and replay.
-			req := make([]byte, apps.RequestSize)
-			port := apps.BasePort + run.Process().PID
-			for i := 0; i < PollTries; i++ {
-				w.K.Run(PollSlice)
-				if err := w.K.InjectConn(port, req, s.Spec.Requests, nil); err == nil {
-					break
-				}
-			}
-		}
-		_ = w.K.RunUntilExit(run.Process(), 200_000_000)
-		if _, err := run.Finish(); err != nil {
-			return err
-		}
-		name := s.Spec.Path[strings.LastIndexByte(s.Spec.Path, '/')+1:]
-		logPath = off.LogPath(name)
-	}
-
-	if hooks.BeforeLaunch != nil {
-		hooks.BeforeLaunch(w)
-	}
-
-	s.th, s.eh = newFNV(), newFNV()
-	prevStep := w.K.StepTrace
-	w.K.StepTrace = func(tid int, rip uint64, op cpu.Op) {
-		s.th.writeU64(uint64(tid), rip, uint64(op))
-		s.steps++
-		if prevStep != nil {
-			prevStep(tid, rip, op)
-		}
-	}
-	w.K.AddEventHook(func(e kernel.Event) {
-		if e.Kind == kernel.EvEnter {
-			s.syscalls++
-		}
-		r := EventRec{
+	r.HashTrace()
+	r.W.K.AddEventHook(func(e kernel.Event) {
+		ev := EventRec{
 			Seq: e.Seq, PID: e.PID, TID: e.TID, Kind: e.Kind.String(),
 			Num: e.Num, Site: e.Site, Ret: e.Ret, Clock: e.Clock, Detail: e.Detail,
 		}
-		s.eh.writeString(r.hashLine())
 		if e.Kind == kernel.EvEnter {
-			r.Args = append([]uint64(nil), e.Args[:]...)
+			ev.Args = append([]uint64(nil), e.Args[:]...)
 		}
-		s.events = append(s.events, r)
+		s.events = append(s.events, ev)
 	})
-
-	s.launcher = vs.New(interpose.Config{}, logPath)
-	p, err := s.launcher.Launch(w, s.Spec.Path, s.Spec.Argv, s.Spec.Env)
-	if err != nil {
-		return err
-	}
-	s.P = p
-	s.lastCkpt = w.K.VClock
-	return s.takeCheckpoint()
+	r.Observe = s.boundary
+	return s
 }
 
-// takeCheckpoint snapshots the world and the resumable recorder state.
+// boundary takes the recorder's checkpoints: after launch, after the
+// server's connection is injected, and whenever the virtual clock has
+// advanced a full interval since the last one.
+func (s *Session) boundary(at machine.Point) error {
+	switch {
+	case at == machine.Launched:
+		s.P = s.m.P
+		return s.takeCheckpoint()
+	case s.retracing:
+		return nil
+	case at == machine.Injected || s.W.K.VClock-s.lastCkpt >= checkpointEvery(s.Spec):
+		return s.takeCheckpoint()
+	}
+	return nil
+}
+
+// takeCheckpoint snapshots the world and the resumable runner state.
 // In replay mode it also compares the new checkpoint's position and
 // hashes against the recording under replay, flagging the first
 // divergent index.
@@ -221,16 +163,16 @@ func (s *Session) takeCheckpoint() error {
 		return fmt.Errorf("rr: checkpoint %d: %v", len(s.ckpts), err)
 	}
 	copied, shared := snap.ASDelta()
+	m := s.m
 	c := &liveCkpt{
 		meta: CkptMeta{
 			Index: len(s.ckpts), Seq: s.W.K.EventSeq(), VClock: s.W.K.VClock,
-			Steps: s.steps, Events: len(s.events),
-			TraceHash: s.th.h, EventHash: s.eh.h,
+			Steps: m.Steps(), Events: len(s.events),
+			TraceHash: uint64(m.Trace), EventHash: uint64(m.Events),
 			PagesCopied: copied, PagesShared: shared,
 		},
-		snap: snap, traceH: s.th.h, eventH: s.eh.h,
-		steps: s.steps, syscalls: s.syscalls,
-		evCount: len(s.events), injected: s.injected,
+		snap: snap, trace: m.Trace, events: m.Events,
+		syscalls: m.Syscalls, injected: m.Injected,
 	}
 	s.ckpts = append(s.ckpts, c)
 	if s.replayOf != nil && s.divergence < 0 {
@@ -243,83 +185,23 @@ func (s *Session) takeCheckpoint() error {
 	return nil
 }
 
-// Run drives the session to completion, taking checkpoints at the
-// configured virtual-tick interval, and finalizes Rec.
+// Run drives the session to completion with the runner's canonical
+// drive loop, then finalizes Rec.
 func (s *Session) Run() error {
-	if s.Spec.Server && !s.injected {
-		if err := s.inject(0); err != nil {
-			return err
-		}
-	}
-	if err := s.runMain(0); err != nil {
+	if err := s.m.Drive(context.Background(), 0); err != nil {
 		return err
 	}
-	s.finalize()
+	s.Finish()
 	return nil
 }
 
-// inject polls for the server's listener with the canonical poll slice,
-// then queues the recorded payload. The post-injection checkpoint is
-// the first main-loop restore point.
-func (s *Session) inject(untilSeq uint64) error {
-	k := s.W.K
-	payload := []byte(s.Rec.Payload)
-	port := apps.BasePort + s.P.PID
-	for i := 0; i < PollTries; i++ {
-		if s.P.State != kernel.ProcRunning {
-			return nil
-		}
-		if untilSeq > 0 && k.EventSeq() >= untilSeq {
-			return nil
-		}
-		if s.steps >= s.Spec.maxInsts() {
-			return fmt.Errorf("rr: budget exhausted while waiting for listen")
-		}
-		k.Run(PollSlice)
-		if err := k.InjectConn(port, payload, s.Spec.Requests, nil); err == nil {
-			s.injected = true
-			if !s.retracing {
-				return s.takeCheckpoint()
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("rr: server on port %d never listened", port)
-}
-
-// runMain is the canonical main drive loop: fixed Run slices, a
-// checkpoint whenever the virtual clock has advanced a full interval.
-// With untilSeq > 0 it stops once the kernel has emitted an event with
-// that ordinal (kernel.StopAtSeq makes the stop land at the precise
-// quantum boundary without perturbing execution).
-func (s *Session) runMain(untilSeq uint64) error {
-	k := s.W.K
-	every := s.Spec.checkpointEvery()
-	for s.P.State == kernel.ProcRunning {
-		if untilSeq > 0 && k.EventSeq() >= untilSeq {
-			return nil
-		}
-		if s.steps >= s.Spec.maxInsts() {
-			return fmt.Errorf("rr: budget exhausted after %d instructions", s.steps)
-		}
-		n := k.Run(Slice)
-		if n == 0 && s.P.State == kernel.ProcRunning {
-			return fmt.Errorf("rr: deadlock: pid %d has no runnable threads", s.P.PID)
-		}
-		if !s.retracing && k.VClock-s.lastCkpt >= every {
-			if err := s.takeCheckpoint(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// finalize captures the run's observable outcome into Rec.
-func (s *Session) finalize() {
+// Finish captures the run's observable outcome into Rec. Run calls it;
+// a caller that drives an attached run itself calls it once the drive
+// has returned.
+func (s *Session) Finish() {
 	k := s.W.K
 	s.Rec.Chaos = append([]kernel.ChaosDecision(nil), k.ChaosDecisions()...)
-	s.Rec.Events = append([]EventRec(nil), s.events...)
+	s.Rec.Events = s.events // restoreTo caps its capacity: re-execution never writes into it
 	s.Rec.Checkpoints = s.ckptMetas()
 	s.Rec.Final = s.currentFinal()
 	if s.replayOf != nil && s.divergence < 0 {
@@ -359,15 +241,14 @@ func (s *Session) ckptMetas() []CkptMeta {
 
 // currentFinal reads the observable outcome off the live world.
 func (s *Session) currentFinal() Final {
-	k := s.W.K
+	o := s.m.Outcome()
 	return Final{
-		TraceHash: s.th.h, EventHash: s.eh.h,
-		VFSHash:  difftest.HashFS(k.FS),
-		Steps:    s.steps, Syscalls: s.syscalls,
-		Events: len(s.events), Seq: k.EventSeq(),
-		ExitCode: s.P.Exit.Code, ExitSignal: s.P.Exit.Signal,
-		ChaosInjected: k.ChaosInjected(),
-		StdoutDigest:  digest(s.P.Stdout), StderrDigest: digest(s.P.Stderr),
+		TraceHash: o.TraceHash, EventHash: o.EventHash, VFSHash: o.VFSHash,
+		Steps: o.Steps, Syscalls: o.Syscalls,
+		Events: len(s.events), Seq: s.W.K.EventSeq(),
+		ExitCode: o.Exit.Code, ExitSignal: o.Exit.Signal,
+		ChaosInjected: o.ChaosInjected,
+		StdoutDigest:  machine.Digest(s.P.Stdout), StderrDigest: machine.Digest(s.P.Stderr),
 	}
 }
 
@@ -388,21 +269,20 @@ func (s *Session) Diverged() (ckptIndex int, diverged bool) {
 func (s *Session) NumCheckpoints() int { return len(s.ckpts) }
 
 // Launcher exposes the session's interposer launcher (for stats).
-func (s *Session) Launcher() interpose.Launcher { return s.launcher }
+func (s *Session) Launcher() interpose.Launcher { return s.m.L }
 
-// ReplayOf returns the recording this session is replaying, nil for a
-// recording session.
-func (s *Session) ReplayOf() *Recording { return s.replayOf }
-
-// restoreTo rewinds the world and the recorder state to checkpoint i.
-func (s *Session) restoreTo(i int) *liveCkpt {
+// restoreTo rewinds the world and the runner state to checkpoint i. The
+// event log restarts from the primary run's immutable stream (Rec), so
+// any sequence of restores — forward or backward — sees the records the
+// primary run captured; the capped capacity makes re-execution append to
+// a private copy.
+func (s *Session) restoreTo(i int) {
 	c := s.ckpts[i]
 	s.W.K.Restore(c.snap)
-	s.th.h, s.eh.h = c.traceH, c.eventH
-	s.steps, s.syscalls = c.steps, c.syscalls
-	s.events = append([]EventRec(nil), s.events[:c.evCount]...)
-	s.injected = c.injected
-	return c
+	s.m.Trace, s.m.Events = c.trace, c.events
+	s.m.Syscalls, s.m.Injected = c.syscalls, c.injected
+	n := c.meta.Events
+	s.events = s.Rec.Events[:n:n]
 }
 
 // RunFromCheckpoint restores checkpoint i and re-executes the run to
@@ -419,12 +299,7 @@ func (s *Session) RunFromCheckpoint(i int) (Final, error) {
 	s.restoreTo(i)
 	s.retracing = true
 	defer func() { s.retracing = false }()
-	if s.Spec.Server && !s.injected {
-		if err := s.inject(0); err != nil {
-			return Final{}, err
-		}
-	}
-	if err := s.runMain(0); err != nil {
+	if err := s.m.Drive(context.Background(), 0); err != nil {
 		return Final{}, err
 	}
 	return s.currentFinal(), nil
@@ -480,7 +355,7 @@ func (s *Session) SeekSeq(target uint64) (*Seek, error) {
 		}
 		return &Seek{
 			Target: target, From: -1,
-			ReExecuted: sub.steps,
+			ReExecuted: sub.m.Steps(),
 			Seq:        sub.W.K.EventSeq(), VClock: sub.W.K.VClock,
 		}, nil
 	}
@@ -488,22 +363,15 @@ func (s *Session) SeekSeq(target uint64) (*Seek, error) {
 	s.retracing = true
 	defer func() { s.retracing = false }()
 	k := s.W.K
-	start := s.steps
+	start := s.m.Steps()
 	k.StopAtSeq = target
 	defer func() { k.StopAtSeq = 0 }()
-	if s.Spec.Server && !s.injected {
-		if err := s.inject(target + 1); err != nil {
-			return nil, err
-		}
-	}
-	if s.P.State == kernel.ProcRunning && k.EventSeq() < target+1 {
-		if err := s.runMain(target + 1); err != nil {
-			return nil, err
-		}
+	if err := s.m.Drive(context.Background(), target+1); err != nil {
+		return nil, err
 	}
 	return &Seek{
 		Target: target, From: best,
-		ReExecuted: s.steps - start,
+		ReExecuted: s.m.Steps() - start,
 		Seq:        k.EventSeq(), VClock: k.VClock,
 	}, nil
 }

@@ -7,6 +7,7 @@ package vfs
 
 import (
 	"fmt"
+	"hash/fnv"
 	"path"
 	"sort"
 	"strings"
@@ -324,4 +325,41 @@ func (f *FS) UnregisterSynthetic(p string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	delete(f.synthetic, clean(p))
+}
+
+// TreeHash hashes the filesystem tree: every path with its mode and
+// content, in sorted order.
+func (fs *FS) TreeHash() uint64 {
+	h := fnv.New64a()
+	var walk func(dir string)
+	walk = func(dir string) {
+		names, err := fs.ReadDir(dir)
+		if err != nil {
+			fmt.Fprintf(h, "!%s:%v", dir, err)
+			return
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			p := dir + "/" + name
+			if dir == "/" {
+				p = "/" + name
+			}
+			if fs.IsDir(p) {
+				fmt.Fprintf(h, "d %s\n", p)
+				walk(p)
+				continue
+			}
+			mode, _ := fs.Mode(p)
+			data, err := fs.ReadFile(p)
+			if err != nil {
+				fmt.Fprintf(h, "f %s %v !%v\n", p, mode, err)
+				continue
+			}
+			fmt.Fprintf(h, "f %s %v %d ", p, mode, len(data))
+			h.Write(data)
+			h.Write([]byte{'\n'})
+		}
+	}
+	walk("/")
+	return h.Sum64()
 }
