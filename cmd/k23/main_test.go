@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata golden files from current output")
 
 // TestMain lets the test binary stand in for the k23 command: with
 // K23_AS_MAIN set it runs main on its own arguments.
@@ -60,6 +63,69 @@ func TestServerRunsLiveRecordedAndReplayed(t *testing.T) {
 		}
 		if !bytes.Equal(plain, recorded) || !bytes.Equal(recorded, replayed) {
 			t.Errorf("%s: stdout differs:\n plain    %q\n recorded %q\n replayed %q", app[0], plain, recorded, replayed)
+		}
+	}
+}
+
+// TestGoldenMetrics pins the bytes of `k23 -metrics` (JSON) and `-prom`
+// (Prometheus text, with the span-phase histograms appended because
+// -spans is on) for three apps under four mechanisms. Every number is
+// simulated, so any drift is a real change to what the metrics report.
+// Deliberate refreshes: go test ./cmd/k23 -run TestGoldenMetrics -update
+func TestGoldenMetrics(t *testing.T) {
+	for _, app := range []string{"ls", "cat", "redis-server"} {
+		for _, variant := range []string{"native", "zpoline-default", "sud", "k23-ultra+"} {
+			t.Run(app+"/"+variant, func(t *testing.T) {
+				dir := t.TempDir()
+				metrics, prom := filepath.Join(dir, "m.json"), filepath.Join(dir, "m.prom")
+				if _, code := k23(t, "-variant", variant, "-metrics", metrics, "-prom", prom,
+					"-spans", filepath.Join(dir, "spans.jsonl"), app); code != 0 {
+					t.Fatalf("k23 exited %d", code)
+				}
+				for _, out := range [][2]string{{metrics, ".json"}, {prom, ".prom"}} {
+					got, err := os.ReadFile(out[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkGolden(t, filepath.Join("testdata", "metrics", app+"_"+variant+out[1]), got)
+				}
+			})
+		}
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatalf("update golden %s: %v", path, err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden %s (run `go test ./cmd/k23 -run TestGoldenMetrics -update` to create): %v", path, err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		if i >= len(gl) || i >= len(wl) || !bytes.Equal(gl[i], wl[i]) {
+			var g, w []byte
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			t.Errorf("%s line %d drifted:\n got:  %q\n want: %q", path, i+1, g, w)
+			return
 		}
 	}
 }
