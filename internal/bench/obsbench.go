@@ -165,13 +165,16 @@ func FormatMetricsSidecar(rows []SidecarRow) string {
 	fmt.Fprintf(&b, "%-22s %-10s %-8s %-12s %-10s %s\n",
 		"Variant", "syscalls", "errors", "mean-cycles", "hit-rate", "by-mechanism")
 	for _, r := range rows {
-		var calls, errs uint64
-		var hist obsv.Hist
+		var calls, errs, cycles uint64
 		for i := range r.Snap.Syscalls {
 			s := &r.Snap.Syscalls[i]
 			calls += s.Count
 			errs += s.Errors
-			hist.Merge(&s.Hist)
+			cycles += s.Hist.Sum
+		}
+		mean := 0.0
+		if calls != 0 {
+			mean = float64(cycles) / float64(calls)
 		}
 		mechs := make([]string, 0, len(r.Snap.Mechanisms))
 		for _, m := range r.Snap.Mechanisms {
@@ -182,7 +185,7 @@ func FormatMetricsSidecar(rows []SidecarRow) string {
 			mech = "-"
 		}
 		fmt.Fprintf(&b, "%-22s %-10d %-8d %-12.1f %-10s %s\n",
-			r.Variant, calls, errs, hist.Mean(),
+			r.Variant, calls, errs, mean,
 			fmt.Sprintf("%.1f%%", r.Snap.DecodeCache.HitRate()*100), mech)
 	}
 	return b.String()

@@ -170,6 +170,15 @@ func TestFleetTracingDeterminism(t *testing.T) {
 	if got := merged.Metrics.TotalSyscalls(); got != want {
 		t.Errorf("merged syscall total %d, want %d", got, want)
 	}
+	// Merged metrics are the same whatever the worker count and the
+	// merge order.
+	reversed := &obsv.Snapshot{}
+	for i := len(parallel) - 1; i >= 0; i-- {
+		reversed.Merge(parallel[i].Obs)
+	}
+	if !reflect.DeepEqual(merged.Metrics, reversed.Metrics) {
+		t.Error("merged metrics differ between workers=1 and workers=8 folded in reverse order")
+	}
 }
 
 // TestFleetJITDeterminism is the fleet half of the superblock-engine

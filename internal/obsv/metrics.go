@@ -4,60 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
+	"strconv"
 
 	"k23/internal/cpu"
-	"k23/internal/kernel"
+	"k23/internal/probe"
 )
 
-// HistBuckets is the number of log2 latency buckets: bucket i counts
-// costs whose bit length is i, i.e. values in [2^(i-1), 2^i). Bucket 0
-// counts zero-cost observations; the last bucket is a catch-all.
-const HistBuckets = 33
-
-// Hist is a log2-bucketed histogram of per-call virtual-cycle costs.
+// Hist is the JSON view of one log2-bucketed histogram of per-call
+// virtual-cycle costs (probe.HistBucket's layout).
 type Hist struct {
-	Count   uint64              `json:"count"`
-	Sum     uint64              `json:"sum"`
-	Buckets [HistBuckets]uint64 `json:"buckets"`
-}
-
-// Observe adds one cost observation.
-func (h *Hist) Observe(v uint64) {
-	i := bits.Len64(v)
-	if i >= HistBuckets {
-		i = HistBuckets - 1
-	}
-	h.Buckets[i]++
-	h.Count++
-	h.Sum += v
-}
-
-// Merge adds o into h.
-func (h *Hist) Merge(o *Hist) {
-	h.Count += o.Count
-	h.Sum += o.Sum
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
-}
-
-// Mean returns the average observed cost.
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// BucketUpperBound returns the exclusive upper bound of bucket i
-// (^uint64(0) for the catch-all).
-func BucketUpperBound(i int) uint64 {
-	if i >= HistBuckets-1 {
-		return ^uint64(0)
-	}
-	return uint64(1) << uint(i)
+	Count   uint64                    `json:"count"`
+	Sum     uint64                    `json:"sum"`
+	Buckets [probe.HistBuckets]uint64 `json:"buckets"`
 }
 
 // SyscallStat aggregates one syscall number.
@@ -93,9 +52,10 @@ type KindStat struct {
 	Count uint64 `json:"count"`
 }
 
-// MetricsSnapshot is a deterministic, mergeable, comparable summary of
-// one (or, after merging, many) machines' metrics. All collections are
-// sorted slices so snapshots from identical runs compare DeepEqual.
+// MetricsSnapshot is the rendered view of one (or, after merging, many)
+// machines' metrics: the built-in metrics program's aggregations plus the
+// decode-cache counters. All collections are sorted slices so snapshots
+// from identical runs compare DeepEqual.
 type MetricsSnapshot struct {
 	Syscalls    []SyscallStat        `json:"syscalls"`
 	Procs       []ProcStat           `json:"procs"`
@@ -104,125 +64,69 @@ type MetricsSnapshot struct {
 	DecodeCache cpu.DecodeCacheStats `json:"decode_cache"`
 }
 
-// Metrics accumulates per-syscall, per-process and per-mechanism
-// counters from the kernel event stream. One Metrics per World; merge
-// snapshots at report time (the no-shared-state invariant).
-type Metrics struct {
-	perSys  map[uint64]*SyscallStat
-	perProc map[int]*ProcStat
-	mech    map[string]uint64
-	kinds   [EvKindCount]uint64
-	// One-entry caches: guest loops hammer one syscall from one
-	// process, so the common Handle avoids both map lookups.
-	lastSys  *SyscallStat
-	lastProc *ProcStat
-}
-
-// EvKindCount bounds the kernel event-kind enum for counting arrays.
-const EvKindCount = kernel.NumEventKinds
-
-// NewMetrics returns an empty metrics accumulator.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		perSys:  make(map[uint64]*SyscallStat),
-		perProc: make(map[int]*ProcStat),
-		mech:    make(map[string]uint64),
+// metricsProgram is probe.MetricsProgram compiled once, shared
+// read-only by every machine's metrics engine.
+var metricsProgram = func() *probe.Compiled {
+	c, err := CompileProbes(probe.MetricsProgram)
+	if err != nil {
+		panic("obsv: built-in metrics program: " + err.Error())
 	}
-}
+	return c
+}()
 
-// Handle consumes one kernel event. The pointer is valid only for the
-// duration of the call.
-func (m *Metrics) Handle(e *kernel.Event) {
-	if int(e.Kind) < len(m.kinds) {
-		m.kinds[e.Kind]++
-	}
-	switch e.Kind {
-	case kernel.EvExit:
-		s := m.lastSys
-		if s == nil || s.Nr != e.Num {
-			s = m.perSys[e.Num]
-			if s == nil {
-				s = &SyscallStat{Nr: e.Num, Name: SyscallName(e.Num)}
-				m.perSys[e.Num] = s
-			}
-			m.lastSys = s
+// metricsView renders the metrics program's (possibly merged) snapshot;
+// rows are addressed by their (probe, action) position in
+// probe.MetricsProgram.
+func metricsView(ps *probe.Snapshot, dc cpu.DecodeCacheStats) *MetricsSnapshot {
+	m := &MetricsSnapshot{DecodeCache: dc}
+	sys := map[uint64]*SyscallStat{}
+	procs := map[int]*ProcStat{}
+	mech := map[string]uint64{}
+	for _, r := range ps.Rows {
+		var n int64
+		if len(r.Key) == 1 {
+			n, _ = strconv.ParseInt(r.Key[0], 10, 64)
 		}
-		p := m.lastProc
-		if p == nil || p.PID != e.PID {
-			p = m.perProc[e.PID]
-			if p == nil {
-				p = &ProcStat{PID: e.PID}
-				m.perProc[e.PID] = p
-			}
-			m.lastProc = p
-		}
-		s.Count++
-		p.Syscalls++
-		if _, isErr := kernel.IsErr(e.Ret); isErr {
-			s.Errors++
-			p.Errors++
-		}
-		s.Hist.Observe(e.Cost)
-		p.Hist.Observe(e.Cost)
-	case kernel.EvInterposed:
-		m.mech[e.Detail]++
-	case kernel.EvSudSigsys:
-		m.mech["sud-trap"]++
-	case kernel.EvSeccompSigsys:
-		m.mech["seccomp-trap"]++
-	}
-}
-
-// Snapshot freezes the accumulated counters into sorted slices.
-func (m *Metrics) Snapshot() *MetricsSnapshot {
-	snap := &MetricsSnapshot{}
-	for _, s := range m.perSys {
-		snap.Syscalls = append(snap.Syscalls, *s)
-	}
-	sort.Slice(snap.Syscalls, func(i, j int) bool { return snap.Syscalls[i].Nr < snap.Syscalls[j].Nr })
-	for _, p := range m.perProc {
-		snap.Procs = append(snap.Procs, *p)
-	}
-	sort.Slice(snap.Procs, func(i, j int) bool { return snap.Procs[i].PID < snap.Procs[j].PID })
-	for name, n := range m.mech {
-		snap.Mechanisms = append(snap.Mechanisms, MechStat{Mechanism: name, Count: n})
-	}
-	sort.Slice(snap.Mechanisms, func(i, j int) bool { return snap.Mechanisms[i].Mechanism < snap.Mechanisms[j].Mechanism })
-	for k, n := range m.kinds {
-		if n != 0 {
-			snap.Kinds = append(snap.Kinds, KindStat{Kind: kernel.EventKind(k).String(), Count: n})
+		switch [2]int{r.Probe, r.Action} {
+		case [2]int{0, 0}: // hist(cycles) by (nr)
+			nr := uint64(n)
+			sys[nr] = &SyscallStat{Nr: nr, Name: SyscallName(nr), Count: r.Count, Hist: histView(r)}
+		case [2]int{0, 1}: // hist(cycles) by (pid)
+			procs[int(n)] = &ProcStat{PID: int(n), Syscalls: r.Count, Hist: histView(r)}
+		case [2]int{1, 0}: // errno != 0: count() by (nr)
+			sys[uint64(n)].Errors = r.Count
+		case [2]int{1, 1}: // errno != 0: count() by (pid)
+			procs[int(n)].Errors = r.Count
+		case [2]int{2, 0}: // event:interposed count() by (detail)
+			mech[r.Key[0]] += r.Count
+		case [2]int{3, 0}: // event:sud-sigsys
+			mech["sud-trap"] += r.Count
+		case [2]int{4, 0}: // event:seccomp-sigsys
+			mech["seccomp-trap"] += r.Count
+		case [2]int{5, 0}: // event:* count() by (kind)
+			m.Kinds = append(m.Kinds, KindStat{Kind: r.Key[0], Count: r.Count})
 		}
 	}
-	sort.Slice(snap.Kinds, func(i, j int) bool { return snap.Kinds[i].Kind < snap.Kinds[j].Kind })
-	return snap
+	for _, s := range sys {
+		m.Syscalls = append(m.Syscalls, *s)
+	}
+	sort.Slice(m.Syscalls, func(i, j int) bool { return m.Syscalls[i].Nr < m.Syscalls[j].Nr })
+	for _, p := range procs {
+		m.Procs = append(m.Procs, *p)
+	}
+	sort.Slice(m.Procs, func(i, j int) bool { return m.Procs[i].PID < m.Procs[j].PID })
+	for name, n := range mech {
+		m.Mechanisms = append(m.Mechanisms, MechStat{Mechanism: name, Count: n})
+	}
+	sort.Slice(m.Mechanisms, func(i, j int) bool { return m.Mechanisms[i].Mechanism < m.Mechanisms[j].Mechanism })
+	return m
 }
 
-// Merge folds o into s (fleet-level aggregation of per-machine
-// snapshots). Histograms merge bucketwise.
-func (s *MetricsSnapshot) Merge(o *MetricsSnapshot) {
-	s.Syscalls = mergeKeyed(s.Syscalls, o.Syscalls,
-		func(a SyscallStat) uint64 { return a.Nr },
-		func(a, b SyscallStat) SyscallStat {
-			a.Count += b.Count
-			a.Errors += b.Errors
-			a.Hist.Merge(&b.Hist)
-			return a
-		})
-	s.Procs = mergeKeyed(s.Procs, o.Procs,
-		func(a ProcStat) uint64 { return uint64(a.PID) },
-		func(a, b ProcStat) ProcStat {
-			a.Syscalls += b.Syscalls
-			a.Errors += b.Errors
-			a.Hist.Merge(&b.Hist)
-			return a
-		})
-	s.Mechanisms = mergeKeyedStr(s.Mechanisms, o.Mechanisms,
-		func(a MechStat) string { return a.Mechanism },
-		func(a, b MechStat) MechStat { a.Count += b.Count; return a })
-	s.Kinds = mergeKeyedStr(s.Kinds, o.Kinds,
-		func(a KindStat) string { return a.Kind },
-		func(a, b KindStat) KindStat { a.Count += b.Count; return a })
-	s.DecodeCache.Add(o.DecodeCache)
+// histView pads a hist row's trimmed buckets into the fixed JSON layout.
+func histView(r *probe.Row) Hist {
+	h := Hist{Count: r.Count, Sum: uint64(r.Val)}
+	copy(h.Buckets[:], r.Buckets)
+	return h
 }
 
 // TotalSyscalls sums syscall exit counts.
@@ -232,40 +136,6 @@ func (s *MetricsSnapshot) TotalSyscalls() uint64 {
 		n += s.Syscalls[i].Count
 	}
 	return n
-}
-
-func mergeKeyed[T any](dst, src []T, key func(T) uint64, add func(a, b T) T) []T {
-	idx := make(map[uint64]int, len(dst))
-	for i, v := range dst {
-		idx[key(v)] = i
-	}
-	for _, v := range src {
-		if i, ok := idx[key(v)]; ok {
-			dst[i] = add(dst[i], v)
-		} else {
-			idx[key(v)] = len(dst)
-			dst = append(dst, v)
-		}
-	}
-	sort.Slice(dst, func(i, j int) bool { return key(dst[i]) < key(dst[j]) })
-	return dst
-}
-
-func mergeKeyedStr[T any](dst, src []T, key func(T) string, add func(a, b T) T) []T {
-	idx := make(map[string]int, len(dst))
-	for i, v := range dst {
-		idx[key(v)] = i
-	}
-	for _, v := range src {
-		if i, ok := idx[key(v)]; ok {
-			dst[i] = add(dst[i], v)
-		} else {
-			idx[key(v)] = len(dst)
-			dst = append(dst, v)
-		}
-	}
-	sort.Slice(dst, func(i, j int) bool { return key(dst[i]) < key(dst[j]) })
-	return dst
 }
 
 // WriteJSON renders the snapshot as indented JSON.
@@ -280,20 +150,7 @@ func (s *MetricsSnapshot) WriteJSON(w io.Writer) error {
 // sample; pass nil for none. Label pairs are rendered in the given
 // order, so output is deterministic.
 func (s *MetricsSnapshot) WritePrometheus(w io.Writer, extraLabels [][2]string) {
-	lbl := func(pairs ...[2]string) string {
-		all := append(append([][2]string{}, extraLabels...), pairs...)
-		if len(all) == 0 {
-			return ""
-		}
-		out := "{"
-		for i, p := range all {
-			if i > 0 {
-				out += ","
-			}
-			out += fmt.Sprintf("%s=%q", p[0], p[1])
-		}
-		return out + "}"
-	}
+	lbl := func(pairs ...[2]string) string { return promLabels(extraLabels, pairs...) }
 	fmt.Fprintln(w, "# HELP k23_syscalls_total Interposed-kernel syscall completions per syscall.")
 	fmt.Fprintln(w, "# TYPE k23_syscalls_total counter")
 	for i := range s.Syscalls {
@@ -312,21 +169,7 @@ func (s *MetricsSnapshot) WritePrometheus(w io.Writer, extraLabels [][2]string) 
 	fmt.Fprintln(w, "# TYPE k23_syscall_cost_cycles histogram")
 	for i := range s.Syscalls {
 		st := &s.Syscalls[i]
-		var cum uint64
-		for b := 0; b < HistBuckets; b++ {
-			if st.Hist.Buckets[b] == 0 {
-				continue
-			}
-			cum += st.Hist.Buckets[b]
-			le := fmt.Sprintf("%d", BucketUpperBound(b))
-			if b == HistBuckets-1 {
-				le = "+Inf"
-			}
-			fmt.Fprintf(w, "k23_syscall_cost_cycles_bucket%s %d\n",
-				lbl([2]string{"syscall", st.Name}, [2]string{"le", le}), cum)
-		}
-		fmt.Fprintf(w, "k23_syscall_cost_cycles_sum%s %d\n", lbl([2]string{"syscall", st.Name}), st.Hist.Sum)
-		fmt.Fprintf(w, "k23_syscall_cost_cycles_count%s %d\n", lbl([2]string{"syscall", st.Name}), st.Hist.Count)
+		writePromHist(w, "k23_syscall_cost_cycles", extraLabels, &st.Hist, [2]string{"syscall", st.Name})
 	}
 	fmt.Fprintln(w, "# HELP k23_interposed_total Syscalls attributed per interposition mechanism.")
 	fmt.Fprintln(w, "# TYPE k23_interposed_total counter")
@@ -344,4 +187,40 @@ func (s *MetricsSnapshot) WritePrometheus(w io.Writer, extraLabels [][2]string) 
 	fmt.Fprintln(w, "# HELP k23_decode_cache_misses_total Decoded-instruction cache misses.")
 	fmt.Fprintln(w, "# TYPE k23_decode_cache_misses_total counter")
 	fmt.Fprintf(w, "k23_decode_cache_misses_total%s %d\n", lbl(), s.DecodeCache.Misses)
+}
+
+// promLabels renders extra then pairs as a Prometheus label set, in the
+// given order ("" when there are none).
+func promLabels(extra [][2]string, pairs ...[2]string) string {
+	all := append(append([][2]string{}, extra...), pairs...)
+	if len(all) == 0 {
+		return ""
+	}
+	out := "{"
+	for i, p := range all {
+		if i > 0 {
+			out += ","
+		}
+		out += fmt.Sprintf("%s=%q", p[0], p[1])
+	}
+	return out + "}"
+}
+
+// writePromHist writes one histogram's non-empty cumulative buckets, sum
+// and count, labelled extra, then base, then le on the buckets.
+func writePromHist(w io.Writer, name string, extra [][2]string, h *Hist, base ...[2]string) {
+	var cum uint64
+	for b := 0; b < probe.HistBuckets; b++ {
+		if h.Buckets[b] == 0 {
+			continue
+		}
+		cum += h.Buckets[b]
+		le := fmt.Sprintf("%d", probe.BucketUpperBound(b))
+		if b == probe.HistBuckets-1 {
+			le = "+Inf"
+		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(extra, append(base[:len(base):len(base)], [2]string{"le", le})...), cum)
+	}
+	fmt.Fprintf(w, "%s_sum%s %d\n", name, promLabels(extra, base...), h.Sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(extra, base...), h.Count)
 }

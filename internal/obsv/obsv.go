@@ -17,6 +17,7 @@ package obsv
 
 import (
 	"k23/internal/audit"
+	"k23/internal/cpu"
 	"k23/internal/kernel"
 	"k23/internal/probe"
 	"k23/internal/sfip"
@@ -31,7 +32,7 @@ type Options struct {
 	// DefaultRingSize. Rounded up to a power of two.
 	RingSize int
 	// Metrics enables per-syscall / per-process / per-mechanism
-	// aggregation.
+	// aggregation: a second probe engine running probe.MetricsProgram.
 	Metrics bool
 	// ProfileEvery samples the running thread's RIP every N virtual
 	// clock ticks. Zero disables profiling.
@@ -79,7 +80,7 @@ func (o Options) Enabled() bool {
 type Observer struct {
 	Opts        Options
 	Ring        *Recorder      // nil unless Opts.Trace
-	Metrics     *Metrics       // nil unless Opts.Metrics
+	Metrics     *probe.Engine  // nil unless Opts.Metrics
 	Profiler    *Profiler      // nil unless Opts.ProfileEvery != 0
 	Audit       *audit.Auditor // nil unless Opts.Audit
 	SpanBuilder *span.Builder  // nil unless Opts.Spans
@@ -98,7 +99,7 @@ func New(opts Options) *Observer {
 		o.Ring = NewRecorder(opts.RingSize)
 	}
 	if opts.Metrics {
-		o.Metrics = NewMetrics()
+		o.Metrics = metricsProgram.NewEngine(opts.Machine, opts.ProbeMech)
 	}
 	if opts.ProfileEvery != 0 {
 		o.Profiler = NewProfiler()
@@ -149,8 +150,11 @@ func (o *Observer) Install(k *kernel.Kernel) {
 	if o.Enforcer != nil {
 		k.Sfip = o.Enforcer
 	}
-	if o.Ring != nil || o.Metrics != nil || o.Audit != nil || o.SpanBuilder != nil || o.Enforcer != nil {
+	if o.Ring != nil || o.Audit != nil || o.SpanBuilder != nil || o.Enforcer != nil {
 		o.installEventHook(k)
+	}
+	if o.Metrics != nil {
+		o.Metrics.Install(k)
 	}
 	if o.SpanBuilder != nil {
 		o.installSpanHooks(k)
@@ -168,15 +172,12 @@ func (o *Observer) Install(k *kernel.Kernel) {
 }
 
 func (o *Observer) installEventHook(k *kernel.Kernel) {
-	ring, metrics, auditor, spans, enf := o.Ring, o.Metrics, o.Audit, o.SpanBuilder, o.Enforcer
+	ring, auditor, spans, enf := o.Ring, o.Audit, o.SpanBuilder, o.Enforcer
 	k.AddEventHook(func(e kernel.Event) {
 		// Pass down by pointer: the collectors only read the event for
 		// the duration of the call, and the hook fires per syscall.
 		if ring != nil {
 			ring.Append(&e)
-		}
-		if metrics != nil {
-			metrics.Handle(&e)
 		}
 		if auditor != nil {
 			auditor.Handle(&e)
@@ -206,8 +207,10 @@ type Snapshot struct {
 	// TraceSeq is the total number of events ever recorded; TraceSeq -
 	// len(Trace) events were dropped to ring wraparound.
 	TraceSeq uint64 `json:"trace_seq,omitempty"`
-	// Metrics is nil when metrics were off.
-	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
+	// Metrics is nil when metrics were off. It is a view rendered from
+	// metricsRows, which is what merges.
+	Metrics     *MetricsSnapshot `json:"metrics,omitempty"`
+	metricsRows *probe.Snapshot
 	// Profile is nil when profiling was off.
 	Profile *ProfileSnapshot `json:"profile,omitempty"`
 	// Audit is nil when the auditor was off.
@@ -235,10 +238,12 @@ func (o *Observer) Snapshot() *Snapshot {
 		s.TraceSeq = o.Ring.Seq()
 	}
 	if o.Metrics != nil {
-		s.Metrics = o.Metrics.Snapshot()
+		var dc cpu.DecodeCacheStats
 		if o.k != nil {
-			s.Metrics.DecodeCache = o.k.DecodeCacheStats()
+			dc = o.k.DecodeCacheStats()
 		}
+		s.metricsRows = o.Metrics.Snapshot()
+		s.Metrics = metricsView(s.metricsRows, dc)
 	}
 	if o.Profiler != nil && o.k != nil {
 		s.Profile = o.Profiler.Snapshot(o.k, o.Opts.ProfileEvery)
@@ -262,19 +267,23 @@ func (o *Observer) Snapshot() *Snapshot {
 }
 
 // Merge folds other into s: traces concatenate in machine order (each
-// machine's records stay contiguous and ordered), metrics histograms
-// add bucketwise, profiles sum per call site.
+// machine's records stay contiguous and ordered), metrics merge as probe
+// rows and re-render, profiles sum per call site.
 func (s *Snapshot) Merge(other *Snapshot) {
 	if other == nil {
 		return
 	}
 	s.Trace = append(s.Trace, other.Trace...)
 	s.TraceSeq += other.TraceSeq
-	if other.Metrics != nil {
-		if s.Metrics == nil {
-			s.Metrics = &MetricsSnapshot{}
+	if other.metricsRows != nil {
+		dc := other.Metrics.DecodeCache
+		if s.metricsRows == nil {
+			s.metricsRows = &probe.Snapshot{}
+		} else {
+			dc.Add(s.Metrics.DecodeCache)
 		}
-		s.Metrics.Merge(other.Metrics)
+		s.metricsRows.Merge(other.metricsRows)
+		s.Metrics = metricsView(s.metricsRows, dc)
 	}
 	if other.Profile != nil {
 		if s.Profile == nil {

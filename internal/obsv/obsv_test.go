@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"k23/internal/kernel"
+	"k23/internal/probe"
 )
 
 func mkEvent(kind kernel.EventKind, tid int, nr uint64) kernel.Event {
@@ -58,33 +59,43 @@ func TestRingRoundsToPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestHistBuckets: values land in their log2 bucket and the bounds are
-// consistent.
+// metricsOf runs the built-in metrics program over events.
+func metricsOf(events ...kernel.Event) *Snapshot {
+	o := New(Options{Metrics: true})
+	for _, e := range events {
+		o.Metrics.HandleEvent(e)
+	}
+	return o.Snapshot()
+}
+
+// TestHistBuckets: values land in their log2 bucket, the bounds are
+// consistent, and the metrics view pads and sums them into the fixed
+// JSON layout.
 func TestHistBuckets(t *testing.T) {
-	var h Hist
-	h.Observe(0) // bucket 0
-	h.Observe(1) // bucket 1: [1,2)
-	h.Observe(2) // bucket 2: [2,4)
-	h.Observe(3)
-	h.Observe(1024) // bucket 11
+	for v, want := range map[int64]int{0: 0, 1: 1, 2: 2, 3: 2, 1024: 11, 1 << 40: probe.HistBuckets - 1, -1: probe.HistBuckets - 1} {
+		b := probe.HistBucket(v)
+		if b != want {
+			t.Errorf("HistBucket(%d) = %d, want %d", v, b, want)
+		}
+		if b < probe.HistBuckets-1 && uint64(v) >= probe.BucketUpperBound(b) {
+			t.Errorf("%d is not below bucket %d's bound %d", v, b, probe.BucketUpperBound(b))
+		}
+	}
+	if probe.BucketUpperBound(probe.HistBuckets-1) != ^uint64(0) {
+		t.Error("the overflow bucket is not a catch-all")
+	}
+	var evs []kernel.Event
+	for _, cost := range []uint64{0, 1, 2, 3, 1024} {
+		e := mkEvent(kernel.EvExit, 100, kernel.SysGetpid)
+		e.Cost = cost
+		evs = append(evs, e)
+	}
+	h := metricsOf(evs...).Metrics.Syscalls[0].Hist
 	if h.Count != 5 || h.Sum != 1030 {
 		t.Fatalf("Count=%d Sum=%d, want 5/1030", h.Count, h.Sum)
 	}
 	if h.Buckets[0] != 1 || h.Buckets[1] != 1 || h.Buckets[2] != 2 || h.Buckets[11] != 1 {
 		t.Errorf("bucket layout wrong: %v", h.Buckets[:12])
-	}
-	if got := h.Mean(); got != 206 {
-		t.Errorf("Mean = %v, want 206", got)
-	}
-	var o Hist
-	o.Observe(1024)
-	h.Merge(&o)
-	if h.Buckets[11] != 2 || h.Count != 6 {
-		t.Errorf("Merge: bucket11=%d count=%d, want 2/6", h.Buckets[11], h.Count)
-	}
-	h.Observe(^uint64(0)) // catch-all
-	if h.Buckets[HistBuckets-1] != 1 {
-		t.Errorf("max value missed the catch-all bucket")
 	}
 }
 
@@ -92,22 +103,19 @@ func TestHistBuckets(t *testing.T) {
 // per process; errno returns count as errors; mechanism events count
 // per path.
 func TestMetricsAggregation(t *testing.T) {
-	m := NewMetrics()
 	enter := mkEvent(kernel.EvEnter, 100, kernel.SysGetpid)
-	m.Handle(&enter)
 	exit := mkEvent(kernel.EvExit, 100, kernel.SysGetpid)
 	exit.Ret = 1
 	exit.Cost = 200
-	m.Handle(&exit)
 	failed := mkEvent(kernel.EvExit, 200, kernel.SysOpen)
 	failed.Ret = errnoRet(kernel.ENOENT)
 	failed.Cost = 300
-	m.Handle(&failed)
-	m.Handle(&kernel.Event{Kind: kernel.EvInterposed, Detail: "rewrite"})
-	m.Handle(&kernel.Event{Kind: kernel.EvInterposed, Detail: "rewrite"})
-	m.Handle(&kernel.Event{Kind: kernel.EvSudSigsys})
+	snap := metricsOf(enter, exit, failed,
+		kernel.Event{Kind: kernel.EvInterposed, Detail: "rewrite"},
+		kernel.Event{Kind: kernel.EvInterposed, Detail: "rewrite"},
+		kernel.Event{Kind: kernel.EvSudSigsys})
 
-	s := m.Snapshot()
+	s := snap.Metrics
 	if len(s.Syscalls) != 2 {
 		t.Fatalf("got %d syscall rows, want 2", len(s.Syscalls))
 	}
@@ -130,17 +138,20 @@ func TestMetricsAggregation(t *testing.T) {
 	}
 
 	// Merging the snapshot into itself doubles every counter.
-	merged := &MetricsSnapshot{}
-	merged.Merge(s)
-	merged.Merge(s)
-	if merged.TotalSyscalls() != 4 {
-		t.Errorf("merged TotalSyscalls = %d, want 4", merged.TotalSyscalls())
+	merged := &Snapshot{}
+	merged.Merge(snap)
+	merged.Merge(snap)
+	if merged.Metrics.TotalSyscalls() != 4 {
+		t.Errorf("merged TotalSyscalls = %d, want 4", merged.Metrics.TotalSyscalls())
 	}
-	if merged.Syscalls[1].Hist.Sum != 400 {
-		t.Errorf("merged getpid sum = %d, want 400", merged.Syscalls[1].Hist.Sum)
+	if merged.Metrics.Syscalls[1].Hist.Sum != 400 {
+		t.Errorf("merged getpid sum = %d, want 400", merged.Metrics.Syscalls[1].Hist.Sum)
 	}
-	if merged.Mechanisms[0].Count != 4 {
-		t.Errorf("merged rewrite count = %d, want 4", merged.Mechanisms[0].Count)
+	if merged.Metrics.Mechanisms[0].Count != 4 {
+		t.Errorf("merged rewrite count = %d, want 4", merged.Metrics.Mechanisms[0].Count)
+	}
+	if !reflect.DeepEqual(snap.Metrics, s) {
+		t.Error("merging mutated the source snapshot's metrics")
 	}
 }
 
@@ -250,14 +261,14 @@ func TestExcerpt(t *testing.T) {
 // TestPrometheusOutput: the exposition contains the metric families and
 // the extra labels, with histogram buckets cumulative.
 func TestPrometheusOutput(t *testing.T) {
-	m := NewMetrics()
+	var evs []kernel.Event
 	for i := 0; i < 3; i++ {
 		e := mkEvent(kernel.EvExit, 100, kernel.SysGetpid)
 		e.Cost = uint64(100 << i)
-		m.Handle(&e)
+		evs = append(evs, e)
 	}
 	var buf bytes.Buffer
-	m.Snapshot().WritePrometheus(&buf, [][2]string{{"machine", "m-01"}})
+	metricsOf(evs...).Metrics.WritePrometheus(&buf, [][2]string{{"machine", "m-01"}})
 	out := buf.String()
 	for _, want := range []string{
 		`k23_syscalls_total{machine="m-01",syscall="getpid"} 3`,
@@ -311,22 +322,32 @@ func TestPprofEncoding(t *testing.T) {
 // TestSnapshotMerge: trace concatenation, metric addition, profile
 // site summing.
 func TestSnapshotMerge(t *testing.T) {
-	a := &Snapshot{
-		Trace:    []Record{{Seq: 0}, {Seq: 1}},
-		TraceSeq: 2,
-		Profile:  &ProfileSnapshot{Period: 64, Samples: []ProfSample{{TID: 100, RIP: 0x10, Count: 1}}},
+	exit := func(tid int, nr, cost uint64) kernel.Event {
+		e := mkEvent(kernel.EvExit, tid, nr)
+		e.Cost = cost
+		return e
 	}
-	b := &Snapshot{
-		Trace:    []Record{{Seq: 0}},
-		TraceSeq: 1,
-		Profile:  &ProfileSnapshot{Period: 64, Samples: []ProfSample{{TID: 100, RIP: 0x10, Count: 2}}},
-	}
+	a := metricsOf(exit(100, kernel.SysGetpid, 100), exit(100, kernel.SysOpen, 300))
+	a.Trace, a.TraceSeq = []Record{{Seq: 0}, {Seq: 1}}, 2
+	a.Profile = &ProfileSnapshot{Period: 64, Samples: []ProfSample{{TID: 100, RIP: 0x10, Count: 1}}}
+	a.Metrics.DecodeCache.Hits = 5
+	b := metricsOf(exit(200, kernel.SysGetpid, 50))
+	b.Trace, b.TraceSeq = []Record{{Seq: 0}}, 1
+	b.Profile = &ProfileSnapshot{Period: 64, Samples: []ProfSample{{TID: 100, RIP: 0x10, Count: 2}}}
+	b.Metrics.DecodeCache.Hits = 7
 	a.Merge(b)
 	if len(a.Trace) != 3 || a.TraceSeq != 3 {
 		t.Errorf("merged trace len=%d seq=%d, want 3/3", len(a.Trace), a.TraceSeq)
 	}
 	if len(a.Profile.Samples) != 1 || a.Profile.Samples[0].Count != 3 {
 		t.Errorf("merged profile = %+v, want single site count 3", a.Profile.Samples)
+	}
+	m := a.Metrics
+	if m.TotalSyscalls() != 3 || len(m.Procs) != 2 || m.DecodeCache.Hits != 12 {
+		t.Errorf("merged metrics: %d syscalls, %d procs, %d cache hits, want 3/2/12", m.TotalSyscalls(), len(m.Procs), m.DecodeCache.Hits)
+	}
+	if g := m.Syscalls[1]; g.Name != "getpid" || g.Count != 2 || g.Hist.Sum != 150 {
+		t.Errorf("merged getpid = %+v, want count 2 sum 150", g)
 	}
 	a.Merge(nil) // must be a no-op
 	if len(a.Trace) != 3 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"k23/internal/kernel"
+	"k23/internal/probe"
 	"k23/internal/span"
 )
 
@@ -21,9 +22,12 @@ func (o *Observer) installSpanHooks(k *kernel.Kernel) {
 	k.AddPhaseHook(o.SpanBuilder.HandlePhase)
 }
 
-// SpanPhaseHists aggregates slice self-cycles into per-(mechanism, phase)
-// histograms, reusing the metrics layer's log2 Hist so the Prometheus
+// SpanPhaseHist aggregates slice self-cycles into one per-(mechanism,
+// phase) histogram, in the metrics layer's log2 layout so the Prometheus
 // exposition matches the per-syscall cost histograms bucket-for-bucket.
+// It is derived from span sets rather than a phase probe: slice
+// self-time is cut at child boundaries, which no single phase mark
+// carries.
 type SpanPhaseHist struct {
 	Mech  string `json:"mech"`
 	Phase string `json:"phase"`
@@ -58,7 +62,10 @@ func SpanPhaseHists(sets []*span.Set) []SpanPhaseHist {
 					h = &SpanPhaseHist{Mech: mech, Phase: sl.Phase}
 					agg[k] = h
 				}
-				h.Hist.Observe(sl.Y1 - sl.Y0)
+				v := sl.Y1 - sl.Y0
+				h.Hist.Buckets[probe.HistBucket(int64(v))]++
+				h.Hist.Count++
+				h.Hist.Sum += v
 			}
 		}
 	}
@@ -80,39 +87,10 @@ func SpanPhaseHists(sets []*span.Set) []SpanPhaseHist {
 // MetricsSnapshot.WritePrometheus).
 func WriteSpanPrometheus(w io.Writer, sets []*span.Set, extraLabels [][2]string) {
 	hists := SpanPhaseHists(sets)
-	lbl := func(pairs ...[2]string) string {
-		all := append(append([][2]string{}, extraLabels...), pairs...)
-		if len(all) == 0 {
-			return ""
-		}
-		out := "{"
-		for i, p := range all {
-			if i > 0 {
-				out += ","
-			}
-			out += fmt.Sprintf("%s=%q", p[0], p[1])
-		}
-		return out + "}"
-	}
 	fmt.Fprintln(w, "# HELP k23_span_phase_cost_cycles Span-layer self cycles per interposition mechanism and lifecycle phase (log2 buckets).")
 	fmt.Fprintln(w, "# TYPE k23_span_phase_cost_cycles histogram")
 	for i := range hists {
 		h := &hists[i]
-		base := [][2]string{{"mech", h.Mech}, {"phase", h.Phase}}
-		var cum uint64
-		for b := 0; b < HistBuckets; b++ {
-			if h.Hist.Buckets[b] == 0 {
-				continue
-			}
-			cum += h.Hist.Buckets[b]
-			le := fmt.Sprintf("%d", BucketUpperBound(b))
-			if b == HistBuckets-1 {
-				le = "+Inf"
-			}
-			fmt.Fprintf(w, "k23_span_phase_cost_cycles_bucket%s %d\n",
-				lbl(append(append([][2]string{}, base...), [2]string{"le", le})...), cum)
-		}
-		fmt.Fprintf(w, "k23_span_phase_cost_cycles_sum%s %d\n", lbl(base...), h.Hist.Sum)
-		fmt.Fprintf(w, "k23_span_phase_cost_cycles_count%s %d\n", lbl(base...), h.Hist.Count)
+		writePromHist(w, "k23_span_phase_cost_cycles", extraLabels, &h.Hist, [2]string{"mech", h.Mech}, [2]string{"phase", h.Phase})
 	}
 }

@@ -80,7 +80,7 @@ func TestObserverEndToEnd(t *testing.T) {
 	}
 	// Every call costs at least the trap; the per-call mean must
 	// reflect that.
-	if mean := getpid.Hist.Mean(); mean < float64(w.K.Cost.Trap) {
+	if mean := float64(getpid.Hist.Sum) / float64(getpid.Hist.Count); mean < float64(w.K.Cost.Trap) {
 		t.Errorf("getpid mean cost %.0f below trap cost %d", mean, w.K.Cost.Trap)
 	}
 	if snap.Metrics.DecodeCache.Hits == 0 {
@@ -233,6 +233,14 @@ func BenchmarkHookDisabled(b *testing.B) {
 func BenchmarkHookEnabled(b *testing.B) {
 	benchLoop(b, func(k *kernel.Kernel) {
 		obsv.New(obsv.Options{Trace: true, Metrics: true}).Install(k)
+	})
+}
+
+// BenchmarkHookMetrics measures the metrics probe engine alone
+// (EXPERIMENTS.md E15).
+func BenchmarkHookMetrics(b *testing.B) {
+	benchLoop(b, func(k *kernel.Kernel) {
+		obsv.New(obsv.Options{Metrics: true}).Install(k)
 	})
 }
 

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strconv"
@@ -9,10 +10,9 @@ import (
 	"k23/internal/kernel"
 )
 
-// HistBuckets mirrors obsv's log2 histogram shape: bucket i counts
-// values whose bit length is i (bucket 0 holds zeros), with one
-// overflow bucket at the top. Sharing the shape keeps probe histograms
-// directly comparable to the metrics collector's latency histograms.
+// HistBuckets is the log2 histogram shape every latency histogram in
+// the repository uses: bucket i counts values whose bit length is i
+// (bucket 0 holds zeros), with one overflow bucket at the top.
 const HistBuckets = 33
 
 // DefaultEmitCap bounds each engine's emit() flight-recorder ring.
@@ -31,31 +31,39 @@ type Config struct {
 	EmitCap int
 }
 
-// Compiled is an immutable compiled program: matchers, predicates and
-// action closures, shareable read-only across any number of engines
+// Compiled is an immutable compiled program: per-kind dispatch tables,
+// matchers, predicates and actions, shareable read-only across any
+// number of engines
 // (the fleet hands one Compiled to every machine; each machine's
 // Engine owns its own aggregation state).
 type Compiled struct {
 	Prog *Program
 	cfg  Config
+	hash uint64 // Prog.Hash(), computed once
 
-	evProbes []compiledProbe
-	phProbes []compiledProbe
-	acts     []actionMeta // flat (probe, action) slots, program order
-	nActs    int
-	hasEv    bool
-	hasPh    bool
+	// evByKind[k] lists, in program order, the event-stream probes whose
+	// attach point selects kind k; evAnyKind holds the event:* probes
+	// alone, for kinds outside the table.
+	evByKind  [kernel.NumEventKinds][]*compiledProbe
+	evAnyKind []*compiledProbe
+	phProbes  []*compiledProbe
+	acts      []actionMeta // flat (probe, action) slots, program order
+	hasEv     bool
+	hasPh     bool
 }
 
 type actionMeta struct {
 	probe, action int
 	fn            AggFunc
-	arg           Field
-	by            []Field
+	by            []string // field names of the key tuple
 }
 
 type compiledProbe struct {
 	probe int
+	// Event-stream probes filter on the syscall number (kind is settled
+	// by the evByKind dispatch); phase-stream probes use match.
+	nr    uint64
+	anyNr bool
 	match func(c *evctx) bool
 	pred  func(c *evctx) bool // nil when unconditional
 	acts  []compiledAction
@@ -64,115 +72,110 @@ type compiledProbe struct {
 type compiledAction struct {
 	slot int // index into Engine state / acts
 	fn   AggFunc
-	arg  func(c *evctx) int64 // nil unless fn.needsArg()
-	key  func(c *evctx) []string
+	arg  Field // FNone unless fn.needsArg()
+	by   []Field
 }
 
-// Compile turns a parsed program into shareable closures. It resolves
+// Compile turns a parsed program into a shareable Compiled. It resolves
 // syscall names in attach points (the only deferred validation) and
 // fails on names the naming table does not know.
 func Compile(prog *Program, cfg Config) (*Compiled, error) {
 	if cfg.SyscallName == nil {
 		cfg.SyscallName = func(nr uint64) string { return fmt.Sprintf("syscall_%d", nr) }
 	}
-	c := &Compiled{Prog: prog, cfg: cfg}
+	c := &Compiled{Prog: prog, cfg: cfg, hash: prog.Hash()}
 	for pi, pr := range prog.Probes {
-		cp := compiledProbe{probe: pi}
-		phaseStream := pr.Attach.Provider == "phase" || pr.Attach.Provider == "sched"
-		match, err := c.compileAttach(pr.Attach)
-		if err != nil {
-			return nil, err
-		}
-		cp.match = match
+		cp := &compiledProbe{probe: pi, anyNr: true}
 		if pr.Pred != nil {
 			cp.pred = compileBool(pr.Pred)
 		}
 		for ai, a := range pr.Actions {
 			slot := len(c.acts)
-			c.acts = append(c.acts, actionMeta{probe: pi, action: ai, fn: a.Func, arg: a.Arg, by: a.By})
-			ca := compiledAction{slot: slot, fn: a.Func}
-			if a.Func.needsArg() {
-				f := a.Arg
-				ca.arg = func(ctx *evctx) int64 { return ctx.num(f) }
+			meta := actionMeta{probe: pi, action: ai, fn: a.Func}
+			for _, f := range a.By {
+				meta.by = append(meta.by, f.String())
 			}
-			by := a.By
-			ca.key = func(ctx *evctx) []string {
-				if len(by) == 0 {
-					return nil
-				}
-				ks := make([]string, len(by))
-				for i, f := range by {
-					if f.IsString() {
-						ks[i] = ctx.str(f)
-					} else {
-						ks[i] = strconv.FormatInt(ctx.num(f), 10)
-					}
-				}
-				return ks
-			}
-			cp.acts = append(cp.acts, ca)
+			c.acts = append(c.acts, meta)
+			cp.acts = append(cp.acts, compiledAction{slot: slot, fn: a.Func, arg: a.Arg, by: a.By})
 		}
-		if phaseStream {
+		if pr.Attach.Provider == "phase" || pr.Attach.Provider == "sched" {
+			cp.match = compilePhaseAttach(pr.Attach)
 			c.phProbes = append(c.phProbes, cp)
 			c.hasPh = true
-		} else {
-			c.evProbes = append(c.evProbes, cp)
-			c.hasEv = true
+			continue
 		}
-	}
-	c.nActs = len(c.acts)
-	return c, nil
-}
-
-// compileAttach builds the stream matcher for one attach point.
-func (c *Compiled) compileAttach(a Attach) (func(*evctx) bool, error) {
-	switch a.Provider {
-	case "syscall":
-		kind := kernel.EvEnter
-		if a.Part2 == "exit" {
-			kind = kernel.EvExit
-		}
-		if a.Part1 == "*" {
-			return func(ctx *evctx) bool { return ctx.ev.Kind == kind }, nil
-		}
-		nr, err := c.resolveSyscall(a.Part1)
+		kind, anyKind, err := c.bindEventAttach(pr.Attach, cp)
 		if err != nil {
 			return nil, err
 		}
-		return func(ctx *evctx) bool { return ctx.ev.Kind == kind && ctx.ev.Num == nr }, nil
+		if anyKind {
+			for k := range c.evByKind {
+				c.evByKind[k] = append(c.evByKind[k], cp)
+			}
+			c.evAnyKind = append(c.evAnyKind, cp)
+		} else {
+			c.evByKind[kind] = append(c.evByKind[kind], cp)
+		}
+		c.hasEv = true
+	}
+	return c, nil
+}
+
+// bindEventAttach resolves an event-stream attach point to the event
+// kind it selects (anyKind for event:*) and sets cp's syscall-number
+// filter.
+func (c *Compiled) bindEventAttach(a Attach, cp *compiledProbe) (kind kernel.EventKind, anyKind bool, err error) {
+	switch a.Provider {
+	case "syscall":
+		if a.Part1 != "*" {
+			nr, err := c.resolveSyscall(a.Part1)
+			if err != nil {
+				return 0, false, err
+			}
+			cp.nr, cp.anyNr = nr, false
+		}
+		if a.Part2 == "exit" {
+			return kernel.EvExit, false, nil
+		}
+		return kernel.EvEnter, false, nil
 	case "signal":
-		return func(ctx *evctx) bool { return ctx.ev.Kind == kernel.EvSignal }, nil
+		return kernel.EvSignal, false, nil
 	case "chaos":
-		return func(ctx *evctx) bool { return ctx.ev.Kind == kernel.EvChaos }, nil
+		return kernel.EvChaos, false, nil
 	case "sfip":
-		return func(ctx *evctx) bool { return ctx.ev.Kind == kernel.EvSfipViolation }, nil
+		return kernel.EvSfipViolation, false, nil
 	case "event":
 		if a.Part1 == "*" {
-			return func(ctx *evctx) bool { return true }, nil
+			return 0, true, nil
 		}
 		k, _ := kernel.EventKindByName(a.Part1) // validated at parse
-		return func(ctx *evctx) bool { return ctx.ev.Kind == k }, nil
+		return k, false, nil
+	}
+	return 0, false, fmt.Errorf("unknown attach provider %q", a.Provider)
+}
+
+// compilePhaseAttach builds the matcher for a phase-stream attach point.
+func compilePhaseAttach(a Attach) func(*evctx) bool {
+	switch a.Provider {
 	case "sched":
 		ph := kernel.PhBlock
 		if a.Part1 == "wake" {
 			ph = kernel.PhWake
 		}
-		return func(ctx *evctx) bool { return ctx.pm.Phase == ph }, nil
-	case "phase":
-		mech := a.Part1
-		var ph kernel.Phase
-		anyPhase := a.Part2 == "*"
-		if !anyPhase {
-			ph, _ = kernel.PhaseByName(a.Part2) // validated at parse
-		}
-		return func(ctx *evctx) bool {
-			if !anyPhase && ctx.pm.Phase != ph {
-				return false
-			}
-			return mech == "*" || ctx.str(FMech) == mech
-		}, nil
+		return func(ctx *evctx) bool { return ctx.pm.Phase == ph }
 	}
-	return nil, fmt.Errorf("unknown attach provider %q", a.Provider)
+	mech := a.Part1
+	var ph kernel.Phase
+	anyPhase := a.Part2 == "*"
+	if !anyPhase {
+		ph, _ = kernel.PhaseByName(a.Part2) // validated at parse
+	}
+	return func(ctx *evctx) bool {
+		if !anyPhase && ctx.pm.Phase != ph {
+			return false
+		}
+		return mech == "*" || ctx.str(FMech) == mech
+	}
 }
 
 // resolveSyscall maps an attach-point syscall name to its number.
@@ -272,12 +275,25 @@ type cell struct {
 // Engine holds the mutable aggregation state for one machine. Engines
 // are single-writer (the machine's simulation goroutine) like every
 // other collector; fleets merge Snapshots afterwards.
+//
+// The steady state allocates nothing: the current event or mark is
+// copied into the engine, probes see it through the engine's own evctx,
+// and cell keys are built in a reused buffer, so only a new cell
+// allocates.
 type Engine struct {
 	c       *Compiled
 	machine string
 	mech    string
 
-	cells []map[string]*cell // one map per flat action slot
+	// cells[slot] holds one action's cells, keyed by the binary `by`
+	// tuple.
+	cells []map[string]*cell
+
+	ev     kernel.Event     // the event HandleEvent is running
+	pm     kernel.PhaseMark // the mark HandlePhase is running
+	evCtx  evctx            // views ev
+	pmCtx  evctx            // views pm
+	keyBuf []byte
 
 	emits   []Emit // emit() ring, emitOrd-stamped
 	emitCap int
@@ -294,7 +310,9 @@ func (c *Compiled) NewEngine(machine, mech string) *Engine {
 		cap = DefaultEmitCap
 	}
 	e := &Engine{c: c, machine: machine, mech: mech, emitCap: cap}
-	e.cells = make([]map[string]*cell, c.nActs)
+	e.evCtx = evctx{eng: e, ev: &e.ev}
+	e.pmCtx = evctx{eng: e, pm: &e.pm}
+	e.cells = make([]map[string]*cell, len(c.acts))
 	for i := range e.cells {
 		e.cells[i] = make(map[string]*cell)
 	}
@@ -324,24 +342,32 @@ func (e *Engine) Install(k *kernel.Kernel) {
 
 // HandleEvent runs the event-stream probes against one kernel event.
 func (e *Engine) HandleEvent(ev kernel.Event) {
-	ctx := evctx{eng: e, ev: &ev}
-	for i := range e.c.evProbes {
-		e.run(&e.c.evProbes[i], &ctx)
+	probes := e.c.evAnyKind
+	if int(ev.Kind) < len(e.c.evByKind) {
+		probes = e.c.evByKind[ev.Kind]
+	}
+	if len(probes) == 0 {
+		return
+	}
+	e.ev = ev
+	for _, p := range probes {
+		if p.anyNr || ev.Num == p.nr {
+			e.run(p, &e.evCtx)
+		}
 	}
 }
 
 // HandlePhase runs the phase-stream probes against one phase mark.
 func (e *Engine) HandlePhase(m kernel.PhaseMark) {
-	ctx := evctx{eng: e, pm: &m}
-	for i := range e.c.phProbes {
-		e.run(&e.c.phProbes[i], &ctx)
+	e.pm = m
+	for _, p := range e.c.phProbes {
+		if p.match(&e.pmCtx) {
+			e.run(p, &e.pmCtx)
+		}
 	}
 }
 
 func (e *Engine) run(p *compiledProbe, ctx *evctx) {
-	if !p.match(ctx) {
-		return
-	}
 	if p.pred != nil && !p.pred(ctx) {
 		return
 	}
@@ -351,48 +377,83 @@ func (e *Engine) run(p *compiledProbe, ctx *evctx) {
 			e.emit(p.probe, ctx)
 			continue
 		}
-		ks := a.key(ctx)
-		mk := strings.Join(ks, "\x1f")
-		cl := e.cells[a.slot][mk]
-		if cl == nil {
-			cl = &cell{key: ks}
-			e.cells[a.slot][mk] = cl
-		}
+		cl := e.cell(a, ctx)
 		switch a.fn {
 		case AggCount:
 			cl.count++
 		case AggSum:
 			cl.count++
-			cl.val += a.arg(ctx)
+			cl.val += ctx.num(a.arg)
 		case AggMin:
-			v := a.arg(ctx)
+			v := ctx.num(a.arg)
 			if cl.count == 0 || v < cl.val {
 				cl.val = v
 			}
 			cl.count++
 		case AggMax:
-			v := a.arg(ctx)
+			v := ctx.num(a.arg)
 			if cl.count == 0 || v > cl.val {
 				cl.val = v
 			}
 			cl.count++
 		case AggHist:
-			v := a.arg(ctx)
+			v := ctx.num(a.arg)
 			if cl.hist == nil {
 				cl.hist = make([]uint64, HistBuckets)
 			}
-			cl.hist[histBucket(v)]++
+			cl.hist[HistBucket(v)]++
 			cl.count++
 			cl.val += v
 		}
 	}
 }
 
-// histBucket mirrors obsv.Hist.Observe: bucket = bit length, clamped
-// into the overflow bucket (negative values land there too — the only
-// signed field is ret, and a caller histogramming raw returns wants
-// errno magnitudes kept visible, not folded into small buckets).
-func histBucket(v int64) int {
+// cell finds (or, on first sight, creates) the action's cell for the
+// current event. The lookup key is the `by` tuple in binary form —
+// numbers as 8 fixed bytes, strings length-prefixed, so distinct tuples
+// never collide — and the rendered key is built only for a new cell.
+func (e *Engine) cell(a *compiledAction, ctx *evctx) *cell {
+	b := e.keyBuf[:0]
+	for _, f := range a.by {
+		if f.IsString() {
+			s := ctx.str(f)
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
+		} else {
+			b = binary.LittleEndian.AppendUint64(b, uint64(ctx.num(f)))
+		}
+	}
+	e.keyBuf = b
+	cells := e.cells[a.slot]
+	cl := cells[string(b)]
+	if cl == nil {
+		cl = e.newCell(a, ctx)
+		cells[string(b)] = cl
+	}
+	return cl
+}
+
+// newCell renders the `by` tuple of a first-seen cell.
+func (e *Engine) newCell(a *compiledAction, ctx *evctx) *cell {
+	cl := &cell{}
+	if len(a.by) != 0 {
+		cl.key = make([]string, len(a.by))
+		for i, f := range a.by {
+			if f.IsString() {
+				cl.key[i] = ctx.str(f)
+			} else {
+				cl.key[i] = strconv.FormatInt(ctx.num(f), 10)
+			}
+		}
+	}
+	return cl
+}
+
+// HistBucket is the one log2 bucket function: bucket = bit length,
+// clamped into the overflow bucket. Negative values land there too —
+// the only signed field is ret, and a caller histogramming raw returns
+// wants errno magnitudes kept visible, not folded into small buckets.
+func HistBucket(v int64) int {
 	if v < 0 {
 		return HistBuckets - 1
 	}
@@ -401,6 +462,15 @@ func histBucket(v int64) int {
 		b = HistBuckets - 1
 	}
 	return b
+}
+
+// BucketUpperBound returns the exclusive upper bound of bucket i
+// (^uint64(0) for the overflow bucket).
+func BucketUpperBound(i int) uint64 {
+	if i >= HistBuckets-1 {
+		return ^uint64(0)
+	}
+	return uint64(1) << uint(i)
 }
 
 // emit appends one record to the engine's flight-recorder ring

@@ -170,6 +170,84 @@ func TestSnapshotMergeCommutative(t *testing.T) {
 			t.Errorf("max = %d, want 700", r.Val)
 		}
 	}
+
+	// Per-machine metrics snapshots fold, in either order, to what one
+	// engine fed every machine's events produces.
+	enoent := int64(kernel.ENOENT)
+	machines := make([][]kernel.Event, 5)
+	for i := 0; i < 400; i++ {
+		m := i % len(machines)
+		ev := exitEvent(uint64(i%13), uint64(i), uint64(i*37%5000), 1)
+		ev.PID = 1 + i%3
+		if i%7 == 0 {
+			ev.Ret = uint64(-enoent)
+		}
+		machines[m] = append(machines[m], ev)
+		switch i % 9 {
+		case 0:
+			machines[m] = append(machines[m], kernel.Event{Kind: kernel.EvInterposed, Detail: []string{"rewrite", "sud", "ptrace"}[i%3]})
+		case 1:
+			machines[m] = append(machines[m], kernel.Event{Kind: kernel.EvSudSigsys})
+		case 2:
+			machines[m] = append(machines[m], kernel.Event{Kind: kernel.EvSeccompSigsys}, kernel.Event{Kind: kernel.EvEnter, Num: 1})
+		}
+	}
+	metrics := func(evs ...[]kernel.Event) *Snapshot {
+		e := mustEngine(t, MetricsProgram)
+		for _, batch := range evs {
+			for _, ev := range batch {
+				e.HandleEvent(ev)
+			}
+		}
+		return e.Snapshot()
+	}
+	want := metrics(machines...)
+	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 2, 0, 3, 1}} {
+		got := &Snapshot{}
+		for _, m := range order {
+			got.Merge(metrics(machines[m]))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("metrics fold in order %v differs from one engine over all events:\n%+v\nvs\n%+v", order, got, want)
+		}
+	}
+}
+
+// TestEngineSteadyStateAllocs: once a cell exists, feeding the engine
+// allocates nothing — for events no probe matches, for phase marks, and
+// for hits keyed by zero, one or two numeric and string fields.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	write := exitEvent(1, 8, 100, 1)
+	read := exitEvent(0, 8, 100, 1)
+	interposed := kernel.Event{PID: 1, TID: 1, Kind: kernel.EvInterposed, Num: 1, Detail: "rewrite"}
+	kmark := kernel.PhaseMark{Phase: kernel.PhKernel, PID: 1, TID: 1, Num: 1, Cycles: 40}
+	cases := []struct {
+		name, prog string
+		feed       func(e *Engine)
+	}{
+		{"event/no match", `syscall:write:exit { count() }
+sched:block { count() }`, func(e *Engine) {
+			e.HandleEvent(read)
+			e.HandleEvent(interposed)
+		}},
+		{"phase mark", `phase:*:kernel { hist(cycles) by (mech) }
+phase:zpoline:handler { count() }`, func(e *Engine) { e.HandlePhase(kmark) }},
+		{"by ()", `syscall:*:exit { count(); hist(cycles) }`, func(e *Engine) { e.HandleEvent(write) }},
+		{"by (nr)", `syscall:*:exit { hist(cycles) by (nr) }`, func(e *Engine) { e.HandleEvent(write) }},
+		{"by (name)", `syscall:*:exit { count() by (name) }`, func(e *Engine) { e.HandleEvent(write) }},
+		{"by (pid, errno)", `syscall:*:exit { sum(cycles) by (pid, errno) }`, func(e *Engine) { e.HandleEvent(write) }},
+		{"by (kind, detail)", `event:* { max(cycles) by (kind, detail) }`, func(e *Engine) { e.HandleEvent(interposed) }},
+		{"by (nr, mech)", `event:interposed { min(site) by (nr, mech) }`, func(e *Engine) { e.HandleEvent(interposed) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustEngine(t, tc.prog)
+			tc.feed(e) // first sight creates the cells
+			if n := testing.AllocsPerRun(100, func() { tc.feed(e) }); n != 0 {
+				t.Errorf("%v allocations per event, want 0", n)
+			}
+		})
+	}
 }
 
 func TestEngineInstallHooksOnlyProbedStreams(t *testing.T) {

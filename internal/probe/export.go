@@ -63,7 +63,7 @@ type Snapshot struct {
 // Snapshot freezes the engine's state. Call after the machine has
 // quiesced.
 func (e *Engine) Snapshot() *Snapshot {
-	s := &Snapshot{ProgHash: e.c.Prog.Hash(), Probes: len(e.c.Prog.Probes)}
+	s := &Snapshot{ProgHash: e.c.hash, Probes: len(e.c.Prog.Probes)}
 	for slot, m := range e.cells {
 		meta := e.c.acts[slot]
 		for _, cl := range m {
@@ -71,12 +71,10 @@ func (e *Engine) Snapshot() *Snapshot {
 				Probe:  meta.probe,
 				Action: meta.action,
 				Func:   meta.fn.String(),
+				By:     meta.by,
 				Key:    cl.key,
 				Count:  cl.count,
 				Val:    cl.val,
-			}
-			for _, f := range meta.by {
-				r.By = append(r.By, f.String())
 			}
 			if cl.hist != nil {
 				r.Buckets = trimBuckets(cl.hist)
@@ -117,6 +115,10 @@ func trimBuckets(b []uint64) []uint64 {
 // normalize sorts rows and emits into canonical order.
 func (s *Snapshot) normalize() {
 	sort.Slice(s.Rows, func(i, j int) bool { return s.Rows[i].less(s.Rows[j]) })
+	s.sortEmits()
+}
+
+func (s *Snapshot) sortEmits() {
 	sort.Slice(s.Emits, func(i, j int) bool {
 		a, b := s.Emits[i], s.Emits[j]
 		if a.Machine != b.Machine {
@@ -126,6 +128,8 @@ func (s *Snapshot) normalize() {
 	})
 }
 
+// less is the canonical row order; rows neither less than the other
+// are the same cell.
 func (r *Row) less(o *Row) bool {
 	if r.Probe != o.Probe {
 		return r.Probe < o.Probe
@@ -141,23 +145,12 @@ func (r *Row) less(o *Row) bool {
 	return len(r.Key) < len(o.Key)
 }
 
-func (r *Row) sameCell(o *Row) bool {
-	if r.Probe != o.Probe || r.Action != o.Action || len(r.Key) != len(o.Key) {
-		return false
-	}
-	for i := range r.Key {
-		if r.Key[i] != o.Key[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Merge folds other into s. Merging is commutative and associative:
 // counts and sums add, extrema take min/max, histograms add
 // bucketwise, emit records interleave per machine in ord order — so a
 // fleet reduction yields the same snapshot no matter the worker
-// schedule.
+// schedule. Both row lists are in canonical order (every Snapshot is),
+// so one linear merge pass folds them.
 func (s *Snapshot) Merge(other *Snapshot) {
 	if other == nil {
 		return
@@ -166,28 +159,30 @@ func (s *Snapshot) Merge(other *Snapshot) {
 		s.ProgHash = other.ProgHash
 		s.Probes = other.Probes
 	}
-	for _, or := range other.Rows {
-		merged := false
-		for _, r := range s.Rows {
-			if r.sameCell(or) {
-				r.merge(or)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			cp := *or
-			cp.Key = append([]string(nil), or.Key...)
-			cp.By = append([]string(nil), or.By...)
-			cp.Buckets = append([]uint64(nil), or.Buckets...)
-			s.Rows = append(s.Rows, &cp)
+	rows := make([]*Row, 0, len(s.Rows)+len(other.Rows))
+	a, b := s.Rows, other.Rows
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].less(b[0]):
+			rows = append(rows, a[0])
+			a = a[1:]
+		case len(a) == 0 || b[0].less(a[0]):
+			cp := *b[0] // Key and By are never mutated; Buckets are
+			cp.Buckets = append([]uint64(nil), cp.Buckets...)
+			rows = append(rows, &cp)
+			b = b[1:]
+		default:
+			a[0].merge(b[0])
+			rows = append(rows, a[0])
+			a, b = a[1:], b[1:]
 		}
 	}
+	s.Rows = rows
 	for _, em := range other.Emits {
 		cp := *em
 		s.Emits = append(s.Emits, &cp)
 	}
-	s.normalize()
+	s.sortEmits()
 }
 
 func (r *Row) merge(o *Row) {

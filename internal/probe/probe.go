@@ -27,9 +27,11 @@
 //   - Zero guest cycles: probes observe the streams, they never charge
 //     the virtual clock or advance eventSeq. Disabled cost is the
 //     kernel's existing single nil-check per emission site.
-//   - No allocation surprises on the hot path: predicates and actions
-//     are compiled once (Compile) into closures shared read-only by
-//     every engine; per-event work is map upserts on small keys.
+//   - No allocation on the hot path: predicates and actions are
+//     compiled once (Compile) and shared read-only by every engine;
+//     per-event work is a per-kind dispatch plus cell upserts keyed in
+//     a reused buffer, so only a first-seen cell allocates
+//     (TestEngineSteadyStateAllocs).
 //   - Deterministic output: cells are sorted at snapshot time by
 //     (probe, action, key tuple); nothing reads wall clock or leaks
 //     map order.
@@ -40,6 +42,18 @@ import (
 
 	"k23/internal/kernel"
 )
+
+// MetricsProgram is the built-in program behind obsv's per-syscall
+// metrics (the Tables 5/6 cost numbers): per-syscall and per-process
+// cost histograms, errno counts, interposition-mechanism attribution
+// and per-kind event counts. obsv renders its snapshot, addressed by
+// (probe, action) position, as a MetricsSnapshot — keep the two in step.
+const MetricsProgram = `syscall:*:exit { hist(cycles) by (nr); hist(cycles) by (pid) }
+syscall:*:exit /errno != 0/ { count() by (nr); count() by (pid) }
+event:interposed { count() by (detail) }
+event:sud-sigsys { count() }
+event:seccomp-sigsys { count() }
+event:* { count() by (kind) }`
 
 // Field identifies one event attribute a predicate, aggregation
 // argument, or key tuple can reference.

@@ -19,28 +19,33 @@ phase:*:kernel { sum(cycles) }
 chaos:inject { emit() }
 syscall:*:exit /errno != 0/ { count() by (name, errno) }`
 
-// probeAttach returns a BeforeLaunch hook installing a probe observer,
-// plus a getter for the resulting canonical probe JSONL bytes.
-func probeAttach(t *testing.T, mech string) (func(w *interpose.World), func(t *testing.T) []byte) {
+// probeAttach returns a BeforeLaunch hook installing a probe and metrics
+// observer, plus a getter for the resulting canonical probe JSONL bytes
+// and metrics JSON bytes.
+func probeAttach(t *testing.T, mech string) (func(w *interpose.World), func(t *testing.T) ([]byte, []byte)) {
 	compiled, err := obsv.CompileProbes(probeParityProgram)
 	if err != nil {
 		t.Fatalf("CompileProbes: %v", err)
 	}
 	var obs *obsv.Observer
 	attach := func(w *interpose.World) {
-		obs = obsv.New(obsv.Options{Probes: compiled, ProbeMech: mech})
+		obs = obsv.New(obsv.Options{Probes: compiled, ProbeMech: mech, Metrics: true})
 		obs.Install(w.K)
 	}
-	dump := func(t *testing.T) []byte {
+	dump := func(t *testing.T) ([]byte, []byte) {
 		t.Helper()
 		if obs == nil {
 			t.Fatal("observer was never attached")
 		}
-		var buf bytes.Buffer
-		if err := obs.Snapshot().Probes.WriteJSONL(&buf); err != nil {
+		snap := obs.Snapshot()
+		var probes, metrics bytes.Buffer
+		if err := snap.Probes.WriteJSONL(&probes); err != nil {
 			t.Fatalf("WriteJSONL: %v", err)
 		}
-		return buf.Bytes()
+		if err := snap.Metrics.WriteJSON(&metrics); err != nil {
+			t.Fatalf("metrics WriteJSON: %v", err)
+		}
+		return probes.Bytes(), metrics.Bytes()
 	}
 	return attach, dump
 }
@@ -48,10 +53,11 @@ func probeAttach(t *testing.T, mech string) (func(w *interpose.World), func(t *t
 // TestReplayDerivedProbeParity is the retroactive-probing contract: the
 // aggregations a probe program produces when replaying an unprobed
 // recording must be byte-identical to those of a live-probed run of the
-// same workload. Probe engines ride the side-stream hooks and charge no
-// guest cycles, so probing perturbs neither the recording nor the
-// replay — proven here across three apps, each with two distinct chaos
-// seeds, plus a chaos-free baseline.
+// same workload, and so must the metrics (a built-in probe program).
+// Probe engines ride the side-stream hooks and charge no guest cycles,
+// so probing perturbs neither the recording nor the replay — proven
+// here across three apps, each with two distinct chaos seeds, plus a
+// chaos-free baseline.
 func TestReplayDerivedProbeParity(t *testing.T) {
 	chaos := kernel.DefaultChaosProfile()
 	base := []RunSpec{
@@ -82,7 +88,7 @@ func TestReplayDerivedProbeParity(t *testing.T) {
 			if err := live.Run(); err != nil {
 				t.Fatalf("probed Run: %v", err)
 			}
-			liveBytes := liveDump(t)
+			liveBytes, liveMetrics := liveDump(t)
 			if len(liveBytes) == 0 {
 				t.Fatal("live probe output is empty")
 			}
@@ -101,11 +107,15 @@ func TestReplayDerivedProbeParity(t *testing.T) {
 			if _, err := Retrace(plain.Rec, retroAttach); err != nil {
 				t.Fatalf("Retrace: %v", err)
 			}
-			retroBytes := retroDump(t)
+			retroBytes, retroMetrics := retroDump(t)
 
 			if !bytes.Equal(liveBytes, retroBytes) {
 				t.Errorf("replay-derived probe output differs from live output (%d vs %d bytes)",
 					len(liveBytes), len(retroBytes))
+			}
+			if !bytes.Equal(liveMetrics, retroMetrics) {
+				t.Errorf("replay-derived metrics JSON differs from live metrics JSON (%d vs %d bytes)",
+					len(liveMetrics), len(retroMetrics))
 			}
 			// The derived output stands on its own: it validates.
 			n, err := probe.ValidateJSONL(bytes.NewReader(retroBytes))
