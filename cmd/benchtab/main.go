@@ -383,19 +383,22 @@ func main() {
 				if err := rep.FirstErr(); err != nil {
 					return err
 				}
+				var rings []obsv.Ring
+				for i := range rep.Machines {
+					if m := &rep.Machines[i]; m.Obs != nil {
+						rings = append(rings, obsv.Ring{Machine: m.Name, Recs: m.Obs.Trace})
+					}
+				}
 				f, err := os.Create(*fleetTrace)
 				if err != nil {
 					return err
 				}
-				defer f.Close()
-				for i := range rep.Machines {
-					m := &rep.Machines[i]
-					if m.Obs == nil {
-						continue
-					}
-					if err := obsv.WriteJSONLTagged(f, m.Obs.Trace, m.Name); err != nil {
-						return err
-					}
+				err = obsv.WriteJSONL(f, rings...)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					return err
 				}
 				fmt.Printf("per-machine traces written to %s\n", *fleetTrace)
 				if merged := rep.MergedObs(); merged != nil && merged.Metrics != nil {

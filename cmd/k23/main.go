@@ -85,12 +85,13 @@ func defaultArgs(path string, argv []string) []string {
 // aborting on failure (the guest already ran).
 func writeFile(path, what string, write func(f *os.File) error) {
 	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "k23: %s: %v\n", what, err)
-		return
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	defer f.Close()
-	if err := write(f); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "k23: %s: %v\n", what, err)
 		return
 	}
@@ -175,15 +176,15 @@ func main() {
 	profileEvery := flag.Uint64("profile-every", 0,
 		"sample guest RIP every N virtual ticks (0 = default when -profile/-folded set)")
 	auditFlag := flag.Bool("audit", false, "join the kernel's ground-truth syscall stream against the interposer's claims and print the audit report (coverage, escapes, TTFC)")
-	auditJSON := flag.String("audit-json", "", "write the audit report as JSONL to FILE (validate with obsvcheck -audit)")
-	sfipLearn := flag.String("sfip-learn", "", "train a syscall-flow-integrity policy on this run (audit-classified, escapes excluded) and write it as JSONL to FILE (validate with obsvcheck -sfip-policy)")
+	auditJSON := flag.String("audit-json", "", "write the audit report as JSONL to FILE (validate with obsvcheck)")
+	sfipLearn := flag.String("sfip-learn", "", "train a syscall-flow-integrity policy on this run (audit-classified, escapes excluded) and write it as JSONL to FILE (validate with obsvcheck)")
 	sfipIn := flag.String("sfip", "", "load a learned SFIP policy from FILE and check the run's trap-origin syscalls against it (posture set by -sfip-mode)")
 	sfipModeFlag := flag.String("sfip-mode", "enforce", "SFIP posture with -sfip: log (report violations, perturb nothing) or enforce (deny violations with EPERM)")
-	sfipJSON := flag.String("sfip-json", "", "write the SFIP enforcement report as JSONL to FILE (validate with obsvcheck -sfip)")
+	sfipJSON := flag.String("sfip-json", "", "write the SFIP enforcement report as JSONL to FILE (validate with obsvcheck)")
 	probeSrc := flag.String("probe", "", "run this probe program (bpftrace-style, e.g. 'syscall:write:exit { hist(cycles) by (mech) }') over the run's event streams; with -replay, runs it retroactively over the recording")
 	probeFile := flag.String("probe-file", "", "read the probe program from FILE instead of -probe")
-	probeOut := flag.String("probe-out", "", "write probe aggregations as canonical JSONL to FILE (validate with obsvcheck -probe; default stdout)")
-	spansOut := flag.String("spans", "", "assemble causal syscall-lifecycle spans and write them as JSONL to FILE (validate with obsvcheck -spans; with -replay, derives the trace retroactively)")
+	probeOut := flag.String("probe-out", "", "write probe aggregations as canonical JSONL to FILE (validate with obsvcheck; default stdout)")
+	spansOut := flag.String("spans", "", "assemble causal syscall-lifecycle spans and write them as JSONL to FILE (validate with obsvcheck; with -replay, derives the trace retroactively)")
 	perfettoOut := flag.String("perfetto", "", "write the span trace as Chrome/Perfetto trace_event JSON to FILE (open in ui.perfetto.dev)")
 	critPath := flag.Bool("critpath", false, "print the critical path of the longest syscall lifecycle chain (requires -spans or -perfetto)")
 	stats := flag.Bool("stats", false, "print interposition statistics")
@@ -394,7 +395,7 @@ func main() {
 		}
 		if *traceJSON != "" {
 			writeFile(*traceJSON, "trace JSONL", func(f *os.File) error {
-				return obsv.WriteJSONL(f, snap.Trace)
+				return obsv.WriteJSONL(f, obsv.Ring{Recs: snap.Trace})
 			})
 		}
 		if *metricsOut != "" {

@@ -1,58 +1,31 @@
-// Command obsvcheck validates flight-recorder JSONL traces against the
-// observability schema: required fields per record, known event kinds,
-// strictly increasing sequence numbers (wraparound gaps allowed,
-// reordering not), and a non-decreasing virtual clock. CI runs it over
-// the fleet smoke trace so a schema regression fails the build instead
-// of silently corrupting downstream tooling.
-//
-// With -audit it instead validates audit-report JSONL (as written by
-// `k23 -audit-json`): typed records, known escape categories, exactly
-// one summary whose escape total matches the escape records.
-//
-// With -rr it validates record/replay recordings (as written by
-// `k23 -record`): versioned header, payload digest, strictly
-// increasing event ordinals, ordered checkpoint metadata, monotone
-// chaos decisions, and a final record whose counts and event-stream
-// hash match the stream (edited event lines are rejected).
-//
-// With -spans it validates causal span JSONL (as written by
-// `k23 -spans`): per-machine headers whose span count and hash match
-// the stream, strictly increasing span IDs, parents that exist and
-// contain their children on both timelines, cause edges that point
-// backwards to known spans, and monotone phase slices within bounds.
-//
-// With -probe it validates probe aggregation JSONL (as written by
-// `k23 -probe-out` and the benchtab probes claim): one header whose
-// program hash, row/emit cardinalities and content hash match the
-// stream, rows in canonical (probe, action, key) order, and emits in
-// (machine, ord) order.
-//
-// With -sfip it validates SFIP enforcement reports (as written by
-// `k23 -sfip-json`): exactly one summary with a known mode, known
-// violation categories, and no more ledgered violations than the
-// summary counts. With -sfip-policy it validates serialized SFIP
-// policies (as written by `k23 -sfip-learn`): one versioned header
-// whose origin/edge cardinalities match the records.
+// Command obsvcheck validates the JSONL artifacts k23 and benchtab
+// write: flight-recorder traces, audit reports, span traces, probe
+// aggregations, SFIP policies and reports, and rr recordings. Every
+// artifact opens with a canon header naming its kind (DESIGN.md §2k);
+// obsvcheck reads it and runs that kind's reader, which checks the
+// envelope — kind, version, record count and content hash, so an
+// edited, dropped or appended line is rejected — and then the kind's
+// own schema and cross-record rules. CI runs it over every artifact
+// its smoke jobs produce, so a format regression fails the build
+// instead of silently corrupting downstream tooling.
 //
 // Usage:
 //
-//	obsvcheck FILE...              validate each trace file
-//	obsvcheck -audit FILE...       validate each audit report
-//	obsvcheck -rr FILE...          validate each rr recording
-//	obsvcheck -spans FILE...       validate each span trace
-//	obsvcheck -probe FILE...       validate each probe aggregation
-//	obsvcheck -sfip FILE...        validate each SFIP report
-//	obsvcheck -sfip-policy FILE... validate each SFIP policy
-//	obsvcheck -                    validate stdin
+//	obsvcheck FILE...   validate each artifact
+//	obsvcheck -         validate stdin
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"k23/internal/audit"
+	"k23/internal/canon"
 	"k23/internal/obsv"
 	"k23/internal/probe"
 	"k23/internal/rr"
@@ -60,137 +33,85 @@ import (
 	"k23/internal/span"
 )
 
-// checkSfip validates one SFIP enforcement-report or policy stream.
-func checkSfip(name string, r io.Reader, policy bool) bool {
-	var (
-		n    int
-		err  error
-		what = "sfip report"
-	)
-	if policy {
-		what = "sfip policy"
-		n, err = sfip.ValidatePolicyJSONL(r)
-	} else {
-		n, err = sfip.ValidateJSONL(r)
+// counted adapts a validator that returns a record count.
+func counted(what string, check func(io.Reader) (int, error)) func(io.Reader) (string, error) {
+	return func(r io.Reader) (string, error) {
+		n, err := check(r)
+		return fmt.Sprintf("%s OK (%d records)", what, n), err
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obsvcheck: %s: %v\n", name, err)
-		return false
-	}
-	fmt.Printf("%s: %s OK (%d records)\n", name, what, n)
-	return true
 }
 
-// checkProbe validates one probe aggregation stream.
-func checkProbe(name string, r io.Reader) bool {
-	n, err := probe.ValidateJSONL(r)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obsvcheck: %s: %v\n", name, err)
-		return false
-	}
-	fmt.Printf("%s: probe aggregation OK (%d records)\n", name, n)
-	return true
-}
-
-// checkSpans validates one span-trace stream.
-func checkSpans(name string, r io.Reader) bool {
-	rep, err := span.ValidateJSONL(r)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obsvcheck: %s: %v\n", name, err)
-		return false
-	}
-	if !rep.Ok() {
-		for _, p := range rep.Problems {
-			fmt.Fprintf(os.Stderr, "obsvcheck: %s: %s\n", name, p)
+// validators maps each artifact kind to its reader, which returns a
+// one-line summary of what it checked.
+var validators = map[string]func(io.Reader) (string, error){
+	obsv.Kind:       counted("trace", obsv.ValidateJSONL),
+	audit.Kind:      counted("audit report", audit.ValidateJSONL),
+	probe.Kind:      counted("probe aggregation", probe.ValidateJSONL),
+	sfip.PolicyKind: counted("sfip policy", sfip.ValidatePolicyJSONL),
+	sfip.ReportKind: counted("sfip report", sfip.ValidateJSONL),
+	span.Kind: func(r io.Reader) (string, error) {
+		rep, err := span.ValidateJSONL(r)
+		if err != nil {
+			return "", err
 		}
-		return false
-	}
-	fmt.Printf("%s: spans OK (%d machines, %d spans, %d slices)\n",
-		name, rep.Machines, rep.Spans, rep.Slices)
-	return true
+		if !rep.Ok() {
+			return "", errors.New(strings.Join(rep.Problems, "\n"))
+		}
+		return fmt.Sprintf("spans OK (%d machines, %d spans, %d slices)", rep.Machines, rep.Spans, rep.Slices), nil
+	},
+	rr.Kind: func(r io.Reader) (string, error) {
+		rec, err := rr.ReadJSONL(r)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("recording OK (%d events, %d checkpoints, %d chaos decisions)",
+			len(rec.Events), len(rec.Checkpoints), len(rec.Chaos)), nil
+	},
 }
 
-// checkRR validates one rr recording stream.
-func checkRR(name string, r io.Reader) bool {
-	rec, err := rr.ReadJSONL(r)
-	if err == nil {
-		err = rec.Validate()
-	}
+// validate runs the validator the artifact's header names.
+func validate(data []byte) (string, error) {
+	first, _, _ := bytes.Cut(data, []byte("\n"))
+	kind, _, err := canon.Header(first)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "obsvcheck: %s: %v\n", name, err)
-		return false
+		return "", err
 	}
-	fmt.Printf("%s: recording OK (%d events, %d checkpoints, %d chaos decisions)\n",
-		name, len(rec.Events), len(rec.Checkpoints), len(rec.Chaos))
-	return true
-}
-
-func check(name string, r io.Reader, auditMode bool) bool {
-	var (
-		n   int
-		err error
-	)
-	if auditMode {
-		n, err = audit.ValidateJSONL(r)
-	} else {
-		n, err = obsv.ValidateJSONL(r)
+	check, ok := validators[kind]
+	if !ok {
+		return "", fmt.Errorf("unknown artifact kind %q", kind)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obsvcheck: %s: %v (after %d valid records)\n", name, err, n)
-		return false
-	}
-	fmt.Printf("%s: %d records OK\n", name, n)
-	return true
+	return check(bytes.NewReader(data))
 }
 
 func main() {
-	auditMode := flag.Bool("audit", false, "validate audit-report JSONL instead of flight-recorder traces")
-	rrMode := flag.Bool("rr", false, "validate record/replay recording JSONL instead of flight-recorder traces")
-	spansMode := flag.Bool("spans", false, "validate causal span JSONL instead of flight-recorder traces")
-	probeMode := flag.Bool("probe", false, "validate probe aggregation JSONL instead of flight-recorder traces")
-	sfipMode := flag.Bool("sfip", false, "validate SFIP enforcement-report JSONL instead of flight-recorder traces")
-	sfipPolicyMode := flag.Bool("sfip-policy", false, "validate serialized SFIP policy JSONL instead of flight-recorder traces")
-	flag.Parse()
-	args := flag.Args()
-	modes := 0
-	for _, m := range []bool{*auditMode, *rrMode, *spansMode, *probeMode, *sfipMode, *sfipPolicyMode} {
-		if m {
-			modes++
-		}
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: obsvcheck FILE... | obsvcheck -")
 	}
-	if len(args) == 0 || modes > 1 {
-		fmt.Fprintln(os.Stderr, "usage: obsvcheck [-audit|-rr|-spans|-probe|-sfip|-sfip-policy] FILE... | obsvcheck [-audit|-rr|-spans|-probe|-sfip|-sfip-policy] -")
+	flag.Parse()
+	if flag.NArg() == 0 {
+		flag.Usage()
 		os.Exit(2)
 	}
-	validate := func(name string, r io.Reader) bool {
-		if *rrMode {
-			return checkRR(name, r)
-		}
-		if *spansMode {
-			return checkSpans(name, r)
-		}
-		if *probeMode {
-			return checkProbe(name, r)
-		}
-		if *sfipMode || *sfipPolicyMode {
-			return checkSfip(name, r, *sfipPolicyMode)
-		}
-		return check(name, r, *auditMode)
-	}
 	ok := true
-	for _, a := range args {
-		if a == "-" {
-			ok = validate("stdin", os.Stdin) && ok
-			continue
+	for _, name := range flag.Args() {
+		var data []byte
+		var err error
+		if name == "-" {
+			name = "stdin"
+			data, err = io.ReadAll(os.Stdin)
+		} else {
+			data, err = os.ReadFile(name)
 		}
-		f, err := os.Open(a)
+		var summary string
+		if err == nil {
+			summary, err = validate(data)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "obsvcheck:", err)
+			fmt.Fprintf(os.Stderr, "obsvcheck: %s: %v\n", name, err)
 			ok = false
 			continue
 		}
-		ok = validate(a, f) && ok
-		f.Close()
+		fmt.Printf("%s: %s\n", name, summary)
 	}
 	if !ok {
 		os.Exit(1)

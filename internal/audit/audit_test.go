@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 )
 
@@ -278,7 +279,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateJSONL rejected own output: %v\n%s", err, buf.String())
 	}
-	want := strings.Count(buf.String(), "\n")
+	want := strings.Count(buf.String(), "\n") - 2 // header and trailer
 	if n != want {
 		t.Errorf("validated %d lines, want %d", n, want)
 	}
@@ -290,18 +291,18 @@ func TestValidateJSONLRejectsBadStreams(t *testing.T) {
 		input string
 		want  string
 	}{
-		{"no summary", `{"type":"coverage","nr":1,"name":"write","mechanism":"sud","count":1}`, "exactly one summary"},
-		{"double summary", `{"type":"summary","oracles":1,"claims":0,"covered":0,"emulated":0,"escaped":0,"internal":1,"signal_infra":0,"retries":0,"double_interposition":0,"misattributed":0,"unresolved":0,"rewrites_genuine":0,"rewrites_misidentified":0,"perm_clobbers":0,"vdso_mapped":0,"vdso_disabled":0,"signal_deaths":0,"stale_fetches":0}
-{"type":"summary","oracles":1,"claims":0,"covered":0,"emulated":0,"escaped":0,"internal":1,"signal_infra":0,"retries":0,"double_interposition":0,"misattributed":0,"unresolved":0,"rewrites_genuine":0,"rewrites_misidentified":0,"perm_clobbers":0,"vdso_mapped":0,"vdso_disabled":0,"signal_deaths":0,"stale_fetches":0}`, "exactly one summary"},
-		{"unknown type", `{"type":"bogus"}`, "unknown record type"},
-		{"bad category", `{"type":"escape","category":"weird","nr":1,"name":"write","count":1}`, "unknown escape category"},
-		{"missing field", `{"type":"coverage","nr":1,"name":"write","count":1}`, `missing "mechanism"`},
-		{"not json", `hello`, "not a JSON object"},
-		{"escape sum mismatch", `{"type":"summary","oracles":1,"claims":0,"covered":0,"emulated":0,"escaped":5,"internal":0,"signal_infra":0,"retries":0,"double_interposition":0,"misattributed":0,"unresolved":0,"rewrites_genuine":0,"rewrites_misidentified":0,"perm_clobbers":0,"vdso_mapped":0,"vdso_disabled":0,"signal_deaths":0,"stale_fetches":0}
-{"type":"escape","category":"startup","nr":1,"name":"write","count":1}`, "escape records sum"},
+		{"no summary", `{"t":"coverage","nr":1,"name":"write","mechanism":"sud","count":1}`, "exactly one summary"},
+		{"double summary", `{"t":"summary","oracles":1,"claims":0,"covered":0,"emulated":0,"escaped":0,"internal":1,"signal_infra":0,"retries":0,"double_interposition":0,"misattributed":0,"unresolved":0,"rewrites_genuine":0,"rewrites_misidentified":0,"perm_clobbers":0,"vdso_mapped":0,"vdso_disabled":0,"signal_deaths":0,"stale_fetches":0}
+{"t":"summary","oracles":1,"claims":0,"covered":0,"emulated":0,"escaped":0,"internal":1,"signal_infra":0,"retries":0,"double_interposition":0,"misattributed":0,"unresolved":0,"rewrites_genuine":0,"rewrites_misidentified":0,"perm_clobbers":0,"vdso_mapped":0,"vdso_disabled":0,"signal_deaths":0,"stale_fetches":0}`, "exactly one summary"},
+		{"unknown type", `{"t":"bogus"}`, "unknown record type"},
+		{"bad category", `{"t":"escape","category":"weird","nr":1,"name":"write","count":1}`, "unknown escape category"},
+		{"missing field", `{"t":"coverage","nr":1,"name":"write","count":1}`, `missing "mechanism"`},
+		{"not a record", `hello`, "not a tagged record"},
+		{"escape sum mismatch", `{"t":"summary","oracles":1,"claims":0,"covered":0,"emulated":0,"escaped":5,"internal":0,"signal_infra":0,"retries":0,"double_interposition":0,"misattributed":0,"unresolved":0,"rewrites_genuine":0,"rewrites_misidentified":0,"perm_clobbers":0,"vdso_mapped":0,"vdso_disabled":0,"signal_deaths":0,"stale_fetches":0}
+{"t":"escape","category":"startup","nr":1,"name":"write","count":1}`, "escape records sum"},
 	}
 	for _, tc := range cases {
-		_, err := ValidateJSONL(strings.NewReader(tc.input))
+		_, err := ValidateJSONL(bytes.NewReader(canon.Seal(Kind, 1, []byte(tc.input))))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}

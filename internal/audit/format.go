@@ -1,14 +1,15 @@
 package audit
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"k23/internal/canon"
 )
 
-// JSONL record types. Every line is a JSON object with a "type" field:
+// Kind names the audit artifact (canon envelope). Its record tags:
 //
 //	summary  — the Totals block (exactly one per report)
 //	coverage — one coverage-matrix cell
@@ -18,6 +19,7 @@ import (
 //	window   — one virtual-clock window tally
 //	guardmem — one guard-structure footprint
 const (
+	Kind        = "audit"
 	RecSummary  = "summary"
 	RecCoverage = "coverage"
 	RecEscape   = "escape"
@@ -27,154 +29,107 @@ const (
 	RecGuardMem = "guardmem"
 )
 
-// writeTagged marshals v and splices a leading "type" field in, keeping
-// one JSON object per line without an extra nesting level.
-func writeTagged(bw *bufio.Writer, typ string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(`{"type":"` + typ + `",`); err != nil {
-		return err
-	}
-	if _, err := bw.Write(b[1:]); err != nil { // strip the inner '{'
-		return err
-	}
-	return bw.WriteByte('\n')
-}
-
-// WriteJSONL renders the snapshot as one JSON object per line: the
-// summary first, then coverage, escapes, ledger, procs, windows and
-// guard-mem records in their (sorted, deterministic) snapshot order.
+// WriteJSONL renders the snapshot as an audit artifact: the summary
+// first, then coverage, escapes, ledger, procs, windows and guard-mem
+// records in their (sorted, deterministic) snapshot order.
 func (s *Snapshot) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := writeTagged(bw, RecSummary, &s.Totals); err != nil {
-		return err
-	}
+	cw := canon.NewWriter(w, Kind, 1)
+	cw.Record(RecSummary, &s.Totals)
 	for i := range s.Coverage {
-		if err := writeTagged(bw, RecCoverage, &s.Coverage[i]); err != nil {
-			return err
-		}
+		cw.Record(RecCoverage, &s.Coverage[i])
 	}
 	for i := range s.Escapes {
-		if err := writeTagged(bw, RecEscape, &s.Escapes[i]); err != nil {
-			return err
-		}
+		cw.Record(RecEscape, &s.Escapes[i])
 	}
 	for i := range s.Ledger {
-		if err := writeTagged(bw, RecLedger, &s.Ledger[i]); err != nil {
-			return err
-		}
+		cw.Record(RecLedger, &s.Ledger[i])
 	}
 	for i := range s.Procs {
-		if err := writeTagged(bw, RecProc, &s.Procs[i]); err != nil {
-			return err
-		}
+		cw.Record(RecProc, &s.Procs[i])
 	}
 	for i := range s.Windows {
-		if err := writeTagged(bw, RecWindow, &s.Windows[i]); err != nil {
-			return err
-		}
+		cw.Record(RecWindow, &s.Windows[i])
 	}
 	for i := range s.GuardMem {
-		if err := writeTagged(bw, RecGuardMem, &s.GuardMem[i]); err != nil {
-			return err
-		}
+		cw.Record(RecGuardMem, &s.GuardMem[i])
 	}
-	return bw.Flush()
+	return cw.Close()
 }
 
-// ValidateJSONL checks an audit JSONL stream: every line is an object
-// with a known "type", required fields are present per type, exactly one
-// summary exists, and the summary's escape total matches the sum of the
-// escape records. Returns the number of valid lines.
+// required lists the fields each record type must carry.
+var required = map[string][]string{
+	RecCoverage: {"nr", "name", "mechanism", "count"},
+	RecEscape:   {"category", "nr", "name", "count"},
+	RecLedger:   {"category", "pid", "nr", "name", "clock", "excerpt"},
+	RecProc:     {"pid", "oracles", "claims", "ttfc"},
+	RecWindow:   {"index", "oracles"},
+	RecGuardMem: {"kind", "max_reserved_bytes", "max_resident_bytes"},
+}
+
+// ValidateJSONL checks an audit artifact: known record types, required
+// fields present per type, exactly one summary, and the summary's
+// escape total matching the sum of the escape records. Returns the
+// number of records.
 func ValidateJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	lines, summaries := 0, 0
+	records, summaries := 0, 0
 	var summaryEscaped, escapeSum uint64
 	sawEscapeRecord := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		lines++
+	err := canon.Read(r, Kind, 1, func(typ string, line []byte) error {
+		records++
 		var raw map[string]json.RawMessage
 		if err := json.Unmarshal(line, &raw); err != nil {
-			return lines, fmt.Errorf("line %d: not a JSON object: %v", lines, err)
+			return err
 		}
-		typ, err := stringField(raw, "type")
-		if err != nil {
-			return lines, fmt.Errorf("line %d: %v", lines, err)
+		if typ != RecSummary && required[typ] == nil {
+			return fmt.Errorf("unknown record type %q", typ)
+		}
+		for _, k := range required[typ] {
+			if _, ok := raw[k]; !ok {
+				return fmt.Errorf("%s record missing %q field", typ, k)
+			}
 		}
 		switch typ {
 		case RecSummary:
 			summaries++
-			var t struct {
-				Totals
-			}
+			var t Totals
 			if err := json.Unmarshal(line, &t); err != nil {
-				return lines, fmt.Errorf("line %d: bad summary: %v", lines, err)
+				return fmt.Errorf("bad summary: %v", err)
 			}
 			summaryEscaped = t.Escaped
-		case RecCoverage:
-			if err := requireFields(raw, "nr", "name", "mechanism", "count"); err != nil {
-				return lines, fmt.Errorf("line %d (coverage): %v", lines, err)
-			}
 		case RecEscape:
-			if err := requireFields(raw, "category", "nr", "name", "count"); err != nil {
-				return lines, fmt.Errorf("line %d (escape): %v", lines, err)
-			}
 			var e EscapeStat
 			if err := json.Unmarshal(line, &e); err != nil {
-				return lines, fmt.Errorf("line %d: bad escape: %v", lines, err)
+				return fmt.Errorf("bad escape: %v", err)
 			}
 			if !validCategory(e.Category) {
-				return lines, fmt.Errorf("line %d: unknown escape category %q", lines, e.Category)
+				return fmt.Errorf("unknown escape category %q", e.Category)
 			}
 			escapeSum += e.Count
 			sawEscapeRecord = true
 		case RecLedger:
-			if err := requireFields(raw, "category", "pid", "nr", "name", "clock", "excerpt"); err != nil {
-				return lines, fmt.Errorf("line %d (ledger): %v", lines, err)
-			}
 			var l LedgerEntry
 			if err := json.Unmarshal(line, &l); err != nil {
-				return lines, fmt.Errorf("line %d: bad ledger entry: %v", lines, err)
+				return fmt.Errorf("bad ledger entry: %v", err)
 			}
 			if !validCategory(l.Category) {
-				return lines, fmt.Errorf("line %d: unknown escape category %q", lines, l.Category)
+				return fmt.Errorf("unknown escape category %q", l.Category)
 			}
 			if len(l.Excerpt) == 0 {
-				return lines, fmt.Errorf("line %d: ledger entry carries no excerpt", lines)
+				return fmt.Errorf("ledger entry carries no excerpt")
 			}
-		case RecProc:
-			if err := requireFields(raw, "pid", "oracles", "claims", "ttfc"); err != nil {
-				return lines, fmt.Errorf("line %d (proc): %v", lines, err)
-			}
-		case RecWindow:
-			if err := requireFields(raw, "index", "oracles"); err != nil {
-				return lines, fmt.Errorf("line %d (window): %v", lines, err)
-			}
-		case RecGuardMem:
-			if err := requireFields(raw, "kind", "max_reserved_bytes", "max_resident_bytes"); err != nil {
-				return lines, fmt.Errorf("line %d (guardmem): %v", lines, err)
-			}
-		default:
-			return lines, fmt.Errorf("line %d: unknown record type %q", lines, typ)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return lines, err
+		return nil
+	})
+	if err != nil {
+		return records, err
 	}
 	if summaries != 1 {
-		return lines, fmt.Errorf("expected exactly one summary record, found %d", summaries)
+		return records, fmt.Errorf("audit: expected exactly one summary record, found %d", summaries)
 	}
 	if sawEscapeRecord && summaryEscaped != escapeSum {
-		return lines, fmt.Errorf("summary escaped=%d but escape records sum to %d", summaryEscaped, escapeSum)
+		return records, fmt.Errorf("audit: summary escaped=%d but escape records sum to %d", summaryEscaped, escapeSum)
 	}
-	return lines, nil
+	return records, nil
 }
 
 func validCategory(c string) bool {
@@ -183,27 +138,6 @@ func validCategory(c string) bool {
 		return true
 	}
 	return false
-}
-
-func stringField(raw map[string]json.RawMessage, key string) (string, error) {
-	v, ok := raw[key]
-	if !ok {
-		return "", fmt.Errorf("missing %q field", key)
-	}
-	var s string
-	if err := json.Unmarshal(v, &s); err != nil {
-		return "", fmt.Errorf("field %q is not a string", key)
-	}
-	return s, nil
-}
-
-func requireFields(raw map[string]json.RawMessage, keys ...string) error {
-	for _, k := range keys {
-		if _, ok := raw[k]; !ok {
-			return fmt.Errorf("missing %q field", k)
-		}
-	}
-	return nil
 }
 
 // Format renders the snapshot as a human-readable audit report.

@@ -1,58 +1,28 @@
 package machine
 
-import "strconv"
+import (
+	"strconv"
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	"k23/internal/canon"
 )
 
-// Hash is a resumable FNV-1a accumulator: its value is the hash so far,
-// so a recorder can save it at a checkpoint and restore it before
-// re-executing, finishing with the same hash as the full run. It is an
-// io.Writer.
-type Hash uint64
+// Hash is a resumable FNV-1a accumulator (canon.Hash): its value is the
+// hash so far, so a recorder can save it at a checkpoint and restore it
+// before re-executing, finishing with the same hash as the full run. It
+// is an io.Writer.
+type Hash canon.Hash
 
 // NewHash returns the empty-input hash.
-func NewHash() Hash { return fnvOffset }
-
-// Digest is a one-shot FNV-1a over b.
-func Digest(b []byte) uint64 {
-	h := NewHash()
-	h.Write(b)
-	return uint64(h)
-}
+func NewHash() Hash { return Hash(canon.NewHash()) }
 
 // Write folds p into the hash; it never fails.
-func (h *Hash) Write(p []byte) (int, error) {
-	v := *h
-	for _, c := range p {
-		v ^= Hash(c)
-		v *= fnvPrime
-	}
-	*h = v
-	return len(p), nil
-}
-
-func (h *Hash) writeString(s string) {
-	v := *h
-	for i := 0; i < len(s); i++ {
-		v ^= Hash(s[i])
-		v *= fnvPrime
-	}
-	*h = v
-}
+func (h *Hash) Write(p []byte) (int, error) { return (*canon.Hash)(h).Write(p) }
 
 // u64 folds each value in as 8 little-endian bytes.
 func (h *Hash) u64(vs ...uint64) {
-	v := *h
 	for _, x := range vs {
-		for i := 0; i < 8; i++ {
-			v ^= Hash(byte(x >> (8 * i)))
-			v *= fnvPrime
-		}
+		(*canon.Hash)(h).Uint64(x)
 	}
-	*h = v
 }
 
 // Event folds in one kernel event's canonical line,
@@ -61,13 +31,14 @@ func (h *Hash) u64(vs ...uint64) {
 // runs, the recorder and recording validation. It formats into a stack
 // buffer, so hashing an event allocates nothing.
 func (h *Hash) Event(pid, tid int, kind string, num, site, ret uint64, detail string) {
+	c := (*canon.Hash)(h)
 	var buf [64]byte
 	b := strconv.AppendInt(buf[:0], int64(pid), 10)
 	b = append(b, '/')
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, ' ')
-	h.Write(b)
-	h.writeString(kind)
+	c.Write(b)
+	c.WriteString(kind)
 	b = append(buf[:0], ' ')
 	b = strconv.AppendUint(b, num, 10)
 	b = append(b, " 0x"...)
@@ -75,7 +46,7 @@ func (h *Hash) Event(pid, tid int, kind string, num, site, ret uint64, detail st
 	b = append(b, " 0x"...)
 	b = strconv.AppendUint(b, ret, 16)
 	b = append(b, ' ')
-	h.Write(b)
-	h.writeString(detail)
-	*h = (*h ^ '\n') * fnvPrime
+	c.Write(b)
+	c.WriteString(detail)
+	c.WriteByte('\n')
 }

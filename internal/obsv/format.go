@@ -1,90 +1,89 @@
 package obsv
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 )
 
-// jsonRecord is the JSONL schema for one flight-recorder record. Field
+// Kind names the flight-recorder trace artifact (canon envelope): per
+// machine, a "ring" record declaring the ring's loss, then that
+// machine's retained records oldest first.
+//
+//	{"t":"ring","m":"m-03","dropped":12}
+//	{"t":"event","seq":12,"clock":40,...}
+const Kind = "trace"
+
+// ringRec opens one machine's section. The recorder's sequence numbers
+// are monotonic from zero, so the first retained record's Seq IS the
+// number of events the ring overwrote; Dropped makes that loss explicit
+// instead of leaving readers to infer it.
+type ringRec struct {
+	Machine string `json:"m,omitempty"`
+	Dropped uint64 `json:"dropped"`
+}
+
+// jsonRecord is the schema for one flight-recorder record. Field
 // presence per kind is validated by ValidateJSONL (schema.go).
 type jsonRecord struct {
-	// Machine scopes multi-machine (fleet) files: seq/clock monotonicity
-	// is validated per machine tag. Empty for single-machine traces.
-	Machine string   `json:"m,omitempty"`
-	Seq     uint64   `json:"seq"`
-	Clock   uint64   `json:"clock"`
-	PID     int      `json:"pid"`
-	TID     int      `json:"tid"`
-	Kind    string   `json:"kind"`
-	Num     uint64   `json:"num"`
-	Name    string   `json:"name,omitempty"`
-	Site    uint64   `json:"site,omitempty"`
-	Ret     *int64   `json:"ret,omitempty"`
-	Args    []uint64 `json:"args,omitempty"`
-	Detail  string   `json:"detail,omitempty"`
+	Seq    uint64   `json:"seq"`
+	Clock  uint64   `json:"clock"`
+	PID    int      `json:"pid"`
+	TID    int      `json:"tid"`
+	Kind   string   `json:"kind"`
+	Num    uint64   `json:"num"`
+	Name   string   `json:"name,omitempty"`
+	Site   uint64   `json:"site,omitempty"`
+	Ret    *int64   `json:"ret,omitempty"`
+	Args   []uint64 `json:"args,omitempty"`
+	Detail string   `json:"detail,omitempty"`
 }
 
-// jsonHeader is the dump-header line preceding a machine's records. The
-// recorder's sequence numbers are monotonic from zero, so the first
-// retained record's Seq IS the number of events the ring overwrote; the
-// header makes that loss explicit instead of leaving readers to infer it.
-type jsonHeader struct {
-	Hdr      string `json:"hdr"` // always "trace"
-	Machine  string `json:"m,omitempty"`
-	Retained int    `json:"retained"`
-	Dropped  uint64 `json:"dropped"`
+// Ring is one machine's retained flight-recorder window; Machine is
+// empty for a single-machine trace.
+type Ring struct {
+	Machine string
+	Recs    []Record
 }
 
-// WriteJSONL emits a dump header followed by one JSON object per record,
-// oldest first — the machine-readable trace format consumed by
-// cmd/obsvcheck.
-func WriteJSONL(w io.Writer, recs []Record) error {
-	return WriteJSONLTagged(w, recs, "")
-}
-
-// WriteJSONLTagged is WriteJSONL with a machine tag on the header and
-// every record, so per-machine fleet streams can share one file and
-// still validate.
-func WriteJSONLTagged(w io.Writer, recs []Record, machine string) error {
-	enc := json.NewEncoder(w)
-	hdr := jsonHeader{Hdr: "trace", Machine: machine, Retained: len(recs)}
-	if len(recs) > 0 {
-		hdr.Dropped = recs[0].Seq
-	}
-	if err := enc.Encode(hdr); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		jr := jsonRecord{
-			Machine: machine,
-			Seq:     r.Seq,
-			Clock:   r.Clock,
-			PID:     r.PID,
-			TID:     r.TID,
-			Kind:    r.Kind.String(),
-			Num:     r.Num,
-			Site:    r.Site,
-			Detail:  r.Detail,
+// WriteJSONL writes the rings as one trace artifact, one section per
+// ring — the machine-readable trace format consumed by cmd/obsvcheck.
+func WriteJSONL(w io.Writer, rings ...Ring) error {
+	cw := canon.NewWriter(w, Kind, 1)
+	for _, ring := range rings {
+		hdr := ringRec{Machine: ring.Machine}
+		if len(ring.Recs) > 0 {
+			hdr.Dropped = ring.Recs[0].Seq
 		}
-		switch r.Kind {
-		case kernel.EvEnter:
-			jr.Name = SyscallName(r.Num)
-			args := r.Args
-			jr.Args = args[:]
-		case kernel.EvExit, kernel.EvFork, kernel.EvOracle, kernel.EvResolve:
-			jr.Name = SyscallName(r.Num)
-			ret := int64(r.Ret)
-			jr.Ret = &ret
-		}
-		if err := enc.Encode(jr); err != nil {
-			return err
+		cw.Record("ring", &hdr)
+		for _, r := range ring.Recs {
+			jr := jsonRecord{
+				Seq:    r.Seq,
+				Clock:  r.Clock,
+				PID:    r.PID,
+				TID:    r.TID,
+				Kind:   r.Kind.String(),
+				Num:    r.Num,
+				Site:   r.Site,
+				Detail: r.Detail,
+			}
+			switch r.Kind {
+			case kernel.EvEnter:
+				jr.Name = SyscallName(r.Num)
+				args := r.Args
+				jr.Args = args[:]
+			case kernel.EvExit, kernel.EvFork, kernel.EvOracle, kernel.EvResolve:
+				jr.Name = SyscallName(r.Num)
+				ret := int64(r.Ret)
+				jr.Ret = &ret
+			}
+			cw.Record("event", &jr)
 		}
 	}
-	return nil
+	return cw.Close()
 }
 
 // FormatRecord renders one record as a strace-flavored line. Exit

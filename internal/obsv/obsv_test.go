@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 	"k23/internal/probe"
 )
@@ -172,7 +173,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	r.Append(&sig)
 
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, r.Snapshot()); err != nil {
+	if err := WriteJSONL(&buf, Ring{Recs: r.Snapshot()}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ValidateJSONL(bytes.NewReader(buf.Bytes()))
@@ -183,25 +184,28 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Errorf("validated %d records, want 3", n)
 	}
 
+	// Each bad body is sealed with a matching trailer, so only the
+	// schema check can reject it.
 	bad := []struct {
 		name, line string
 	}{
-		{"not json", "nope"},
-		{"missing kind", `{"seq":0,"clock":1,"pid":1,"tid":100}`},
-		{"unknown kind", `{"seq":0,"clock":1,"pid":1,"tid":100,"kind":"warp"}`},
-		{"enter without args", `{"seq":0,"clock":1,"pid":1,"tid":100,"kind":"enter","num":39,"name":"getpid"}`},
-		{"exit without ret", `{"seq":0,"clock":1,"pid":1,"tid":100,"kind":"exit","num":39,"name":"getpid"}`},
+		{"not json", `{"t":"event",nope}`},
+		{"missing kind", `{"t":"event","seq":0,"clock":1,"pid":1,"tid":100}`},
+		{"unknown kind", `{"t":"event","seq":0,"clock":1,"pid":1,"tid":100,"kind":"warp"}`},
+		{"enter without args", `{"t":"event","seq":0,"clock":1,"pid":1,"tid":100,"kind":"enter","num":39,"name":"getpid"}`},
+		{"exit without ret", `{"t":"event","seq":0,"clock":1,"pid":1,"tid":100,"kind":"exit","num":39,"name":"getpid"}`},
 	}
 	for _, tc := range bad {
-		if _, err := ValidateJSONL(strings.NewReader(tc.line + "\n")); err == nil {
+		body := `{"t":"ring","dropped":0}` + "\n" + tc.line
+		if _, err := ValidateJSONL(bytes.NewReader(canon.Seal(Kind, 1, []byte(body)))); err == nil {
 			t.Errorf("%s: validator accepted %q", tc.name, tc.line)
 		}
 	}
 	// Sequence regression across lines.
-	two := `{"seq":5,"clock":1,"pid":1,"tid":100,"kind":"signal","num":31}
-{"seq":5,"clock":2,"pid":1,"tid":100,"kind":"signal","num":31}
-`
-	if _, err := ValidateJSONL(strings.NewReader(two)); err == nil {
+	two := `{"t":"ring","dropped":5}
+{"t":"event","seq":5,"clock":1,"pid":1,"tid":100,"kind":"signal","num":31}
+{"t":"event","seq":5,"clock":2,"pid":1,"tid":100,"kind":"signal","num":31}`
+	if _, err := ValidateJSONL(bytes.NewReader(canon.Seal(Kind, 1, []byte(two)))); err == nil {
 		t.Error("validator accepted duplicate seq")
 	}
 }

@@ -1,135 +1,94 @@
 package obsv
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 )
 
-// ValidateJSONL checks a flight-recorder JSONL stream against the trace
-// schema and returns the number of valid records. It enforces:
+// ValidateJSONL checks a flight-recorder trace artifact against the
+// trace schema and returns the number of valid records. Per machine
+// section (a "ring" record, machines unique) it enforces:
 //
-//   - every line is a JSON object with seq, clock, pid, tid, kind
+//   - every record carries seq, clock, pid, tid, kind
 //   - kind is a known event kind name
+//   - the first record's seq equals the ring's declared dropped count
 //   - seq is strictly increasing (gaps are legal — ring wraparound
 //     drops oldest records — but reordering and duplicates are not)
 //   - clock is non-decreasing
 //   - "enter" records carry name and args; "exit" records carry name
-//     and ret
-//   - a dump header ({"hdr":"trace",...}), when present, agrees with
-//     its machine's records: dropped equals the first retained seq and
-//     retained equals the record count
+//     and ret; "oracle" records a known origin
 //
-// Monotonicity is scoped by the optional "m" (machine) tag, so one
-// file can carry the independent per-machine streams of a fleet run.
-// Headers are optional so pre-header dumps stay valid. The first
-// violation is returned with its 1-based line number.
+// The first violation is returned with its line number.
 func ValidateJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	line := 0
 	count := 0
-	type cursor struct {
-		seq, clock uint64
-	}
-	last := make(map[string]cursor)
-	type hdrState struct {
-		dropped  uint64
-		retained int
-		seen     int // records observed after the header
-		line     int
-	}
-	headers := make(map[string]*hdrState)
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	var ring *ringRec
+	var last *jsonRecord
+	seen := make(map[string]bool)
+	err := canon.Read(r, Kind, 1, func(tag string, line []byte) error {
+		if tag == "ring" {
+			ring, last = &ringRec{}, nil
+			if err := json.Unmarshal(line, ring); err != nil {
+				return err
+			}
+			if seen[ring.Machine] {
+				return fmt.Errorf("duplicate ring for machine %q", ring.Machine)
+			}
+			seen[ring.Machine] = true
+			return nil
+		}
+		if tag != "event" || ring == nil {
+			return fmt.Errorf("%s record outside a ring", tag)
 		}
 		var m map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return count, fmt.Errorf("line %d: not a JSON object: %v", line, err)
-		}
-		if _, isHdr := m["hdr"]; isHdr {
-			var h jsonHeader
-			if err := json.Unmarshal(raw, &h); err != nil {
-				return count, fmt.Errorf("line %d: bad header: %v", line, err)
-			}
-			if h.Hdr != "trace" {
-				return count, fmt.Errorf("line %d: unknown header type %q", line, h.Hdr)
-			}
-			if prev, dup := headers[h.Machine]; dup {
-				return count, fmt.Errorf("line %d: duplicate header for machine %q (first at line %d)",
-					line, h.Machine, prev.line)
-			}
-			headers[h.Machine] = &hdrState{dropped: h.Dropped, retained: h.Retained, line: line}
-			continue
+		if err := json.Unmarshal(line, &m); err != nil {
+			return err
 		}
 		for _, req := range []string{"seq", "clock", "pid", "tid", "kind"} {
 			if _, ok := m[req]; !ok {
-				return count, fmt.Errorf("line %d: missing required field %q", line, req)
+				return fmt.Errorf("missing required field %q", req)
 			}
 		}
-		var rec jsonRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return count, fmt.Errorf("line %d: bad field types: %v", line, err)
+		rec := &jsonRecord{}
+		if err := json.Unmarshal(line, rec); err != nil {
+			return fmt.Errorf("bad field types: %v", err)
 		}
 		kind, ok := kernel.EventKindByName(rec.Kind)
 		if !ok {
-			return count, fmt.Errorf("line %d: unknown event kind %q", line, rec.Kind)
+			return fmt.Errorf("unknown event kind %q", rec.Kind)
 		}
-		if prev, seen := last[rec.Machine]; seen {
-			if rec.Seq <= prev.seq {
-				return count, fmt.Errorf("line %d: seq %d not after previous %d", line, rec.Seq, prev.seq)
-			}
-			if rec.Clock < prev.clock {
-				return count, fmt.Errorf("line %d: clock %d before previous %d", line, rec.Clock, prev.clock)
-			}
-		} else if h, ok := headers[rec.Machine]; ok && rec.Seq != h.dropped {
+		switch {
+		case last == nil && rec.Seq != ring.Dropped:
 			// First retained record: its seq IS the drop count.
-			return count, fmt.Errorf("line %d: header declares %d dropped events but first retained seq is %d",
-				line, h.dropped, rec.Seq)
+			return fmt.Errorf("ring declares %d dropped events but first retained seq is %d", ring.Dropped, rec.Seq)
+		case last != nil && rec.Seq <= last.Seq:
+			return fmt.Errorf("seq %d not after previous %d", rec.Seq, last.Seq)
+		case last != nil && rec.Clock < last.Clock:
+			return fmt.Errorf("clock %d before previous %d", rec.Clock, last.Clock)
 		}
-		if h, ok := headers[rec.Machine]; ok {
-			h.seen++
-		}
-		last[rec.Machine] = cursor{seq: rec.Seq, clock: rec.Clock}
+		last = rec
 		switch kind {
 		case kernel.EvEnter:
-			if rec.Name == "" {
-				return count, fmt.Errorf("line %d: enter record missing name", line)
-			}
-			if _, ok := m["args"]; !ok {
-				return count, fmt.Errorf("line %d: enter record missing args", line)
+			if rec.Name == "" || m["args"] == nil {
+				return fmt.Errorf("enter record missing name or args")
 			}
 		case kernel.EvExit:
-			if rec.Name == "" {
-				return count, fmt.Errorf("line %d: exit record missing name", line)
-			}
-			if _, ok := m["ret"]; !ok {
-				return count, fmt.Errorf("line %d: exit record missing ret", line)
+			if rec.Name == "" || rec.Ret == nil {
+				return fmt.Errorf("exit record missing name or ret")
 			}
 		case kernel.EvOracle:
 			if rec.Name == "" {
-				return count, fmt.Errorf("line %d: oracle record missing name", line)
+				return fmt.Errorf("oracle record missing name")
 			}
 			if rec.Detail != "trap" && rec.Detail != "direct" && rec.Detail != "hostcall" {
-				return count, fmt.Errorf("line %d: oracle record has origin %q, want trap|direct|hostcall", line, rec.Detail)
+				return fmt.Errorf("oracle record has origin %q, want trap|direct|hostcall", rec.Detail)
 			}
 		}
 		count++
-	}
-	if err := sc.Err(); err != nil {
-		return count, fmt.Errorf("line %d: %v", line, err)
-	}
-	for m, h := range headers {
-		if h.seen != h.retained {
-			return count, fmt.Errorf("line %d: header for machine %q declares %d retained records, stream has %d",
-				h.line, m, h.retained, h.seen)
-		}
-	}
-	return count, nil
+		return nil
+	})
+	return count, err
 }

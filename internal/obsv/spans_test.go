@@ -5,16 +5,16 @@ import (
 	"strings"
 	"testing"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 	"k23/internal/span"
 )
 
 // TestJSONLRingHeader: the flight-recorder dump declares its loss — the
-// header's dropped count must equal the first retained sequence number
-// (the ring overwrites oldest-first, so everything below it was lost),
-// and the retained count must match the record lines that follow. The
-// validator cross-checks both, so a dump edited after the fact — or a
-// writer that forgets wraparound — is rejected.
+// ring record's dropped count must equal the first retained sequence
+// number (the ring overwrites oldest-first, so everything below it was
+// lost). The validator cross-checks it, so a writer that forgets
+// wraparound — or a dump re-sealed after an edit — is rejected.
 func TestJSONLRingHeader(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 20; i++ {
@@ -24,44 +24,42 @@ func TestJSONLRingHeader(t *testing.T) {
 	}
 	recs := r.Snapshot()
 	var buf bytes.Buffer
-	if err := WriteJSONLTagged(&buf, recs, "m-03"); err != nil {
+	if err := WriteJSONL(&buf, Ring{Machine: "m-03", Recs: recs}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(buf.String(), "\n")
-	hdr := lines[0]
-	for _, want := range []string{`"hdr":"trace"`, `"m":"m-03"`, `"retained":8`, `"dropped":12`} {
-		if !strings.Contains(hdr, want) {
-			t.Errorf("header missing %s: %s", want, hdr)
-		}
+	if want := `{"t":"ring","m":"m-03","dropped":12}` + "\n"; lines[1] != want {
+		t.Errorf("ring record = %s, want %s", lines[1], want)
 	}
 	if n, err := ValidateJSONL(bytes.NewReader(buf.Bytes())); err != nil || n != 8 {
 		t.Fatalf("valid dump rejected: n=%d err=%v", n, err)
 	}
 
-	// An untagged dump (no machine label) carries the same loss header.
+	// An untagged dump (no machine label) carries the same loss record.
 	var plain bytes.Buffer
-	if err := WriteJSONL(&plain, recs); err != nil {
+	if err := WriteJSONL(&plain, Ring{Recs: recs}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(plain.String(), `{"hdr":"trace"`) {
-		t.Errorf("untagged dump has no header: %s", strings.SplitN(plain.String(), "\n", 2)[0])
+	if got := strings.SplitN(plain.String(), "\n", 3)[1]; got != `{"t":"ring","dropped":12}` {
+		t.Errorf("untagged dump ring record = %s", got)
 	}
 	if _, err := ValidateJSONL(bytes.NewReader(plain.Bytes())); err != nil {
 		t.Fatalf("untagged dump rejected: %v", err)
 	}
 
-	// Tampering with either header claim fails validation.
+	// Re-sealed edits to the ring's claims fail the schema check.
+	body := strings.Join(lines[1:len(lines)-2], "")
 	for _, tamper := range []struct{ name, from, to string }{
 		{"understated drop count", `"dropped":12`, `"dropped":11`},
-		{"overstated retained count", `"retained":8`, `"retained":9`},
+		{"second ring for the machine", "\n{\"t\":\"event\"", "\n" + strings.TrimSuffix(lines[1], "\n") + "\n{\"t\":\"event\""},
 	} {
-		bad := strings.Replace(buf.String(), tamper.from, tamper.to, 1)
-		if _, err := ValidateJSONL(strings.NewReader(bad)); err == nil {
+		bad := canon.Seal(Kind, 1, []byte(strings.Replace(body, tamper.from, tamper.to, 1)))
+		if _, err := ValidateJSONL(bytes.NewReader(bad)); err == nil {
 			t.Errorf("%s accepted", tamper.name)
 		}
 	}
-	// Deleting a record breaks the retained count.
-	truncated := strings.Join(append(lines[:len(lines)-2], ""), "")
+	// Deleting a record breaks the trailer.
+	truncated := strings.Join(append(lines[:len(lines)-3], lines[len(lines)-2:]...), "")
 	if _, err := ValidateJSONL(strings.NewReader(truncated)); err == nil {
 		t.Error("truncated dump accepted")
 	}

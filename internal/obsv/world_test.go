@@ -93,7 +93,7 @@ func TestObserverEndToEnd(t *testing.T) {
 		t.Fatal("no trace records")
 	}
 	var jsonl bytes.Buffer
-	if err := obsv.WriteJSONL(&jsonl, snap.Trace); err != nil {
+	if err := obsv.WriteJSONL(&jsonl, obsv.Ring{Recs: snap.Trace}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := obsv.ValidateJSONL(bytes.NewReader(jsonl.Bytes()))
@@ -147,7 +147,7 @@ func TestObserverDeterministic(t *testing.T) {
 		runLoop(t, w, 100)
 		snap := o.Snapshot()
 		var tr, met bytes.Buffer
-		if err := obsv.WriteJSONL(&tr, snap.Trace); err != nil {
+		if err := obsv.WriteJSONL(&tr, obsv.Ring{Recs: snap.Trace}); err != nil {
 			t.Fatal(err)
 		}
 		if err := snap.Metrics.WriteJSON(&met); err != nil {

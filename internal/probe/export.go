@@ -1,18 +1,13 @@
 package probe
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-)
 
-// FNV-1a, matching the span exporter's content hashing.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	"k23/internal/canon"
 )
 
 // Row is one aggregation cell in canonical output order. Probe/Action
@@ -30,7 +25,7 @@ type Row struct {
 }
 
 // Emit is one emit() flight-recorder record. Ord is the engine's emit
-// ordinal: like the trace ring's loss header, a first retained Ord
+// ordinal: like the trace ring's loss record, a first retained Ord
 // above zero reveals how many earlier records the ring dropped.
 type Emit struct {
 	Machine string `json:"m,omitempty"`
@@ -216,200 +211,118 @@ func (r *Row) merge(o *Row) {
 	}
 }
 
-// Hash is an FNV-1a hash over the canonical JSONL body (rows + emits,
-// header excluded). Byte equality of exports is snapshot equality, so
-// the hash is a snapshot identity too — the fleet determinism test
-// compares it across worker counts.
+// Hash is an FNV-1a hash over the canonical row and emit lines. Byte
+// equality of exports is snapshot equality, so the hash is a snapshot
+// identity too — the fleet determinism test compares it across worker
+// counts.
 func (s *Snapshot) Hash() (uint64, error) {
-	h := uint64(fnvOffset)
-	hashLine := func(line []byte) {
-		for _, c := range line {
-			h ^= uint64(c)
-			h *= fnvPrime
-		}
-		h ^= uint64('\n')
-		h *= fnvPrime
-	}
+	w := canon.NewHasher(canon.NewHash())
+	err := s.records(w)
+	return w.Sum(), err
+}
+
+func (s *Snapshot) records(w *canon.Writer) error {
+	var err error
 	for _, r := range s.Rows {
-		b, err := json.Marshal(rowLine{T: "row", Row: r})
-		if err != nil {
-			return 0, err
-		}
-		hashLine(b)
+		err = w.Record("row", r)
 	}
 	for _, em := range s.Emits {
-		b, err := json.Marshal(emitLine{T: "emit", Emit: em})
-		if err != nil {
-			return 0, err
-		}
-		hashLine(b)
+		err = w.Record("emit", em)
 	}
-	return h, nil
+	return err
 }
 
 // ---------------------------------------------------------------------
 // Canonical JSONL
 // ---------------------------------------------------------------------
 
-// JSONL envelope: one header pinning the program hash and aggregation
-// cardinality, then rows, then emits, all in canonical order:
+// Kind names the probe artifact (canon envelope): a "prog" record
+// pinning the program hash and probe count, then rows, then emits, all
+// in canonical order:
 //
-//	{"t":"probehdr","prog":"00871b3...","probes":2,"rows":14,"emits":3,"hash":"a1b2..."}
+//	{"t":"prog","prog":"00871b3...","probes":2}
 //	{"t":"row","probe":0,"action":0,"func":"hist",...}
 //	{"t":"emit","ord":0,...}
 //
 // The encoding is canonical — struct field order, sorted rows — so
 // byte equality of two exports is snapshot equality, which is what the
 // replay-parity test asserts.
+const Kind = "probe"
 
-type probeHeader struct {
-	T      string `json:"t"`
+type progRec struct {
 	Prog   string `json:"prog"`
 	Probes int    `json:"probes"`
-	Rows   int    `json:"rows"`
-	Emits  int    `json:"emits"`
-	Hash   string `json:"hash"`
-}
-
-type rowLine struct {
-	T string `json:"t"`
-	*Row
-}
-
-type emitLine struct {
-	T string `json:"t"`
-	*Emit
 }
 
 // WriteJSONL writes the snapshot in canonical form.
 func (s *Snapshot) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hash, err := s.Hash()
-	if err != nil {
-		return err
-	}
-	hdr, err := json.Marshal(probeHeader{
-		T: "probehdr", Prog: fmt.Sprintf("%016x", s.ProgHash), Probes: s.Probes,
-		Rows: len(s.Rows), Emits: len(s.Emits), Hash: fmt.Sprintf("%016x", hash),
-	})
-	if err != nil {
-		return err
-	}
-	bw.Write(hdr)
-	bw.WriteByte('\n')
-	for _, r := range s.Rows {
-		b, err := json.Marshal(rowLine{T: "row", Row: r})
-		if err != nil {
-			return err
-		}
-		bw.Write(b)
-		bw.WriteByte('\n')
-	}
-	for _, em := range s.Emits {
-		b, err := json.Marshal(emitLine{T: "emit", Emit: em})
-		if err != nil {
-			return err
-		}
-		bw.Write(b)
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
+	cw := canon.NewWriter(w, Kind, 1)
+	cw.Record("prog", &progRec{Prog: fmt.Sprintf("%016x", s.ProgHash), Probes: s.Probes})
+	s.records(cw)
+	return cw.Close()
 }
 
-// ReadJSONL parses a probe JSONL stream and verifies the header's
-// declared cardinality and content hash — the encoding is canonical,
-// so a recomputed hash mismatch means the file was edited or truncated
-// after export.
+// ReadJSONL parses a probe artifact, checking that rows and emits are
+// in canonical order; the envelope rejects edited or truncated files.
 func ReadJSONL(r io.Reader) (*Snapshot, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var hdr *probeHeader
-	s := &Snapshot{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	var s *Snapshot
+	err := canon.Read(r, Kind, 1, func(tag string, line []byte) error {
+		if (s == nil) != (tag == "prog") {
+			return fmt.Errorf("%s record out of place (prog first, once)", tag)
 		}
-		var tag struct {
-			T string `json:"t"`
-		}
-		if err := json.Unmarshal(raw, &tag); err != nil {
-			return nil, fmt.Errorf("probe jsonl line %d: %w", lineNo, err)
-		}
-		switch tag.T {
-		case "probehdr":
-			if hdr != nil {
-				return nil, fmt.Errorf("probe jsonl line %d: duplicate header", lineNo)
+		switch tag {
+		case "prog":
+			var p progRec
+			if err := json.Unmarshal(line, &p); err != nil {
+				return err
 			}
-			hdr = &probeHeader{}
-			if err := json.Unmarshal(raw, hdr); err != nil {
-				return nil, fmt.Errorf("probe jsonl line %d: %w", lineNo, err)
-			}
-			ph, err := strconv.ParseUint(hdr.Prog, 16, 64)
+			ph, err := strconv.ParseUint(p.Prog, 16, 64)
 			if err != nil {
-				return nil, fmt.Errorf("probe jsonl line %d: bad prog hash %q", lineNo, hdr.Prog)
+				return fmt.Errorf("bad prog hash %q", p.Prog)
 			}
-			s.ProgHash = ph
-			s.Probes = hdr.Probes
+			s = &Snapshot{ProgHash: ph, Probes: p.Probes}
 		case "row":
-			if hdr == nil {
-				return nil, fmt.Errorf("probe jsonl line %d: row before header", lineNo)
-			}
 			row := &Row{}
-			if err := json.Unmarshal(raw, &rowLine{Row: row}); err != nil {
-				return nil, fmt.Errorf("probe jsonl line %d: %w", lineNo, err)
+			if err := json.Unmarshal(line, row); err != nil {
+				return err
 			}
 			if _, ok := AggFuncByName(row.Func); !ok || row.Func == "emit" {
-				return nil, fmt.Errorf("probe jsonl line %d: unknown aggregation %q", lineNo, row.Func)
+				return fmt.Errorf("unknown aggregation %q", row.Func)
+			}
+			if n := len(s.Rows); n > 0 && !s.Rows[n-1].less(row) || len(s.Emits) > 0 {
+				return fmt.Errorf("row out of canonical order")
 			}
 			s.Rows = append(s.Rows, row)
 		case "emit":
-			if hdr == nil {
-				return nil, fmt.Errorf("probe jsonl line %d: emit before header", lineNo)
-			}
 			em := &Emit{}
-			if err := json.Unmarshal(raw, &emitLine{Emit: em}); err != nil {
-				return nil, fmt.Errorf("probe jsonl line %d: %w", lineNo, err)
+			if err := json.Unmarshal(line, em); err != nil {
+				return err
 			}
 			if em.Stream != "ev" && em.Stream != "ph" {
-				return nil, fmt.Errorf("probe jsonl line %d: emit stream %q, want ev|ph", lineNo, em.Stream)
+				return fmt.Errorf("emit stream %q, want ev|ph", em.Stream)
+			}
+			if n := len(s.Emits); n > 0 {
+				if p := s.Emits[n-1]; p.Machine > em.Machine || p.Machine == em.Machine && p.Ord >= em.Ord {
+					return fmt.Errorf("emit (%q, %d) not after (%q, %d)", em.Machine, em.Ord, p.Machine, p.Ord)
+				}
 			}
 			s.Emits = append(s.Emits, em)
 		default:
-			return nil, fmt.Errorf("probe jsonl line %d: unknown record type %q", lineNo, tag.T)
+			return fmt.Errorf("unknown record type %q", tag)
 		}
+		return nil
+	})
+	if err == nil && s == nil {
+		err = fmt.Errorf("probe: missing prog record")
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if hdr == nil {
-		return nil, fmt.Errorf("probe jsonl: missing header")
-	}
-	if len(s.Rows) != hdr.Rows {
-		return nil, fmt.Errorf("probe jsonl: header declares %d rows, stream has %d", hdr.Rows, len(s.Rows))
-	}
-	if len(s.Emits) != hdr.Emits {
-		return nil, fmt.Errorf("probe jsonl: header declares %d emits, stream has %d", hdr.Emits, len(s.Emits))
-	}
-	for i := 1; i < len(s.Rows); i++ {
-		if !s.Rows[i-1].less(s.Rows[i]) {
-			return nil, fmt.Errorf("probe jsonl: rows %d/%d out of canonical order", i-1, i)
-		}
-	}
-	hash, err := s.Hash()
 	if err != nil {
 		return nil, err
-	}
-	if got := fmt.Sprintf("%016x", hash); got != hdr.Hash {
-		return nil, fmt.Errorf("probe jsonl: content hash %s does not match header %s (edited or corrupted)", got, hdr.Hash)
 	}
 	return s, nil
 }
 
-// ValidateJSONL checks a probe JSONL stream (obsvcheck -probe) and
-// returns the number of body records validated.
+// ValidateJSONL checks a probe artifact and returns the number of rows
+// and emits validated.
 func ValidateJSONL(r io.Reader) (int, error) {
 	s, err := ReadJSONL(r)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 )
 
@@ -72,9 +73,16 @@ func TestJSONLDetectsTampering(t *testing.T) {
 		t.Errorf("missing header not caught: %v", err)
 	}
 
-	reordered := append([]string{lines[0]}, lines[2], lines[1])
-	reordered = append(reordered, lines[3:]...)
-	if _, err := ReadJSONL(strings.NewReader(strings.Join(reordered, "\n"))); err == nil {
-		t.Error("reordered rows not caught")
+	// Reordered rows and emits are rejected even when the trailer is
+	// recomputed to match.
+	rows := strings.Join([]string{lines[1], lines[3], lines[2]}, "\n")
+	if _, err := ReadJSONL(bytes.NewReader(canon.Seal(Kind, 1, []byte(rows)))); err == nil || !strings.Contains(err.Error(), "order") {
+		t.Errorf("reordered rows not caught: %v", err)
+	}
+	emits := lines[1] + `
+{"t":"emit","m":"b","ord":5,"probe":1,"s":"ev","seq":9,"clock":40,"pid":0,"tid":0,"kind":"chaos","num":1}
+{"t":"emit","m":"a","ord":3,"probe":1,"s":"ev","seq":9,"clock":40,"pid":0,"tid":0,"kind":"chaos","num":1}`
+	if _, err := ReadJSONL(bytes.NewReader(canon.Seal(Kind, 1, []byte(emits)))); err == nil || !strings.Contains(err.Error(), "not after") {
+		t.Errorf("out-of-order emits not caught: %v", err)
 	}
 }

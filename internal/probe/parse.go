@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"k23/internal/canon"
 )
 
 // Grammar (canonical form is what Format prints; parse∘format is the
@@ -381,15 +383,12 @@ func (p *Program) Format() string {
 	return b.String()
 }
 
-// Hash is an FNV-1a hash of the canonical program text; probe JSONL
-// headers pin it so validators can tell which program produced a file.
+// Hash is an FNV-1a hash of the canonical program text; probe
+// artifacts pin it so validators can tell which program produced a file.
 func (p *Program) Hash() uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range []byte(p.Format()) {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
+	h := canon.NewHash()
+	h.WriteString(p.Format())
+	return uint64(h)
 }
 
 func (pr *Probe) format(b *fmtBuf) {

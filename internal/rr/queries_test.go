@@ -9,7 +9,6 @@ import (
 // handBuilt is a synthetic event stream with known query answers.
 func handBuilt() *Recording {
 	return &Recording{
-		Version: FormatVersion,
 		Events: []EventRec{
 			{Seq: 1, Kind: "enter", Num: kernel.SysWrite, Args: []uint64{1, 0x100, 5}, Clock: 100},
 			{Seq: 2, Kind: "interposed", Num: kernel.SysWrite, Detail: "rewritten", Clock: 110},

@@ -1,18 +1,18 @@
 package rr
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 	"k23/internal/machine"
 )
 
 // FormatVersion is the recording schema version; ReadJSONL rejects
 // recordings written by a different version.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // EventRec is one recorded kernel event. It carries the syscall
 // arguments (EvEnter only) so reverse queries can filter on them
@@ -80,7 +80,6 @@ type Final struct {
 // payload, chaos decisions), the full kernel event stream, the
 // checkpoint metadata, and the final hashes.
 type Recording struct {
-	Version       int
 	Spec          RunSpec
 	VClock0       uint64
 	Payload       string
@@ -91,123 +90,79 @@ type Recording struct {
 	Final         Final
 }
 
-// jsonLine is the JSONL envelope: one line per record, discriminated by
-// T ("header", "chaos", "event", "ckpt", "final").
-type jsonLine struct {
-	T             string                `json:"t"`
-	Version       int                   `json:"version,omitempty"`
-	Spec          *RunSpec              `json:"spec,omitempty"`
-	VClock0       uint64                `json:"vclock0,omitempty"`
-	Payload       string                `json:"payload,omitempty"`
-	PayloadDigest uint64                `json:"payload_digest,omitempty"`
-	Chaos         *kernel.ChaosDecision `json:"chaos,omitempty"`
-	Event         *EventRec             `json:"event,omitempty"`
-	Ckpt          *CkptMeta             `json:"ckpt,omitempty"`
-	Final         *Final                `json:"final,omitempty"`
+// Kind names the recording artifact (canon envelope).
+const Kind = "rr"
+
+// specRec is the recording's first record: the spec and the derived
+// frontier values.
+type specRec struct {
+	Spec          RunSpec `json:"spec"`
+	VClock0       uint64  `json:"vclock0,omitempty"`
+	Payload       string  `json:"payload,omitempty"`
+	PayloadDigest uint64  `json:"payload_digest,omitempty"`
 }
 
-// WriteJSONL serializes the recording: a header line, then every chaos
-// decision, event, and checkpoint in stream order, then the final line.
+// WriteJSONL serializes the recording as a canon artifact: the spec
+// record, then every chaos decision, event, and checkpoint in stream
+// order, then the final record.
 func (r *Recording) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	spec := r.Spec
-	if err := enc.Encode(jsonLine{
-		T: "header", Version: r.Version, Spec: &spec,
-		VClock0: r.VClock0, Payload: r.Payload, PayloadDigest: r.PayloadDigest,
-	}); err != nil {
-		return err
-	}
+	cw := canon.NewWriter(w, Kind, FormatVersion)
+	cw.Record("spec", &specRec{Spec: r.Spec, VClock0: r.VClock0, Payload: r.Payload, PayloadDigest: r.PayloadDigest})
 	for i := range r.Chaos {
-		if err := enc.Encode(jsonLine{T: "chaos", Chaos: &r.Chaos[i]}); err != nil {
-			return err
-		}
+		cw.Record("chaos", &r.Chaos[i])
 	}
 	for i := range r.Events {
-		if err := enc.Encode(jsonLine{T: "event", Event: &r.Events[i]}); err != nil {
-			return err
-		}
+		cw.Record("event", &r.Events[i])
 	}
 	for i := range r.Checkpoints {
-		if err := enc.Encode(jsonLine{T: "ckpt", Ckpt: &r.Checkpoints[i]}); err != nil {
-			return err
-		}
+		cw.Record("ckpt", &r.Checkpoints[i])
 	}
-	final := r.Final
-	if err := enc.Encode(jsonLine{T: "final", Final: &final}); err != nil {
-		return err
-	}
-	return bw.Flush()
+	cw.Record("final", &r.Final)
+	return cw.Close()
 }
 
-// ReadJSONL parses and validates a recording.
+// ReadJSONL parses and validates a recording. Each line is decoded
+// once, straight into its place in the recording.
 func ReadJSONL(rd io.Reader) (*Recording, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	rec := &Recording{}
-	sawHeader, sawFinal := false, false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if len(sc.Bytes()) == 0 {
-			continue
+	sawSpec, sawFinal := false, false
+	err := canon.Read(rd, Kind, FormatVersion, func(tag string, line []byte) error {
+		if sawSpec == (tag == "spec") || sawFinal {
+			return fmt.Errorf("%s record out of place (spec first, final last)", tag)
 		}
-		var ln jsonLine
-		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
-			return nil, fmt.Errorf("rr: line %d: %v", lineNo, err)
-		}
-		switch ln.T {
-		case "header":
-			if sawHeader {
-				return nil, fmt.Errorf("rr: line %d: duplicate header", lineNo)
+		var v any
+		switch tag {
+		case "spec":
+			sp := &specRec{}
+			if err := json.Unmarshal(line, sp); err != nil {
+				return err
 			}
-			if ln.Version != FormatVersion {
-				return nil, fmt.Errorf("rr: line %d: format version %d, want %d", lineNo, ln.Version, FormatVersion)
-			}
-			if ln.Spec == nil {
-				return nil, fmt.Errorf("rr: line %d: header without spec", lineNo)
-			}
-			rec.Version = ln.Version
-			rec.Spec = *ln.Spec
-			rec.VClock0 = ln.VClock0
-			rec.Payload = ln.Payload
-			rec.PayloadDigest = ln.PayloadDigest
-			sawHeader = true
+			rec.Spec, rec.VClock0, rec.Payload, rec.PayloadDigest = sp.Spec, sp.VClock0, sp.Payload, sp.PayloadDigest
+			sawSpec = true
+			return nil
 		case "chaos":
-			if ln.Chaos == nil {
-				return nil, fmt.Errorf("rr: line %d: chaos line without body", lineNo)
-			}
-			rec.Chaos = append(rec.Chaos, *ln.Chaos)
+			rec.Chaos = append(rec.Chaos, kernel.ChaosDecision{})
+			v = &rec.Chaos[len(rec.Chaos)-1]
 		case "event":
-			if ln.Event == nil {
-				return nil, fmt.Errorf("rr: line %d: event line without body", lineNo)
-			}
-			rec.Events = append(rec.Events, *ln.Event)
+			rec.Events = append(rec.Events, EventRec{})
+			v = &rec.Events[len(rec.Events)-1]
 		case "ckpt":
-			if ln.Ckpt == nil {
-				return nil, fmt.Errorf("rr: line %d: ckpt line without body", lineNo)
-			}
-			rec.Checkpoints = append(rec.Checkpoints, *ln.Ckpt)
+			rec.Checkpoints = append(rec.Checkpoints, CkptMeta{})
+			v = &rec.Checkpoints[len(rec.Checkpoints)-1]
 		case "final":
-			if ln.Final == nil {
-				return nil, fmt.Errorf("rr: line %d: final line without body", lineNo)
-			}
-			rec.Final = *ln.Final
-			sawFinal = true
+			v, sawFinal = &rec.Final, true
 		default:
-			return nil, fmt.Errorf("rr: line %d: unknown record type %q", lineNo, ln.T)
+			return fmt.Errorf("unknown record type %q", tag)
 		}
+		return json.Unmarshal(line, v)
+	})
+	if err == nil && !sawFinal {
+		err = fmt.Errorf("rr: missing final record")
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("rr: %v", err)
+	if err == nil {
+		err = rec.Validate()
 	}
-	if !sawHeader {
-		return nil, fmt.Errorf("rr: missing header line")
-	}
-	if !sawFinal {
-		return nil, fmt.Errorf("rr: missing final line (truncated recording?)")
-	}
-	if err := rec.Validate(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -217,13 +172,10 @@ func ReadJSONL(rd io.Reader) (*Recording, error) {
 // ordinals, ordered checkpoints within the event range, a monotone
 // chaos query stream, a payload matching its digest, and an event
 // stream that re-hashes to the recorded final event hash (so edited
-// event lines are rejected without any re-execution). obsvcheck -rr
-// runs exactly this.
+// event lines are rejected without any re-execution). ReadJSONL, and so
+// obsvcheck, runs exactly this.
 func (r *Recording) Validate() error {
-	if r.Version != FormatVersion {
-		return fmt.Errorf("rr: format version %d, want %d", r.Version, FormatVersion)
-	}
-	if r.Payload != "" && machine.Digest([]byte(r.Payload)) != r.PayloadDigest {
+	if r.Payload != "" && canon.Digest([]byte(r.Payload)) != r.PayloadDigest {
 		return fmt.Errorf("rr: payload digest mismatch (corrupted payload)")
 	}
 	for i := 1; i < len(r.Events); i++ {

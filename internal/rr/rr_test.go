@@ -184,9 +184,39 @@ func TestJSONLRejectsCorruption(t *testing.T) {
 		t.Fatalf("truncated recording accepted")
 	}
 	// A version bump is rejected.
-	bumped := bytes.Replace(buf.Bytes(), []byte(`"version":1`), []byte(`"version":99`), 1)
+	bumped := bytes.Replace(buf.Bytes(), []byte(`"v":2`), []byte(`"v":99`), 1)
 	if _, err := ReadJSONL(bytes.NewReader(bumped)); err == nil {
 		t.Fatalf("future-version recording accepted")
+	}
+}
+
+// TestJSONLRejectsEditedRecords: editing one digit in the first line of
+// each record type — the spec (argv, vclock0), a chaos decision, an
+// event, a checkpoint (pages_copied) or the final record — must fail
+// ReadJSONL, not only edits to event lines.
+func TestJSONLRejectsEditedRecords(t *testing.T) {
+	spec := redisSpec()
+	spec.Chaos = &kernel.ChaosProfile{BlockEINTR: 48, ShortRead: 96, ShortWrite: 96, Transient: 48}
+	spec.ChaosSeed = 5
+	s := record(t, spec)
+	var buf bytes.Buffer
+	if err := s.Rec.WriteJSONL(&buf); err != nil {
+		t.Fatalf("WriteJSONL: %v", err)
+	}
+	if _, err := ReadJSONL(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("untampered recording rejected: %v", err)
+	}
+	for _, tag := range []string{"spec", "chaos", "event", "ckpt", "final"} {
+		i := bytes.Index(buf.Bytes(), []byte(`{"t":"`+tag+`",`))
+		if i < 0 {
+			t.Fatalf("recording has no %s record", tag)
+		}
+		edited := bytes.Clone(buf.Bytes())
+		j := i + bytes.IndexAny(edited[i:], "0123456789")
+		edited[j] = '0' + (edited[j]-'0'+1)%10
+		if _, err := ReadJSONL(bytes.NewReader(edited)); err == nil {
+			t.Errorf("recording with an edited %s line accepted", tag)
+		}
 	}
 }
 

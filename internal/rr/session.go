@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"k23/internal/canon"
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/machine"
@@ -112,11 +113,11 @@ func start(spec RunSpec, hooks Hooks, kopts []kernel.Option, replayOf *Recording
 func Attach(r *machine.Run) *Session {
 	s := &Session{
 		Spec: r.Spec, W: r.W, m: r, divergence: -1,
-		Rec: &Recording{Version: FormatVersion, Spec: r.Spec, VClock0: r.VClock0},
+		Rec: &Recording{Spec: r.Spec, VClock0: r.VClock0},
 	}
 	if r.Spec.Server {
 		s.Rec.Payload = string(r.Payload)
-		s.Rec.PayloadDigest = machine.Digest(r.Payload)
+		s.Rec.PayloadDigest = canon.Digest(r.Payload)
 	}
 	r.HashTrace()
 	r.W.K.AddEventHook(func(e kernel.Event) {
@@ -248,7 +249,7 @@ func (s *Session) currentFinal() Final {
 		Events: len(s.events), Seq: s.W.K.EventSeq(),
 		ExitCode: o.Exit.Code, ExitSignal: o.Exit.Signal,
 		ChaosInjected: o.ChaosInjected,
-		StdoutDigest:  machine.Digest(s.P.Stdout), StderrDigest: machine.Digest(s.P.Stderr),
+		StdoutDigest:  canon.Digest(s.P.Stdout), StderrDigest: canon.Digest(s.P.Stderr),
 	}
 }
 

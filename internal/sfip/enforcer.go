@@ -1,7 +1,6 @@
 package sfip
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -9,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 )
 
@@ -310,87 +310,67 @@ func (r *Report) Merge(other *Report) {
 	r.Ledger = append(r.Ledger, other.Ledger...)
 }
 
-// JSONL record types for enforcement reports.
+// ReportKind names the enforcement-report artifact (canon envelope):
+// one summary record, then the ledgered violations in event order.
 const (
-	RecSummary   = "sfip-summary"
-	RecViolation = "sfip-violation"
+	ReportKind   = "sfip-report"
+	RecSummary   = "summary"
+	RecViolation = "violation"
 )
 
-// WriteJSONL renders the report as one JSON object per line: the
-// summary first, then the ledgered violations in event order.
+// WriteJSONL renders the report as an enforcement-report artifact.
 func (r *Report) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := writeTagged(bw, RecSummary, r); err != nil {
-		return err
-	}
+	cw := canon.NewWriter(w, ReportKind, 1)
+	cw.Record(RecSummary, r)
 	for i := range r.Ledger {
-		if err := writeTagged(bw, RecViolation, &r.Ledger[i]); err != nil {
-			return err
-		}
+		cw.Record(RecViolation, &r.Ledger[i])
 	}
-	return bw.Flush()
+	return cw.Close()
 }
 
-// ValidateJSONL checks an enforcement-report stream: exactly one
-// summary with a known mode, every violation record well-formed with a
-// known category, and the summary's violation count at least the number
-// of ledgered records (the ledger is capped, never the counters).
-// Returns the number of valid lines.
+// ValidateJSONL checks an enforcement report: the summary first with a
+// known mode, every violation well-formed with a known category, and
+// the summary's violation count at least the number of ledgered records
+// (the ledger is capped, never the counters). Returns the number of
+// records.
 func ValidateJSONL(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	lines, summaries := 0, 0
-	var sumViolations uint64
+	var sum *Report
 	ledgered := uint64(0)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	err := canon.Read(r, ReportKind, 1, func(tag string, line []byte) error {
+		if (sum == nil) != (tag == RecSummary) {
+			return fmt.Errorf("%s record out of place (summary first, once)", tag)
 		}
-		lines++
-		var raw struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &raw); err != nil {
-			return lines, fmt.Errorf("line %d: not a JSON object: %v", lines, err)
-		}
-		switch raw.Type {
+		switch tag {
 		case RecSummary:
-			summaries++
-			var rep Report
-			if err := json.Unmarshal(line, &rep); err != nil {
-				return lines, fmt.Errorf("line %d: bad summary: %v", lines, err)
+			sum = &Report{}
+			if err := json.Unmarshal(line, sum); err != nil {
+				return err
 			}
-			if _, err := ParseMode(rep.Mode); err != nil {
-				return lines, fmt.Errorf("line %d: %v", lines, err)
-			}
-			sumViolations = rep.Violations
+			_, err := ParseMode(sum.Mode)
+			return err
 		case RecViolation:
 			var v Violation
 			if err := json.Unmarshal(line, &v); err != nil {
-				return lines, fmt.Errorf("line %d: bad violation: %v", lines, err)
+				return err
 			}
 			if v.Category != CatUnknownOrigin && v.Category != CatUnknownEdge {
-				return lines, fmt.Errorf("line %d: unknown violation category %q", lines, v.Category)
+				return fmt.Errorf("unknown violation category %q", v.Category)
 			}
 			if v.Name == "" {
-				return lines, fmt.Errorf("line %d: violation carries no syscall name", lines)
+				return fmt.Errorf("violation carries no syscall name")
 			}
 			ledgered++
-		default:
-			return lines, fmt.Errorf("line %d: unknown record type %q", lines, raw.Type)
+			return nil
 		}
+		return fmt.Errorf("unknown record type %q", tag)
+	})
+	if err == nil && sum == nil {
+		err = fmt.Errorf("%s: no summary record", ReportKind)
 	}
-	if err := sc.Err(); err != nil {
-		return lines, err
+	if err == nil && ledgered > sum.Violations {
+		err = fmt.Errorf("%s: summary reports %d violations but %d are ledgered", ReportKind, sum.Violations, ledgered)
 	}
-	if summaries != 1 {
-		return lines, fmt.Errorf("expected exactly one sfip-summary record, found %d", summaries)
-	}
-	if ledgered > sumViolations {
-		return lines, fmt.Errorf("summary reports %d violations but %d are ledgered", sumViolations, ledgered)
-	}
-	return lines, nil
+	return 1 + int(ledgered), err
 }
 
 // Format renders the report for humans.

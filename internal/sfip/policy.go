@@ -11,12 +11,12 @@
 package sfip
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
+
+	"k23/internal/canon"
 )
 
 // FirstCall is the sentinel predecessor for the first trap-origin
@@ -47,8 +47,6 @@ type Policy struct {
 	// trained under (informational; carried through serialization).
 	App  string
 	Mech string
-	// Version is the serialization format version.
-	Version int
 	// NameFn maps syscall numbers to display names for reports.
 	// Injected (like audit.NameFn) to keep the package free of an obsv
 	// dependency. Not serialized.
@@ -66,7 +64,6 @@ func NewPolicy(app, mech string) *Policy {
 	return &Policy{
 		App:     app,
 		Mech:    mech,
-		Version: PolicyVersion,
 		origins: make(map[originKey]uint64),
 		edges:   make(map[edgeKey]uint64),
 	}
@@ -152,36 +149,33 @@ func (p *Policy) sortedEdges() []edgeKey {
 // cannot leak in). Hash equality is the workers=1 ≡ workers=8
 // determinism criterion for learned policies.
 func (p *Policy) Hash() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "sfip %q %q v%d\n", p.App, p.Mech, p.Version)
+	h := canon.NewHash()
+	fmt.Fprintf(&h, "sfip %q %q v%d\n", p.App, p.Mech, PolicyVersion)
 	for _, k := range p.sortedOrigins() {
-		fmt.Fprintf(h, "o %d %#x %d\n", k.Nr, k.Site, p.origins[k])
+		fmt.Fprintf(&h, "o %d %#x %d\n", k.Nr, k.Site, p.origins[k])
 	}
 	for _, k := range p.sortedEdges() {
-		fmt.Fprintf(h, "e %d %d %d\n", k.From, k.To, p.edges[k])
+		fmt.Fprintf(&h, "e %d %d %d\n", k.From, k.To, p.edges[k])
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
-// JSONL record types for serialized policies. Every line is a JSON
-// object with a "type" field:
+// PolicyKind names the serialized-policy artifact (canon envelope).
+// Its record tags:
 //
-//	sfip-policy — the header (exactly one, first line): app, mech,
-//	              version, and the origin/edge cardinalities
-//	origin      — one allowed (syscall, site) pair with its count
-//	edge        — one allowed transition with its count
+//	policy — app and mech (exactly one, first)
+//	origin — one allowed (syscall, site) pair with its count
+//	edge   — one allowed transition with its count
 const (
-	RecPolicy = "sfip-policy"
-	RecOrigin = "origin"
-	RecEdge   = "edge"
+	PolicyKind = "sfip-policy"
+	RecPolicy  = "policy"
+	RecOrigin  = "origin"
+	RecEdge    = "edge"
 )
 
-type policyHeader struct {
-	App     string `json:"app"`
-	Mech    string `json:"mech"`
-	Version int    `json:"version"`
-	Origins int    `json:"origins"`
-	Edges   int    `json:"edges"`
+type policyRec struct {
+	App  string `json:"app"`
+	Mech string `json:"mech"`
 }
 
 type originRec struct {
@@ -199,121 +193,67 @@ type edgeRec struct {
 	FromName string `json:"from_name"`
 }
 
-// writeTagged marshals v and splices a leading "type" field in, keeping
-// one JSON object per line (same shape as the audit JSONL writer).
-func writeTagged(bw *bufio.Writer, typ string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(`{"type":"` + typ + `",`); err != nil {
-		return err
-	}
-	if _, err := bw.Write(b[1:]); err != nil { // strip the inner '{'
-		return err
-	}
-	return bw.WriteByte('\n')
-}
-
-// WriteJSONL serializes the policy: header first, then origins and
-// edges in sorted (deterministic) order.
+// WriteJSONL serializes the policy: the policy record first, then
+// origins and edges in sorted (deterministic) order.
 func (p *Policy) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := policyHeader{App: p.App, Mech: p.Mech, Version: p.Version,
-		Origins: len(p.origins), Edges: len(p.edges)}
-	if err := writeTagged(bw, RecPolicy, &hdr); err != nil {
-		return err
-	}
+	cw := canon.NewWriter(w, PolicyKind, PolicyVersion)
+	cw.Record(RecPolicy, &policyRec{App: p.App, Mech: p.Mech})
 	for _, k := range p.sortedOrigins() {
-		rec := originRec{Nr: k.Nr, Name: p.name(k.Nr), Site: k.Site, Count: p.origins[k]}
-		if err := writeTagged(bw, RecOrigin, &rec); err != nil {
-			return err
-		}
+		cw.Record(RecOrigin, &originRec{Nr: k.Nr, Name: p.name(k.Nr), Site: k.Site, Count: p.origins[k]})
 	}
 	for _, k := range p.sortedEdges() {
 		fromName := "start"
 		if k.From >= 0 {
 			fromName = p.name(uint64(k.From))
 		}
-		rec := edgeRec{From: k.From, To: k.To, Name: p.name(k.To),
-			Count: p.edges[k], FromName: fromName}
-		if err := writeTagged(bw, RecEdge, &rec); err != nil {
-			return err
-		}
+		cw.Record(RecEdge, &edgeRec{From: k.From, To: k.To, Name: p.name(k.To),
+			Count: p.edges[k], FromName: fromName})
 	}
-	return bw.Flush()
+	return cw.Close()
 }
 
 // ReadPolicy parses a policy serialized by WriteJSONL.
 func ReadPolicy(r io.Reader) (*Policy, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
 	var p *Policy
-	lines, hdrOrigins, hdrEdges := 0, 0, 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	err := canon.Read(r, PolicyKind, PolicyVersion, func(tag string, line []byte) error {
+		if (p == nil) != (tag == RecPolicy) {
+			return fmt.Errorf("%s record out of place (policy first, once)", tag)
 		}
-		lines++
-		var raw struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &raw); err != nil {
-			return nil, fmt.Errorf("line %d: not a JSON object: %v", lines, err)
-		}
-		switch raw.Type {
+		switch tag {
 		case RecPolicy:
-			if p != nil {
-				return nil, fmt.Errorf("line %d: duplicate policy header", lines)
+			var rec policyRec
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return err
 			}
-			var hdr policyHeader
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return nil, fmt.Errorf("line %d: bad header: %v", lines, err)
-			}
-			if hdr.Version != PolicyVersion {
-				return nil, fmt.Errorf("line %d: unsupported policy version %d", lines, hdr.Version)
-			}
-			p = NewPolicy(hdr.App, hdr.Mech)
-			hdrOrigins, hdrEdges = hdr.Origins, hdr.Edges
+			p = NewPolicy(rec.App, rec.Mech)
 		case RecOrigin:
-			if p == nil {
-				return nil, fmt.Errorf("line %d: origin before policy header", lines)
-			}
 			var rec originRec
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("line %d: bad origin: %v", lines, err)
+				return err
 			}
 			p.origins[originKey{rec.Nr, rec.Site}] += rec.Count
 		case RecEdge:
-			if p == nil {
-				return nil, fmt.Errorf("line %d: edge before policy header", lines)
-			}
 			var rec edgeRec
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("line %d: bad edge: %v", lines, err)
+				return err
 			}
 			p.edges[edgeKey{rec.From, rec.To}] += rec.Count
 		default:
-			return nil, fmt.Errorf("line %d: unknown record type %q", lines, raw.Type)
+			return fmt.Errorf("unknown record type %q", tag)
 		}
+		return nil
+	})
+	if err == nil && p == nil {
+		err = fmt.Errorf("%s: no policy record", PolicyKind)
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("no policy header found")
-	}
-	if len(p.origins) != hdrOrigins || len(p.edges) != hdrEdges {
-		return nil, fmt.Errorf("header declares %d origins / %d edges, stream carries %d / %d",
-			hdrOrigins, hdrEdges, len(p.origins), len(p.edges))
 	}
 	return p, nil
 }
 
-// ValidatePolicyJSONL checks a serialized policy stream: exactly one
-// header, every record well-formed, and the header cardinalities match
-// the record counts. Returns the number of valid lines.
+// ValidatePolicyJSONL checks a serialized policy and returns its number
+// of records.
 func ValidatePolicyJSONL(r io.Reader) (int, error) {
 	p, err := ReadPolicy(r)
 	if err != nil {

@@ -59,7 +59,7 @@ func TestPolicyRoundTrip(t *testing.T) {
 		t.Errorf("re-serialization is not byte-identical")
 	}
 
-	// A truncated stream fails the header-cardinality check.
+	// A truncated stream fails the trailer check.
 	lines := strings.Split(strings.TrimRight(serialized, "\n"), "\n")
 	truncated := strings.Join(lines[:len(lines)-1], "\n") + "\n"
 	if _, err := sfip.ReadPolicy(strings.NewReader(truncated)); err == nil {

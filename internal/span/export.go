@@ -1,121 +1,69 @@
 package span
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"k23/internal/canon"
 )
 
-// JSONL envelope: one header line per machine set followed by its spans.
+// Kind names the span artifact (canon envelope): one "set" record per
+// machine, in merge order, followed by that machine's spans.
 //
-//	{"t":"spanhdr","machine":"m0","spans":12,"hash":"a1b2..."}
+//	{"t":"set","machine":"m0"}
 //	{"t":"span","id":1,...}
 //
 // The encoding is canonical — field order is fixed by the struct
 // definitions — so byte equality of two exports is span-set equality,
 // which is what the replay-parity test asserts.
+const Kind = "spans"
 
-type headerLine struct {
-	T       string `json:"t"`
+type setRec struct {
 	Machine string `json:"machine"`
-	Spans   int    `json:"spans"`
-	Hash    string `json:"hash"`
-}
-
-type spanLine struct {
-	T string `json:"t"`
-	*Span
-}
-
-func marshalSpan(sp *Span) ([]byte, error) {
-	return json.Marshal(spanLine{T: "span", Span: sp})
 }
 
 // WriteJSONL writes the sets in deterministic merge order.
 func WriteJSONL(w io.Writer, sets ...*Set) error {
-	bw := bufio.NewWriter(w)
+	cw := canon.NewWriter(w, Kind, 1)
 	for _, s := range Merge(sets) {
-		hdr, err := json.Marshal(headerLine{
-			T: "spanhdr", Machine: s.Machine, Spans: len(s.Spans),
-			Hash: fmt.Sprintf("%016x", s.Hash()),
-		})
-		if err != nil {
-			return err
-		}
-		bw.Write(hdr)
-		bw.WriteByte('\n')
+		cw.Record("set", &setRec{Machine: s.Machine})
 		for _, sp := range s.Spans {
-			line, err := marshalSpan(sp)
-			if err != nil {
-				return err
-			}
-			bw.Write(line)
-			bw.WriteByte('\n')
+			cw.Record("span", sp)
 		}
 	}
-	return bw.Flush()
+	return cw.Close()
 }
 
-// ReadJSONL parses a span JSONL stream back into per-machine sets. Each
-// header's declared span count and content hash are verified against the
-// spans that follow it — the encoding is canonical, so a recomputed hash
-// mismatch means the file was edited or truncated after export.
+// ReadJSONL parses a span artifact back into per-machine sets; the
+// envelope rejects edited, dropped or reordered lines.
 func ReadJSONL(r io.Reader) ([]*Set, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var sets []*Set
-	var declared []headerLine
-	var cur *Set
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var probe struct {
-			T string `json:"t"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, fmt.Errorf("span jsonl line %d: %w", lineNo, err)
-		}
-		switch probe.T {
-		case "spanhdr":
-			var h headerLine
-			if err := json.Unmarshal(raw, &h); err != nil {
-				return nil, fmt.Errorf("span jsonl line %d: %w", lineNo, err)
+	err := canon.Read(r, Kind, 1, func(tag string, line []byte) error {
+		switch tag {
+		case "set":
+			var h setRec
+			if err := json.Unmarshal(line, &h); err != nil {
+				return err
 			}
-			cur = &Set{Machine: h.Machine}
-			sets = append(sets, cur)
-			declared = append(declared, h)
+			sets = append(sets, &Set{Machine: h.Machine})
 		case "span":
-			if cur == nil {
-				return nil, fmt.Errorf("span jsonl line %d: span before spanhdr", lineNo)
+			if len(sets) == 0 {
+				return fmt.Errorf("span before its set record")
 			}
-			sp := &Span{}
-			if err := json.Unmarshal(raw, &spanLine{Span: sp}); err != nil {
-				return nil, fmt.Errorf("span jsonl line %d: %w", lineNo, err)
+			cur := sets[len(sets)-1]
+			sp := &Span{Machine: cur.Machine}
+			if err := json.Unmarshal(line, sp); err != nil {
+				return err
 			}
-			sp.Machine = cur.Machine
 			cur.Spans = append(cur.Spans, sp)
 		default:
-			return nil, fmt.Errorf("span jsonl line %d: unknown record type %q", lineNo, probe.T)
+			return fmt.Errorf("unknown record type %q", tag)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	for i, s := range sets {
-		h := declared[i]
-		if len(s.Spans) != h.Spans {
-			return nil, fmt.Errorf("span jsonl: machine %q header declares %d spans, stream has %d",
-				s.Machine, h.Spans, len(s.Spans))
-		}
-		if got := fmt.Sprintf("%016x", s.Hash()); got != h.Hash {
-			return nil, fmt.Errorf("span jsonl: machine %q content hash %s does not match header %s (edited or corrupted)",
-				s.Machine, got, h.Hash)
-		}
 	}
 	return sets, nil
 }

@@ -12,9 +12,9 @@
 package span
 
 import (
-	"fmt"
 	"sort"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 )
 
@@ -45,7 +45,7 @@ type Slice struct {
 }
 
 // Span is one closed node of the causal trace. Machine is in-memory
-// only: the JSONL encoding carries it on the set header line.
+// only: the JSONL encoding carries it on the set record.
 type Span struct {
 	Machine string `json:"-"`
 	ID      uint64 `json:"id"`
@@ -415,47 +415,24 @@ func Merge(sets []*Set) []*Set {
 	return out
 }
 
-// fnv64a implements FNV-1a over the canonical export encoding.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvAdd(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// Hash digests the set's canonical JSONL encoding: the fingerprint two
-// runs must agree on for the determinism and replay-parity proofs.
+// Hash digests the machine name and the set's canonical span lines:
+// the fingerprint two runs must agree on for the determinism and
+// replay-parity proofs.
 func (s *Set) Hash() uint64 {
-	h := uint64(fnvOffset)
-	h = fnvAdd(h, []byte(s.Machine))
+	h := canon.NewHash()
+	h.WriteString(s.Machine)
+	w := canon.NewHasher(h)
 	for _, sp := range s.Spans {
-		line, err := marshalSpan(sp)
-		if err != nil {
-			h = fnvAdd(h, []byte(fmt.Sprintf("!%d", sp.ID)))
-			continue
-		}
-		h = fnvAdd(h, line)
-		h = fnvAdd(h, []byte{'\n'})
+		w.Record("span", sp)
 	}
-	return h
+	return w.Sum()
 }
 
 // HashAll folds per-set hashes in merge order.
 func HashAll(sets []*Set) uint64 {
-	h := uint64(fnvOffset)
+	h := canon.NewHash()
 	for _, s := range Merge(sets) {
-		hs := s.Hash()
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(hs >> (8 * i))
-		}
-		h = fnvAdd(h, buf[:])
+		h.Uint64(s.Hash())
 	}
-	return h
+	return uint64(h)
 }

@@ -203,7 +203,7 @@ func TestBuilderFinishForces(t *testing.T) {
 }
 
 // TestExportRoundTrip: WriteJSONL → ReadJSONL preserves hashes, passes
-// the validator, and rejects tampering (the header pins count and hash).
+// the validator, and rejects tampering (the trailer pins count and hash).
 func TestExportRoundTrip(t *testing.T) {
 	set := feed(
 		mk(kernel.PhTrap, 100, 10, 10, 1, 0x40, ""),
@@ -236,12 +236,12 @@ func TestExportRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Error("export is not canonical")
 	}
-	// Editing a span line breaks the header hash.
+	// Editing a span line breaks the trailer hash.
 	edited := strings.Replace(buf.String(), `"num":1`, `"num":2`, 1)
 	if _, err := ReadJSONL(strings.NewReader(edited)); err == nil {
 		t.Error("edited stream accepted")
 	}
-	// Dropping a span breaks the declared count.
+	// Dropping the spans and trailer leaves no trailer.
 	lines := strings.SplitAfter(buf.String(), "\n")
 	if _, err := ReadJSONL(strings.NewReader(lines[0])); err == nil {
 		t.Error("truncated stream accepted")
