@@ -94,8 +94,9 @@ func TestDirectAndHostcallOraclesAreInternal(t *testing.T) {
 }
 
 func TestHostcallOracleStillConsumesClaim(t *testing.T) {
-	// An ExecFrame'd app syscall: claimed by the mechanism, executed
-	// through the interposer's own CallGuestInfra stub.
+	// An app syscall re-executed through an SUD gate: claimed by the
+	// mechanism, executed through the interposer's own CallGuestInfra
+	// stub.
 	a := feed([]kernel.Event{
 		claimEv(1, 1, kernel.SysWrite, 0x100, "sud", 10),
 		oracleEv(1, 1, kernel.SysWrite, "hostcall", 20),

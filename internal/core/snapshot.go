@@ -1,80 +1,41 @@
 package core
 
-import (
-	"k23/internal/interpose"
-	"k23/internal/kernel"
-	"k23/internal/robinset"
-)
+import "k23/internal/kernel"
 
 // Checkpoint support for K23's online phase: the interposer state (with
 // its robin-hood site set — the exact slot layout is guard state), the
 // startup ptracer's accumulated handoff counters, and the offline
 // phase's stateless preload guard all implement kernel.HostState.
 
-type hostSnapshot struct {
-	stats           interpose.Stats
-	selectorAddr    uint64
-	frameAddr       uint64
-	doSyscall       uint64
-	sites           *robinset.Set
-	truth           map[uint64]bool
-	last            map[int]interpose.Call
-	startupSyscalls uint64
-}
-
 // SnapshotHostState implements kernel.HostState.
 func (st *state) SnapshotHostState() any {
-	s := &hostSnapshot{
-		stats:           st.stats,
-		selectorAddr:    st.selectorAddr,
-		frameAddr:       st.frameAddr,
-		doSyscall:       st.doSyscall,
-		truth:           copyBoolMap(st.truth),
-		last:            copyCalls(st.last),
-		startupSyscalls: st.StartupSyscalls,
-	}
+	s := *st
 	if st.sites != nil {
 		s.sites = st.sites.Clone()
 	}
-	return s
+	return &s
 }
 
 // RestoreHostState implements kernel.HostState.
 func (st *state) RestoreHostState(v any) {
-	s := v.(*hostSnapshot)
-	st.stats = s.stats
-	st.selectorAddr = s.selectorAddr
-	st.frameAddr = s.frameAddr
-	st.doSyscall = s.doSyscall
-	st.truth = copyBoolMap(s.truth)
-	st.last = restoreCalls(s.last)
-	st.StartupSyscalls = s.startupSyscalls
-	st.sites = nil
-	if s.sites != nil {
-		st.sites = s.sites.Clone()
+	*st = *v.(*state)
+	if st.sites != nil {
+		st.sites = st.sites.Clone()
 	}
 }
 
 var _ kernel.HostState = (*state)(nil)
 
-// tracerSnapshot is the startup ptracer's mutable state.
-type tracerSnapshot struct {
-	proc     *kernel.Process
-	syscalls uint64
-	last     map[int]interpose.Call
-}
-
-// SnapshotHostState implements kernel.HostState.
+// SnapshotHostState implements kernel.HostState: the startup ptracer's
+// mutable state is its process and accumulated handoff count.
 func (tr *k23Tracer) SnapshotHostState() any {
-	return &tracerSnapshot{proc: tr.proc, syscalls: tr.syscalls, last: copyCalls(tr.last)}
+	s := *tr
+	return &s
 }
 
 // RestoreHostState implements kernel.HostState.
 func (tr *k23Tracer) RestoreHostState(v any) {
-	s := v.(*tracerSnapshot)
-	tr.proc = s.proc
-	tr.syscalls = s.syscalls
-	tr.last = restoreCalls(s.last)
+	*tr = *v.(*k23Tracer)
 }
 
 var _ kernel.HostState = (*k23Tracer)(nil)
@@ -87,31 +48,3 @@ func (g *preloadGuard) SnapshotHostState() any { return nil }
 func (g *preloadGuard) RestoreHostState(any) {}
 
 var _ kernel.HostState = (*preloadGuard)(nil)
-
-func copyBoolMap(m map[uint64]bool) map[uint64]bool {
-	if m == nil {
-		return nil
-	}
-	c := make(map[uint64]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func copyCalls(m map[int]*interpose.Call) map[int]interpose.Call {
-	c := make(map[int]interpose.Call, len(m))
-	for tid, call := range m {
-		c[tid] = *call
-	}
-	return c
-}
-
-func restoreCalls(m map[int]interpose.Call) map[int]*interpose.Call {
-	c := make(map[int]*interpose.Call, len(m))
-	for tid := range m {
-		call := m[tid]
-		c[tid] = &call
-	}
-	return c
-}

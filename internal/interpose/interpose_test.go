@@ -142,7 +142,7 @@ func TestEmulateClone(t *testing.T) {
 
 	setup := 0
 	ret := interpose.EmulateClone(w.K, main, [6]uint64{0, 0x7ffc00000000, 0, 0, 0, 0},
-		0xCAFE, func(child *kernel.Thread) { setup++ })
+		0xCAFE, func(_ *kernel.Kernel, _, child *kernel.Thread) { setup++ })
 	if _, isErr := kernel.IsErr(ret); isErr {
 		t.Fatalf("clone ret = %#x", ret)
 	}

@@ -38,7 +38,6 @@ const (
 	hcSigsys  int32 = 120
 	hcRestore int32 = 121
 	hcEnter   int32 = 122
-	hcExit    int32 = 123
 )
 
 // Trampoline geometry (shared with zpoline's design).
@@ -67,12 +66,10 @@ func (l *Lazypoline) LibraryPath() string { return "/usr/lib/liblazypoline.so" }
 type state struct {
 	stats        interpose.Stats
 	selectorAddr uint64
-	frameAddr    uint64
-	doSyscall    uint64
+	gate         sud.Gate
 	scratchAddr  uint64 // rewrite scratch block: {addr, b0, b1}
 	truth        map[uint64]bool
 	rewritten    map[uint64]bool
-	last         map[int]*interpose.Call
 }
 
 func stateOf(p *kernel.Process) (*state, error) {
@@ -161,9 +158,6 @@ func (l *Lazypoline) buildLibrary() *image.Image {
 	t.Jnz(".lz_skip")
 	t.Syscall()
 	t.Label(".lz_skip")
-	if l.Config.ResultHook != nil {
-		t.Hostcall(hcExit)
-	}
 	t.MovImmSym(cpu.R11, "lz_selector")
 	t.MovImm32(cpu.RCX, kernel.SelectorBlock)
 	t.StoreB(cpu.R11, 0, cpu.RCX)
@@ -184,25 +178,20 @@ func (l *Lazypoline) initHost(h any, base uint64) error {
 	}
 	k, p, t := ih.L.K, ih.P, ih.T
 
-	st := &state{
-		rewritten: make(map[uint64]bool),
-		last:      make(map[int]*interpose.Call),
-	}
+	st := &state{rewritten: make(map[uint64]bool)}
 	p.Interposer = st
 	sym := func(name string) uint64 {
 		off, _ := l.img.SymbolOff(name)
 		return base + off
 	}
 	st.selectorAddr = sym("lz_selector")
-	st.frameAddr = sym("lz_frame")
-	st.doSyscall = sym("lz_do_syscall")
+	st.gate = sud.Gate{Frame: sym("lz_frame"), Stub: sym("lz_do_syscall")}
 	st.scratchAddr = sym("lz_scratch")
 	st.truth = ih.L.TrueSites(p)
 
 	k.RegisterHostcall(p, hcSigsys, &kernel.Hostcall{Name: "lz_sigsys", Cost: 40, Fn: l.hcSigsysFn})
 	k.RegisterHostcall(p, hcRestore, &kernel.Hostcall{Name: "lz_restore", Cost: 10, Fn: l.hcRestoreFn})
 	k.RegisterHostcall(p, hcEnter, &kernel.Hostcall{Name: "lz_enter", Cost: 12, Fn: l.hcEnterFn})
-	k.RegisterHostcall(p, hcExit, &kernel.Hostcall{Name: "lz_exit", Cost: 4, Fn: l.hcExitFn})
 
 	gate := ih.Gate()
 	sys := func(nr uint64, args ...uint64) (uint64, error) {
@@ -262,82 +251,27 @@ func (l *Lazypoline) initHost(h any, base uint64) error {
 	return p.AS.Store(st.selectorAddr, []byte{kernel.SelectorBlock}, t.Core.PKRU)
 }
 
-// hcSigsysFn handles a SIGSYS: service the trapped syscall and stage the
-// lazy rewrite of its site.
+// hcSigsysFn handles a SIGSYS: stage the lazy rewrite of the trapped
+// site, then service the call.
 func (l *Lazypoline) hcSigsysFn(k *kernel.Kernel, t *kernel.Thread) error {
 	st, err := stateOf(t.Proc)
 	if err != nil {
 		return err
 	}
-	as := t.Proc.AS
-	ctx := &t.Core.Ctx
-	siginfoAddr := ctx.R[cpu.RSI]
-	uctxAddr := ctx.R[cpu.RDX]
-
-	nr, err := as.KLoadU64(siginfoAddr + kernel.SigInfoSyscall)
+	tr, err := sud.Decode(k, t)
 	if err != nil {
 		return err
-	}
-	callAddr, err := as.KLoadU64(siginfoAddr + kernel.SigInfoCallAddr)
-	if err != nil {
-		return err
-	}
-	site := callAddr - uint64(cpu.SyscallInstLen)
-
-	call := &interpose.Call{Kernel: k, Thread: t, Num: nr, Site: site, Mechanism: interpose.MechSUD}
-	interpose.Phase(call, kernel.PhHandler)
-	for i, r := range cpu.SyscallArgRegs {
-		v, err := as.KLoadU64(uctxAddr + kernel.UctxRegs + uint64(8*int(r)))
-		if err != nil {
-			return err
-		}
-		call.Args[i] = v
 	}
 	st.stats.SUD++
-	interpose.Observe(call)
+	interpose.Observe(tr.Call)
 
 	// Stage the rewrite. lazypoline rewrites whatever site trapped; the
 	// CPU decoded 0F 05 there, but that says nothing about whether it
 	// is code or data reached by a hijacked jump (P3b).
-	if err := l.stageRewrite(k, t, st, site); err != nil {
+	if err := l.stageRewrite(k, t, st, tr.Site); err != nil {
 		return err
 	}
-
-	var ret uint64
-	emulated := false
-	origNum := call.Num
-	if l.Config.Hook != nil {
-		interpose.Phase(call, kernel.PhHook)
-		ret, emulated = l.Config.Hook(call)
-	}
-	if emulated {
-		interpose.Resolve(call, call.Num, true)
-		interpose.Phase(call, kernel.PhEmulate)
-	} else if call.Num != origNum {
-		interpose.Resolve(call, call.Num, false)
-	}
-	if !emulated {
-		interpose.Phase(call, kernel.PhForward)
-		if call.Num == kernel.SysClone {
-			ret = interpose.EmulateClone(k, t, call.Args, callAddr, nil)
-		} else {
-			ret, err = sud.ExecFrame(k, t, st.frameAddr, st.doSyscall, call.Num, call.Args)
-			if err == kernel.ErrGuestWouldBlock {
-				// Re-arm the trapped site so the whole call retries once
-				// the wake condition holds; this handler episode is over.
-				interpose.Phase(call, kernel.PhHandlerRet)
-				return as.KStoreU64(uctxAddr+kernel.UctxRIP, site)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	if l.Config.ResultHook != nil {
-		ret = l.Config.ResultHook(call, ret)
-	}
-	interpose.Phase(call, kernel.PhHandlerRet)
-	return as.KStoreU64(uctxAddr+kernel.UctxRegs+uint64(8*int(cpu.RAX)), ret)
+	return tr.Complete(l.Config.Hook, st.gate, nil)
 }
 
 // stageRewrite makes the page writable and fills the scratch block the
@@ -364,7 +298,7 @@ func (l *Lazypoline) stageRewrite(k *kernel.Kernel, t *kernel.Thread, st *state,
 	// permission is NOT saved — restoration later assumes RX (P5).
 	pageAddr := mem.PageBase(site)
 	span := site + uint64(cpu.SyscallInstLen) - pageAddr
-	if _, err := sud.ExecFrame(k, t, st.frameAddr, st.doSyscall, kernel.SysMprotect,
+	if _, err := st.gate.Exec(k, t, kernel.SysMprotect,
 		[6]uint64{pageAddr, span, kernel.ProtRead | kernel.ProtWrite | kernel.ProtExec}); err != nil {
 		return err
 	}
@@ -408,7 +342,7 @@ func (l *Lazypoline) hcRestoreFn(k *kernel.Kernel, t *kernel.Thread) error {
 	}
 	pageAddr := mem.PageBase(site)
 	span := site + uint64(cpu.SyscallInstLen) - pageAddr
-	_, err = sud.ExecFrame(k, t, st.frameAddr, st.doSyscall, kernel.SysMprotect,
+	_, err = st.gate.Exec(k, t, kernel.SysMprotect,
 		[6]uint64{pageAddr, span, kernel.ProtRead | kernel.ProtExec})
 	if err != nil {
 		return err
@@ -416,8 +350,8 @@ func (l *Lazypoline) hcRestoreFn(k *kernel.Kernel, t *kernel.Thread) error {
 	return t.Proc.AS.KStoreU64(st.scratchAddr, 0)
 }
 
-// hcEnterFn is the fast-path (rewritten site) entry: hook + argument
-// application. No NULL-exec check exists (P4a).
+// hcEnterFn is the fast-path (rewritten site) entry: the shared hook
+// step. No NULL-exec check exists (P4a).
 func (l *Lazypoline) hcEnterFn(k *kernel.Kernel, t *kernel.Thread) error {
 	st, err := stateOf(t.Proc)
 	if err != nil {
@@ -432,60 +366,8 @@ func (l *Lazypoline) hcEnterFn(k *kernel.Kernel, t *kernel.Thread) error {
 	k.EmitPhase(t, kernel.PhHandler, ctx.R[cpu.RAX], site, interpose.MechRewrite.String())
 	st.stats.Rewritten++
 
-	call := &interpose.Call{
-		Kernel: k, Thread: t,
-		Num:       ctx.R[cpu.RAX],
-		Site:      site,
-		Mechanism: interpose.MechRewrite,
-	}
-	for i := range call.Args {
-		call.Args[i] = ctx.Arg(i)
-	}
-	st.last[t.TID] = call
+	call := interpose.NewCall(k, t, interpose.MechRewrite, ctx.R[cpu.RAX], site, ctx)
 	interpose.Observe(call)
-	if l.Config.Hook != nil {
-		origNum := call.Num
-		interpose.Phase(call, kernel.PhHook)
-		if ret, emulated := l.Config.Hook(call); emulated {
-			interpose.Resolve(call, call.Num, true)
-			interpose.Phase(call, kernel.PhEmulate)
-			ctx.R[cpu.RAX] = ret
-			ctx.R[cpu.R11] = 1
-			return nil
-		}
-		if call.Num != origNum {
-			interpose.Resolve(call, call.Num, false)
-		}
-		ctx.R[cpu.RAX] = call.Num
-		for i, a := range call.Args {
-			ctx.SetArg(i, a)
-		}
-	}
-	if call.Num == kernel.SysClone {
-		interpose.Phase(call, kernel.PhForward)
-		ctx.R[cpu.RAX] = interpose.EmulateClone(k, t, call.Args, retAddr, nil)
-		ctx.R[cpu.R11] = 1
-		return nil
-	}
-	interpose.Phase(call, kernel.PhForward)
-	ctx.R[cpu.R11] = 0
-	return nil
-}
-
-// hcExitFn is the fast-path result hook.
-func (l *Lazypoline) hcExitFn(k *kernel.Kernel, t *kernel.Thread) error {
-	st, err := stateOf(t.Proc)
-	if err != nil {
-		return err
-	}
-	call := st.last[t.TID]
-	if call == nil {
-		call = &interpose.Call{Kernel: k, Thread: t, Mechanism: interpose.MechRewrite}
-	}
-	ctx := &t.Core.Ctx
-	if l.Config.ResultHook != nil {
-		ctx.R[cpu.RAX] = l.Config.ResultHook(call, ctx.R[cpu.RAX])
-	}
-	interpose.Phase(call, kernel.PhHandlerRet)
+	interpose.Trampoline(call, l.Config.Hook, ctx, retAddr, nil)
 	return nil
 }

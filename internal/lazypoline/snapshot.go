@@ -1,79 +1,28 @@
 package lazypoline
 
 import (
-	"k23/internal/interpose"
+	"maps"
+
 	"k23/internal/kernel"
 )
 
 // Checkpoint support: lazypoline's per-process state implements
 // kernel.HostState. The rewritten map is the lazily-discovered site set
-// — semantic state that decides which addresses bypass SUD — and truth
-// is the ground-truth comparison set; both must survive a round trip.
-
-type hostSnapshot struct {
-	stats        interpose.Stats
-	selectorAddr uint64
-	frameAddr    uint64
-	doSyscall    uint64
-	scratchAddr  uint64
-	truth        map[uint64]bool
-	rewritten    map[uint64]bool
-	last         map[int]interpose.Call
-}
+// — semantic state that decides which addresses bypass SUD — and is
+// deep-copied; the ground-truth map is never written after init, so
+// snapshots share it.
 
 // SnapshotHostState implements kernel.HostState.
 func (st *state) SnapshotHostState() any {
-	return &hostSnapshot{
-		stats:        st.stats,
-		selectorAddr: st.selectorAddr,
-		frameAddr:    st.frameAddr,
-		doSyscall:    st.doSyscall,
-		scratchAddr:  st.scratchAddr,
-		truth:        copyBoolMap(st.truth),
-		rewritten:    copyBoolMap(st.rewritten),
-		last:         copyCalls(st.last),
-	}
+	s := *st
+	s.rewritten = maps.Clone(st.rewritten)
+	return &s
 }
 
 // RestoreHostState implements kernel.HostState.
 func (st *state) RestoreHostState(v any) {
-	s := v.(*hostSnapshot)
-	st.stats = s.stats
-	st.selectorAddr = s.selectorAddr
-	st.frameAddr = s.frameAddr
-	st.doSyscall = s.doSyscall
-	st.scratchAddr = s.scratchAddr
-	st.truth = copyBoolMap(s.truth)
-	st.rewritten = copyBoolMap(s.rewritten)
-	st.last = restoreCalls(s.last)
+	*st = *v.(*state)
+	st.rewritten = maps.Clone(st.rewritten)
 }
 
 var _ kernel.HostState = (*state)(nil)
-
-func copyBoolMap(m map[uint64]bool) map[uint64]bool {
-	if m == nil {
-		return nil
-	}
-	c := make(map[uint64]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func copyCalls(m map[int]*interpose.Call) map[int]interpose.Call {
-	c := make(map[int]interpose.Call, len(m))
-	for tid, call := range m {
-		c[tid] = *call
-	}
-	return c
-}
-
-func restoreCalls(m map[int]interpose.Call) map[int]*interpose.Call {
-	c := make(map[int]*interpose.Call, len(m))
-	for tid := range m {
-		call := m[tid]
-		c[tid] = &call
-	}
-	return c
-}

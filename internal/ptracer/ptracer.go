@@ -6,7 +6,6 @@
 package ptracer
 
 import (
-	"k23/internal/cpu"
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/loader"
@@ -31,7 +30,6 @@ func (pt *Ptracer) Name() string { return "ptrace" }
 // state is per-process interposition state.
 type state struct {
 	stats interpose.Stats
-	last  map[int]*interpose.Call
 }
 
 // tracer adapts the Config to the kernel's Tracer interface.
@@ -45,62 +43,30 @@ var _ kernel.Tracer = (*tracer)(nil)
 // SyscallEnter implements kernel.Tracer.
 func (tr *tracer) SyscallEnter(k *kernel.Kernel, t *kernel.Thread, nr, site uint64) bool {
 	tr.st.stats.Ptraced++
+	return Stop(k, t, nr, site, tr.pt.Config.Hook)
+}
+
+// Stop runs the hook protocol at a syscall-entry stop, reading and
+// writing the tracee's registers through ptrace (one access charge). It
+// reports whether the call is suppressed: the hook emulated it and RAX
+// holds the result. K23's startup ptracer shares it.
+func Stop(k *kernel.Kernel, t *kernel.Thread, nr, site uint64, h interpose.Hook) (suppress bool) {
 	regs := k.TraceeRegs(t)
-	call := &interpose.Call{
-		Kernel: k, Thread: t,
-		Num:       nr,
-		Site:      site,
-		Mechanism: interpose.MechPtrace,
-	}
+	call := interpose.NewCall(k, t, interpose.MechPtrace, nr, site, regs)
 	// The handler span covers the enter stop only; the kernel slice that
 	// follows lands in the enclosing trap span.
 	interpose.Phase(call, kernel.PhHandler)
-	for i := range call.Args {
-		call.Args[i] = regs.Arg(i)
-	}
-	tr.st.last[t.TID] = call
 	interpose.Observe(call)
-	if tr.pt.Config.Hook == nil {
+	suppress = interpose.DispatchRegs(call, h, regs)
+	if !suppress {
 		interpose.Phase(call, kernel.PhForward)
-		interpose.Phase(call, kernel.PhHandlerRet)
-		return false
 	}
-	origNum := call.Num
-	interpose.Phase(call, kernel.PhHook)
-	ret, emulated := tr.pt.Config.Hook(call)
-	if emulated {
-		interpose.Resolve(call, call.Num, true)
-		interpose.Phase(call, kernel.PhEmulate)
-		regs.R[cpu.RAX] = ret
-		interpose.Phase(call, kernel.PhHandlerRet)
-		return true
-	}
-	if call.Num != origNum {
-		interpose.Resolve(call, call.Num, false)
-	}
-	regs.R[cpu.RAX] = call.Num
-	for i, a := range call.Args {
-		regs.SetArg(i, a)
-	}
-	interpose.Phase(call, kernel.PhForward)
 	interpose.Phase(call, kernel.PhHandlerRet)
-	return false
+	return suppress
 }
 
-// SyscallExit implements kernel.Tracer.
-func (tr *tracer) SyscallExit(k *kernel.Kernel, t *kernel.Thread, nr, ret uint64) {
-	if tr.pt.Config.ResultHook == nil {
-		return
-	}
-	call := tr.st.last[t.TID]
-	if call == nil {
-		call = &interpose.Call{Kernel: k, Thread: t, Num: nr, Mechanism: interpose.MechPtrace}
-	}
-	newRet := tr.pt.Config.ResultHook(call, ret)
-	if newRet != ret {
-		k.TraceeRegs(t).R[cpu.RAX] = newRet
-	}
-}
+// SyscallExit implements kernel.Tracer: the exit stop observes nothing.
+func (tr *tracer) SyscallExit(k *kernel.Kernel, t *kernel.Thread, nr, ret uint64) {}
 
 // Execve implements kernel.Tracer: the plain ptracer stays attached
 // across exec (Linux semantics) and does not rewrite the environment.
@@ -110,7 +76,7 @@ func (tr *tracer) Execve(k *kernel.Kernel, t *kernel.Thread, path string, argv, 
 
 // Launch implements interpose.Launcher.
 func (pt *Ptracer) Launch(w *interpose.World, path string, argv, env []string) (*kernel.Process, error) {
-	st := &state{last: make(map[int]*interpose.Call)}
+	st := &state{}
 	opts := []loader.SpawnOption{
 		loader.WithTracer(&tracer{pt: pt, st: st}),
 		loader.WithPreInit(func(p *kernel.Process, t *kernel.Thread) error {

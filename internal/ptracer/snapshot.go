@@ -1,39 +1,23 @@
 package ptracer
 
-import (
-	"k23/internal/interpose"
-	"k23/internal/kernel"
-)
+import "k23/internal/kernel"
 
-// Checkpoint support. The ptracer's mutable state lives in the state
-// struct attached as Process.Interposer; the tracer adapter itself is a
-// stateless pair of pointers into it, so its snapshot carries nothing
-// (the kernel snapshots Interposer and tracer independently, and both
-// resolve to the same state object).
-
-type hostSnapshot struct {
-	stats interpose.Stats
-	last  map[int]interpose.Call
-}
+// Checkpoint support. The ptracer's mutable state is the stats value in
+// the state struct attached as Process.Interposer, so snapshot and
+// restore are value copies; the tracer adapter itself is a stateless
+// pair of pointers into it, so its snapshot carries nothing (the kernel
+// snapshots Interposer and tracer independently, and both resolve to the
+// same state object).
 
 // SnapshotHostState implements kernel.HostState.
 func (st *state) SnapshotHostState() any {
-	s := &hostSnapshot{stats: st.stats, last: make(map[int]interpose.Call, len(st.last))}
-	for tid, call := range st.last {
-		s.last[tid] = *call
-	}
-	return s
+	s := *st
+	return &s
 }
 
 // RestoreHostState implements kernel.HostState.
 func (st *state) RestoreHostState(v any) {
-	s := v.(*hostSnapshot)
-	st.stats = s.stats
-	st.last = make(map[int]*interpose.Call, len(s.last))
-	for tid := range s.last {
-		call := s.last[tid]
-		st.last[tid] = &call
-	}
+	*st = *(v.(*state))
 }
 
 var _ kernel.HostState = (*state)(nil)

@@ -1,52 +1,33 @@
 package zpoline
 
 import (
-	"k23/internal/interpose"
+	"maps"
+
 	"k23/internal/kernel"
 )
 
 // Checkpoint support: zpoline's per-process state implements
-// kernel.HostState. The rewritten-site and ground-truth maps are
-// semantic state (they decide which addresses the interposer claims),
-// the bitmap is the P4b guard structure, and last tracks in-flight
-// calls per thread — a checkpoint can land between a handler's enter
-// and exit hostcalls, so it must survive the round trip.
-
-type hostSnapshot struct {
-	stats   interpose.Stats
-	handler uint64
-	sites   map[uint64]bool
-	truth   map[uint64]bool
-	bitmap  *Bitmap
-	last    map[int]interpose.Call
-}
+// kernel.HostState. The rewritten-site map is semantic state (it decides
+// which addresses the interposer claims) and the bitmap is the P4b guard
+// structure; both are deep-copied. The ground-truth map is never written
+// after init, so snapshots share it.
 
 // SnapshotHostState implements kernel.HostState.
 func (st *state) SnapshotHostState() any {
-	s := &hostSnapshot{
-		stats:   st.stats,
-		handler: st.handler,
-		sites:   copyBoolMap(st.sites),
-		truth:   copyBoolMap(st.truth),
-		last:    copyCalls(st.last),
-	}
+	s := *st
+	s.sites = maps.Clone(st.sites)
 	if st.bitmap != nil {
 		s.bitmap = st.bitmap.clone()
 	}
-	return s
+	return &s
 }
 
 // RestoreHostState implements kernel.HostState.
 func (st *state) RestoreHostState(v any) {
-	s := v.(*hostSnapshot)
-	st.stats = s.stats
-	st.handler = s.handler
-	st.sites = copyBoolMap(s.sites)
-	st.truth = copyBoolMap(s.truth)
-	st.last = restoreCalls(s.last)
-	st.bitmap = nil
-	if s.bitmap != nil {
-		st.bitmap = s.bitmap.clone()
+	*st = *v.(*state)
+	st.sites = maps.Clone(st.sites)
+	if st.bitmap != nil {
+		st.bitmap = st.bitmap.clone()
 	}
 }
 
@@ -54,43 +35,5 @@ var _ kernel.HostState = (*state)(nil)
 
 // clone deep-copies the bitmap.
 func (b *Bitmap) clone() *Bitmap {
-	c := &Bitmap{
-		words:    make(map[uint64]uint64, len(b.words)),
-		resident: make(map[uint64]bool, len(b.resident)),
-	}
-	for w, bits := range b.words {
-		c.words[w] = bits
-	}
-	for pg := range b.resident {
-		c.resident[pg] = true
-	}
-	return c
-}
-
-func copyBoolMap(m map[uint64]bool) map[uint64]bool {
-	if m == nil {
-		return nil
-	}
-	c := make(map[uint64]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func copyCalls(m map[int]*interpose.Call) map[int]interpose.Call {
-	c := make(map[int]interpose.Call, len(m))
-	for tid, call := range m {
-		c[tid] = *call
-	}
-	return c
-}
-
-func restoreCalls(m map[int]interpose.Call) map[int]*interpose.Call {
-	c := make(map[int]*interpose.Call, len(m))
-	for tid := range m {
-		call := m[tid]
-		c[tid] = &call
-	}
-	return c
+	return &Bitmap{words: maps.Clone(b.words), resident: maps.Clone(b.resident)}
 }

@@ -33,11 +33,8 @@ import (
 	"k23/internal/mem"
 )
 
-// Hostcall ids used by the zpoline runtime.
-const (
-	hcEnter int32 = 100
-	hcExit  int32 = 101
-)
+// Hostcall id of the zpoline handler's host logic.
+const hcEnter int32 = 100
 
 // Trampoline geometry: the sled covers syscall numbers 0..511, the
 // handler springboard sits at offset 512 (as in the original, which
@@ -73,14 +70,10 @@ func (z *Zpoline) LibraryPath() string { return "/usr/lib/libzpoline.so" }
 
 // state is the per-process interposer state.
 type state struct {
-	z       *Zpoline
-	stats   interpose.Stats
-	handler uint64 // guest address of zp_handler
-	sites   map[uint64]bool
-	truth   map[uint64]bool // ground-truth sites (diagnostics only)
-	bitmap  *Bitmap
-	// last tracks the in-flight call per thread for the result hook.
-	last map[int]*interpose.Call
+	stats  interpose.Stats
+	sites  map[uint64]bool
+	truth  map[uint64]bool // ground-truth sites (diagnostics only)
+	bitmap *Bitmap
 }
 
 // stateOf extracts the per-process state.
@@ -133,9 +126,6 @@ func (z *Zpoline) buildLibrary() *image.Image {
 	t.Label(".zp_syscall_site")
 	t.Syscall() // the real system call, from interposer-owned code
 	t.Label(".zp_skip")
-	if z.Config.ResultHook != nil {
-		t.Hostcall(hcExit)
-	}
 	t.Pop(cpu.R11)
 	t.Pop(cpu.RCX)
 	t.Ret()
@@ -159,15 +149,14 @@ func (z *Zpoline) initHost(h any, base uint64) error {
 	}
 	k, p, t := ih.L.K, ih.P, ih.T
 
-	st := &state{z: z, sites: make(map[uint64]bool), last: make(map[int]*interpose.Call)}
+	st := &state{sites: make(map[uint64]bool)}
 	if z.Config.NullExecCheck {
 		st.bitmap = NewBitmap()
 	}
 	p.Interposer = st
 
 	handlerOff, _ := z.img.SymbolOff("zp_handler")
-	st.handler = base + handlerOff
-	z.registerHostcalls(k, p)
+	k.RegisterHostcall(p, hcEnter, &kernel.Hostcall{Name: "zp_enter", Cost: 13, Fn: z.hcEnterFn})
 
 	gate := ih.Gate()
 	sys := func(nr uint64, args ...uint64) (uint64, error) {
@@ -204,7 +193,7 @@ func (z *Zpoline) initHost(h any, base uint64) error {
 	for i := 0; i < TrampolineSize; i++ {
 		tramp = append(tramp, cpu.ByteNop)
 	}
-	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpMovImm, A: cpu.R11, Imm: int64(st.handler)})...)
+	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpMovImm, A: cpu.R11, Imm: int64(base + handlerOff)})...)
 	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpJmpReg, A: cpu.R11})...)
 	if err := t.Core.StoreAsSelf(0, tramp); err != nil {
 		return fmt.Errorf("zpoline: trampoline write: %w", err)
@@ -319,22 +308,8 @@ func (z *Zpoline) rewriteSite(k *kernel.Kernel, p *kernel.Process, t *kernel.Thr
 	return nil
 }
 
-// registerHostcalls installs the handler's host logic.
-func (z *Zpoline) registerHostcalls(k *kernel.Kernel, p *kernel.Process) {
-	k.RegisterHostcall(p, hcEnter, &kernel.Hostcall{
-		Name: "zp_enter",
-		Cost: 13,
-		Fn:   z.hcEnterFn,
-	})
-	k.RegisterHostcall(p, hcExit, &kernel.Hostcall{
-		Name: "zp_exit",
-		Cost: 4,
-		Fn:   z.hcExitFn,
-	})
-}
-
-// hcEnterFn runs at handler entry: NULL-exec check (ultra), user hook,
-// argument application.
+// hcEnterFn runs at handler entry: NULL-exec check (ultra), then the
+// shared hook step.
 func (z *Zpoline) hcEnterFn(k *kernel.Kernel, t *kernel.Thread) error {
 	st, err := stateOf(t.Proc)
 	if err != nil {
@@ -361,67 +336,9 @@ func (z *Zpoline) hcEnterFn(k *kernel.Kernel, t *kernel.Thread) error {
 	}
 
 	st.stats.Rewritten++
-	call := &interpose.Call{
-		Kernel:    k,
-		Thread:    t,
-		Num:       ctx.R[cpu.RAX],
-		Site:      site,
-		Mechanism: interpose.MechRewrite,
-	}
-	for i := range call.Args {
-		call.Args[i] = ctx.Arg(i)
-	}
-	st.last[t.TID] = call
+	call := interpose.NewCall(k, t, interpose.MechRewrite, ctx.R[cpu.RAX], site, ctx)
 	interpose.Observe(call)
-	if z.Config.Hook != nil {
-		origNum := call.Num
-		interpose.Phase(call, kernel.PhHook)
-		if ret, emulated := z.Config.Hook(call); emulated {
-			interpose.Resolve(call, call.Num, true)
-			interpose.Phase(call, kernel.PhEmulate)
-			ctx.R[cpu.RAX] = ret
-			ctx.R[cpu.R11] = 1
-			return nil
-		}
-		if call.Num != origNum {
-			interpose.Resolve(call, call.Num, false)
-		}
-		// Apply (possibly modified) number and arguments.
-		ctx.R[cpu.RAX] = call.Num
-		for i, a := range call.Args {
-			ctx.SetArg(i, a)
-		}
-	}
-	if call.Num == kernel.SysClone {
-		// clone must not execute inside the handler: the child would
-		// resume here with a frameless stack (see interpose.EmulateClone).
-		interpose.Phase(call, kernel.PhForward)
-		ctx.R[cpu.RAX] = interpose.EmulateClone(k, t, call.Args, retAddr, nil)
-		ctx.R[cpu.R11] = 1
-		return nil
-	}
-	// The trampoline re-issues the (possibly renumbered) call with a real
-	// SYSCALL instruction next.
-	interpose.Phase(call, kernel.PhForward)
-	ctx.R[cpu.R11] = 0
-	return nil
-}
-
-// hcExitFn runs after the (real or emulated) syscall: result hook.
-func (z *Zpoline) hcExitFn(k *kernel.Kernel, t *kernel.Thread) error {
-	st, err := stateOf(t.Proc)
-	if err != nil {
-		return err
-	}
-	call := st.last[t.TID]
-	if call == nil {
-		call = &interpose.Call{Kernel: k, Thread: t, Mechanism: interpose.MechRewrite}
-	}
-	ctx := &t.Core.Ctx
-	if z.Config.ResultHook != nil {
-		ctx.R[cpu.RAX] = z.Config.ResultHook(call, ctx.R[cpu.RAX])
-	}
-	interpose.Phase(call, kernel.PhHandlerRet)
+	interpose.Trampoline(call, z.Config.Hook, ctx, retAddr, nil)
 	return nil
 }
 
