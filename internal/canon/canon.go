@@ -2,7 +2,7 @@
 // flight-recorder trace, audit report, span trace, probe aggregation,
 // SFIP policy and report, and rr recording (DESIGN.md §2k).
 //
-//	{"t":"canon","kind":"rr","v":2}           header: kind and version
+//	{"t":"canon","kind":"rr","v":3}           header: kind and version
 //	{"t":"spec",...}                          body: one tagged record per line
 //	{"t":"end","records":N,"hash":"%016x"}    trailer: count and FNV-1a
 //

@@ -244,7 +244,7 @@ func (c *Core) noteHot(rip uint64) bool {
 func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 	c.JITStats.Entries++
 	validated := sb.seq == c.jitSeq
-	trace := c.StepTrace
+	trace := c.Trace
 	filled := 0
 	executed := 0
 	for i := range sb.code {
@@ -270,7 +270,7 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 		}
 		// Retirement accounting in Step's order: trace, charge, execute.
 		if trace != nil {
-			trace(si.site, si.op)
+			trace.Fold(c.TID, si.site, si.op)
 		}
 		c.Cycles += si.cost
 		c.Insts++
@@ -491,7 +491,7 @@ scan:
 
 // bindInst compiles one instruction into a body closure with its
 // operands, site and successor RIP pre-bound. The dispatcher performs
-// the retirement prologue (StepTrace, cycle/instruction accounting)
+// the retirement prologue (trace fold, cycle/instruction accounting)
 // before calling the body; the body replays Step's op semantics
 // exactly: identical fault behaviour (the instruction retires, RIP
 // stays at the site), identical RIP updates.

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"k23/internal/mem"
@@ -370,12 +369,8 @@ func TestJITSyscallBoundaryTraceParity(t *testing.T) {
 	drive := func(t *testing.T, jitOff bool) (*Core, uint64, uint64) {
 		c := smcCore(t, code)
 		c.JITOff = jitOff
-		h := fnv.New64a()
-		var steps uint64
-		c.StepTrace = func(rip uint64, op Op) {
-			fmt.Fprintf(h, "%x:%x;", rip, op)
-			steps++
-		}
+		h := NewTraceHash()
+		c.Trace = &h
 		for i := 0; i < 10_000; i++ {
 			s := c.Run(97) // deliberately not a multiple of the loop length
 			switch s.Kind {
@@ -384,7 +379,7 @@ func TestJITSyscallBoundaryTraceParity(t *testing.T) {
 				c.FlushICache() // kernel entry serializes
 				c.Ctx.R[RAX] = 0
 			case StopHalt:
-				return c, h.Sum64(), steps
+				return c, uint64(h), c.Insts
 			default:
 				t.Fatalf("unexpected stop %+v", s)
 			}

@@ -71,7 +71,7 @@ type Result struct {
 	Name string
 	Seed uint64
 
-	// TraceHash is the FNV-1a hash of the (tid, rip, op) retired-
+	// TraceHash is the cpu.TraceHash of the (tid, rip, op) retired-
 	// instruction stream, 0 unless Options.Hash was set.
 	TraceHash uint64
 	// EventHash hashes the kernel event stream (always computed).

@@ -10,8 +10,8 @@ package kernel
 //
 // Restore is IN PLACE: Kernel, Process, Thread, AddressSpace and FS
 // objects keep their identity, so host-side closures that captured them
-// (hostcall functions, synthetic /proc/<pid>/maps generators, StepTrace
-// hooks, interposer state) remain valid after a rewind. What gets
+// (hostcall functions, synthetic /proc/<pid>/maps generators,
+// interposer state) remain valid after a rewind. What gets
 // rebuilt fresh is exactly the state nothing on the host side holds
 // pointers into: fd tables, connections, listeners. Processes and
 // threads created after the checkpoint are dropped.

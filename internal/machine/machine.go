@@ -236,14 +236,14 @@ type Run struct {
 	// Trace and Events are the running trace and event hashes, and
 	// Syscalls the syscall-entry count, all since the attach point.
 	// They are fields so a recorder can save and restore them.
-	Trace, Events Hash
-	Syscalls      uint64
+	Trace    cpu.TraceHash
+	Events   Hash
+	Syscalls uint64
 	// Observe, if set (by an attach function), is called at every drive
 	// boundary; an error stops the drive.
 	Observe func(at Point) error
 
-	tracing bool
-	base    uint64 // instructions retired before the attach point
+	base uint64 // instructions retired before the attach point
 }
 
 // Start boots spec: it builds the world (the seed derives the initial
@@ -262,7 +262,7 @@ func Start(ctx context.Context, spec Spec, c Config) (*Run, error) {
 		kopts = append(kopts, kernel.WithChaos(Splitmix64(spec.Seed^spec.ChaosSeed), *spec.Chaos))
 	}
 	w := interpose.NewWorld(append(kopts, c.Kernel...)...)
-	r := &Run{Spec: spec, W: w, VClock0: w.K.VClock, Trace: NewHash(), Events: NewHash()}
+	r := &Run{Spec: spec, W: w, VClock0: w.K.VClock, Trace: cpu.NewTraceHash(), Events: NewHash()}
 	setup := c.Setup
 	if setup == nil {
 		setup = StandardSetup
@@ -295,22 +295,10 @@ func Start(ctx context.Context, spec Spec, c Config) (*Run, error) {
 	return r, r.observe(Launched)
 }
 
-// HashTrace turns on per-instruction trace hashing (Outcome.TraceHash).
-// It costs a function call per retired instruction, so only runs that
-// compare traces enable it. Call it from an attach function.
-func (r *Run) HashTrace() {
-	if r.tracing {
-		return
-	}
-	r.tracing = true
-	prev := r.W.K.StepTrace
-	r.W.K.StepTrace = func(tid int, rip uint64, op cpu.Op) {
-		r.Trace.u64(uint64(tid), rip, uint64(op))
-		if prev != nil {
-			prev(tid, rip, op)
-		}
-	}
-}
+// HashTrace turns on per-instruction trace hashing (Outcome.TraceHash):
+// every core the kernel creates from now on folds its retired
+// instructions into r.Trace. Call it from an attach function.
+func (r *Run) HashTrace() { r.W.K.Trace = &r.Trace }
 
 func (r *Run) observe(at Point) error {
 	if r.Observe == nil {
@@ -414,7 +402,7 @@ func (r *Run) Outcome() Outcome {
 		Steps: r.Steps(), Syscalls: r.Syscalls, Exit: r.P.Exit,
 		ChaosInjected: r.W.K.ChaosInjected(),
 	}
-	if r.tracing {
+	if r.W.K.Trace == &r.Trace {
 		o.TraceHash = uint64(r.Trace)
 	}
 	return o

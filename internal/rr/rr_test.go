@@ -3,6 +3,7 @@ package rr
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"k23/internal/apps"
@@ -184,9 +185,15 @@ func TestJSONLRejectsCorruption(t *testing.T) {
 		t.Fatalf("truncated recording accepted")
 	}
 	// A version bump is rejected.
-	bumped := bytes.Replace(buf.Bytes(), []byte(`"v":2`), []byte(`"v":99`), 1)
+	bumped := bytes.Replace(buf.Bytes(), []byte(`"v":3`), []byte(`"v":99`), 1)
 	if _, err := ReadJSONL(bytes.NewReader(bumped)); err == nil {
 		t.Fatalf("future-version recording accepted")
+	}
+	// So is a v2 recording: its trace hashes used another fold.
+	v2 := bytes.Replace(buf.Bytes(), []byte(`"v":3`), []byte(`"v":2`), 1)
+	_, err := ReadJSONL(bytes.NewReader(v2))
+	if err == nil || !strings.Contains(err.Error(), "artifact is rr v2, want rr v3") {
+		t.Fatalf("v2 recording: err = %v, want the version error", err)
 	}
 }
 

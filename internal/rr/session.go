@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"k23/internal/canon"
+	"k23/internal/cpu"
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/machine"
@@ -24,11 +25,12 @@ type Hooks struct {
 // count, injection) needed to continue the run from it. Steps need no
 // saving: they are read off the restored cores.
 type liveCkpt struct {
-	meta          CkptMeta
-	snap          *kernel.Snapshot
-	trace, events machine.Hash
-	syscalls      uint64
-	injected      bool
+	meta     CkptMeta
+	snap     *kernel.Snapshot
+	trace    cpu.TraceHash
+	events   machine.Hash
+	syscalls uint64
+	injected bool
 }
 
 // Session is the recorder attached to one machine run. A session
