@@ -202,6 +202,82 @@ func TestDisabledHookGuard(t *testing.T) {
 	}
 }
 
+// endlessLoop is an obsloop guest that outlives any test: 2^30 getpid
+// round trips.
+const endlessLoop = 1 << 30
+
+// spawnWarm starts the obsloop guest on w and runs it until its loop
+// runs in compiled superblocks.
+func spawnWarm(tb testing.TB, w *interpose.World) {
+	tb.Helper()
+	if _, err := w.L.Spawn(loopPath, []string{"obsloop"}, nil); err != nil {
+		tb.Fatal(err)
+	}
+	w.K.Run(100_000)
+}
+
+// sliceAllocs returns the mean allocations of one scheduler slice of
+// the warm obsloop guest on w: 10,000 instructions, 2,500 getpid calls.
+func sliceAllocs(t *testing.T, w *interpose.World) float64 {
+	t.Helper()
+	spawnWarm(t, w)
+	return testing.AllocsPerRun(20, func() { w.K.Run(10_000) })
+}
+
+// TestDisabledHookAllocs is the clock-free companion of
+// TestDisabledHookGuard: an installed all-off observer adds no
+// allocation to any syscall event.
+func TestDisabledHookAllocs(t *testing.T) {
+	plain := sliceAllocs(t, loopWorld(endlessLoop))
+	w := loopWorld(endlessLoop)
+	obsv.New(obsv.Options{}).Install(w.K)
+	if disabled := sliceAllocs(t, w); disabled != plain {
+		t.Errorf("disabled observer: %v allocations per slice, plain run %v", disabled, plain)
+	}
+}
+
+// TestTraceFoldAllocs: hashing the retired-instruction stream
+// allocates nothing per instruction — a traced slice allocates exactly
+// what an untraced one does.
+func TestTraceFoldAllocs(t *testing.T) {
+	plain := sliceAllocs(t, loopWorld(endlessLoop))
+	w := loopWorld(endlessLoop)
+	h := cpu.NewTraceHash()
+	w.K.Trace = &h
+	if traced := sliceAllocs(t, w); traced != plain {
+		t.Errorf("traced: %v allocations per slice, untraced %v", traced, plain)
+	}
+	if h == cpu.NewTraceHash() {
+		t.Fatal("trace hash never folded an instruction")
+	}
+}
+
+// BenchmarkTraceFold reports host ns per retired instruction of the
+// warm obsloop guest with and without the trace hash.
+func BenchmarkTraceFold(b *testing.B) {
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
+		}
+		b.Run(name, func(b *testing.B) {
+			w := loopWorld(endlessLoop)
+			h := cpu.NewTraceHash()
+			if traced {
+				w.K.Trace = &h
+			}
+			spawnWarm(b, w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var insts uint64
+			for i := 0; i < b.N; i++ {
+				insts += w.K.Run(10_000)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		})
+	}
+}
+
 // benchLoop measures steps/s through the guest loop for benchmarks.
 func benchLoop(b *testing.B, install func(k *kernel.Kernel)) {
 	b.ReportAllocs()
