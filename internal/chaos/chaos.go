@@ -139,7 +139,7 @@ func SweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 
 	base := make(map[string]*difftest.Snapshot, len(workloads))
 	for _, w := range workloads {
-		snap, err := difftest.Run(w, false)
+		snap, err := difftest.Run(w)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: baseline %s: %w", w.Name, err)
 		}
@@ -151,7 +151,7 @@ func SweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 			runs := [2]*difftest.Snapshot{}
 			failed := false
 			for i := range runs {
-				snap, err := difftest.RunOpts(w, false, kernel.WithChaos(seed, prof))
+				snap, err := difftest.Run(w, kernel.WithChaos(seed, prof))
 				rep.Runs++
 				if err != nil {
 					rep.Violations = append(rep.Violations, Violation{

@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 	"testing"
+
+	"k23/internal/canon"
 )
 
 // TestSeedPayload: the seed-derived payload is deterministic per seed
@@ -40,11 +42,11 @@ func TestEventLineMatchesFormat(t *testing.T) {
 		{1 << 40, -1, "signal", ^uint64(0), ^uint64(0), 0xdeadbeef, "SIGSYS at site"},
 	}
 	for _, c := range cases {
-		want := NewHash()
+		want := canon.NewHash()
 		fmt.Fprintf(&want, "%d/%d %s %d %#x %#x %s\n", c.pid, c.tid, c.kind, c.num, c.site, c.ret, c.detail)
 		got := NewHash()
 		got.Event(c.pid, c.tid, c.kind, c.num, c.site, c.ret, c.detail)
-		if got != want {
+		if got != Hash(want) {
 			t.Errorf("%+v: Event hashes to %#x, fmt line to %#x", c, uint64(got), uint64(want))
 		}
 	}
