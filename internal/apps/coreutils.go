@@ -107,9 +107,9 @@ func RegisterAll(reg *image.Registry) {
 // SetupFS creates the files the workloads touch.
 func SetupFS(fs *vfs.FS) error {
 	files := map[string]string{
-		"/etc/motd":          "Welcome to SimLinux.\n",
-		"/etc/terminfo/x":    "xterm-sim capabilities",
-		"/data/notes.txt":    "The quick brown fox jumps over the lazy dog.\n",
+		"/etc/motd":           "Welcome to SimLinux.\n",
+		"/etc/terminfo/x":     "xterm-sim capabilities",
+		"/data/notes.txt":     "The quick brown fox jumps over the lazy dog.\n",
 		"/var/www/index.html": "<html><body>hello</body></html>\n",
 	}
 	for p, content := range files {

@@ -133,8 +133,8 @@ func TestTrueSitesRecorded(t *testing.T) {
 	tx := b.Text()
 	tx.Label("_start")
 	tx.Nop()
-	tx.Syscall()  // offset 1
-	tx.Sysenter() // offset 3
+	tx.Syscall()       // offset 1
+	tx.Sysenter()      // offset 3
 	tx.Raw(0x0F, 0x05) // raw bytes: NOT a ground-truth site
 	im, err := b.Build()
 	if err != nil {

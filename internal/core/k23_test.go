@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"k23/internal/asm"
-	"k23/internal/cpu"
 	"k23/internal/core"
+	"k23/internal/cpu"
 	"k23/internal/image"
 	"k23/internal/interpose"
 	"k23/internal/kernel"

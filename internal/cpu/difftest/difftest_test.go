@@ -110,7 +110,7 @@ func TestChaosSeedsThreeWayIdentical(t *testing.T) {
 	seeds := chaosSeeds(0xC1A0, 8)
 	workloads := AppWorkloads()
 	if testing.Short() {
-		seeds = seeds[:3] // keep the -race CI lane fast
+		seeds = seeds[:3]                                  // keep the -race CI lane fast
 		workloads = []Workload{workloads[3], workloads[8]} // cat, redis
 	}
 	prof := kernel.DefaultChaosProfile()

@@ -64,54 +64,54 @@ type Op uint8
 // real x86-64 values, so instruction-size arithmetic (2-byte syscall
 // replaced by 2-byte call) is faithful to the paper.
 const (
-	OpInvalid Op = iota
-	OpNop        // 90                    no operation (1 byte)
-	OpSyscall    // 0F 05                 system call (2 bytes)
-	OpSysenter   // 0F 34                 legacy system call (2 bytes)
-	OpCpuid      // 0F A2                 serializing (2 bytes)
-	OpMfence     // 0F AE                 serializing fence (2 bytes)
-	OpUd2        // 0F 0B                 undefined instruction (2 bytes)
-	OpRdtsc      // 0F 31                 read cycle counter into RAX (2 bytes)
-	OpHostcall   // 0F FE id32            call registered host function (6 bytes)
-	OpWrpkru     // 0F EF                 write RAX to PKRU (2 bytes)
-	OpRdpkru     // 0F EE                 read PKRU into RAX (2 bytes)
-	OpRdfsbase   // 0F F0 reg             read TLS base into reg (3 bytes)
-	OpWrfsbase   // 0F F1 reg             write reg to TLS base (3 bytes)
-	OpCallReg    // FF D0+r               call through register (2 bytes)
-	OpJmpReg     // FF E0+r               jump through register (2 bytes)
-	OpMovImm     // B8 reg imm64          load 64-bit immediate (10 bytes)
-	OpMovImm32   // BD reg imm32          load 32-bit immediate, zero-extended (6 bytes)
-	OpMovRR      // 89 dst src            register move (3 bytes)
-	OpAdd        // 01 dst src            dst += src (3 bytes)
-	OpSub        // 29 dst src            dst -= src (3 bytes)
-	OpXor        // 31 dst src            dst ^= src (3 bytes)
-	OpAnd        // 21 dst src            dst &= src (3 bytes)
-	OpOr         // 09 dst src            dst |= src (3 bytes)
-	OpMul        // 6B dst src            dst *= src (3 bytes)
-	OpAddImm     // 05 reg imm32          reg += signed imm32 (6 bytes)
-	OpShl        // 48 reg imm8           reg <<= imm8 (3 bytes)
-	OpShr        // 4A reg imm8           reg >>= imm8 (3 bytes)
-	OpCmp        // 3B a b                set flags from a-b (3 bytes)
-	OpCmpImm     // 3D reg imm32          set flags from reg-imm (6 bytes)
-	OpTest       // 85 a b                set flags from a&b (3 bytes)
-	OpLoad       // 8B dst base disp32    dst = mem64[base+disp] (7 bytes)
-	OpStore      // 88 base src disp32    mem64[base+disp] = src (7 bytes)
-	OpLoadB      // 8A dst base disp32    dst = zx(mem8[base+disp]) (7 bytes)
-	OpStoreB     // 8C base src disp32    mem8[base+disp] = low8(src) (7 bytes)
-	OpStoreW     // 8E base src disp32    mem16[base+disp] = low16(src), atomic (7 bytes)
-	OpCall       // E8 rel32              call relative (5 bytes)
-	OpJmp        // E9 rel32              jump relative (5 bytes)
-	OpJz         // 74 rel32              jump if ZF (5 bytes)
-	OpJnz        // 75 rel32              jump if !ZF (5 bytes)
-	OpJl         // 7C rel32              jump if SF (signed less) (5 bytes)
-	OpJge        // 7D rel32              jump if !SF (5 bytes)
-	OpJle        // 7E rel32              jump if ZF||SF (5 bytes)
-	OpJg         // 7F rel32              jump if !ZF&&!SF (5 bytes)
-	OpRet        // C3                    return (1 byte)
-	OpPush       // 50 reg                push register (2 bytes)
-	OpPop        // 58 reg                pop register (2 bytes)
-	OpHlt        // F4                    halt (1 byte)
-	OpInt3       // CC                    breakpoint trap (1 byte)
+	OpInvalid  Op = iota
+	OpNop         // 90                    no operation (1 byte)
+	OpSyscall     // 0F 05                 system call (2 bytes)
+	OpSysenter    // 0F 34                 legacy system call (2 bytes)
+	OpCpuid       // 0F A2                 serializing (2 bytes)
+	OpMfence      // 0F AE                 serializing fence (2 bytes)
+	OpUd2         // 0F 0B                 undefined instruction (2 bytes)
+	OpRdtsc       // 0F 31                 read cycle counter into RAX (2 bytes)
+	OpHostcall    // 0F FE id32            call registered host function (6 bytes)
+	OpWrpkru      // 0F EF                 write RAX to PKRU (2 bytes)
+	OpRdpkru      // 0F EE                 read PKRU into RAX (2 bytes)
+	OpRdfsbase    // 0F F0 reg             read TLS base into reg (3 bytes)
+	OpWrfsbase    // 0F F1 reg             write reg to TLS base (3 bytes)
+	OpCallReg     // FF D0+r               call through register (2 bytes)
+	OpJmpReg      // FF E0+r               jump through register (2 bytes)
+	OpMovImm      // B8 reg imm64          load 64-bit immediate (10 bytes)
+	OpMovImm32    // BD reg imm32          load 32-bit immediate, zero-extended (6 bytes)
+	OpMovRR       // 89 dst src            register move (3 bytes)
+	OpAdd         // 01 dst src            dst += src (3 bytes)
+	OpSub         // 29 dst src            dst -= src (3 bytes)
+	OpXor         // 31 dst src            dst ^= src (3 bytes)
+	OpAnd         // 21 dst src            dst &= src (3 bytes)
+	OpOr          // 09 dst src            dst |= src (3 bytes)
+	OpMul         // 6B dst src            dst *= src (3 bytes)
+	OpAddImm      // 05 reg imm32          reg += signed imm32 (6 bytes)
+	OpShl         // 48 reg imm8           reg <<= imm8 (3 bytes)
+	OpShr         // 4A reg imm8           reg >>= imm8 (3 bytes)
+	OpCmp         // 3B a b                set flags from a-b (3 bytes)
+	OpCmpImm      // 3D reg imm32          set flags from reg-imm (6 bytes)
+	OpTest        // 85 a b                set flags from a&b (3 bytes)
+	OpLoad        // 8B dst base disp32    dst = mem64[base+disp] (7 bytes)
+	OpStore       // 88 base src disp32    mem64[base+disp] = src (7 bytes)
+	OpLoadB       // 8A dst base disp32    dst = zx(mem8[base+disp]) (7 bytes)
+	OpStoreB      // 8C base src disp32    mem8[base+disp] = low8(src) (7 bytes)
+	OpStoreW      // 8E base src disp32    mem16[base+disp] = low16(src), atomic (7 bytes)
+	OpCall        // E8 rel32              call relative (5 bytes)
+	OpJmp         // E9 rel32              jump relative (5 bytes)
+	OpJz          // 74 rel32              jump if ZF (5 bytes)
+	OpJnz         // 75 rel32              jump if !ZF (5 bytes)
+	OpJl          // 7C rel32              jump if SF (signed less) (5 bytes)
+	OpJge         // 7D rel32              jump if !SF (5 bytes)
+	OpJle         // 7E rel32              jump if ZF||SF (5 bytes)
+	OpJg          // 7F rel32              jump if !ZF&&!SF (5 bytes)
+	OpRet         // C3                    return (1 byte)
+	OpPush        // 50 reg                push register (2 bytes)
+	OpPop         // 58 reg                pop register (2 bytes)
+	OpHlt         // F4                    halt (1 byte)
+	OpInt3        // CC                    breakpoint trap (1 byte)
 )
 
 var opNames = map[Op]string{
@@ -140,16 +140,16 @@ func (o Op) String() string {
 
 // Well-known opcode bytes, matching x86-64 where it matters to the paper.
 const (
-	ByteNop          = 0x90
-	BytePrefix0F     = 0x0F
-	ByteSyscall2     = 0x05 // second byte of SYSCALL
-	ByteSysenter2    = 0x34 // second byte of SYSENTER
-	BytePrefixFF     = 0xFF
-	ByteCallRegBase  = 0xD0 // FF D0+r = call *%r
-	ByteJmpRegBase   = 0xE0 // FF E0+r = jmp *%r
-	ByteHostcall2    = 0xFE
-	SyscallInstLen   = 2 // SYSCALL and SYSENTER are two bytes
-	CallRegInstLen   = 2 // CALLREG is two bytes: the rewrite is size-preserving
+	ByteNop         = 0x90
+	BytePrefix0F    = 0x0F
+	ByteSyscall2    = 0x05 // second byte of SYSCALL
+	ByteSysenter2   = 0x34 // second byte of SYSENTER
+	BytePrefixFF    = 0xFF
+	ByteCallRegBase = 0xD0 // FF D0+r = call *%r
+	ByteJmpRegBase  = 0xE0 // FF E0+r = jmp *%r
+	ByteHostcall2   = 0xFE
+	SyscallInstLen  = 2 // SYSCALL and SYSENTER are two bytes
+	CallRegInstLen  = 2 // CALLREG is two bytes: the rewrite is size-preserving
 )
 
 // SyscallBytes is the SYSCALL instruction encoding (0F 05), as on x86-64.

@@ -333,25 +333,25 @@ type EventKind uint8
 
 // Event kinds.
 const (
-	EvUnknown       EventKind = iota
-	EvEnter                   // syscall entry (Num = nr, Args valid)
-	EvExit                    // syscall exit (Num = nr, Ret valid)
-	EvSignal                  // signal delivered to a user-space handler
-	EvFork                    // fork (Ret = child PID)
-	EvExec                    // execve (Detail = path)
-	EvExitProc                // process finished (Num = exit code, Detail = ExitInfo)
-	EvSudSigsys               // SUD blocked a syscall and raised SIGSYS
-	EvSeccompSigsys           // a seccomp filter raised SIGSYS
-	EvInterposed              // an interposer handled a call (Detail = mechanism)
-	EvChaos                   // the chaos injector perturbed a syscall (Detail = what)
-	EvOracle                  // ground truth: the kernel executed a syscall (Detail = origin)
-	EvResolve                 // an interposer emulated or rewrote a claimed call (Detail = mechanism)
-	EvVdso                    // loader vdso decision for a fresh image (Detail = mapped/disabled)
-	EvRewrite                 // binary-rewriter patched a site (Detail = genuine/misidentified[,perm-clobber])
-	EvGuardMem                // guard-structure footprint (Args[0] = reserved, Args[1] = resident bytes)
-	EvStaleFetch              // stale instruction fetches observed over a process lifetime (Num = count)
-	EvUnknownSyscall          // the kernel rejected an unimplemented syscall with ENOSYS (Detail = why)
-	EvSfipViolation           // an SFIP policy check failed (Num = nr, Site = origin, Detail = violation)
+	EvUnknown        EventKind = iota
+	EvEnter                    // syscall entry (Num = nr, Args valid)
+	EvExit                     // syscall exit (Num = nr, Ret valid)
+	EvSignal                   // signal delivered to a user-space handler
+	EvFork                     // fork (Ret = child PID)
+	EvExec                     // execve (Detail = path)
+	EvExitProc                 // process finished (Num = exit code, Detail = ExitInfo)
+	EvSudSigsys                // SUD blocked a syscall and raised SIGSYS
+	EvSeccompSigsys            // a seccomp filter raised SIGSYS
+	EvInterposed               // an interposer handled a call (Detail = mechanism)
+	EvChaos                    // the chaos injector perturbed a syscall (Detail = what)
+	EvOracle                   // ground truth: the kernel executed a syscall (Detail = origin)
+	EvResolve                  // an interposer emulated or rewrote a claimed call (Detail = mechanism)
+	EvVdso                     // loader vdso decision for a fresh image (Detail = mapped/disabled)
+	EvRewrite                  // binary-rewriter patched a site (Detail = genuine/misidentified[,perm-clobber])
+	EvGuardMem                 // guard-structure footprint (Args[0] = reserved, Args[1] = resident bytes)
+	EvStaleFetch               // stale instruction fetches observed over a process lifetime (Num = count)
+	EvUnknownSyscall           // the kernel rejected an unimplemented syscall with ENOSYS (Detail = why)
+	EvSfipViolation            // an SFIP policy check failed (Num = nr, Site = origin, Detail = violation)
 )
 
 // NumEventKinds bounds the EventKind enum for counting arrays and

@@ -14,9 +14,9 @@ import (
 // (paper §2.1).
 const (
 	// siginfo offsets
-	SigInfoSigno    = 0  // u64 signal number
-	SigInfoSyscall  = 8  // u64 intercepted syscall number (SIGSYS)
-	SigInfoCallAddr = 16 // u64 address following the syscall insn (SIGSYS)
+	SigInfoSigno     = 0  // u64 signal number
+	SigInfoSyscall   = 8  // u64 intercepted syscall number (SIGSYS)
+	SigInfoCallAddr  = 16 // u64 address following the syscall insn (SIGSYS)
 	SigInfoFaultAddr = 24 // u64 faulting address (SIGSEGV)
 	SigInfoCode      = 32 // u64 si_code (SYS_USER_DISPATCH vs SYS_SECCOMP)
 	SigInfoSize      = 40

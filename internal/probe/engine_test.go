@@ -52,7 +52,7 @@ func TestEngineCountSumMinMaxHist(t *testing.T) {
 	e.HandleEvent(exitEvent(1, 8, 300, 1))
 	eintr := int64(kernel.EINTR)
 	e.HandleEvent(exitEvent(1, uint64(-eintr), 50, 1)) // errno != 0: filtered
-	e.HandleEvent(exitEvent(0, 8, 999, 1))                             // read: no match
+	e.HandleEvent(exitEvent(0, 8, 999, 1))             // read: no match
 	s := e.Snapshot()
 	if len(s.Rows) != 5 {
 		t.Fatalf("got %d rows, want 5: %+v", len(s.Rows), s.Rows)

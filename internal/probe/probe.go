@@ -60,21 +60,21 @@ event:* { count() by (kind) }`
 type Field int
 
 const (
-	FNone   Field = iota
-	FNr           // syscall (or signal) number
-	FErrno        // decoded errno on syscall exit, 0 otherwise
-	FTid          // thread id
-	FPid          // process id
-	FRet          // raw return value, as a signed integer
-	FCycles       // charged cycles (exit cost / phase cycle stamp)
-	FVclock       // global virtual clock
-	FSite         // trap or handler site
-	FMech         // interposition mechanism name
-	FName         // syscall name (obsv naming table)
-	FPhase        // phase-mark name, "" on event-stream probes
-	FKind         // event-kind name, "phase" on phase-stream probes
-	FDetail       // raw event/mark detail string
-	NumFields     = int(FDetail) + 1
+	FNone     Field = iota
+	FNr             // syscall (or signal) number
+	FErrno          // decoded errno on syscall exit, 0 otherwise
+	FTid            // thread id
+	FPid            // process id
+	FRet            // raw return value, as a signed integer
+	FCycles         // charged cycles (exit cost / phase cycle stamp)
+	FVclock         // global virtual clock
+	FSite           // trap or handler site
+	FMech           // interposition mechanism name
+	FName           // syscall name (obsv naming table)
+	FPhase          // phase-mark name, "" on event-stream probes
+	FKind           // event-kind name, "phase" on phase-stream probes
+	FDetail         // raw event/mark detail string
+	NumFields = int(FDetail) + 1
 )
 
 // fieldNames is the interned spelling table; it doubles as the parser's

@@ -14,9 +14,9 @@ import (
 // edge, and two origins — enough structure to exercise every lookup.
 func buildPolicy() *sfip.Policy {
 	p := sfip.NewPolicy("app", "mech")
-	p.AddOrigin(0, 0x1000)  // read from site 0x1000
-	p.AddOrigin(1, 0x1000)  // write from the same site
-	p.AddOrigin(1, 0x2000)  // write from a second site, seen twice
+	p.AddOrigin(0, 0x1000) // read from site 0x1000
+	p.AddOrigin(1, 0x1000) // write from the same site
+	p.AddOrigin(1, 0x2000) // write from a second site, seen twice
 	p.AddOrigin(1, 0x2000)
 	p.AddEdge(sfip.FirstCall, 0) // thread start -> read
 	p.AddEdge(0, 1)              // read -> write

@@ -49,14 +49,14 @@ type Slice struct {
 type Span struct {
 	Machine string `json:"-"`
 	ID      uint64 `json:"id"`
-	Parent uint64 `json:"parent,omitempty"` // enclosing span on the same thread; 0 = root
-	Kind   string `json:"kind"`
-	PID    int    `json:"pid"`
-	TID    int    `json:"tid"`
-	Num    uint64 `json:"num"`            // syscall number (syscall/handler) or signal number
-	Name   string `json:"name,omitempty"` // resolved syscall name
-	Site   uint64 `json:"site,omitempty"` // triggering instruction / handler entry
-	Mech   string `json:"mech,omitempty"` // interposition mechanism, when attributed
+	Parent  uint64 `json:"parent,omitempty"` // enclosing span on the same thread; 0 = root
+	Kind    string `json:"kind"`
+	PID     int    `json:"pid"`
+	TID     int    `json:"tid"`
+	Num     uint64 `json:"num"`            // syscall number (syscall/handler) or signal number
+	Name    string `json:"name,omitempty"` // resolved syscall name
+	Site    uint64 `json:"site,omitempty"` // triggering instruction / handler entry
+	Mech    string `json:"mech,omitempty"` // interposition mechanism, when attributed
 
 	C0 uint64 `json:"c0"` // virtual clock at open
 	C1 uint64 `json:"c1"` // virtual clock at close
