@@ -42,8 +42,6 @@ type ASState struct {
 // earlier snapshot of the same address space: pages whose generation is
 // unchanged share prev's data copy instead of being re-copied.
 func (a *AddressSpace) SnapshotState(prev *ASState) *ASState {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	s := &ASState{
 		Pages:    make(map[uint64]PageState, len(a.pages)),
 		Regions:  append([]Region(nil), a.regions...),
@@ -72,8 +70,7 @@ func (a *AddressSpace) SnapshotState(prev *ASState) *ASState {
 // hold the pointer stay valid) while its page table, regions and
 // genClock are replaced by copies of the snapshot's.
 func (a *AddressSpace) RestoreState(s *ASState) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.lastPage = nil
 	a.pages = make(map[uint64]*page, len(s.Pages))
 	for pn, ps := range s.Pages {
 		pg := &page{perm: ps.Perm, pkey: ps.Pkey, gen: ps.Gen}
@@ -90,8 +87,6 @@ func (a *AddressSpace) RestoreState(s *ASState) {
 // clock. The checkpoint property tests compare it across
 // Checkpoint/mutate/Restore cycles.
 func (a *AddressSpace) StateHash() uint64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	h := fnv.New64a()
 	pns := make([]uint64, 0, len(a.pages))
 	for pn := range a.pages {
