@@ -120,10 +120,13 @@ func (e CMCEvent) String() string {
 // cacheLineSize is the I-cache line size in bytes.
 const cacheLineSize = 64
 
+// cacheLine is one I-cache line, keyed in Core.icache by line number.
+// It is resident only while epoch equals the core's flushEpoch: a flush
+// leaves the line in the map, stale, and the next fill reuses it.
 type cacheLine struct {
-	data [cacheLineSize]byte
-	base uint64 // line base address
-	gen  uint64 // page generation at fill time
+	data  [cacheLineSize]byte
+	gen   uint64 // page generation at fill time
+	epoch uint64 // Core.flushEpoch at fill time
 }
 
 // DecodeCacheStats counts decoded-instruction cache activity.
@@ -233,7 +236,10 @@ type Core struct {
 	Trace *TraceHash
 	TID   int
 
-	icache map[uint64]*cacheLine
+	// icache holds I-cache lines by line number; only lines filled in
+	// the current flushEpoch are resident (see resident and fill).
+	icache     map[uint64]*cacheLine
+	flushEpoch uint64
 
 	// dcache caches decoded instructions by RIP; dcacheByLine maps an
 	// I-cache line number to the RIPs of entries whose encoding covers
@@ -270,7 +276,8 @@ func NewCore(as *mem.AddressSpace) *Core {
 }
 
 // FlushICache discards all cached instruction lines (a serialization
-// point).
+// point) by starting a new flush epoch: every line filled before it
+// stops being resident.
 //
 // The decode cache is deliberately NOT flushed here: its entries are
 // generation-checked on every lookup, so after a flush an entry is only
@@ -278,9 +285,7 @@ func NewCore(as *mem.AddressSpace) *Core {
 // from. Flushing it would defeat the cache entirely — the kernel
 // serializes on every syscall.
 func (c *Core) FlushICache() {
-	for k := range c.icache {
-		delete(c.icache, k)
-	}
+	c.flushEpoch++
 	// Superblocks, like the decode cache, survive the flush but must
 	// revalidate (and lazily refill) their lines afterwards.
 	c.jitSeq++
@@ -312,6 +317,32 @@ func (c *Core) invalidateLine(addr uint64) {
 	}
 }
 
+// resident returns I-cache line lineNum if it was filled in the current
+// flush epoch, or nil.
+func (c *Core) resident(lineNum uint64) *cacheLine {
+	if ln := c.icache[lineNum]; ln != nil && ln.epoch == c.flushEpoch {
+		return ln
+	}
+	return nil
+}
+
+// fill reads line lineNum from memory and makes it resident, reusing
+// the line's storage when it is already in the map. A fetch fault
+// leaves the I-cache as it was.
+func (c *Core) fill(lineNum uint64) (*cacheLine, error) {
+	ln := c.icache[lineNum]
+	if ln == nil {
+		ln = new(cacheLine)
+	}
+	gen, err := c.AS.FetchLine(lineNum*cacheLineSize, ln.data[:])
+	if err != nil {
+		return nil, err
+	}
+	ln.gen, ln.epoch = gen, c.flushEpoch
+	c.icache[lineNum] = ln
+	return ln, nil
+}
+
 // lookupDecoded consults the decode cache for the instruction at rip. A
 // hit must be indistinguishable from the uncached path, so each covered
 // line is revalidated:
@@ -334,22 +365,19 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
 	staleAny := false
 	for i := 0; i < e.nLines; i++ {
 		lineNum := e.lineNum[i]
-		if ln, resident := c.icache[lineNum]; resident {
+		if ln := c.resident(lineNum); ln != nil {
 			if ln.gen != e.lineGen[i] {
 				return Inst{}, nil, false
 			}
-			if ln.gen != c.AS.Gen(ln.base) {
+			if ln.gen != c.AS.Gen(lineNum*cacheLineSize) {
 				staleAny = true
 			}
 			continue
 		}
-		ln := &cacheLine{base: lineNum * cacheLineSize}
-		gen, err := c.AS.FetchLine(ln.base, ln.data[:])
-		if err != nil || gen != e.lineGen[i] {
+		ln, err := c.fill(lineNum)
+		if err != nil || ln.gen != e.lineGen[i] {
 			return Inst{}, nil, false
 		}
-		ln.gen = gen
-		c.icache[lineNum] = ln
 	}
 	c.DecodeStats.Hits++
 	bytes := e.bytes[:e.inst.Len]
@@ -366,7 +394,7 @@ func (c *Core) installDecoded(rip uint64, inst Inst, bytes []byte) {
 	last := (rip + uint64(inst.Len) - 1) / cacheLineSize
 	for l := first; l <= last; l++ {
 		e.lineNum[e.nLines] = l
-		if ln := c.icache[l]; ln != nil {
+		if ln := c.resident(l); ln != nil {
 			e.lineGen[e.nLines] = ln.gen
 		}
 		e.nLines++
@@ -381,21 +409,17 @@ func (c *Core) installDecoded(rip uint64, inst Inst, bytes []byte) {
 }
 
 // fetchByte returns the instruction byte at addr through the I-cache,
-// filling the containing line on a miss. The returned line lets the
-// caller perform one staleness check per line instead of per byte.
-func (c *Core) fetchByte(addr uint64) (b byte, ln *cacheLine, err error) {
+// filling the containing line on a miss (always, when Coherent).
+func (c *Core) fetchByte(addr uint64) (byte, error) {
 	lineNum := addr / cacheLineSize
-	if ln, ok := c.icache[lineNum]; ok && !c.Coherent {
-		return ln.data[addr%cacheLineSize], ln, nil
+	ln := c.resident(lineNum)
+	if ln == nil || c.Coherent {
+		var err error
+		if ln, err = c.fill(lineNum); err != nil {
+			return 0, err
+		}
 	}
-	ln = &cacheLine{base: lineNum * cacheLineSize}
-	gen, ferr := c.AS.FetchLine(addr, ln.data[:])
-	if ferr != nil {
-		return 0, nil, ferr
-	}
-	ln.gen = gen
-	c.icache[lineNum] = ln
-	return ln.data[addr%cacheLineSize], nil, nil
+	return ln.data[addr%cacheLineSize], nil
 }
 
 // fetchInst fetches and decodes the instruction at RIP, honouring the
@@ -413,7 +437,7 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 	}
 
 	var buf [MaxInstLen]byte
-	b0, _, err := c.fetchByte(rip)
+	b0, err := c.fetchByte(rip)
 	if err != nil {
 		return Inst{}, nil, err
 	}
@@ -422,7 +446,7 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 
 	n, needSecond := EncodedLen(b0, 0, 1)
 	if needSecond {
-		b1, _, err := c.fetchByte(rip + 1)
+		b1, err := c.fetchByte(rip + 1)
 		if err != nil {
 			return Inst{}, nil, err
 		}
@@ -434,7 +458,7 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 		return Inst{}, buf[:have], &DecodeError{Byte: b0}
 	}
 	for i := have; i < n; i++ {
-		bi, _, err := c.fetchByte(rip + uint64(i))
+		bi, err := c.fetchByte(rip + uint64(i))
 		if err != nil {
 			return Inst{}, nil, err
 		}
@@ -454,7 +478,7 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 	first := rip / cacheLineSize
 	last := (rip + uint64(n) - 1) / cacheLineSize
 	for l := first; l <= last; l++ {
-		if ln := c.icache[l]; ln != nil && ln.gen != c.AS.Gen(ln.base) {
+		if ln := c.resident(l); ln != nil && ln.gen != c.AS.Gen(l*cacheLineSize) {
 			staleAny = true
 		}
 	}

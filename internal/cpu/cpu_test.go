@@ -333,7 +333,7 @@ func TestSelfModifyingSameCoreIsCoherent(t *testing.T) {
 	c.Ctx.R[RSP] = 0x101000
 
 	// Warm the icache over 0x1040 by pre-fetching the line.
-	if _, _, err := c.fetchByte(0x1040); err != nil {
+	if _, err := c.fetchByte(0x1040); err != nil {
 		t.Fatal(err)
 	}
 	s := run(t, c, 20)

@@ -306,24 +306,21 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 func (c *Core) sbValidateLine(sb *superblock, idx int) bool {
 	lineNum := sb.firstLine + uint64(idx)
 	want := sb.gens[idx]
-	if ln, resident := c.icache[lineNum]; resident {
+	if ln := c.resident(lineNum); ln != nil {
 		if ln.gen != want {
 			c.evictBlock(sb)
 			return false
 		}
-		if ln.gen != c.AS.Gen(ln.base) {
+		if ln.gen != c.AS.Gen(lineNum*cacheLineSize) {
 			return false
 		}
 		return true
 	}
-	ln := &cacheLine{base: lineNum * cacheLineSize}
-	gen, err := c.AS.FetchLine(ln.base, ln.data[:])
+	ln, err := c.fill(lineNum)
 	if err != nil {
 		return false
 	}
-	ln.gen = gen
-	c.icache[lineNum] = ln
-	if gen != want {
+	if ln.gen != want {
 		c.evictBlock(sb)
 		return false
 	}

@@ -61,13 +61,14 @@ func coreStatesEqual(t *testing.T, name string, on, off *Core) {
 // must leave exactly the interpreter's set behind.
 func icacheEqual(t *testing.T, name string, on, off *Core) {
 	t.Helper()
-	if len(on.icache) != len(off.icache) {
+	onLines, offLines := residentLines(on), residentLines(off)
+	if len(onLines) != len(offLines) {
 		t.Errorf("%s: resident line counts differ: %d vs %d",
-			name, len(on.icache), len(off.icache))
+			name, len(onLines), len(offLines))
 		return
 	}
-	for l, lnOn := range on.icache {
-		lnOff, ok := off.icache[l]
+	for l, lnOn := range onLines {
+		lnOff, ok := offLines[l]
 		if !ok {
 			t.Errorf("%s: line %#x resident only with JIT on", name, l)
 			continue
@@ -80,6 +81,17 @@ func icacheEqual(t *testing.T, name string, on, off *Core) {
 			t.Errorf("%s: line %#x bytes differ", name, l)
 		}
 	}
+}
+
+// residentLines returns c's resident I-cache lines by line number.
+func residentLines(c *Core) map[uint64]*cacheLine {
+	out := make(map[uint64]*cacheLine)
+	for l := range c.icache {
+		if ln := c.resident(l); ln != nil {
+			out[l] = ln
+		}
+	}
+	return out
 }
 
 func TestJITHotLoopFormsBlocks(t *testing.T) {

@@ -59,8 +59,10 @@ func (c *Core) SnapshotState() CoreState {
 		}
 		s.LastCMC = &ev
 	}
-	for _, line := range c.icache {
-		s.ICache = append(s.ICache, ICacheLine{Base: line.base, Gen: line.gen, Data: line.data})
+	for l := range c.icache {
+		if line := c.resident(l); line != nil {
+			s.ICache = append(s.ICache, ICacheLine{Base: l * cacheLineSize, Gen: line.gen, Data: line.data})
+		}
 	}
 	return s
 }
@@ -92,9 +94,7 @@ func (c *Core) RestoreState(s CoreState) {
 
 	c.icache = make(map[uint64]*cacheLine, len(s.ICache))
 	for _, line := range s.ICache {
-		cl := &cacheLine{base: line.Base, gen: line.Gen}
-		cl.data = line.Data
-		c.icache[line.Base/cacheLineSize] = cl
+		c.icache[line.Base/cacheLineSize] = &cacheLine{data: line.Data, gen: line.Gen, epoch: c.flushEpoch}
 	}
 	c.dcache = make(map[uint64]*dcacheEntry)
 	c.dcacheByLine = make(map[uint64]map[uint64]struct{})
