@@ -366,28 +366,8 @@ func (z *K23) initHost(h any, base uint64) error {
 		return err
 	}
 
-	gate := ih.Gate()
-	sys := func(nr uint64, args ...uint64) (uint64, error) {
-		var a [6]uint64
-		a[0] = nr
-		copy(a[1:], args)
-		// Bounded transient retry: under chaos injection the gate's
-		// syscalls can fail with EINTR/EAGAIN/ENOMEM/EMFILE; robust
-		// init code re-issues them like the libc wrappers do.
-		for tries := 0; ; tries++ {
-			ret, err := k.CallGuestInfra(t, gate, a)
-			if err != nil {
-				return ret, err
-			}
-			if e, bad := kernel.IsErr(ret); bad && kernel.IsTransient(e) && tries < 64 {
-				continue
-			}
-			return ret, nil
-		}
-	}
-
 	// 2. Trampoline at 0 with PKU-XOM (as zpoline/lazypoline, §5.3).
-	ret, err := sys(kernel.SysMmap, 0, mem.PageSize,
+	ret, err := ih.Sys(kernel.SysMmap, 0, mem.PageSize,
 		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, kernel.MapFixed)
 	if err != nil || ret != 0 {
 		return fmt.Errorf("k23: trampoline mmap -> %#x, %v", ret, err)
@@ -401,11 +381,11 @@ func (z *K23) initHost(h any, base uint64) error {
 	if err := t.Core.StoreAsSelf(0, tramp); err != nil {
 		return err
 	}
-	key, err := sys(kernel.SysPkeyAlloc)
+	key, err := ih.Sys(kernel.SysPkeyAlloc)
 	if err != nil {
 		return err
 	}
-	if _, err := sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
+	if _, err := ih.Sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
 		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, key); err != nil {
 		return err
 	}
@@ -417,11 +397,11 @@ func (z *K23) initHost(h any, base uint64) error {
 	// 3. Dedicated per-thread stack (ultra+): a TLS block per thread
 	// holding {saved rsp, alt-stack top}.
 	if z.Config.StackSwitch {
-		tls, err := sys(kernel.SysMmap, 0, mem.PageSize, kernel.ProtRead|kernel.ProtWrite, 0)
+		tls, err := ih.Sys(kernel.SysMmap, 0, mem.PageSize, kernel.ProtRead|kernel.ProtWrite, 0)
 		if err != nil {
 			return err
 		}
-		stk, err := sys(kernel.SysMmap, 0, 4*mem.PageSize, kernel.ProtRead|kernel.ProtWrite, 0)
+		stk, err := ih.Sys(kernel.SysMmap, 0, 4*mem.PageSize, kernel.ProtRead|kernel.ProtWrite, 0)
 		if err != nil {
 			return err
 		}
@@ -437,7 +417,7 @@ func (z *K23) initHost(h any, base uint64) error {
 	}
 
 	// 4. Single selective rewrite of offline-validated sites.
-	if err := z.rewriteLoggedSites(ih, st, sys, base); err != nil {
+	if err := z.rewriteLoggedSites(ih, st, base); err != nil {
 		return err
 	}
 	// Serialize the instruction stream after rewriting (CPUID).
@@ -450,11 +430,11 @@ func (z *K23) initHost(h any, base uint64) error {
 
 	// 5. SUD fallback: catches everything the offline phase missed
 	// (P2a); never rewrites.
-	if _, err := sys(kernel.SysRtSigaction, kernel.SIGSYS, sym("k23_sigsys")); err != nil {
+	if _, err := ih.Sys(kernel.SysRtSigaction, kernel.SIGSYS, sym("k23_sigsys")); err != nil {
 		return err
 	}
 	text, _ := z.img.Section(".text")
-	if _, err := sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
+	if _, err := ih.Sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
 		base+text.Off, text.Size, st.selectorAddr); err != nil {
 		return err
 	}
@@ -464,8 +444,7 @@ func (z *K23) initHost(h any, base uint64) error {
 // rewriteLoggedSites maps (region, offset) log entries to addresses,
 // validates each holds a genuine SYSCALL/SYSENTER encoding, and rewrites
 // it with permissions saved/restored and an atomic two-byte store.
-func (z *K23) rewriteLoggedSites(ih *loader.InitHandle, st *state,
-	sys func(uint64, ...uint64) (uint64, error), base uint64) error {
+func (z *K23) rewriteLoggedSites(ih *loader.InitHandle, st *state, base uint64) error {
 	if z.LogPath == "" {
 		return nil
 	}
@@ -514,7 +493,7 @@ func (z *K23) rewriteLoggedSites(ih *loader.InitHandle, st *state,
 		}
 		pageAddr := mem.PageBase(addr)
 		span := addr + uint64(cpu.SyscallInstLen) - pageAddr
-		if _, err := sys(kernel.SysMprotect, pageAddr, span,
+		if _, err := ih.Sys(kernel.SysMprotect, pageAddr, span,
 			kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec); err != nil {
 			return err
 		}
@@ -522,7 +501,7 @@ func (z *K23) rewriteLoggedSites(ih *loader.InitHandle, st *state,
 		if err := t.Core.StoreAsSelf(addr, cpu.CallRaxBytes); err != nil {
 			return err
 		}
-		if _, err := sys(kernel.SysMprotect, pageAddr, span, kernel.PermToProt(perm)); err != nil {
+		if _, err := ih.Sys(kernel.SysMprotect, pageAddr, span, kernel.PermToProt(perm)); err != nil {
 			return err
 		}
 		st.sites.Insert(addr)

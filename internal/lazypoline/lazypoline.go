@@ -193,29 +193,9 @@ func (l *Lazypoline) initHost(h any, base uint64) error {
 	k.RegisterHostcall(p, hcRestore, &kernel.Hostcall{Name: "lz_restore", Cost: 10, Fn: l.hcRestoreFn})
 	k.RegisterHostcall(p, hcEnter, &kernel.Hostcall{Name: "lz_enter", Cost: 12, Fn: l.hcEnterFn})
 
-	gate := ih.Gate()
-	sys := func(nr uint64, args ...uint64) (uint64, error) {
-		var a [6]uint64
-		a[0] = nr
-		copy(a[1:], args)
-		// Bounded transient retry: under chaos injection the gate's
-		// syscalls can fail with EINTR/EAGAIN/ENOMEM/EMFILE; robust
-		// init code re-issues them like the libc wrappers do.
-		for tries := 0; ; tries++ {
-			ret, err := k.CallGuestInfra(t, gate, a)
-			if err != nil {
-				return ret, err
-			}
-			if e, bad := kernel.IsErr(ret); bad && kernel.IsTransient(e) && tries < 64 {
-				continue
-			}
-			return ret, nil
-		}
-	}
-
 	// Trampoline at 0 with PKU-XOM (same construction as zpoline, and
 	// the same absence of an execution check: P4a).
-	ret, err := sys(kernel.SysMmap, 0, mem.PageSize,
+	ret, err := ih.Sys(kernel.SysMmap, 0, mem.PageSize,
 		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, kernel.MapFixed)
 	if err != nil || ret != 0 {
 		return fmt.Errorf("lazypoline: trampoline mmap -> %#x, %v", ret, err)
@@ -229,22 +209,22 @@ func (l *Lazypoline) initHost(h any, base uint64) error {
 	if err := t.Core.StoreAsSelf(0, tramp); err != nil {
 		return err
 	}
-	key, err := sys(kernel.SysPkeyAlloc)
+	key, err := ih.Sys(kernel.SysPkeyAlloc)
 	if err != nil {
 		return err
 	}
-	if _, err := sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
+	if _, err := ih.Sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
 		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, key); err != nil {
 		return err
 	}
 	t.Core.PKRU = t.Core.PKRU.DenyAccess(int(key))
 
 	// Arm SUD: handler, allowlist over our text, selector blocking.
-	if _, err := sys(kernel.SysRtSigaction, kernel.SIGSYS, sym("lz_handler")); err != nil {
+	if _, err := ih.Sys(kernel.SysRtSigaction, kernel.SIGSYS, sym("lz_handler")); err != nil {
 		return err
 	}
 	text, _ := l.img.Section(".text")
-	if _, err := sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
+	if _, err := ih.Sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
 		base+text.Off, text.Size, st.selectorAddr); err != nil {
 		return err
 	}

@@ -186,28 +186,8 @@ func (s *SUD) initHost(h any, base uint64) error {
 		Name: "sud_sigsys", Cost: 40, Fn: s.hcSigsysFn,
 	})
 
-	gate := ih.Gate()
-	sys := func(nr uint64, args ...uint64) (uint64, error) {
-		var a [6]uint64
-		a[0] = nr
-		copy(a[1:], args)
-		// Bounded transient retry: under chaos injection the gate's
-		// syscalls can fail with EINTR/EAGAIN/ENOMEM/EMFILE; robust
-		// init code re-issues them like the libc wrappers do.
-		for tries := 0; ; tries++ {
-			ret, err := k.CallGuestInfra(t, gate, a)
-			if err != nil {
-				return ret, err
-			}
-			if e, bad := kernel.IsErr(ret); bad && kernel.IsTransient(e) && tries < 64 {
-				continue
-			}
-			return ret, nil
-		}
-	}
-
 	// sigaction(SIGSYS, handler).
-	if _, err := sys(kernel.SysRtSigaction, kernel.SIGSYS, base+handlerOff); err != nil {
+	if _, err := ih.Sys(kernel.SysRtSigaction, kernel.SIGSYS, base+handlerOff); err != nil {
 		return err
 	}
 	if s.Seccomp {
@@ -226,7 +206,7 @@ func (s *SUD) initHost(h any, base uint64) error {
 				return err
 			}
 		}
-		if ret, err := sys(kernel.SysSeccomp, kernel.SeccompSetModeFilter, 0, filterAddr); err != nil {
+		if ret, err := ih.Sys(kernel.SysSeccomp, kernel.SeccompSetModeFilter, 0, filterAddr); err != nil {
 			return err
 		} else if e, isErr := kernel.IsErr(ret); isErr {
 			return fmt.Errorf("sud: seccomp install: errno %d", e)
@@ -235,7 +215,7 @@ func (s *SUD) initHost(h any, base uint64) error {
 	}
 	// prctl(PR_SET_SYSCALL_USER_DISPATCH, ON, allowStart, allowLen, selector)
 	text, _ := s.img.Section(".text")
-	if _, err := sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
+	if _, err := ih.Sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
 		base+text.Off, text.Size, st.selectorAddr); err != nil {
 		return err
 	}

@@ -158,28 +158,8 @@ func (z *Zpoline) initHost(h any, base uint64) error {
 	handlerOff, _ := z.img.SymbolOff("zp_handler")
 	k.RegisterHostcall(p, hcEnter, &kernel.Hostcall{Name: "zp_enter", Cost: 13, Fn: z.hcEnterFn})
 
-	gate := ih.Gate()
-	sys := func(nr uint64, args ...uint64) (uint64, error) {
-		var a [6]uint64
-		a[0] = nr
-		copy(a[1:], args)
-		// Bounded transient retry: under chaos injection the gate's
-		// syscalls can fail with EINTR/EAGAIN/ENOMEM/EMFILE; robust
-		// init code re-issues them like the libc wrappers do.
-		for tries := 0; ; tries++ {
-			ret, err := k.CallGuestInfra(t, gate, a)
-			if err != nil {
-				return ret, err
-			}
-			if e, bad := kernel.IsErr(ret); bad && kernel.IsTransient(e) && tries < 64 {
-				continue
-			}
-			return ret, nil
-		}
-	}
-
 	// 1. Map the trampoline page at virtual address 0.
-	ret, err := sys(kernel.SysMmap, 0, mem.PageSize,
+	ret, err := ih.Sys(kernel.SysMmap, 0, mem.PageSize,
 		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, kernel.MapFixed)
 	if err != nil {
 		return fmt.Errorf("zpoline: trampoline mmap: %w", err)
@@ -202,11 +182,11 @@ func (z *Zpoline) initHost(h any, base uint64) error {
 	// 3. PKU-XOM: allocate a key, tag the page, deny data access in
 	// PKRU. Instruction fetches are unaffected — faithful PKU
 	// semantics, and the root cause of P4a in checkless variants.
-	key, err := sys(kernel.SysPkeyAlloc)
+	key, err := ih.Sys(kernel.SysPkeyAlloc)
 	if err != nil {
 		return err
 	}
-	if _, err := sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
+	if _, err := ih.Sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
 		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, key); err != nil {
 		return err
 	}
@@ -219,13 +199,13 @@ func (z *Zpoline) initHost(h any, base uint64) error {
 	// 4. Static disassembly + one-shot rewrite of everything executable
 	// that is already loaded — and nothing that arrives later (P2a).
 	st.truth = ih.L.TrueSites(p)
-	return z.rewriteLoadedCode(k, p, t, sys, st)
+	return z.rewriteLoadedCode(ih, st)
 }
 
 // rewriteLoadedCode linear-sweeps every executable region except the
 // interposer's own and rewrites each identified site.
-func (z *Zpoline) rewriteLoadedCode(k *kernel.Kernel, p *kernel.Process, t *kernel.Thread,
-	sys func(uint64, ...uint64) (uint64, error), st *state) error {
+func (z *Zpoline) rewriteLoadedCode(ih *loader.InitHandle, st *state) error {
+	k, p := ih.L.K, ih.P
 	for _, r := range p.AS.Regions() {
 		if r.Perm&mem.PermExec == 0 {
 			continue
@@ -243,7 +223,7 @@ func (z *Zpoline) rewriteLoadedCode(k *kernel.Kernel, p *kernel.Process, t *kern
 		}
 		res := disasm.LinearSweep(code, r.Start)
 		for _, site := range res.Sites {
-			if err := z.rewriteSite(k, p, t, sys, st, site.Addr); err != nil {
+			if err := z.rewriteSite(ih, st, site.Addr); err != nil {
 				return err
 			}
 		}
@@ -260,8 +240,8 @@ func (z *Zpoline) rewriteLoadedCode(k *kernel.Kernel, p *kernel.Process, t *kern
 // rewriteSite replaces the two bytes at addr with `callq *%rax`,
 // preserving page permissions around the write (zpoline does this
 // properly; P5 does not apply to load-time rewriting).
-func (z *Zpoline) rewriteSite(k *kernel.Kernel, p *kernel.Process, t *kernel.Thread,
-	sys func(uint64, ...uint64) (uint64, error), st *state, addr uint64) error {
+func (z *Zpoline) rewriteSite(ih *loader.InitHandle, st *state, addr uint64) error {
+	k, p, t := ih.L.K, ih.P, ih.T
 	if _, err := p.AS.KLoad(addr, 2); err != nil {
 		return nil
 	}
@@ -281,7 +261,7 @@ func (z *Zpoline) rewriteSite(k *kernel.Kernel, p *kernel.Process, t *kernel.Thr
 	if !okPerm {
 		return nil
 	}
-	if _, err := sys(kernel.SysMprotect, pageAddr, span,
+	if _, err := ih.Sys(kernel.SysMprotect, pageAddr, span,
 		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec); err != nil {
 		return err
 	}
@@ -302,7 +282,7 @@ func (z *Zpoline) rewriteSite(k *kernel.Kernel, p *kernel.Process, t *kernel.Thr
 		k.EmitRewrite(t, addr, "misidentified")
 	}
 	// Restore the saved permission.
-	if _, err := sys(kernel.SysMprotect, pageAddr, span, kernel.PermToProt(perm)); err != nil {
+	if _, err := ih.Sys(kernel.SysMprotect, pageAddr, span, kernel.PermToProt(perm)); err != nil {
 		return err
 	}
 	return nil
