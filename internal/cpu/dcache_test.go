@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"k23/internal/mem"
 )
@@ -72,6 +73,32 @@ func TestDecodeCacheOffMatchesCachedExecution(t *testing.T) {
 	if on.Insts != off.Insts || on.Cycles != off.Cycles {
 		t.Fatalf("insts/cycles differ: %d/%d vs %d/%d",
 			on.Insts, on.Cycles, off.Insts, off.Cycles)
+	}
+}
+
+// TestFlushEpoch: a flush makes every line non-resident without
+// dropping it, the refill reuses the line's storage, and a snapshot
+// holds only resident lines.
+func TestFlushEpoch(t *testing.T) {
+	c := loopCore(t, 10)
+	c.Step()
+	ln := c.resident(0x1000 / cacheLineSize)
+	if ln == nil {
+		t.Fatal("code line not resident after a step")
+	}
+	c.FlushICache()
+	if c.resident(0x1000/cacheLineSize) != nil || len(c.SnapshotState().ICache) != 0 {
+		t.Fatal("line still resident after FlushICache")
+	}
+	c.Step()
+	if got := c.resident(0x1000 / cacheLineSize); got != ln {
+		t.Fatalf("refill installed %p, want the stale line %p reused", got, ln)
+	}
+	if n := len(c.SnapshotState().ICache); n != 1 {
+		t.Fatalf("snapshot holds %d lines, want 1", n)
+	}
+	if n := unsafe.Sizeof(cacheLine{}); n != 80 {
+		t.Fatalf("cacheLine is %d bytes, want 80", n)
 	}
 }
 
