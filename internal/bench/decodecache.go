@@ -39,7 +39,7 @@ func (r DecodeCacheRun) StepsPerSec() float64 {
 // workload) natively for n iterations and measures simulator stepping
 // speed.
 func MeasureDecodeCacheMicro(n int, cacheOff bool) (DecodeCacheRun, error) {
-	w := microWorld()
+	w := MicroWorld()
 	w.K.DecodeCacheOff = cacheOff
 	// Isolate the decode-cache layer: with the superblock JIT on, hot
 	// code bypasses the cache entirely and the hit-rate numbers stop

@@ -40,7 +40,7 @@ func (r JITRun) StepsPerSec() float64 {
 // workload) natively and measures simulator stepping speed with the
 // superblock engine in the given mode.
 func MeasureJITMicro(n int, jitOff bool) (JITRun, error) {
-	w := microWorld()
+	w := MicroWorld()
 	w.K.JITOff = jitOff
 	start := time.Now()
 	p, err := interpose.Native{}.Launch(w, MicroPath, []string{"micro", fmt.Sprintf("%d", n)}, nil)

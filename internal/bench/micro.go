@@ -83,16 +83,16 @@ type MicroRow struct {
 	CyclesPerIter float64
 }
 
-// microWorld builds a world with the micro binary registered.
-func microWorld() *interpose.World {
+// MicroWorld builds a world with the micro binary registered.
+func MicroWorld() *interpose.World {
 	w := interpose.NewWorld()
 	w.MustRegister(buildMicro())
 	return w
 }
 
-// microLauncher returns spec's launcher in w, profiling a short micro
+// MicroLauncher returns spec's launcher in w, profiling a short micro
 // run offline first when spec needs a log.
-func microLauncher(w *interpose.World, spec variants.Spec) (interpose.Launcher, error) {
+func MicroLauncher(w *interpose.World, spec variants.Spec) (interpose.Launcher, error) {
 	return machine.Launcher(context.Background(), w, spec, interpose.Config{}, MicroPath, []string{"micro", "50"}, 0)
 }
 
@@ -119,8 +119,8 @@ func runMicroOnce(w *interpose.World, l interpose.Launcher, n int) (uint64, erro
 // MicroSlope measures the marginal per-iteration cycle cost under a
 // variant.
 func MicroSlope(spec variants.Spec) (float64, error) {
-	w := microWorld()
-	l, err := microLauncher(w, spec)
+	w := MicroWorld()
+	l, err := MicroLauncher(w, spec)
 	if err != nil {
 		return 0, err
 	}
@@ -174,7 +174,7 @@ func Table5() ([]MicroRow, error) {
 // returns the number of guest instructions retired — a raw simulator
 // speed probe for the top-level BenchmarkSimulator.
 func SimulatorThroughput(spec variants.Spec) (uint64, error) {
-	w := microWorld()
+	w := MicroWorld()
 	l := spec.New(interpose.Config{}, "")
 	p, err := l.Launch(w, MicroPath, []string{"micro", "2000"}, nil)
 	if err != nil {

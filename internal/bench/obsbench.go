@@ -33,8 +33,8 @@ func MetricsSidecar(names []string) ([]SidecarRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
-		w := microWorld()
-		l, err := microLauncher(w, spec)
+		w := MicroWorld()
+		l, err := MicroLauncher(w, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -71,8 +71,8 @@ const obsOverheadRounds = 5
 // disabled path costs nothing) and returns instructions retired and the
 // wall time of the instrumented run.
 func obsOverheadOnce(spec variants.Spec, opts obsv.Options, installEmpty bool) (uint64, time.Duration, error) {
-	w := microWorld()
-	l, err := microLauncher(w, spec)
+	w := MicroWorld()
+	l, err := MicroLauncher(w, spec)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -38,8 +38,8 @@ type PhasesRow struct {
 // property); the slope over two sizes then cancels launch and offline
 // fixed costs exactly as MicroSlope does.
 func measurePhasesOnce(spec variants.Spec, n int) (uint64, map[string]uint64, error) {
-	w := microWorld()
-	l, err := microLauncher(w, spec)
+	w := MicroWorld()
+	l, err := MicroLauncher(w, spec)
 	if err != nil {
 		return 0, nil, err
 	}

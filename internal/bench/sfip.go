@@ -229,8 +229,8 @@ type SfipMicroRow struct {
 // spec (LearnAll: the overhead measurement wants a violation-free
 // enforcement path, not a security verdict).
 func sfipTrainMicro(spec variants.Spec) (*sfip.Policy, error) {
-	w := microWorld()
-	l, err := microLauncher(w, spec)
+	w := MicroWorld()
+	l, err := MicroLauncher(w, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -252,8 +252,8 @@ func sfipTrainMicro(spec variants.Spec) (*sfip.Policy, error) {
 // enforcer installed bare on the kernel (no event hook, so the delta vs
 // the plain slope isolates the SFIP check itself).
 func sfipMicroSlope(spec variants.Spec, policy *sfip.Policy, mode sfip.Mode) (float64, error) {
-	w := microWorld()
-	l, err := microLauncher(w, spec)
+	w := MicroWorld()
+	l, err := MicroLauncher(w, spec)
 	if err != nil {
 		return 0, err
 	}

@@ -199,7 +199,8 @@ func (tr *k23Tracer) SyscallEnter(k *kernel.Kernel, t *kernel.Thread, nr, site u
 	// instruction. Registers are read directly — the attribution stream
 	// must not add ptrace-access charges the unobserved run would not pay.
 	if k.Tracing() {
-		interpose.Observe(interpose.NewCall(k, t, interpose.MechPtrace, nr, site, &t.Core.Ctx))
+		c := interpose.NewCall(k, t, interpose.MechPtrace, nr, site, &t.Core.Ctx)
+		interpose.Observe(&c)
 	}
 	// The handler span covers only the stop itself; the kernel slice
 	// that follows lands in the enclosing trap span.
@@ -554,12 +555,12 @@ func (z *K23) hcEnterFn(k *kernel.Kernel, t *kernel.Thread) error {
 
 	st.stats.Rewritten++
 	call := interpose.NewCall(k, t, interpose.MechRewrite, ctx.R[cpu.RAX], site, ctx)
-	interpose.Phase(call, kernel.PhHandler)
-	if err := z.guard(k, t, call); err != nil {
+	interpose.Phase(&call, kernel.PhHandler)
+	if err := z.guard(k, t, &call); err != nil {
 		return err
 	}
-	interpose.Observe(call)
-	interpose.Trampoline(call, z.Config.Hook, ctx, retAddr, z.childSetup())
+	interpose.Observe(&call)
+	interpose.Trampoline(&call, z.Config.Hook, ctx, retAddr, z.childSetup())
 	return nil
 }
 
@@ -595,9 +596,9 @@ func (z *K23) hcSigsysFn(k *kernel.Kernel, t *kernel.Thread) error {
 		return err
 	}
 	st.stats.SUD++
-	if err := z.guard(k, t, tr.Call); err != nil {
+	if err := z.guard(k, t, &tr.Call); err != nil {
 		return err
 	}
-	interpose.Observe(tr.Call)
+	interpose.Observe(&tr.Call)
 	return tr.Complete(z.Config.Hook, st.gate, z.childSetup())
 }

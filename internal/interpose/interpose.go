@@ -86,9 +86,10 @@ func Phase(c *Call, ph kernel.Phase) {
 type Hook func(c *Call) (ret uint64, emulated bool)
 
 // NewCall builds the Call for syscall nr at site whose arguments are
-// live in ctx: a rewritten site's trampoline or a ptrace stop.
-func NewCall(k *kernel.Kernel, t *kernel.Thread, m Mechanism, nr, site uint64, ctx *cpu.Context) *Call {
-	c := &Call{Kernel: k, Thread: t, Num: nr, Site: site, Mechanism: m}
+// live in ctx: a rewritten site's trampoline or a ptrace stop. The Call
+// is a value, so a call with no hook never reaches the heap.
+func NewCall(k *kernel.Kernel, t *kernel.Thread, m Mechanism, nr, site uint64, ctx *cpu.Context) Call {
+	c := Call{Kernel: k, Thread: t, Num: nr, Site: site, Mechanism: m}
 	for i := range c.Args {
 		c.Args[i] = ctx.Arg(i)
 	}
@@ -98,14 +99,19 @@ func NewCall(k *kernel.Kernel, t *kernel.Thread, m Mechanism, nr, site uint64, c
 // Dispatch is the hook step every mechanism shares, whichever way the
 // call reached it: mark the hook, run it, and resolve the attribution
 // claim when the hook emulated the call or renumbered it. A nil hook
-// passes the call through unmarked.
+// passes the call through unmarked. The hook may keep the *Call it is
+// given, so it gets a heap copy, whose changes are copied back into c.
 func Dispatch(c *Call, h Hook) (ret uint64, emulated bool) {
 	if h == nil {
 		return 0, false
 	}
+	hc := new(Call)
+	*hc = *c
+	Phase(hc, kernel.PhHook)
+	ret, emulated = h(hc)
 	nr := c.Num
-	Phase(c, kernel.PhHook)
-	if ret, emulated = h(c); emulated {
+	*c = *hc
+	if emulated {
 		Resolve(c, c.Num, true)
 		Phase(c, kernel.PhEmulate)
 	} else if c.Num != nr {

@@ -142,8 +142,8 @@ func (k *Kernel) sysSigreturn(t *Thread) {
 	t.sigFrames = t.sigFrames[:len(t.sigFrames)-1]
 	k.EmitPhase(t, PhSigret, 0, t.Core.Ctx.RIP, "")
 
-	buf, err := t.Proc.AS.KLoad(fr.ucontextAddr, UctxSize)
-	if err != nil {
+	var buf [UctxSize]byte
+	if err := t.Proc.AS.KRead(fr.ucontextAddr, buf[:]); err != nil {
 		k.killProcess(t.Proc, SIGSEGV, fmt.Sprintf("rt_sigreturn: frame unreadable: %v", err))
 		return
 	}

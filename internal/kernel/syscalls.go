@@ -213,8 +213,8 @@ func (k *Kernel) handleSyscall(t *Thread, site uint64) {
 	// Syscall User Dispatch check (before ptrace, as in the kernel's
 	// entry work ordering).
 	if t.sud.on && !(site >= t.sud.allowStart && site < t.sud.allowStart+t.sud.allowLen) {
-		sel, err := p.AS.KLoad(t.sud.selectorAddr, 1)
-		if err != nil {
+		var sel [1]byte
+		if err := p.AS.KRead(t.sud.selectorAddr, sel[:]); err != nil {
 			k.killProcess(p, SIGSEGV, fmt.Sprintf("SUD selector unreadable at %#x", t.sud.selectorAddr))
 			return
 		}

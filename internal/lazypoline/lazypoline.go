@@ -243,7 +243,7 @@ func (l *Lazypoline) hcSigsysFn(k *kernel.Kernel, t *kernel.Thread) error {
 		return err
 	}
 	st.stats.SUD++
-	interpose.Observe(tr.Call)
+	interpose.Observe(&tr.Call)
 
 	// Stage the rewrite. lazypoline rewrites whatever site trapped; the
 	// CPU decoded 0F 05 there, but that says nothing about whether it
@@ -347,7 +347,7 @@ func (l *Lazypoline) hcEnterFn(k *kernel.Kernel, t *kernel.Thread) error {
 	st.stats.Rewritten++
 
 	call := interpose.NewCall(k, t, interpose.MechRewrite, ctx.R[cpu.RAX], site, ctx)
-	interpose.Observe(call)
-	interpose.Trampoline(call, l.Config.Hook, ctx, retAddr, nil)
+	interpose.Observe(&call)
+	interpose.Trampoline(&call, l.Config.Hook, ctx, retAddr, nil)
 	return nil
 }

@@ -504,18 +504,25 @@ func (a *AddressSpace) Store(addr uint64, b []byte, pkru PKRU) error {
 // KLoad reads n bytes bypassing permissions (kernel plane).
 func (a *AddressSpace) KLoad(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
+	if err := a.KRead(addr, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// KRead fills dst from addr bypassing permissions (kernel plane), as
+// KLoad does but into the caller's buffer.
+func (a *AddressSpace) KRead(addr uint64, dst []byte) error {
 	off := 0
-	for off < n {
+	for off < len(dst) {
 		cur := addr + uint64(off)
 		pg := a.pageAt(PageNum(cur))
 		if pg == nil {
-			return nil, &Fault{Addr: cur, Access: AccessRead, Cause: CauseUnmapped}
+			return &Fault{Addr: cur, Access: AccessRead, Cause: CauseUnmapped}
 		}
-		po := cur % PageSize
-		c := copy(out[off:], pg.data[po:])
-		off += c
+		off += copy(dst[off:], pg.data[cur%PageSize:])
 	}
-	return out, nil
+	return nil
 }
 
 // KStore writes b bypassing permissions (kernel plane). Pages must be

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"k23/internal/asm"
+	"k23/internal/bench"
 	"k23/internal/cpu"
 	"k23/internal/interpose"
+	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
 	"k23/internal/libc"
 	"k23/internal/obsv"
@@ -225,10 +227,30 @@ func sliceAllocs(t *testing.T, w *interpose.World) float64 {
 
 // TestWarmSyscallAllocs: a warm plain getpid loop allocates nothing —
 // not on the syscall round trip, not in guest memory accesses and not
-// in the I-cache refills after each kernel entry's flush.
+// in the I-cache refills after each kernel entry's flush. Neither does
+// the Table 5 micro loop under any interposing mechanism with a nil
+// hook: the interposed call path, SIGSYS decode included, builds its
+// Call on the stack.
 func TestWarmSyscallAllocs(t *testing.T) {
 	if n := sliceAllocs(t, loopWorld(endlessLoop)); n != 0 {
 		t.Errorf("warm getpid slice: %v allocations, want 0", n)
+	}
+	for _, name := range bench.Table5Variants() {
+		t.Run(name, func(t *testing.T) {
+			spec, _ := variants.ByName(name)
+			w := bench.MicroWorld()
+			l, err := bench.MicroLauncher(w, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Launch(w, bench.MicroPath, []string{"micro", "1000000000"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			w.K.Run(100_000)
+			if n := testing.AllocsPerRun(20, func() { w.K.Run(10_000) }); n != 0 {
+				t.Errorf("warm micro slice: %v allocations, want 0", n)
+			}
+		})
 	}
 }
 

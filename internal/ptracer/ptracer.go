@@ -55,13 +55,13 @@ func Stop(k *kernel.Kernel, t *kernel.Thread, nr, site uint64, h interpose.Hook)
 	call := interpose.NewCall(k, t, interpose.MechPtrace, nr, site, regs)
 	// The handler span covers the enter stop only; the kernel slice that
 	// follows lands in the enclosing trap span.
-	interpose.Phase(call, kernel.PhHandler)
-	interpose.Observe(call)
-	suppress = interpose.DispatchRegs(call, h, regs)
+	interpose.Phase(&call, kernel.PhHandler)
+	interpose.Observe(&call)
+	suppress = interpose.DispatchRegs(&call, h, regs)
 	if !suppress {
-		interpose.Phase(call, kernel.PhForward)
+		interpose.Phase(&call, kernel.PhForward)
 	}
-	interpose.Phase(call, kernel.PhHandlerRet)
+	interpose.Phase(&call, kernel.PhHandlerRet)
 	return suppress
 }
 

@@ -239,7 +239,7 @@ func (s *SUD) hcSigsysFn(k *kernel.Kernel, t *kernel.Thread) error {
 		return err
 	}
 	st.stats.SUD++
-	interpose.Observe(tr.Call)
+	interpose.Observe(&tr.Call)
 	return tr.Complete(s.Config.Hook, st.gate, nil)
 }
 
@@ -247,7 +247,7 @@ func (s *SUD) hcSigsysFn(k *kernel.Kernel, t *kernel.Thread) error {
 // trapped call, and the saved user context the handler completes it
 // into. The sud, lazypoline and K23 fallback handlers share it.
 type Trap struct {
-	*interpose.Call
+	interpose.Call
 	uctx uint64 // saved ucontext the handler returns through
 }
 
@@ -267,11 +267,11 @@ func Decode(k *kernel.Kernel, t *kernel.Thread) (Trap, error) {
 		return Trap{}, err
 	}
 	tr := Trap{
-		Call: &interpose.Call{Kernel: k, Thread: t, Num: nr,
+		Call: interpose.Call{Kernel: k, Thread: t, Num: nr,
 			Site: callAddr - uint64(cpu.SyscallInstLen), Mechanism: interpose.MechSUD},
 		uctx: ctx.R[cpu.RDX],
 	}
-	interpose.Phase(tr.Call, kernel.PhHandler)
+	interpose.Phase(&tr.Call, kernel.PhHandler)
 	for i, r := range cpu.SyscallArgRegs {
 		if tr.Args[i], err = as.KLoadU64(tr.uctx + kernel.UctxRegs + uint64(8*int(r))); err != nil {
 			return Trap{}, err
@@ -288,7 +288,7 @@ func Decode(k *kernel.Kernel, t *kernel.Thread) (Trap, error) {
 // trapped instruction, so the application retries it once woken.
 func (tr Trap) Complete(h interpose.Hook, g Gate,
 	setupChild func(k *kernel.Kernel, parent, child *kernel.Thread)) error {
-	c := tr.Call
+	c := &tr.Call
 	as := c.Thread.Proc.AS
 	ret, emulated := interpose.Dispatch(c, h)
 	if !emulated {

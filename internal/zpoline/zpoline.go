@@ -317,8 +317,8 @@ func (z *Zpoline) hcEnterFn(k *kernel.Kernel, t *kernel.Thread) error {
 
 	st.stats.Rewritten++
 	call := interpose.NewCall(k, t, interpose.MechRewrite, ctx.R[cpu.RAX], site, ctx)
-	interpose.Observe(call)
-	interpose.Trampoline(call, z.Config.Hook, ctx, retAddr, nil)
+	interpose.Observe(&call)
+	interpose.Trampoline(&call, z.Config.Hook, ctx, retAddr, nil)
 	return nil
 }
 
