@@ -117,18 +117,6 @@ func (e CMCEvent) String() string {
 		e.Addr, e.Cached, e.Fresh)
 }
 
-// cacheLineSize is the I-cache line size in bytes.
-const cacheLineSize = 64
-
-// cacheLine is one I-cache line, keyed in Core.icache by line number.
-// It is resident only while epoch equals the core's flushEpoch: a flush
-// leaves the line in the map, stale, and the next fill reuses it.
-type cacheLine struct {
-	data  [cacheLineSize]byte
-	gen   uint64 // page generation at fill time
-	epoch uint64 // Core.flushEpoch at fill time
-}
-
 // DecodeCacheStats counts decoded-instruction cache activity.
 type DecodeCacheStats struct {
 	// Hits counts fetches served from the decode cache (no re-decode).
@@ -155,21 +143,6 @@ func (s *DecodeCacheStats) Add(other DecodeCacheStats) {
 	s.Hits += other.Hits
 	s.Misses += other.Misses
 	s.Invalidations += other.Invalidations
-}
-
-// dcacheEntry is one decoded instruction, keyed by RIP. lineGen snapshots
-// the write generation of each cache line the encoding covers at decode
-// time; a lookup revalidates those generations (against the resident
-// I-cache line if present, against memory otherwise), which is what makes
-// the cache an optimisation and not a semantic change: an entry is only
-// replayed when the uncached fetch path would have produced the same
-// bytes.
-type dcacheEntry struct {
-	inst    Inst
-	bytes   [MaxInstLen]byte
-	lineNum [2]uint64 // I-cache line numbers covered (MaxInstLen < lineSize ⇒ at most 2)
-	lineGen [2]uint64 // page generation of each line when the entry was built
-	nLines  int
 }
 
 // Core executes instructions for one thread. Each thread runs on its own
@@ -236,24 +209,20 @@ type Core struct {
 	Trace *TraceHash
 	TID   int
 
-	// icache holds I-cache lines by line number; only lines filled in
-	// the current flushEpoch are resident (see resident and fill).
-	icache     map[uint64]*cacheLine
+	// pages is the code cache (see codecache.go): line slots by page
+	// number. lastPN/lastPage remember the page the last fetch, decode
+	// or dispatch found; storePN/storePage the page the last store
+	// checked, nil when the core holds no code there. Only lines filled
+	// in the current flushEpoch are resident.
+	pages      map[uint64]*codePage
+	lastPN     uint64
+	lastPage   *codePage
+	storePN    uint64
+	storePage  *codePage
 	flushEpoch uint64
 
-	// dcache caches decoded instructions by RIP; dcacheByLine maps an
-	// I-cache line number to the RIPs of entries whose encoding covers
-	// it, so own-store invalidation does not scan the whole cache.
-	dcache       map[uint64]*dcacheEntry
-	dcacheByLine map[uint64]map[uint64]struct{}
-
-	// jcache holds compiled superblocks by entry RIP; jcacheByLine maps
-	// an I-cache line number to the entry RIPs of superblocks whose code
-	// covers it (same eager-invalidation scheme as dcacheByLine). hot
-	// counts anchor visits toward the compilation threshold.
-	jcache       map[uint64]*superblock
-	jcacheByLine map[uint64]map[uint64]struct{}
-	hot          map[uint64]uint32
+	// hotN counts the live anchor counters across all lines.
+	hotN int
 
 	// jitSeq numbers superblock validation epochs: it advances at every
 	// Run quantum entry and every I-cache flush, the only two points
@@ -265,13 +234,10 @@ type Core struct {
 // NewCore returns a core bound to the given address space.
 func NewCore(as *mem.AddressSpace) *Core {
 	return &Core{
-		AS:           as,
-		icache:       make(map[uint64]*cacheLine),
-		dcache:       make(map[uint64]*dcacheEntry),
-		dcacheByLine: make(map[uint64]map[uint64]struct{}),
-		jcache:       make(map[uint64]*superblock),
-		jcacheByLine: make(map[uint64]map[uint64]struct{}),
-		hot:          make(map[uint64]uint32),
+		AS:         as,
+		pages:      make(map[uint64]*codePage),
+		storePN:    noPage,
+		flushEpoch: 1,
 	}
 }
 
@@ -291,131 +257,13 @@ func (c *Core) FlushICache() {
 	c.jitSeq++
 }
 
-// invalidateLine drops the cached line containing addr, if present, along
-// with any decoded-instruction entries whose encoding covers the line
-// and any superblocks whose code does (the same-core self-modifying-code
-// rule).
-func (c *Core) invalidateLine(addr uint64) {
-	line := addr / cacheLineSize
-	delete(c.icache, line)
-	if rips := c.dcacheByLine[line]; len(rips) > 0 {
-		for rip := range rips {
-			if _, ok := c.dcache[rip]; ok {
-				delete(c.dcache, rip)
-				c.DecodeStats.Invalidations++
-			}
-		}
-		delete(c.dcacheByLine, line)
-	}
-	if rips := c.jcacheByLine[line]; len(rips) > 0 {
-		for rip := range rips {
-			if sb, ok := c.jcache[rip]; ok {
-				c.evictBlock(sb)
-			}
-		}
-		delete(c.jcacheByLine, line)
-	}
-}
-
-// resident returns I-cache line lineNum if it was filled in the current
-// flush epoch, or nil.
-func (c *Core) resident(lineNum uint64) *cacheLine {
-	if ln := c.icache[lineNum]; ln != nil && ln.epoch == c.flushEpoch {
-		return ln
-	}
-	return nil
-}
-
-// fill reads line lineNum from memory and makes it resident, reusing
-// the line's storage when it is already in the map. A fetch fault
-// leaves the I-cache as it was.
-func (c *Core) fill(lineNum uint64) (*cacheLine, error) {
-	ln := c.icache[lineNum]
-	if ln == nil {
-		ln = new(cacheLine)
-	}
-	gen, err := c.AS.FetchLine(lineNum*cacheLineSize, ln.data[:])
-	if err != nil {
-		return nil, err
-	}
-	ln.gen, ln.epoch = gen, c.flushEpoch
-	c.icache[lineNum] = ln
-	return ln, nil
-}
-
-// lookupDecoded consults the decode cache for the instruction at rip. A
-// hit must be indistinguishable from the uncached path, so each covered
-// line is revalidated:
-//
-//   - line resident in the I-cache: hit only if the line's generation
-//     equals the entry's snapshot (the entry was decoded from exactly the
-//     resident bytes). The usual one-staleness-check-per-line then runs
-//     against memory, so P5 stale-fetch hazards are still detected — and,
-//     crucially, the stale cached bytes are still EXECUTED, exactly as
-//     the unserialized I-cache model demands.
-//   - line not resident (e.g. after FlushICache): the uncached path would
-//     refill from memory, so the entry may only be replayed if memory
-//     still carries the generation it was decoded at. The refilled line
-//     is installed into the I-cache to keep the side effects identical.
-func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
-	e, ok := c.dcache[rip]
-	if !ok {
-		return Inst{}, nil, false
-	}
-	staleAny := false
-	for i := 0; i < e.nLines; i++ {
-		lineNum := e.lineNum[i]
-		if ln := c.resident(lineNum); ln != nil {
-			if ln.gen != e.lineGen[i] {
-				return Inst{}, nil, false
-			}
-			if ln.gen != c.AS.Gen(lineNum*cacheLineSize) {
-				staleAny = true
-			}
-			continue
-		}
-		ln, err := c.fill(lineNum)
-		if err != nil || ln.gen != e.lineGen[i] {
-			return Inst{}, nil, false
-		}
-	}
-	c.DecodeStats.Hits++
-	bytes := e.bytes[:e.inst.Len]
-	c.noteStaleness(e.inst, bytes, staleAny)
-	return e.inst, bytes, true
-}
-
-// installDecoded records a freshly decoded instruction. All covered lines
-// are resident (fetchInst just pulled them through fetchByte).
-func (c *Core) installDecoded(rip uint64, inst Inst, bytes []byte) {
-	e := &dcacheEntry{inst: inst}
-	copy(e.bytes[:], bytes)
-	first := rip / cacheLineSize
-	last := (rip + uint64(inst.Len) - 1) / cacheLineSize
-	for l := first; l <= last; l++ {
-		e.lineNum[e.nLines] = l
-		if ln := c.resident(l); ln != nil {
-			e.lineGen[e.nLines] = ln.gen
-		}
-		e.nLines++
-		set, ok := c.dcacheByLine[l]
-		if !ok {
-			set = make(map[uint64]struct{})
-			c.dcacheByLine[l] = set
-		}
-		set[rip] = struct{}{}
-	}
-	c.dcache[rip] = e
-}
-
 // fetchByte returns the instruction byte at addr through the I-cache,
 // filling the containing line on a miss (always, when Coherent).
 func (c *Core) fetchByte(addr uint64) (byte, error) {
 	lineNum := addr / cacheLineSize
-	ln := c.resident(lineNum)
-	if ln == nil || c.Coherent {
-		var err error
-		if ln, err = c.fill(lineNum); err != nil {
+	ln := c.slot(lineNum)
+	if ln.epoch != c.flushEpoch || c.Coherent {
+		if err := c.fill(ln, lineNum); err != nil {
 			return 0, err
 		}
 	}
@@ -523,11 +371,8 @@ func (c *Core) store(addr uint64, b []byte) error {
 	if err := c.AS.Store(addr, b, c.PKRU); err != nil {
 		return err
 	}
-	for i := 0; i < len(b); i += cacheLineSize {
-		c.invalidateLine(addr + uint64(i))
-	}
 	if len(b) > 0 {
-		c.invalidateLine(addr + uint64(len(b)-1))
+		c.invalidate(addr, addr+uint64(len(b)-1))
 	}
 	return nil
 }

@@ -97,8 +97,45 @@ func TestFlushEpoch(t *testing.T) {
 	if n := len(c.SnapshotState().ICache); n != 1 {
 		t.Fatalf("snapshot holds %d lines, want 1", n)
 	}
-	if n := unsafe.Sizeof(cacheLine{}); n != 80 {
-		t.Fatalf("cacheLine is %d bytes, want 80", n)
+	if n := unsafe.Sizeof(cacheLine{}); n != 184 {
+		t.Fatalf("cacheLine is %d bytes, want 184", n)
+	}
+}
+
+// TestWarmLoopAllocs: once warm, a slice of a superblock loop and of a
+// loop storing to its stack allocates nothing: dispatch, the lazy line
+// checks and the own-store invalidation all run without the heap.
+func TestWarmLoopAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    *Core
+	}{
+		{"superblock", loopCore(t, 1<<40)},
+		{"stack-store", buildCore(t, asm(
+			Inst{Op: OpMovImm, A: RCX, Imm: 1 << 40},
+			// loop:
+			Inst{Op: OpPush, A: RCX},
+			Inst{Op: OpStore, A: RSP, B: RCX, Imm: -16},
+			Inst{Op: OpPop, A: RBX},
+			Inst{Op: OpAddImm, A: RCX, Imm: -1},
+			Inst{Op: OpCmpImm, A: RCX, Imm: 0},
+			Inst{Op: OpJnz, Imm: -28}, // Push=2, Store=7, Pop=2, AddImm=6, CmpImm=6, Jnz=5
+			Inst{Op: OpHlt},
+		))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			c.Run(10_000)
+			if n := testing.AllocsPerRun(20, func() {
+				c.FlushICache() // as every kernel entry does
+				c.Run(10_000)
+			}); n != 0 {
+				t.Errorf("warm slice: %v allocations, want 0", n)
+			}
+			if c.JITStats.BlockInsts == 0 || c.Ctx.R[RCX] > 1<<40-1000 {
+				t.Fatalf("loop did not run in superblocks: %+v, RCX %#x", c.JITStats, c.Ctx.R[RCX])
+			}
+		})
 	}
 }
 

@@ -294,6 +294,19 @@ func EncodedLen(b0 byte, b1 byte, have int) (n int, needSecond bool) {
 	return int(l2), false
 }
 
+// regRegOps and rel32Ops give the Op of each register-register and
+// rel32 opcode byte.
+var (
+	regRegOps = [256]Op{
+		0x89: OpMovRR, 0x01: OpAdd, 0x29: OpSub, 0x31: OpXor,
+		0x21: OpAnd, 0x09: OpOr, 0x6B: OpMul, 0x3B: OpCmp, 0x85: OpTest,
+	}
+	rel32Ops = [256]Op{
+		0xE8: OpCall, 0xE9: OpJmp, 0x74: OpJz, 0x75: OpJnz,
+		0x7C: OpJl, 0x7D: OpJge, 0x7E: OpJle, 0x7F: OpJg,
+	}
+)
+
 // Decode decodes one instruction from b. It needs at most MaxInstLen
 // bytes; fewer may suffice. Returns a *DecodeError for undefined
 // encodings and ErrTruncated for short input.
@@ -411,11 +424,7 @@ func Decode(b []byte) (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
-		op := map[byte]Op{
-			0x89: OpMovRR, 0x01: OpAdd, 0x29: OpSub, 0x31: OpXor,
-			0x21: OpAnd, 0x09: OpOr, 0x6B: OpMul, 0x3B: OpCmp, 0x85: OpTest,
-		}[b[0]]
-		return Inst{Op: op, Len: 3, A: a, B: bb}, nil
+		return Inst{Op: regRegOps[b[0]], Len: 3, A: a, B: bb}, nil
 	case 0x05: // ADDI reg, imm32
 		if err := need(6); err != nil {
 			return Inst{}, err
@@ -488,11 +497,7 @@ func Decode(b []byte) (Inst, error) {
 		if err := need(5); err != nil {
 			return Inst{}, err
 		}
-		op := map[byte]Op{
-			0xE8: OpCall, 0xE9: OpJmp, 0x74: OpJz, 0x75: OpJnz,
-			0x7C: OpJl, 0x7D: OpJge, 0x7E: OpJle, 0x7F: OpJg,
-		}[b[0]]
-		return Inst{Op: op, Len: 5, Imm: imm32(1)}, nil
+		return Inst{Op: rel32Ops[b[0]], Len: 5, Imm: imm32(1)}, nil
 	case 0xC3:
 		return Inst{Op: OpRet, Len: 1}, nil
 	case 0x50, 0x58:

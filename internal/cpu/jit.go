@@ -55,9 +55,8 @@ const (
 	// block (jitMaxBlockInsts * MaxInstLen / cacheLineSize, rounded up,
 	// plus a straddle line).
 	jitMaxBlockLines = jitMaxBlockInsts*MaxInstLen/cacheLineSize + 2
-	// jitMaxHot bounds the anchor-counter map; when full it is reset,
-	// which is deterministic (the reset point depends only on the
-	// instruction stream).
+	// jitMaxHot bounds the live anchor counters; when reached they are
+	// all dropped (see noteHot).
 	jitMaxHot = 1 << 15
 )
 
@@ -126,7 +125,7 @@ type sbClosure func(c *Core) (sbRes, Stop)
 // sbInst is one compiled instruction: its pre-bound body closure, the
 // retirement metadata the dispatcher charges before running it (site,
 // op, cycle cost — mirroring Step's accounting order), and the index
-// (into superblock.gens) of the last code line its encoding covers,
+// (into superblock.lines) of the last code line its encoding covers,
 // which drives the lazy line-fill watermark.
 type sbInst struct {
 	run     sbClosure
@@ -136,11 +135,12 @@ type sbInst struct {
 	endLine int
 }
 
-// superblock is a compiled straight-line region. gens[i] is the page
-// generation of line firstLine+i at build time; execution revalidates
-// each line against it before the first instruction touching the line
-// runs. A superblock with no code is a sentinel: the region was scanned
-// and found too small, so the dispatcher stops trying to compile it.
+// superblock is a compiled straight-line region. lines[i] is the slot
+// of code line firstLine+i with its page generation at build time;
+// execution revalidates each line against it before the first
+// instruction touching the line runs. A superblock with no code is a
+// sentinel: the region was scanned and found too small, so the
+// dispatcher stops trying to compile it.
 //
 // seq caches a successful full validation: when it equals the core's
 // jitSeq, every code line was validated resident at the block's build
@@ -149,12 +149,32 @@ type sbInst struct {
 // write memory only while this core is descheduled) and at I-cache
 // flushes, and this core's own stores evict overlapping blocks eagerly
 // — so re-entry skips the per-line generation checks entirely.
+//
+// next is the block dispatched right after this one last time, so a
+// loop or a call chain that keeps leaving through the same exit skips
+// the code-cache lookup. dead marks a block dropped from the cache,
+// which next must never lead back to.
 type superblock struct {
 	entry     uint64
 	code      []sbInst
 	firstLine uint64
-	gens      []uint64
+	lines     []sbLine
 	seq       uint64
+	next      *superblock
+	dead      bool
+}
+
+// kill marks sb dropped from the code cache.
+func (sb *superblock) kill() {
+	sb.dead = true
+	sb.next = nil
+}
+
+// sbLine is one code line of a superblock: its slot in the code cache
+// and its page generation when the block was built.
+type sbLine struct {
+	ln  *cacheLine
+	gen uint64
 }
 
 // jitActive reports whether this core dispatches through superblocks.
@@ -186,9 +206,18 @@ func (c *Core) Run(budget int) Stop {
 	// anchor marks RIPs worth counting toward compilation: quantum
 	// entry, backward-transfer targets, and superblock exit points.
 	anchor := true
+	// prev is the block that just ran, if the last dispatch ran one.
+	var prev *superblock
 	for budget > 0 {
 		rip := c.Ctx.RIP
-		if sb, ok := c.jcache[rip]; ok {
+		var sb *superblock
+		if prev != nil && prev.next != nil && prev.next.entry == rip && !prev.next.dead {
+			sb = prev.next
+		} else if sb = c.blockAt(rip); prev != nil {
+			prev.next = sb
+		}
+		prev = nil
+		if sb != nil {
 			if len(sb.code) > 0 {
 				stop, executed := c.execBlock(sb, budget)
 				budget -= executed
@@ -197,6 +226,7 @@ func (c *Core) Run(budget int) Stop {
 				}
 				if executed > 0 {
 					anchor = true
+					prev = sb
 					continue
 				}
 				// Bailed before the first instruction: interpret one
@@ -221,21 +251,6 @@ func (c *Core) Run(budget int) Stop {
 		}
 	}
 	return Stop{Kind: StopNone}
-}
-
-// noteHot bumps the anchor counter for rip and reports whether it
-// crossed the compilation threshold.
-func (c *Core) noteHot(rip uint64) bool {
-	if len(c.hot) >= jitMaxHot {
-		c.hot = make(map[uint64]uint32)
-	}
-	h := c.hot[rip] + 1
-	if h >= jitHotThreshold {
-		delete(c.hot, rip)
-		return true
-	}
-	c.hot[rip] = h
-	return false
 }
 
 // execBlock runs sb until it ends, side-exits, stops, bails, or the
@@ -264,7 +279,7 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 				return Stop{Kind: StopNone}, executed
 			}
 			filled++
-			if filled == len(sb.gens) {
+			if filled == len(sb.lines) {
 				sb.seq = c.jitSeq
 			}
 		}
@@ -304,49 +319,16 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 //     interpreter reproduces the fault at the correct site. A refill at
 //     a different generation than build time evicts and bails.
 func (c *Core) sbValidateLine(sb *superblock, idx int) bool {
-	lineNum := sb.firstLine + uint64(idx)
-	want := sb.gens[idx]
-	if ln := c.resident(lineNum); ln != nil {
-		if ln.gen != want {
+	l := sb.lines[idx]
+	stale := false
+	if !c.revalidate(l.ln, sb.firstLine+uint64(idx), l.gen, &stale) {
+		// Resident now, so at a different generation than at build time.
+		if l.ln.epoch == c.flushEpoch {
 			c.evictBlock(sb)
-			return false
 		}
-		if ln.gen != c.AS.Gen(lineNum*cacheLineSize) {
-			return false
-		}
-		return true
-	}
-	ln, err := c.fill(lineNum)
-	if err != nil {
 		return false
 	}
-	if ln.gen != want {
-		c.evictBlock(sb)
-		return false
-	}
-	return true
-}
-
-// evictBlock drops sb from the block cache. Per-line index entries are
-// cleaned lazily, as the decode cache does: a stale index entry whose
-// block is already gone is skipped at invalidation time.
-func (c *Core) evictBlock(sb *superblock) {
-	if _, ok := c.jcache[sb.entry]; ok {
-		delete(c.jcache, sb.entry)
-		if len(sb.code) > 0 {
-			c.JITStats.Invalidations++
-		}
-	}
-}
-
-// jitIndexLine records that the block entered at rip covers line l.
-func (c *Core) jitIndexLine(l, rip uint64) {
-	set, ok := c.jcacheByLine[l]
-	if !ok {
-		set = make(map[uint64]struct{})
-		c.jcacheByLine[l] = set
-	}
-	set[rip] = struct{}{}
+	return !stale
 }
 
 // jitIncludable reports whether op may execute inside a superblock.
@@ -457,8 +439,7 @@ scan:
 	}
 
 	if len(insts) < jitMinBlockInsts {
-		c.jcache[entry] = &superblock{entry: entry}
-		c.jitIndexLine(firstLine, entry)
+		c.installBlock(&superblock{entry: entry})
 		c.JITStats.Sentinels++
 		return
 	}
@@ -467,7 +448,10 @@ scan:
 	sb := &superblock{
 		entry:     entry,
 		firstLine: firstLine,
-		gens:      append([]uint64(nil), gens[:lastLine-firstLine+1]...),
+		lines:     make([]sbLine, lastLine-firstLine+1),
+	}
+	for i := range sb.lines {
+		sb.lines[i] = sbLine{ln: c.slot(firstLine + uint64(i)), gen: gens[i]}
 	}
 	for _, s := range insts {
 		endLine := int((s.site+uint64(s.inst.Len)-1)/cacheLineSize) - int(firstLine)
@@ -479,10 +463,7 @@ scan:
 			endLine: endLine,
 		})
 	}
-	c.jcache[entry] = sb
-	for l := firstLine; l <= lastLine; l++ {
-		c.jitIndexLine(l, entry)
-	}
+	c.installBlock(sb)
 	c.JITStats.Blocks++
 }
 

@@ -86,9 +86,11 @@ func icacheEqual(t *testing.T, name string, on, off *Core) {
 // residentLines returns c's resident I-cache lines by line number.
 func residentLines(c *Core) map[uint64]*cacheLine {
 	out := make(map[uint64]*cacheLine)
-	for l := range c.icache {
-		if ln := c.resident(l); ln != nil {
-			out[l] = ln
+	for pn, pg := range c.pages {
+		for i, ln := range pg.lines {
+			if ln != nil && ln.epoch == c.flushEpoch {
+				out[pn*linesPerPage+uint64(i)] = ln
+			}
 		}
 	}
 	return out
@@ -413,12 +415,146 @@ func TestJITSyscallBoundaryTraceParity(t *testing.T) {
 	}
 }
 
+// boundaryCode returns code for the two RWX pages at 0x1000: a jump
+// from 0x1000 to start, NOP padding, then body. Every Jnz in body
+// branches back to body[loop].
+func boundaryCode(start uint64, loop int, body ...Inst) []byte {
+	addr := make([]uint64, len(body)+1)
+	addr[0] = start
+	for i, in := range body {
+		addr[i+1] = addr[i] + uint64(len(EncodeInst(in)))
+	}
+	for i := range body {
+		if body[i].Op == OpJnz {
+			body[i].Imm = int64(addr[loop]) - int64(addr[i+1])
+		}
+	}
+	code := asm(Inst{Op: OpJmp, Imm: int64(start) - 0x1005})
+	for uint64(len(code)) < start-0x1000 {
+		code = append(code, ByteNop)
+	}
+	return append(code, asm(body...)...)
+}
+
+// Programs that cross the page boundary at 0x2000.
+var (
+	// boundaryBlock is a hot loop whose superblock (entered at 0x1ffa)
+	// covers the last line of the first page and the first of the second.
+	boundaryBlock = boundaryCode(0x1ff0, 1,
+		Inst{Op: OpMovImm, A: RCX, Imm: 40},
+		Inst{Op: OpAddImm, A: RCX, Imm: -1}, // 0x1ffa
+		Inst{Op: OpCmpImm, A: RCX, Imm: 0},  // 0x2000
+		Inst{Op: OpJnz},
+		Inst{Op: OpHlt},
+	)
+	// boundaryInst loops over a MOV straddling the line and page
+	// boundary (0x1ff8..0x2001) and stores the counter into its last
+	// immediate byte, which lies in the second page.
+	boundaryInst = boundaryCode(0x1fe4, 2,
+		Inst{Op: OpMovImm, A: RDI, Imm: 0x2001},
+		Inst{Op: OpMovImm, A: RCX, Imm: 40},
+		Inst{Op: OpMovImm, A: RAX, Imm: 0}, // 0x1ff8
+		Inst{Op: OpAdd, A: R8, B: RAX},
+		Inst{Op: OpStoreB, A: RDI, B: RCX, Imm: 0},
+		Inst{Op: OpAddImm, A: RCX, Imm: -1},
+		Inst{Op: OpCmpImm, A: RCX, Imm: 0},
+		Inst{Op: OpJnz},
+		Inst{Op: OpHlt},
+	)
+	// boundaryStore stores into the second page's first line while the
+	// superblock entered at 0x1ffe, which covers both pages, is live.
+	boundaryStore = boundaryCode(0x1fe0, 3,
+		Inst{Op: OpMovImm, A: RDI, Imm: 0x2030},
+		Inst{Op: OpMovImm, A: RBX, Imm: ByteNop},
+		Inst{Op: OpMovImm, A: RCX, Imm: 40},
+		Inst{Op: OpAddImm, A: RCX, Imm: -1}, // 0x1ffe
+		Inst{Op: OpStoreB, A: RDI, B: RBX, Imm: 0},
+		Inst{Op: OpCmpImm, A: RCX, Imm: 0},
+		Inst{Op: OpJnz},
+		Inst{Op: OpHlt},
+	)
+)
+
+// boundaryCore maps two adjacent RWX code pages at 0x1000, a stack and
+// a data page, and loads code at 0x1000.
+func boundaryCore(code []byte) (*Core, bool) {
+	as := mem.NewAddressSpace()
+	if as.Map(0x1000, 2*mem.PageSize, mem.PermRWX, "code") != nil {
+		return nil, false
+	}
+	if as.Map(0x100000, mem.PageSize, mem.PermRW, "[stack]") != nil {
+		return nil, false
+	}
+	if as.Map(0x200000, mem.PageSize, mem.PermRW, "data") != nil {
+		return nil, false
+	}
+	if len(code) > 2*int(mem.PageSize) {
+		code = code[:2*mem.PageSize]
+	}
+	if as.KStore(0x1000, code) != nil {
+		return nil, false
+	}
+	c := NewCore(as)
+	c.Ctx.RIP = 0x1000
+	c.Ctx.R[RSP] = 0x100000 + mem.PageSize
+	return c, true
+}
+
+// TestCodeCachePageBoundary: code that crosses a page boundary — a
+// superblock over both pages, an instruction straddling the line and
+// page boundary and rewritten by its own loop, and a store into the
+// second page under a live two-page superblock — runs the same with
+// the JIT, with the decode cache alone and with neither, and leaves
+// the same resident lines.
+func TestCodeCachePageBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		code []byte
+		// engaged reports what the case must have exercised.
+		engaged func(jit, interp *Core) bool
+	}{
+		{"block", boundaryBlock, func(jit, _ *Core) bool { return jit.JITStats.BlockInsts > 0 }},
+		{"inst", boundaryInst, func(_, interp *Core) bool {
+			// The rewritten immediate byte reached RAX, through a
+			// re-decode after the own store dropped the entry.
+			return interp.Ctx.R[R8] != 0 && interp.DecodeStats.Invalidations > 0
+		}},
+		{"store", boundaryStore, func(jit, _ *Core) bool {
+			return jit.JITStats.SelfWrites > 0 && jit.JITStats.Invalidations > 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jit, _ := boundaryCore(tc.code)
+			interp, _ := boundaryCore(tc.code)
+			interp.JITOff = true
+			uncached, _ := boundaryCore(tc.code)
+			uncached.DecodeCacheOff = true
+			var stops [3]Stop
+			for i, c := range []*Core{jit, interp, uncached} {
+				stops[i] = runQuanta(t, c, 37, 1000)
+			}
+			if stops[0].Kind != StopHalt || !stopsEqual(stops[0], stops[1]) || !stopsEqual(stops[0], stops[2]) {
+				t.Fatalf("stops: jit %+v, interp %+v, uncached %+v", stops[0], stops[1], stops[2])
+			}
+			coreStatesEqual(t, "jit vs interp", jit, interp)
+			coreStatesEqual(t, "jit vs uncached", jit, uncached)
+			icacheEqual(t, "jit vs interp", jit, interp)
+			icacheEqual(t, "jit vs uncached", jit, uncached)
+			if jit.JITStats.Blocks == 0 || !tc.engaged(jit, interp) {
+				t.Fatalf("vacuous: JIT %+v, decode cache %+v, R8 %#x",
+					jit.JITStats, interp.DecodeStats, interp.Ctx.R[R8])
+			}
+		})
+	}
+}
+
 // FuzzSuperblockFormation feeds arbitrary bytes to two cores — JIT on
 // and JIT off — through a kernel-shaped schedule that restarts at the
 // entry point on every stop (which makes the entry hot and forces
 // compilation over whatever the bytes decode to). Every round must
 // agree on the stop, the architectural state, and the resident-line
-// set.
+// set. The code spans two pages, so blocks, instructions and stores
+// can cross the boundary between them.
 func FuzzSuperblockFormation(f *testing.F) {
 	f.Add(asm(
 		Inst{Op: OpMovImm, A: RCX, Imm: 40},
@@ -452,37 +588,17 @@ func FuzzSuperblockFormation(f *testing.F) {
 	f.Add([]byte{0x90, 0x0F, 0x05, 0xEB, 0xFE, 0xCC}) // nop;syscall;spin;int3
 	f.Add([]byte{0xEB, 0xFE})                         // jmp .-2
 	f.Add([]byte{0xB8, 0x00, 0x0F, 0x05, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90})
-
-	build := func(data []byte, jitOff bool) (*Core, bool) {
-		as := mem.NewAddressSpace()
-		if as.Map(0x1000, mem.PageSize, mem.PermRWX, "code") != nil {
-			return nil, false
-		}
-		if as.Map(0x100000, mem.PageSize, mem.PermRW, "[stack]") != nil {
-			return nil, false
-		}
-		if as.Map(0x200000, mem.PageSize, mem.PermRW, "data") != nil {
-			return nil, false
-		}
-		if len(data) > int(mem.PageSize) {
-			data = data[:mem.PageSize]
-		}
-		if as.KStore(0x1000, data) != nil {
-			return nil, false
-		}
-		c := NewCore(as)
-		c.JITOff = jitOff
-		c.Ctx.RIP = 0x1000
-		c.Ctx.R[RSP] = 0x100000 + mem.PageSize
-		return c, true
-	}
+	f.Add(boundaryBlock)
+	f.Add(boundaryInst)
+	f.Add(boundaryStore)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		on, ok := build(data, false)
+		on, ok := boundaryCore(data)
 		if !ok {
 			return
 		}
-		off, _ := build(data, true)
+		off, _ := boundaryCore(data)
+		off.JITOff = true
 		for round := 0; round < 60; round++ {
 			sOn := on.Run(181)
 			sOff := off.Run(181)

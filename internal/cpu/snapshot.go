@@ -59,9 +59,12 @@ func (c *Core) SnapshotState() CoreState {
 		}
 		s.LastCMC = &ev
 	}
-	for l := range c.icache {
-		if line := c.resident(l); line != nil {
-			s.ICache = append(s.ICache, ICacheLine{Base: l * cacheLineSize, Gen: line.gen, Data: line.data})
+	for pn, pg := range c.pages {
+		for i, ln := range pg.lines {
+			if ln != nil && ln.epoch == c.flushEpoch {
+				base := (pn*linesPerPage + uint64(i)) * cacheLineSize
+				s.ICache = append(s.ICache, ICacheLine{Base: base, Gen: ln.gen, Data: ln.data})
+			}
 		}
 	}
 	return s
@@ -92,14 +95,10 @@ func (c *Core) RestoreState(s CoreState) {
 	c.DecodeStats = s.DecodeStats
 	c.JITStats = s.JITStats
 
-	c.icache = make(map[uint64]*cacheLine, len(s.ICache))
+	c.resetCodeCache()
 	for _, line := range s.ICache {
-		c.icache[line.Base/cacheLineSize] = &cacheLine{data: line.Data, gen: line.Gen, epoch: c.flushEpoch}
+		ln := c.slot(line.Base / cacheLineSize)
+		ln.data, ln.gen, ln.epoch = line.Data, line.Gen, c.flushEpoch
 	}
-	c.dcache = make(map[uint64]*dcacheEntry)
-	c.dcacheByLine = make(map[uint64]map[uint64]struct{})
-	c.jcache = make(map[uint64]*superblock)
-	c.jcacheByLine = make(map[uint64]map[uint64]struct{})
-	c.hot = make(map[uint64]uint32)
 	c.jitSeq++
 }
