@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/bits"
 	"slices"
 
 	"k23/internal/mem"
@@ -15,8 +16,8 @@ import (
 // bytes, the decoded instructions that start there, the superblocks
 // entered there and the superblocks that cover it from an earlier line.
 // A fetch, a decode-cache hit and a block dispatch are therefore a page
-// compare, an array index and a short scan, and a store to a page that
-// never held code stops after one page check.
+// compare, an array index and a bit count or a short scan, and a store
+// to a page that never held code stops after one page check.
 
 // cacheLineSize is the I-cache line size in bytes.
 const cacheLineSize = 64
@@ -48,8 +49,11 @@ type cacheLine struct {
 	epoch uint64 // Core.flushEpoch at fill time
 
 	// decoded holds the decode-cache entries of instructions that start
-	// in this line, in no order.
-	decoded []dcacheEntry
+	// in this line, sorted by offset; decodedMask has bit off set when
+	// an entry at offset off is present, so the entry's index is the
+	// number of set bits below it.
+	decoded     []dcacheEntry
+	decodedMask uint64
 	// blocks holds the superblocks and sentinels entered in this line.
 	blocks []*superblock
 	// covers holds the entry RIPs of superblocks entered in an earlier
@@ -89,19 +93,29 @@ func (e *dcacheEntry) straddles() bool {
 
 // decodedAt returns the index of the entry at offset off, or -1.
 func (ln *cacheLine) decodedAt(off uint8) int {
-	for i := range ln.decoded {
-		if ln.decoded[i].off == off {
-			return i
-		}
+	bit := uint64(1) << off
+	if ln.decodedMask&bit == 0 {
+		return -1
 	}
-	return -1
+	return bits.OnesCount64(ln.decodedMask & (bit - 1))
+}
+
+// putDecoded installs e, replacing any entry at its offset.
+func (ln *cacheLine) putDecoded(e dcacheEntry) {
+	bit := uint64(1) << e.off
+	i := bits.OnesCount64(ln.decodedMask & (bit - 1))
+	if ln.decodedMask&bit != 0 {
+		ln.decoded[i] = e
+		return
+	}
+	ln.decoded = slices.Insert(ln.decoded, i, e)
+	ln.decodedMask |= bit
 }
 
 // dropDecoded removes entry i.
 func (ln *cacheLine) dropDecoded(i int) {
-	last := len(ln.decoded) - 1
-	ln.decoded[i] = ln.decoded[last]
-	ln.decoded = ln.decoded[:last]
+	ln.decodedMask &^= 1 << ln.decoded[i].off
+	ln.decoded = slices.Delete(ln.decoded, i, i+1)
 }
 
 // page returns the code page with page number pn, or nil. The page last
@@ -198,7 +212,7 @@ func (c *Core) invalidateLine(ln *cacheLine, lineNum uint64) {
 	ln.epoch = 0
 	if n := len(ln.decoded); n > 0 {
 		c.DecodeStats.Invalidations += uint64(n)
-		ln.decoded = ln.decoded[:0]
+		ln.decoded, ln.decodedMask = ln.decoded[:0], 0
 	}
 	if ln.straddlers != 0 {
 		if prev := c.line(lineNum - 1); prev != nil {
@@ -296,11 +310,7 @@ func (c *Core) installDecoded(rip uint64, inst Inst, bytes []byte) {
 		e.lineGen[1] = next.gen
 		next.straddlers |= 1 << (e.off - straddleBase)
 	}
-	if i := ln.decodedAt(e.off); i >= 0 {
-		ln.decoded[i] = e
-	} else {
-		ln.decoded = append(ln.decoded, e)
-	}
+	ln.putDecoded(e)
 }
 
 // blockAt returns the superblock or sentinel entered at rip, or nil.

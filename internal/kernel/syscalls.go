@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"k23/internal/cpu"
@@ -746,11 +747,9 @@ func (k *Kernel) sysFstat(t *Thread, n int, bufAddr uint64) uint64 {
 // fillStat writes a 144-byte stat buffer with st_size at offset 48, as on
 // Linux x86-64.
 func (k *Kernel) fillStat(t *Thread, bufAddr, size uint64) uint64 {
-	buf := make([]byte, 144)
-	for i := 0; i < 8; i++ {
-		buf[48+i] = byte(size >> (8 * i))
-	}
-	if !k.copyOut(t, bufAddr, buf) {
+	var buf [144]byte
+	binary.LittleEndian.PutUint64(buf[48:], size)
+	if !k.copyOut(t, bufAddr, buf[:]) {
 		return errno(EFAULT)
 	}
 	return 0
@@ -840,12 +839,10 @@ func (k *Kernel) sysTime(t *Thread, nr uint64, a [6]uint64) uint64 {
 	if bufAddr == 0 {
 		return 0
 	}
-	buf := make([]byte, 16)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(sec >> (8 * i))
-		buf[8+i] = byte(nsec >> (8 * i))
-	}
-	if !k.copyOut(t, bufAddr, buf) {
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:], sec)
+	binary.LittleEndian.PutUint64(buf[8:], nsec)
+	if !k.copyOut(t, bufAddr, buf[:]) {
 		return errno(EFAULT)
 	}
 	return 0
@@ -934,9 +931,7 @@ func (k *Kernel) sysFork(t *Thread) uint64 {
 		cf := *f
 		child.fds[n] = &cf
 	}
-	k.procs[child.PID] = child
-	k.order = append(k.order, child.PID)
-	k.registerProcMaps(child)
+	k.addProcess(child)
 
 	// The forking thread is duplicated; SUD state is inherited
 	// (per-thread, preserved across fork on Linux). The tracer is NOT
@@ -1039,11 +1034,9 @@ func (k *Kernel) sysWait4(t *Thread, pid int, statusAddr uint64) (ret uint64, bl
 		if c.Exit.Signal != 0 {
 			status = uint64(c.Exit.Signal)
 		}
-		buf := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(status >> (8 * i))
-		}
-		if !k.copyOut(t, statusAddr, buf) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], status)
+		if !k.copyOut(t, statusAddr, buf[:]) {
 			return errno(EFAULT), false
 		}
 	}
