@@ -5,7 +5,6 @@ import (
 
 	"k23/internal/asm"
 	"k23/internal/cpu"
-	"k23/internal/image"
 	"k23/internal/kernel"
 	"k23/internal/libc"
 )
@@ -227,7 +226,7 @@ func TestDirectSyscallBypassesDispatch(t *testing.T) {
 // TestVvarTracksClock: the vvar page advances with the virtual clock.
 func TestVvarTracksClock(t *testing.T) {
 	k, l, reg := newWorld(t)
-	reg.MustAdd(buildGetpidLoop(100000))
+	reg.MustAdd(buildSpin("/bin/spin", 100000, false))
 	p, err := l.Spawn("/bin/spin", []string{"spin"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -245,18 +244,4 @@ func TestVvarTracksClock(t *testing.T) {
 	if sec < 5 {
 		t.Fatalf("vvar seconds = %d, want >= 5", sec)
 	}
-}
-
-func buildGetpidLoop(n uint32) *image.Image {
-	b := asm.NewBuilder("/bin/spin")
-	b.Needed(libc.Path)
-	tx := b.Text()
-	tx.Label("_start")
-	tx.MovImm32(cpu.RBX, n)
-	tx.Label(".l")
-	tx.AddImm(cpu.RBX, -1)
-	tx.Jnz(".l")
-	tx.MovImm32(cpu.RDI, 0)
-	tx.CallSym("exit_group")
-	return b.MustBuild()
 }
