@@ -12,7 +12,7 @@ import (
 	"k23/internal/mem"
 )
 
-func newWorld(t *testing.T) (*kernel.Kernel, *loader.Loader, *image.Registry) {
+func newWorld(t testing.TB) (*kernel.Kernel, *loader.Loader, *image.Registry) {
 	t.Helper()
 	k := kernel.New()
 	reg := image.NewRegistry()
