@@ -1,9 +1,14 @@
 package chaos
 
 import (
+	"context"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
+	"k23/internal/apps"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 )
 
 // Tier-1 smoke sweep: a handful of seeds through all three invariant
@@ -67,5 +72,44 @@ func TestSeedsDeterministic(t *testing.T) {
 	}
 	if a[0] == a[1] {
 		t.Fatal("consecutive seeds identical")
+	}
+}
+
+// TestChaosDecisionStreamPinned pins the injector's decision log and
+// perturbation count for three seeds of the default profile on a
+// served redis run. Which calls are eligible, in what order the
+// injector is queried and which errno each class draws all feed this
+// stream, so it moves only when chaos semantics deliberately change.
+func TestChaosDecisionStreamPinned(t *testing.T) {
+	want := []struct {
+		injected, decisions int
+		hash                uint64
+	}{
+		{24, 24, 0x91d852180faa3835},
+		{16, 16, 0xce530da8ab771295},
+		{13, 13, 0x1496e3875bf27421},
+	}
+	prof := kernel.DefaultChaosProfile()
+	for i, seed := range Seeds(0xc1a05, len(want)) {
+		spec := machine.Spec{Name: "redis", Path: apps.RedisPath, Argv: []string{"redis-server", "1"},
+			Server: true, Requests: 40, Seed: seed, Chaos: &prof}
+		r, err := machine.Start(context.Background(), spec, machine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Drive(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		ds := r.W.K.ChaosDecisions()
+		for _, d := range ds {
+			fmt.Fprintf(h, "%d %s %d\n", d.Q, d.Kind, d.Val)
+		}
+		got := want[i]
+		got.injected, got.decisions, got.hash = int(r.W.K.ChaosInjected()), len(ds), h.Sum64()
+		if got != want[i] {
+			t.Errorf("seed %#x: injected %d, %d decisions, hash %#x; want %d, %d, %#x",
+				seed, got.injected, got.decisions, got.hash, want[i].injected, want[i].decisions, want[i].hash)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package libc_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"k23/internal/asm"
@@ -55,6 +57,31 @@ func TestEveryWrapperHasOneSite(t *testing.T) {
 		if count != 1 {
 			t.Fatalf("%s site in ground truth %d times, want once", name, count)
 		}
+	}
+}
+
+// TestImageHashPinned pins libc's bytes: every section's name, placement,
+// permissions and contents, the symbol table, relocations and the
+// ground-truth syscall sites. Reordering or re-encoding a wrapper moves
+// every later symbol, which shifts rewrite sites, trace hashes and
+// goldens downstream, so a change here must be deliberate.
+func TestImageHashPinned(t *testing.T) {
+	const want = 0x7d7ad76e9c5d24d5
+	im := libc.Image()
+	h := fnv.New64a()
+	for _, s := range im.Sections {
+		fmt.Fprintf(h, "section %s %#x %#x %d\n", s.Name, s.Off, s.Size, s.Perm)
+		h.Write(s.Data)
+	}
+	for _, name := range im.SortedSymbols() {
+		fmt.Fprintf(h, "symbol %s %#x\n", name, im.Symbols[name])
+	}
+	for _, r := range im.Relocs {
+		fmt.Fprintf(h, "reloc %#x %s %d\n", r.Off, r.Symbol, r.Addend)
+	}
+	fmt.Fprintf(h, "sites %v entry %#x init %s\n", im.TrueSites, im.Entry, im.InitSymbol)
+	if got := h.Sum64(); got != want {
+		t.Errorf("libc image hash = %#x, want %#x", got, want)
 	}
 }
 
