@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"k23/internal/obsv"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files from current output")
@@ -64,6 +66,56 @@ func TestServerRunsLiveRecordedAndReplayed(t *testing.T) {
 		if !bytes.Equal(plain, recorded) || !bytes.Equal(recorded, replayed) {
 			t.Errorf("%s: stdout differs:\n plain    %q\n recorded %q\n replayed %q", app[0], plain, recorded, replayed)
 		}
+	}
+}
+
+// TestObservabilityPipelines runs the trace and metrics pipelines end
+// to end through the command: each row produces artifacts with k23 and
+// checks them the way a user would.
+func TestObservabilityPipelines(t *testing.T) {
+	run := func(t *testing.T, args ...string) {
+		t.Helper()
+		if _, code := k23(t, args...); code != 0 {
+			t.Fatalf("k23 %v exited %d", args, code)
+		}
+	}
+	read := func(t *testing.T, path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, row := range []struct {
+		name  string
+		check func(t *testing.T, dir string)
+	}{
+		// A traced run's JSONL passes the schema check (every record
+		// parses, carries its kind's fields, keeps seq/clock monotonic),
+		// and its metrics name the syscalls ls makes.
+		{"trace-schema", func(t *testing.T, dir string) {
+			trace, metrics := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "metrics.json")
+			run(t, "-variant", "k23-ultra", "-trace-json", trace, "-metrics", metrics, "ls")
+			if _, err := obsv.ValidateJSONL(bytes.NewReader(read(t, trace))); err != nil {
+				t.Errorf("trace fails the schema check: %v", err)
+			}
+			if !bytes.Contains(read(t, metrics), []byte(`"name": "openat"`)) {
+				t.Error("metrics missing ls syscalls")
+			}
+		}},
+		// The metrics are a built-in probe program, so replaying a
+		// recording derives byte-identical metrics JSON.
+		{"replay-metrics-parity", func(t *testing.T, dir string) {
+			rec, live, replay := filepath.Join(dir, "r.jsonl"), filepath.Join(dir, "live.json"), filepath.Join(dir, "replay.json")
+			run(t, "-variant", "k23-ultra", "-record", rec, "-metrics", live, "ls")
+			run(t, "-replay", rec, "-metrics", replay)
+			if !bytes.Equal(read(t, live), read(t, replay)) {
+				t.Error("replay-derived metrics differ from live metrics")
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) { row.check(t, t.TempDir()) })
 	}
 }
 

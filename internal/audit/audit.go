@@ -80,12 +80,6 @@ type procState struct {
 // the differential join. Not safe for concurrent use — like the other
 // collectors it is owned by its World's event hook.
 type Auditor struct {
-	// NameFn maps a syscall number to a display name for reports and
-	// ledger excerpts. Nil falls back to "syscall_N". Injected (rather
-	// than imported from obsv) to keep the package dependent on the
-	// kernel alone.
-	NameFn func(uint64) string
-
 	// WindowCycles is the virtual-clock window width; zero selects
 	// DefaultWindowCycles.
 	WindowCycles uint64
@@ -150,10 +144,9 @@ type windowTally struct {
 	escapes uint64
 }
 
-// New returns an empty Auditor. nameFn may be nil.
-func New(nameFn func(uint64) string) *Auditor {
+// New returns an empty Auditor.
+func New() *Auditor {
 	return &Auditor{
-		NameFn:   nameFn,
 		claims:   make(map[tidKey][]claim),
 		sigdepth: make(map[tidKey]int),
 		tainted:  make(map[tidKey]bool),
@@ -164,13 +157,6 @@ func New(nameFn func(uint64) string) *Auditor {
 		windows:  make(map[uint64]*windowTally),
 		guardMem: make(map[string]*GuardMemStat),
 	}
-}
-
-func (a *Auditor) name(nr uint64) string {
-	if a.NameFn != nil {
-		return a.NameFn(nr)
-	}
-	return fmt.Sprintf("syscall_%d", nr)
 }
 
 func (a *Auditor) proc(pid int) *procState {
@@ -410,7 +396,7 @@ func (a *Auditor) handleOracle(e *kernel.Event) {
 			PID:      e.PID,
 			TID:      e.TID,
 			Nr:       e.Num,
-			Name:     a.name(e.Num),
+			Name:     kernel.SyscallName(e.Num),
 			Site:     e.Site,
 			Clock:    e.Clock,
 			Seq:      e.Seq,
@@ -458,7 +444,7 @@ func (a *Auditor) renderEvent(e *kernel.Event) string {
 	switch e.Kind {
 	case kernel.EvEnter, kernel.EvExit, kernel.EvOracle, kernel.EvInterposed,
 		kernel.EvResolve, kernel.EvSudSigsys, kernel.EvSeccompSigsys:
-		s += " " + a.name(e.Num)
+		s += " " + kernel.SyscallName(e.Num)
 	case kernel.EvSignal:
 		s += fmt.Sprintf(" sig=%d", e.Num)
 	}

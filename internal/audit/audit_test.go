@@ -12,7 +12,7 @@ import (
 
 // feed pushes a synthetic event stream through a fresh Auditor.
 func feed(events []kernel.Event) *Auditor {
-	a := New(nil)
+	a := New()
 	for i := range events {
 		a.Handle(&events[i])
 	}

@@ -1,6 +1,10 @@
 package audit
 
-import "sort"
+import (
+	"sort"
+
+	"k23/internal/kernel"
+)
 
 // CoverageCell is one coverage-matrix cell: syscall × mechanism.
 type CoverageCell struct {
@@ -171,7 +175,7 @@ func (a *Auditor) Snapshot() *Snapshot {
 	}
 
 	for k, n := range a.coverage {
-		s.Coverage = append(s.Coverage, CoverageCell{Nr: k.nr, Name: a.name(k.nr), Mech: k.mech, Count: n})
+		s.Coverage = append(s.Coverage, CoverageCell{Nr: k.nr, Name: kernel.SyscallName(k.nr), Mech: k.mech, Count: n})
 	}
 	sort.Slice(s.Coverage, func(i, j int) bool {
 		if s.Coverage[i].Nr != s.Coverage[j].Nr {
@@ -181,7 +185,7 @@ func (a *Auditor) Snapshot() *Snapshot {
 	})
 
 	for k, n := range a.escapes {
-		s.Escapes = append(s.Escapes, EscapeStat{Category: k.category, Nr: k.nr, Name: a.name(k.nr), Count: n})
+		s.Escapes = append(s.Escapes, EscapeStat{Category: k.category, Nr: k.nr, Name: kernel.SyscallName(k.nr), Count: n})
 		s.Totals.Escaped += n
 	}
 	sort.Slice(s.Escapes, func(i, j int) bool {

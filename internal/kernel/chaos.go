@@ -197,21 +197,14 @@ func (c *chaosState) decide(rate uint32, kind string, draw func() uint64) (bool,
 	return true, val
 }
 
-// transientErrno rolls for an entry-time transient failure of nr.
-// Only syscalls whose Linux counterparts fail transiently are eligible,
-// each with its idiomatic errno.
+// transientErrno rolls for an entry-time transient failure of nr, with
+// the errno the syscall table gives it (calls without one never fail).
 func (c *chaosState) transientErrno(nr uint64) int {
-	var e int
-	switch nr {
-	case SysRead, SysRecvfrom, SysWrite, SysSendto:
-		e = EAGAIN
-	case SysMmap:
-		e = ENOMEM
-	case SysOpen, SysOpenat, SysSocket, SysAccept, SysAccept4:
-		e = EMFILE
-	default:
+	sc := lookupSyscall(nr)
+	if sc == nil || sc.Transient == 0 {
 		return 0
 	}
+	e := sc.Transient
 	hit, _ := c.decide(c.prof.Transient, ChaosKindTransient, func() uint64 { return uint64(e) })
 	if !hit {
 		return 0
@@ -229,22 +222,6 @@ func IsTransient(e int) bool {
 		return true
 	}
 	return false
-}
-
-// chaosErrnoName names the injectable transient errnos for EvChaos
-// details (kernel-local; the full errno table lives in obsv).
-func chaosErrnoName(e int) string {
-	switch e {
-	case EINTR:
-		return "EINTR"
-	case EAGAIN:
-		return "EAGAIN"
-	case ENOMEM:
-		return "ENOMEM"
-	case EMFILE:
-		return "EMFILE"
-	}
-	return fmt.Sprintf("E%d", e)
 }
 
 // emitChaos counts one perturbation and publishes it to the trace.

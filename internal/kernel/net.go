@@ -101,62 +101,65 @@ func (k *Kernel) ListenerStats(port int) (accepted, completed int) {
 	return l.accepted, l.completed
 }
 
-func (k *Kernel) sysSocket(t *Thread) uint64 {
-	return k.allocFD(t.Proc, &fd{kind: fdSocket})
+func (k *Kernel) sysSocket(t *Thread, _ [6]uint64) (uint64, bool) {
+	return k.allocFD(t.Proc, &fd{kind: fdSocket}), false
 }
 
-func (k *Kernel) sysBind(t *Thread, n, port int) uint64 {
+func (k *Kernel) sysBind(t *Thread, a [6]uint64) (uint64, bool) {
+	n, port := int(a[0]), int(a[1])
 	f, ok := t.Proc.fds[n]
 	if !ok {
-		return errno(EBADF)
+		return errno(EBADF), false
 	}
 	switch f.kind {
 	case fdSocket:
 	case fdListener, fdConn:
 		// Already listening or connected: the socket has an address.
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	default:
 		// bind on a non-socket descriptor is ENOTSOCK, not EBADF.
-		return errno(ENOTSOCK)
+		return errno(ENOTSOCK), false
 	}
 	if f.listener != nil {
-		return errno(EINVAL) // already bound
+		return errno(EINVAL), false // already bound
 	}
 	if _, used := k.net.listeners[port]; used {
-		return errno(EADDRINUSE)
+		return errno(EADDRINUSE), false
 	}
 	f.listener = &listener{port: port}
-	return 0
+	return 0, false
 }
 
-func (k *Kernel) sysListen(t *Thread, n, backlog int) uint64 {
+func (k *Kernel) sysListen(t *Thread, a [6]uint64) (uint64, bool) {
+	n := int(a[0])
 	f, ok := t.Proc.fds[n]
 	if !ok {
-		return errno(EBADF)
+		return errno(EBADF), false
 	}
 	switch f.kind {
 	case fdListener:
-		return 0 // listen on a listening socket is idempotent
+		return 0, false // listen on a listening socket is idempotent
 	case fdSocket:
 	case fdConn:
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	default:
-		return errno(ENOTSOCK)
+		return errno(ENOTSOCK), false
 	}
 	if f.listener == nil {
 		// A socket fd that was never bound: no address to listen on.
 		// (Linux would auto-bind an ephemeral port; the simulated stack
 		// requires an explicit bind — see "Known modelling deviations".)
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	}
 	f.kind = fdListener
 	k.net.listeners[f.listener.port] = f.listener
-	return 0
+	return 0, false
 }
 
 // sysAccept returns a connection fd, blocking when the backlog is empty
 // (restart vs EINTR on interruption per the handler's SA_RESTART flag).
-func (k *Kernel) sysAccept(t *Thread, n int) (ret uint64, blocked bool) {
+func (k *Kernel) sysAccept(t *Thread, a [6]uint64) (ret uint64, blocked bool) {
+	n := int(a[0])
 	p := t.Proc
 	f, ok := p.fds[n]
 	if !ok {

@@ -73,18 +73,19 @@ func (f *seccompFilter) evaluate(nr uint64, args [6]uint64) uint64 {
 // action wins, as in seccomp(2). Filters cannot be removed — which is
 // why, unlike SUD's prctl (pitfall P1b), seccomp-based interposition
 // cannot be switched off by the application.
-func (k *Kernel) sysSeccomp(t *Thread, op, flags, addr uint64) uint64 {
+func (k *Kernel) sysSeccomp(t *Thread, a [6]uint64) (uint64, bool) {
+	op, addr := a[0], a[2]
 	if op != SeccompSetModeFilter || addr == 0 {
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	}
 	p := t.Proc
 	count, err := p.AS.KLoadU64(addr)
 	if err != nil || count > 4096 {
-		return errno(EFAULT)
+		return errno(EFAULT), false
 	}
 	def, err := p.AS.KLoadU64(addr + 8)
 	if err != nil {
-		return errno(EFAULT)
+		return errno(EFAULT), false
 	}
 	f := &seccompFilter{defaultAction: def}
 	for i := uint64(0); i < count; i++ {
@@ -93,7 +94,7 @@ func (k *Kernel) sysSeccomp(t *Thread, op, flags, addr uint64) uint64 {
 		for w := range words {
 			v, err := p.AS.KLoadU64(base + uint64(8*w))
 			if err != nil {
-				return errno(EFAULT)
+				return errno(EFAULT), false
 			}
 			words[w] = v
 		}
@@ -106,7 +107,7 @@ func (k *Kernel) sysSeccomp(t *Thread, op, flags, addr uint64) uint64 {
 		})
 	}
 	p.seccomp = append(p.seccomp, f)
-	return 0
+	return 0, false
 }
 
 // seccompCheck evaluates all installed filters for the pending syscall.

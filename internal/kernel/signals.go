@@ -133,10 +133,10 @@ func (k *Kernel) deliverSignal(t *Thread, sig int, info sigInfo) {
 // sysSigreturn restores the thread context from the most recent signal
 // frame. The ucontext is re-read from guest memory, so handler-side
 // modifications (emulated return values, redirected RIP) take effect.
-func (k *Kernel) sysSigreturn(t *Thread) {
+func (k *Kernel) sysSigreturn(t *Thread, _ [6]uint64) (uint64, bool) {
 	if len(t.sigFrames) == 0 {
 		k.killProcess(t.Proc, SIGSEGV, "rt_sigreturn with no signal frame")
-		return
+		return 0, true
 	}
 	fr := t.sigFrames[len(t.sigFrames)-1]
 	t.sigFrames = t.sigFrames[:len(t.sigFrames)-1]
@@ -145,7 +145,7 @@ func (k *Kernel) sysSigreturn(t *Thread) {
 	var buf [UctxSize]byte
 	if err := t.Proc.AS.KRead(fr.ucontextAddr, buf[:]); err != nil {
 		k.killProcess(t.Proc, SIGSEGV, fmt.Sprintf("rt_sigreturn: frame unreadable: %v", err))
-		return
+		return 0, true
 	}
 	getU64 := func(off int) uint64 {
 		var v uint64
@@ -161,6 +161,7 @@ func (k *Kernel) sysSigreturn(t *Thread) {
 	ctx.RIP = getU64(UctxRIP)
 	ctx.SetFlags(getU64(UctxFlags))
 	t.Core.FlushICache()
+	return 0, true
 }
 
 // blockThread parks t until wake() returns true and arranges for the

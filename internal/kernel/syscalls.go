@@ -92,6 +92,22 @@ const (
 	ENOTCONN   = 107
 )
 
+// errnoNames spells every errno the kernel returns.
+var errnoNames = [...]string{
+	EPERM: "EPERM", ENOENT: "ENOENT", EINTR: "EINTR", EBADF: "EBADF", EAGAIN: "EAGAIN",
+	ENOMEM: "ENOMEM", EACCES: "EACCES", EFAULT: "EFAULT", EEXIST: "EEXIST",
+	ENOTDIR: "ENOTDIR", EISDIR: "EISDIR", EINVAL: "EINVAL", EMFILE: "EMFILE",
+	ENOSYS: "ENOSYS", ENOTSOCK: "ENOTSOCK", EADDRINUSE: "EADDRINUSE", ENOTCONN: "ENOTCONN",
+}
+
+// ErrnoName returns the symbolic name of errno e ("E42" if unknown).
+func ErrnoName(e int) string {
+	if e >= 0 && e < len(errnoNames) && errnoNames[e] != "" {
+		return errnoNames[e]
+	}
+	return fmt.Sprintf("E%d", e)
+}
+
 // errno encodes -e as a uint64 return value.
 func errno(e int) uint64 { return uint64(-int64(e)) }
 
@@ -355,11 +371,11 @@ func (k *Kernel) executeSyscall(t *Thread, nr uint64, a [6]uint64, site uint64) 
 	return ret, noReturn
 }
 
-// serviceSyscall is the system call service routine body. noReturn is
-// true when the routine replaced the thread context (execve, exit,
-// rt_sigreturn) and RAX must not be overwritten.
+// serviceSyscall is the system call service routine body: it runs nr's
+// handler from the syscall table. noReturn is true when the routine
+// replaced the thread context (execve, exit, rt_sigreturn) or blocked
+// the thread, and RAX must not be overwritten.
 func (k *Kernel) serviceSyscall(t *Thread, nr uint64, a [6]uint64, site uint64) (ret uint64, noReturn bool) {
-	p := t.Proc
 	t.charge(k.Cost.KernelWork)
 
 	// Chaos: transient failure at syscall entry. Only guest traps are
@@ -367,184 +383,161 @@ func (k *Kernel) serviceSyscall(t *Thread, nr uint64, a [6]uint64, site uint64) 
 	// conformance probes see the unperturbed kernel.
 	if k.chaos != nil && t.entryLen != 0 {
 		if e := k.chaos.transientErrno(nr); e != 0 {
-			k.emitChaos(t, nr, func() string { return "transient " + chaosErrnoName(e) })
+			k.emitChaos(t, nr, func() string { return "transient " + ErrnoName(e) })
 			return errno(e), false
 		}
 	}
 
-	switch nr {
-	case SysRead:
-		return k.sysRead(t, int(a[0]), a[1], a[2])
-	case SysWrite:
-		return k.sysWrite(t, int(a[0]), a[1], a[2]), false
-	case SysOpen:
-		return k.sysOpen(t, a[0], a[1]), false
-	case SysOpenat:
-		return k.sysOpen(t, a[1], a[2]), false
-	case SysClose:
-		return k.sysClose(t, int(a[0])), false
-	case SysStat:
-		return k.sysStat(t, a[0], a[1]), false
-	case SysFstat:
-		return k.sysFstat(t, int(a[0]), a[1]), false
-	case SysMmap:
-		return k.sysMmap(t, a[0], a[1], a[2], a[3]), false
-	case SysMprotect:
-		return k.sysMprotect(t, a[0], a[1], a[2]), false
-	case SysMunmap:
-		if err := p.AS.Unmap(a[0], a[1]); err != nil {
-			return errno(EINVAL), false
-		}
-		return 0, false
-	case SysBrk:
-		return 0, false
-	case SysRtSigaction:
-		return k.sysSigaction(t, int(a[0]), a[1], a[2]), false
-	case SysRtSigprocmask:
-		return 0, false
-	case SysRtSigreturn:
-		k.sysSigreturn(t)
-		return 0, true
-	case SysIoctl, SysFcntl, SysMadvise, SysSchedYield, SysNanosleep,
-		SysFutex, SysEpollCtl, SysArchPrctl, SysChdir:
-		return 0, false
-	case SysAccess:
-		path, err := p.AS.KLoadString(a[0], 4096)
-		if err != nil {
-			return errno(EFAULT), false
-		}
-		if k.FS.Exists(path) {
-			return 0, false
-		}
-		return errno(ENOENT), false
-	case SysGetpid:
-		return uint64(p.PID), false
-	case SysGettid:
-		return uint64(t.TID), false
-	case SysGetuid:
-		return 1000, false
-	case SysGetcwd:
-		if err := k.storeString(t, a[0], a[1], "/"); err != nil {
-			return errno(EFAULT), false
-		}
-		return 2, false
-	case SysUname:
-		if err := k.storeString(t, a[0], 65, "SimLinux"); err != nil {
-			return errno(EFAULT), false
-		}
-		return 0, false
-	case SysMkdir:
-		path, err := p.AS.KLoadString(a[0], 4096)
-		if err != nil {
-			return errno(EFAULT), false
-		}
-		if err := k.FS.MkdirAll(path); err != nil {
-			return errno(EPERM), false
-		}
-		return 0, false
-	case SysUnlink:
-		path, err := p.AS.KLoadString(a[0], 4096)
-		if err != nil {
-			return errno(EFAULT), false
-		}
-		switch err := k.FS.Unlink(path); err {
-		case nil:
-			return 0, false
-		case vfs.ErrNotExist:
-			return errno(ENOENT), false
-		default:
-			return errno(EPERM), false
-		}
-	case SysChmod:
-		path, err := p.AS.KLoadString(a[0], 4096)
-		if err != nil {
-			return errno(EFAULT), false
-		}
-		if err := k.FS.Chmod(path, vfs.Mode(a[1])); err != nil {
-			return errno(EPERM), false
-		}
-		return 0, false
-	case SysGettimeofday, SysClockGettime, SysTime:
-		return k.sysTime(t, nr, a), false
-	case SysSocket:
-		return k.sysSocket(t), false
-	case SysBind:
-		return k.sysBind(t, int(a[0]), int(a[1])), false
-	case SysListen:
-		return k.sysListen(t, int(a[0]), int(a[1])), false
-	case SysAccept, SysAccept4:
-		return k.sysAccept(t, int(a[0]))
-	case SysSendto:
-		return k.sysWrite(t, int(a[0]), a[1], a[2]), false
-	case SysRecvfrom:
-		return k.sysRead(t, int(a[0]), a[1], a[2])
-	case SysEpollCreate1:
-		return k.allocFD(p, &fd{kind: fdEpoll}), false
-	case SysEpollWait:
-		return 0, false
-	case SysClone:
-		return k.sysClone(t, a[0], a[1]), false
-	case SysFork:
-		return k.sysFork(t), false
-	case SysExecve:
-		return k.sysExecve(t, a[0], a[1], a[2])
-	case SysExit, SysExitGroup:
-		code := int(a[0] & 0xff) // exit statuses are 8-bit, as on Linux
-		if nr == SysExitGroup {
-			for _, th := range p.Threads {
-				th.State = ThreadExited
-			}
-			k.finishProcess(p, ExitInfo{Code: code})
-		} else {
-			k.exitThread(t, code)
-		}
-		return 0, true
-	case SysWait4:
-		return k.sysWait4(t, int(int64(a[0])), a[1])
-	case SysKill:
-		if target, ok := k.procs[int(a[0])]; ok {
-			return k.signalProcess(t, target, int(a[1]))
-		}
-		return errno(ENOENT), false
-	case SysPtrace:
-		// Guest-initiated ptrace is not modelled; tracers are host-level.
-		k.emitUnknownSyscall(t, nr, site, "ptrace not modelled")
-		return errno(ENOSYS), false
-	case SysPrctl:
-		return k.sysPrctl(t, a), false
-	case SysGetrandom:
-		return k.sysGetrandom(t, a[0], a[1]), false
-	case SysPkeyAlloc:
-		for i := 1; i < mem.NumPkeys; i++ {
-			if !p.pkeyAllocated[i] {
-				p.pkeyAllocated[i] = true
-				return uint64(i), false
-			}
-		}
-		return errno(ENOMEM), false
-	case SysPkeyFree:
-		if a[0] < mem.NumPkeys {
-			p.pkeyAllocated[a[0]] = false
-			return 0, false
-		}
-		return errno(EINVAL), false
-	case SysPkeyMprotect:
-		if err := p.AS.ProtectWithKey(a[0], a[1], protToPerm(a[2]), int(a[3])); err != nil {
-			return errno(EINVAL), false
-		}
-		return 0, false
-	case SysSeccomp:
-		return k.sysSeccomp(t, a[0], a[1], a[2]), false
-	case SysProcessVMReadv:
-		k.emitUnknownSyscall(t, nr, site, "process_vm_readv not modelled")
-		return errno(ENOSYS), false
-	default:
-		// Unknown system calls (including the microbenchmark's number
-		// 500 and K23's fake handoff calls) take the full entry path
-		// and fail with ENOSYS.
-		k.emitUnknownSyscall(t, nr, site, "unimplemented")
-		return errno(ENOSYS), false
+	sc := lookupSyscall(nr)
+	if sc != nil && sc.do != nil {
+		return sc.do(k, t, a)
 	}
+	// Unknown system calls (including the microbenchmark's number 500
+	// and K23's fake handoff calls) and the named but unmodelled ones
+	// take the full entry path and fail with ENOSYS.
+	why := "unimplemented"
+	if sc != nil {
+		why = sc.Name + " not modelled"
+	}
+	k.emitUnknownSyscall(t, nr, site, why)
+	return errno(ENOSYS), false
+}
+
+// The handlers below are the table's bodies for calls too small for a
+// function of their own elsewhere. Each takes the six argument registers
+// and returns the result and whether the routine replaced the thread
+// context or blocked (see serviceSyscall).
+
+// sysNop succeeds without effect: calls whose state the simulation does
+// not model (brk, ioctl, fcntl, futex, ...).
+func (k *Kernel) sysNop(*Thread, [6]uint64) (uint64, bool) { return 0, false }
+
+func (k *Kernel) sysGetpid(t *Thread, _ [6]uint64) (uint64, bool) { return uint64(t.Proc.PID), false }
+func (k *Kernel) sysGettid(t *Thread, _ [6]uint64) (uint64, bool) { return uint64(t.TID), false }
+func (k *Kernel) sysGetuid(*Thread, [6]uint64) (uint64, bool)     { return 1000, false }
+
+func (k *Kernel) sysOpenat(t *Thread, a [6]uint64) (uint64, bool) {
+	return k.sysOpen(t, [6]uint64{a[1], a[2]})
+}
+
+func (k *Kernel) sysMunmap(t *Thread, a [6]uint64) (uint64, bool) {
+	if err := t.Proc.AS.Unmap(a[0], a[1]); err != nil {
+		return errno(EINVAL), false
+	}
+	return 0, false
+}
+
+func (k *Kernel) sysAccess(t *Thread, a [6]uint64) (uint64, bool) {
+	path, err := t.Proc.AS.KLoadString(a[0], 4096)
+	if err != nil {
+		return errno(EFAULT), false
+	}
+	if k.FS.Exists(path) {
+		return 0, false
+	}
+	return errno(ENOENT), false
+}
+
+func (k *Kernel) sysGetcwd(t *Thread, a [6]uint64) (uint64, bool) {
+	if err := k.storeString(t, a[0], a[1], "/"); err != nil {
+		return errno(EFAULT), false
+	}
+	return 2, false
+}
+
+func (k *Kernel) sysUname(t *Thread, a [6]uint64) (uint64, bool) {
+	if err := k.storeString(t, a[0], 65, "SimLinux"); err != nil {
+		return errno(EFAULT), false
+	}
+	return 0, false
+}
+
+func (k *Kernel) sysMkdir(t *Thread, a [6]uint64) (uint64, bool) {
+	path, err := t.Proc.AS.KLoadString(a[0], 4096)
+	if err != nil {
+		return errno(EFAULT), false
+	}
+	if err := k.FS.MkdirAll(path); err != nil {
+		return errno(EPERM), false
+	}
+	return 0, false
+}
+
+func (k *Kernel) sysUnlink(t *Thread, a [6]uint64) (uint64, bool) {
+	path, err := t.Proc.AS.KLoadString(a[0], 4096)
+	if err != nil {
+		return errno(EFAULT), false
+	}
+	switch err := k.FS.Unlink(path); err {
+	case nil:
+		return 0, false
+	case vfs.ErrNotExist:
+		return errno(ENOENT), false
+	default:
+		return errno(EPERM), false
+	}
+}
+
+func (k *Kernel) sysChmod(t *Thread, a [6]uint64) (uint64, bool) {
+	path, err := t.Proc.AS.KLoadString(a[0], 4096)
+	if err != nil {
+		return errno(EFAULT), false
+	}
+	if err := k.FS.Chmod(path, vfs.Mode(a[1])); err != nil {
+		return errno(EPERM), false
+	}
+	return 0, false
+}
+
+func (k *Kernel) sysEpollCreate1(t *Thread, _ [6]uint64) (uint64, bool) {
+	return k.allocFD(t.Proc, &fd{kind: fdEpoll}), false
+}
+
+// Exit statuses are 8-bit, as on Linux.
+func (k *Kernel) sysExit(t *Thread, a [6]uint64) (uint64, bool) {
+	k.exitThread(t, int(a[0]&0xff))
+	return 0, true
+}
+
+func (k *Kernel) sysExitGroup(t *Thread, a [6]uint64) (uint64, bool) {
+	for _, th := range t.Proc.Threads {
+		th.State = ThreadExited
+	}
+	k.finishProcess(t.Proc, ExitInfo{Code: int(a[0] & 0xff)})
+	return 0, true
+}
+
+func (k *Kernel) sysKill(t *Thread, a [6]uint64) (uint64, bool) {
+	if target, ok := k.procs[int(a[0])]; ok {
+		return k.signalProcess(t, target, int(a[1]))
+	}
+	return errno(ENOENT), false
+}
+
+func (k *Kernel) sysPkeyAlloc(t *Thread, _ [6]uint64) (uint64, bool) {
+	p := t.Proc
+	for i := 1; i < mem.NumPkeys; i++ {
+		if !p.pkeyAllocated[i] {
+			p.pkeyAllocated[i] = true
+			return uint64(i), false
+		}
+	}
+	return errno(ENOMEM), false
+}
+
+func (k *Kernel) sysPkeyFree(t *Thread, a [6]uint64) (uint64, bool) {
+	if a[0] < mem.NumPkeys {
+		t.Proc.pkeyAllocated[a[0]] = false
+		return 0, false
+	}
+	return errno(EINVAL), false
+}
+
+func (k *Kernel) sysPkeyMprotect(t *Thread, a [6]uint64) (uint64, bool) {
+	if err := t.Proc.AS.ProtectWithKey(a[0], a[1], protToPerm(a[2]), int(a[3])); err != nil {
+		return errno(EINVAL), false
+	}
+	return 0, false
 }
 
 // emitUnknownSyscall publishes the visibility event for a syscall the
@@ -589,50 +582,53 @@ func (k *Kernel) allocFD(p *Process, f *fd) uint64 {
 	return uint64(n)
 }
 
-func (k *Kernel) sysOpen(t *Thread, pathAddr, flags uint64) uint64 {
+func (k *Kernel) sysOpen(t *Thread, a [6]uint64) (uint64, bool) {
+	pathAddr, flags := a[0], a[1]
 	p := t.Proc
 	path, err := p.AS.KLoadString(pathAddr, 4096)
 	if err != nil {
-		return errno(EFAULT)
+		return errno(EFAULT), false
 	}
 	exists := k.FS.Exists(path)
 	if !exists && flags&OCreat == 0 {
-		return errno(ENOENT)
+		return errno(ENOENT), false
 	}
 	if !exists {
 		if err := k.FS.WriteFile(path, nil, vfs.ModeRW); err != nil {
-			return errno(EPERM)
+			return errno(EPERM), false
 		}
 	}
 	if flags&OTrunc != 0 {
 		if err := k.FS.WriteFile(path, nil, vfs.ModeRW); err != nil {
-			return errno(EPERM)
+			return errno(EPERM), false
 		}
 	}
 	var data []byte
 	if exists && !k.FS.IsDir(path) {
 		data, err = k.FS.ReadFile(path)
 		if err != nil && err != vfs.ErrPerm {
-			return errno(EACCES)
+			return errno(EACCES), false
 		}
 	}
-	return k.allocFD(p, &fd{kind: fdFile, path: path, data: data, flags: flags})
+	return k.allocFD(p, &fd{kind: fdFile, path: path, data: data, flags: flags}), false
 }
 
-func (k *Kernel) sysClose(t *Thread, n int) uint64 {
+func (k *Kernel) sysClose(t *Thread, a [6]uint64) (uint64, bool) {
+	n := int(a[0])
 	p := t.Proc
 	f, ok := p.fds[n]
 	if !ok {
-		return errno(EBADF)
+		return errno(EBADF), false
 	}
 	if f.kind == fdConn && f.conn != nil {
 		f.conn.closeServerSide()
 	}
 	delete(p.fds, n)
-	return 0
+	return 0, false
 }
 
-func (k *Kernel) sysRead(t *Thread, n int, buf, count uint64) (ret uint64, blocked bool) {
+func (k *Kernel) sysRead(t *Thread, a [6]uint64) (ret uint64, blocked bool) {
+	n, buf, count := int(a[0]), a[1], a[2]
 	p := t.Proc
 	if n == 0 {
 		return 0, false // empty stdin
@@ -672,7 +668,8 @@ func (k *Kernel) sysRead(t *Thread, n int, buf, count uint64) (ret uint64, block
 	}
 }
 
-func (k *Kernel) sysWrite(t *Thread, n int, buf, count uint64) uint64 {
+func (k *Kernel) sysWrite(t *Thread, a [6]uint64) (uint64, bool) {
+	n, buf, count := int(a[0]), a[1], a[2]
 	p := t.Proc
 	// Linux resolves and validates the descriptor (fget + access-mode
 	// check) before touching the user buffer, so a bad fd wins over a
@@ -682,23 +679,23 @@ func (k *Kernel) sysWrite(t *Thread, n int, buf, count uint64) uint64 {
 		var ok bool
 		f, ok = p.fds[n]
 		if !ok {
-			return errno(EBADF)
+			return errno(EBADF), false
 		}
 		switch f.kind {
 		case fdFile:
 			if f.flags&0x3 == ORdonly {
-				return errno(EBADF)
+				return errno(EBADF), false
 			}
 		case fdConn:
 		case fdSocket, fdListener:
-			return errno(ENOTCONN)
+			return errno(ENOTCONN), false
 		default:
-			return errno(EINVAL)
+			return errno(EINVAL), false
 		}
 	}
 	data, err := p.AS.KLoad(buf, int(count))
 	if err != nil {
-		return errno(EFAULT)
+		return errno(EFAULT), false
 	}
 	// Chaos: a short write consumes a prefix; the caller's retry loop
 	// (libc write) must issue the remainder.
@@ -706,42 +703,44 @@ func (k *Kernel) sysWrite(t *Thread, n int, buf, count uint64) uint64 {
 	switch {
 	case n == 1:
 		p.Stdout = append(p.Stdout, data...)
-		return uint64(len(data))
+		return uint64(len(data)), false
 	case n == 2:
 		p.Stderr = append(p.Stderr, data...)
-		return uint64(len(data))
+		return uint64(len(data)), false
 	case f.kind == fdConn:
-		return k.connWrite(t, f, data)
+		return k.connWrite(t, f, data), false
 	default:
 		// Writes append to the backing file (the workloads are
 		// log/WAL-style writers).
 		if err := k.FS.Append(f.path, data); err != nil {
-			return errno(EPERM)
+			return errno(EPERM), false
 		}
-		return uint64(len(data))
+		return uint64(len(data)), false
 	}
 }
 
-func (k *Kernel) sysStat(t *Thread, pathAddr, bufAddr uint64) uint64 {
+func (k *Kernel) sysStat(t *Thread, a [6]uint64) (uint64, bool) {
+	pathAddr, bufAddr := a[0], a[1]
 	p := t.Proc
 	path, err := p.AS.KLoadString(pathAddr, 4096)
 	if err != nil {
-		return errno(EFAULT)
+		return errno(EFAULT), false
 	}
 	if !k.FS.Exists(path) {
-		return errno(ENOENT)
+		return errno(ENOENT), false
 	}
 	data, _ := k.FS.ReadFile(path)
-	return k.fillStat(t, bufAddr, uint64(len(data)))
+	return k.fillStat(t, bufAddr, uint64(len(data))), false
 }
 
-func (k *Kernel) sysFstat(t *Thread, n int, bufAddr uint64) uint64 {
+func (k *Kernel) sysFstat(t *Thread, a [6]uint64) (uint64, bool) {
+	n, bufAddr := int(a[0]), a[1]
 	p := t.Proc
 	f, ok := p.fds[n]
 	if !ok {
-		return errno(EBADF)
+		return errno(EBADF), false
 	}
-	return k.fillStat(t, bufAddr, uint64(len(f.data)))
+	return k.fillStat(t, bufAddr, uint64(len(f.data))), false
 }
 
 // fillStat writes a 144-byte stat buffer with st_size at offset 48, as on
@@ -759,10 +758,11 @@ func (k *Kernel) fillStat(t *Thread, bufAddr, size uint64) uint64 {
 // upward.
 const mmapBase = 0x7f00_0000_0000
 
-func (k *Kernel) sysMmap(t *Thread, addr, length, prot, flags uint64) uint64 {
+func (k *Kernel) sysMmap(t *Thread, a [6]uint64) (uint64, bool) {
+	addr, length, prot, flags := a[0], a[1], a[2], a[3]
 	p := t.Proc
 	if length == 0 {
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	}
 	if addr == 0 && flags&MapFixed != 0 {
 		// Mapping page zero: the trampoline trick. Linux permits it
@@ -772,12 +772,12 @@ func (k *Kernel) sysMmap(t *Thread, addr, length, prot, flags uint64) uint64 {
 		addr = k.findFree(p, length)
 	}
 	if addr%mem.PageSize != 0 {
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	}
 	if err := p.AS.Map(addr, length, protToPerm(prot), "[anon]"); err != nil {
-		return errno(ENOMEM)
+		return errno(ENOMEM), false
 	}
-	return addr
+	return addr, false
 }
 
 // findFree picks an unused address range of the given length.
@@ -801,47 +801,52 @@ func (k *Kernel) findFree(p *Process, length uint64) uint64 {
 	}
 }
 
-func (k *Kernel) sysMprotect(t *Thread, addr, length, prot uint64) uint64 {
-	if err := t.Proc.AS.Protect(addr, length, protToPerm(prot)); err != nil {
-		return errno(EINVAL)
+func (k *Kernel) sysMprotect(t *Thread, a [6]uint64) (uint64, bool) {
+	if err := t.Proc.AS.Protect(a[0], a[1], protToPerm(a[2])); err != nil {
+		return errno(EINVAL), false
 	}
-	return 0
+	return 0, false
 }
 
-func (k *Kernel) sysSigaction(t *Thread, sig int, handler, flags uint64) uint64 {
+func (k *Kernel) sysSigaction(t *Thread, a [6]uint64) (uint64, bool) {
+	sig, handler, flags := int(a[0]), a[1], a[2]
 	if sig <= 0 || sig > 64 {
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	}
 	if handler == 0 {
 		delete(t.Proc.sigHandlers, sig)
 	} else {
 		t.Proc.sigHandlers[sig] = sigAction{handler: handler, flags: flags}
 	}
-	return 0
+	return 0, false
 }
 
-func (k *Kernel) sysTime(t *Thread, nr uint64, a [6]uint64) uint64 {
-	// One virtual second is 3.2e9 cycles (the modelled 3.2 GHz clock).
-	sec := k.VClock / CyclesPerSecond
-	nsec := (k.VClock % CyclesPerSecond) * 1_000_000_000 / CyclesPerSecond
-	var bufAddr uint64
-	switch nr {
-	case SysGettimeofday:
-		bufAddr = a[0]
-	case SysClockGettime:
-		bufAddr = a[1]
-	case SysTime:
-		if a[0] == 0 {
-			return sec
-		}
-		bufAddr = a[0]
+func (k *Kernel) sysGettimeofday(t *Thread, a [6]uint64) (uint64, bool) {
+	return k.storeTime(t, a[0]), false
+}
+
+func (k *Kernel) sysClockGettime(t *Thread, a [6]uint64) (uint64, bool) {
+	return k.storeTime(t, a[1]), false
+}
+
+// sysTime returns the virtual clock's seconds, or stores it like
+// gettimeofday when given a buffer.
+func (k *Kernel) sysTime(t *Thread, a [6]uint64) (uint64, bool) {
+	if a[0] == 0 {
+		return k.VClock / CyclesPerSecond, false
 	}
+	return k.storeTime(t, a[0]), false
+}
+
+// storeTime writes the virtual clock as (sec, nsec) to bufAddr, if any.
+func (k *Kernel) storeTime(t *Thread, bufAddr uint64) uint64 {
 	if bufAddr == 0 {
 		return 0
 	}
+	// One virtual second is 3.2e9 cycles (the modelled 3.2 GHz clock).
 	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:], sec)
-	binary.LittleEndian.PutUint64(buf[8:], nsec)
+	binary.LittleEndian.PutUint64(buf[:], k.VClock/CyclesPerSecond)
+	binary.LittleEndian.PutUint64(buf[8:], (k.VClock%CyclesPerSecond)*1_000_000_000/CyclesPerSecond)
 	if !k.copyOut(t, bufAddr, buf[:]) {
 		return errno(EFAULT)
 	}
@@ -852,31 +857,32 @@ func (k *Kernel) sysTime(t *Thread, nr uint64, a [6]uint64) uint64 {
 // paper's Xeon w5-3425.
 const CyclesPerSecond = 3_200_000_000
 
-func (k *Kernel) sysPrctl(t *Thread, a [6]uint64) uint64 {
+func (k *Kernel) sysPrctl(t *Thread, a [6]uint64) (uint64, bool) {
 	if a[0] != PrSetSyscallUserDispatch {
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	}
 	switch a[1] {
 	case PrSysDispatchOn:
 		// prctl(PR_SET_SYSCALL_USER_DISPATCH, ON, offset, len, selector)
 		if a[4] == 0 {
-			return errno(EINVAL)
+			return errno(EINVAL), false
 		}
 		t.sud = sudState{on: true, selectorAddr: a[4], allowStart: a[2], allowLen: a[3]}
 		t.Proc.sudEverArmed = true
-		return 0
+		return 0, false
 	case PrSysDispatchOff:
 		// This succeeding unconditionally is pitfall P1b: any code in
 		// the process can silently disable SUD-based interposition.
 		// K23 blocks it at the interposer layer, not here.
 		t.sud = sudState{}
-		return 0
+		return 0, false
 	default:
-		return errno(EINVAL)
+		return errno(EINVAL), false
 	}
 }
 
-func (k *Kernel) sysGetrandom(t *Thread, buf, count uint64) uint64 {
+func (k *Kernel) sysGetrandom(t *Thread, a [6]uint64) (uint64, bool) {
+	buf, count := a[0], a[1]
 	b := make([]byte, count)
 	seed := k.VClock
 	for i := range b {
@@ -884,12 +890,13 @@ func (k *Kernel) sysGetrandom(t *Thread, buf, count uint64) uint64 {
 		b[i] = byte(seed >> 33)
 	}
 	if !k.copyOut(t, buf, b) {
-		return errno(EFAULT)
+		return errno(EFAULT), false
 	}
-	return count
+	return count, false
 }
 
-func (k *Kernel) sysClone(t *Thread, flags, stack uint64) uint64 {
+func (k *Kernel) sysClone(t *Thread, a [6]uint64) (uint64, bool) {
+	stack := a[1]
 	p := t.Proc
 	ctx := t.Core.Ctx // copy
 	ctx.R[cpu.RAX] = 0
@@ -901,10 +908,10 @@ func (k *Kernel) sysClone(t *Thread, flags, stack uint64) uint64 {
 	// as on Linux (PKRU is architectural per-thread state).
 	nt.sud = t.sud
 	nt.Core.PKRU = t.Core.PKRU
-	return uint64(nt.TID)
+	return uint64(nt.TID), false
 }
 
-func (k *Kernel) sysFork(t *Thread) uint64 {
+func (k *Kernel) sysFork(t *Thread, _ [6]uint64) (uint64, bool) {
 	parent := t.Proc
 	child := &Process{
 		PID:          k.nextPID,
@@ -944,7 +951,7 @@ func (k *Kernel) sysFork(t *Thread) uint64 {
 	if k.Tracing() {
 		k.emit(Event{PID: parent.PID, TID: t.TID, Kind: EvFork, Ret: uint64(child.PID)})
 	}
-	return uint64(child.PID)
+	return uint64(child.PID), false
 }
 
 // loadStringVec reads a NULL-terminated array of string pointers.
@@ -970,7 +977,8 @@ func (k *Kernel) loadStringVec(p *Process, addr uint64) ([]string, error) {
 	return out, fmt.Errorf("kernel: unterminated string vector at %#x", addr)
 }
 
-func (k *Kernel) sysExecve(t *Thread, pathAddr, argvAddr, envAddr uint64) (uint64, bool) {
+func (k *Kernel) sysExecve(t *Thread, a [6]uint64) (uint64, bool) {
+	pathAddr, argvAddr, envAddr := a[0], a[1], a[2]
 	p := t.Proc
 	path, err := p.AS.KLoadString(pathAddr, 4096)
 	if err != nil {
@@ -1010,7 +1018,8 @@ func (k *Kernel) sysExecve(t *Thread, pathAddr, argvAddr, envAddr uint64) (uint6
 	return 0, true
 }
 
-func (k *Kernel) sysWait4(t *Thread, pid int, statusAddr uint64) (ret uint64, blocked bool) {
+func (k *Kernel) sysWait4(t *Thread, a [6]uint64) (ret uint64, blocked bool) {
+	pid, statusAddr := int(int64(a[0])), a[1]
 	p := t.Proc
 	// findZombieChild scans in PID creation order (k.order), not map
 	// order: with several zombie children, which one wait4(-1) reaps must

@@ -19,3 +19,22 @@ func TestTransientClassPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSyscallTableIntegrity: every row has its own number, Linux name
+// and libc symbol, at most six arguments, and retry errnos only where a
+// wrapper exists to loop on them.
+func TestSyscallTableIntegrity(t *testing.T) {
+	nrs, names, syms := map[uint64]bool{}, map[string]bool{}, map[string]bool{}
+	for _, sc := range Syscalls {
+		if nrs[sc.Nr] || names[sc.Name] || (sc.Libc != "" && syms[sc.Libc]) {
+			t.Errorf("%s (%d): duplicate number, name or libc symbol", sc.Name, sc.Nr)
+		}
+		nrs[sc.Nr], names[sc.Name], syms[sc.Libc] = true, true, true
+		if sc.Name == "" || sc.Arity < 0 || sc.Arity > 6 {
+			t.Errorf("%d: name %q, arity %d", sc.Nr, sc.Name, sc.Arity)
+		}
+		if len(sc.Retry) != 0 && sc.Libc == "" {
+			t.Errorf("%s: retry errnos but no libc wrapper", sc.Name)
+		}
+	}
+}

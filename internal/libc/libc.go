@@ -67,66 +67,16 @@ func build() *image.Image {
 	b := asm.NewBuilder(Path)
 	t := b.Text()
 
-	// --- plain syscall wrappers ---
-	// Wrappers for calls that fail transiently on Linux carry honest
+	// --- plain syscall wrappers, one per syscall-table row that names
+	// one. Wrappers for calls that fail transiently on Linux carry honest
 	// retry loops: EINTR (a signal interrupted the call and the handler
 	// was installed without SA_RESTART), EAGAIN (wakeup raced the data),
 	// EMFILE/ENOMEM (transient descriptor/memory pressure). The chaos
 	// injector exercises every one of these paths.
-	wrappers := []struct {
-		name  string
-		nr    uint32
-		retry []int
-	}{
-		{"read", kernel.SysRead, []int{kernel.EINTR, kernel.EAGAIN}},
-		{"open", kernel.SysOpen, []int{kernel.EINTR, kernel.EMFILE}},
-		{"openat", kernel.SysOpenat, []int{kernel.EINTR, kernel.EMFILE}},
-		{"close", kernel.SysClose, nil},
-		{"stat", kernel.SysStat, nil},
-		{"fstat", kernel.SysFstat, nil},
-		{"mmap", kernel.SysMmap, []int{kernel.EINTR, kernel.ENOMEM}},
-		{"mprotect", kernel.SysMprotect, nil},
-		{"munmap", kernel.SysMunmap, nil},
-		{"sigaction", kernel.SysRtSigaction, nil},
-		{"sigreturn", kernel.SysRtSigreturn, nil},
-		{"ioctl", kernel.SysIoctl, nil},
-		{"access", kernel.SysAccess, nil},
-		{"sched_yield", kernel.SysSchedYield, nil},
-		{"madvise", kernel.SysMadvise, nil},
-		{"nanosleep", kernel.SysNanosleep, nil},
-		{"getpid", kernel.SysGetpid, nil},
-		{"socket", kernel.SysSocket, []int{kernel.EINTR, kernel.EMFILE}},
-		{"accept", kernel.SysAccept, []int{kernel.EINTR, kernel.EAGAIN, kernel.EMFILE}},
-		{"bind", kernel.SysBind, nil},
-		{"listen", kernel.SysListen, nil},
-		{"clone", kernel.SysClone, nil},
-		{"fork", kernel.SysFork, nil},
-		{"execve", kernel.SysExecve, nil},
-		{"exit", kernel.SysExit, nil},
-		{"exit_group", kernel.SysExitGroup, nil},
-		{"wait4", kernel.SysWait4, []int{kernel.EINTR}},
-		{"kill", kernel.SysKill, nil},
-		{"uname", kernel.SysUname, nil},
-		{"fcntl", kernel.SysFcntl, nil},
-		{"getcwd", kernel.SysGetcwd, nil},
-		{"chdir", kernel.SysChdir, nil},
-		{"mkdir", kernel.SysMkdir, nil},
-		{"unlink", kernel.SysUnlink, nil},
-		{"chmod", kernel.SysChmod, nil},
-		{"getuid", kernel.SysGetuid, nil},
-		{"prctl", kernel.SysPrctl, nil},
-		{"gettid", kernel.SysGettid, nil},
-		{"futex", kernel.SysFutex, nil},
-		{"epoll_wait", kernel.SysEpollWait, nil},
-		{"epoll_ctl", kernel.SysEpollCtl, nil},
-		{"epoll_create1", kernel.SysEpollCreate1, nil},
-		{"getrandom", kernel.SysGetrandom, nil},
-		{"pkey_mprotect", kernel.SysPkeyMprotect, nil},
-		{"pkey_alloc", kernel.SysPkeyAlloc, nil},
-		{"pkey_free", kernel.SysPkeyFree, nil},
-	}
-	for _, w := range wrappers {
-		wrapper(t, w.name, w.nr, w.retry...)
+	for _, sc := range kernel.Syscalls {
+		if sc.Libc != "" {
+			wrapper(t, sc.Libc, uint32(sc.Nr), sc.Retry...)
+		}
 	}
 
 	// write(fd, buf, n): glibc-style full-delivery loop. A short write —

@@ -72,11 +72,11 @@ func WriteJSONL(w io.Writer, rings ...Ring) error {
 			}
 			switch r.Kind {
 			case kernel.EvEnter:
-				jr.Name = SyscallName(r.Num)
+				jr.Name = kernel.SyscallName(r.Num)
 				args := r.Args
 				jr.Args = args[:]
 			case kernel.EvExit, kernel.EvFork, kernel.EvOracle, kernel.EvResolve:
-				jr.Name = SyscallName(r.Num)
+				jr.Name = kernel.SyscallName(r.Num)
 				ret := int64(r.Ret)
 				jr.Ret = &ret
 			}
@@ -94,36 +94,36 @@ func FormatRecord(r Record, enterArgs []uint64) string {
 	fmt.Fprintf(&b, "[%12d] %d/%d  ", r.Clock, r.PID, r.TID)
 	switch r.Kind {
 	case kernel.EvEnter:
-		fmt.Fprintf(&b, "%s(%s) ...", SyscallName(r.Num), formatArgs(r.Num, r.Args[:]))
+		fmt.Fprintf(&b, "%s(%s) ...", kernel.SyscallName(r.Num), formatArgs(r.Num, r.Args[:]))
 	case kernel.EvExit:
-		fmt.Fprintf(&b, "%s(%s) = %s", SyscallName(r.Num), formatArgs(r.Num, enterArgs), formatRet(r.Ret))
+		fmt.Fprintf(&b, "%s(%s) = %s", kernel.SyscallName(r.Num), formatArgs(r.Num, enterArgs), formatRet(r.Ret))
 		if r.Detail != "" {
 			fmt.Fprintf(&b, " <%s>", r.Detail)
 		}
 	case kernel.EvSignal:
 		fmt.Fprintf(&b, "--- %s {site=%#x} ---", SignalName(int(r.Num)), r.Site)
 	case kernel.EvSudSigsys:
-		fmt.Fprintf(&b, "--- SIGSYS (syscall user dispatch) {nr=%s, site=%#x} ---", SyscallName(r.Num), r.Site)
+		fmt.Fprintf(&b, "--- SIGSYS (syscall user dispatch) {nr=%s, site=%#x} ---", kernel.SyscallName(r.Num), r.Site)
 	case kernel.EvSeccompSigsys:
-		fmt.Fprintf(&b, "--- SIGSYS (seccomp trap) {nr=%s, site=%#x} ---", SyscallName(r.Num), r.Site)
+		fmt.Fprintf(&b, "--- SIGSYS (seccomp trap) {nr=%s, site=%#x} ---", kernel.SyscallName(r.Num), r.Site)
 	case kernel.EvFork:
-		fmt.Fprintf(&b, "%s() = %d (child)", SyscallName(r.Num), int64(r.Ret))
+		fmt.Fprintf(&b, "%s() = %d (child)", kernel.SyscallName(r.Num), int64(r.Ret))
 	case kernel.EvExec:
 		fmt.Fprintf(&b, "execve(%s)", r.Detail)
 	case kernel.EvExitProc:
 		fmt.Fprintf(&b, "+++ %s +++", r.Detail)
 	case kernel.EvInterposed:
-		fmt.Fprintf(&b, "~~~ %s interposed %s {site=%#x} ~~~", r.Detail, SyscallName(r.Num), r.Site)
+		fmt.Fprintf(&b, "~~~ %s interposed %s {site=%#x} ~~~", r.Detail, kernel.SyscallName(r.Num), r.Site)
 	case kernel.EvChaos:
-		fmt.Fprintf(&b, "!!! chaos %s on %s {site=%#x} !!!", r.Detail, SyscallName(r.Num), r.Site)
+		fmt.Fprintf(&b, "!!! chaos %s on %s {site=%#x} !!!", r.Detail, kernel.SyscallName(r.Num), r.Site)
 	case kernel.EvOracle:
-		fmt.Fprintf(&b, "=== oracle %s = %s {site=%#x, origin=%s} ===", SyscallName(r.Num), formatRet(r.Ret), r.Site, r.Detail)
+		fmt.Fprintf(&b, "=== oracle %s = %s {site=%#x, origin=%s} ===", kernel.SyscallName(r.Num), formatRet(r.Ret), r.Site, r.Detail)
 	case kernel.EvResolve:
 		verb := "renumbered"
 		if r.Ret == 1 {
 			verb = "emulated"
 		}
-		fmt.Fprintf(&b, "~~~ %s %s %s {site=%#x} ~~~", r.Detail, verb, SyscallName(r.Num), r.Site)
+		fmt.Fprintf(&b, "~~~ %s %s %s {site=%#x} ~~~", r.Detail, verb, kernel.SyscallName(r.Num), r.Site)
 	case kernel.EvVdso:
 		fmt.Fprintf(&b, "vdso %s", r.Detail)
 	case kernel.EvRewrite:
@@ -133,9 +133,9 @@ func FormatRecord(r Record, enterArgs []uint64) string {
 	case kernel.EvStaleFetch:
 		fmt.Fprintf(&b, "!!! %d stale instruction fetch(es) !!!", r.Num)
 	case kernel.EvUnknownSyscall:
-		fmt.Fprintf(&b, "??? %s = ENOSYS {site=%#x} <%s> ???", SyscallName(r.Num), r.Site, r.Detail)
+		fmt.Fprintf(&b, "??? %s = ENOSYS {site=%#x} <%s> ???", kernel.SyscallName(r.Num), r.Site, r.Detail)
 	case kernel.EvSfipViolation:
-		fmt.Fprintf(&b, "### sfip violation %s {site=%#x} <%s> ###", SyscallName(r.Num), r.Site, r.Detail)
+		fmt.Fprintf(&b, "### sfip violation %s {site=%#x} <%s> ###", kernel.SyscallName(r.Num), r.Site, r.Detail)
 	default:
 		fmt.Fprintf(&b, "%s num=%d site=%#x %s", r.Kind, r.Num, r.Site, r.Detail)
 	}
@@ -191,7 +191,7 @@ func formatArgs(nr uint64, args []uint64) string {
 	// render exactly the syscall's arity when it is known and fall back
 	// to trailing-zero elision otherwise.
 	n := len(args)
-	if arity, ok := SyscallArity(nr); ok && arity <= n {
+	if arity, ok := kernel.SyscallArity(nr); ok && arity <= n {
 		n = arity
 	} else {
 		for n > 0 && args[n-1] == 0 {
@@ -207,7 +207,7 @@ func formatArgs(nr uint64, args []uint64) string {
 
 func formatRet(ret uint64) string {
 	if errno, ok := kernel.IsErr(ret); ok {
-		return fmt.Sprintf("-1 %s", ErrnoName(errno))
+		return fmt.Sprintf("-1 %s", kernel.ErrnoName(errno))
 	}
 	if int64(ret) < 0 {
 		return fmt.Sprintf("%#x", ret)

@@ -80,19 +80,23 @@ func TestProbeAttachCoversEventKinds(t *testing.T) {
 // number, including the syscall_N fallback spelling, or probe programs
 // could not attach to syscalls that traces display.
 func TestSyscallNrByNameRoundTrips(t *testing.T) {
-	for _, nr := range []uint64{kernel.SysRead, kernel.SysWrite, kernel.SysFutex, 500} {
-		name := obsv.SyscallName(nr)
-		back, ok := obsv.SyscallNrByName(name)
+	nrs := []uint64{500}
+	for _, sc := range kernel.Syscalls {
+		nrs = append(nrs, sc.Nr)
+	}
+	for _, nr := range nrs {
+		name := kernel.SyscallName(nr)
+		back, ok := kernel.SyscallNrByName(name)
 		if !ok || back != nr {
 			t.Errorf("SyscallNrByName(%q) = (%d, %v), want (%d, true)", name, back, ok, nr)
 		}
 	}
-	if _, ok := obsv.SyscallNrByName("no_such_syscall"); ok {
+	if _, ok := kernel.SyscallNrByName("no_such_syscall"); ok {
 		t.Error("SyscallNrByName accepted a bogus name")
 	}
 }
 
-// TestSyscallNamesCoverAppWorkloads guards the syscall naming table
+// TestSyscallNamesCoverAppWorkloads guards the kernel's syscall table
 // against drift in internal/apps: every syscall number any standard
 // workload actually executes must have a real Linux name, not the
 // "syscall_N" fallback — unnamed numbers would corrupt metric labels,
@@ -118,10 +122,10 @@ func TestSyscallNamesCoverAppWorkloads(t *testing.T) {
 		for _, sc := range m.Obs.Metrics.Syscalls {
 			total++
 			if strings.HasPrefix(sc.Name, "syscall_") {
-				t.Errorf("machine %s executes syscall %d with no name in internal/obsv/names.go",
+				t.Errorf("machine %s executes syscall %d with no row in kernel.Syscalls",
 					m.Name, sc.Nr)
 			}
-			if got := obsv.SyscallName(sc.Nr); got != sc.Name {
+			if got := kernel.SyscallName(sc.Nr); got != sc.Name {
 				t.Errorf("metrics name %q disagrees with SyscallName(%d) = %q", sc.Name, sc.Nr, got)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"k23/internal/cpu"
+	"k23/internal/kernel"
 	"k23/internal/probe"
 )
 
@@ -90,7 +91,7 @@ func metricsView(ps *probe.Snapshot, dc cpu.DecodeCacheStats) *MetricsSnapshot {
 		switch [2]int{r.Probe, r.Action} {
 		case [2]int{0, 0}: // hist(cycles) by (nr)
 			nr := uint64(n)
-			sys[nr] = &SyscallStat{Nr: nr, Name: SyscallName(nr), Count: r.Count, Hist: histView(r)}
+			sys[nr] = &SyscallStat{Nr: nr, Name: kernel.SyscallName(nr), Count: r.Count, Hist: histView(r)}
 		case [2]int{0, 1}: // hist(cycles) by (pid)
 			procs[int(n)] = &ProcStat{PID: int(n), Syscalls: r.Count, Hist: histView(r)}
 		case [2]int{1, 0}: // errno != 0: count() by (nr)

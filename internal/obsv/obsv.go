@@ -105,20 +105,17 @@ func New(opts Options) *Observer {
 		o.Profiler = NewProfiler()
 	}
 	if opts.Audit || opts.SfipLearn {
-		o.Audit = audit.New(SyscallName)
+		o.Audit = audit.New()
 	}
 	if opts.SfipLearn {
 		o.Learner = sfip.NewLearner(opts.Machine, "")
-		o.Learner.Policy().NameFn = SyscallName
 		o.Audit.OnOracle = o.Learner.OnOracle
 	}
 	if opts.SfipPolicy != nil {
-		opts.SfipPolicy.NameFn = SyscallName
 		o.Enforcer = sfip.NewEnforcer(opts.SfipPolicy, opts.SfipMode)
 	}
 	if opts.Spans {
 		o.SpanBuilder = span.NewBuilder(opts.Machine)
-		o.SpanBuilder.Names = SyscallName
 	}
 	if opts.Probes != nil {
 		o.Probe = opts.Probes.NewEngine(opts.Machine, opts.ProbeMech)
@@ -126,18 +123,14 @@ func New(opts Options) *Observer {
 	return o
 }
 
-// CompileProbes parses and compiles a probe program against the obsv
-// naming tables — the one-stop entry point for CLIs, the fleet, and
-// the bench harness.
+// CompileProbes parses and compiles a probe program — the one-stop
+// entry point for CLIs, the fleet, and the bench harness.
 func CompileProbes(src string) (*probe.Compiled, error) {
 	prog, err := probe.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return probe.Compile(prog, probe.Config{
-		SyscallName: SyscallName,
-		SyscallNr:   SyscallNrByName,
-	})
+	return probe.Compile(prog)
 }
 
 // Install attaches the observer to k. With no collectors enabled this
@@ -303,7 +296,6 @@ func (s *Snapshot) Merge(other *Snapshot) {
 	if other.SfipPolicy != nil {
 		if s.SfipPolicy == nil {
 			s.SfipPolicy = sfip.NewPolicy(other.SfipPolicy.App, other.SfipPolicy.Mech)
-			s.SfipPolicy.NameFn = other.SfipPolicy.NameFn
 		}
 		s.SfipPolicy.Merge(other.SfipPolicy)
 	}

@@ -3,8 +3,14 @@ package obsv
 import (
 	"bytes"
 	"compress/gzip"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -361,13 +367,13 @@ func TestSnapshotMerge(t *testing.T) {
 
 // TestNames: syscall/errno/signal naming with fallbacks.
 func TestNames(t *testing.T) {
-	if got := SyscallName(kernel.SysOpenat); got != "openat" {
+	if got := kernel.SyscallName(kernel.SysOpenat); got != "openat" {
 		t.Errorf("SyscallName(openat) = %q", got)
 	}
-	if got := SyscallName(500); got != "syscall_500" {
+	if got := kernel.SyscallName(500); got != "syscall_500" {
 		t.Errorf("SyscallName(500) = %q", got)
 	}
-	if got := ErrnoName(kernel.ENOSYS); got != "ENOSYS" {
+	if got := kernel.ErrnoName(kernel.ENOSYS); got != "ENOSYS" {
 		t.Errorf("ErrnoName(ENOSYS) = %q", got)
 	}
 	if got := SignalName(kernel.SIGSYS); got != "SIGSYS" {
@@ -375,5 +381,51 @@ func TestNames(t *testing.T) {
 	}
 	if got := SignalName(7); got != "SIG7" {
 		t.Errorf("SignalName(7) = %q", got)
+	}
+}
+
+// TestEveryErrnoRendersByName walks every E* constant the kernel
+// declares and checks that strace-style rendering spells it by name, not
+// as "E<n>": an errno the kernel can return but not name would show up
+// in traces as a bare number.
+func TestEveryErrnoRendersByName(t *testing.T) {
+	files, err := filepath.Glob("../kernel/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errnoConst := regexp.MustCompile(`^E[A-Z0-9]+$`)
+	n := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(node ast.Node) bool {
+			spec, ok := node.(*ast.ValueSpec)
+			if !ok || len(spec.Values) != len(spec.Names) {
+				return true
+			}
+			for i, id := range spec.Names {
+				lit, ok := spec.Values[i].(*ast.BasicLit)
+				if !errnoConst.MatchString(id.Name) || !ok || lit.Kind != token.INT {
+					continue
+				}
+				e, err := strconv.Atoi(lit.Value)
+				if err != nil {
+					t.Fatalf("%s = %s: %v", id.Name, lit.Value, err)
+				}
+				n++
+				if got, want := formatRet(errnoRet(e)), "-1 "+id.Name; got != want {
+					t.Errorf("formatRet(-%s) = %q, want %q", id.Name, got, want)
+				}
+			}
+			return true
+		})
+	}
+	if n < 17 {
+		t.Fatalf("found %d errno constants in the kernel, want at least 17", n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
-	"strings"
 
 	"k23/internal/kernel"
 )
@@ -15,21 +14,8 @@ import (
 // (bucket 0 holds zeros), with one overflow bucket at the top.
 const HistBuckets = 33
 
-// DefaultEmitCap bounds each engine's emit() flight-recorder ring.
-const DefaultEmitCap = 4096
-
-// Config supplies the naming tables Compile needs to resolve syscall
-// names in attach points and render the `name` field. The obsv package
-// passes its tables; tests can pass stubs.
-type Config struct {
-	// SyscallName renders a syscall number (nil: "syscall_N").
-	SyscallName func(uint64) string
-	// SyscallNr resolves a syscall name from an attach point (nil: only
-	// the "syscall_N" spelling resolves).
-	SyscallNr func(string) (uint64, bool)
-	// EmitCap overrides DefaultEmitCap when > 0.
-	EmitCap int
-}
+// EmitCap bounds each engine's emit() flight-recorder ring.
+const EmitCap = 4096
 
 // Compiled is an immutable compiled program: per-kind dispatch tables,
 // matchers, predicates and actions, shareable read-only across any
@@ -38,7 +24,6 @@ type Config struct {
 // Engine owns its own aggregation state).
 type Compiled struct {
 	Prog *Program
-	cfg  Config
 	hash uint64 // Prog.Hash(), computed once
 
 	// evByKind[k] lists, in program order, the event-stream probes whose
@@ -78,12 +63,9 @@ type compiledAction struct {
 
 // Compile turns a parsed program into a shareable Compiled. It resolves
 // syscall names in attach points (the only deferred validation) and
-// fails on names the naming table does not know.
-func Compile(prog *Program, cfg Config) (*Compiled, error) {
-	if cfg.SyscallName == nil {
-		cfg.SyscallName = func(nr uint64) string { return fmt.Sprintf("syscall_%d", nr) }
-	}
-	c := &Compiled{Prog: prog, cfg: cfg, hash: prog.Hash()}
+// fails on names the kernel's syscall table does not know.
+func Compile(prog *Program) (*Compiled, error) {
+	c := &Compiled{Prog: prog, hash: prog.Hash()}
 	for pi, pr := range prog.Probes {
 		cp := &compiledProbe{probe: pi, anyNr: true}
 		if pr.Pred != nil {
@@ -180,15 +162,8 @@ func compilePhaseAttach(a Attach) func(*evctx) bool {
 
 // resolveSyscall maps an attach-point syscall name to its number.
 func (c *Compiled) resolveSyscall(name string) (uint64, error) {
-	if c.cfg.SyscallNr != nil {
-		if nr, ok := c.cfg.SyscallNr(name); ok {
-			return nr, nil
-		}
-	}
-	if rest, ok := strings.CutPrefix(name, "syscall_"); ok {
-		if nr, err := strconv.ParseUint(rest, 10, 64); err == nil {
-			return nr, nil
-		}
+	if nr, ok := kernel.SyscallNrByName(name); ok {
+		return nr, nil
 	}
 	return 0, fmt.Errorf("unknown syscall %q in attach point", name)
 }
@@ -296,7 +271,6 @@ type Engine struct {
 	keyBuf []byte
 
 	emits   []Emit // emit() ring, emitOrd-stamped
-	emitCap int
 	emitOrd uint64
 }
 
@@ -305,11 +279,7 @@ type Engine struct {
 // mech is the static mechanism context the `mech` field reports when
 // the stream itself does not carry one.
 func (c *Compiled) NewEngine(machine, mech string) *Engine {
-	cap := c.cfg.EmitCap
-	if cap <= 0 {
-		cap = DefaultEmitCap
-	}
-	e := &Engine{c: c, machine: machine, mech: mech, emitCap: cap}
+	e := &Engine{c: c, machine: machine, mech: mech}
 	e.evCtx = evctx{eng: e, ev: &e.ev}
 	e.pmCtx = evctx{eng: e, pm: &e.pm}
 	e.cells = make([]map[string]*cell, len(c.acts))
@@ -503,10 +473,10 @@ func (e *Engine) emit(probeIdx int, ctx *evctx) {
 		em.Num = m.Num
 		em.Detail = m.Detail
 	}
-	if len(e.emits) < e.emitCap {
+	if len(e.emits) < EmitCap {
 		e.emits = append(e.emits, em)
 	} else {
-		e.emits[em.Ord%uint64(e.emitCap)] = em
+		e.emits[em.Ord%uint64(EmitCap)] = em
 	}
 }
 
@@ -577,7 +547,7 @@ func (c *evctx) str(f Field) string {
 			if e.Kind == kernel.EvSignal {
 				return ""
 			}
-			return c.eng.c.cfg.SyscallName(e.Num)
+			return kernel.SyscallName(e.Num)
 		case FPhase:
 			return ""
 		case FKind:
@@ -595,7 +565,7 @@ func (c *evctx) str(f Field) string {
 		}
 		return c.eng.mech
 	case FName:
-		return c.eng.c.cfg.SyscallName(m.Num)
+		return kernel.SyscallName(m.Num)
 	case FPhase:
 		return m.Phase.String()
 	case FKind:

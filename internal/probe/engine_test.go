@@ -8,34 +8,13 @@ import (
 	"k23/internal/kernel"
 )
 
-// testCfg resolves a toy naming table: write=1, read=0.
-func testCfg() Config {
-	names := map[uint64]string{0: "read", 1: "write"}
-	return Config{
-		SyscallName: func(nr uint64) string {
-			if n, ok := names[nr]; ok {
-				return n
-			}
-			return "syscall_?"
-		},
-		SyscallNr: func(name string) (uint64, bool) {
-			for nr, n := range names {
-				if n == name {
-					return nr, true
-				}
-			}
-			return 0, false
-		},
-	}
-}
-
 func mustEngine(t *testing.T, src string) *Engine {
 	t.Helper()
 	prog, err := Parse(src)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	c, err := Compile(prog, testCfg())
+	c, err := Compile(prog)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -108,22 +87,21 @@ func TestEngineEmitRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testCfg()
-	cfg.EmitCap = 4
-	c, err := Compile(prog, cfg)
+	c, err := Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two emits past the cap overwrite the two oldest.
 	e := c.NewEngine("m0", "")
-	for i := 0; i < 6; i++ {
+	for i := 0; i < EmitCap+2; i++ {
 		e.HandleEvent(kernel.Event{Kind: kernel.EvChaos, Num: uint64(i), Seq: uint64(i), Detail: "short read"})
 	}
 	s := e.Snapshot()
-	if len(s.Emits) != 4 {
-		t.Fatalf("ring retained %d, want 4", len(s.Emits))
+	if len(s.Emits) != EmitCap {
+		t.Fatalf("ring retained %d, want %d", len(s.Emits), EmitCap)
 	}
-	if s.Emits[0].Ord != 2 || s.Emits[3].Ord != 5 {
-		t.Errorf("ring order wrong: first ord %d last ord %d", s.Emits[0].Ord, s.Emits[3].Ord)
+	if first, last := s.Emits[0].Ord, s.Emits[EmitCap-1].Ord; first != 2 || last != EmitCap+1 {
+		t.Errorf("ring order wrong: first ord %d last ord %d", first, last)
 	}
 	if s.Emits[0].Stream != "ev" || s.Emits[0].Kind != "chaos" {
 		t.Errorf("emit record wrong: %+v", s.Emits[0])
@@ -255,7 +233,7 @@ func TestEngineInstallHooksOnlyProbedStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(prog, testCfg())
+	c, err := Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +255,7 @@ func TestCompileRejectsUnknownSyscall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(prog, testCfg()); err == nil {
+	if _, err := Compile(prog); err == nil {
 		t.Fatal("Compile accepted unknown syscall name")
 	}
 	// The syscall_N spelling always resolves.
@@ -285,7 +263,7 @@ func TestCompileRejectsUnknownSyscall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(prog, testCfg()); err != nil {
+	if _, err := Compile(prog); err != nil {
 		t.Fatalf("syscall_500 spelling rejected: %v", err)
 	}
 }

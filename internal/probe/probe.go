@@ -70,7 +70,7 @@ const (
 	FVclock         // global virtual clock
 	FSite           // trap or handler site
 	FMech           // interposition mechanism name
-	FName           // syscall name (obsv naming table)
+	FName           // syscall name (kernel syscall table)
 	FPhase          // phase-mark name, "" on event-stream probes
 	FKind           // event-kind name, "phase" on phase-stream probes
 	FDetail         // raw event/mark detail string
@@ -300,7 +300,7 @@ var PhaseAttach = map[kernel.Phase]string{
 }
 
 // validateAttach checks provider/part shape (syscall-name existence is
-// deferred to Compile, which owns the naming tables).
+// deferred to Compile, which resolves names against the syscall table).
 func validateAttach(a Attach) error {
 	switch a.Provider {
 	case "syscall":

@@ -129,7 +129,7 @@ func (e *Enforcer) Check(pid, tid int, nr, site uint64) (violation string, deny 
 	}
 	e.checked++
 	if !e.policy.AllowedOrigin(nr, site) {
-		violation = fmt.Sprintf("%s %s at site %#x", CatUnknownOrigin, e.policy.name(nr), site)
+		violation = fmt.Sprintf("%s %s at site %#x", CatUnknownOrigin, kernel.SyscallName(nr), site)
 	} else {
 		key := threadKey{pid, tid}
 		from, seen := e.last[key]
@@ -139,9 +139,9 @@ func (e *Enforcer) Check(pid, tid int, nr, site uint64) (violation string, deny 
 		if !e.policy.AllowedEdge(from, nr) {
 			fromName := "start"
 			if from >= 0 {
-				fromName = e.policy.name(uint64(from))
+				fromName = kernel.SyscallName(uint64(from))
 			}
-			violation = fmt.Sprintf("%s %s -> %s", CatUnknownEdge, fromName, e.policy.name(nr))
+			violation = fmt.Sprintf("%s %s -> %s", CatUnknownEdge, fromName, kernel.SyscallName(nr))
 		}
 	}
 	if violation == "" {
@@ -189,7 +189,7 @@ func (e *Enforcer) HandleEvent(ev *kernel.Event) {
 		PID:      ev.PID,
 		TID:      ev.TID,
 		Nr:       ev.Num,
-		Name:     e.policy.name(ev.Num),
+		Name:     kernel.SyscallName(ev.Num),
 		Site:     ev.Site,
 		Clock:    ev.Clock,
 		Seq:      ev.Seq,

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"k23/internal/canon"
+	"k23/internal/kernel"
 )
 
 // FirstCall is the sentinel predecessor for the first trap-origin
@@ -47,10 +48,6 @@ type Policy struct {
 	// trained under (informational; carried through serialization).
 	App  string
 	Mech string
-	// NameFn maps syscall numbers to display names for reports.
-	// Injected (like audit.NameFn) to keep the package free of an obsv
-	// dependency. Not serialized.
-	NameFn func(uint64) string
 
 	origins map[originKey]uint64
 	edges   map[edgeKey]uint64
@@ -67,13 +64,6 @@ func NewPolicy(app, mech string) *Policy {
 		origins: make(map[originKey]uint64),
 		edges:   make(map[edgeKey]uint64),
 	}
-}
-
-func (p *Policy) name(nr uint64) string {
-	if p.NameFn != nil {
-		return p.NameFn(nr)
-	}
-	return fmt.Sprintf("syscall_%d", nr)
 }
 
 // AddOrigin records one observation of syscall nr trapping from site.
@@ -199,14 +189,14 @@ func (p *Policy) WriteJSONL(w io.Writer) error {
 	cw := canon.NewWriter(w, PolicyKind, PolicyVersion)
 	cw.Record(RecPolicy, &policyRec{App: p.App, Mech: p.Mech})
 	for _, k := range p.sortedOrigins() {
-		cw.Record(RecOrigin, &originRec{Nr: k.Nr, Name: p.name(k.Nr), Site: k.Site, Count: p.origins[k]})
+		cw.Record(RecOrigin, &originRec{Nr: k.Nr, Name: kernel.SyscallName(k.Nr), Site: k.Site, Count: p.origins[k]})
 	}
 	for _, k := range p.sortedEdges() {
 		fromName := "start"
 		if k.From >= 0 {
-			fromName = p.name(uint64(k.From))
+			fromName = kernel.SyscallName(uint64(k.From))
 		}
-		cw.Record(RecEdge, &edgeRec{From: k.From, To: k.To, Name: p.name(k.To),
+		cw.Record(RecEdge, &edgeRec{From: k.From, To: k.To, Name: kernel.SyscallName(k.To),
 			Count: p.edges[k], FromName: fromName})
 	}
 	return cw.Close()

@@ -112,10 +112,6 @@ type openSpan struct {
 type Builder struct {
 	// Machine tags every span (fleet merges need a per-kernel identity).
 	Machine string
-	// Names resolves syscall numbers for span naming; nil leaves names
-	// empty. The field keeps this package import-free of the
-	// observability layer (obsv imports span, not vice versa).
-	Names func(nr uint64) string
 
 	nextID      uint64
 	spans       []*Span
@@ -384,8 +380,8 @@ func (b *Builder) closeSpan(tid int, os *openSpan, m kernel.PhaseMark, detail st
 		sp.Detail = detail
 	}
 	sp.Forced = forced
-	if sp.Kind == KindSyscall && b.Names != nil {
-		sp.Name = b.Names(sp.Num)
+	if sp.Kind == KindSyscall {
+		sp.Name = kernel.SyscallName(sp.Num)
 	}
 	if sp.Kind == KindHandler && os.forwarded && !os.sawTrapChild && !forced {
 		// K23's fast path closes the handler before the trampoline
