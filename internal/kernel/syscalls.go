@@ -403,10 +403,9 @@ func (k *Kernel) serviceSyscall(t *Thread, nr uint64, a [6]uint64, site uint64) 
 	return errno(ENOSYS), false
 }
 
-// The handlers below are the table's bodies for calls too small for a
-// function of their own elsewhere. Each takes the six argument registers
-// and returns the result and whether the routine replaced the thread
-// context or blocked (see serviceSyscall).
+// Syscall table handlers. Each takes the six argument registers and
+// returns the result and noReturn (see serviceSyscall). Handlers tied to
+// one subsystem live with it (net.go, signals.go, seccomp.go).
 
 // sysNop succeeds without effect: calls whose state the simulation does
 // not model (brk, ioctl, fcntl, futex, ...).

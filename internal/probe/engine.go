@@ -110,9 +110,9 @@ func (c *Compiled) bindEventAttach(a Attach, cp *compiledProbe) (kind kernel.Eve
 	switch a.Provider {
 	case "syscall":
 		if a.Part1 != "*" {
-			nr, err := c.resolveSyscall(a.Part1)
-			if err != nil {
-				return 0, false, err
+			nr, ok := kernel.SyscallNrByName(a.Part1)
+			if !ok {
+				return 0, false, fmt.Errorf("unknown syscall %q in attach point", a.Part1)
 			}
 			cp.nr, cp.anyNr = nr, false
 		}
@@ -158,14 +158,6 @@ func compilePhaseAttach(a Attach) func(*evctx) bool {
 		}
 		return mech == "*" || ctx.str(FMech) == mech
 	}
-}
-
-// resolveSyscall maps an attach-point syscall name to its number.
-func (c *Compiled) resolveSyscall(name string) (uint64, error) {
-	if nr, ok := kernel.SyscallNrByName(name); ok {
-		return nr, nil
-	}
-	return 0, fmt.Errorf("unknown syscall %q in attach point", name)
 }
 
 // ---------------------------------------------------------------------
