@@ -258,28 +258,27 @@ func (c *Core) invalidateLine(ln *cacheLine, lineNum uint64) {
 //     refill from memory, so the entry may only be replayed if memory
 //     still carries the generation it was decoded at. The refilled line
 //     is installed into the I-cache to keep the side effects identical.
-func (c *Core) lookupDecoded(rip uint64) (Inst, []byte, bool) {
+func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 	lineNum := rip / cacheLineSize
 	ln := c.line(lineNum)
 	if ln == nil {
-		return Inst{}, nil, false
+		return Inst{}, false
 	}
 	i := ln.decodedAt(uint8(rip % cacheLineSize))
 	if i < 0 {
-		return Inst{}, nil, false
+		return Inst{}, false
 	}
 	e := &ln.decoded[i]
 	staleAny := false
 	if !c.revalidate(ln, lineNum, e.lineGen[0], &staleAny) {
-		return Inst{}, nil, false
+		return Inst{}, false
 	}
 	if e.straddles() && !c.revalidate(c.line(lineNum+1), lineNum+1, e.lineGen[1], &staleAny) {
-		return Inst{}, nil, false
+		return Inst{}, false
 	}
 	c.DecodeStats.Hits++
-	bytes := e.bytes[:e.inst.Len]
-	c.noteStaleness(e.inst, bytes, staleAny)
-	return e.inst, bytes, true
+	c.noteStaleness(e.inst, e.bytes[:e.inst.Len], staleAny)
+	return e.inst, true
 }
 
 // revalidate applies lookupDecoded's rule to one covered line slot.

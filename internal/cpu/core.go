@@ -275,19 +275,19 @@ func (c *Core) fetchByte(addr uint64) (byte, error) {
 // fetch/EncodedLen/Decode path; a miss derives the encoding length from
 // the first byte (or first two, for prefixed encodings) so each
 // instruction is decoded exactly once, then installs a cache entry.
-func (c *Core) fetchInst() (Inst, []byte, error) {
+func (c *Core) fetchInst() (Inst, error) {
 	rip := c.Ctx.RIP
 	useCache := !c.DecodeCacheOff && !c.Coherent
 	if useCache {
-		if inst, bytes, ok := c.lookupDecoded(rip); ok {
-			return inst, bytes, nil
+		if inst, ok := c.lookupDecoded(rip); ok {
+			return inst, nil
 		}
 	}
 
 	var buf [MaxInstLen]byte
 	b0, err := c.fetchByte(rip)
 	if err != nil {
-		return Inst{}, nil, err
+		return Inst{}, err
 	}
 	buf[0] = b0
 	have := 1
@@ -296,25 +296,25 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 	if needSecond {
 		b1, err := c.fetchByte(rip + 1)
 		if err != nil {
-			return Inst{}, nil, err
+			return Inst{}, err
 		}
 		buf[1] = b1
 		have = 2
 		n, _ = EncodedLen(b0, b1, 2)
 	}
 	if n <= 0 {
-		return Inst{}, buf[:have], &DecodeError{Byte: b0}
+		return Inst{}, &DecodeError{Byte: b0}
 	}
 	for i := have; i < n; i++ {
 		bi, err := c.fetchByte(rip + uint64(i))
 		if err != nil {
-			return Inst{}, nil, err
+			return Inst{}, err
 		}
 		buf[i] = bi
 	}
 	inst, derr := Decode(buf[:n])
 	if derr != nil {
-		return Inst{}, buf[:n], derr
+		return Inst{}, derr
 	}
 	// One staleness check per distinct line the encoding covers (at most
 	// two, since MaxInstLen < cacheLineSize). Every covered line is
@@ -335,7 +335,7 @@ func (c *Core) fetchInst() (Inst, []byte, error) {
 		c.DecodeStats.Misses++
 		c.installDecoded(rip, inst, buf[:inst.Len])
 	}
-	return inst, buf[:inst.Len], nil
+	return inst, nil
 }
 
 // noteStaleness records a CMC violation if the executed bytes differ from
@@ -390,7 +390,7 @@ func (c *Core) StoreAsSelf(addr uint64, b []byte) error { return c.store(addr, b
 // instruction; on syscalls/hostcalls, RIP has advanced.
 func (c *Core) Step() Stop {
 	site := c.Ctx.RIP
-	inst, _, err := c.fetchInst()
+	inst, err := c.fetchInst()
 	if err != nil {
 		if f, ok := err.(*mem.Fault); ok {
 			return Stop{Kind: StopFault, Fault: f, Site: site}
