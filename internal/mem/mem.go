@@ -1,8 +1,14 @@
 // Package mem implements the simulated 64-bit address space used by the
-// K23 reproduction: demand-allocated pages with read/write/execute
-// permissions, Protection Keys for Userspace (PKU) semantics, named regions
-// (the source of /proc/<pid>/maps), and per-page write-generation counters
-// that the CPU's instruction-cache model consumes.
+// K23 reproduction: pages with read/write/execute permissions, Protection
+// Keys for Userspace (PKU) semantics, named regions (the source of
+// /proc/<pid>/maps), and per-page write-generation counters that the
+// CPU's instruction-cache model consumes.
+//
+// A page's 4 KiB of data exist only after its first store: until then
+// it reads as zeros from a shared zero array, as Linux maps untouched
+// anonymous memory to its zero page. Clone (fork), SnapshotState and
+// RestoreState share data arrays copy-on-write instead of copying them;
+// the first store to a shared page copies it.
 //
 // Two access planes are provided. The user plane (Load, Store, Fetch)
 // enforces page permissions and PKU and returns *Fault errors that the
@@ -14,6 +20,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -151,15 +158,45 @@ func (p PKRU) mayRead(key int) bool { return p&(1<<(2*key)) == 0 }
 // mayWrite reports whether the PKRU permits writes through key.
 func (p PKRU) mayWrite(key int) bool { return p&(0b11<<(2*key)) == 0 }
 
+// zeroPage is what a page without data reads as. Nothing writes it.
+var zeroPage [PageSize]byte
+
 // page is a single mapped 4 KiB page.
 type page struct {
-	data [PageSize]byte
+	// data is nil until the page's first store. While shared is set,
+	// another page, clone or snapshot may hold the same array, so write
+	// copies it before storing; no one else ever writes through it.
+	data   *[PageSize]byte
+	shared bool
+
 	perm Perm
 	pkey int
 	// gen is incremented on every store to the page. The CPU I-cache
 	// model snapshots it to detect (or deliberately miss, absent
 	// serialization) cross-modifying code.
 	gen uint64
+}
+
+// bytes returns the page's data for reading.
+func (pg *page) bytes() *[PageSize]byte {
+	if pg.data == nil {
+		return &zeroPage
+	}
+	return pg.data
+}
+
+// writable returns the page's data for writing, allocating it on the
+// first store and copying it if it is shared.
+func (pg *page) writable() *[PageSize]byte {
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+	} else if pg.shared {
+		d := new([PageSize]byte)
+		*d = *pg.data
+		pg.data = d
+	}
+	pg.shared = false
+	return pg.data
 }
 
 // Region describes a named contiguous mapping, as reported by
@@ -206,10 +243,12 @@ func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{pages: make(map[uint64]*page)}
 }
 
-// Clone returns a deep copy of the address space (used by fork).
+// Clone returns a copy of the address space (used by fork). The two
+// share every page's data until either side stores to it.
 func (a *AddressSpace) Clone() *AddressSpace {
 	c := NewAddressSpace()
 	for pn, pg := range a.pages {
+		pg.shared = true
 		np := *pg
 		c.pages[pn] = &np
 	}
@@ -252,7 +291,7 @@ func (a *AddressSpace) Map(addr, length uint64, perm Perm, name string) error {
 		a.pages[PageNum(addr)+i] = &page{perm: perm, gen: a.genClock}
 	}
 	end := addr + n*PageSize
-	a.insertRegion(Region{Start: addr, End: end, Perm: perm, Name: name})
+	a.setRegionRange(addr, end, Region{Start: addr, End: end, Perm: perm, Name: name})
 	return nil
 }
 
@@ -266,7 +305,7 @@ func (a *AddressSpace) Unmap(addr, length uint64) error {
 	for i := uint64(0); i < n; i++ {
 		delete(a.pages, PageNum(addr)+i)
 	}
-	a.removeRegionRange(addr, addr+n*PageSize)
+	a.setRegionRange(addr, addr+n*PageSize)
 	return nil
 }
 
@@ -286,32 +325,27 @@ func (a *AddressSpace) pageAt(pn uint64) *page {
 	return pg
 }
 
-// insertRegion inserts r, splitting or removing any overlapped
-// existing regions.
-func (a *AddressSpace) insertRegion(r Region) {
-	a.removeRegionRange(r.Start, r.End)
-	a.regions = append(a.regions, r)
-	sort.Slice(a.regions, func(i, j int) bool { return a.regions[i].Start < a.regions[j].Start })
-}
-
-// removeRegionRange carves [start,end) out of the region list.
-func (a *AddressSpace) removeRegionRange(start, end uint64) {
-	var out []Region
-	for _, reg := range a.regions {
-		switch {
-		case reg.End <= start || reg.Start >= end:
-			out = append(out, reg)
-		default:
-			if reg.Start < start {
-				out = append(out, Region{Start: reg.Start, End: start, Perm: reg.Perm, Name: reg.Name})
-			}
-			if reg.End > end {
-				out = append(out, Region{Start: end, End: reg.End, Perm: reg.Perm, Name: reg.Name})
-			}
-		}
+// setRegionRange makes mid the region list's contents over
+// [start, end): the regions that overlap the range are trimmed or split
+// in place, and mid (none, or one region spanning the range) goes where
+// they were.
+func (a *AddressSpace) setRegionRange(start, end uint64, mid ...Region) {
+	i := sort.Search(len(a.regions), func(k int) bool { return a.regions[k].End > start })
+	j := sort.Search(len(a.regions), func(k int) bool { return a.regions[k].Start >= end })
+	var buf [3]Region
+	pieces := buf[:0]
+	if i < j && a.regions[i].Start < start {
+		left := a.regions[i]
+		left.End = start
+		pieces = append(pieces, left)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	a.regions = out
+	pieces = append(pieces, mid...)
+	if i < j && a.regions[j-1].End > end {
+		right := a.regions[j-1]
+		right.Start = end
+		pieces = append(pieces, right)
+	}
+	a.regions = slices.Replace(a.regions, i, j, pieces...)
 }
 
 // Regions returns a copy of the region list, sorted by start address.
@@ -462,7 +496,7 @@ func (a *AddressSpace) FetchLine(addr uint64, buf []byte) (gen uint64, err error
 	}
 	lineBase := addr &^ uint64(len(buf)-1)
 	off := lineBase % PageSize
-	copy(buf, pg.data[off:off+uint64(len(buf))])
+	copy(buf, pg.bytes()[off:off+uint64(len(buf))])
 	return pg.gen, nil
 }
 
@@ -476,7 +510,7 @@ func (a *AddressSpace) copyOut(addr uint64, n int, kind AccessKind, pkru PKRU) (
 			return nil, fault
 		}
 		po := cur % PageSize
-		c := copy(out[off:], pg.data[po:])
+		c := copy(out[off:], pg.bytes()[po:])
 		off += c
 	}
 	return out, nil
@@ -520,7 +554,7 @@ func (a *AddressSpace) KRead(addr uint64, dst []byte) error {
 		if pg == nil {
 			return &Fault{Addr: cur, Access: AccessRead, Cause: CauseUnmapped}
 		}
-		off += copy(dst[off:], pg.data[cur%PageSize:])
+		off += copy(dst[off:], pg.bytes()[cur%PageSize:])
 	}
 	return nil
 }
@@ -544,14 +578,14 @@ func (a *AddressSpace) KStore(addr uint64, b []byte) error {
 }
 
 // write performs the raw write and generation bumps. All touched
-// pages must exist.
+// pages must exist. It is the only writer of page data.
 func (a *AddressSpace) write(addr uint64, b []byte) {
 	off := 0
 	for off < len(b) {
 		cur := addr + uint64(off)
 		pg := a.pageAt(PageNum(cur))
 		po := cur % PageSize
-		c := copy(pg.data[po:], b[off:])
+		c := copy(pg.writable()[po:], b[off:])
 		a.genClock++
 		pg.gen = a.genClock
 		off += c
@@ -567,7 +601,7 @@ func (a *AddressSpace) LoadU64(addr uint64, pkru PKRU) (uint64, error) {
 		if fault != nil {
 			return 0, fault
 		}
-		return leU64(pg.data[po:]), nil
+		return leU64(pg.bytes()[po:]), nil
 	}
 	b, err := a.Load(addr, 8, pkru)
 	if err != nil {
@@ -590,7 +624,7 @@ func (a *AddressSpace) KLoadU64(addr uint64) (uint64, error) {
 		if pg == nil {
 			return 0, &Fault{Addr: addr, Access: AccessRead, Cause: CauseUnmapped}
 		}
-		return leU64(pg.data[po:]), nil
+		return leU64(pg.bytes()[po:]), nil
 	}
 	b, err := a.KLoad(addr, 8)
 	if err != nil {
@@ -616,7 +650,7 @@ func (a *AddressSpace) KLoadString(addr uint64, max int) (string, error) {
 		if pg == nil {
 			return "", &Fault{Addr: cur, Access: AccessRead, Cause: CauseUnmapped}
 		}
-		chunk := pg.data[cur%PageSize:]
+		chunk := pg.bytes()[cur%PageSize:]
 		if rest := max - len(out); len(chunk) > rest {
 			chunk = chunk[:rest]
 		}

@@ -1,14 +1,17 @@
 package mem
 
 // Checkpoint support: an AddressSpace can be snapshotted into an
-// ASState and later restored from it, in place. Snapshots are
-// dirty-page deltas against a previous snapshot: the genClock is
-// monotone across the whole address space and a page's gen changes on
-// every store, mprotect and remap, so "same gen" means "same bytes,
-// same permission" — an unchanged page's 4 KiB copy is shared with the
-// previous snapshot instead of re-copied. Restore always copies data
-// back into fresh page structs, so one ASState can seed any number of
-// restores and snapshot chains never alias live memory.
+// ASState and later restored from it, in place. Snapshot and restore
+// copy no page data: a snapshot holds the live page's data array, the
+// live page is marked shared, and a restore installs the snapshot's
+// arrays as shared pages. The first store to a shared page copies it
+// (see page.writable), so a snapshot is never written through and one
+// ASState can seed any number of restores.
+//
+// Snapshots still report themselves as dirty-page deltas against a
+// previous snapshot: the genClock is monotone across the whole address
+// space and a page's gen changes on every store, mprotect and remap,
+// so "same gen" means "same bytes, same permission".
 
 import (
 	"fmt"
@@ -16,9 +19,10 @@ import (
 	"sort"
 )
 
-// PageState is the snapshot of one mapped page. Data is shared between
-// consecutive snapshots when the page generation is unchanged; it is
-// never aliased by a live AddressSpace.
+// PageState is the snapshot of one mapped page. Data is nil for a page
+// that has never been stored to. It is shared copy-on-write with the
+// live page it was taken from, with other snapshots and with the pages
+// restored from it; no one ever writes through it.
 type PageState struct {
 	Perm Perm
 	Pkey int
@@ -32,35 +36,34 @@ type ASState struct {
 	Regions  []Region
 	GenClock uint64
 
-	// Copied and Shared count pages deep-copied into this snapshot vs
-	// shared with the previous one (the delta-checkpoint space metric).
+	// Copied and Shared count the pages whose generation changed since
+	// the previous snapshot (all pages when there is none) and the pages
+	// whose generation did not: the delta-checkpoint space metric.
 	Copied int
 	Shared int
 }
 
 // SnapshotState captures the address space. prev, if non-nil, is an
-// earlier snapshot of the same address space: pages whose generation is
-// unchanged share prev's data copy instead of being re-copied.
+// earlier snapshot of the same address space; it only sets the Copied
+// and Shared counts.
 func (a *AddressSpace) SnapshotState(prev *ASState) *ASState {
 	s := &ASState{
 		Pages:    make(map[uint64]PageState, len(a.pages)),
 		Regions:  append([]Region(nil), a.regions...),
 		GenClock: a.genClock,
 	}
+	var prevPages map[uint64]PageState
+	if prev != nil {
+		prevPages = prev.Pages
+	}
 	for pn, pg := range a.pages {
-		ps := PageState{Perm: pg.perm, Pkey: pg.pkey, Gen: pg.gen}
-		if prev != nil {
-			if old, ok := prev.Pages[pn]; ok && old.Gen == pg.gen {
-				ps.Data = old.Data
-				s.Shared++
-				s.Pages[pn] = ps
-				continue
-			}
+		pg.shared = true
+		s.Pages[pn] = PageState{Perm: pg.perm, Pkey: pg.pkey, Gen: pg.gen, Data: pg.data}
+		if old, ok := prevPages[pn]; ok && old.Gen == pg.gen {
+			s.Shared++
+		} else {
+			s.Copied++
 		}
-		data := pg.data
-		ps.Data = &data
-		s.Copied++
-		s.Pages[pn] = ps
 	}
 	return s
 }
@@ -68,14 +71,13 @@ func (a *AddressSpace) SnapshotState(prev *ASState) *ASState {
 // RestoreState rewinds the address space to the snapshot, in place: the
 // AddressSpace object keeps its identity (cores and host closures that
 // hold the pointer stay valid) while its page table, regions and
-// genClock are replaced by copies of the snapshot's.
+// genClock are replaced by the snapshot's. The restored pages share the
+// snapshot's data.
 func (a *AddressSpace) RestoreState(s *ASState) {
 	a.lastPage = nil
 	a.pages = make(map[uint64]*page, len(s.Pages))
 	for pn, ps := range s.Pages {
-		pg := &page{perm: ps.Perm, pkey: ps.Pkey, gen: ps.Gen}
-		pg.data = *ps.Data
-		a.pages[pn] = pg
+		a.pages[pn] = &page{data: ps.Data, shared: true, perm: ps.Perm, pkey: ps.Pkey, gen: ps.Gen}
 	}
 	a.regions = append([]Region(nil), s.Regions...)
 	a.genClock = s.GenClock
@@ -83,8 +85,8 @@ func (a *AddressSpace) RestoreState(s *ASState) {
 
 // StateHash returns a deterministic FNV-1a hash of the full address
 // space state — every page's number, permission, pkey, generation and
-// bytes (in sorted page order) plus the region table and generation
-// clock. The checkpoint property tests compare it across
+// bytes (in sorted page order; a page without data hashes as 4,096
+// zeros) plus the region table and generation clock. The checkpoint property tests compare it across
 // Checkpoint/mutate/Restore cycles.
 func (a *AddressSpace) StateHash() uint64 {
 	h := fnv.New64a()
@@ -96,7 +98,7 @@ func (a *AddressSpace) StateHash() uint64 {
 	for _, pn := range pns {
 		pg := a.pages[pn]
 		fmt.Fprintf(h, "p %d %d %d %d ", pn, pg.perm, pg.pkey, pg.gen)
-		h.Write(pg.data[:])
+		h.Write(pg.bytes()[:])
 		h.Write([]byte{'\n'})
 	}
 	for _, r := range a.regions {

@@ -97,7 +97,7 @@ func TestASStateDeltaSharing(t *testing.T) {
 	}
 
 	// The chain's base must be unharmed by restores of its child: shared
-	// page data is copy-on-restore, never aliased.
+	// page data is copy-on-write, never written through.
 	a.RestoreState(s0)
 	if err := a.KStore(0x3000, []byte("post-restore damage")); err != nil {
 		t.Fatalf("KStore: %v", err)
