@@ -216,9 +216,10 @@ func (s *Snapshot) VClock() uint64 { return s.vclock }
 // the next emitted event will carry after a Restore).
 func (s *Snapshot) EventSeq() uint64 { return s.eventSeq }
 
-// ASDelta sums the per-address-space delta statistics: pages deep-copied
-// into this snapshot vs shared with the previous one (the checkpoint
-// space metric).
+// ASDelta sums the per-address-space delta statistics: pages whose
+// generation changed since the previous snapshot vs pages unchanged
+// since it (the checkpoint space metric). Page data itself is shared
+// copy-on-write with the live address space either way.
 func (s *Snapshot) ASDelta() (copied, shared int) {
 	for _, ps := range s.procs {
 		copied += ps.asState.Copied
@@ -229,7 +230,7 @@ func (s *Snapshot) ASDelta() (copied, shared int) {
 
 // Checkpoint captures the kernel's complete state. prev, if non-nil, is
 // an earlier checkpoint of the same kernel: address-space pages
-// untouched since then share prev's copies (dirty-page delta). It
+// untouched since then count as shared (dirty-page delta). It
 // returns an error — and no snapshot — if any process carries host
 // state that does not implement HostState.
 //
