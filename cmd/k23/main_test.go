@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"k23/internal/obsv"
+	"k23/internal/rr"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files from current output")
@@ -26,21 +27,27 @@ func TestMain(m *testing.M) {
 // k23 runs the command with args and returns its stdout and exit code.
 func k23(t *testing.T, args ...string) ([]byte, int) {
 	t.Helper()
+	stdout, _, code := k23Stderr(t, args...)
+	return stdout, code
+}
+
+// k23Stderr is k23 that also returns the command's stderr.
+func k23Stderr(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "K23_AS_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
-	code := 0
 	if ee, ok := err.(*exec.ExitError); ok {
 		code = ee.ExitCode()
 	} else if err != nil {
 		t.Fatalf("k23 %v: %v", args, err)
 	}
 	if code != 0 {
-		t.Logf("k23 %v stderr:\n%s", args, stderr.Bytes())
+		t.Logf("k23 %v stderr:\n%s", args, errOut.Bytes())
 	}
-	return stdout.Bytes(), code
+	return out.Bytes(), errOut.Bytes(), code
 }
 
 // TestServerRunsLiveRecordedAndReplayed: a server under K23 is driven by
@@ -112,6 +119,27 @@ func TestObservabilityPipelines(t *testing.T) {
 			run(t, "-replay", rec, "-metrics", replay)
 			if !bytes.Equal(read(t, live), read(t, replay)) {
 				t.Error("replay-derived metrics differ from live metrics")
+			}
+		}},
+		// A redis-like recording passes the rr schema check, and its
+		// replay is bit-identical to it (every checkpoint and the final
+		// trace/event/VFS hashes). The seeks exercise time travel end to
+		// end: one target during launch (the startup-escape window) and
+		// one past the last checkpoint.
+		{"rr-record-replay-seek", func(t *testing.T, dir string) {
+			rec := filepath.Join(dir, "rr.jsonl")
+			run(t, "-record", rec, "-variant", "k23-ultra+", "-checkpoint-every", "30000", "redis-server")
+			if _, err := rr.ReadJSONL(bytes.NewReader(read(t, rec))); err != nil {
+				t.Errorf("recording fails the schema check: %v", err)
+			}
+			_, stderr, code := k23Stderr(t, "-replay", rec, "-until", "8,1200")
+			if code != 0 {
+				t.Fatalf("replay exited %d", code)
+			}
+			for _, want := range []string{"replay bit-identical", "seek seq=1200: restored checkpoint"} {
+				if !bytes.Contains(stderr, []byte(want)) {
+					t.Errorf("replay output lacks %q:\n%s", want, stderr)
+				}
 			}
 		}},
 	} {

@@ -1,6 +1,13 @@
 package cpu
 
-import "k23/internal/mem"
+import (
+	"cmp"
+	"fmt"
+	"hash/fnv"
+	"slices"
+
+	"k23/internal/mem"
+)
 
 // Checkpoint support. A core's architectural state — registers, PKRU,
 // TLS, retirement counters, and crucially the instruction cache — can
@@ -101,4 +108,29 @@ func (c *Core) RestoreState(s CoreState) {
 		ln.data, ln.gen, ln.epoch = line.Data, line.Gen, c.flushEpoch
 	}
 	c.jitSeq++
+}
+
+// Hash returns a deterministic FNV-1a hash of the architectural state:
+// registers, flags, PKRU, TLS, retirement counters, the last CMC event
+// and the I-cache lines in address order. The decode-cache and JIT
+// statistics are left out, so a jitted and an interpreted run of the
+// same program hash alike.
+func (s *CoreState) Hash() uint64 {
+	h := fnv.New64a()
+	for r, v := range s.Ctx.R {
+		fmt.Fprintf(h, "r%d %#x\n", r, v)
+	}
+	fmt.Fprintf(h, "rip %#x fl %#x pkru %#x tls %#x cyc %d in %d cmc %d\n",
+		s.Ctx.RIP, s.Ctx.Flags(), uint32(s.PKRU), s.TLS, s.Cycles, s.Insts, s.CMCViolations)
+	if ev := s.LastCMC; ev != nil {
+		fmt.Fprintf(h, "lastcmc %#x %x %x\n", ev.Addr, ev.Cached, ev.Fresh)
+	}
+	lines := slices.Clone(s.ICache)
+	slices.SortFunc(lines, func(a, b ICacheLine) int { return cmp.Compare(a.Base, b.Base) })
+	for _, ln := range lines {
+		fmt.Fprintf(h, "ic %#x %d ", ln.Base, ln.Gen)
+		h.Write(ln.Data[:])
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
 }

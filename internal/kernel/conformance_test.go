@@ -417,7 +417,7 @@ func TestConformanceEINTRRestart(t *testing.T) {
 		}
 		k.PostSignal(p, 10)
 		if mt.WakePending() {
-			t.Fatal("EINTR abort leaked the wake closure")
+			t.Fatal("EINTR abort leaked the wake condition")
 		}
 		if mt.State != kernel.ThreadRunnable {
 			t.Fatalf("thread state after signal = %v, want runnable", mt.State)
@@ -455,7 +455,7 @@ func TestConformanceEINTRRestart(t *testing.T) {
 		}
 		k.PostSignal(p, 10)
 		if mt.WakePending() {
-			t.Fatal("restart interruption leaked the wake closure")
+			t.Fatal("restart interruption leaked the wake condition")
 		}
 		// Handler runs, sigreturn re-executes the accept, which blocks
 		// again — EINTR never surfaces.

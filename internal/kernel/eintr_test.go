@@ -64,7 +64,7 @@ func runRewindProbe(t *testing.T, path string, sysenter bool) {
 
 	k.PostSignal(p, 10)
 	if mt.WakePending() {
-		t.Fatal("interrupted block leaked its wake closure")
+		t.Fatal("interrupted block leaked its wake condition")
 	}
 	k.Run(1_000_000)
 	// Handler ran, sigreturn re-executed the entry instruction, the
@@ -183,7 +183,7 @@ func TestRestartRewindInterposedCallSite(t *testing.T) {
 			}
 			w.K.PostSignal(p, 10)
 			if mt.WakePending() {
-				t.Fatal("interrupted block leaked its wake closure")
+				t.Fatal("interrupted block leaked its wake condition")
 			}
 			w.K.Run(50_000_000)
 			if mt.State != kernel.ThreadBlocked {

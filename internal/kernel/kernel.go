@@ -126,12 +126,9 @@ type Thread struct {
 
 	sud       sudState
 	sigFrames []sigFrame
-	wake      func() bool // when State == ThreadBlocked
-	// wakeDesc is the serializable description of the wake predicate —
-	// which kernel object the thread is blocked on. Wake closures close
-	// over live conn/listener/process objects, so a checkpoint records
-	// the descriptor and Restore rebuilds the closure against the
-	// restored objects (see snapshot.go).
+	// wakeDesc is what the thread waits for while State ==
+	// ThreadBlocked: data that threadReady evaluates (wakeReady), so
+	// a checkpoint saves it like any other field.
 	wakeDesc wakeDesc
 
 	// entryLen/entrySite describe the in-flight trap while a syscall is
@@ -441,8 +438,9 @@ type Event struct {
 // completes (including the EINTR path of an interrupted blocked call)
 // and advances the per-thread predecessor state. Implementations must
 // be deterministic and snapshot-able: record/replay checkpoints
-// capture them via SnapshotHostState/RestoreHostState, and HashState
-// feeds the world state hash so divergence is caught bit-exactly.
+// capture them via SnapshotHostState/RestoreHostState, and Checkpoint
+// records HashState with the snapshot, where it feeds the state hash
+// (Snapshot.Hash) so divergence is caught bit-exactly.
 type SfipHook interface {
 	// Check validates (nr, site) against the policy given the thread's
 	// current predecessor state. violation is "" when allowed; deny
@@ -454,7 +452,8 @@ type SfipHook interface {
 	// Cost.SfipCheck per checked syscall only in this mode.
 	Enforcing() bool
 	// SnapshotHostState/RestoreHostState/HashState integrate the
-	// enforcer's mutable state with world checkpoints (snapshot.go).
+	// enforcer's mutable state with world checkpoints (snapshot.go);
+	// HashState is taken when the checkpoint is.
 	SnapshotHostState() any
 	RestoreHostState(any)
 	HashState() uint64
@@ -974,12 +973,11 @@ func (k *Kernel) threadReady(t *Thread) bool {
 	case ThreadRunnable:
 		return true
 	case ThreadBlocked:
-		if t.wake != nil && t.wake() {
+		if k.wakeReady(t) {
 			t.State = ThreadRunnable
 			if k.PhaseHook != nil {
 				k.EmitPhase(t, PhWake, t.Core.Ctx.R[cpu.RAX], t.entrySite, t.wakeDesc.describe())
 			}
-			t.wake = nil
 			t.wakeDesc = wakeDesc{}
 			return true
 		}
@@ -1249,7 +1247,6 @@ func (k *Kernel) CallGuest(t *Thread, entry uint64, args [6]uint64) (uint64, err
 				// converts this into an application-level retry.
 				t.Core.Ctx = saved
 				t.State = savedState
-				t.wake = nil
 				t.wakeDesc = wakeDesc{}
 				return 0, ErrGuestWouldBlock
 			}

@@ -178,7 +178,7 @@ func (k *Kernel) sysAccept(t *Thread, a [6]uint64) (ret uint64, blocked bool) {
 		if k.chaosBlockEINTR(t, SysAccept) {
 			return errno(EINTR), false
 		}
-		k.blockThread(t, l.pending, wakeDesc{kind: wakeAcceptFD, arg: n})
+		k.blockThread(t, wakeDesc{kind: wakeAcceptFD, arg: n})
 		return 0, true
 	}
 	c := l.backlog[0]
@@ -189,8 +189,7 @@ func (k *Kernel) sysAccept(t *Thread, a [6]uint64) (ret uint64, blocked bool) {
 }
 
 // connRead reads one request, blocking until data or EOF. n is the fd
-// number (recorded in the wake descriptor so a checkpoint can rebuild
-// the wake closure against the restored connection).
+// number, which names the connection in the wake condition.
 func (k *Kernel) connRead(t *Thread, n int, f *fd, buf, count uint64) (ret uint64, blocked bool) {
 	c := f.conn
 	if c == nil {
@@ -202,7 +201,7 @@ func (k *Kernel) connRead(t *Thread, n int, f *fd, buf, count uint64) (ret uint6
 		if k.chaosBlockEINTR(t, SysRead) {
 			return errno(EINTR), false
 		}
-		k.blockThread(t, c.readable, wakeDesc{kind: wakeConnReadFD, arg: n})
+		k.blockThread(t, wakeDesc{kind: wakeConnReadFD, arg: n})
 		return 0, true
 	}
 	c.maybeArm()

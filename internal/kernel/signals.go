@@ -164,20 +164,85 @@ func (k *Kernel) sysSigreturn(t *Thread, _ [6]uint64) (uint64, bool) {
 	return 0, true
 }
 
-// blockThread parks t until wake() returns true and arranges for the
-// in-flight system call to restart: RIP is rewound over the entry
-// instruction that trapped (RAX still holds the number at block time).
+// wakeKind names what a blocked thread waits for.
+type wakeKind uint8
+
+const (
+	wakeNone wakeKind = iota
+	// wakeAcceptFD: blocked in accept on listener fd arg until the
+	// backlog is non-empty.
+	wakeAcceptFD
+	// wakeConnReadFD: blocked in read on connection fd arg until data
+	// arrives or the peer closes.
+	wakeConnReadFD
+	// wakeWait4PID: blocked in wait4(arg) until a matching child is a
+	// zombie (arg <= 0 matches any child, as in wait4).
+	wakeWait4PID
+)
+
+// wakeDesc is a blocked thread's wake condition as data: what it waits
+// for, with the kernel object named by a stable identifier (fd number
+// or PID) rather than a pointer, so it is checkpointed, restored and
+// hashed like any other thread field.
+type wakeDesc struct {
+	kind wakeKind
+	arg  int
+}
+
+// blockThread parks t until its wake condition, desc, holds (see
+// wakeReady) and arranges for the in-flight system call to restart:
+// RIP is rewound over the entry instruction that trapped (RAX still
+// holds the number at block time).
 // The rewind distance is the recorded entry length, not a hard-coded
 // SYSCALL width: SYSENTER and rewritten call sites re-enter through
 // their own encodings. Host-initiated blocks (DirectSyscall) have
 // entryLen == 0 and leave RIP alone — there is no instruction to rerun.
-func (k *Kernel) blockThread(t *Thread, wake func() bool, desc wakeDesc) {
+func (k *Kernel) blockThread(t *Thread, desc wakeDesc) {
 	t.State = ThreadBlocked
-	t.wake = wake
 	t.wakeDesc = desc
 	t.blockedLen = t.entryLen
 	t.Core.Ctx.RIP -= t.entryLen
 	k.EmitPhase(t, PhBlock, t.Core.Ctx.R[cpu.RAX], t.entrySite, desc.describe())
+}
+
+// wakeReady evaluates blocked thread t's wake condition against the
+// current kernel objects. A descriptor that no longer resolves — the fd
+// was closed, say by another thread of the process — counts as ready:
+// the restarted call then fails (EBADF) instead of the thread waiting
+// on an object nothing can reach.
+func (k *Kernel) wakeReady(t *Thread) bool {
+	d := t.wakeDesc
+	switch d.kind {
+	case wakeAcceptFD:
+		if f, ok := t.Proc.fds[d.arg]; ok && f.kind == fdListener {
+			return f.listener.pending()
+		}
+	case wakeConnReadFD:
+		if f, ok := t.Proc.fds[d.arg]; ok && f.conn != nil {
+			return f.conn.readable()
+		}
+	case wakeWait4PID:
+		return k.findZombieChild(t.Proc, d.arg) != nil
+	}
+	return true
+}
+
+// findZombieChild returns p's first zombie child matching pid (<= 0 for
+// any), scanning in PID creation order so identical runs reap
+// identically. sysWait4 and the wait4 wake condition share it.
+func (k *Kernel) findZombieChild(p *Process, pid int) *Process {
+	for _, cpid := range k.order {
+		c, ok := k.procs[cpid]
+		if !ok {
+			continue
+		}
+		if c.Parent == p && c.State == ProcZombie {
+			if pid <= 0 || c.PID == pid {
+				return c
+			}
+		}
+	}
+	return nil
 }
 
 // interruptBlockedSyscall applies the Linux signal-at-blocked-syscall
@@ -186,11 +251,10 @@ func (k *Kernel) blockThread(t *Thread, wake func() bool, desc wakeDesc) {
 // restarts; without it the call is aborted — RIP moves past the entry
 // instruction and RAX carries -EINTR, which the handler frame captures
 // and sigreturn hands back to the application. Either way the thread
-// leaves the blocked state and its wake closure is dropped (never
+// leaves the blocked state and its wake condition is cleared (never
 // leaked into the next block).
 func (k *Kernel) interruptBlockedSyscall(t *Thread, flags uint64) {
 	t.State = ThreadRunnable
-	t.wake = nil
 	t.wakeDesc = wakeDesc{}
 	if k.PhaseHook != nil && t.blockedLen != 0 {
 		ph := PhRestart
@@ -265,11 +329,11 @@ func (k *Kernel) signalProcess(caller *Thread, target *Process, sig int) (uint64
 	return 0, false
 }
 
-// WakePending reports whether t still holds a block-wake predicate.
-// Tests use it to assert that interrupting a blocked syscall (restart or
-// EINTR abort alike) drops the wake closure rather than leaking it into
-// the thread's next block.
-func (t *Thread) WakePending() bool { return t.wake != nil }
+// WakePending reports whether t still holds a wake condition. Tests use
+// it to assert that interrupting a blocked syscall (restart or EINTR
+// abort alike) clears the condition rather than leaking it into the
+// thread's next block.
+func (t *Thread) WakePending() bool { return t.wakeDesc.kind != wakeNone }
 
 // PostSignal sends sig to p from host context (no calling thread) —
 // the chaos injector's and tests' signal source. Delivery follows the

@@ -1032,8 +1032,7 @@ func (k *Kernel) sysWait4(t *Thread, a [6]uint64) (ret uint64, blocked bool) {
 		// Block until a matching child exits; whether the call restarts
 		// or aborts with EINTR on a signal depends on the handler's
 		// SA_RESTART flag (interruptBlockedSyscall).
-		k.blockThread(t, func() bool { return k.findZombieChild(p, pid) != nil },
-			wakeDesc{kind: wakeWait4PID, arg: pid})
+		k.blockThread(t, wakeDesc{kind: wakeWait4PID, arg: pid})
 		return 0, true
 	}
 	c.State = ProcReaped

@@ -16,7 +16,7 @@ package mem
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 )
 
 // PageState is the snapshot of one mapped page. Data is nil for a page
@@ -58,7 +58,7 @@ func (a *AddressSpace) SnapshotState(prev *ASState) *ASState {
 	}
 	for pn, pg := range a.pages {
 		pg.shared = true
-		s.Pages[pn] = PageState{Perm: pg.perm, Pkey: pg.pkey, Gen: pg.gen, Data: pg.data}
+		s.Pages[pn] = pg.state()
 		if old, ok := prevPages[pn]; ok && old.Gen == pg.gen {
 			s.Shared++
 		} else {
@@ -83,27 +83,48 @@ func (a *AddressSpace) RestoreState(s *ASState) {
 	a.genClock = s.GenClock
 }
 
+// state is the page's snapshot. It does not mark the page shared.
+func (pg *page) state() PageState {
+	return PageState{Perm: pg.perm, Pkey: pg.pkey, Gen: pg.gen, Data: pg.data}
+}
+
 // StateHash returns a deterministic FNV-1a hash of the full address
 // space state — every page's number, permission, pkey, generation and
 // bytes (in sorted page order; a page without data hashes as 4,096
-// zeros) plus the region table and generation clock. The checkpoint property tests compare it across
-// Checkpoint/mutate/Restore cycles.
+// zeros) plus the region table and generation clock. The checkpoint
+// property tests compare it across Checkpoint/mutate/Restore cycles.
 func (a *AddressSpace) StateHash() uint64 {
+	pages := make(map[uint64]PageState, len(a.pages))
+	for pn, pg := range a.pages {
+		pages[pn] = pg.state()
+	}
+	return hashState(pages, a.regions, a.genClock)
+}
+
+// Hash returns the StateHash the address space had when the snapshot
+// was taken.
+func (s *ASState) Hash() uint64 { return hashState(s.Pages, s.Regions, s.GenClock) }
+
+func hashState(pages map[uint64]PageState, regions []Region, genClock uint64) uint64 {
 	h := fnv.New64a()
-	pns := make([]uint64, 0, len(a.pages))
-	for pn := range a.pages {
+	pns := make([]uint64, 0, len(pages))
+	for pn := range pages {
 		pns = append(pns, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 	for _, pn := range pns {
-		pg := a.pages[pn]
-		fmt.Fprintf(h, "p %d %d %d %d ", pn, pg.perm, pg.pkey, pg.gen)
-		h.Write(pg.bytes()[:])
+		ps := pages[pn]
+		data := ps.Data
+		if data == nil {
+			data = &zeroPage
+		}
+		fmt.Fprintf(h, "p %d %d %d %d ", pn, ps.Perm, ps.Pkey, ps.Gen)
+		h.Write(data[:])
 		h.Write([]byte{'\n'})
 	}
-	for _, r := range a.regions {
+	for _, r := range regions {
 		fmt.Fprintf(h, "r %#x %#x %s %q\n", r.Start, r.End, r.Perm, r.Name)
 	}
-	fmt.Fprintf(h, "g %d\n", a.genClock)
+	fmt.Fprintf(h, "g %d\n", genClock)
 	return h.Sum64()
 }

@@ -1,6 +1,10 @@
 package rr
 
-import "testing"
+import (
+	"testing"
+
+	"k23/internal/kernel"
+)
 
 // TestKernelCheckpointRoundTrip is the kernel leg of the checkpoint
 // property: Checkpoint → keep running (mutating cores, memory, fds,
@@ -47,14 +51,21 @@ func TestKernelCheckpointRoundTrip(t *testing.T) {
 // checkpoint placement: a checkpoint taken after an arbitrary number of
 // retired instructions, followed by an arbitrary amount of further
 // execution, must restore to the exact captured state — and a delta
-// checkpoint chained off it must too.
+// checkpoint chained off it must too. A non-zero chaosSeed arms the
+// chaos injector, so its stream position makes the round trip as well.
+// A checkpoint taken right after a restore must hash like the snapshot
+// restored.
 func FuzzCheckpointRestore(f *testing.F) {
-	f.Add(uint64(3), uint16(1), uint16(4))
-	f.Add(uint64(9), uint16(17), uint16(2))
-	f.Add(uint64(1), uint16(0), uint16(63))
-	f.Fuzz(func(t *testing.T, seed uint64, preRaw, midRaw uint16) {
+	f.Add(uint64(3), uint16(1), uint16(4), uint64(0))
+	f.Add(uint64(9), uint16(17), uint16(2), uint64(5))
+	f.Add(uint64(1), uint16(0), uint16(63), uint64(0x9e3779b9))
+	f.Fuzz(func(t *testing.T, seed uint64, preRaw, midRaw uint16, chaosSeed uint64) {
 		spec := redisSpec()
 		spec.Seed = seed%64 + 1
+		if chaosSeed != 0 {
+			prof := kernel.DefaultChaosProfile()
+			spec.Chaos, spec.ChaosSeed = &prof, chaosSeed
+		}
 		s, err := Record(spec, Hooks{})
 		if err != nil {
 			t.Fatalf("Record: %v", err)
@@ -65,6 +76,17 @@ func FuzzCheckpointRestore(f *testing.F) {
 		if pre > 0 {
 			k.Run(pre)
 		}
+		restore := func(snap *kernel.Snapshot, what string) {
+			t.Helper()
+			k.Restore(snap)
+			again, err := k.Checkpoint(nil)
+			if err != nil {
+				t.Fatalf("Checkpoint after %s restore: %v", what, err)
+			}
+			if got, want := again.Hash(), snap.Hash(); got != want {
+				t.Fatalf("%s: checkpoint right after restore hashes %#x, the snapshot %#x", what, got, want)
+			}
+		}
 
 		h0 := k.StateHash()
 		snap, err := k.Checkpoint(nil)
@@ -72,7 +94,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 			t.Fatalf("Checkpoint at +%d: %v", pre, err)
 		}
 		k.Run(mid)
-		k.Restore(snap)
+		restore(snap, "first")
 		if got := k.StateHash(); got != h0 {
 			t.Fatalf("ckpt at +%d, run %d more: restore hash %#x, want %#x", pre, mid, got, h0)
 		}
@@ -85,7 +107,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 			t.Fatalf("delta Checkpoint: %v", err)
 		}
 		k.Run(1_000)
-		k.Restore(snap2)
+		restore(snap2, "delta")
 		if got := k.StateHash(); got != h1 {
 			t.Fatalf("delta restore: hash %#x, want %#x", got, h1)
 		}

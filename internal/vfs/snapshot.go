@@ -56,6 +56,13 @@ func cloneNode(n *node) *node {
 func (f *FS) Hash() uint64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
+	return hashTree(f.root)
+}
+
+// Hash returns the Hash the filesystem had when the snapshot was taken.
+func (s *FSState) Hash() uint64 { return hashTree(s.root) }
+
+func hashTree(root *node) uint64 {
 	h := fnv.New64a()
 	var walk func(prefix string, n *node)
 	walk = func(prefix string, n *node) {
@@ -77,6 +84,6 @@ func (f *FS) Hash() uint64 {
 			h.Write([]byte{'\n'})
 		}
 	}
-	walk("", f.root)
+	walk("", root)
 	return h.Sum64()
 }
