@@ -113,3 +113,34 @@ func TestFormatMatrix(t *testing.T) {
 		t.Fatalf("matrix format:\n%s", out)
 	}
 }
+
+// TestFormatAuditMatrix pins the audit parity grid byte for byte on a
+// synthetic cell set: agreeing cells, one disagreement marked "*", a
+// missing cell rendered "?", and both summary lines.
+func TestFormatAuditMatrix(t *testing.T) {
+	cell := func(pitfall, interposer string, handled, audit bool) AuditCell {
+		return AuditCell{Result: Result{Pitfall: pitfall, Interposer: interposer, Handled: handled}, AuditHandled: audit}
+	}
+	agree := []AuditCell{
+		cell("P1a", "zpoline-ultra", false, false),
+		cell("P1a", "k23-ultra+", true, true),
+		cell("P4b", "k23-ultra+", true, true),
+	}
+	want := "" +
+		"       zpoline-ultra    k23-ultra+      \n" +
+		"P1a    no               YES             \n" +
+		"P4b    ?                YES             \n" +
+		"\naudit parity: every verdict independently rediscovered from the syscall streams\n"
+	if got := FormatAuditMatrix(agree); got != want {
+		t.Errorf("agreeing grid:\n got: %q\nwant: %q", got, want)
+	}
+	disagree := append(agree[:2:2], cell("P4b", "zpoline-ultra", false, true), agree[2])
+	want = "" +
+		"       zpoline-ultra    k23-ultra+      \n" +
+		"P1a    no               YES             \n" +
+		"P4b    no*              YES             \n" +
+		"\naudit parity: 1 cell(s) marked * — audit verdict disagrees with the PoC\n"
+	if got := FormatAuditMatrix(disagree); got != want {
+		t.Errorf("disagreeing grid:\n got: %q\nwant: %q", got, want)
+	}
+}
