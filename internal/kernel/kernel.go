@@ -1034,32 +1034,32 @@ func (k *Kernel) Run(maxInsts uint64) uint64 {
 	return retired
 }
 
-// RunUntilExit runs the scheduler until process p leaves ProcRunning or
-// the instruction budget is exhausted. It returns an error on budget
-// exhaustion.
-func (k *Kernel) RunUntilExit(p *Process, maxInsts uint64) error {
+// ExitSlice is the instruction count RunUntilExit hands to Run per
+// slice.
+const ExitSlice = 10_000
+
+// RunUntilExit runs the scheduler in ExitSlice slices until process p
+// leaves ProcRunning or the instruction budget is exhausted. It returns
+// an error on budget exhaustion or deadlock. Each stop check is called
+// before every slice; a non-nil error ends the run with that error.
+func (k *Kernel) RunUntilExit(p *Process, maxInsts uint64, stop ...func() error) error {
 	var retired uint64
 	for p.State == ProcRunning {
+		for _, s := range stop {
+			if err := s(); err != nil {
+				return fmt.Errorf("kernel: run stopped after %d instructions: %w", retired, err)
+			}
+		}
 		if retired >= maxInsts {
 			return fmt.Errorf("kernel: budget exhausted after %d instructions (pid %d still running)", retired, p.PID)
 		}
-		n := k.Run(minU64(k.lot(), maxInsts-retired))
+		n := k.Run(min(ExitSlice, maxInsts-retired))
 		retired += n
 		if n == 0 && p.State == ProcRunning {
 			return fmt.Errorf("kernel: deadlock: pid %d has no runnable threads", p.PID)
 		}
 	}
 	return nil
-}
-
-// lot is the slice size RunUntilExit hands to Run per iteration.
-func (k *Kernel) lot() uint64 { return 10000 }
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // runThread steps t for up to quantum instructions, handling stops.

@@ -1,6 +1,8 @@
 package kernel_test
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"k23/internal/asm"
@@ -509,5 +511,59 @@ func TestParseMapsLine(t *testing.T) {
 	}
 	if _, _, _, _, err := kernel.ParseMapsLine("bogus"); err == nil {
 		t.Fatal("ParseMapsLine accepted garbage")
+	}
+}
+
+// TestRunUntilExitStop: a stop check runs before every slice and its
+// error ends the run, wrapped, before the next slice; without one, a
+// spinning guest still ends in the budget error.
+func TestRunUntilExitStop(t *testing.T) {
+	spin := func(t *testing.T) (*kernel.Kernel, *kernel.Process) {
+		k, l, reg := newWorld(t)
+		b := asm.NewBuilder("/bin/spin")
+		tx := b.Text()
+		tx.Label("_start")
+		tx.Label(".l")
+		tx.Jmp(".l")
+		reg.MustAdd(b.MustBuild())
+		p, err := l.Spawn("/bin/spin", []string{"spin"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k, p
+	}
+	insts := func(p *kernel.Process) uint64 {
+		var n uint64
+		for _, th := range p.Threads {
+			n += th.Core.Insts
+		}
+		return n
+	}
+
+	k, p := spin(t)
+	errStop := errors.New("stop")
+	calls := 0
+	err := k.RunUntilExit(p, 1<<40, func() error {
+		if calls++; calls == 3 {
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("err = %v, want one wrapping %v", err, errStop)
+	}
+	twin, tp := spin(t)
+	twin.Run(kernel.ExitSlice)
+	twin.Run(kernel.ExitSlice)
+	if calls != 3 || insts(p) != insts(tp) {
+		t.Errorf("stop called %d times over %d instructions, want 3 calls and two slices' %d",
+			calls, insts(p), insts(tp))
+	}
+
+	k, p = spin(t)
+	err = k.RunUntilExit(p, 25_000)
+	want := fmt.Sprintf("kernel: budget exhausted after 25000 instructions (pid %d still running)", p.PID)
+	if err == nil || err.Error() != want {
+		t.Errorf("no stop: err = %v, want %q", err, want)
 	}
 }

@@ -5,13 +5,13 @@
 // single definition of trace hash, event hash, VFS hash, steps, syscalls
 // and exit.
 //
-// The fleet, the record/replay engine and the k23 CLI all run machines
-// through Start and Drive; a recording is an observer attached at the
-// attach point, so a recorded run is the same execution as an
-// unrecorded one. Callers that need their own drive (two-point slopes
-// that launch twice in one world, the pitfall PoCs' benign/attack argv
-// split) call Launcher, which runs the offline phase, and drive the
-// launched process themselves.
+// The fleet, the record/replay engine, the k23 CLI and the difftest
+// engine battery all run machines through Start and Drive; a recording
+// is an observer attached at the attach point, so a recorded run is the
+// same execution as an unrecorded one. Callers that need their own
+// drive (two-point slopes that launch twice in one world, the pitfall
+// PoCs' benign/attack argv split) call Launcher, which runs the offline
+// phase, and drive the launched process themselves.
 package machine
 
 import (
@@ -126,8 +126,8 @@ func StandardSetup(w *interpose.World) error {
 // > 0) gets a connection of requests all-zero requests, so it serves and
 // exits instead of polling away the budget; the payload is a constant,
 // so the phase is identical between a recorded run and its replays.
-// The phase is driven in PollSlice slices under DefaultMaxInsts, with
-// ctx checked every slice.
+// The phase runs to exit through kernel.RunUntilExit under
+// DefaultMaxInsts, with ctx checked every slice.
 func Offline(ctx context.Context, w *interpose.World, path string, argv []string, requests int) (string, int, error) {
 	off := &core.Offline{LogDir: "/var/k23/logs"}
 	run, err := off.Start(w, path, argv, nil)
@@ -140,19 +140,8 @@ func Offline(ctx context.Context, w *interpose.World, path string, argv []string
 			return "", 0, fmt.Errorf("offline: %w", err)
 		}
 	}
-	var retired uint64
-	for p.State == kernel.ProcRunning {
-		if err := ctx.Err(); err != nil {
-			return "", 0, err
-		}
-		if retired >= DefaultMaxInsts {
-			return "", 0, fmt.Errorf("offline: budget exhausted after %d instructions", retired)
-		}
-		n := k.Run(PollSlice)
-		retired += n
-		if n == 0 && p.State == kernel.ProcRunning {
-			return "", 0, fmt.Errorf("offline: deadlock: pid %d has no runnable threads", p.PID)
-		}
+	if err := k.RunUntilExit(p, DefaultMaxInsts, ctx.Err); err != nil {
+		return "", 0, fmt.Errorf("offline: %w", err)
 	}
 	sites, err := run.Finish()
 	if err != nil {
