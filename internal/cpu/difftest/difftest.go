@@ -6,7 +6,9 @@
 // bit-identical: same per-step instruction trace, same kernel event
 // (syscall) sequence, same final register files, same CMC-violation
 // counts, same process output and exit status, and same final VFS
-// state.
+// state. Every run goes through the machine runner (internal/machine),
+// so the battery covers the same executions the fleet and the
+// record/replay engine run.
 //
 // An engine layer is only an optimisation if this holds for everything
 // the repository can run; the P5 pitfall family executes deliberately
@@ -15,12 +17,12 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"k23/internal/apps"
 	"k23/internal/cpu"
-	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/machine"
 )
@@ -37,29 +39,20 @@ type ThreadState struct {
 
 // Snapshot captures everything observable about one workload execution.
 // Two runs of the same workload must produce equal Snapshots regardless
-// of the decode cache mode.
+// of the engine mode. The embedded Outcome carries the trace hash of
+// every retired instruction, the event hash, the step count, the VFS
+// hash, the exit status and the chaos injection count.
 type Snapshot struct {
-	// TraceHash is the cpu.TraceHash of the (tid, rip, op) stream of
-	// every retired instruction on every core, in scheduling order.
-	TraceHash uint64
-	// Steps is the number of instructions retired on every core.
-	Steps uint64
+	machine.Outcome
 	// Events is the kernel event stream (syscall enters/exits, signals,
 	// forks, execs), formatted.
 	Events []string
 	// Threads is the final state of every thread of the workload
 	// process, ordered by TID.
 	Threads []ThreadState
-	// Stdout, Stderr and Exit are the process's outputs.
+	// Stdout and Stderr are the process's outputs.
 	Stdout string
 	Stderr string
-	Exit   kernel.ExitInfo
-	// VFSHash is a hash of the final filesystem tree (paths, modes and
-	// contents).
-	VFSHash uint64
-	// ChaosInjected counts fault-injector perturbations (0 without a
-	// chaos profile); equal counts are part of the replay contract.
-	ChaosInjected uint64
 }
 
 // Workload describes one program to run under the harness.
@@ -133,40 +126,32 @@ func (m Mode) Options() []kernel.Option {
 	}
 }
 
-// Run executes one workload natively (no interposer) in a world built
-// with opts — an engine mode's options, a chaos profile, a clock seed —
-// and returns its observable snapshot. Without options it runs the
+// Run executes one workload natively (no interposer) through the
+// machine runner, seed 0, with opts — an engine mode's options, a chaos
+// profile — applied to the kernel after the seed-derived ones, and
+// returns its observable snapshot. Without options it runs the
 // production engine (ModeJIT).
 func Run(w Workload, opts ...kernel.Option) (*Snapshot, error) {
-	world := interpose.NewWorld(opts...)
-	apps.RegisterAll(world.Reg)
-	if err := apps.SetupFS(world.K.FS); err != nil {
-		return nil, err
-	}
-
+	ctx := context.Background()
 	snap := &Snapshot{}
-	trace := cpu.NewTraceHash()
-	world.K.Trace = &trace
-	world.K.EventHook = func(e kernel.Event) {
-		snap.Events = append(snap.Events, fmt.Sprintf(
-			"%d/%d %s num=%d site=%#x ret=%#x %s",
-			e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail))
+	spec := machine.Spec{Name: w.Name, Path: w.Path, Argv: w.Argv, Server: w.Server, Requests: w.Requests}
+	r, err := machine.Start(ctx, spec, machine.Config{Kernel: opts, Attach: func(r *machine.Run) {
+		r.HashTrace()
+		r.W.K.AddEventHook(func(e kernel.Event) {
+			snap.Events = append(snap.Events, fmt.Sprintf(
+				"%d/%d %s num=%d site=%#x ret=%#x %s",
+				e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail))
+		})
+	}})
+	if err == nil {
+		err = r.Drive(ctx, 0)
 	}
-
-	p, err := world.L.Spawn(w.Path, w.Argv, nil)
 	if err != nil {
 		return nil, err
 	}
-	if w.Server {
-		if err := drive(world, p, w.Requests); err != nil {
-			return nil, err
-		}
-	}
-	if err := world.Run(p); err != nil {
-		return nil, err
-	}
 
-	snap.TraceHash, snap.Steps = uint64(trace), machine.Insts(world.K)
+	p := r.P
+	snap.Outcome = r.Outcome()
 	for _, t := range p.Threads {
 		snap.Threads = append(snap.Threads, ThreadState{
 			TID:           t.TID,
@@ -182,9 +167,6 @@ func Run(w Workload, opts ...kernel.Option) (*Snapshot, error) {
 	})
 	snap.Stdout = string(p.Stdout)
 	snap.Stderr = string(p.Stderr)
-	snap.Exit = p.Exit
-	snap.VFSHash = world.K.FS.TreeHash()
-	snap.ChaosInjected = world.K.ChaosInjected()
 	return snap, nil
 }
 
@@ -192,21 +174,4 @@ func Run(w Workload, opts ...kernel.Option) (*Snapshot, error) {
 // with extra kernel options (chaos profiles, clock seeds).
 func RunMode(w Workload, m Mode, opts ...kernel.Option) (*Snapshot, error) {
 	return Run(w, append(m.Options(), opts...)...)
-}
-
-// drive waits for the server to listen, then injects one keepalive
-// connection carrying n requests.
-func drive(world *interpose.World, p *kernel.Process, n int) error {
-	req := make([]byte, apps.RequestSize)
-	for i := range req {
-		req[i] = byte('A' + i%26)
-	}
-	port := apps.BasePort + p.PID
-	for i := 0; i < 2000; i++ {
-		world.K.Run(10_000)
-		if err := world.K.InjectConn(port, req, n, nil); err == nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("difftest: server on port %d never listened", port)
 }

@@ -9,6 +9,7 @@ import (
 
 	"k23/internal/asm"
 	"k23/internal/cpu"
+	"k23/internal/cpu/difftest"
 	"k23/internal/interpose"
 	"k23/internal/obsv"
 )
@@ -394,6 +395,38 @@ func TestReportAggregates(t *testing.T) {
 	for _, want := range []string{"a", "b", "2 machines", "2 workers"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format() missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDifftestMatchesFleet ties the engine battery to the fleet's
+// executions: for every app workload, difftest.Run (seed 0) yields the
+// same trace hash, event hash, steps and exit as a hashed fleet machine
+// with seed 0, so jit ≡ interp is proven on the runs the fleet and rr
+// execute.
+func TestDifftestMatchesFleet(t *testing.T) {
+	workloads := difftest.AppWorkloads()
+	machines := make([]Machine, len(workloads))
+	for i, w := range workloads {
+		machines[i] = Machine{Name: w.Name, Path: w.Path, Argv: w.Argv, Server: w.Server, Requests: w.Requests}
+	}
+	rep, err := Run(context.Background(), machines, Options{Workers: 2, Hash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range workloads {
+		snap, err := difftest.Run(w)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		m := &rep.Machines[i]
+		got := [4]any{snap.TraceHash, snap.EventHash, snap.Steps, snap.Exit}
+		want := [4]any{m.TraceHash, m.EventHash, m.Steps, m.Exit}
+		if got != want || snap.TraceHash == 0 {
+			t.Errorf("%s: difftest (trace, events, steps, exit) = %v, fleet = %v", w.Name, got, want)
 		}
 	}
 }
