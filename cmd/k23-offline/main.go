@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"k23/internal/apps"
 	"k23/internal/core"
 	"k23/internal/interpose"
+	"k23/internal/machine"
 )
 
 func main() {
@@ -30,40 +32,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: k23-offline [-dir DIR] [-requests N] PROG [ARGS...]")
 		os.Exit(2)
 	}
-	paths := map[string]string{
-		"pwd": apps.PwdPath, "touch": apps.TouchPath, "ls": apps.LsPath,
-		"cat": apps.CatPath, "clear": apps.ClearPath, "nginx": apps.NginxPath,
-		"lighttpd": apps.LighttpdPath, "redis-server": apps.RedisPath,
-		"sqlite3": apps.SqlitePath,
-	}
-	path := args[0]
-	if !strings.HasPrefix(path, "/") {
-		p, ok := paths[path]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "k23-offline: unknown program %q\n", path)
-			os.Exit(2)
-		}
-		path = p
-	}
-	argv := args
-	if len(argv) == 1 {
-		switch path {
-		case apps.TouchPath:
-			argv = append(argv, "/data/new.txt")
-		case apps.LsPath:
-			argv = append(argv, "/data")
-		case apps.CatPath:
-			argv = append(argv, "/data/notes.txt")
-		case apps.NginxPath, apps.LighttpdPath:
-			argv = append(argv, "0")
-		case apps.RedisPath:
-			argv = append(argv, "1")
-		}
+	path, argv, ok := apps.Command(args)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "k23-offline: unknown program %q\n", args[0])
+		os.Exit(2)
 	}
 
 	w := interpose.NewWorld()
-	apps.RegisterAll(w.Reg)
-	if err := apps.SetupFS(w.K.FS); err != nil {
+	if err := machine.StandardSetup(w); err != nil {
 		fmt.Fprintln(os.Stderr, "k23-offline:", err)
 		os.Exit(1)
 	}
@@ -75,15 +51,10 @@ func main() {
 		os.Exit(1)
 	}
 	// Drive server workloads with a representative request stream.
-	isServer := path == apps.NginxPath || path == apps.LighttpdPath || path == apps.RedisPath
-	if isServer {
-		req := make([]byte, apps.RequestSize)
-		port := apps.BasePort + run.Process().PID
-		for i := 0; i < 5000; i++ {
-			w.K.Run(10_000)
-			if err := w.K.InjectConn(port, req, *requests, nil); err == nil {
-				break
-			}
+	if apps.IsServer(path) {
+		if err := machine.Listen(context.Background(), w.K, run.Process(), make([]byte, apps.RequestSize), *requests); err != nil {
+			fmt.Fprintln(os.Stderr, "k23-offline:", err)
+			os.Exit(1)
 		}
 	}
 	if err := w.K.RunUntilExit(run.Process(), 2_000_000_000); err != nil {

@@ -45,42 +45,6 @@ import (
 	"k23/internal/span"
 )
 
-// resolveProg maps a basename to a registered binary path.
-func resolveProg(name string) (string, bool) {
-	paths := map[string]string{
-		"pwd": apps.PwdPath, "touch": apps.TouchPath, "ls": apps.LsPath,
-		"cat": apps.CatPath, "clear": apps.ClearPath, "nginx": apps.NginxPath,
-		"lighttpd": apps.LighttpdPath, "redis-server": apps.RedisPath,
-		"sqlite3": apps.SqlitePath,
-	}
-	if strings.HasPrefix(name, "/") {
-		return name, true
-	}
-	p, ok := paths[name]
-	return p, ok
-}
-
-// defaultArgs supplies workable arguments for workloads that need them.
-func defaultArgs(path string, argv []string) []string {
-	if len(argv) > 1 {
-		return argv
-	}
-	switch path {
-	case apps.TouchPath:
-		return append(argv, "/data/new.txt")
-	case apps.LsPath, apps.CatPath:
-		if path == apps.CatPath {
-			return append(argv, "/data/notes.txt")
-		}
-		return append(argv, "/data")
-	case apps.NginxPath, apps.LighttpdPath:
-		return append(argv, "0")
-	case apps.RedisPath:
-		return append(argv, "1")
-	}
-	return argv
-}
-
 // writeFile writes one observability artifact, reporting but not
 // aborting on failure (the guest already ran).
 func writeFile(path, what string, write func(f *os.File) error) {
@@ -159,11 +123,6 @@ func writeSfipOutputs(snap *obsv.Snapshot, learnOut, reportOut string) {
 	}
 }
 
-// isServerApp marks the workloads driven by an injected connection.
-func isServerApp(path string) bool {
-	return path == apps.NginxPath || path == apps.LighttpdPath || path == apps.RedisPath
-}
-
 func main() {
 	variant := flag.String("variant", "k23-ultra", "interposer variant (see -list)")
 	trace := flag.Bool("trace", false, "record and print a strace-style syscall trace")
@@ -234,16 +193,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: k23 [-variant NAME] [-trace] [-stats] [-metrics FILE] [-profile FILE] [-record FILE | -replay FILE [-until S,...]] PROG [ARGS...]")
 			os.Exit(2)
 		}
-		path, ok := resolveProg(args[0])
+		path, argv, ok := apps.Command(args)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "k23: unknown program %q\n", args[0])
 			os.Exit(2)
 		}
-		argv := defaultArgs(path, args)
 		spec = rr.RunSpec{
 			Name: argv[0], Mechanism: *variant,
 			Path: path, Argv: argv,
-			Server: isServerApp(path), Requests: *requests,
+			Server: apps.IsServer(path), Requests: *requests,
 			Seed: *seed, CheckpointEvery: *ckptEvery,
 		}
 		if *chaosSeed != 0 {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 	"k23/internal/core"
 	"k23/internal/interpose"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 )
 
 // userStack is a toy user-space network stack: fixed-size request queue
@@ -90,21 +92,8 @@ func main() {
 	}
 
 	// Offline profile of the nginx worker (kernel networking, §5.1).
-	off := &core.Offline{LogDir: "/var/k23/logs"}
-	run, err := off.Start(w, apps.NginxPath, []string{"nginx", "0"}, nil)
+	logPath, _, err := machine.Offline(context.Background(), w, apps.NginxPath, []string{"nginx", "0"}, 5)
 	if err != nil {
-		log.Fatal(err)
-	}
-	req := make([]byte, apps.RequestSize)
-	port := apps.BasePort + run.Process().PID
-	for i := 0; i < 5000; i++ {
-		w.K.Run(10_000)
-		if err := w.K.InjectConn(port, req, 5, nil); err == nil {
-			break
-		}
-	}
-	_ = w.K.RunUntilExit(run.Process(), 2_000_000_000)
-	if _, err := run.Finish(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -114,7 +103,7 @@ func main() {
 	for i := 0; i < 3; i++ {
 		stack.inbox = append(stack.inbox, []byte(fmt.Sprintf("GET /req%d HTTP/1.1", i)))
 	}
-	k23 := core.New(interpose.Config{Hook: stack.handle}, off.LogPath("nginx"))
+	k23 := core.New(interpose.Config{Hook: stack.handle}, logPath)
 	p, err := k23.Launch(w, apps.NginxPath, []string{"nginx", "0"}, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -9,12 +9,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"k23/internal/apps"
 	"k23/internal/core"
 	"k23/internal/interpose"
+	"k23/internal/machine"
 )
 
 func main() {
@@ -26,15 +28,7 @@ func main() {
 	}
 
 	// --- Offline phase (paper §5.1): profile `ls` under libLogger. ---
-	offline := &core.Offline{LogDir: "/var/k23/logs"}
-	run, err := offline.Start(w, apps.LsPath, []string{"ls", "/data"}, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.Run(run.Process()); err != nil {
-		log.Fatal(err)
-	}
-	sites, err := run.Finish()
+	logPath, sites, err := machine.Offline(context.Background(), w, apps.LsPath, []string{"ls", "/data"}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +44,7 @@ func main() {
 		NullExecCheck: true, // Table 4: the -ultra features
 		StackSwitch:   true,
 	}
-	k23 := core.New(cfg, offline.LogPath("ls"))
+	k23 := core.New(cfg, logPath)
 	p, err := k23.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
 	if err != nil {
 		log.Fatal(err)

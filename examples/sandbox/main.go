@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 // buildUntrusted assembles the sandboxed program. argv[1] "evade" makes
@@ -96,18 +98,12 @@ func runCase(label, mode string) {
 	_ = w.K.FS.WriteFile("/etc/passwd", []byte("root:x:0:0\n"), 0o4)
 
 	// Offline profile with the benign input.
-	offline := &core.Offline{LogDir: "/var/k23/logs"}
-	run, err := offline.Start(w, "/sandbox/untrusted", []string{"untrusted", "plain"}, nil)
+	logPath, _, err := machine.Offline(context.Background(), w, "/sandbox/untrusted", []string{"untrusted", "plain"}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = w.K.RunUntilExit(run.Process(), 200_000_000)
-	if _, err := run.Finish(); err != nil {
-		log.Fatal(err)
-	}
 
-	k23 := core.New(interpose.Config{Hook: policy, NullExecCheck: true, StackSwitch: true},
-		offline.LogPath("untrusted"))
+	k23 := core.New(interpose.Config{Hook: policy, NullExecCheck: true, StackSwitch: true}, logPath)
 	p, err := k23.Launch(w, "/sandbox/untrusted", []string{"untrusted", mode}, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -11,16 +11,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"k23/internal/asm"
-	"k23/internal/core"
 	"k23/internal/cpu"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 // buildTarget: a program exercising the paper's blind spots — ordinary
@@ -74,20 +75,6 @@ func traceUnder(name string) observation {
 	if !ok {
 		log.Fatalf("no variant %s", name)
 	}
-	logPath := ""
-	if spec.NeedsOfflineLog {
-		off := &core.Offline{LogDir: "/var/k23/logs"}
-		run, err := off.Start(w, "/trace/target", []string{"target"}, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		_ = w.K.RunUntilExit(run.Process(), 200_000_000)
-		if _, err := run.Finish(); err != nil {
-			log.Fatal(err)
-		}
-		logPath = off.LogPath("target")
-	}
-
 	var obs observation
 	mainSeen := false
 	cfg := interpose.Config{
@@ -108,7 +95,10 @@ func traceUnder(name string) observation {
 			return 0, false
 		},
 	}
-	l := spec.New(cfg, logPath)
+	l, err := machine.Launcher(context.Background(), w, spec, cfg, "/trace/target", []string{"target"}, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	p, err := l.Launch(w, "/trace/target", []string{"target"}, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -120,6 +120,43 @@ func SetupFS(fs *vfs.FS) error {
 	return fs.MkdirAll("/var/db")
 }
 
+// programs maps each workload's command name to its binary path.
+var programs = map[string]string{
+	"pwd": PwdPath, "touch": TouchPath, "ls": LsPath,
+	"cat": CatPath, "clear": ClearPath, "nginx": NginxPath,
+	"lighttpd": LighttpdPath, "redis-server": RedisPath,
+	"sqlite3": SqlitePath,
+}
+
+// defaultArg is the argument a bare program gets.
+var defaultArg = map[string]string{
+	TouchPath: "/data/new.txt", LsPath: "/data", CatPath: "/data/notes.txt",
+	NginxPath: "0", LighttpdPath: "0", RedisPath: "1",
+}
+
+// Command resolves a command line: args[0] is a workload's command name
+// (pwd, touch, ls, cat, clear, nginx, lighttpd, redis-server, sqlite3)
+// or an absolute path, and a bare program gets workable arguments. ok
+// is false for an unknown name.
+func Command(args []string) (path string, argv []string, ok bool) {
+	path, argv = args[0], args
+	if !strings.HasPrefix(path, "/") {
+		if path, ok = programs[path]; !ok {
+			return "", nil, false
+		}
+	}
+	if a, found := defaultArg[path]; found && len(argv) == 1 {
+		argv = []string{argv[0], a}
+	}
+	return path, argv, true
+}
+
+// IsServer reports whether path is a server workload, driven by an
+// injected client connection.
+func IsServer(path string) bool {
+	return path == NginxPath || path == LighttpdPath || path == RedisPath
+}
+
 // exitWith emits exit_group(code).
 func exitWith(t *asm.SectionBuilder, code uint32) {
 	t.MovImm32(cpu.RDI, code)
