@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"k23/internal/bench"
+	"k23/internal/cpu/difftest"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/pitfalls"
@@ -212,28 +213,28 @@ func BenchmarkSimulator(b *testing.B) {
 // proven identical by internal/cpu/difftest; this benchmark shows the
 // host-side win.
 func BenchmarkStepDecodeCache(b *testing.B) {
-	type runner func(cacheOff bool) (bench.DecodeCacheRun, error)
+	type runner func(m difftest.Mode) (bench.EngineRun, error)
 	workloads := []struct {
 		name string
 		run  runner
 	}{
-		{"micro-syscall500", func(off bool) (bench.DecodeCacheRun, error) {
-			return bench.MeasureDecodeCacheMicro(3000, off)
+		{"micro-syscall500", func(m difftest.Mode) (bench.EngineRun, error) {
+			return bench.MeasureEngineMicro(3000, m)
 		}},
-		{"redis-like", func(off bool) (bench.DecodeCacheRun, error) {
-			return bench.MeasureDecodeCacheMacro(200, off)
+		{"redis-like", func(m difftest.Mode) (bench.EngineRun, error) {
+			return bench.MeasureEngineMacro(200, m)
 		}},
 	}
 	for _, w := range workloads {
 		w := w
 		b.Run(w.name, func(b *testing.B) {
-			var on, off bench.DecodeCacheRun
+			var on, off bench.EngineRun
 			for i := 0; i < b.N; i++ {
 				var err error
-				if on, err = w.run(false); err != nil {
+				if on, err = w.run(difftest.ModeCacheOnly); err != nil {
 					b.Fatal(err)
 				}
-				if off, err = w.run(true); err != nil {
+				if off, err = w.run(difftest.ModeCacheOff); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -242,7 +243,7 @@ func BenchmarkStepDecodeCache(b *testing.B) {
 			if off.StepsPerSec() > 0 {
 				b.ReportMetric(on.StepsPerSec()/off.StepsPerSec(), "speedup-x")
 			}
-			b.ReportMetric(on.Stats.HitRate()*100, "hit-%")
+			b.ReportMetric(on.Cache.HitRate()*100, "hit-%")
 		})
 	}
 }

@@ -25,6 +25,7 @@ import (
 
 	"k23/internal/bench"
 	"k23/internal/chaos"
+	"k23/internal/cpu/difftest"
 	"k23/internal/fleet"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
@@ -52,6 +53,27 @@ func reportSweep(rep *chaos.Report) error {
 		fmt.Printf("    repro: go run ./cmd/benchtab -chaos-repro %#x\n", v.Seed)
 	}
 	return fmt.Errorf("%d invariant violations", len(rep.Violations))
+}
+
+// enginePairs measures the micro (3000 iterations) and redis-like (200
+// requests) workloads under engine modes on and off, one pair each.
+func enginePairs(on, off difftest.Mode) ([][2]bench.EngineRun, error) {
+	var pairs [][2]bench.EngineRun
+	for _, measure := range []func(difftest.Mode) (bench.EngineRun, error){
+		func(m difftest.Mode) (bench.EngineRun, error) { return bench.MeasureEngineMicro(3000, m) },
+		func(m difftest.Mode) (bench.EngineRun, error) { return bench.MeasureEngineMacro(200, m) },
+	} {
+		a, err := measure(on)
+		if err != nil {
+			return nil, err
+		}
+		b, err := measure(off)
+		if err != nil {
+			return nil, err
+		}
+		pairs = append(pairs, [2]bench.EngineRun{a, b})
+	}
+	return pairs, nil
 }
 
 // parseWorkers turns "8" or "1,2,4,8" into worker counts, prepending a
@@ -210,52 +232,22 @@ func main() {
 		})
 	case "decodecache":
 		run("Claim — decoded-instruction cache simulator speedup", func() error {
-			var pairs [][2]bench.DecodeCacheRun
-			microOn, err := bench.MeasureDecodeCacheMicro(3000, false)
+			pairs, err := enginePairs(difftest.ModeCacheOnly, difftest.ModeCacheOff)
 			if err != nil {
 				return err
 			}
-			microOff, err := bench.MeasureDecodeCacheMicro(3000, true)
-			if err != nil {
-				return err
-			}
-			pairs = append(pairs, [2]bench.DecodeCacheRun{microOn, microOff})
-			macroOn, err := bench.MeasureDecodeCacheMacro(200, false)
-			if err != nil {
-				return err
-			}
-			macroOff, err := bench.MeasureDecodeCacheMacro(200, true)
-			if err != nil {
-				return err
-			}
-			pairs = append(pairs, [2]bench.DecodeCacheRun{macroOn, macroOff})
 			fmt.Print(bench.FormatDecodeCache(pairs))
 			return nil
 		})
 	case "jit":
 		run("Claim — trace-JIT superblock simulator speedup (E18)", func() error {
-			var pairs [][2]bench.JITRun
-			microOn, err := bench.MeasureJITMicro(3000, false)
+			pairs, err := enginePairs(difftest.ModeJIT, difftest.ModeCacheOnly)
 			if err != nil {
 				return err
 			}
-			microOff, err := bench.MeasureJITMicro(3000, true)
-			if err != nil {
-				return err
-			}
-			pairs = append(pairs, [2]bench.JITRun{microOn, microOff})
-			macroOn, err := bench.MeasureJITMacro(200, false)
-			if err != nil {
-				return err
-			}
-			macroOff, err := bench.MeasureJITMacro(200, true)
-			if err != nil {
-				return err
-			}
-			pairs = append(pairs, [2]bench.JITRun{macroOn, macroOff})
 			fmt.Print(bench.FormatJIT(pairs))
 			fmt.Println()
-			fmt.Print(bench.FormatJITEngagement([]bench.JITRun{microOn, macroOn}))
+			fmt.Print(bench.FormatJITEngagement([]bench.EngineRun{pairs[0][0], pairs[1][0]}))
 			return nil
 		})
 	case "coverage":
@@ -357,7 +349,7 @@ func main() {
 			chaosTag = fmt.Sprintf(", chaos seed %#x", *chaosSeed)
 		}
 		run(fmt.Sprintf("Fleet — %d %s machines, workers vs throughput%s", *fleetN, *fleetWorkload, chaosTag), func() error {
-			rows, err := bench.MeasureFleetScalingOpts(context.Background(), machines, counts, tmpl)
+			rows, err := bench.MeasureFleetScaling(context.Background(), machines, counts, tmpl)
 			if err != nil {
 				return err
 			}

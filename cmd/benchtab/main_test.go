@@ -4,11 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"k23/internal/bench"
+	"k23/internal/cpu/difftest"
 	"k23/internal/interpose/variants"
 	"k23/internal/pitfalls"
 )
@@ -56,6 +58,53 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	if !t.Failed() {
 		t.Errorf("%s differs from golden in whitespace only", name)
+	}
+}
+
+// TestMain lets the test binary stand in for the benchtab command: with
+// K23_AS_MAIN set it runs main on its own arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("K23_AS_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestClaimsRun runs `benchtab -claim decodecache` and `-claim jit` as
+// the command: each must exit 0 and print every table header. Their
+// wall-clock columns are host-dependent; TestGoldenJIT pins the
+// deterministic counters.
+func TestClaimsRun(t *testing.T) {
+	for _, row := range []struct {
+		claim   string
+		headers []string
+	}{
+		{"decodecache", []string{
+			"==== Claim — decoded-instruction cache simulator speedup ====",
+			"Workload           cached         uncached       speedup   hit-rate  hits/misses/inval\n",
+		}},
+		{"jit", []string{
+			"==== Claim — trace-JIT superblock simulator speedup (E18) ====",
+			"Workload           jit            interp         speedup   coverage\n",
+			"Workload           steps        blocks   entries   block-insts  coverage  bails  selfwr  evict\n",
+		}},
+	} {
+		t.Run(row.claim, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-claim", row.claim)
+			cmd.Env = append(os.Environ(), "K23_AS_MAIN=1")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("benchtab -claim %s: %v\nstderr:\n%s", row.claim, err, stderr.String())
+			}
+			for _, h := range row.headers {
+				if !strings.Contains(string(out), h) {
+					t.Errorf("benchtab -claim %s output lacks %q:\n%s", row.claim, h, out)
+				}
+			}
+		})
 	}
 }
 
@@ -143,15 +192,15 @@ func TestGoldenJIT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("JIT claim regeneration runs the full macro workload; skipped in -short")
 	}
-	micro, err := bench.MeasureJITMicro(3000, false)
+	micro, err := bench.MeasureEngineMicro(3000, difftest.ModeJIT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	macro, err := bench.MeasureJITMacro(200, false)
+	macro, err := bench.MeasureEngineMacro(200, difftest.ModeJIT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "jit.golden", bench.FormatJITEngagement([]bench.JITRun{micro, macro}))
+	checkGolden(t, "jit.golden", bench.FormatJITEngagement([]bench.EngineRun{micro, macro}))
 }
 
 // TestGoldenRR pins `benchtab -claim rr` (E19): the checkpoint-interval

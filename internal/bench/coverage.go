@@ -47,15 +47,8 @@ func AuditApp(spec variants.Spec, path string, argv []string) (*audit.Snapshot, 
 	}
 	o := obsv.New(obsv.Options{Audit: true})
 	o.Install(w.K)
-	p, err := l.Launch(w, path, argv, nil)
-	if err != nil {
+	if _, err := launchRun(w, l, path, argv, 0); err != nil {
 		return nil, err
-	}
-	if err := w.K.RunUntilExit(p, 3_000_000_000); err != nil {
-		return nil, err
-	}
-	if p.Exit.Signal != 0 {
-		return nil, fmt.Errorf("bench: %s under %s died: %s", path, l.Name(), p.Exit)
 	}
 	return o.Snapshot().Audit, nil
 }

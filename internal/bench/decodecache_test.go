@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"k23/internal/cpu/difftest"
+)
 
 // TestDecodeCacheParity: cached and uncached runs retire exactly the
 // same number of guest instructions (the cache is invisible to the
@@ -8,22 +12,22 @@ import "testing"
 // hit almost always.
 func TestDecodeCacheParity(t *testing.T) {
 	t.Run("micro", func(t *testing.T) {
-		on, err := MeasureDecodeCacheMicro(300, false)
+		on, err := MeasureEngineMicro(300, difftest.ModeCacheOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := MeasureDecodeCacheMicro(300, true)
+		off, err := MeasureEngineMicro(300, difftest.ModeCacheOff)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkParity(t, on, off)
 	})
 	t.Run("redis", func(t *testing.T) {
-		on, err := MeasureDecodeCacheMacro(10, false)
+		on, err := MeasureEngineMacro(10, difftest.ModeCacheOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := MeasureDecodeCacheMacro(10, true)
+		off, err := MeasureEngineMacro(10, difftest.ModeCacheOff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,15 +35,15 @@ func TestDecodeCacheParity(t *testing.T) {
 	})
 }
 
-func checkParity(t *testing.T, on, off DecodeCacheRun) {
+func checkParity(t *testing.T, on, off EngineRun) {
 	t.Helper()
 	if on.Steps != off.Steps {
 		t.Errorf("retired instructions differ: cached=%d uncached=%d", on.Steps, off.Steps)
 	}
-	if off.Stats.Hits != 0 || off.Stats.Misses != 0 {
-		t.Errorf("uncached run recorded cache activity: %+v", off.Stats)
+	if off.Cache.Hits != 0 || off.Cache.Misses != 0 {
+		t.Errorf("uncached run recorded cache activity: %+v", off.Cache)
 	}
-	if hr := on.Stats.HitRate(); hr < 0.90 {
-		t.Errorf("hit rate = %.3f, want >= 0.90 (%+v over %d steps)", hr, on.Stats, on.Steps)
+	if hr := on.Cache.HitRate(); hr < 0.90 {
+		t.Errorf("hit rate = %.3f, want >= 0.90 (%+v over %d steps)", hr, on.Cache, on.Steps)
 	}
 }

@@ -130,11 +130,8 @@ func Figure4() (string, error) {
 	}
 	spec, _ := variants.ByName("k23-ultra+")
 	k23 := spec.New(interpose.Config{}, logPath).(*core.K23)
-	p, err := k23.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
+	p, err := launchRun(w, k23, apps.LsPath, []string{"ls", "/data"}, 0)
 	if err != nil {
-		return "", err
-	}
-	if err := w.K.RunUntilExit(p, 500_000_000); err != nil {
 		return "", err
 	}
 	st := k23.Stats(p)
@@ -159,11 +156,8 @@ func ClaimStartup() (string, error) {
 		return "", err
 	}
 	k23 := core.New(interpose.Config{}, "")
-	p, err := k23.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
+	p, err := launchRun(w, k23, apps.LsPath, []string{"ls", "/data"}, 0)
 	if err != nil {
-		return "", err
-	}
-	if err := w.K.RunUntilExit(p, 500_000_000); err != nil {
 		return "", err
 	}
 	n := k23.StartupSyscalls(p)
@@ -184,11 +178,8 @@ func ClaimP4b() (string, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := l.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
+		p, err := launchRun(w, l, apps.LsPath, []string{"ls", "/data"}, 0)
 		if err != nil {
-			return nil, err
-		}
-		if err := w.K.RunUntilExit(p, 500_000_000); err != nil {
 			return nil, err
 		}
 		return l.Stats(p), nil

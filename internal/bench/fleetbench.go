@@ -54,16 +54,11 @@ type FleetScalingRow struct {
 	Report  *fleet.Report
 }
 
-// MeasureFleetScaling runs the same fleet once per worker count and
-// returns one row per count. Any machine error fails the measurement.
-func MeasureFleetScaling(ctx context.Context, machines []fleet.Machine, workerCounts []int) ([]FleetScalingRow, error) {
-	return MeasureFleetScalingOpts(ctx, machines, workerCounts, fleet.Options{})
-}
-
-// MeasureFleetScalingOpts is MeasureFleetScaling with an Options template
-// applied to every run (Workers is overridden per row) — used to measure
-// a chaos-armed fleet.
-func MeasureFleetScalingOpts(ctx context.Context, machines []fleet.Machine, workerCounts []int, tmpl fleet.Options) ([]FleetScalingRow, error) {
+// MeasureFleetScaling runs the same fleet once per worker count, with
+// the Options template applied to every run (Workers is overridden per
+// row), and returns one row per count. Any machine error fails the
+// measurement.
+func MeasureFleetScaling(ctx context.Context, machines []fleet.Machine, workerCounts []int, tmpl fleet.Options) ([]FleetScalingRow, error) {
 	var rows []FleetScalingRow
 	for _, w := range workerCounts {
 		opt := tmpl

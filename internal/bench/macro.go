@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"k23/internal/apps"
@@ -85,52 +86,11 @@ func Table6Variants() []string {
 	}
 }
 
-// macroWorld builds a fresh world with workloads registered.
-func macroWorld() (*interpose.World, error) {
-	w := interpose.NewWorld()
+// macroWorld builds a fresh world with workloads registered, its kernel
+// built with opts.
+func macroWorld(opts ...kernel.Option) (*interpose.World, error) {
+	w := interpose.NewWorld(opts...)
 	return w, machine.StandardSetup(w)
-}
-
-// serveRequests launches one server worker under l, drives r keepalive
-// requests through it, and returns the worker's total cycles.
-func serveRequests(w *interpose.World, l interpose.Launcher, cfg MacroConfig, r int) (uint64, error) {
-	p, err := l.Launch(w, cfg.Path, cfg.Argv, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := machine.Listen(context.Background(), w.K, p, make([]byte, apps.RequestSize), r); err != nil {
-		return 0, fmt.Errorf("bench: %s under %s: %w", cfg.Name, l.Name(), err)
-	}
-	if err := w.K.RunUntilExit(p, 3_000_000_000); err != nil {
-		return 0, err
-	}
-	if p.Exit.Signal != 0 {
-		return 0, fmt.Errorf("bench: %s under %s died: %s", cfg.Name, l.Name(), p.Exit)
-	}
-	var cycles uint64
-	for _, t := range p.Threads {
-		cycles += t.Cycles()
-	}
-	return cycles, nil
-}
-
-// runToExit launches a non-server workload and returns total cycles.
-func runToExit(w *interpose.World, l interpose.Launcher, path string, argv []string) (uint64, error) {
-	p, err := l.Launch(w, path, argv, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := w.K.RunUntilExit(p, 3_000_000_000); err != nil {
-		return 0, err
-	}
-	if p.Exit.Signal != 0 {
-		return 0, fmt.Errorf("bench: %s under %s died: %s", path, l.Name(), p.Exit)
-	}
-	var cycles uint64
-	for _, t := range p.Threads {
-		cycles += t.Cycles()
-	}
-	return cycles, nil
 }
 
 // macroLauncher returns spec's launcher for a macro workload in w,
@@ -158,21 +118,21 @@ func cyclesPerRequest(spec variants.Spec, cfg MacroConfig) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c1, err := serveRequests(w, l, cfg, macroR1)
+	c1, err := runCycles(w, l, cfg.Path, cfg.Argv, macroR1)
 	if err != nil {
 		return 0, err
 	}
-	c2, err := serveRequests(w, l, cfg, macroR2)
+	c2, err := runCycles(w, l, cfg.Path, cfg.Argv, macroR2)
 	if err != nil {
 		return 0, err
 	}
 	return float64(c2-c1) / float64(macroR2-macroR1), nil
 }
 
-// redisMainCycles measures the redis main-thread component: per-request
-// serial work (5 futex wakeups + command execution), via a slope over
-// the fixed-iteration main-mode binary run at two... the binary has a
-// fixed iteration count, so measure one run and divide.
+// redisMainCycles measures the redis main thread's serial cost per
+// request (5 futex wakeups plus command execution): the cycles of one
+// run of the main-mode binary, startup included, divided by its fixed
+// iteration count, apps.RedisMainIters.
 func redisMainCycles(spec variants.Spec) (float64, error) {
 	w, err := macroWorld()
 	if err != nil {
@@ -188,14 +148,10 @@ func redisMainCycles(spec variants.Spec) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	total, err := runToExit(w, l, apps.RedisPath, []string{"redis-server", "main"})
+	total, err := runCycles(w, l, apps.RedisPath, []string{"redis-server", "main"}, 0)
 	if err != nil {
 		return 0, err
 	}
-	// Startup costs are non-negligible relative to the fixed iteration
-	// count; subtract a zero-work baseline? The iteration body dominates
-	// (futexes + exec work), so dividing by the count is adequate for
-	// the capacity bound.
 	return float64(total) / float64(apps.RedisMainIters), nil
 }
 
@@ -235,11 +191,11 @@ func sqliteCycles(spec variants.Spec, cfg MacroConfig) (float64, error) {
 		return 0, err
 	}
 	const ops1, ops2 = 300, 1500
-	c1, err := runToExit(w, l, cfg.Path, []string{cfg.Argv[0], fmt.Sprintf("%d", ops1)})
+	c1, err := runCycles(w, l, cfg.Path, []string{cfg.Argv[0], strconv.Itoa(ops1)}, 0)
 	if err != nil {
 		return 0, err
 	}
-	c2, err := runToExit(w, l, cfg.Path, []string{cfg.Argv[0], fmt.Sprintf("%d", ops2)})
+	c2, err := runCycles(w, l, cfg.Path, []string{cfg.Argv[0], strconv.Itoa(ops2)}, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -14,12 +14,15 @@ package bench
 import (
 	"context"
 	"fmt"
+	"strconv"
 
+	"k23/internal/apps"
 	"k23/internal/asm"
 	"k23/internal/cpu"
 	"k23/internal/image"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
+	"k23/internal/kernel"
 	"k23/internal/libc"
 	"k23/internal/machine"
 )
@@ -83,9 +86,10 @@ type MicroRow struct {
 	CyclesPerIter float64
 }
 
-// MicroWorld builds a world with the micro binary registered.
-func MicroWorld() *interpose.World {
-	w := interpose.NewWorld()
+// MicroWorld builds a world with the micro binary registered, its
+// kernel built with opts.
+func MicroWorld(opts ...kernel.Option) *interpose.World {
+	w := interpose.NewWorld(opts...)
 	w.MustRegister(buildMicro())
 	return w
 }
@@ -97,17 +101,42 @@ func MicroLauncher(w *interpose.World, spec variants.Spec) (interpose.Launcher, 
 }
 
 // runMicroOnce runs the stress test for n iterations under l and returns
-// the main thread's total cycles.
+// the process's total cycles.
 func runMicroOnce(w *interpose.World, l interpose.Launcher, n int) (uint64, error) {
-	p, err := l.Launch(w, MicroPath, []string{"micro", fmt.Sprintf("%d", n)}, nil)
+	return runCycles(w, l, MicroPath, []string{"micro", strconv.Itoa(n)}, 0)
+}
+
+// runBudget bounds every run the harness drives itself.
+const runBudget = 3_000_000_000
+
+// launchRun launches path under l in w; when requests > 0 it drives the
+// server's keepalive connection of requests all-zero requests through
+// machine.Listen. It then runs the process to exit under runBudget,
+// rejects a signal death and returns the process.
+func launchRun(w *interpose.World, l interpose.Launcher, path string, argv []string, requests int) (*kernel.Process, error) {
+	p, err := l.Launch(w, path, argv, nil)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if err := w.K.RunUntilExit(p, 2_000_000_000); err != nil {
-		return 0, err
+	if requests > 0 {
+		if err := machine.Listen(context.Background(), w.K, p, make([]byte, apps.RequestSize), requests); err != nil {
+			return nil, fmt.Errorf("bench: %s under %s: %w", path, l.Name(), err)
+		}
+	}
+	if err := w.K.RunUntilExit(p, runBudget); err != nil {
+		return nil, err
 	}
 	if p.Exit.Signal != 0 {
-		return 0, fmt.Errorf("bench: micro died under %s: %s", l.Name(), p.Exit)
+		return nil, fmt.Errorf("bench: %s under %s died: %s", path, l.Name(), p.Exit)
+	}
+	return p, nil
+}
+
+// runCycles is launchRun returning the process's total cycles.
+func runCycles(w *interpose.World, l interpose.Launcher, path string, argv []string, requests int) (uint64, error) {
+	p, err := launchRun(w, l, path, argv, requests)
+	if err != nil {
+		return 0, err
 	}
 	var cycles uint64
 	for _, t := range p.Threads {
@@ -175,19 +204,10 @@ func Table5() ([]MicroRow, error) {
 // speed probe for the top-level BenchmarkSimulator.
 func SimulatorThroughput(spec variants.Spec) (uint64, error) {
 	w := MicroWorld()
-	l := spec.New(interpose.Config{}, "")
-	p, err := l.Launch(w, MicroPath, []string{"micro", "2000"}, nil)
-	if err != nil {
+	if _, err := launchRun(w, spec.New(interpose.Config{}, ""), MicroPath, []string{"micro", "2000"}, 0); err != nil {
 		return 0, err
 	}
-	if err := w.K.RunUntilExit(p, 2_000_000_000); err != nil {
-		return 0, err
-	}
-	var insts uint64
-	for _, t := range p.Threads {
-		insts += t.Core.Insts
-	}
-	return insts, nil
+	return machine.Insts(w.K), nil
 }
 
 // PaperTable5 holds the paper's reported overheads for comparison in

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"k23/internal/interpose/variants"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 )
 
@@ -79,20 +81,13 @@ func obsOverheadOnce(spec variants.Spec, opts obsv.Options, installEmpty bool) (
 	if opts.Enabled() || installEmpty {
 		obsv.New(opts).Install(w.K)
 	}
+	before := machine.Insts(w.K)
 	start := time.Now()
-	p, err := l.Launch(w, MicroPath, []string{"micro", fmt.Sprintf("%d", obsOverheadIters)}, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := w.K.RunUntilExit(p, 2_000_000_000); err != nil {
+	if _, err := launchRun(w, l, MicroPath, []string{"micro", strconv.Itoa(obsOverheadIters)}, 0); err != nil {
 		return 0, 0, err
 	}
 	wall := time.Since(start)
-	var insts uint64
-	for _, t := range p.Threads {
-		insts += t.Core.Insts
-	}
-	return insts, wall, nil
+	return machine.Insts(w.K) - before, wall, nil
 }
 
 // obsOverheadProbe is the probe program the overhead claim's probes row

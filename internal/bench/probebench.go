@@ -61,7 +61,7 @@ func MeasureProbes() (*probe.Snapshot, error) {
 		}
 		obs := obsv.New(obsv.Options{Probes: compiled, ProbeMech: name})
 		obs.Install(w.K)
-		if _, err := serveRequests(w, l, probesConfig, probesRequests); err != nil {
+		if _, err := runCycles(w, l, probesConfig.Path, probesConfig.Argv, probesRequests); err != nil {
 			return nil, fmt.Errorf("bench: probes %s: %w", name, err)
 		}
 		merged.Merge(obs.Snapshot().Probes)

@@ -16,14 +16,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
 
-	"k23/internal/apps"
 	"k23/internal/interpose/variants"
-	"k23/internal/machine"
 	"k23/internal/obsv"
 	"k23/internal/pitfalls"
 	"k23/internal/sfip"
@@ -138,7 +135,7 @@ const sfipVariant = "k23-ultra+"
 // sfipAppSnapshot runs one Table 2 workload to completion under spec
 // with the given collectors installed at production start, and returns
 // the observer snapshot.
-func sfipAppSnapshot(spec variants.Spec, wl sfipWorkload, oo obsv.Options) (*obsv.Snapshot, error) {
+func sfipAppSnapshot(spec variants.Spec, wl appWorkload, oo obsv.Options) (*obsv.Snapshot, error) {
 	w, err := macroWorld()
 	if err != nil {
 		return nil, err
@@ -149,40 +146,10 @@ func sfipAppSnapshot(spec variants.Spec, wl sfipWorkload, oo obsv.Options) (*obs
 	}
 	o := obsv.New(oo)
 	o.Install(w.K)
-	p, err := l.Launch(w, wl.path, wl.argv, nil)
-	if err != nil {
-		return nil, err
-	}
-	if wl.server {
-		if err := machine.Listen(context.Background(), w.K, p, make([]byte, apps.RequestSize), wl.requests); err != nil {
-			return nil, fmt.Errorf("bench: sfip %s: %w", wl.name, err)
-		}
-	}
-	if err := w.K.RunUntilExit(p, 3_000_000_000); err != nil {
-		return nil, err
-	}
-	if p.Exit.Signal != 0 {
-		return nil, fmt.Errorf("bench: sfip %s died: %s", wl.name, p.Exit)
+	if _, err := launchRun(w, l, wl.path, wl.argv, wl.requests); err != nil {
+		return nil, fmt.Errorf("bench: sfip %s: %w", wl.name, err)
 	}
 	return o.Snapshot(), nil
-}
-
-// sfipWorkload narrows a table2Workloads entry.
-type sfipWorkload struct {
-	name     string
-	path     string
-	argv     []string
-	server   bool
-	requests int
-}
-
-// sfipWorkloads returns the nine Table 2 applications.
-func sfipWorkloads() []sfipWorkload {
-	out := make([]sfipWorkload, 0, len(table2Workloads))
-	for _, wl := range table2Workloads {
-		out = append(out, sfipWorkload{wl.name, wl.path, wl.argv, wl.server, wl.requests})
-	}
-	return out
 }
 
 // SfipAppTable self-trains and then enforces every Table 2 application
@@ -195,7 +162,7 @@ func SfipAppTable() ([]SfipAppRow, error) {
 		return nil, fmt.Errorf("bench: unknown variant %s", sfipVariant)
 	}
 	var rows []SfipAppRow
-	for _, wl := range sfipWorkloads() {
+	for _, wl := range table2Workloads {
 		train, err := sfipAppSnapshot(spec, wl, obsv.Options{SfipLearn: true})
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip train %s: %w", wl.name, err)

@@ -16,15 +16,19 @@ type Table2Row struct {
 	Paper int
 }
 
-// table2Workloads lists the Table 2 applications with the paper's counts.
-var table2Workloads = []struct {
+// appWorkload is one Table 2 application: its command line, the
+// requests a server is driven with, and the paper's site count.
+type appWorkload struct {
 	name     string
 	path     string
 	argv     []string
 	server   bool
 	requests int
 	paper    int
-}{
+}
+
+// table2Workloads lists the Table 2 applications with the paper's counts.
+var table2Workloads = []appWorkload{
 	{"pwd", apps.PwdPath, []string{"pwd"}, false, 0, 7},
 	{"touch", apps.TouchPath, []string{"touch", "/data/new.txt"}, false, 0, 9},
 	{"ls", apps.LsPath, []string{"ls", "/data"}, false, 0, 10},
