@@ -13,6 +13,7 @@ package pitfalls
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"k23/internal/audit"
@@ -185,44 +186,8 @@ func AuditMatrix(specs []variants.Spec, opts ...kernel.Option) ([]AuditCell, err
 
 // FormatMatrix renders results as the Table 3 grid.
 func FormatMatrix(results []Result) string {
-	cols := []string{}
-	seen := map[string]bool{}
-	for _, r := range results {
-		if !seen[r.Interposer] {
-			seen[r.Interposer] = true
-			cols = append(cols, r.Interposer)
-		}
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s", "")
-	for _, c := range cols {
-		fmt.Fprintf(&b, " %-16s", c)
-	}
-	b.WriteByte('\n')
-	byPitfall := map[string]map[string]Result{}
-	var order []string
-	for _, r := range results {
-		if byPitfall[r.Pitfall] == nil {
-			byPitfall[r.Pitfall] = map[string]Result{}
-			order = append(order, r.Pitfall)
-		}
-		byPitfall[r.Pitfall][r.Interposer] = r
-	}
-	for _, pid := range order {
-		fmt.Fprintf(&b, "%-6s", pid)
-		for _, c := range cols {
-			mark := "?"
-			if r, ok := byPitfall[pid][c]; ok {
-				if r.Handled {
-					mark = "YES"
-				} else {
-					mark = "no"
-				}
-			}
-			fmt.Fprintf(&b, " %-16s", mark)
-		}
-		b.WriteByte('\n')
-	}
+	writeGrid(&b, results, func(i int) string { return verdict(results[i].Handled) })
 	return b.String()
 }
 
@@ -231,56 +196,66 @@ func FormatMatrix(results []Result) string {
 // "*" when the stream-derived audit verdict disagrees. The trailing
 // summary line counts the disagreements.
 func FormatAuditMatrix(cells []AuditCell) string {
-	cols := []string{}
-	seen := map[string]bool{}
+	results := make([]Result, len(cells))
 	for i := range cells {
-		if !seen[cells[i].Interposer] {
-			seen[cells[i].Interposer] = true
-			cols = append(cols, cells[i].Interposer)
-		}
+		results[i] = cells[i].Result
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s", "")
-	for _, c := range cols {
-		fmt.Fprintf(&b, " %-16s", c)
-	}
-	b.WriteByte('\n')
-	byPitfall := map[string]map[string]AuditCell{}
-	var order []string
-	for i := range cells {
-		c := cells[i]
-		if byPitfall[c.Pitfall] == nil {
-			byPitfall[c.Pitfall] = map[string]AuditCell{}
-			order = append(order, c.Pitfall)
-		}
-		byPitfall[c.Pitfall][c.Interposer] = c
-	}
 	disagreements := 0
-	for _, pid := range order {
-		fmt.Fprintf(&b, "%-6s", pid)
-		for _, col := range cols {
-			mark := "?"
-			if c, ok := byPitfall[pid][col]; ok {
-				if c.Handled {
-					mark = "YES"
-				} else {
-					mark = "no"
-				}
-				if !c.Agree() {
-					mark += "*"
-					disagreements++
-				}
-			}
-			fmt.Fprintf(&b, " %-16s", mark)
+	writeGrid(&b, results, func(i int) string {
+		if cells[i].Agree() {
+			return verdict(cells[i].Handled)
 		}
-		b.WriteByte('\n')
-	}
+		disagreements++
+		return verdict(cells[i].Handled) + "*"
+	})
 	if disagreements == 0 {
 		fmt.Fprintf(&b, "\naudit parity: every verdict independently rediscovered from the syscall streams\n")
 	} else {
 		fmt.Fprintf(&b, "\naudit parity: %d cell(s) marked * — audit verdict disagrees with the PoC\n", disagreements)
 	}
 	return b.String()
+}
+
+// writeGrid writes the Table 3 grid: one column per interposer and one
+// row per pitfall, both in first-seen order, holding mark(i) for
+// cells[i] and "?" where no cell exists.
+func writeGrid(b *strings.Builder, cells []Result, mark func(i int) string) {
+	var cols, rows []string
+	at := map[[2]string]int{}
+	for i, c := range cells {
+		if !slices.Contains(cols, c.Interposer) {
+			cols = append(cols, c.Interposer)
+		}
+		if !slices.Contains(rows, c.Pitfall) {
+			rows = append(rows, c.Pitfall)
+		}
+		at[[2]string{c.Pitfall, c.Interposer}] = i
+	}
+	fmt.Fprintf(b, "%-6s", "")
+	for _, c := range cols {
+		fmt.Fprintf(b, " %-16s", c)
+	}
+	b.WriteByte('\n')
+	for _, pid := range rows {
+		fmt.Fprintf(b, "%-6s", pid)
+		for _, c := range cols {
+			m := "?"
+			if i, ok := at[[2]string{pid, c}]; ok {
+				m = mark(i)
+			}
+			fmt.Fprintf(b, " %-16s", m)
+		}
+		b.WriteByte('\n')
+	}
+}
+
+// verdict renders a handled flag as a Table 3 cell.
+func verdict(handled bool) string {
+	if handled {
+		return "YES"
+	}
+	return "no"
 }
 
 // ---------------------------------------------------------------------
