@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"k23/internal/apps"
@@ -191,11 +190,11 @@ func sqliteCycles(spec variants.Spec, cfg MacroConfig) (float64, error) {
 		return 0, err
 	}
 	const ops1, ops2 = 300, 1500
-	c1, err := runCycles(w, l, cfg.Path, []string{cfg.Argv[0], strconv.Itoa(ops1)}, 0)
+	c1, err := runCycles(w, l, cfg.Path, []string{cfg.Argv[0], fmt.Sprintf("%d", ops1)}, 0)
 	if err != nil {
 		return 0, err
 	}
-	c2, err := runCycles(w, l, cfg.Path, []string{cfg.Argv[0], strconv.Itoa(ops2)}, 0)
+	c2, err := runCycles(w, l, cfg.Path, []string{cfg.Argv[0], fmt.Sprintf("%d", ops2)}, 0)
 	if err != nil {
 		return 0, err
 	}
