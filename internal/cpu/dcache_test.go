@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 	"unsafe"
 
@@ -400,5 +401,58 @@ func TestFetchStraddlesCacheLine(t *testing.T) {
 					c.CMCViolations)
 			}
 		})
+	}
+}
+
+// TestStaleStraddleHit: a decode-cache hit on a stale instruction that
+// straddles two lines must report the same CMC as the uncached fetch.
+// The core decodes a MOVIMM that runs from one line into the next,
+// another core rewrites the part in the second line, and the core runs
+// the instruction again from its stale I-cache: the cached run must hit,
+// execute the old immediate and record the old and new bytes of both
+// lines, exactly as the run without the decode cache does.
+func TestStaleStraddleHit(t *testing.T) {
+	const rip = 0x103a // 10 bytes: six in line 0x1000, four in line 0x1040
+	old := asm(Inst{Op: OpMovImm, A: RAX, Imm: 0x1122334455667788})
+	runScenario := func(t *testing.T, off bool) *Core {
+		as := mem.NewAddressSpace()
+		if err := as.Map(0x1000, mem.PageSize, mem.PermRWX, "code"); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.KStore(rip, old); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCore(as)
+		c.DecodeCacheOff = off
+		c.Ctx.RIP = rip
+		if s := c.Step(); s.Kind != StopNone {
+			t.Fatalf("first run: stop = %v", s.Kind)
+		}
+		// Another core rewrites the immediate's top bytes, all of them in
+		// the second line (a plain AddressSpace store: no invalidation).
+		if err := as.KStore(0x1040, []byte{0xaa, 0xbb, 0xcc, 0xdd}); err != nil {
+			t.Fatal(err)
+		}
+		c.Ctx.RIP = rip
+		if s := c.Step(); s.Kind != StopNone {
+			t.Fatalf("stale run: stop = %v", s.Kind)
+		}
+		if c.Ctx.R[RAX] != 0x1122334455667788 {
+			t.Fatalf("RAX = %#x, want the stale immediate", c.Ctx.R[RAX])
+		}
+		return c
+	}
+	on, off := runScenario(t, false), runScenario(t, true)
+	if on.DecodeStats.Hits != 1 {
+		t.Fatalf("cache-on run: %d hits, want 1 (the stale run)", on.DecodeStats.Hits)
+	}
+	if on.CMCViolations != 1 || off.CMCViolations != 1 {
+		t.Fatalf("CMC violations: on=%d off=%d, want 1/1", on.CMCViolations, off.CMCViolations)
+	}
+	fresh := append(append([]byte(nil), old[:6]...), 0xaa, 0xbb, 0xcc, 0xdd)
+	for name, ev := range map[string]*CMCEvent{"on": on.LastCMC, "off": off.LastCMC} {
+		if ev == nil || ev.Addr != rip || !bytes.Equal(ev.Cached, old) || !bytes.Equal(ev.Fresh, fresh) {
+			t.Fatalf("cache-%s CMC = %v, want stale % x, memory % x at %#x", name, ev, old, fresh, rip)
+		}
 	}
 }
