@@ -59,17 +59,12 @@ type cacheLine struct {
 	// covers holds the entry RIPs of superblocks entered in an earlier
 	// line whose code reaches into this one, each once.
 	covers []uint64
-	// hot counts anchor visits at RIPs in this line toward the
-	// compilation threshold.
-	hot []hotCount
+	// hot counts anchor visits toward the compilation threshold, by
+	// offset in this line; it is allocated at the line's first anchor.
+	hot *[cacheLineSize]uint8
 	// straddlers has bit i set when an instruction decoded at offset
 	// straddleBase+i of the previous line was cached covering this one.
 	straddlers uint16
-}
-
-// hotCount is the anchor-visit count of one RIP, by offset in its line.
-type hotCount struct {
-	off, n uint8
 }
 
 // dcacheEntry is one decoded instruction, found by its offset in the
@@ -79,16 +74,17 @@ type hotCount struct {
 // present, against memory otherwise), which is what makes the cache an
 // optimisation and not a semantic change: an entry is only replayed
 // when the uncached fetch path would have produced the same bytes.
+// Those same bytes are still in the covered line slots, so the entry
+// keeps no copy of them.
 type dcacheEntry struct {
 	inst    Inst
 	lineGen [2]uint64
-	bytes   [MaxInstLen]byte
 	off     uint8
 }
 
 // straddles reports whether the entry's encoding runs into the next line.
 func (e *dcacheEntry) straddles() bool {
-	return int(e.off)+e.inst.Len > cacheLineSize
+	return int(e.off)+int(e.inst.Len) > cacheLineSize
 }
 
 // decodedAt returns the index of the entry at offset off, or -1.
@@ -273,11 +269,24 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 	if !c.revalidate(ln, lineNum, e.lineGen[0], &staleAny) {
 		return Inst{}, false
 	}
-	if e.straddles() && !c.revalidate(c.line(lineNum+1), lineNum+1, e.lineGen[1], &staleAny) {
-		return Inst{}, false
+	var next *cacheLine
+	if e.straddles() {
+		next = c.line(lineNum + 1)
+		if !c.revalidate(next, lineNum+1, e.lineGen[1], &staleAny) {
+			return Inst{}, false
+		}
 	}
 	c.DecodeStats.Hits++
-	c.noteStaleness(e.inst, e.bytes[:e.inst.Len], staleAny)
+	if staleAny {
+		// Every covered slot holds the generation the entry was decoded
+		// at, so it holds the bytes the entry was decoded from.
+		var buf [MaxInstLen]byte
+		n := copy(buf[:e.inst.Len], ln.data[e.off:])
+		if next != nil {
+			copy(buf[n:e.inst.Len], next.data[:])
+		}
+		c.noteStaleness(e.inst, buf[:e.inst.Len], true)
+	}
 	return e.inst, true
 }
 
@@ -298,11 +307,10 @@ func (c *Core) revalidate(ln *cacheLine, lineNum, gen uint64, stale *bool) bool 
 // installDecoded records a freshly decoded instruction, replacing any
 // entry at rip. All covered lines are resident (fetchInst just pulled
 // them through fetchByte).
-func (c *Core) installDecoded(rip uint64, inst Inst, bytes []byte) {
+func (c *Core) installDecoded(rip uint64, inst Inst) {
 	lineNum := rip / cacheLineSize
 	ln := c.line(lineNum)
 	e := dcacheEntry{inst: inst, off: uint8(rip % cacheLineSize)}
-	copy(e.bytes[:], bytes)
 	e.lineGen[0] = ln.gen
 	if e.straddles() {
 		next := c.line(lineNum + 1)
@@ -375,20 +383,17 @@ func (c *Core) noteHot(rip uint64) bool {
 		c.hotN = 0
 	}
 	ln := c.slot(rip / cacheLineSize)
-	off := uint8(rip % cacheLineSize)
-	for i := range ln.hot {
-		if h := &ln.hot[i]; h.off == off {
-			if h.n++; h.n < jitHotThreshold {
-				return false
-			}
-			last := len(ln.hot) - 1
-			ln.hot[i] = ln.hot[last]
-			ln.hot = ln.hot[:last]
-			c.hotN--
-			return true
-		}
+	if ln.hot == nil {
+		ln.hot = new([cacheLineSize]uint8)
 	}
-	ln.hot = append(ln.hot, hotCount{off: off, n: 1})
-	c.hotN++
-	return false
+	n := &ln.hot[rip%cacheLineSize]
+	if *n++; *n == 1 {
+		c.hotN++
+	}
+	if *n < jitHotThreshold {
+		return false
+	}
+	*n = 0
+	c.hotN--
+	return true
 }

@@ -303,7 +303,7 @@ func (c *Core) fetchInst() (Inst, error) {
 		n, _ = EncodedLen(b0, b1, 2)
 	}
 	if n <= 0 {
-		return Inst{}, &DecodeError{Byte: b0}
+		return Inst{}, DecodeError{Byte: b0}
 	}
 	for i := have; i < n; i++ {
 		bi, err := c.fetchByte(rip + uint64(i))
@@ -333,7 +333,7 @@ func (c *Core) fetchInst() (Inst, error) {
 	c.noteStaleness(inst, buf[:inst.Len], staleAny)
 	if useCache {
 		c.DecodeStats.Misses++
-		c.installDecoded(rip, inst, buf[:inst.Len])
+		c.installDecoded(rip, inst)
 	}
 	return inst, nil
 }
@@ -344,7 +344,7 @@ func (c *Core) noteStaleness(inst Inst, bytes []byte, stale bool) {
 	if !stale || c.Coherent {
 		return
 	}
-	fresh, err := c.AS.KLoad(c.Ctx.RIP, inst.Len)
+	fresh, err := c.AS.KLoad(c.Ctx.RIP, int(inst.Len))
 	if err != nil {
 		return
 	}

@@ -98,7 +98,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, want := range cases {
 		enc := EncodeInst(want)
-		if len(enc) != want.Len {
+		if len(enc) != int(want.Len) {
 			t.Errorf("%v: encoded length %d, want %d", want, len(enc), want.Len)
 		}
 		got, err := Decode(enc)
@@ -512,7 +512,7 @@ func TestQuickDecodeTotal(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return inst.Len > 0 && inst.Len <= MaxInstLen && inst.Len <= len(b)
+		return inst.Len > 0 && inst.Len <= MaxInstLen && int(inst.Len) <= len(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

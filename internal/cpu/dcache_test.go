@@ -98,10 +98,23 @@ func TestFlushEpoch(t *testing.T) {
 	if n := len(c.SnapshotState().ICache); n != 1 {
 		t.Fatalf("snapshot holds %d lines, want 1", n)
 	}
-	// The decoded-entry mask took the slot from 184 to 192 bytes, which
-	// is the same allocation size class.
-	if n := unsafe.Sizeof(cacheLine{}); n != 192 {
-		t.Fatalf("cacheLine is %d bytes, want 192", n)
+	// Anchor counters indexed by offset, one pointer where a slice was,
+	// took the slot from 192 to 176 bytes, one allocation size class
+	// down.
+	if n := unsafe.Sizeof(cacheLine{}); n != 176 {
+		t.Fatalf("cacheLine is %d bytes, want 176", n)
+	}
+}
+
+// TestEntrySizes pins the per-instruction data: an Inst is 16 bytes
+// (its length is a uint8) and a decoded entry 40 (it keeps no copy of
+// the bytes it was decoded from).
+func TestEntrySizes(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 16 {
+		t.Errorf("Inst is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(dcacheEntry{}); n != 40 {
+		t.Errorf("dcacheEntry is %d bytes, want 40", n)
 	}
 }
 
@@ -454,5 +467,47 @@ func TestStaleStraddleHit(t *testing.T) {
 		if ev == nil || ev.Addr != rip || !bytes.Equal(ev.Cached, old) || !bytes.Equal(ev.Fresh, fresh) {
 			t.Fatalf("cache-%s CMC = %v, want stale % x, memory % x at %#x", name, ev, old, fresh, rip)
 		}
+	}
+}
+
+// TestNoteHotReset: an anchor reaches the compilation threshold on
+// exactly its jitHotThreshold-th visit, and once jitMaxHot counters are
+// live the next visit drops them all, so counting starts over.
+func TestNoteHotReset(t *testing.T) {
+	c := buildCore(t, nil)
+	const anchor = 0x1000
+	// fires returns the visit, counted from 1, on which noteHot first
+	// reports rip hot, or 0 if n visits do not get it there.
+	fires := func(rip uint64, n int) int {
+		for i := 1; i <= n; i++ {
+			if c.noteHot(rip) {
+				return i
+			}
+		}
+		return 0
+	}
+	if got := fires(anchor, 2*jitHotThreshold); got != jitHotThreshold || c.hotN != 0 {
+		t.Fatalf("anchor fired on visit %d with %d counters live, want visit %d and 0",
+			got, c.hotN, jitHotThreshold)
+	}
+	// Leave the anchor one visit short, then make jitMaxHot counters live.
+	if got := fires(anchor, jitHotThreshold-1); got != 0 {
+		t.Fatalf("anchor fired on visit %d of a second round", got)
+	}
+	for i := uint64(1); i < jitMaxHot; i++ {
+		if c.noteHot(0x100000 + i) {
+			t.Fatalf("first visit to %#x fired", 0x100000+i)
+		}
+	}
+	if c.hotN != jitMaxHot {
+		t.Fatalf("%d counters live, want %d", c.hotN, jitMaxHot)
+	}
+	// The next visit resets: the anchor counts from 1 again.
+	if c.noteHot(anchor) || c.hotN != 1 {
+		t.Fatalf("visit after the limit: %d counters live, want only the anchor's", c.hotN)
+	}
+	if got := fires(anchor, 2*jitHotThreshold); got != jitHotThreshold-1 || c.hotN != 0 {
+		t.Fatalf("after the reset the anchor fired on visit %d with %d counters live, want visit %d and 0",
+			got+1, c.hotN, jitHotThreshold)
 	}
 }

@@ -65,19 +65,19 @@ func TestDecodedIndexProperty(t *testing.T) {
 				l := rng.Intn(2)
 				off := uint8(rng.Intn(cacheLineSize - MaxInstLen + 1))
 				tag := int64(step)
-				inst := Inst{Op: OpNop, Len: 1 + rng.Intn(MaxInstLen), Imm: tag}
-				c.installDecoded((base+uint64(l))*cacheLineSize+uint64(off), inst, make([]byte, inst.Len))
+				inst := Inst{Op: OpNop, Len: uint8(1 + rng.Intn(MaxInstLen)), Imm: tag}
+				c.installDecoded((base+uint64(l))*cacheLineSize+uint64(off), inst)
 				ref[l].drop(off)
 				ref[l].entries = append(ref[l].entries, refEntry{off, tag})
 			case r < 7:
 				op = "straddling install"
 				off := uint8(49 + rng.Intn(15))
 				tag := int64(step)
-				inst := Inst{Op: OpNop, Len: 1 + rng.Intn(MaxInstLen), Imm: tag}
-				c.installDecoded(base*cacheLineSize+uint64(off), inst, make([]byte, inst.Len))
+				inst := Inst{Op: OpNop, Len: uint8(1 + rng.Intn(MaxInstLen)), Imm: tag}
+				c.installDecoded(base*cacheLineSize+uint64(off), inst)
 				ref[0].drop(off)
 				ref[0].entries = append(ref[0].entries, refEntry{off, tag})
-				if int(off)+inst.Len > cacheLineSize && !slices.Contains(ref[1].straddlers, off) {
+				if int(off)+int(inst.Len) > cacheLineSize && !slices.Contains(ref[1].straddlers, off) {
 					ref[1].straddlers = append(ref[1].straddlers, off)
 				}
 			case r < 9:

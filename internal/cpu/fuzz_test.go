@@ -44,12 +44,13 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if inst.Len <= 0 || inst.Len > MaxInstLen || inst.Len > len(data) {
+		n := int(inst.Len)
+		if n <= 0 || n > MaxInstLen || n > len(data) {
 			t.Fatalf("Decode(% x) = %+v: bad length", data, inst)
 		}
 		re := EncodeInst(inst)
-		if !bytes.Equal(re, data[:inst.Len]) {
-			t.Fatalf("round-trip mismatch: Decode(% x) = %+v, Encode = % x", data[:inst.Len], inst, re)
+		if !bytes.Equal(re, data[:n]) {
+			t.Fatalf("round-trip mismatch: Decode(% x) = %+v, Encode = % x", data[:n], inst, re)
 		}
 		// Decoding the canonical re-encoding must be a fixed point.
 		inst2, err := Decode(re)
@@ -89,7 +90,7 @@ func FuzzEncodedLen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n != inst.Len {
+		if n != int(inst.Len) {
 			t.Fatalf("EncodedLen says %d, Decode says %d for % x", n, inst.Len, data[:inst.Len])
 		}
 	})

@@ -165,7 +165,7 @@ var CallRaxBytes = []byte{BytePrefixFF, ByteCallRegBase | byte(RAX)}
 // Inst is a decoded instruction.
 type Inst struct {
 	Op  Op
-	Len int   // encoded length in bytes
+	Len uint8 // encoded length in bytes
 	A   Reg   // first operand (dst, or base for stores)
 	B   Reg   // second operand (src)
 	Imm int64 // immediate / displacement / relative offset / hostcall id
@@ -200,12 +200,14 @@ func (i Inst) String() string {
 	}
 }
 
-// DecodeError reports an undecodable byte sequence.
+// DecodeError reports an undecodable byte sequence. It is returned by
+// value: a one-byte value goes into an error without an allocation, and
+// a linear sweep meets one at every byte it resynchronizes over.
 type DecodeError struct {
 	Byte byte
 }
 
-func (e *DecodeError) Error() string {
+func (e DecodeError) Error() string {
 	return fmt.Sprintf("cpu: cannot decode opcode byte %#02x", e.Byte)
 }
 
@@ -308,7 +310,7 @@ var (
 )
 
 // Decode decodes one instruction from b. It needs at most MaxInstLen
-// bytes; fewer may suffice. Returns a *DecodeError for undefined
+// bytes; fewer may suffice. Returns a DecodeError for undefined
 // encodings and ErrTruncated for short input.
 func Decode(b []byte) (Inst, error) {
 	if len(b) == 0 {
@@ -322,7 +324,7 @@ func Decode(b []byte) (Inst, error) {
 	}
 	reg := func(i int) (Reg, error) {
 		if b[i] >= NumRegs {
-			return 0, &DecodeError{Byte: b[i]}
+			return 0, DecodeError{Byte: b[i]}
 		}
 		return Reg(b[i]), nil
 	}
@@ -380,7 +382,7 @@ func Decode(b []byte) (Inst, error) {
 			}
 			return Inst{Op: OpHostcall, Len: 6, Imm: imm32(2)}, nil
 		default:
-			return Inst{}, &DecodeError{Byte: b[1]}
+			return Inst{}, DecodeError{Byte: b[1]}
 		}
 	case BytePrefixFF:
 		if err := need(2); err != nil {
@@ -392,7 +394,7 @@ func Decode(b []byte) (Inst, error) {
 		case b[1] >= ByteJmpRegBase && b[1] < ByteJmpRegBase+NumRegs:
 			return Inst{Op: OpJmpReg, Len: 2, A: Reg(b[1] - ByteJmpRegBase)}, nil
 		default:
-			return Inst{}, &DecodeError{Byte: b[1]}
+			return Inst{}, DecodeError{Byte: b[1]}
 		}
 	case 0xB8: // MOVIMM reg, imm64
 		if err := need(10); err != nil {
@@ -518,7 +520,7 @@ func Decode(b []byte) (Inst, error) {
 	case 0xCC:
 		return Inst{Op: OpInt3, Len: 1}, nil
 	default:
-		return Inst{}, &DecodeError{Byte: b[0]}
+		return Inst{}, DecodeError{Byte: b[0]}
 	}
 }
 

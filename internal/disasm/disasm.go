@@ -68,7 +68,7 @@ func LinearSweep(code []byte, base uint64) Result {
 		case cpu.OpSysenter:
 			res.Sites = append(res.Sites, Site{Addr: base + uint64(off), Kind: KindSysenter})
 		}
-		off += inst.Len
+		off += int(inst.Len)
 	}
 	return res
 }

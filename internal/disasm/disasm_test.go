@@ -222,3 +222,18 @@ func TestSymbolSweepOutOfRangeSymbol(t *testing.T) {
 		t.Fatalf("sites = %+v", sites)
 	}
 }
+
+// TestLinearSweepAllocs: resynchronizing over undecodable bytes allocates
+// nothing, because a decode error is a value and not a heap object.
+func TestLinearSweepAllocs(t *testing.T) {
+	code := make([]byte, 4096) // 0x00 is not an opcode
+	var res Result
+	allocs := testing.AllocsPerRun(10, func() { res = LinearSweep(code, 0x1000) })
+	if res.Resyncs != len(code) || res.Decoded != 0 {
+		t.Fatalf("sweep resynced %d and decoded %d of %d bytes, want all resynced",
+			res.Resyncs, res.Decoded, len(code))
+	}
+	if allocs != 0 {
+		t.Fatalf("LinearSweep over %d undecodable bytes: %.0f allocations, want 0", len(code), allocs)
+	}
+}

@@ -60,7 +60,7 @@ func FuzzLinearSweep(f *testing.F) {
 			if err != nil {
 				off++
 			} else {
-				off += inst.Len
+				off += int(inst.Len)
 			}
 			consumed++
 			if consumed > len(code) {
