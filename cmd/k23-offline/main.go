@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	k23-offline [-dir /var/k23/logs] [-requests N] PROG [ARGS...]
+//	k23-offline [-dir /var/k23/logs] [-requests N] [-engine sud|seccomp] [-static] PROG [ARGS...]
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: k23-offline [-dir DIR] [-requests N] PROG [ARGS...]")
+		fmt.Fprintln(os.Stderr, "usage: k23-offline [-dir DIR] [-requests N] [-engine sud|seccomp] [-static] PROG [ARGS...]")
 		os.Exit(2)
 	}
 	path, argv, ok := apps.Command(args)

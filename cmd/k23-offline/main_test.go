@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -63,5 +64,27 @@ func TestGoldenLogs(t *testing.T) {
 				t.Errorf("k23-offline %v stdout drifted from %s:\n got:\n%s\n want:\n%s", row.args, path, stdout.Bytes(), want)
 			}
 		})
+	}
+}
+
+// TestUsage: without a program the command exits 2 with a usage line
+// that names every flag.
+func TestUsage(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "K23_AS_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("k23-offline with no program: %v, want exit status 2\nstderr:\n%s", err, stderr.Bytes())
+	}
+	usage, _, _ := strings.Cut(stderr.String(), "\n")
+	if !strings.HasPrefix(usage, "usage: k23-offline ") {
+		t.Fatalf("first stderr line %q is not the usage line", usage)
+	}
+	for _, name := range []string{"-dir", "-requests", "-engine sud|seccomp", "-static"} {
+		if !strings.Contains(usage, name) {
+			t.Errorf("usage line %q does not name %s", usage, name)
+		}
 	}
 }

@@ -108,7 +108,9 @@ func runCase(label, mode string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = w.K.RunUntilExit(p, 200_000_000)
+	if err := w.K.RunUntilExit(p, 200_000_000); err != nil {
+		log.Fatal(err)
+	}
 
 	switch {
 	case p.Exit.Signal != 0:
