@@ -71,10 +71,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestClaimsRun runs `benchtab -claim decodecache` and `-claim jit` as
-// the command: each must exit 0 and print every table header. Their
-// wall-clock columns are host-dependent; TestGoldenJIT pins the
-// deterministic counters.
+// TestClaimsRun runs `benchtab -claim decodecache`, `jit`, `rr`,
+// `phases` and `probes` as the command: each must exit 0 and print every
+// table header. The decodecache and jit wall-clock columns are
+// host-dependent; TestGoldenJIT, TestGoldenRR, TestGoldenPhases and
+// TestGoldenProbes pin the deterministic tables.
 func TestClaimsRun(t *testing.T) {
 	for _, row := range []struct {
 		claim   string
@@ -88,6 +89,18 @@ func TestClaimsRun(t *testing.T) {
 			"==== Claim — trace-JIT superblock simulator speedup (E18) ====",
 			"Workload           jit            interp         speedup   coverage\n",
 			"Workload           steps        blocks   entries   block-insts  coverage  bails  selfwr  evict\n",
+		}},
+		{"rr", []string{
+			"==== Claim — checkpoint interval vs replay latency and space (E19) ====",
+			"interval   ckpts  pages-copied pages-shared total-steps  mid-seek   tail-seek   tail-saving\n",
+		}},
+		{"phases", []string{
+			"==== Claim — per-mechanism lifecycle phase cost decomposition (E20) ====",
+			"Interposer                  trap    signal   handler      hook   emulate   forward    kernel     other     total\n",
+		}},
+		{"probes", []string{
+			"==== Claim — probe DSL: per-mechanism write latency from one probe line (E22) ====",
+			"Mechanism              writes   mean-cycles  log2 histogram (bucket:count)\n",
 		}},
 	} {
 		t.Run(row.claim, func(t *testing.T) {
