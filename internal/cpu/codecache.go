@@ -73,9 +73,8 @@ type cacheLine struct {
 // revalidates those generations (against the resident I-cache line if
 // present, against memory otherwise), which is what makes the cache an
 // optimisation and not a semantic change: an entry is only replayed
-// when the uncached fetch path would have produced the same bytes.
-// Those same bytes are still in the covered line slots, so the entry
-// keeps no copy of them.
+// when the uncached fetch path would have produced the same bytes,
+// which are then still in the covered line slots, so it copies none.
 type dcacheEntry struct {
 	inst    Inst
 	lineGen [2]uint64
@@ -285,7 +284,7 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 		if next != nil {
 			copy(buf[n:e.inst.Len], next.data[:])
 		}
-		c.noteStaleness(e.inst, buf[:e.inst.Len], true)
+		c.noteStaleness(buf[:e.inst.Len], true)
 	}
 	return e.inst, true
 }

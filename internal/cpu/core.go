@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"fmt"
 
 	"k23/internal/mem"
@@ -330,7 +331,7 @@ func (c *Core) fetchInst() (Inst, error) {
 			staleAny = true
 		}
 	}
-	c.noteStaleness(inst, buf[:inst.Len], staleAny)
+	c.noteStaleness(buf[:inst.Len], staleAny)
 	if useCache {
 		c.DecodeStats.Misses++
 		c.installDecoded(rip, inst)
@@ -338,30 +339,21 @@ func (c *Core) fetchInst() (Inst, error) {
 	return inst, nil
 }
 
-// noteStaleness records a CMC violation if the executed bytes differ from
-// current memory.
-func (c *Core) noteStaleness(inst Inst, bytes []byte, stale bool) {
+// noteStaleness records a CMC violation if the executed bytes, cached,
+// differ from current memory.
+func (c *Core) noteStaleness(cached []byte, stale bool) {
 	if !stale || c.Coherent {
 		return
 	}
-	fresh, err := c.AS.KLoad(c.Ctx.RIP, int(inst.Len))
-	if err != nil {
+	fresh, err := c.AS.KLoad(c.Ctx.RIP, len(cached))
+	if err != nil || bytes.Equal(fresh, cached) {
 		return
 	}
-	diff := false
-	for i := range fresh {
-		if fresh[i] != bytes[i] {
-			diff = true
-			break
-		}
-	}
-	if diff {
-		c.CMCViolations++
-		c.LastCMC = &CMCEvent{
-			Addr:   c.Ctx.RIP,
-			Cached: append([]byte(nil), bytes...),
-			Fresh:  fresh,
-		}
+	c.CMCViolations++
+	c.LastCMC = &CMCEvent{
+		Addr:   c.Ctx.RIP,
+		Cached: append([]byte(nil), cached...),
+		Fresh:  fresh,
 	}
 }
 

@@ -200,9 +200,8 @@ func (i Inst) String() string {
 	}
 }
 
-// DecodeError reports an undecodable byte sequence. It is returned by
-// value: a one-byte value goes into an error without an allocation, and
-// a linear sweep meets one at every byte it resynchronizes over.
+// DecodeError reports an undecodable byte sequence. It is a value, so
+// returning one does not allocate.
 type DecodeError struct {
 	Byte byte
 }
