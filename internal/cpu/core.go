@@ -339,7 +339,7 @@ func (c *Core) fetchInst() (Inst, error) {
 	return inst, nil
 }
 
-// noteStaleness records a CMC violation if the executed bytes, cached,
+// noteStaleness records a CMC violation if cached, the bytes executed,
 // differ from current memory.
 func (c *Core) noteStaleness(cached []byte, stale bool) {
 	if !stale || c.Coherent {

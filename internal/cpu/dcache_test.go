@@ -98,9 +98,8 @@ func TestFlushEpoch(t *testing.T) {
 	if n := len(c.SnapshotState().ICache); n != 1 {
 		t.Fatalf("snapshot holds %d lines, want 1", n)
 	}
-	// Anchor counters indexed by offset, one pointer where a slice was,
-	// took the slot from 192 to 176 bytes, one allocation size class
-	// down.
+	// 176 bytes is a Go allocation size class of its own: a field added
+	// to the slot moves every slot of every core up a class.
 	if n := unsafe.Sizeof(cacheLine{}); n != 176 {
 		t.Fatalf("cacheLine is %d bytes, want 176", n)
 	}
