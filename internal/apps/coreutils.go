@@ -9,6 +9,7 @@ package apps
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"k23/internal/asm"
 	"k23/internal/cpu"
@@ -88,20 +89,22 @@ func buildAuxLib(path, config string) *image.Image {
 	return b.MustBuild()
 }
 
+// images is every workload binary, ls's auxiliary libraries first,
+// assembled once per process: images are immutable, so every registry
+// shares them.
+var images = sync.OnceValue(func() []*image.Image {
+	var out []*image.Image
+	for _, dep := range LsDeps {
+		out = append(out, buildAuxLib(dep, auxLibConfigs[dep]))
+	}
+	return append(out, Pwd(), Touch(), Ls(), Cat(), Clear(), Nginx(), Lighttpd(), Redis(), Sqlite())
+})
+
 // RegisterAll adds every workload binary to the registry.
 func RegisterAll(reg *image.Registry) {
-	for _, dep := range LsDeps {
-		reg.MustAdd(buildAuxLib(dep, auxLibConfigs[dep]))
+	for _, im := range images() {
+		reg.MustAdd(im)
 	}
-	reg.MustAdd(Pwd())
-	reg.MustAdd(Touch())
-	reg.MustAdd(Ls())
-	reg.MustAdd(Cat())
-	reg.MustAdd(Clear())
-	reg.MustAdd(Nginx())
-	reg.MustAdd(Lighttpd())
-	reg.MustAdd(Redis())
-	reg.MustAdd(Sqlite())
 }
 
 // SetupFS creates the files the workloads touch.

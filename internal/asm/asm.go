@@ -434,11 +434,15 @@ func (b *Builder) Build() (*image.Image, error) {
 		if size == 0 {
 			size = mem.PageSize
 		}
+		// Data's capacity runs, zero-filled, to the end of the section's
+		// last page, so the loader can map it as shared pages.
+		data := make([]byte, len(s.buf), size)
+		copy(data, s.buf)
 		im.Sections = append(im.Sections, image.Section{
 			Name: s.name,
 			Off:  off,
 			Size: size,
-			Data: append([]byte(nil), s.buf...),
+			Data: data,
 			Perm: s.perm,
 		})
 		off += size

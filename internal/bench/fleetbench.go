@@ -23,7 +23,7 @@ func FleetMicroMachines(n, iters int) []fleet.Machine {
 			Path: MicroPath,
 			Argv: []string{"micro", fmt.Sprintf("%d", iters)},
 			Setup: func(w *interpose.World) error {
-				w.MustRegister(buildMicro())
+				w.MustRegister(microImage())
 				return nil
 			},
 		})

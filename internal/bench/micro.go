@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"k23/internal/apps"
 	"k23/internal/asm"
@@ -58,6 +59,10 @@ func emitParseNum(t *asm.SectionBuilder) {
 	t.Label(".pn_done")
 }
 
+// microImage is the syscall stress test, assembled once per process:
+// images are immutable, so every world shares it.
+var microImage = sync.OnceValue(buildMicro)
+
 // buildMicro builds the syscall stress test: argv[1] iterations of
 // syscall number 500.
 func buildMicro() *image.Image {
@@ -90,7 +95,7 @@ type MicroRow struct {
 // kernel built with opts.
 func MicroWorld(opts ...kernel.Option) *interpose.World {
 	w := interpose.NewWorld(opts...)
-	w.MustRegister(buildMicro())
+	w.MustRegister(microImage())
 	return w
 }
 

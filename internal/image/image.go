@@ -18,6 +18,9 @@ type Section struct {
 	// section at base+Off. Sections are page-aligned.
 	Off  uint64
 	Size uint64 // mapped size; >= len(Data) (the excess is zero-fill)
+	// Data is the section's initial bytes. Its capacity runs, zeroed,
+	// to the end of its last page: the loader maps those pages as
+	// shared copy-on-write pages, so nothing writes Data after Build.
 	Data []byte
 	Perm mem.Perm
 }
@@ -32,7 +35,9 @@ type Reloc struct {
 	Addend int64
 }
 
-// Image is a loadable binary: an executable or shared library.
+// Image is a loadable binary: an executable or shared library. An image
+// is immutable once built: one image may be registered in many
+// registries and mapped into many processes at once, on any goroutine.
 type Image struct {
 	// Path is the canonical filesystem path, e.g. "/usr/bin/ls" or
 	// "/lib/libc.so.6". Region names in /proc/<pid>/maps use it.

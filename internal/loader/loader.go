@@ -14,6 +14,7 @@ package loader
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"k23/internal/asm"
 	"k23/internal/cpu"
@@ -104,13 +105,18 @@ type Loader struct {
 // New creates a loader, installs its execve handler on the kernel, and
 // registers the ld.so and vdso images.
 func New(k *kernel.Kernel, reg *image.Registry) *Loader {
-	l := &Loader{K: k, Reg: reg}
-	l.ldso = buildLdso()
-	l.vdso = buildVdso()
+	l := &Loader{K: k, Reg: reg, ldso: ldsoImage(), vdso: vdsoImage()}
 	reg.MustAdd(l.ldso)
 	k.Exec = l.execve
 	return l
 }
+
+// ldsoImage and vdsoImage are assembled once per process: images are
+// immutable, so every loader shares them.
+var (
+	ldsoImage = sync.OnceValue(buildLdso)
+	vdsoImage = sync.OnceValue(buildVdso)
+)
 
 // buildLdso assembles the dynamic linker image: a syscall gate used to
 // issue startup syscalls from real, mapped SYSCALL instruction sites.
@@ -482,16 +488,14 @@ func splitPreload(v string) []string {
 	return out
 }
 
-// mapImage maps img at base and registers its exported symbols.
+// mapImage maps img at base and registers its exported symbols. The
+// sections' pages share the image's bytes copy-on-write: a relocation
+// or rewrite store copies only the page it touches, and the image
+// itself is never written.
 func (l *Loader) mapImage(p *kernel.Process, st *procState, img *image.Image, base uint64, private bool) error {
 	for _, s := range img.Sections {
-		if err := p.AS.Map(base+s.Off, s.Size, s.Perm, img.Path); err != nil {
+		if err := p.AS.MapShared(base+s.Off, s.Size, s.Perm, img.Path, s.Data); err != nil {
 			return err
-		}
-		if len(s.Data) > 0 {
-			if err := p.AS.KStore(base+s.Off, s.Data); err != nil {
-				return err
-			}
 		}
 	}
 	li := &LoadedImage{Image: img, Base: base, Private: private}

@@ -50,6 +50,20 @@ func TestMapAllocatesNoPageData(t *testing.T) {
 	}
 }
 
+// TestMapSharedAllocatesNoPageData: mapping an image's pages shared
+// allocates their page table entries, not their pages' 4 KiB each.
+func TestMapSharedAllocatesNoPageData(t *testing.T) {
+	a := NewAddressSpace()
+	data := imageData(guardPages * PageSize)
+	mapImage := func() { a.MapShared(guardBase, guardPages*PageSize, PermRX, "/bin/x", data) }
+	mapImage()
+	n := allocBytes(20, func() {}, mapImage)
+	t.Logf("MapShared: %d bytes", n)
+	if n >= PageSize {
+		t.Errorf("MapShared of %d pages allocates %d bytes, want less than one page (%d)", guardPages, n, PageSize)
+	}
+}
+
 // TestSnapshotRestoreAllocateNoPageData: SnapshotState and RestoreState
 // allocate the page table and region list only. Copying the 64 pages'
 // data would add 256 KiB; one copied page would add 4 KiB to the

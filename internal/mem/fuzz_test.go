@@ -17,7 +17,8 @@ import (
 //     and generation clock match the model's;
 //   - every snapshot taken so far still restores to the StateHash its
 //     address space had when it was taken;
-//   - the zero array that pages without data read as is still all zeros.
+//   - the zero array that pages without data read as is still all zeros,
+//     and the source that mapshared steps map is unchanged.
 //
 // Parent and clone are checked against separate models, so a store
 // that leaks from one side into the other fails too.
@@ -28,6 +29,10 @@ func FuzzAddressSpace(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(encodeSteps(pinScript[:16]))
+	if !reflect.DeepEqual(decodeSteps(encodeSteps(sharedScript)), sharedScript) {
+		f.Fatal("sharedScript does not survive encodeSteps/decodeSteps")
+	}
+	f.Add(encodeSteps(sharedScript))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r, m := newASRun(), newModelRun()
 		var hashes []uint64
@@ -57,8 +62,34 @@ func FuzzAddressSpace(f *testing.F) {
 			if zeroPage != ([PageSize]byte{}) {
 				t.Fatalf("step %d %+v: the zero page was written", i, s)
 			}
+			if sharedSrc != sharedPristine {
+				t.Fatalf("step %d %+v: the shared source was written", i, s)
+			}
 		}
 	})
+}
+
+// sharedScript maps shared data (whole pages, a partial last page, a
+// capacity MapShared rejects, data longer than the mapping), stores
+// into shared pages from the original, a snapshot's restore and a
+// clone, and maps over a shared mapping.
+var sharedScript = []asStep{
+	{op: opMap, addr: fuzzBase, length: 2 * PageSize, perm: PermRW},
+	{op: opMapShared, addr: fuzzBase + 2*PageSize, length: 3 * PageSize, perm: PermRX, src: 1 | 20<<3},
+	{op: opMapShared, addr: fuzzBase + 6*PageSize, length: 2 * PageSize, perm: PermRW, pkey: 2, src: 4 | 16<<3},
+	{op: opMapShared, addr: fuzzBase + 9*PageSize, length: PageSize, perm: PermRW, src: 3 | 3<<3 | 256},
+	{op: opMapShared, addr: fuzzBase + 9*PageSize, length: PageSize, perm: PermRW, src: 2 | 17<<3},
+	{op: opFetchLine, addr: fuzzBase + 3*PageSize + 0x40},
+	{op: opKStore, addr: fuzzBase + 3*PageSize - 2, data: []byte{0x0f, 0x05, 0xc3}},
+	{op: opSnapshot, snap: -1},
+	{op: opStore, addr: fuzzBase + 6*PageSize + 8, data: []byte("shared")},
+	{op: opClone},
+	{op: opStore, side: 1, addr: fuzzBase + 7*PageSize + 16, data: []byte("child")},
+	{op: opRestore, snap: 0},
+	{op: opKStore, addr: fuzzBase + 7*PageSize, data: []byte("restored")},
+	{op: opSnapshot, snap: 0},
+	{op: opMap, addr: fuzzBase + 2*PageSize, length: PageSize, perm: PermRW},
+	{op: opKRead, side: 1, addr: fuzzBase + 7*PageSize, length: 32},
 }
 
 // fuzzBase is where decoded steps map and access memory: page ops start
@@ -73,12 +104,14 @@ const maxFuzzSteps = 48
 //
 //	h[0]    op (low 7 bits, modulo numASOps) and side (top bit)
 //	h[1:3]  little-endian v: a page op maps page v&15, one byte off
-//	        page alignment if v&16; a byte op's address is fuzzBase+v
+//	        page alignment if v&16; a byte op's address is fuzzBase+v;
+//	        a mapshared's data capacity is its length if v&32
 //	h[3]    a page op's length in 512-byte units (low 6 bits); a
 //	        read's length or KLoadString's max; a store's data length
 //	h[4]    perm (low 3 bits) and pkey (top 4 bits)
 //	h[5]    pkru for stores and reads; a snapshot's prev index plus
-//	        one (0: no prev); a restore's snapshot index
+//	        one (0: no prev); a restore's snapshot index; a mapshared's
+//	        source page (low 3 bits) and data length in 256-byte units
 func decodeSteps(in []byte) []asStep {
 	var steps []asStep
 	for len(in) >= 6 && len(steps) < maxFuzzSteps {
@@ -87,10 +120,13 @@ func decodeSteps(in []byte) []asStep {
 		s := asStep{op: asOp(h[0]&0x7f) % numASOps, side: h[0] >> 7}
 		v := uint64(h[1]) | uint64(h[2])<<8
 		switch s.op {
-		case opMap, opUnmap, opProtect, opProtectKey:
+		case opMap, opUnmap, opProtect, opProtectKey, opMapShared:
 			s.addr = fuzzBase + (v&15)*PageSize + (v>>4)&1
 			s.length = uint64(h[3]&63) * 512
 			s.perm, s.pkey = Perm(h[4]&7), int(h[4]>>4)
+			if s.op == opMapShared {
+				s.src = int(h[5]) | int(v>>5&1)<<8
+			}
 		case opStore, opKStore:
 			s.addr = fuzzBase + v
 			n := min(int(h[3]), len(in))
@@ -118,8 +154,8 @@ func encodeSteps(steps []asStep) []byte {
 		h := [6]byte{byte(s.op) | s.side<<7}
 		v := s.addr - fuzzBase
 		switch s.op {
-		case opMap, opUnmap, opProtect, opProtectKey:
-			v = v/PageSize | (v%PageSize)<<4
+		case opMap, opUnmap, opProtect, opProtectKey, opMapShared:
+			v = v/PageSize | (v%PageSize)<<4 | uint64(s.src>>8)<<5
 			h[3] = byte(s.length / 512)
 			h[4] = byte(s.perm) | byte(s.pkey)<<4
 		case opStore, opKStore:
@@ -134,6 +170,8 @@ func encodeSteps(steps []asStep) []byte {
 			h[5] = byte(s.snap + 1)
 		case opRestore:
 			h[5] = byte(s.snap)
+		case opMapShared:
+			h[5] = byte(s.src)
 		}
 		out = append(append(out, h[:]...), s.data...)
 	}
@@ -181,6 +219,26 @@ func (r *modelRun) apply(s asStep) (string, error) {
 		m = r.sides[1]
 	}
 	switch s.op {
+	case opMapShared:
+		data := s.sharedData()
+		n := (len(data) + PageSize - 1) / PageSize
+		if cap(data) < n*PageSize {
+			return "", fmt.Errorf("mem: shared data capacity %d does not fill %d pages", cap(data), n)
+		}
+		if uint64(len(data)) > s.length {
+			return "", fmt.Errorf("mem: shared data of %d bytes exceeds the %d-byte mapping", len(data), s.length)
+		}
+		s.op = opMap
+		if _, err := r.apply(s); err != nil {
+			return "", err
+		}
+		for i := 0; i < n; i++ {
+			pg := m.pages[s.addr/PageSize+uint64(i)]
+			m.genClock++
+			pg.gen = m.genClock
+			copy(pg.data[:], data[i*PageSize:(i+1)*PageSize])
+		}
+		return "", nil
 	case opMap:
 		if s.addr%PageSize != 0 {
 			return "", fmt.Errorf("mem: map address %#x is not page-aligned", s.addr)

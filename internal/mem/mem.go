@@ -7,8 +7,9 @@
 // A page's 4 KiB of data exist only after its first store: until then
 // it reads as zeros from a shared zero array, as Linux maps untouched
 // anonymous memory to its zero page. Clone (fork), SnapshotState and
-// RestoreState share data arrays copy-on-write instead of copying them;
-// the first store to a shared page copies it.
+// RestoreState share data arrays copy-on-write instead of copying them,
+// and MapShared maps a program image's section bytes the same way; the
+// first store to a shared page copies it.
 //
 // Two access planes are provided. The user plane (Load, Store, Fetch)
 // enforces page permissions and PKU and returns *Fault errors that the
@@ -164,8 +165,9 @@ var zeroPage [PageSize]byte
 // page is a single mapped 4 KiB page.
 type page struct {
 	// data is nil until the page's first store. While shared is set,
-	// another page, clone or snapshot may hold the same array, so write
-	// copies it before storing; no one else ever writes through it.
+	// another page, clone, snapshot or program image may hold the same
+	// array, so write copies it before storing; no one else ever writes
+	// through it.
 	data   *[PageSize]byte
 	shared bool
 
@@ -292,6 +294,35 @@ func (a *AddressSpace) Map(addr, length uint64, perm Perm, name string) error {
 	}
 	end := addr + n*PageSize
 	a.setRegionRange(addr, end, Region{Start: addr, End: end, Perm: perm, Name: name})
+	return nil
+}
+
+// MapShared maps [addr, addr+length) as Map does and then gives the
+// pages that data covers data's own bytes, shared copy-on-write: page i
+// reads data[i*PageSize:(i+1)*PageSize], bytes past len(data) up to the
+// page's end included, and the first store to it copies it. The
+// generations move exactly as a KStore of data into the fresh mapping
+// moves them, one bump per data page in page order. data must be no
+// longer than length, its capacity must reach the end of its last page,
+// and no one may write it afterwards.
+func (a *AddressSpace) MapShared(addr, length uint64, perm Perm, name string, data []byte) error {
+	n := PageCount(0, uint64(len(data)))
+	if uint64(cap(data)) < n*PageSize {
+		return fmt.Errorf("mem: shared data capacity %d does not fill %d pages", cap(data), n)
+	}
+	if uint64(len(data)) > length {
+		return fmt.Errorf("mem: shared data of %d bytes exceeds the %d-byte mapping", len(data), length)
+	}
+	if err := a.Map(addr, length, perm, name); err != nil {
+		return err
+	}
+	for i := uint64(0); i < n; i++ {
+		pg := a.pages[PageNum(addr)+i]
+		pg.data = (*[PageSize]byte)(data[i*PageSize : (i+1)*PageSize])
+		pg.shared = true
+		a.genClock++
+		pg.gen = a.genClock
+	}
 	return nil
 }
 

@@ -25,13 +25,14 @@ const (
 	opSnapshot
 	opRestore
 	opClone
+	opMapShared
 	numASOps
 )
 
 var asOpNames = [numASOps]string{
 	"map", "unmap", "protect", "protectkey", "store", "kstore", "load",
 	"kread", "loadu64", "kloadstring", "fetch", "fetchline", "snapshot",
-	"restore", "clone",
+	"restore", "clone", "mapshared",
 }
 
 func (o asOp) String() string { return asOpNames[o] }
@@ -40,6 +41,7 @@ func (o asOp) String() string { return asOpNames[o] }
 //
 //	map, unmap, protect, protectkey: addr, length (perm, pkey; a map
 //	                                 names its region after pkey)
+//	mapshared:                       as map, and src (see sharedData)
 //	store, kstore:                   addr, data (pkru)
 //	load, kread, loadu64, fetch:     addr, length (pkru)
 //	kloadstring:                     addr, length (the max)
@@ -58,6 +60,30 @@ type asStep struct {
 	pkru   PKRU
 	data   []byte
 	snap   int
+	src    int
+}
+
+// sharedSrc is the fixed source a mapshared step maps its data from.
+// Nothing may ever write it: FuzzAddressSpace checks it against
+// sharedPristine after every step.
+var sharedSrc, sharedPristine = func() (a, b [8 * PageSize]byte) {
+	for i := range a {
+		a[i] = byte(i*7 + i>>12)
+	}
+	return a, a
+}()
+
+// sharedData returns a mapshared step's data: (src>>3&31)*256 bytes of
+// sharedSrc from page src&7 on, with a capacity that reaches the end of
+// the last page, or, if src&256 is set, a capacity equal to the length
+// (which MapShared rejects unless the length is whole pages).
+func (s asStep) sharedData() []byte {
+	o, n := (s.src&7)*PageSize, (s.src>>3&31)*256
+	c := (n + PageSize - 1) / PageSize * PageSize
+	if s.src&256 != 0 {
+		c = n
+	}
+	return sharedSrc[o : o+n : o+c]
 }
 
 // asRun applies asSteps. It keeps the original address space, its
@@ -139,6 +165,8 @@ func (r *asRun) apply(s asStep) (string, error) {
 	case opClone:
 		r.sides[1] = a.Clone()
 		return "", nil
+	case opMapShared:
+		return "", a.MapShared(s.addr, s.length, s.perm, fmt.Sprintf("r%d", s.pkey), s.sharedData())
 	}
 	panic(fmt.Sprintf("unknown op %d", s.op))
 }

@@ -298,6 +298,8 @@ func (h harness) launcher(w *interpose.World, spec variants.Spec, cfg interpose.
 
 // runUnder launches target under the spec with the hook config, runs it
 // to completion (tolerating signal deaths), and returns launcher+process.
+// A run that exhausts its budget or deadlocks is an error naming the
+// target and the mechanism, not a verdict.
 func (h harness) runUnder(spec variants.Spec, cfg interpose.Config, target string,
 	benignArgv, attackArgv []string) (*interpose.World, interpose.Launcher, *kernel.Process, error) {
 	w := h.world()
@@ -309,6 +311,8 @@ func (h harness) runUnder(spec variants.Spec, cfg interpose.Config, target strin
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	_ = w.K.RunUntilExit(p, 200_000_000)
+	if err := w.K.RunUntilExit(p, 200_000_000); err != nil {
+		return nil, nil, nil, fmt.Errorf("pitfalls: %s under %s: %w", target, spec.Name, err)
+	}
 	return w, l, p, nil
 }

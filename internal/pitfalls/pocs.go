@@ -2,9 +2,11 @@ package pitfalls
 
 import (
 	"fmt"
+	"sync"
 
 	"k23/internal/asm"
 	"k23/internal/cpu"
+	"k23/internal/image"
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
@@ -26,14 +28,23 @@ const (
 	p5mtPath   = "/poc/p5mt"
 )
 
-// registerPoCBinaries adds every PoC image to the world.
-func registerPoCBinaries(w *interpose.World) {
-	builders := []*asm.Builder{
+// pocImages is every PoC image, assembled once per process: images are
+// immutable, so every world shares them.
+var pocImages = sync.OnceValue(func() []*image.Image {
+	var out []*image.Image
+	for _, b := range []*asm.Builder{
 		buildVictim(), buildExecer(), buildP1b(), buildLateLib(), buildP2a(),
 		buildP2b(), buildP3a(), buildP3b(), buildP4a(), buildP5jit(), buildP5mt(),
+	} {
+		out = append(out, b.MustBuild())
 	}
-	for _, b := range builders {
-		w.Reg.MustAdd(b.MustBuild())
+	return out
+})
+
+// registerPoCBinaries adds every PoC image to the world.
+func registerPoCBinaries(w *interpose.World) {
+	for _, im := range pocImages() {
+		w.Reg.MustAdd(im)
 	}
 }
 
@@ -560,7 +571,9 @@ func runP5(h harness, spec variants.Spec) (bool, string, error) {
 		if err != nil {
 			return false, "", err
 		}
-		_ = wmt.K.RunUntilExit(pm, 100_000_000)
+		if err := wmt.K.RunUntilExit(pm, 100_000_000); err != nil {
+			return false, "", fmt.Errorf("pitfalls: %s under %s at delay %d: %w", p5mtPath, spec.Name, k, err)
+		}
 		var cmc uint64
 		for _, th := range pm.Threads {
 			cmc += th.Core.CMCViolations
