@@ -372,3 +372,55 @@ func TestDlopenLoadsAtRuntime(t *testing.T) {
 		t.Fatal("plugin not in loaded set")
 	}
 }
+
+// TestPreloadSymbolInterposes: a symbol an LD_PRELOAD library and libc
+// both export resolves to the preload's definition, for the program's
+// load-time relocation and for dlsym alike — the preload is earlier in
+// the link map, and the first definition wins.
+func TestPreloadSymbolInterposes(t *testing.T) {
+	k, l, reg := newWorld(t)
+
+	pb := asm.NewBuilder("/usr/lib/libgetpid.so")
+	pt := pb.Text()
+	pt.Label("getpid")
+	pt.MovImm32(cpu.RAX, 77)
+	pt.Ret()
+	pre := pb.MustBuild()
+	reg.MustAdd(pre)
+
+	b := asm.NewBuilder("/usr/bin/pid2")
+	b.Needed(libc.Path)
+	b.Rodata().Label(".name").CString("getpid")
+	tx := b.Text()
+	tx.Label("_start")
+	tx.CallSym("getpid") // relocated against the global namespace
+	tx.Mov(cpu.RBX, cpu.RAX)
+	tx.MovImmSym(cpu.RDI, ".name")
+	tx.CallSym("dlsym")
+	tx.CallReg(cpu.RAX)
+	tx.Add(cpu.RAX, cpu.RBX)
+	tx.Mov(cpu.RDI, cpu.RAX)
+	tx.CallSym("exit_group")
+	reg.MustAdd(b.MustBuild())
+
+	p, err := l.Spawn("/usr/bin/pid2", []string{"pid2"}, []string{"LD_PRELOAD=/usr/lib/libgetpid.so"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntilExit(p, 10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if p.Exit.Code != 2*77 || p.Exit.Signal != 0 {
+		t.Fatalf("exit = %+v, want code %d: getpid did not resolve to the preload", p.Exit, 2*77)
+	}
+	var base uint64
+	for _, li := range l.Loaded(p) {
+		if li.Image == pre {
+			base = li.Base
+		}
+	}
+	off, _ := pre.SymbolOff("getpid")
+	if got, ok := l.GlobalSymbol(p, "getpid"); !ok || got != base+off {
+		t.Fatalf("GlobalSymbol(getpid) = %#x, %v; want the preload's %#x", got, ok, base+off)
+	}
+}
