@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 
+	"k23/internal/audit"
 	"k23/internal/obsv"
 	"k23/internal/rr"
+	"k23/internal/sfip"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files from current output")
@@ -94,6 +97,24 @@ func TestObservabilityPipelines(t *testing.T) {
 		}
 		return b
 	}
+	// validate runs the schema check obsvcheck runs for the artifact.
+	validate := func(t *testing.T, check func(io.Reader) (int, error), path string) {
+		t.Helper()
+		if _, err := check(bytes.NewReader(read(t, path))); err != nil {
+			t.Errorf("%s fails the schema check: %v", filepath.Base(path), err)
+		}
+	}
+	// sfipRun runs k23 under k23-ultra+ and checks its stderr names want.
+	sfipRun := func(t *testing.T, want string, args ...string) {
+		t.Helper()
+		_, stderr, code := k23Stderr(t, append([]string{"-variant", "k23-ultra+"}, args...)...)
+		if code != 0 {
+			t.Fatalf("k23 %v exited %d", args, code)
+		}
+		if !bytes.Contains(stderr, []byte(want)) {
+			t.Errorf("k23 %v: stderr lacks %q:\n%s", args, want, stderr)
+		}
+	}
 	for _, row := range []struct {
 		name  string
 		check func(t *testing.T, dir string)
@@ -141,6 +162,33 @@ func TestObservabilityPipelines(t *testing.T) {
 					t.Errorf("replay output lacks %q:\n%s", want, stderr)
 				}
 			}
+		}},
+		// Every coverage app under each mechanism family with the
+		// shadow-map auditor on: each report passes the audit schema
+		// check.
+		{"audit-report-schema", func(t *testing.T, dir string) {
+			for _, variant := range []string{"zpoline-ultra", "lazypoline", "sud", "ptrace", "k23-ultra+"} {
+				for _, app := range []string{"pwd", "ls", "cat"} {
+					report := filepath.Join(dir, variant+"-"+app+".jsonl")
+					run(t, "-variant", variant, "-audit-json", report, app)
+					validate(t, audit.ValidateJSONL, report)
+				}
+			}
+		}},
+		// SFIP end to end: a policy learned from an audit-classified
+		// training run, self-enforced by the fully covering mechanism
+		// without a violation; a different application under it trips
+		// it (log mode, so the run completes and the ledger records the
+		// violations); the policy and both reports pass their schema
+		// checks.
+		{"sfip-learn-enforce-trip", func(t *testing.T, dir string) {
+			policy, self, cross := filepath.Join(dir, "ls.sfip"), filepath.Join(dir, "ls.sfip.json"), filepath.Join(dir, "cat.sfip.json")
+			sfipRun(t, "learned policy", "-sfip-learn", policy, "ls", "/data")
+			sfipRun(t, " 0 violations, 0 denied", "-sfip", policy, "-sfip-mode", "enforce", "-sfip-json", self, "ls", "/data")
+			sfipRun(t, "unknown-", "-sfip", policy, "-sfip-mode", "log", "-sfip-json", cross, "cat", "/data/notes.txt")
+			validate(t, sfip.ValidatePolicyJSONL, policy)
+			validate(t, sfip.ValidateJSONL, self)
+			validate(t, sfip.ValidateJSONL, cross)
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) { row.check(t, t.TempDir()) })

@@ -80,31 +80,22 @@ func (z *K23) LibraryPath() string { return "/usr/lib/libk23.so" }
 
 // state is the per-process interposer state.
 type state struct {
-	stats        interpose.Stats
-	selectorAddr uint64
-	gate         sud.Gate
-	sites        *robinset.Set
+	stats interpose.Stats
+	gate  sud.Gate
+	sites *robinset.Set
 	// StartupSyscalls is the handoff payload received from the ptracer.
 	StartupSyscalls uint64
 }
 
-func stateOf(p *kernel.Process) (*state, error) {
-	st, ok := p.Interposer.(*state)
-	if !ok {
-		return nil, fmt.Errorf("k23: process %d not interposed", p.PID)
-	}
-	return st, nil
-}
+// stateOf extracts the per-process state.
+func stateOf(p *kernel.Process) (*state, error) { return interpose.StateOf[state](p, "k23") }
 
 // Launch implements interpose.Launcher: attach the ptracer, disable the
 // vdso, force LD_PRELOAD injection, and start the program. The online
 // phase then unfolds: ptracer covers startup, libK23's constructor takes
 // the handoff and detaches it, and steady state runs on rewrite + SUD.
 func (z *K23) Launch(w *interpose.World, path string, argv, env []string) (*kernel.Process, error) {
-	if _, ok := w.Reg.Lookup(z.LibraryPath()); !ok {
-		w.Reg.MustAdd(z.img)
-	}
-	env = kernel.SetEnv(append([]string(nil), env...), loader.LdPreloadVar, z.LibraryPath())
+	env = w.Preload(z.img, env)
 	if z.LogPath != "" {
 		env = kernel.SetEnv(env, LogEnvVar, z.LogPath)
 	}
@@ -121,11 +112,10 @@ func (z *K23) Launch(w *interpose.World, path string, argv, env []string) (*kern
 
 // Stats implements interpose.Launcher.
 func (z *K23) Stats(p *kernel.Process) *interpose.Stats {
-	st, err := stateOf(p)
-	if err != nil {
-		return &interpose.Stats{}
+	if st, err := stateOf(p); err == nil {
+		return &st.stats
 	}
-	return &st.stats
+	return &interpose.Stats{}
 }
 
 var _ interpose.Launcher = (*K23)(nil)
@@ -291,18 +281,7 @@ func (z *K23) buildLibrary() *image.Image {
 	t.MovImm32(cpu.RAX, kernel.SysRtSigreturn)
 	t.Syscall()
 
-	// k23_do_syscall: frame-based gate inside the allowlisted range.
-	t.Label("k23_do_syscall")
-	t.MovImmSym(cpu.R11, "k23_frame")
-	t.Load(cpu.RAX, cpu.R11, 0)
-	t.Load(cpu.RDI, cpu.R11, 8)
-	t.Load(cpu.RSI, cpu.R11, 16)
-	t.Load(cpu.RDX, cpu.R11, 24)
-	t.Load(cpu.R10, cpu.R11, 32)
-	t.Load(cpu.R8, cpu.R11, 40)
-	t.Load(cpu.R9, cpu.R11, 48)
-	t.Syscall()
-	t.Ret()
+	sud.EmitGateStub(t, "k23_do_syscall", "k23_frame")
 
 	// k23_serialize: CPUID after the rewriting step — principled
 	// cross-modifying-code hygiene (contrast with lazypoline's P5).
@@ -329,27 +308,20 @@ func (z *K23) buildLibrary() *image.Image {
 	t.Syscall()
 	t.Ret()
 
-	b.InitHost(z.initHost)
+	b.InitHost(loader.Constructor(z.initHost))
 	return b.MustBuild()
 }
 
 // initHost is libK23's constructor: handoff, detach, trampoline,
 // selective rewrite, SUD fallback.
-func (z *K23) initHost(h any, base uint64) error {
-	ih, ok := h.(*loader.InitHandle)
-	if !ok {
-		return fmt.Errorf("k23: unexpected init handle %T", h)
-	}
-	k, p, t := ih.L.K, ih.P, ih.T
+func (z *K23) initHost(ih *loader.InitHandle) error {
+	k, p, t, sym := ih.L.K, ih.P, ih.T, ih.Sym
 
-	st := &state{sites: robinset.New(128)}
-	p.Interposer = st
-	sym := func(name string) uint64 {
-		off, _ := z.img.SymbolOff(name)
-		return base + off
+	st := &state{
+		gate:  sud.Gate{Frame: sym("k23_frame"), Stub: sym("k23_do_syscall")},
+		sites: robinset.New(128),
 	}
-	st.selectorAddr = sym("k23_selector")
-	st.gate = sud.Gate{Frame: sym("k23_frame"), Stub: sym("k23_do_syscall")}
+	p.Interposer = st
 
 	k.RegisterHostcall(p, hcSigsys, &kernel.Hostcall{Name: "k23_sigsys", Cost: sigsysCost, Fn: z.hcSigsysFn})
 	k.RegisterHostcall(p, hcEnter, &kernel.Hostcall{Name: "k23_enter", Cost: enterCost, Fn: z.hcEnterFn})
@@ -367,27 +339,10 @@ func (z *K23) initHost(h any, base uint64) error {
 		return err
 	}
 
-	// 2. Trampoline at 0 with PKU-XOM (as zpoline/lazypoline, §5.3).
-	ret, err := ih.Sys(kernel.SysMmap, 0, mem.PageSize,
-		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, kernel.MapFixed)
-	if err != nil || ret != 0 {
-		return fmt.Errorf("k23: trampoline mmap -> %#x, %v", ret, err)
-	}
-	tramp := make([]byte, 0, 512+12)
-	for i := 0; i < 512; i++ {
-		tramp = append(tramp, cpu.ByteNop)
-	}
-	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpMovImm, A: cpu.R11, Imm: int64(sym("k23_tramp"))})...)
-	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpJmpReg, A: cpu.R11})...)
-	if err := t.Core.StoreAsSelf(0, tramp); err != nil {
-		return err
-	}
-	key, err := ih.Sys(kernel.SysPkeyAlloc)
+	// 2. Trampoline at 0 with PKU-XOM (as zpoline/lazypoline, §5.3),
+	// its key's data access denied through the WRPKRU stub.
+	key, err := interpose.MapTrampoline(ih, sym("k23_tramp"))
 	if err != nil {
-		return err
-	}
-	if _, err := ih.Sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
-		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, key); err != nil {
 		return err
 	}
 	pkru := uint64(mem.PKRU(0).DenyAccess(int(key)))
@@ -418,7 +373,7 @@ func (z *K23) initHost(h any, base uint64) error {
 	}
 
 	// 4. Single selective rewrite of offline-validated sites.
-	if err := z.rewriteLoggedSites(ih, st, base); err != nil {
+	if err := z.rewriteLoggedSites(ih, st); err != nil {
 		return err
 	}
 	// Serialize the instruction stream after rewriting (CPUID).
@@ -431,25 +386,17 @@ func (z *K23) initHost(h any, base uint64) error {
 
 	// 5. SUD fallback: catches everything the offline phase missed
 	// (P2a); never rewrites.
-	if _, err := ih.Sys(kernel.SysRtSigaction, kernel.SIGSYS, sym("k23_sigsys")); err != nil {
-		return err
-	}
-	text, _ := z.img.Section(".text")
-	if _, err := ih.Sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
-		base+text.Off, text.Size, st.selectorAddr); err != nil {
-		return err
-	}
-	return p.AS.Store(st.selectorAddr, []byte{kernel.SelectorBlock}, t.Core.PKRU)
+	return sud.Arm(ih, sym("k23_sigsys"), sym("k23_selector"), true)
 }
 
 // rewriteLoggedSites maps (region, offset) log entries to addresses,
 // validates each holds a genuine SYSCALL/SYSENTER encoding, and rewrites
 // it with permissions saved/restored and an atomic two-byte store.
-func (z *K23) rewriteLoggedSites(ih *loader.InitHandle, st *state, base uint64) error {
+func (z *K23) rewriteLoggedSites(ih *loader.InitHandle, st *state) error {
 	if z.LogPath == "" {
 		return nil
 	}
-	k, p, t := ih.L.K, ih.P, ih.T
+	k, p := ih.L.K, ih.P
 	logName := z.LogPath
 	if v, ok := p.Getenv(LogEnvVar); ok {
 		logName = v
@@ -488,24 +435,13 @@ func (z *K23) rewriteLoggedSites(ih *loader.InitHandle, st *state, base uint64) 
 		if b[0] != cpu.BytePrefix0F || (b[1] != cpu.ByteSyscall2 && b[1] != cpu.ByteSysenter2) {
 			continue
 		}
-		perm, _, ok := p.AS.PermAt(addr)
-		if !ok {
-			continue
-		}
-		pageAddr := mem.PageBase(addr)
-		span := addr + uint64(cpu.SyscallInstLen) - pageAddr
-		if _, err := ih.Sys(kernel.SysMprotect, pageAddr, span,
-			kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec); err != nil {
+		// Atomic two-byte store (contrast with lazypoline's torn pair);
+		// the site joins the robin set once its permission is restored.
+		if ok, err := interpose.RewriteSite(ih, addr, nil); err != nil {
 			return err
+		} else if ok {
+			st.sites.Insert(addr)
 		}
-		// Atomic two-byte store (contrast with lazypoline's torn pair).
-		if err := t.Core.StoreAsSelf(addr, cpu.CallRaxBytes); err != nil {
-			return err
-		}
-		if _, err := ih.Sys(kernel.SysMprotect, pageAddr, span, kernel.PermToProt(perm)); err != nil {
-			return err
-		}
-		st.sites.Insert(addr)
 	}
 	return nil
 }

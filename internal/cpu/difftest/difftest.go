@@ -97,9 +97,6 @@ const (
 	ModeCacheOff
 )
 
-// Modes returns all engine modes, fastest first.
-func Modes() []Mode { return []Mode{ModeJIT, ModeCacheOnly, ModeCacheOff} }
-
 func (m Mode) String() string {
 	switch m {
 	case ModeJIT:

@@ -248,9 +248,6 @@ func (w *World) Run(p *kernel.Process) error {
 // errors (static program definitions).
 func (w *World) MustRegister(im *image.Image) { w.Reg.MustAdd(im) }
 
-// LibcPath re-exports the libc path for convenience.
-const LibcPath = libc.Path
-
 // Native is the no-interposition baseline Launcher.
 type Native struct{}
 

@@ -162,12 +162,6 @@ func (t *Thread) Cycles() uint64 { return t.Core.Cycles + t.ExtraCycles }
 // charge adds kernel-event cycles to the thread.
 func (t *Thread) charge(c uint64) { t.ExtraCycles += c }
 
-// SUDArmed reports whether the thread currently has SUD enabled.
-func (t *Thread) SUDArmed() bool { return t.sud.on }
-
-// SUDSelector returns the configured selector address (0 if SUD off).
-func (t *Thread) SUDSelector() uint64 { return t.sud.selectorAddr }
-
 // ExitInfo records how a process died.
 type ExitInfo struct {
 	Code   int
@@ -809,13 +803,6 @@ func (k *Kernel) DirectSyscall(t *Thread, nr uint64, args [6]uint64) uint64 {
 	ret, _ := k.executeSyscall(t, nr, args, 0)
 	t.entryLen, t.entrySite = savedLen, savedSite
 	return ret
-}
-
-// TraceePeek reads tracee memory on behalf of a tracer, charging the
-// tracee the ptrace access cost.
-func (k *Kernel) TraceePeek(t *Thread, addr uint64, n int) ([]byte, error) {
-	t.charge(k.Cost.PtraceAccess)
-	return t.Proc.AS.KLoad(addr, n)
 }
 
 // TraceePoke writes tracee memory on behalf of a tracer.

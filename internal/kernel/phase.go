@@ -95,9 +95,6 @@ type PhaseMark struct {
 // false.
 func (k *Kernel) PhaseTracing() bool { return k.PhaseHook != nil }
 
-// PhaseSeq returns the number of phase marks emitted so far.
-func (k *Kernel) PhaseSeq() uint64 { return k.phaseSeq }
-
 // EmitPhase publishes one phase mark on behalf of t. Nil-cost when no
 // phase observer is installed (the single guarded branch, mirroring the
 // main event stream's contract).

@@ -20,8 +20,6 @@
 package lazypoline
 
 import (
-	"fmt"
-
 	"k23/internal/asm"
 	"k23/internal/cpu"
 	"k23/internal/image"
@@ -39,9 +37,6 @@ const (
 	hcRestore int32 = 121
 	hcEnter   int32 = 122
 )
-
-// Trampoline geometry (shared with zpoline's design).
-const trampolineSize = 512
 
 // Lazypoline is the Launcher.
 type Lazypoline struct {
@@ -64,38 +59,27 @@ func (l *Lazypoline) LibraryPath() string { return "/usr/lib/liblazypoline.so" }
 
 // state is per-process runtime state.
 type state struct {
-	stats        interpose.Stats
-	selectorAddr uint64
-	gate         sud.Gate
-	scratchAddr  uint64 // rewrite scratch block: {addr, b0, b1}
-	truth        map[uint64]bool
-	rewritten    map[uint64]bool
+	stats       interpose.Stats
+	gate        sud.Gate
+	scratchAddr uint64 // rewrite scratch block: {addr, b0, b1}
+	truth       map[uint64]bool
+	rewritten   map[uint64]bool
 }
 
-func stateOf(p *kernel.Process) (*state, error) {
-	st, ok := p.Interposer.(*state)
-	if !ok {
-		return nil, fmt.Errorf("lazypoline: process %d not interposed", p.PID)
-	}
-	return st, nil
-}
+// stateOf extracts the per-process state.
+func stateOf(p *kernel.Process) (*state, error) { return interpose.StateOf[state](p, "lazypoline") }
 
 // Launch implements interpose.Launcher.
 func (l *Lazypoline) Launch(w *interpose.World, path string, argv, env []string) (*kernel.Process, error) {
-	if _, ok := w.Reg.Lookup(l.LibraryPath()); !ok {
-		w.Reg.MustAdd(l.img)
-	}
-	env = kernel.SetEnv(append([]string(nil), env...), loader.LdPreloadVar, l.LibraryPath())
-	return w.L.Spawn(path, argv, env)
+	return w.L.Spawn(path, argv, w.Preload(l.img, env))
 }
 
 // Stats implements interpose.Launcher.
 func (l *Lazypoline) Stats(p *kernel.Process) *interpose.Stats {
-	st, err := stateOf(p)
-	if err != nil {
-		return &interpose.Stats{}
+	if st, err := stateOf(p); err == nil {
+		return &st.stats
 	}
-	return &st.stats
+	return &interpose.Stats{}
 }
 
 var _ interpose.Launcher = (*Lazypoline)(nil)
@@ -131,18 +115,7 @@ func (l *Lazypoline) buildLibrary() *image.Image {
 	t.MovImm32(cpu.RAX, kernel.SysRtSigreturn)
 	t.Syscall()
 
-	// lz_do_syscall: frame-based gate (allowlisted).
-	t.Label("lz_do_syscall")
-	t.MovImmSym(cpu.R11, "lz_frame")
-	t.Load(cpu.RAX, cpu.R11, 0)
-	t.Load(cpu.RDI, cpu.R11, 8)
-	t.Load(cpu.RSI, cpu.R11, 16)
-	t.Load(cpu.RDX, cpu.R11, 24)
-	t.Load(cpu.R10, cpu.R11, 32)
-	t.Load(cpu.R8, cpu.R11, 40)
-	t.Load(cpu.R9, cpu.R11, 48)
-	t.Syscall()
-	t.Ret()
+	sud.EmitGateStub(t, "lz_do_syscall", "lz_frame")
 
 	// lz_tramp: the fast path for rewritten sites. lazypoline preserves
 	// RCX/R11 and toggles the SUD selector around its work — costlier
@@ -165,70 +138,36 @@ func (l *Lazypoline) buildLibrary() *image.Image {
 	t.Pop(cpu.RCX)
 	t.Ret()
 
-	b.InitHost(l.initHost)
+	b.InitHost(loader.Constructor(l.initHost))
 	return b.MustBuild()
 }
 
 // initHost maps the trampoline, arms SUD, and installs hostcalls. No
 // disassembly happens — discovery is lazy.
-func (l *Lazypoline) initHost(h any, base uint64) error {
-	ih, ok := h.(*loader.InitHandle)
-	if !ok {
-		return fmt.Errorf("lazypoline: unexpected init handle %T", h)
-	}
+func (l *Lazypoline) initHost(ih *loader.InitHandle) error {
 	k, p, t := ih.L.K, ih.P, ih.T
 
-	st := &state{rewritten: make(map[uint64]bool)}
-	p.Interposer = st
-	sym := func(name string) uint64 {
-		off, _ := l.img.SymbolOff(name)
-		return base + off
+	st := &state{
+		gate:        sud.Gate{Frame: ih.Sym("lz_frame"), Stub: ih.Sym("lz_do_syscall")},
+		scratchAddr: ih.Sym("lz_scratch"),
+		truth:       ih.L.TrueSites(p),
+		rewritten:   make(map[uint64]bool),
 	}
-	st.selectorAddr = sym("lz_selector")
-	st.gate = sud.Gate{Frame: sym("lz_frame"), Stub: sym("lz_do_syscall")}
-	st.scratchAddr = sym("lz_scratch")
-	st.truth = ih.L.TrueSites(p)
+	p.Interposer = st
 
 	k.RegisterHostcall(p, hcSigsys, &kernel.Hostcall{Name: "lz_sigsys", Cost: 40, Fn: l.hcSigsysFn})
 	k.RegisterHostcall(p, hcRestore, &kernel.Hostcall{Name: "lz_restore", Cost: 10, Fn: l.hcRestoreFn})
 	k.RegisterHostcall(p, hcEnter, &kernel.Hostcall{Name: "lz_enter", Cost: 12, Fn: l.hcEnterFn})
 
 	// Trampoline at 0 with PKU-XOM (same construction as zpoline, and
-	// the same absence of an execution check: P4a).
-	ret, err := ih.Sys(kernel.SysMmap, 0, mem.PageSize,
-		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, kernel.MapFixed)
-	if err != nil || ret != 0 {
-		return fmt.Errorf("lazypoline: trampoline mmap -> %#x, %v", ret, err)
-	}
-	tramp := make([]byte, 0, trampolineSize+12)
-	for i := 0; i < trampolineSize; i++ {
-		tramp = append(tramp, cpu.ByteNop)
-	}
-	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpMovImm, A: cpu.R11, Imm: int64(sym("lz_tramp"))})...)
-	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpJmpReg, A: cpu.R11})...)
-	if err := t.Core.StoreAsSelf(0, tramp); err != nil {
-		return err
-	}
-	key, err := ih.Sys(kernel.SysPkeyAlloc)
+	// the same absence of an execution check: P4a). The PKRU is set
+	// directly, without a WRPKRU stub.
+	key, err := interpose.MapTrampoline(ih, ih.Sym("lz_tramp"))
 	if err != nil {
 		return err
 	}
-	if _, err := ih.Sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
-		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, key); err != nil {
-		return err
-	}
 	t.Core.PKRU = t.Core.PKRU.DenyAccess(int(key))
-
-	// Arm SUD: handler, allowlist over our text, selector blocking.
-	if _, err := ih.Sys(kernel.SysRtSigaction, kernel.SIGSYS, sym("lz_handler")); err != nil {
-		return err
-	}
-	text, _ := l.img.Section(".text")
-	if _, err := ih.Sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
-		base+text.Off, text.Size, st.selectorAddr); err != nil {
-		return err
-	}
-	return p.AS.Store(st.selectorAddr, []byte{kernel.SelectorBlock}, t.Core.PKRU)
+	return sud.Arm(ih, ih.Sym("lz_handler"), ih.Sym("lz_selector"), true)
 }
 
 // hcSigsysFn handles a SIGSYS: stage the lazy rewrite of the trapped

@@ -59,9 +59,8 @@ type LoadedImage struct {
 // kernel.Process.LoaderState.
 type procState struct {
 	loaded   []*LoadedImage
-	globals  map[string]uint64 // exported symbol -> absolute address
-	ldso     uint64            // ld.so base
-	gate     uint64            // address of the ld.so syscall gate
+	ldso     uint64 // ld.so base
+	gate     uint64 // address of the ld.so syscall gate
 	nextBase uint64
 	aslr     uint64 // per-process ASLR PRNG state (0 = disabled)
 	// StartupSyscalls counts syscalls issued before the first
@@ -260,7 +259,7 @@ func (l *Loader) setupProcessOnThread(p *kernel.Process, t *kernel.Thread, path 
 		return nil, fmt.Errorf("loader: no binary registered at %s", path)
 	}
 
-	st := &procState{globals: make(map[string]uint64), nextBase: imageBase}
+	st := &procState{nextBase: imageBase}
 	if l.ASLRSeed != 0 {
 		st.aslr = l.ASLRSeed*0x9E3779B97F4A7C15 ^ uint64(p.PID)*0xBF58476D1CE4E5B9
 		st.nextBase = imageBase + (st.nextASLR()&0xFFFF)<<mem.PageShift
@@ -286,7 +285,6 @@ func (l *Loader) setupProcessOnThread(p *kernel.Process, t *kernel.Thread, path 
 		if err := p.AS.Map(vvarBase, mem.PageSize, mem.PermRead, VvarName); err != nil {
 			return nil, err
 		}
-		st.globals["__vvar_base"] = vvarBase
 		if err := l.mapImage(p, st, l.vdso, vdsoBase, false); err != nil {
 			return nil, err
 		}
@@ -488,7 +486,7 @@ func splitPreload(v string) []string {
 	return out
 }
 
-// mapImage maps img at base and registers its exported symbols. The
+// mapImage maps img at base and appends it to the link map. The
 // sections' pages share the image's bytes copy-on-write: a relocation
 // or rewrite store copies only the page it touches, and the image
 // itself is never written.
@@ -498,19 +496,23 @@ func (l *Loader) mapImage(p *kernel.Process, st *procState, img *image.Image, ba
 			return err
 		}
 	}
-	li := &LoadedImage{Image: img, Base: base, Private: private}
-	st.loaded = append(st.loaded, li)
-	if !private {
-		for name, off := range img.Symbols {
-			if !asm.IsExported(name) {
-				continue
-			}
-			if _, dup := st.globals[name]; !dup {
-				st.globals[name] = base + off
-			}
+	st.loaded = append(st.loaded, &LoadedImage{Image: img, Base: base, Private: private})
+	return nil
+}
+
+// global resolves an exported symbol in the global namespace: the first
+// definition in link-map order among the images not loaded privately.
+// __vvar_base names the vvar page whenever the vdso is mapped.
+func (l *Loader) global(st *procState, name string) (uint64, bool) {
+	for _, li := range st.loaded {
+		if name == "__vvar_base" && li.Image == l.vdso {
+			return vvarBase, true
+		}
+		if off, ok := li.Image.Symbols[name]; ok && !li.Private && asm.IsExported(name) {
+			return li.Base + off, true
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // relocate applies img's load-time relocations: own symbols first, then
@@ -521,7 +523,7 @@ func (l *Loader) relocate(p *kernel.Process, st *procState, li *LoadedImage) err
 		var addr uint64
 		if off, ok := li.Image.SymbolOff(r.Symbol); ok {
 			addr = li.Base + off
-		} else if g, ok := st.globals[r.Symbol]; ok {
+		} else if g, ok := l.global(st, r.Symbol); ok {
 			addr = g
 		} else if strings.HasPrefix(r.Symbol, "__vdso_") || strings.HasPrefix(r.Symbol, "__vvar") {
 			addr = 0
@@ -609,6 +611,12 @@ func (l *Loader) registerLoaderHostcalls(p *kernel.Process) {
 	})
 }
 
+// Constructor adapts an interposer library's Go constructor to the
+// image's InitHost hook, which the loader calls with an *InitHandle.
+func Constructor(fn func(ih *InitHandle) error) func(h any, base uint64) error {
+	return func(h any, _ uint64) error { return fn(h.(*InitHandle)) }
+}
+
 // InitHandle is passed to image InitHost hooks.
 type InitHandle struct {
 	L  *Loader
@@ -616,6 +624,13 @@ type InitHandle struct {
 	T  *kernel.Thread
 	St *procState
 	Li *LoadedImage
+}
+
+// Sym returns the absolute address of a symbol of the image being
+// initialized (0 plus its load base when the image lacks it).
+func (h *InitHandle) Sym(name string) uint64 {
+	off, _ := h.Li.Image.SymbolOff(name)
+	return h.Li.Base + off
 }
 
 // Sys makes syscall nr through the ld.so syscall gate (a real SYSCALL
@@ -676,8 +691,7 @@ func (l *Loader) GlobalSymbol(p *kernel.Process, name string) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	addr, ok := st.globals[name]
-	return addr, ok
+	return l.global(st, name)
 }
 
 // Dlopen maps the image at path (and unmet dependencies) into the running

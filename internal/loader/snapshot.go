@@ -1,53 +1,28 @@
 package loader
 
-import "k23/internal/kernel"
+import (
+	"slices"
+
+	"k23/internal/kernel"
+)
 
 // Checkpoint support: the loader's per-process bookkeeping implements
 // kernel.HostState so whole-world snapshots capture it. LoadedImage
-// records are immutable once mapped, so the snapshot shares them and
-// copies only the mutable slice/map/scalar structure around them.
-
-type procSnapshot struct {
-	loaded          []*LoadedImage
-	globals         map[string]uint64
-	ldso            uint64
-	gate            uint64
-	nextBase        uint64
-	aslr            uint64
-	startupSyscalls int
-}
+// records are immutable once mapped, so a snapshot is a value copy
+// that shares them and clones only the link-map slice around them.
 
 // SnapshotHostState implements kernel.HostState.
 func (st *procState) SnapshotHostState() any {
-	s := &procSnapshot{
-		loaded:          append([]*LoadedImage(nil), st.loaded...),
-		globals:         make(map[string]uint64, len(st.globals)),
-		ldso:            st.ldso,
-		gate:            st.gate,
-		nextBase:        st.nextBase,
-		aslr:            st.aslr,
-		startupSyscalls: st.StartupSyscalls,
-	}
-	for name, addr := range st.globals {
-		s.globals[name] = addr
-	}
-	return s
+	s := *st
+	s.loaded = slices.Clone(st.loaded)
+	return &s
 }
 
 // RestoreHostState implements kernel.HostState. The snapshot is never
 // mutated, so one snapshot can seed any number of restores.
 func (st *procState) RestoreHostState(v any) {
-	s := v.(*procSnapshot)
-	st.loaded = append([]*LoadedImage(nil), s.loaded...)
-	st.globals = make(map[string]uint64, len(s.globals))
-	for name, addr := range s.globals {
-		st.globals[name] = addr
-	}
-	st.ldso = s.ldso
-	st.gate = s.gate
-	st.nextBase = s.nextBase
-	st.aslr = s.aslr
-	st.StartupSyscalls = s.startupSyscalls
+	*st = *v.(*procState)
+	st.loaded = slices.Clone(st.loaded)
 }
 
 var _ kernel.HostState = (*procState)(nil)

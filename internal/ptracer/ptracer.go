@@ -92,11 +92,10 @@ func (pt *Ptracer) Launch(w *interpose.World, path string, argv, env []string) (
 
 // Stats implements interpose.Launcher.
 func (pt *Ptracer) Stats(p *kernel.Process) *interpose.Stats {
-	st, ok := p.Interposer.(*state)
-	if !ok {
-		return &interpose.Stats{}
+	if st, ok := p.Interposer.(*state); ok {
+		return &st.stats
 	}
-	return &st.stats
+	return &interpose.Stats{}
 }
 
 var _ interpose.Launcher = (*Ptracer)(nil)

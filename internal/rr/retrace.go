@@ -13,7 +13,7 @@ import (
 // This is the retroactive-tracing contract: observability that was OFF
 // during the original run can be derived after the fact by replaying
 // the recording with it ON. It is sound because every collector rides
-// a side-stream — phase marks carry their own ordinal (kernel.PhaseSeq)
+// a side-stream — phase marks carry their own ordinal (kernel.PhaseMark.Seq)
 // and never touch the event sequence the recording hashes, and the
 // event hook chains without consuming — so attaching one cannot perturb
 // the recorded schedule. Retrace enforces that by failing loudly if the

@@ -45,16 +45,6 @@ func (r *Report) PhaseCycles(mech, phase string) (count, cycles uint64) {
 	return 0, 0
 }
 
-// TotalCycles sums self-cycles across all phases (the attributed portion
-// of the run; unattributed dispatch work is the caller's residual).
-func (r *Report) TotalCycles() uint64 {
-	var t uint64
-	for _, pc := range r.Phases {
-		t += pc.Cycles
-	}
-	return t
-}
-
 // mechOf resolves a span's mechanism by walking the parent chain: trap
 // spans nested under a handler inherit its mechanism; unattributed spans
 // (native kernel work) report "kernel".

@@ -84,17 +84,8 @@ func (s *SUD) LibraryPath() string {
 
 // state is the per-process runtime state.
 type state struct {
-	stats        interpose.Stats
-	selectorAddr uint64
-	gate         Gate
-}
-
-func stateOf(p *kernel.Process) (*state, error) {
-	st, ok := p.Interposer.(*state)
-	if !ok {
-		return nil, fmt.Errorf("sud: process %d not interposed", p.PID)
-	}
-	return st, nil
+	stats interpose.Stats
+	gate  Gate
 }
 
 // Launch implements interpose.Launcher.
@@ -106,20 +97,15 @@ func (s *SUD) Launch(w *interpose.World, path string, argv, env []string) (*kern
 // phase to attach its injection-guard tracer).
 func (s *SUD) LaunchWith(w *interpose.World, path string, argv, env []string,
 	opts ...loader.SpawnOption) (*kernel.Process, error) {
-	if _, ok := w.Reg.Lookup(s.LibraryPath()); !ok {
-		w.Reg.MustAdd(s.img)
-	}
-	env = kernel.SetEnv(append([]string(nil), env...), loader.LdPreloadVar, s.LibraryPath())
-	return w.L.Spawn(path, argv, env, opts...)
+	return w.L.Spawn(path, argv, w.Preload(s.img, env), opts...)
 }
 
 // Stats implements interpose.Launcher.
 func (s *SUD) Stats(p *kernel.Process) *interpose.Stats {
-	st, err := stateOf(p)
-	if err != nil {
-		return &interpose.Stats{}
+	if st, err := interpose.StateOf[state](p, "sud"); err == nil {
+		return &st.stats
 	}
-	return &st.stats
+	return &interpose.Stats{}
 }
 
 var _ interpose.Launcher = (*SUD)(nil)
@@ -144,93 +130,94 @@ func (s *SUD) buildLibrary() *image.Image {
 	t.MovImm32(cpu.RAX, kernel.SysRtSigreturn)
 	t.Syscall()
 
-	// sud_do_syscall: execute the system call described by sud_frame.
-	// Runs inside the allowlisted range: never re-dispatched.
-	t.Label("sud_do_syscall")
-	t.MovImmSym(cpu.R11, "sud_frame")
-	t.Load(cpu.RAX, cpu.R11, 0)
-	t.Load(cpu.RDI, cpu.R11, 8)
-	t.Load(cpu.RSI, cpu.R11, 16)
-	t.Load(cpu.RDX, cpu.R11, 24)
-	t.Load(cpu.R10, cpu.R11, 32)
-	t.Load(cpu.R8, cpu.R11, 40)
-	t.Load(cpu.R9, cpu.R11, 48)
-	t.Syscall()
-	t.Ret()
+	EmitGateStub(t, "sud_do_syscall", "sud_frame")
 
-	b.InitHost(s.initHost)
+	b.InitHost(loader.Constructor(s.initHost))
 	return b.MustBuild()
 }
 
 // initHost installs the handler and arms SUD.
-func (s *SUD) initHost(h any, base uint64) error {
-	ih, ok := h.(*loader.InitHandle)
-	if !ok {
-		return fmt.Errorf("sud: unexpected init handle %T", h)
-	}
-	k, p, t := ih.L.K, ih.P, ih.T
+func (s *SUD) initHost(ih *loader.InitHandle) error {
+	p := ih.P
 
-	st := &state{}
+	st := &state{gate: Gate{Frame: ih.Sym("sud_frame"), Stub: ih.Sym("sud_do_syscall")}}
 	p.Interposer = st
-	selOff, _ := s.img.SymbolOff("sud_selector")
-	frameOff, _ := s.img.SymbolOff("sud_frame")
-	handlerOff, _ := s.img.SymbolOff("sud_handler")
-	doOff, _ := s.img.SymbolOff("sud_do_syscall")
-	st.selectorAddr = base + selOff
-	st.gate = Gate{Frame: base + frameOff, Stub: base + doOff}
 	if s.Seccomp {
 		st.gate.cookie = seccompCookie
 	}
 
-	k.RegisterHostcall(p, hcSigsys, &kernel.Hostcall{
+	ih.L.K.RegisterHostcall(p, hcSigsys, &kernel.Hostcall{
 		Name: "sud_sigsys", Cost: 40, Fn: s.hcSigsysFn,
 	})
 
-	// sigaction(SIGSYS, handler).
-	if _, err := ih.Sys(kernel.SysRtSigaction, kernel.SIGSYS, base+handlerOff); err != nil {
+	if !s.Seccomp {
+		return Arm(ih, ih.Sym("sud_handler"), ih.Sym("sud_selector"), !s.Passive)
+	}
+	// Seccomp mode: sigaction(SIGSYS, handler), then serialize the
+	// filter into the library's data block and install it: TRAP
+	// everything except cookie-tagged calls and rt_sigreturn.
+	if _, err := ih.Sys(kernel.SysRtSigaction, kernel.SIGSYS, ih.Sym("sud_handler")); err != nil {
 		return err
 	}
-	if s.Seccomp {
-		// Serialize the filter into the library's data block and
-		// install it: TRAP everything except cookie-tagged calls and
-		// rt_sigreturn.
-		filterOff, _ := s.img.SymbolOff("sud_filter")
-		filterAddr := base + filterOff
-		words := []uint64{
-			2, kernel.SeccompRetTrap,
-			kernel.SeccompAnyNr, 1, 5, seccompCookie, kernel.SeccompRetAllow,
-			kernel.SysRtSigreturn, 0, 0, 0, kernel.SeccompRetAllow,
-		}
-		for i, wv := range words {
-			if err := p.AS.KStoreU64(filterAddr+uint64(8*i), wv); err != nil {
-				return err
-			}
-		}
-		if ret, err := ih.Sys(kernel.SysSeccomp, kernel.SeccompSetModeFilter, 0, filterAddr); err != nil {
-			return err
-		} else if e, isErr := kernel.IsErr(ret); isErr {
-			return fmt.Errorf("sud: seccomp install: errno %d", e)
-		}
-		return nil
+	filterAddr := ih.Sym("sud_filter")
+	words := []uint64{
+		2, kernel.SeccompRetTrap,
+		kernel.SeccompAnyNr, 1, 5, seccompCookie, kernel.SeccompRetAllow,
+		kernel.SysRtSigreturn, 0, 0, 0, kernel.SeccompRetAllow,
 	}
-	// prctl(PR_SET_SYSCALL_USER_DISPATCH, ON, allowStart, allowLen, selector)
-	text, _ := s.img.Section(".text")
-	if _, err := ih.Sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
-		base+text.Off, text.Size, st.selectorAddr); err != nil {
+	for i, wv := range words {
+		if err := p.AS.KStoreU64(filterAddr+uint64(8*i), wv); err != nil {
+			return err
+		}
+	}
+	if ret, err := ih.Sys(kernel.SysSeccomp, kernel.SeccompSetModeFilter, 0, filterAddr); err != nil {
 		return err
-	}
-	if !s.Passive {
-		if err := p.AS.Store(st.selectorAddr, []byte{kernel.SelectorBlock}, t.Core.PKRU); err != nil {
-			return err
-		}
+	} else if e, isErr := kernel.IsErr(ret); isErr {
+		return fmt.Errorf("sud: seccomp install: errno %d", e)
 	}
 	return nil
+}
+
+// Arm is the SUD arming protocol every SUD-style library constructor
+// runs: rt_sigaction(SIGSYS, handler), then prctl(PR_SET_SYSCALL_USER_
+// DISPATCH, ON, ...) allowlisting the library's .text with the selector
+// byte at selector, then — when block is set — the selector switched to
+// BLOCK so every call outside the allowlist traps. Passive SUD leaves
+// it on ALLOW.
+func Arm(ih *loader.InitHandle, handler, selector uint64, block bool) error {
+	if _, err := ih.Sys(kernel.SysRtSigaction, kernel.SIGSYS, handler); err != nil {
+		return err
+	}
+	text, _ := ih.Li.Image.Section(".text")
+	if _, err := ih.Sys(kernel.SysPrctl, kernel.PrSetSyscallUserDispatch, kernel.PrSysDispatchOn,
+		ih.Li.Base+text.Off, text.Size, selector); err != nil {
+		return err
+	}
+	if !block {
+		return nil
+	}
+	return ih.P.AS.Store(selector, []byte{kernel.SelectorBlock}, ih.T.Core.PKRU)
+}
+
+// EmitGateStub assembles a Gate's do-syscall stub at label stub: load
+// the number and six arguments from the 7-word frame at label frame
+// into their registers and issue the call. The stub must lie inside the
+// allowlisted range, so the call it issues is never re-dispatched.
+func EmitGateStub(t *asm.SectionBuilder, stub, frame string) {
+	t.Label(stub)
+	t.MovImmSym(cpu.R11, frame)
+	t.Load(cpu.RAX, cpu.R11, 0)
+	for i, r := range cpu.SyscallArgRegs {
+		t.Load(r, cpu.R11, int32(8*(i+1)))
+	}
+	t.Syscall()
+	t.Ret()
 }
 
 // hcSigsysFn is the handler body: decode the trap, run the hook, and
 // complete the call into the saved context.
 func (s *SUD) hcSigsysFn(k *kernel.Kernel, t *kernel.Thread) error {
-	st, err := stateOf(t.Proc)
+	st, err := interpose.StateOf[state](t.Proc, "sud")
 	if err != nil {
 		return err
 	}

@@ -36,14 +36,6 @@ import (
 // Hostcall id of the zpoline handler's host logic.
 const hcEnter int32 = 100
 
-// Trampoline geometry: the sled covers syscall numbers 0..511, the
-// handler springboard sits at offset 512 (as in the original, which
-// supports numbers below ~500).
-const (
-	TrampolineSize = 512
-	MaxSyscallNum  = TrampolineSize - 1
-)
-
 // Zpoline is the Launcher for zpoline-style interposition.
 type Zpoline struct {
 	Config interpose.Config
@@ -76,31 +68,17 @@ type state struct {
 	bitmap *Bitmap
 }
 
-// stateOf extracts the per-process state.
-func stateOf(p *kernel.Process) (*state, error) {
-	st, ok := p.Interposer.(*state)
-	if !ok {
-		return nil, fmt.Errorf("zpoline: process %d not interposed", p.PID)
-	}
-	return st, nil
-}
-
 // Launch implements interpose.Launcher.
 func (z *Zpoline) Launch(w *interpose.World, path string, argv, env []string) (*kernel.Process, error) {
-	if _, ok := w.Reg.Lookup(z.LibraryPath()); !ok {
-		w.Reg.MustAdd(z.img)
-	}
-	env = kernel.SetEnv(append([]string(nil), env...), loader.LdPreloadVar, z.LibraryPath())
-	return w.L.Spawn(path, argv, env)
+	return w.L.Spawn(path, argv, w.Preload(z.img, env))
 }
 
 // Stats implements interpose.Launcher.
 func (z *Zpoline) Stats(p *kernel.Process) *interpose.Stats {
-	st, err := stateOf(p)
-	if err != nil {
-		return &interpose.Stats{}
+	if st, err := interpose.StateOf[state](p, "zpoline"); err == nil {
+		return &st.stats
 	}
-	return &st.stats
+	return &interpose.Stats{}
 }
 
 var _ interpose.Launcher = (*Zpoline)(nil)
@@ -136,67 +114,34 @@ func (z *Zpoline) buildLibrary() *image.Image {
 	t.Wrpkru()
 	t.Ret()
 
-	b.InitHost(z.initHost)
+	b.InitHost(loader.Constructor(z.initHost))
 	return b.MustBuild()
 }
 
 // initHost is the library constructor: map the trampoline, protect it
 // with PKU-XOM, disassemble the loaded code, rewrite the found sites.
-func (z *Zpoline) initHost(h any, base uint64) error {
-	ih, ok := h.(*loader.InitHandle)
-	if !ok {
-		return fmt.Errorf("zpoline: unexpected init handle %T", h)
-	}
-	k, p, t := ih.L.K, ih.P, ih.T
+func (z *Zpoline) initHost(ih *loader.InitHandle) error {
+	k, p := ih.L.K, ih.P
 
 	st := &state{sites: make(map[uint64]bool)}
 	if z.Config.NullExecCheck {
 		st.bitmap = NewBitmap()
 	}
 	p.Interposer = st
-
-	handlerOff, _ := z.img.SymbolOff("zp_handler")
 	k.RegisterHostcall(p, hcEnter, &kernel.Hostcall{Name: "zp_enter", Cost: 13, Fn: z.hcEnterFn})
 
-	// 1. Map the trampoline page at virtual address 0.
-	ret, err := ih.Sys(kernel.SysMmap, 0, mem.PageSize,
-		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, kernel.MapFixed)
-	if err != nil {
-		return fmt.Errorf("zpoline: trampoline mmap: %w", err)
-	}
-	if ret != 0 {
-		return fmt.Errorf("zpoline: trampoline mmap landed at %#x", ret)
-	}
-
-	// 2. Write the nop sled and springboard.
-	tramp := make([]byte, 0, TrampolineSize+12)
-	for i := 0; i < TrampolineSize; i++ {
-		tramp = append(tramp, cpu.ByteNop)
-	}
-	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpMovImm, A: cpu.R11, Imm: int64(base + handlerOff)})...)
-	tramp = append(tramp, cpu.EncodeInst(cpu.Inst{Op: cpu.OpJmpReg, A: cpu.R11})...)
-	if err := t.Core.StoreAsSelf(0, tramp); err != nil {
-		return fmt.Errorf("zpoline: trampoline write: %w", err)
-	}
-
-	// 3. PKU-XOM: allocate a key, tag the page, deny data access in
-	// PKRU. Instruction fetches are unaffected — faithful PKU
-	// semantics, and the root cause of P4a in checkless variants.
-	key, err := ih.Sys(kernel.SysPkeyAlloc)
+	// 1. The page-0 trampoline under PKU-XOM, its key's data access
+	// denied through the library's WRPKRU stub.
+	key, err := interpose.MapTrampoline(ih, ih.Sym("zp_handler"))
 	if err != nil {
 		return err
 	}
-	if _, err := ih.Sys(kernel.SysPkeyMprotect, 0, mem.PageSize,
-		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec, key); err != nil {
-		return err
-	}
-	setPkruOff, _ := z.img.SymbolOff("zp_set_pkru")
 	pkru := uint64(mem.PKRU(0).DenyAccess(int(key)))
-	if _, err := k.CallGuest(t, base+setPkruOff, [6]uint64{pkru}); err != nil {
+	if _, err := k.CallGuest(ih.T, ih.Sym("zp_set_pkru"), [6]uint64{pkru}); err != nil {
 		return err
 	}
 
-	// 4. Static disassembly + one-shot rewrite of everything executable
+	// 2. Static disassembly + one-shot rewrite of everything executable
 	// that is already loaded — and nothing that arrives later (P2a).
 	st.truth = ih.L.TrueSites(p)
 	return z.rewriteLoadedCode(ih, st)
@@ -241,8 +186,7 @@ func (z *Zpoline) rewriteLoadedCode(ih *loader.InitHandle, st *state) error {
 // preserving page permissions around the write (zpoline does this
 // properly; P5 does not apply to load-time rewriting).
 func (z *Zpoline) rewriteSite(ih *loader.InitHandle, st *state, addr uint64) error {
-	k, p, t := ih.L.K, ih.P, ih.T
-	if _, err := p.AS.KLoad(addr, 2); err != nil {
+	if _, err := ih.P.AS.KLoad(addr, 2); err != nil {
 		return nil
 	}
 	genuine := st.truth[addr]
@@ -254,44 +198,28 @@ func (z *Zpoline) rewriteSite(ih *loader.InitHandle, st *state, addr uint64) err
 		// counter and the audit stream, never behaviour.
 		st.stats.Corruptions++
 	}
-
-	pageAddr := mem.PageBase(addr)
-	span := addr + uint64(cpu.SyscallInstLen) - pageAddr // page-rounded by mprotect
-	perm, _, okPerm := p.AS.PermAt(addr)
-	if !okPerm {
-		return nil
-	}
-	if _, err := ih.Sys(kernel.SysMprotect, pageAddr, span,
-		kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec); err != nil {
-		return err
-	}
-	if err := t.Core.StoreAsSelf(addr, cpu.CallRaxBytes); err != nil {
-		return err
-	}
-	// Record the site before issuing further syscalls: if the rewritten
+	// Record the site before the permission restore: if the rewritten
 	// site is itself on the interposer's syscall path (the dynamic
-	// linker's, say), the very next call below already rides the
-	// trampoline and must pass the bitmap check.
-	st.sites[addr] = true
-	if st.bitmap != nil {
-		st.bitmap.Set(addr)
-	}
-	if genuine {
-		k.EmitRewrite(t, addr, "genuine")
-	} else {
-		k.EmitRewrite(t, addr, "misidentified")
-	}
-	// Restore the saved permission.
-	if _, err := ih.Sys(kernel.SysMprotect, pageAddr, span, kernel.PermToProt(perm)); err != nil {
-		return err
-	}
-	return nil
+	// linker's, say), that very call already rides the trampoline and
+	// must pass the bitmap check.
+	_, err := interpose.RewriteSite(ih, addr, func() {
+		st.sites[addr] = true
+		if st.bitmap != nil {
+			st.bitmap.Set(addr)
+		}
+		if genuine {
+			ih.L.K.EmitRewrite(ih.T, addr, "genuine")
+		} else {
+			ih.L.K.EmitRewrite(ih.T, addr, "misidentified")
+		}
+	})
+	return err
 }
 
 // hcEnterFn runs at handler entry: NULL-exec check (ultra), then the
 // shared hook step.
 func (z *Zpoline) hcEnterFn(k *kernel.Kernel, t *kernel.Thread) error {
-	st, err := stateOf(t.Proc)
+	st, err := interpose.StateOf[state](t.Proc, "zpoline")
 	if err != nil {
 		return err
 	}
