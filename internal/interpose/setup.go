@@ -80,11 +80,11 @@ func (w *World) Preload(lib *image.Image, env []string) []string {
 }
 
 // StateOf returns p's interposer state when it is an S, or an error
-// naming the interposer mech when p is not interposed by it.
-func StateOf[S any](p *kernel.Process, mech string) (*S, error) {
+// naming the interposer when p is not interposed by it.
+func StateOf[S any](p *kernel.Process, interposer string) (*S, error) {
 	st, ok := p.Interposer.(*S)
 	if !ok {
-		return nil, fmt.Errorf("%s: process %d not interposed", mech, p.PID)
+		return nil, fmt.Errorf("%s: process %d not interposed", interposer, p.PID)
 	}
 	return st, nil
 }

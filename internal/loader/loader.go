@@ -627,7 +627,7 @@ type InitHandle struct {
 }
 
 // Sym returns the absolute address of a symbol of the image being
-// initialized (0 plus its load base when the image lacks it).
+// initialized; a symbol the image lacks resolves to its load base.
 func (h *InitHandle) Sym(name string) uint64 {
 	off, _ := h.Li.Image.SymbolOff(name)
 	return h.Li.Base + off
