@@ -48,12 +48,15 @@ type cacheLine struct {
 	gen   uint64 // page generation at fill time
 	epoch uint64 // Core.flushEpoch at fill time
 
-	// decoded holds the decode-cache entries of instructions that start
-	// in this line, sorted by offset; decodedMask has bit off set when
-	// an entry at offset off is present, so the entry's index is the
-	// number of set bits below it.
-	decoded     []dcacheEntry
+	// insts holds the decoded instructions that start in this line,
+	// sorted by offset; decodedMask has bit off set when an instruction
+	// at offset off is present, so its index is the number of set bits
+	// below it. liveMask holds the bits of the instructions decoded from
+	// the current generation of every line they cover (see
+	// retireDecoded); the others keep their slots until replaced.
+	insts       []Inst
 	decodedMask uint64
+	liveMask    uint64
 	// blocks holds the superblocks and sentinels entered in this line.
 	blocks []*superblock
 	// covers holds the entry RIPs of superblocks entered in an earlier
@@ -67,26 +70,13 @@ type cacheLine struct {
 	straddlers uint16
 }
 
-// dcacheEntry is one decoded instruction, found by its offset in the
-// line it starts in. lineGen snapshots the write generation of each
-// cache line the encoding covers at decode time (at most two); a lookup
-// revalidates those generations (against the resident I-cache line if
-// present, against memory otherwise), which is what makes the cache an
-// optimisation and not a semantic change: an entry is only replayed
-// when the uncached fetch path would have produced the same bytes,
-// which are then still in the covered line slots, so it copies none.
-type dcacheEntry struct {
-	inst    Inst
-	lineGen [2]uint64
-	off     uint8
+// straddles reports whether an encoding of n bytes at offset off runs
+// into the next line.
+func straddles(off, n uint8) bool {
+	return int(off)+int(n) > cacheLineSize
 }
 
-// straddles reports whether the entry's encoding runs into the next line.
-func (e *dcacheEntry) straddles() bool {
-	return int(e.off)+int(e.inst.Len) > cacheLineSize
-}
-
-// decodedAt returns the index of the entry at offset off, or -1.
+// decodedAt returns the index of the instruction at offset off, or -1.
 func (ln *cacheLine) decodedAt(off uint8) int {
 	bit := uint64(1) << off
 	if ln.decodedMask&bit == 0 {
@@ -95,22 +85,31 @@ func (ln *cacheLine) decodedAt(off uint8) int {
 	return bits.OnesCount64(ln.decodedMask & (bit - 1))
 }
 
-// putDecoded installs e, replacing any entry at its offset.
-func (ln *cacheLine) putDecoded(e dcacheEntry) {
-	bit := uint64(1) << e.off
+// putDecoded installs inst, live, at offset off, replacing any
+// instruction there.
+func (ln *cacheLine) putDecoded(off uint8, inst Inst) {
+	bit := uint64(1) << off
 	i := bits.OnesCount64(ln.decodedMask & (bit - 1))
 	if ln.decodedMask&bit != 0 {
-		ln.decoded[i] = e
-		return
+		ln.insts[i] = inst
+	} else {
+		ln.insts = slices.Insert(ln.insts, i, inst)
+		ln.decodedMask |= bit
 	}
-	ln.decoded = slices.Insert(ln.decoded, i, e)
-	ln.decodedMask |= bit
+	ln.liveMask |= bit
 }
 
-// dropDecoded removes entry i.
-func (ln *cacheLine) dropDecoded(i int) {
-	ln.decodedMask &^= 1 << ln.decoded[i].off
-	ln.decoded = slices.Delete(ln.decoded, i, i+1)
+// dropDecoded removes the instruction at offset off and reports whether
+// there was one.
+func (ln *cacheLine) dropDecoded(off uint8) bool {
+	i := ln.decodedAt(off)
+	if i < 0 {
+		return false
+	}
+	ln.decodedMask &^= 1 << off
+	ln.liveMask &^= 1 << off
+	ln.insts = slices.Delete(ln.insts, i, i+1)
+	return true
 }
 
 // page returns the code page with page number pn, or nil. The page last
@@ -176,8 +175,36 @@ func (c *Core) fill(ln *cacheLine, lineNum uint64) error {
 	if err != nil {
 		return err
 	}
+	if gen != ln.gen {
+		c.retireDecoded(ln, lineNum)
+	}
 	ln.gen, ln.epoch = gen, c.flushEpoch
 	return nil
+}
+
+// retireDecoded clears the live bits of the decoded instructions that
+// cover line slot ln (line lineNum), its own and those straddling into
+// it from the line before, as ln is about to take a new generation.
+// Each was decoded from a generation the slot held before. A page's
+// generation is a fresh tick of a clock that only grows, and fill is
+// the only way a slot takes one (a restore starts the code cache
+// over), so a slot never returns to an older generation and a retired
+// instruction could never be replayed: every live instruction was
+// decoded from the generation each line it covers holds now. A retired
+// one keeps its slot, so the line's length, its index and the
+// invalidation count are those of a cache that checked it on lookup.
+func (c *Core) retireDecoded(ln *cacheLine, lineNum uint64) {
+	ln.liveMask = 0
+	if ln.straddlers == 0 {
+		return
+	}
+	prev := c.line(lineNum - 1)
+	for s := ln.straddlers; s != 0; s &= s - 1 {
+		off := uint8(straddleBase + bits.TrailingZeros16(s))
+		if i := prev.decodedAt(off); i >= 0 && straddles(off, prev.insts[i].Len) {
+			prev.liveMask &^= 1 << off
+		}
+	}
 }
 
 // invalidate applies the same-core self-modifying-code rule to every
@@ -205,20 +232,15 @@ func (c *Core) invalidate(addr, last uint64) {
 // with every decoded instruction and superblock whose code covers it.
 func (c *Core) invalidateLine(ln *cacheLine, lineNum uint64) {
 	ln.epoch = 0
-	if n := len(ln.decoded); n > 0 {
+	if n := len(ln.insts); n > 0 {
 		c.DecodeStats.Invalidations += uint64(n)
-		ln.decoded, ln.decodedMask = ln.decoded[:0], 0
+		ln.insts, ln.decodedMask, ln.liveMask = ln.insts[:0], 0, 0
 	}
 	if ln.straddlers != 0 {
-		if prev := c.line(lineNum - 1); prev != nil {
-			for i := 0; i < 16; i++ {
-				if ln.straddlers&(1<<i) == 0 {
-					continue
-				}
-				if j := prev.decodedAt(uint8(straddleBase + i)); j >= 0 {
-					prev.dropDecoded(j)
-					c.DecodeStats.Invalidations++
-				}
+		prev := c.line(lineNum - 1)
+		for s := ln.straddlers; s != 0; s &= s - 1 {
+			if prev.dropDecoded(uint8(straddleBase + bits.TrailingZeros16(s))) {
+				c.DecodeStats.Invalidations++
 			}
 		}
 		ln.straddlers = 0
@@ -240,53 +262,60 @@ func (c *Core) invalidateLine(ln *cacheLine, lineNum uint64) {
 }
 
 // lookupDecoded consults the decode cache for the instruction at rip. A
-// hit must be indistinguishable from the uncached path, so each covered
-// line is revalidated:
+// hit must be indistinguishable from the uncached path. A live
+// instruction was decoded from the generation each line it covers
+// holds, and each covered line is then revalidated:
 //
-//   - line resident in the I-cache: hit only if the line's generation
-//     equals the entry's snapshot (the entry was decoded from exactly the
-//     resident bytes). The usual one-staleness-check-per-line then runs
-//     against memory, so P5 stale-fetch hazards are still detected — and,
-//     crucially, the stale cached bytes are still EXECUTED, exactly as
-//     the unserialized I-cache model demands.
+//   - line resident in the I-cache: hit. The usual
+//     one-staleness-check-per-line then runs against memory, so P5
+//     stale-fetch hazards are still detected — and, crucially, the stale
+//     cached bytes are still EXECUTED, exactly as the unserialized
+//     I-cache model demands.
 //   - line not resident (e.g. after FlushICache): the uncached path would
-//     refill from memory, so the entry may only be replayed if memory
-//     still carries the generation it was decoded at. The refilled line
-//     is installed into the I-cache to keep the side effects identical.
+//     refill from memory, so the instruction may only be replayed if
+//     memory still carries the generation it was decoded at. The
+//     refilled line is installed into the I-cache to keep the side
+//     effects identical.
+//
+// A retired instruction misses without touching its lines. The
+// uncached path that follows refills a line that is not resident, at
+// the same moment and from the same generation as a revalidation
+// would have.
 func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 	lineNum := rip / cacheLineSize
 	ln := c.line(lineNum)
 	if ln == nil {
 		return Inst{}, false
 	}
-	i := ln.decodedAt(uint8(rip % cacheLineSize))
-	if i < 0 {
+	off := uint8(rip % cacheLineSize)
+	bit := uint64(1) << off
+	if ln.liveMask&bit == 0 {
 		return Inst{}, false
 	}
-	e := &ln.decoded[i]
+	inst := ln.insts[bits.OnesCount64(ln.decodedMask&(bit-1))]
 	staleAny := false
-	if !c.revalidate(ln, lineNum, e.lineGen[0], &staleAny) {
+	if !c.revalidate(ln, lineNum, ln.gen, &staleAny) {
 		return Inst{}, false
 	}
 	var next *cacheLine
-	if e.straddles() {
+	if straddles(off, inst.Len) {
 		next = c.line(lineNum + 1)
-		if !c.revalidate(next, lineNum+1, e.lineGen[1], &staleAny) {
+		if !c.revalidate(next, lineNum+1, next.gen, &staleAny) {
 			return Inst{}, false
 		}
 	}
 	c.DecodeStats.Hits++
 	if staleAny {
-		// Every covered slot holds the generation the entry was decoded
-		// at, so it holds the bytes the entry was decoded from.
+		// Every covered slot holds the generation the instruction was
+		// decoded from, so it holds the bytes it was decoded from.
 		var buf [MaxInstLen]byte
-		n := copy(buf[:e.inst.Len], ln.data[e.off:])
+		n := copy(buf[:inst.Len], ln.data[off:])
 		if next != nil {
-			copy(buf[n:e.inst.Len], next.data[:])
+			copy(buf[n:inst.Len], next.data[:])
 		}
-		c.noteStaleness(buf[:e.inst.Len], true)
+		c.noteStaleness(buf[:inst.Len], true)
 	}
-	return e.inst, true
+	return inst, true
 }
 
 // revalidate applies lookupDecoded's rule to one covered line slot.
@@ -304,19 +333,15 @@ func (c *Core) revalidate(ln *cacheLine, lineNum, gen uint64, stale *bool) bool 
 }
 
 // installDecoded records a freshly decoded instruction, replacing any
-// entry at rip. All covered lines are resident (fetchInst just pulled
-// them through fetchByte).
+// at rip. All covered lines are resident (fetchInst just pulled them
+// through fetchByte), so it was decoded from their generations.
 func (c *Core) installDecoded(rip uint64, inst Inst) {
 	lineNum := rip / cacheLineSize
-	ln := c.line(lineNum)
-	e := dcacheEntry{inst: inst, off: uint8(rip % cacheLineSize)}
-	e.lineGen[0] = ln.gen
-	if e.straddles() {
-		next := c.line(lineNum + 1)
-		e.lineGen[1] = next.gen
-		next.straddlers |= 1 << (e.off - straddleBase)
+	off := uint8(rip % cacheLineSize)
+	if straddles(off, inst.Len) {
+		c.line(lineNum + 1).straddlers |= 1 << (off - straddleBase)
 	}
-	ln.putDecoded(e)
+	c.line(lineNum).putDecoded(off, inst)
 }
 
 // blockAt returns the superblock or sentinel entered at rip, or nil.

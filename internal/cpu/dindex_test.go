@@ -109,7 +109,7 @@ func TestDecodedIndexProperty(t *testing.T) {
 					continue
 				}
 				off := ref[l].entries[rng.Intn(len(ref[l].entries))].off
-				lines[l].dropDecoded(lines[l].decodedAt(off))
+				lines[l].dropDecoded(off)
 				ref[l].drop(off)
 			case r < 10:
 				op = "invalidate"
@@ -190,18 +190,18 @@ func checkLookups(t *testing.T, c *Core, lineNum uint64, ref *refLine, slotGen [
 // checkDecodedIndex compares one line's index against its oracle.
 func checkDecodedIndex(t *testing.T, ln *cacheLine, ref *refLine, seed int64, step int, op string) {
 	t.Helper()
-	if len(ln.decoded) != len(ref.entries) || bits.OnesCount64(ln.decodedMask) != len(ln.decoded) {
+	if len(ln.insts) != len(ref.entries) || bits.OnesCount64(ln.decodedMask) != len(ln.insts) {
 		t.Fatalf("seed %d step %d (%s): %d entries, mask has %d bits, oracle %d",
-			seed, step, op, len(ln.decoded), bits.OnesCount64(ln.decodedMask), len(ref.entries))
+			seed, step, op, len(ln.insts), bits.OnesCount64(ln.decodedMask), len(ref.entries))
 	}
 	for off := uint8(0); off < cacheLineSize; off++ {
 		i, j := ln.decodedAt(off), ref.find(off)
 		if (i < 0) != (j < 0) {
 			t.Fatalf("seed %d step %d (%s): offset %d: index %d, oracle %d", seed, step, op, off, i, j)
 		}
-		if i >= 0 && (ln.decoded[i].off != off || ln.decoded[i].inst.Imm != ref.entries[j].tag) {
-			t.Fatalf("seed %d step %d (%s): offset %d: entry at %d is (off %d, tag %d), oracle tag %d",
-				seed, step, op, off, i, ln.decoded[i].off, ln.decoded[i].inst.Imm, ref.entries[j].tag)
+		if i >= 0 && ln.insts[i].Imm != ref.entries[j].tag {
+			t.Fatalf("seed %d step %d (%s): offset %d: entry at %d has tag %d, oracle tag %d",
+				seed, step, op, off, i, ln.insts[i].Imm, ref.entries[j].tag)
 		}
 	}
 }
