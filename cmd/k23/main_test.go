@@ -195,6 +195,28 @@ func TestObservabilityPipelines(t *testing.T) {
 	}
 }
 
+// TestCatExitsOnDeniedRead: cat under a policy learned from ls, in
+// enforce mode, has every call denied with EPERM. Its copy loop must
+// leave on the failed read, so the run makes its ten calls once each
+// and ends when the denied exit_group returns into libc's trap, instead
+// of retrying the read until the machine's budget runs out.
+func TestCatExitsOnDeniedRead(t *testing.T) {
+	policy := filepath.Join(t.TempDir(), "ls.sfip")
+	if _, code := k23(t, "-variant", "k23-ultra+", "-sfip-learn", policy, "ls", "/data"); code != 0 {
+		t.Fatalf("learning run exited %d", code)
+	}
+	_, stderr, code := k23Stderr(t, "-variant", "k23-ultra+", "-sfip", policy, "-sfip-mode", "enforce",
+		"cat", "/data/notes.txt")
+	if code != 128+4 {
+		t.Errorf("k23 exited %d, want %d (cat killed by SIGILL after its denied exit_group)", code, 128+4)
+	}
+	for _, want := range []string{"[k23-ultra+] killed by signal 4", " 10 violations, 10 denied", "] pid 2 tid 201 read at"} {
+		if !bytes.Contains(stderr, []byte(want)) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+}
+
 // TestGoldenMetrics pins the bytes of `k23 -metrics` (JSON) and `-prom`
 // (Prometheus text, with the span-phase histograms appended because
 // -spans is on) for three apps under four mechanisms. Every number is

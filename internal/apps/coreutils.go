@@ -354,7 +354,7 @@ func Cat() *image.Image {
 	t.MovImm32(cpu.RDX, 4096)
 	t.CallSym("read")
 	t.Test(cpu.RAX, cpu.RAX)
-	t.Jz(".done")
+	t.Jle(".done") // end of file, or an error
 	t.Mov(cpu.RDX, cpu.RAX)
 	t.MovImm32(cpu.RDI, 1)
 	t.Mov(cpu.RSI, cpu.R15)
