@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"k23/internal/asm"
 	"k23/internal/bench"
@@ -171,36 +170,17 @@ func TestObserverDeterministic(t *testing.T) {
 	}
 }
 
-// TestDisabledHookGuard is the nil-cost contract: an Observer with no
-// collectors installs no hooks at all, and a run with it "installed" is
-// as fast as a plain run (single guarded branch, 20% tolerance).
-func TestDisabledHookGuard(t *testing.T) {
-	const iters = 2000
-	timeRun := func(install bool) time.Duration {
-		w := loopWorld(iters)
-		if install {
-			o := obsv.New(obsv.Options{})
-			o.Install(w.K)
-			if w.K.EventHook != nil || w.K.ProfileHook != nil {
-				t.Fatal("disabled observer installed a hook")
-			}
-		}
-		start := time.Now()
-		runLoop(t, w, iters)
-		return time.Since(start)
+// TestDisabledObserverInstallsNoHook is the structural half of the
+// nil-cost contract: an Observer with no collectors installs no hooks
+// at all. The timing half, TestDisabledHookGuard, is a wall-clock test
+// behind the timing build tag.
+func TestDisabledObserverInstallsNoHook(t *testing.T) {
+	w := loopWorld(10)
+	obsv.New(obsv.Options{}).Install(w.K)
+	if w.K.EventHook != nil || w.K.ProfileHook != nil {
+		t.Fatal("disabled observer installed a hook")
 	}
-	// Min-of-N absorbs scheduler noise on loaded CI hosts, and
-	// alternating plain and disabled runs exposes both to the same
-	// stretches of host load.
-	plain, disabled := time.Duration(1<<62), time.Duration(1<<62)
-	for rep := 0; rep < 10; rep++ {
-		plain = min(plain, timeRun(false))
-		disabled = min(disabled, timeRun(true))
-	}
-	if plain > 0 && float64(disabled) > float64(plain)*1.20 {
-		t.Errorf("disabled observer run %.2fx slower than plain (plain=%v disabled=%v)",
-			float64(disabled)/float64(plain), plain, disabled)
-	}
+	runLoop(t, w, 10)
 }
 
 // endlessLoop is an obsloop guest that outlives any test: 2^30 getpid
@@ -254,8 +234,8 @@ func TestWarmSyscallAllocs(t *testing.T) {
 	}
 }
 
-// TestDisabledHookAllocs is the clock-free companion of
-// TestDisabledHookGuard: an installed all-off observer adds no
+// TestDisabledHookAllocs is the clock-free companion of the timing
+// test TestDisabledHookGuard: an installed all-off observer adds no
 // allocation to any syscall event.
 func TestDisabledHookAllocs(t *testing.T) {
 	plain := sliceAllocs(t, loopWorld(endlessLoop))
