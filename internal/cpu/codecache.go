@@ -51,9 +51,7 @@ type cacheLine struct {
 	// insts holds the decoded instructions that start in this line,
 	// sorted by offset; decodedMask has bit off set when an instruction
 	// at offset off is present, so its index is the number of set bits
-	// below it. liveMask holds the bits of the instructions decoded from
-	// the current generation of every line they cover (see
-	// retireDecoded); the others keep their slots until replaced.
+	// below it. liveMask has the bits of those not retired.
 	insts       []Inst
 	decodedMask uint64
 	liveMask    uint64
@@ -70,11 +68,8 @@ type cacheLine struct {
 	straddlers uint16
 }
 
-// straddles reports whether an encoding of n bytes at offset off runs
-// into the next line.
-func straddles(off, n uint8) bool {
-	return int(off)+int(n) > cacheLineSize
-}
+// straddles reports whether n bytes at offset off run into the next line.
+func straddles(off, n uint8) bool { return int(off)+int(n) > cacheLineSize }
 
 // decodedAt returns the index of the instruction at offset off, or -1.
 func (ln *cacheLine) decodedAt(off uint8) int {
@@ -90,12 +85,11 @@ func (ln *cacheLine) decodedAt(off uint8) int {
 func (ln *cacheLine) putDecoded(off uint8, inst Inst) {
 	bit := uint64(1) << off
 	i := bits.OnesCount64(ln.decodedMask & (bit - 1))
-	if ln.decodedMask&bit != 0 {
-		ln.insts[i] = inst
-	} else {
-		ln.insts = slices.Insert(ln.insts, i, inst)
+	if ln.decodedMask&bit == 0 {
+		ln.insts = slices.Insert(ln.insts, i, Inst{})
 		ln.decodedMask |= bit
 	}
+	ln.insts[i] = inst
 	ln.liveMask |= bit
 }
 
@@ -103,13 +97,12 @@ func (ln *cacheLine) putDecoded(off uint8, inst Inst) {
 // there was one.
 func (ln *cacheLine) dropDecoded(off uint8) bool {
 	i := ln.decodedAt(off)
-	if i < 0 {
-		return false
+	if i >= 0 {
+		ln.decodedMask &^= 1 << off
+		ln.liveMask &^= 1 << off
+		ln.insts = slices.Delete(ln.insts, i, i+1)
 	}
-	ln.decodedMask &^= 1 << off
-	ln.liveMask &^= 1 << off
-	ln.insts = slices.Delete(ln.insts, i, i+1)
-	return true
+	return i >= 0
 }
 
 // page returns the code page with page number pn, or nil. The page last
@@ -183,24 +176,15 @@ func (c *Core) fill(ln *cacheLine, lineNum uint64) error {
 }
 
 // retireDecoded clears the live bits of the decoded instructions that
-// cover line slot ln (line lineNum), its own and those straddling into
-// it from the line before, as ln is about to take a new generation.
-// Each was decoded from a generation the slot held before. A page's
-// generation is a fresh tick of a clock that only grows, and fill is
-// the only way a slot takes one (a restore starts the code cache
-// over), so a slot never returns to an older generation and a retired
-// instruction could never be replayed: every live instruction was
-// decoded from the generation each line it covers holds now. A retired
-// one keeps its slot, so the line's length, its index and the
-// invalidation count are those of a cache that checked it on lookup.
+// cover slot ln (line lineNum), its own and those straddling into it,
+// as ln takes a new generation. A slot's generation only grows (fill
+// reads a monotone clock, and a restore starts the cache over), so
+// none of them could pass a generation check again. Each keeps its
+// slot, which keeps the line lengths and Invalidations unchanged.
 func (c *Core) retireDecoded(ln *cacheLine, lineNum uint64) {
 	ln.liveMask = 0
-	if ln.straddlers == 0 {
-		return
-	}
-	prev := c.line(lineNum - 1)
 	for s := ln.straddlers; s != 0; s &= s - 1 {
-		off := uint8(straddleBase + bits.TrailingZeros16(s))
+		prev, off := c.line(lineNum-1), uint8(straddleBase+bits.TrailingZeros16(s))
 		if i := prev.decodedAt(off); i >= 0 && straddles(off, prev.insts[i].Len) {
 			prev.liveMask &^= 1 << off
 		}
@@ -236,15 +220,12 @@ func (c *Core) invalidateLine(ln *cacheLine, lineNum uint64) {
 		c.DecodeStats.Invalidations += uint64(n)
 		ln.insts, ln.decodedMask, ln.liveMask = ln.insts[:0], 0, 0
 	}
-	if ln.straddlers != 0 {
-		prev := c.line(lineNum - 1)
-		for s := ln.straddlers; s != 0; s &= s - 1 {
-			if prev.dropDecoded(uint8(straddleBase + bits.TrailingZeros16(s))) {
-				c.DecodeStats.Invalidations++
-			}
+	for s := ln.straddlers; s != 0; s &= s - 1 {
+		if c.line(lineNum - 1).dropDecoded(uint8(straddleBase + bits.TrailingZeros16(s))) {
+			c.DecodeStats.Invalidations++
 		}
-		ln.straddlers = 0
 	}
+	ln.straddlers = 0
 	for _, sb := range ln.blocks {
 		sb.kill()
 		if len(sb.code) > 0 {
@@ -262,25 +243,19 @@ func (c *Core) invalidateLine(ln *cacheLine, lineNum uint64) {
 }
 
 // lookupDecoded consults the decode cache for the instruction at rip. A
-// hit must be indistinguishable from the uncached path. A live
-// instruction was decoded from the generation each line it covers
-// holds, and each covered line is then revalidated:
+// hit must be indistinguishable from the uncached path. A retired
+// instruction misses at once (the uncached fetch then refills a
+// non-resident line just as revalidation would have); a live one was
+// decoded from the generations its lines hold, and each is revalidated:
 //
-//   - line resident in the I-cache: hit. The usual
-//     one-staleness-check-per-line then runs against memory, so P5
-//     stale-fetch hazards are still detected — and, crucially, the stale
-//     cached bytes are still EXECUTED, exactly as the unserialized
-//     I-cache model demands.
+//   - line resident in the I-cache: the usual one-staleness-check-per-line
+//     runs against memory, so P5 stale-fetch hazards are still detected —
+//     and, crucially, the stale cached bytes are still EXECUTED, exactly
+//     as the unserialized I-cache model demands.
 //   - line not resident (e.g. after FlushICache): the uncached path would
-//     refill from memory, so the instruction may only be replayed if
-//     memory still carries the generation it was decoded at. The
-//     refilled line is installed into the I-cache to keep the side
-//     effects identical.
-//
-// A retired instruction misses without touching its lines. The
-// uncached path that follows refills a line that is not resident, at
-// the same moment and from the same generation as a revalidation
-// would have.
+//     refill from memory, so the entry may only be replayed if memory
+//     still carries the generation it was decoded at. The refilled line
+//     is installed into the I-cache to keep the side effects identical.
 func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 	lineNum := rip / cacheLineSize
 	ln := c.line(lineNum)
@@ -288,11 +263,10 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 		return Inst{}, false
 	}
 	off := uint8(rip % cacheLineSize)
-	bit := uint64(1) << off
-	if ln.liveMask&bit == 0 {
+	if ln.liveMask&(1<<off) == 0 {
 		return Inst{}, false
 	}
-	inst := ln.insts[bits.OnesCount64(ln.decodedMask&(bit-1))]
+	inst := ln.insts[ln.decodedAt(off)]
 	staleAny := false
 	if !c.revalidate(ln, lineNum, ln.gen, &staleAny) {
 		return Inst{}, false
