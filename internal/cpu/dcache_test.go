@@ -508,3 +508,41 @@ func TestNoteHotReset(t *testing.T) {
 			got+1, c.hotN, jitHotThreshold)
 	}
 }
+
+// TestCodeRewriteLoopPinned: a loop that stores a new immediate into one
+// of its own code lines at every iteration, then executes it, so the
+// line holds 5,000 distinct contents over the run. The exit, the trace
+// hash and the decode-cache counters are pinned.
+func TestCodeRewriteLoopPinned(t *testing.T) {
+	const iters = 5000
+	head := asm(
+		Inst{Op: OpMovImm, A: RCX, Imm: iters},
+		Inst{Op: OpMovImm, A: RDI, Imm: 0x1042}, // the immediate of the movabs at 0x1040
+		Inst{Op: OpMovImm, A: RBX, Imm: 0},
+		// loop (0x101e):
+		Inst{Op: OpStore, A: RDI, B: RCX, Imm: 0},
+		Inst{Op: OpJmp, Imm: 0x1040 - 0x102a},
+	)
+	code := append(head, make([]byte, 0x40-len(head))...)
+	code = append(code, asm(
+		Inst{Op: OpMovImm, A: RAX, Imm: 0}, // rewritten before every execution
+		Inst{Op: OpAdd, A: RBX, B: RAX},
+		Inst{Op: OpAddImm, A: RCX, Imm: -1},
+		Inst{Op: OpCmpImm, A: RCX, Imm: 0},
+		Inst{Op: OpJnz, Imm: 0x101e - 0x105e},
+		Inst{Op: OpHlt},
+	)...)
+	c := smcCore(t, code)
+	h := NewTraceHash()
+	c.Trace = &h
+	s := runQuanta(t, c, 1000, 1000)
+	if s.Kind != StopHalt || s.Site != 0x105e || c.Ctx.R[RBX] != iters*(iters+1)/2 {
+		t.Fatalf("stop %+v, RBX %d; want halt at 0x105e, RBX %d", s, c.Ctx.R[RBX], iters*(iters+1)/2)
+	}
+	if h != 0x3391f3bf75c23d8e || c.Insts != 35004 {
+		t.Errorf("trace hash %#x after %d instructions, want 0x3391f3bf75c23d8e after 35004", uint64(h), c.Insts)
+	}
+	if want := (DecodeCacheStats{Hits: 9998, Misses: 25006, Invalidations: 24995}); c.DecodeStats != want {
+		t.Errorf("decode stats %+v, want %+v", c.DecodeStats, want)
+	}
+}

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -56,102 +57,146 @@ func (r *refLine) drop(off uint8) bool {
 // oracle's per-entry generations, whether lookupDecoded hits at every
 // offset and what it returns.
 func TestDecodedIndexProperty(t *testing.T) {
-	const base = 0x1000 / cacheLineSize
 	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := buildCore(t, nil)
-		lines := [2]*cacheLine{c.slot(base), c.slot(base + 1)}
-		var ref [2]refLine
-		var slotGen [2]uint64 // each line's generation at its last fill
-		fill := func(l int) {
-			slotGen[l] = c.AS.Gen((base + uint64(l)) * cacheLineSize)
-			if err := c.fill(lines[l], base+uint64(l)); err != nil {
-				t.Fatal(err)
+		decodedIndexProperty(t, seed, []*Core{buildCore(t, nil)})
+	}
+}
+
+// TestDecodedIndexPropertyTwoCores runs the same steps on two cores over
+// two address spaces that start with the same bytes, each step on a
+// core picked at random and each core checked against its own oracle.
+// The cores install different tags at the same offsets, and a step can
+// rewrite the next line of one core only, so straddling installs into
+// it differ between the cores while the first line's bytes stay equal.
+// Each core must hit exactly its own instructions.
+func TestDecodedIndexPropertyTwoCores(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		decodedIndexProperty(t, seed, []*Core{buildCore(t, nil), buildCore(t, nil)})
+	}
+}
+
+// indexCore is one core of decodedIndexProperty with its oracle.
+type indexCore struct {
+	c                   *Core
+	lines               [2]*cacheLine
+	ref                 [2]refLine
+	slotGen             [2]uint64 // each line's generation at its last fill
+	invalidations, hits uint64
+}
+
+func decodedIndexProperty(t *testing.T, seed int64, cores []*Core) {
+	const base = 0x1000 / cacheLineSize
+	rng := rand.New(rand.NewSource(seed))
+	ics := make([]*indexCore, len(cores))
+	for i, c := range cores {
+		ics[i] = &indexCore{c: c, lines: [2]*cacheLine{c.slot(base), c.slot(base + 1)}}
+	}
+	fill := func(ic *indexCore, l int) {
+		ic.slotGen[l] = ic.c.AS.Gen((base + uint64(l)) * cacheLineSize)
+		if err := ic.c.fill(ic.lines[l], base+uint64(l)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// store writes b at addr in one core's address space: at 0x1800,
+	// outside both lines, it gives each line's next fill a new
+	// generation of the same bytes.
+	store := func(ic *indexCore, addr uint64, b byte) {
+		if err := ic.c.AS.KStore(addr, []byte{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install := func(ic *indexCore, l int, off, n uint8, tag int64) {
+		inst := Inst{Op: OpNop, Len: n, Imm: tag}
+		ic.c.installDecoded((base+uint64(l))*cacheLineSize+uint64(off), inst)
+		e := refEntry{off: off, len: inst.Len, tag: tag, lineGen: [2]uint64{ic.slotGen[l], 0}}
+		if e.straddles() {
+			e.lineGen[1] = ic.slotGen[l+1]
+			if !slices.Contains(ic.ref[l+1].straddlers, off) {
+				ic.ref[l+1].straddlers = append(ic.ref[l+1].straddlers, off)
 			}
 		}
-		// newGen stores to the lines' page outside both lines, so each
-		// line's next fill reads a new generation of the same bytes.
-		newGen := func() {
-			if err := c.AS.KStore(0x1800, []byte{0}); err != nil {
-				t.Fatal(err)
-			}
+		ic.ref[l].drop(off)
+		ic.ref[l].entries = append(ic.ref[l].entries, e)
+	}
+	randLen := func() uint8 { return uint8(1 + rng.Intn(MaxInstLen)) }
+	straddlingInstall := func(ic *indexCore, step int) {
+		off := uint8(straddleBase + 1 + rng.Intn(MaxInstLen-1))
+		short := cacheLineSize + 1 - int(off) // the shortest encoding that straddles
+		install(ic, 0, off, uint8(short+rng.Intn(MaxInstLen-short+1)), int64(step))
+	}
+	for _, ic := range ics {
+		fill(ic, 0)
+		fill(ic, 1)
+	}
+	for step := 0; step < 2000; step++ {
+		ic := ics[0]
+		if len(ics) > 1 {
+			ic = ics[rng.Intn(len(ics))]
 		}
-		install := func(l int, off, n uint8, tag int64) {
-			inst := Inst{Op: OpNop, Len: n, Imm: tag}
-			c.installDecoded((base+uint64(l))*cacheLineSize+uint64(off), inst)
-			e := refEntry{off: off, len: inst.Len, tag: tag, lineGen: [2]uint64{slotGen[l], 0}}
-			if e.straddles() {
-				e.lineGen[1] = slotGen[l+1]
-				if !slices.Contains(ref[l+1].straddlers, off) {
-					ref[l+1].straddlers = append(ref[l+1].straddlers, off)
-				}
+		var op string
+		switch r := rng.Intn(12); {
+		case r < 4:
+			op = "install"
+			install(ic, rng.Intn(2), uint8(rng.Intn(straddleBase+1)), randLen(), int64(step))
+		case r < 7:
+			op = "straddling install"
+			install(ic, 0, uint8(49+rng.Intn(15)), randLen(), int64(step))
+		case r < 9:
+			op = "drop"
+			l := rng.Intn(2)
+			if len(ic.ref[l].entries) == 0 {
+				continue
 			}
-			ref[l].drop(off)
-			ref[l].entries = append(ref[l].entries, e)
-		}
-		randLen := func() uint8 { return uint8(1 + rng.Intn(MaxInstLen)) }
-		fill(0)
-		fill(1)
-		var invalidations, hits uint64
-		for step := 0; step < 2000; step++ {
-			var op string
-			switch r := rng.Intn(12); {
-			case r < 4:
-				op = "install"
-				install(rng.Intn(2), uint8(rng.Intn(straddleBase+1)), randLen(), int64(step))
-			case r < 7:
-				op = "straddling install"
-				install(0, uint8(49+rng.Intn(15)), randLen(), int64(step))
-			case r < 9:
-				op = "drop"
-				l := rng.Intn(2)
-				if len(ref[l].entries) == 0 {
-					continue
-				}
-				off := ref[l].entries[rng.Intn(len(ref[l].entries))].off
-				lines[l].dropDecoded(off)
-				ref[l].drop(off)
-			case r < 10:
-				op = "invalidate"
-				l := rng.Intn(2)
-				c.invalidateLine(lines[l], base+uint64(l))
-				invalidations += uint64(len(ref[l].entries))
-				ref[l].entries = nil
-				if l == 1 {
-					for _, off := range ref[1].straddlers {
-						if ref[0].drop(off) {
-							invalidations++
-						}
+			off := ic.ref[l].entries[rng.Intn(len(ic.ref[l].entries))].off
+			ic.lines[l].dropDecoded(off)
+			ic.ref[l].drop(off)
+		case r < 10:
+			op = "invalidate"
+			l := rng.Intn(2)
+			ic.c.invalidateLine(ic.lines[l], base+uint64(l))
+			ic.invalidations += uint64(len(ic.ref[l].entries))
+			ic.ref[l].entries = nil
+			if l == 1 {
+				for _, off := range ic.ref[1].straddlers {
+					if ic.ref[0].drop(off) {
+						ic.invalidations++
 					}
-					ref[1].straddlers = nil
 				}
-				// A refill, as the next fetch would do.
-				fill(l)
-			case r < 11:
-				op = "refill at a new generation, install elsewhere"
-				l := rng.Intn(2)
-				newGen()
-				fill(l)
-				off := uint8(rng.Intn(straddleBase + 1))
-				for ref[l].find(off) >= 0 && len(ref[l].entries) <= straddleBase {
-					off = uint8(rng.Intn(straddleBase + 1))
-				}
-				install(l, off, randLen(), int64(step))
-			default:
-				op = "straddling install at a new next-line generation"
-				newGen()
-				fill(1)
-				off := uint8(straddleBase + 1 + rng.Intn(MaxInstLen-1))
-				short := cacheLineSize + 1 - int(off) // the shortest encoding that straddles
-				install(0, off, uint8(short+rng.Intn(MaxInstLen-short+1)), int64(step))
+				ic.ref[1].straddlers = nil
 			}
-			for l, ln := range lines {
-				checkDecodedIndex(t, ln, &ref[l], seed, step, op)
-				hits += checkLookups(t, c, base+uint64(l), &ref[l], slotGen, seed, step, op)
+			// A refill, as the next fetch would do.
+			fill(ic, l)
+		case r < 11:
+			op = "refill at a new generation, install elsewhere"
+			l := rng.Intn(2)
+			store(ic, 0x1800, 0)
+			fill(ic, l)
+			off := uint8(rng.Intn(straddleBase + 1))
+			for ic.ref[l].find(off) >= 0 && len(ic.ref[l].entries) <= straddleBase {
+				off = uint8(rng.Intn(straddleBase + 1))
 			}
-			if c.DecodeStats.Invalidations != invalidations || c.DecodeStats.Hits != hits {
+			install(ic, l, off, randLen(), int64(step))
+		case len(ics) > 1 && rng.Intn(2) == 0:
+			op = "straddling install into rewritten next-line bytes"
+			store(ic, (base+2)*cacheLineSize-1, byte(rng.Intn(4)))
+			fill(ic, 1)
+			straddlingInstall(ic, step)
+		default:
+			op = "straddling install at a new next-line generation"
+			store(ic, 0x1800, 0)
+			fill(ic, 1)
+			straddlingInstall(ic, step)
+		}
+		for k, ic := range ics {
+			what := fmt.Sprintf("%s, core %d", op, k)
+			for l, ln := range ic.lines {
+				checkDecodedIndex(t, ln, &ic.ref[l], seed, step, what)
+				ic.hits += checkLookups(t, ic.c, base+uint64(l), &ic.ref[l], ic.slotGen, seed, step, what)
+			}
+			if ic.c.DecodeStats.Invalidations != ic.invalidations || ic.c.DecodeStats.Hits != ic.hits {
 				t.Fatalf("seed %d step %d (%s): %d invalidations and %d hits, oracle %d and %d",
-					seed, step, op, c.DecodeStats.Invalidations, c.DecodeStats.Hits, invalidations, hits)
+					seed, step, what, ic.c.DecodeStats.Invalidations, ic.c.DecodeStats.Hits,
+					ic.invalidations, ic.hits)
 			}
 		}
 	}
