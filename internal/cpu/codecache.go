@@ -13,11 +13,13 @@ import (
 // decodes in, counts an anchor in or forms a block over that page, so
 // the cache grows only with the code the core touches. Each line slot
 // carries everything the core knows about its 64 bytes: the resident
-// bytes, the decoded instructions that start there, the superblocks
-// entered there and the superblocks that cover it from an earlier line.
-// A fetch, a decode-cache hit and a block dispatch are therefore a page
-// compare, an array index and a bit count or a short scan, and a store
-// to a page that never held code stops after one page check.
+// bytes and the decoded instructions that start there (both held in a
+// line shared by content, see decodedLine), which of those this core
+// decoded, the superblocks entered there and the superblocks that cover
+// it from an earlier line. A fetch, a decode-cache hit and a block
+// dispatch are therefore a page compare, an array index and a bit count
+// or a short scan, and a store to a page that never held code stops
+// after one page check.
 
 // cacheLineSize is the I-cache line size in bytes.
 const cacheLineSize = 64
@@ -29,9 +31,33 @@ const linesPerPage = mem.PageSize / cacheLineSize
 // still run into the next line (MaxInstLen < cacheLineSize).
 const straddleBase = cacheLineSize - MaxInstLen
 
+// maxLines bounds a Lines table: a guest that keeps writing new code
+// would otherwise grow it without limit. A full table is emptied; the
+// slots keep the lines they point at, so a result never changes.
+const maxLines = 4096
+
 // noPage is a page number no address has; it empties the store-side
 // page memo.
 const noPage = ^uint64(0)
+
+// decodedLine is the content of a line: its bytes and the instructions
+// decoded from them that start in it, sorted by offset, with bit off of
+// mask set when one at offset off is present (its index is the number
+// of set bits below it). An instruction that ends inside the line is a
+// function of these bytes, so every core whose slot holds them can
+// share one decodedLine. A straddler also depends on the next line's
+// bytes: a slot that must replace one takes a private copy (putDecoded),
+// so a shared entry, once added, never changes.
+type decodedLine struct {
+	data  string
+	mask  uint64
+	insts []Inst
+}
+
+// Lines is a table of decoded lines keyed by their bytes, each key the
+// line's own data string. A kernel makes one and gives it to every core
+// it creates; it is driven by the kernel's one goroutine.
+type Lines map[string]*decodedLine
 
 // codePage holds the line slots of one page. A slot is created on
 // first use and lives until the core is restored.
@@ -44,15 +70,13 @@ type codePage struct {
 // stale, and the next fill reuses it. Epoch 0 is never current, so a
 // slot not yet filled, or dropped by an own store, is not resident.
 type cacheLine struct {
-	data  [cacheLineSize]byte
-	gen   uint64 // page generation at fill time
-	epoch uint64 // Core.flushEpoch at fill time
+	dec   *decodedLine // the bytes at fill time, and what was decoded
+	gen   uint64       // page generation at fill time
+	epoch uint64       // Core.flushEpoch at fill time
 
-	// insts holds the decoded instructions that start in this line,
-	// sorted by offset; decodedMask has bit off set when an instruction
-	// at offset off is present, so its index is the number of set bits
-	// below it. liveMask has the bits of those not retired.
-	insts       []Inst
+	// decodedMask has bit off set when this core decoded an instruction
+	// at offset off and has not dropped it; liveMask has the bits of
+	// those not retired, each found in dec.
 	decodedMask uint64
 	liveMask    uint64
 	// blocks holds the superblocks and sentinels entered in this line.
@@ -71,38 +95,42 @@ type cacheLine struct {
 // straddles reports whether n bytes at offset off run into the next line.
 func straddles(off, n uint8) bool { return int(off)+int(n) > cacheLineSize }
 
-// decodedAt returns the index of the instruction at offset off, or -1.
-func (ln *cacheLine) decodedAt(off uint8) int {
+// live returns the live instruction at offset off.
+func (ln *cacheLine) live(off uint8) (Inst, bool) {
 	bit := uint64(1) << off
-	if ln.decodedMask&bit == 0 {
-		return -1
+	if ln.liveMask&bit == 0 {
+		return Inst{}, false
 	}
-	return bits.OnesCount64(ln.decodedMask & (bit - 1))
+	return ln.dec.insts[bits.OnesCount64(ln.dec.mask&(bit-1))], true
 }
 
 // putDecoded installs inst, live, at offset off, replacing any
-// instruction there.
+// instruction this core had there.
 func (ln *cacheLine) putDecoded(off uint8, inst Inst) {
 	bit := uint64(1) << off
-	i := bits.OnesCount64(ln.decodedMask & (bit - 1))
-	if ln.decodedMask&bit == 0 {
-		ln.insts = slices.Insert(ln.insts, i, Inst{})
-		ln.decodedMask |= bit
+	d := ln.dec
+	i := bits.OnesCount64(d.mask & (bit - 1))
+	if d.mask&bit == 0 {
+		d.insts = slices.Insert(d.insts, i, inst)
+		d.mask |= bit
+	} else if d.insts[i] != inst {
+		// A straddler decoded over other next-line bytes than the
+		// entry's: other cores may read that entry, so change a copy.
+		ln.dec = &decodedLine{data: d.data, mask: d.mask, insts: slices.Clone(d.insts)}
+		ln.dec.insts[i] = inst
 	}
-	ln.insts[i] = inst
+	ln.decodedMask |= bit
 	ln.liveMask |= bit
 }
 
-// dropDecoded removes the instruction at offset off and reports whether
-// there was one.
+// dropDecoded forgets the instruction this core had at offset off and
+// reports whether there was one.
 func (ln *cacheLine) dropDecoded(off uint8) bool {
-	i := ln.decodedAt(off)
-	if i >= 0 {
-		ln.decodedMask &^= 1 << off
-		ln.liveMask &^= 1 << off
-		ln.insts = slices.Delete(ln.insts, i, i+1)
-	}
-	return i >= 0
+	bit := uint64(1) << off
+	had := ln.decodedMask&bit != 0
+	ln.decodedMask &^= bit
+	ln.liveMask &^= bit
+	return had
 }
 
 // page returns the code page with page number pn, or nil. The page last
@@ -162,17 +190,37 @@ func (c *Core) resident(lineNum uint64) *cacheLine {
 }
 
 // fill reads line lineNum from memory into slot ln and makes it
-// resident. A fetch fault leaves the slot as it was.
+// resident. A fetch fault leaves the slot as it was. Only a new
+// generation (a mapped page's is never 0, a new slot's is) can bring new
+// bytes, so only then does the slot take the line holding them.
 func (c *Core) fill(ln *cacheLine, lineNum uint64) error {
-	gen, err := c.AS.FetchLine(lineNum*cacheLineSize, ln.data[:])
+	var buf [cacheLineSize]byte
+	gen, err := c.AS.FetchLine(lineNum*cacheLineSize, buf[:])
 	if err != nil {
 		return err
 	}
 	if gen != ln.gen {
 		c.retireDecoded(ln, lineNum)
+		ln.dec = c.intern(&buf)
 	}
 	ln.gen, ln.epoch = gen, c.flushEpoch
 	return nil
+}
+
+// intern returns the line in c.Lines that holds data, adding it if there
+// is none.
+func (c *Core) intern(data *[cacheLineSize]byte) *decodedLine {
+	if d := c.Lines[string(data[:])]; d != nil {
+		return d
+	}
+	if c.Lines == nil {
+		c.Lines = make(Lines)
+	} else if len(c.Lines) >= maxLines {
+		clear(c.Lines)
+	}
+	d := &decodedLine{data: string(data[:])}
+	c.Lines[d.data] = d
+	return d
 }
 
 // retireDecoded clears the live bits of the decoded instructions that
@@ -185,7 +233,7 @@ func (c *Core) retireDecoded(ln *cacheLine, lineNum uint64) {
 	ln.liveMask = 0
 	for s := ln.straddlers; s != 0; s &= s - 1 {
 		prev, off := c.line(lineNum-1), uint8(straddleBase+bits.TrailingZeros16(s))
-		if i := prev.decodedAt(off); i >= 0 && straddles(off, prev.insts[i].Len) {
+		if inst, ok := prev.live(off); ok && straddles(off, inst.Len) {
 			prev.liveMask &^= 1 << off
 		}
 	}
@@ -216,10 +264,8 @@ func (c *Core) invalidate(addr, last uint64) {
 // with every decoded instruction and superblock whose code covers it.
 func (c *Core) invalidateLine(ln *cacheLine, lineNum uint64) {
 	ln.epoch = 0
-	if n := len(ln.insts); n > 0 {
-		c.DecodeStats.Invalidations += uint64(n)
-		ln.insts, ln.decodedMask, ln.liveMask = ln.insts[:0], 0, 0
-	}
+	c.DecodeStats.Invalidations += uint64(bits.OnesCount64(ln.decodedMask))
+	ln.decodedMask, ln.liveMask = 0, 0
 	for s := ln.straddlers; s != 0; s &= s - 1 {
 		if c.line(lineNum - 1).dropDecoded(uint8(straddleBase + bits.TrailingZeros16(s))) {
 			c.DecodeStats.Invalidations++
@@ -263,10 +309,10 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 		return Inst{}, false
 	}
 	off := uint8(rip % cacheLineSize)
-	if ln.liveMask&(1<<off) == 0 {
+	inst, ok := ln.live(off)
+	if !ok {
 		return Inst{}, false
 	}
-	inst := ln.insts[ln.decodedAt(off)]
 	staleAny := false
 	if !c.revalidate(ln, lineNum, ln.gen, &staleAny) {
 		return Inst{}, false
@@ -283,9 +329,9 @@ func (c *Core) lookupDecoded(rip uint64) (Inst, bool) {
 		// Every covered slot holds the generation the instruction was
 		// decoded from, so it holds the bytes it was decoded from.
 		var buf [MaxInstLen]byte
-		n := copy(buf[:inst.Len], ln.data[off:])
+		n := copy(buf[:inst.Len], ln.dec.data[off:])
 		if next != nil {
-			copy(buf[n:inst.Len], next.data[:])
+			copy(buf[n:inst.Len], next.dec.data)
 		}
 		c.noteStaleness(buf[:inst.Len], true)
 	}

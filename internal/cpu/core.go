@@ -210,6 +210,11 @@ type Core struct {
 	Trace *TraceHash
 	TID   int
 
+	// Lines is the table of decoded lines the core's slots share by
+	// content (see codecache.go). A kernel gives its one table to every
+	// core it creates; a core without one makes its own at its first fill.
+	Lines Lines
+
 	// pages is the code cache (see codecache.go): line slots by page
 	// number. lastPN/lastPage remember the page the last fetch, decode
 	// or dispatch found; storePN/storePage the page the last store
@@ -268,7 +273,7 @@ func (c *Core) fetchByte(addr uint64) (byte, error) {
 			return 0, err
 		}
 	}
-	return ln.data[addr%cacheLineSize], nil
+	return ln.dec.data[addr%cacheLineSize], nil
 }
 
 // fetchInst fetches and decodes the instruction at RIP, honouring the

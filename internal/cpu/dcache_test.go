@@ -98,11 +98,12 @@ func TestFlushEpoch(t *testing.T) {
 	if n := len(c.SnapshotState().ICache); n != 1 {
 		t.Fatalf("snapshot holds %d lines, want 1", n)
 	}
-	// Every core allocates one slot per line it touches. 184 bytes
-	// lands in Go's 192-byte allocation size class, one word below its
-	// limit: two more words move every slot of every core up a class.
-	if n := unsafe.Sizeof(cacheLine{}); n != 184 {
-		t.Fatalf("cacheLine is %d bytes, want 184", n)
+	// Every core allocates one slot per line it touches; the bytes and
+	// the decoded instructions live in a line shared by content. 104
+	// bytes lands in Go's 112-byte allocation size class: two more words
+	// move every slot of every core up a class.
+	if n := unsafe.Sizeof(cacheLine{}); n != 104 {
+		t.Fatalf("cacheLine is %d bytes, want 104", n)
 	}
 }
 
@@ -538,6 +539,9 @@ func TestCodeRewriteLoopPinned(t *testing.T) {
 	s := runQuanta(t, c, 1000, 1000)
 	if s.Kind != StopHalt || s.Site != 0x105e || c.Ctx.R[RBX] != iters*(iters+1)/2 {
 		t.Fatalf("stop %+v, RBX %d; want halt at 0x105e, RBX %d", s, c.Ctx.R[RBX], iters*(iters+1)/2)
+	}
+	if len(c.Lines) > maxLines {
+		t.Errorf("line table holds %d lines, want at most %d", len(c.Lines), maxLines)
 	}
 	if h != 0x3391f3bf75c23d8e || c.Insts != 35004 {
 		t.Errorf("trace hash %#x after %d instructions, want 0x3391f3bf75c23d8e after 35004", uint64(h), c.Insts)

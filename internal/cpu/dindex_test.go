@@ -71,7 +71,10 @@ func TestDecodedIndexProperty(t *testing.T) {
 // Each core must hit exactly its own instructions.
 func TestDecodedIndexPropertyTwoCores(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		decodedIndexProperty(t, seed, []*Core{buildCore(t, nil), buildCore(t, nil)})
+		cores := []*Core{buildCore(t, nil), buildCore(t, nil)}
+		cores[0].Lines = make(Lines)
+		cores[1].Lines = cores[0].Lines
+		decodedIndexProperty(t, seed, cores)
 	}
 }
 
@@ -232,21 +235,22 @@ func checkLookups(t *testing.T, c *Core, lineNum uint64, ref *refLine, slotGen [
 	return hits
 }
 
-// checkDecodedIndex compares one line's index against its oracle.
+// checkDecodedIndex compares one line's present and live masks against
+// its oracle, and each live entry, read through the shared line.
 func checkDecodedIndex(t *testing.T, ln *cacheLine, ref *refLine, seed int64, step int, op string) {
 	t.Helper()
-	if len(ln.insts) != len(ref.entries) || bits.OnesCount64(ln.decodedMask) != len(ln.insts) {
-		t.Fatalf("seed %d step %d (%s): %d entries, mask has %d bits, oracle %d",
-			seed, step, op, len(ln.insts), bits.OnesCount64(ln.decodedMask), len(ref.entries))
+	if bits.OnesCount64(ln.decodedMask) != len(ref.entries) || ln.liveMask&^ln.decodedMask != 0 {
+		t.Fatalf("seed %d step %d (%s): present mask %#x, live mask %#x, oracle %d entries",
+			seed, step, op, ln.decodedMask, ln.liveMask, len(ref.entries))
 	}
 	for off := uint8(0); off < cacheLineSize; off++ {
-		i, j := ln.decodedAt(off), ref.find(off)
-		if (i < 0) != (j < 0) {
-			t.Fatalf("seed %d step %d (%s): offset %d: index %d, oracle %d", seed, step, op, off, i, j)
+		present, j := ln.decodedMask&(1<<off) != 0, ref.find(off)
+		if present != (j >= 0) {
+			t.Fatalf("seed %d step %d (%s): offset %d: present %v, oracle %d", seed, step, op, off, present, j)
 		}
-		if i >= 0 && ln.insts[i].Imm != ref.entries[j].tag {
-			t.Fatalf("seed %d step %d (%s): offset %d: entry at %d has tag %d, oracle tag %d",
-				seed, step, op, off, i, ln.insts[i].Imm, ref.entries[j].tag)
+		if inst, ok := ln.live(off); ok && inst.Imm != ref.entries[j].tag {
+			t.Fatalf("seed %d step %d (%s): offset %d: live entry has tag %d, oracle tag %d",
+				seed, step, op, off, inst.Imm, ref.entries[j].tag)
 		}
 	}
 }

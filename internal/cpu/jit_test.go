@@ -77,7 +77,7 @@ func icacheEqual(t *testing.T, name string, on, off *Core) {
 			t.Errorf("%s: line %#x generations differ: %d vs %d",
 				name, l, lnOn.gen, lnOff.gen)
 		}
-		if lnOn.data != lnOff.data {
+		if lnOn.dec.data != lnOff.dec.data {
 			t.Errorf("%s: line %#x bytes differ", name, l)
 		}
 	}

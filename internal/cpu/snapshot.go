@@ -69,8 +69,9 @@ func (c *Core) SnapshotState() CoreState {
 	for pn, pg := range c.pages {
 		for i, ln := range pg.lines {
 			if ln != nil && ln.epoch == c.flushEpoch {
-				base := (pn*linesPerPage + uint64(i)) * cacheLineSize
-				s.ICache = append(s.ICache, ICacheLine{Base: base, Gen: ln.gen, Data: ln.data})
+				line := ICacheLine{Base: (pn*linesPerPage + uint64(i)) * cacheLineSize, Gen: ln.gen}
+				copy(line.Data[:], ln.dec.data)
+				s.ICache = append(s.ICache, line)
 			}
 		}
 	}
@@ -105,7 +106,7 @@ func (c *Core) RestoreState(s CoreState) {
 	c.resetCodeCache()
 	for _, line := range s.ICache {
 		ln := c.slot(line.Base / cacheLineSize)
-		ln.data, ln.gen, ln.epoch = line.Data, line.Gen, c.flushEpoch
+		ln.dec, ln.gen, ln.epoch = c.intern(&line.Data), line.Gen, c.flushEpoch
 	}
 	c.jitSeq++
 }

@@ -503,6 +503,10 @@ type Kernel struct {
 	// instruction into it: the machine's trace in scheduling order.
 	Trace *cpu.TraceHash
 
+	// lines is the decoded-line table every core this kernel creates
+	// shares (cpu.Lines).
+	lines cpu.Lines
+
 	// Exec is the execve image-replacement hook (set by internal/loader).
 	Exec ExecHandler
 
@@ -601,6 +605,7 @@ func New(opts ...Option) *Kernel {
 		Quantum: 50,
 		procs:   make(map[int]*Process),
 		nextPID: 1,
+		lines:   make(cpu.Lines),
 		net:     newNetStack(),
 	}
 	for _, opt := range opts {
@@ -652,6 +657,7 @@ func (k *Kernel) NewThread(p *Process, ctx cpu.Context) *Thread {
 	t.Core.DecodeCacheOff = k.DecodeCacheOff
 	t.Core.JITOff = k.JITOff
 	t.Core.Trace, t.Core.TID = k.Trace, t.TID
+	t.Core.Lines = k.lines
 	p.nextTID++
 	t.Core.Ctx = ctx
 	p.Threads = append(p.Threads, t)
@@ -741,6 +747,7 @@ func (t *Thread) Rebind() {
 	t.Core.DecodeStats = old.DecodeStats
 	t.Core.JITStats = old.JITStats
 	t.Core.Trace, t.Core.TID = old.Trace, old.TID
+	t.Core.Lines = old.Lines
 }
 
 type vvarReg struct {

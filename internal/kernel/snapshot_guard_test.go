@@ -36,6 +36,7 @@ var guardExempt = map[string]map[string]string{
 		"chaos":          "pointer: guarded as chaosState",
 		"StopAtSeq":      "run control set by the caller",
 		"stopHit":        "run control, cleared by Restore",
+		"lines":          "decoded-line cache keyed by line bytes, a pure function of them",
 	},
 	"Process": {
 		"AS":          "pointer: contents captured as a mem.ASState and hashed through it",
@@ -58,6 +59,7 @@ var guardExempt = map[string]map[string]string{
 		"JITStats":       "checkpointed but not hashed, so jit and interp runs hash alike",
 		"Trace":          "host observer: the recorder saves and restores the trace hash",
 		"TID":            "copy of Thread.TID, set when the core is made",
+		"Lines":          "decoded-line cache keyed by line bytes, a pure function of them",
 		"pages":          "code cache: its resident I-cache lines are captured as CoreState.ICache",
 		"lastPN":         "code cache lookup memo, restarted cold",
 		"lastPage":       "code cache lookup memo, restarted cold",
