@@ -13,13 +13,12 @@ import (
 // decodes in, counts an anchor in or forms a block over that page, so
 // the cache grows only with the code the core touches. Each line slot
 // carries everything the core knows about its 64 bytes: the resident
-// bytes and the decoded instructions that start there (both held in a
-// line shared by content, see decodedLine), which of those this core
-// decoded, the superblocks entered there and the superblocks that cover
-// it from an earlier line. A fetch, a decode-cache hit and a block
-// dispatch are therefore a page compare, an array index and a bit count
-// or a short scan, and a store to a page that never held code stops
-// after one page check.
+// bytes and decoded instructions (in a line shared by content), the
+// superblocks entered there and the superblocks that cover it from an
+// earlier line. A fetch, a decode-cache hit and a block dispatch are
+// therefore a page compare, an array index and a bit count or a short
+// scan, and a store to a page that never held code stops after one page
+// check.
 
 // cacheLineSize is the I-cache line size in bytes.
 const cacheLineSize = 64
@@ -31,32 +30,28 @@ const linesPerPage = mem.PageSize / cacheLineSize
 // still run into the next line (MaxInstLen < cacheLineSize).
 const straddleBase = cacheLineSize - MaxInstLen
 
-// maxLines bounds a Lines table: a guest that keeps writing new code
-// would otherwise grow it without limit. A full table is emptied; the
-// slots keep the lines they point at, so a result never changes.
+// maxLines bounds a Lines table: a full one is emptied, and the slots
+// keep the lines they point at, so no result changes.
 const maxLines = 4096
 
 // noPage is a page number no address has; it empties the store-side
 // page memo.
 const noPage = ^uint64(0)
 
-// decodedLine is the content of a line: its bytes and the instructions
-// decoded from them that start in it, sorted by offset, with bit off of
-// mask set when one at offset off is present (its index is the number
-// of set bits below it). An instruction that ends inside the line is a
-// function of these bytes, so every core whose slot holds them can
-// share one decodedLine. A straddler also depends on the next line's
-// bytes: a slot that must replace one takes a private copy (putDecoded),
-// so a shared entry, once added, never changes.
+// decodedLine is a line's bytes and the instructions decoded from them
+// that start in it, sorted by offset; mask has bit off set when one at
+// offset off is present, so its index is the number of set bits below
+// it. Every core whose slot holds these bytes shares it. An entry, once
+// added, never changes: a straddler also depends on the next line's
+// bytes, and a slot that must replace one takes a private copy.
 type decodedLine struct {
 	data  string
 	mask  uint64
 	insts []Inst
 }
 
-// Lines is a table of decoded lines keyed by their bytes, each key the
-// line's own data string. A kernel makes one and gives it to every core
-// it creates; it is driven by the kernel's one goroutine.
+// Lines is a table of decoded lines keyed by their own data strings; a
+// kernel gives its one table to every core it creates.
 type Lines map[string]*decodedLine
 
 // codePage holds the line slots of one page. A slot is created on
@@ -113,9 +108,7 @@ func (ln *cacheLine) putDecoded(off uint8, inst Inst) {
 	if d.mask&bit == 0 {
 		d.insts = slices.Insert(d.insts, i, inst)
 		d.mask |= bit
-	} else if d.insts[i] != inst {
-		// A straddler decoded over other next-line bytes than the
-		// entry's: other cores may read that entry, so change a copy.
+	} else if d.insts[i] != inst { // a straddler over other next-line bytes
 		ln.dec = &decodedLine{data: d.data, mask: d.mask, insts: slices.Clone(d.insts)}
 		ln.dec.insts[i] = inst
 	}
@@ -191,8 +184,7 @@ func (c *Core) resident(lineNum uint64) *cacheLine {
 
 // fill reads line lineNum from memory into slot ln and makes it
 // resident. A fetch fault leaves the slot as it was. Only a new
-// generation (a mapped page's is never 0, a new slot's is) can bring new
-// bytes, so only then does the slot take the line holding them.
+// generation (never 0 on a mapped page) can bring new bytes.
 func (c *Core) fill(ln *cacheLine, lineNum uint64) error {
 	var buf [cacheLineSize]byte
 	gen, err := c.AS.FetchLine(lineNum*cacheLineSize, buf[:])

@@ -210,9 +210,8 @@ type Core struct {
 	Trace *TraceHash
 	TID   int
 
-	// Lines is the table of decoded lines the core's slots share by
-	// content (see codecache.go). A kernel gives its one table to every
-	// core it creates; a core without one makes its own at its first fill.
+	// Lines is the table of decoded lines the core's slots share (see
+	// codecache.go); a core without one makes its own at its first fill.
 	Lines Lines
 
 	// pages is the code cache (see codecache.go): line slots by page

@@ -503,8 +503,7 @@ type Kernel struct {
 	// instruction into it: the machine's trace in scheduling order.
 	Trace *cpu.TraceHash
 
-	// lines is the decoded-line table every core this kernel creates
-	// shares (cpu.Lines).
+	// lines is the decoded-line table shared by every core it creates.
 	lines cpu.Lines
 
 	// Exec is the execve image-replacement hook (set by internal/loader).
@@ -656,8 +655,7 @@ func (k *Kernel) NewThread(p *Process, ctx cpu.Context) *Thread {
 	}
 	t.Core.DecodeCacheOff = k.DecodeCacheOff
 	t.Core.JITOff = k.JITOff
-	t.Core.Trace, t.Core.TID = k.Trace, t.TID
-	t.Core.Lines = k.lines
+	t.Core.Trace, t.Core.TID, t.Core.Lines = k.Trace, t.TID, k.lines
 	p.nextTID++
 	t.Core.Ctx = ctx
 	p.Threads = append(p.Threads, t)
@@ -746,8 +744,7 @@ func (t *Thread) Rebind() {
 	t.Core.JITOff = old.JITOff
 	t.Core.DecodeStats = old.DecodeStats
 	t.Core.JITStats = old.JITStats
-	t.Core.Trace, t.Core.TID = old.Trace, old.TID
-	t.Core.Lines = old.Lines
+	t.Core.Trace, t.Core.TID, t.Core.Lines = old.Trace, old.TID, old.Lines
 }
 
 type vvarReg struct {
