@@ -512,8 +512,9 @@ func TestNoteHotReset(t *testing.T) {
 
 // TestCodeRewriteLoopPinned: a loop that stores a new immediate into one
 // of its own code lines at every iteration, then executes it, so the
-// line holds 5,000 distinct contents over the run. The exit, the trace
-// hash and the decode-cache counters are pinned.
+// line holds 5,000 distinct contents over the run, more than a line
+// table holds. The exit, the trace hash and the decode-cache counters
+// are pinned, and the table must stay within its bound.
 func TestCodeRewriteLoopPinned(t *testing.T) {
 	const iters = 5000
 	head := asm(
