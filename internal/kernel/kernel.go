@@ -503,7 +503,7 @@ type Kernel struct {
 	// instruction into it: the machine's trace in scheduling order.
 	Trace *cpu.TraceHash
 
-	// lines is the decoded-line table shared by every core it creates.
+	// lines is the decoded-line table this kernel's cores share.
 	lines cpu.Lines
 
 	// Exec is the execve image-replacement hook (set by internal/loader).
