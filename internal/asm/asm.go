@@ -201,20 +201,8 @@ func (s *SectionBuilder) Sysenter() *SectionBuilder {
 // Cpuid emits the serializing CPUID instruction.
 func (s *SectionBuilder) Cpuid() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpCpuid}) }
 
-// Mfence emits the serializing MFENCE instruction.
-func (s *SectionBuilder) Mfence() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpMfence}) }
-
-// Ud2 emits the undefined instruction.
-func (s *SectionBuilder) Ud2() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpUd2}) }
-
-// Rdtsc emits RDTSC.
-func (s *SectionBuilder) Rdtsc() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpRdtsc}) }
-
 // Wrpkru emits WRPKRU (PKRU <- RAX).
 func (s *SectionBuilder) Wrpkru() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpWrpkru}) }
-
-// Rdpkru emits RDPKRU (RAX <- PKRU).
-func (s *SectionBuilder) Rdpkru() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpRdpkru}) }
 
 // Rdfsbase emits RDFSBASE reg (reg <- TLS base).
 func (s *SectionBuilder) Rdfsbase(r cpu.Reg) *SectionBuilder {
@@ -230,12 +218,6 @@ func (s *SectionBuilder) Wrfsbase(r cpu.Reg) *SectionBuilder {
 func (s *SectionBuilder) Hostcall(id int32) *SectionBuilder {
 	return s.inst(cpu.Inst{Op: cpu.OpHostcall, Imm: int64(id)})
 }
-
-// Hlt emits HLT.
-func (s *SectionBuilder) Hlt() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpHlt}) }
-
-// Int3 emits INT3.
-func (s *SectionBuilder) Int3() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpInt3}) }
 
 // Ret emits RET.
 func (s *SectionBuilder) Ret() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpRet}) }
@@ -288,11 +270,6 @@ func (s *SectionBuilder) And(dst, src cpu.Reg) *SectionBuilder {
 	return s.inst(cpu.Inst{Op: cpu.OpAnd, A: dst, B: src})
 }
 
-// Or emits dst |= src.
-func (s *SectionBuilder) Or(dst, src cpu.Reg) *SectionBuilder {
-	return s.inst(cpu.Inst{Op: cpu.OpOr, A: dst, B: src})
-}
-
 // Mul emits dst *= src.
 func (s *SectionBuilder) Mul(dst, src cpu.Reg) *SectionBuilder {
 	return s.inst(cpu.Inst{Op: cpu.OpMul, A: dst, B: src})
@@ -301,21 +278,6 @@ func (s *SectionBuilder) Mul(dst, src cpu.Reg) *SectionBuilder {
 // AddImm emits reg += imm.
 func (s *SectionBuilder) AddImm(r cpu.Reg, imm int32) *SectionBuilder {
 	return s.inst(cpu.Inst{Op: cpu.OpAddImm, A: r, Imm: int64(imm)})
-}
-
-// Shl emits reg <<= imm.
-func (s *SectionBuilder) Shl(r cpu.Reg, imm uint8) *SectionBuilder {
-	return s.inst(cpu.Inst{Op: cpu.OpShl, A: r, Imm: int64(imm)})
-}
-
-// Shr emits reg >>= imm.
-func (s *SectionBuilder) Shr(r cpu.Reg, imm uint8) *SectionBuilder {
-	return s.inst(cpu.Inst{Op: cpu.OpShr, A: r, Imm: int64(imm)})
-}
-
-// Cmp emits flags <- a - b.
-func (s *SectionBuilder) Cmp(a, b cpu.Reg) *SectionBuilder {
-	return s.inst(cpu.Inst{Op: cpu.OpCmp, A: a, B: b})
 }
 
 // CmpImm emits flags <- reg - imm.
@@ -346,13 +308,6 @@ func (s *SectionBuilder) Store(base cpu.Reg, disp int32, src cpu.Reg) *SectionBu
 // StoreB emits mem8[base+disp] <- low byte of src.
 func (s *SectionBuilder) StoreB(base cpu.Reg, disp int32, src cpu.Reg) *SectionBuilder {
 	return s.inst(cpu.Inst{Op: cpu.OpStoreB, A: base, B: src, Imm: int64(disp)})
-}
-
-// StoreW emits mem16[base+disp] <- low 16 bits of src, atomically. This
-// is the single-store rewrite primitive that a correct self-modifying
-// rewriter uses (and lazypoline, per pitfall P5, does not).
-func (s *SectionBuilder) StoreW(base cpu.Reg, disp int32, src cpu.Reg) *SectionBuilder {
-	return s.inst(cpu.Inst{Op: cpu.OpStoreW, A: base, B: src, Imm: int64(disp)})
 }
 
 // Push emits a register push.
@@ -392,25 +347,17 @@ func (s *SectionBuilder) Call(label string) *SectionBuilder { return s.branch(cp
 // Jmp emits an unconditional jump to a same-section label.
 func (s *SectionBuilder) Jmp(label string) *SectionBuilder { return s.branch(cpu.OpJmp, label) }
 
-// Jz, Jnz, Jl, Jge, Jle, Jg emit conditional jumps to same-section labels.
+// Jz, Jnz, Jl, Jle emit conditional jumps to same-section labels.
 func (s *SectionBuilder) Jz(label string) *SectionBuilder  { return s.branch(cpu.OpJz, label) }
 func (s *SectionBuilder) Jnz(label string) *SectionBuilder { return s.branch(cpu.OpJnz, label) }
 func (s *SectionBuilder) Jl(label string) *SectionBuilder  { return s.branch(cpu.OpJl, label) }
-func (s *SectionBuilder) Jge(label string) *SectionBuilder { return s.branch(cpu.OpJge, label) }
 func (s *SectionBuilder) Jle(label string) *SectionBuilder { return s.branch(cpu.OpJle, label) }
-func (s *SectionBuilder) Jg(label string) *SectionBuilder  { return s.branch(cpu.OpJg, label) }
 
 // CallSym emits the PLT-like cross-image call sequence: R12 <- &symbol
 // (load-time relocation), CALL *%r12.
 func (s *SectionBuilder) CallSym(symbol string) *SectionBuilder {
 	s.MovImmSym(cpu.R12, symbol)
 	return s.CallReg(cpu.R12)
-}
-
-// JmpSym emits the tail-call analogue of CallSym.
-func (s *SectionBuilder) JmpSym(symbol string) *SectionBuilder {
-	s.MovImmSym(cpu.R12, symbol)
-	return s.JmpReg(cpu.R12)
 }
 
 // Build assembles the image: sections are laid out page-aligned in
