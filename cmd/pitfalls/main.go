@@ -23,30 +23,25 @@ import (
 	"k23/internal/pitfalls"
 )
 
-// explainPoC reruns one PoC under spec with a flight recorder installed
-// on every world it builds, and prints the trace excerpt around the
-// triggering event of the last world that recorded one.
+// explainPoC reruns one PoC under spec with a flight recorder attached
+// to every world it builds at the runner's attach point, and prints the
+// trace excerpt around the triggering event of the last world that
+// recorded one.
 func explainPoC(poc pitfalls.PoC, spec variants.Spec) {
-	var observers []*obsv.Observer
-	opt := kernel.Option(func(k *kernel.Kernel) {
-		o := obsv.New(obsv.Options{Trace: true, RingSize: 1024})
-		o.Install(k)
-		observers = append(observers, o)
-	})
-	handled, detail, err := poc.Run(spec, opt)
+	c, err := poc.Observe(spec, func(int) obsv.Options { return obsv.Options{Trace: true, RingSize: 1024} })
 	if err != nil {
 		fmt.Printf("  %-18s ERROR: %v\n", spec.Name, err)
 		return
 	}
 	mark := "not handled"
-	if handled {
+	if c.Handled {
 		mark = "HANDLED"
 	}
-	fmt.Printf("  %-18s %-12s %s\n", spec.Name, mark, detail)
+	fmt.Printf("  %-18s %-12s %s\n", spec.Name, mark, c.Detail)
 	// Prefer the last world whose recorder caught a fault-class event
 	// (signal, SIGSYS, process death) — that is where the PoC fired.
 	var best []obsv.Record
-	for _, o := range observers {
+	for _, o := range c.Observers {
 		recs := o.Snapshot().Trace
 		ex := obsv.Excerpt(recs, 3)
 		if len(ex) == 0 {

@@ -104,11 +104,8 @@ func main() {
 		stack.inbox = append(stack.inbox, []byte(fmt.Sprintf("GET /req%d HTTP/1.1", i)))
 	}
 	k23 := core.New(interpose.Config{Hook: stack.handle}, logPath)
-	p, err := k23.Launch(w, apps.NginxPath, []string{"nginx", "0"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, apps.NginxPath, []string{"nginx", "0"}, 0, 2_000_000_000)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.K.RunUntilExit(p, 2_000_000_000); err != nil {
 		log.Fatal(err)
 	}
 

@@ -45,11 +45,8 @@ func main() {
 		StackSwitch:   true,
 	}
 	k23 := core.New(cfg, logPath)
-	p, err := k23.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, apps.LsPath, []string{"ls", "/data"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		log.Fatal(err)
 	}
 

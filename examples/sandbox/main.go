@@ -104,11 +104,8 @@ func runCase(label, mode string) {
 	}
 
 	k23 := core.New(interpose.Config{Hook: policy, NullExecCheck: true, StackSwitch: true}, logPath)
-	p, err := k23.Launch(w, "/sandbox/untrusted", []string{"untrusted", mode}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, "/sandbox/untrusted", []string{"untrusted", mode}, 0, 200_000_000)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.K.RunUntilExit(p, 200_000_000); err != nil {
 		log.Fatal(err)
 	}
 

@@ -99,11 +99,7 @@ func traceUnder(name string) observation {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := l.Launch(w, "/trace/target", []string{"target"}, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.K.RunUntilExit(p, 500_000_000); err != nil {
+	if _, err := machine.Exec(context.Background(), w, l, "/trace/target", []string{"target"}, 0, 500_000_000); err != nil {
 		log.Fatal(err)
 	}
 	return obs

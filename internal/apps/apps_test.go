@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"k23/internal/core"
 	"k23/internal/interpose"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 )
 
 // newAppWorld builds a world with all workloads registered.
@@ -52,7 +54,7 @@ func offlineSites(t *testing.T, path string, argv []string, server bool, request
 	if server {
 		driveServer(t, w, run.Process(), requests)
 	}
-	if err := w.Run(run.Process()); err != nil {
+	if err := w.K.RunUntilExit(run.Process(), machine.DefaultMaxInsts); err != nil {
 		t.Fatalf("offline run %s: %v (stderr %q)", path, err, run.Process().Stderr)
 	}
 	n, err := run.Finish()
@@ -107,11 +109,8 @@ func TestCoreutilsRunNatively(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.argv[0], func(t *testing.T) {
 			w := newAppWorld(t)
-			p, err := w.L.Spawn(tc.path, tc.argv, nil)
+			p, err := machine.Exec(context.Background(), w, interpose.Native{}, tc.path, tc.argv, 0, machine.DefaultMaxInsts)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Run(p); err != nil {
 				t.Fatal(err)
 			}
 			if p.Exit.Code != 0 || p.Exit.Signal != 0 {
@@ -123,11 +122,8 @@ func TestCoreutilsRunNatively(t *testing.T) {
 
 func TestCatCopiesFile(t *testing.T) {
 	w := newAppWorld(t)
-	p, err := w.L.Spawn(apps.CatPath, []string{"cat", "/data/notes.txt"}, nil)
+	p, err := machine.Exec(context.Background(), w, interpose.Native{}, apps.CatPath, []string{"cat", "/data/notes.txt"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := w.K.FS.ReadFile("/data/notes.txt")
@@ -138,11 +134,8 @@ func TestCatCopiesFile(t *testing.T) {
 
 func TestTouchCreatesFile(t *testing.T) {
 	w := newAppWorld(t)
-	p, err := w.L.Spawn(apps.TouchPath, []string{"touch", "/data/created.txt"}, nil)
+	_, err := machine.Exec(context.Background(), w, interpose.Native{}, apps.TouchPath, []string{"touch", "/data/created.txt"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if !w.K.FS.Exists("/data/created.txt") {
@@ -169,7 +162,7 @@ func TestHTTPServerServesRequests(t *testing.T) {
 					break
 				}
 			}
-			if err := w.Run(p); err != nil {
+			if err := w.K.RunUntilExit(p, machine.DefaultMaxInsts); err != nil {
 				t.Fatal(err)
 			}
 			if p.Exit.Code != 5 {
@@ -210,7 +203,7 @@ func TestRedisModes(t *testing.T) {
 				break
 			}
 		}
-		if err := w.Run(p); err != nil {
+		if err := w.K.RunUntilExit(p, machine.DefaultMaxInsts); err != nil {
 			t.Fatal(err)
 		}
 		if p.Exit.Code != 7 {
@@ -219,11 +212,8 @@ func TestRedisModes(t *testing.T) {
 	})
 	t.Run("main", func(t *testing.T) {
 		w := newAppWorld(t)
-		p, err := w.L.Spawn(apps.RedisPath, []string{"redis-server", "main"}, nil)
+		p, err := machine.Exec(context.Background(), w, interpose.Native{}, apps.RedisPath, []string{"redis-server", "main"}, 0, machine.DefaultMaxInsts)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Run(p); err != nil {
 			t.Fatal(err)
 		}
 		if p.Exit.Code != 0 {
@@ -234,11 +224,8 @@ func TestRedisModes(t *testing.T) {
 
 func TestSqliteWritesWAL(t *testing.T) {
 	w := newAppWorld(t)
-	p, err := w.L.Spawn(apps.SqlitePath, []string{"sqlite3"}, nil)
+	p, err := machine.Exec(context.Background(), w, interpose.Native{}, apps.SqlitePath, []string{"sqlite3"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 0 {

@@ -47,7 +47,7 @@ func AuditApp(spec variants.Spec, path string, argv []string) (*audit.Snapshot, 
 	}
 	o := obsv.New(obsv.Options{Audit: true})
 	o.Install(w.K)
-	if _, err := launchRun(w, l, path, argv, 0); err != nil {
+	if _, err := runToExit(w, l, path, argv, 0); err != nil {
 		return nil, err
 	}
 	return o.Snapshot().Audit, nil

@@ -62,7 +62,7 @@ func MeasureEngineMacro(requests int, m difftest.Mode) (EngineRun, error) {
 
 func measureEngine(w *interpose.World, m difftest.Mode, name, path string, argv []string, requests int) (EngineRun, error) {
 	start := time.Now()
-	if _, err := launchRun(w, interpose.Native{}, path, argv, requests); err != nil {
+	if _, err := runToExit(w, interpose.Native{}, path, argv, requests); err != nil {
 		return EngineRun{}, err
 	}
 	return EngineRun{

@@ -130,7 +130,7 @@ func Figure4() (string, error) {
 	}
 	spec, _ := variants.ByName("k23-ultra+")
 	k23 := spec.New(interpose.Config{}, logPath).(*core.K23)
-	p, err := launchRun(w, k23, apps.LsPath, []string{"ls", "/data"}, 0)
+	p, err := runToExit(w, k23, apps.LsPath, []string{"ls", "/data"}, 0)
 	if err != nil {
 		return "", err
 	}
@@ -156,7 +156,7 @@ func ClaimStartup() (string, error) {
 		return "", err
 	}
 	k23 := core.New(interpose.Config{}, "")
-	p, err := launchRun(w, k23, apps.LsPath, []string{"ls", "/data"}, 0)
+	p, err := runToExit(w, k23, apps.LsPath, []string{"ls", "/data"}, 0)
 	if err != nil {
 		return "", err
 	}
@@ -178,7 +178,7 @@ func ClaimP4b() (string, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := launchRun(w, l, apps.LsPath, []string{"ls", "/data"}, 0)
+		p, err := runToExit(w, l, apps.LsPath, []string{"ls", "/data"}, 0)
 		if err != nil {
 			return nil, err
 		}

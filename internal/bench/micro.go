@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"sync"
 
-	"k23/internal/apps"
 	"k23/internal/asm"
 	"k23/internal/cpu"
 	"k23/internal/image"
@@ -114,32 +113,20 @@ func runMicroOnce(w *interpose.World, l interpose.Launcher, n int) (uint64, erro
 // runBudget bounds every run the harness drives itself.
 const runBudget = 3_000_000_000
 
-// launchRun launches path under l in w; when requests > 0 it drives the
-// server's keepalive connection of requests all-zero requests through
-// machine.Listen. It then runs the process to exit under runBudget,
-// rejects a signal death and returns the process.
-func launchRun(w *interpose.World, l interpose.Launcher, path string, argv []string, requests int) (*kernel.Process, error) {
-	p, err := l.Launch(w, path, argv, nil)
-	if err != nil {
-		return nil, err
+// runToExit runs path under l in w to exit through machine.Exec under
+// runBudget and rejects a signal death: every number the harness reports
+// comes from a completed run.
+func runToExit(w *interpose.World, l interpose.Launcher, path string, argv []string, requests int) (*kernel.Process, error) {
+	p, err := machine.Exec(context.Background(), w, l, path, argv, requests, runBudget)
+	if err == nil && p.Exit.Signal != 0 {
+		err = fmt.Errorf("bench: %s under %s died: %s", path, l.Name(), p.Exit)
 	}
-	if requests > 0 {
-		if err := machine.Listen(context.Background(), w.K, p, make([]byte, apps.RequestSize), requests); err != nil {
-			return nil, fmt.Errorf("bench: %s under %s: %w", path, l.Name(), err)
-		}
-	}
-	if err := w.K.RunUntilExit(p, runBudget); err != nil {
-		return nil, err
-	}
-	if p.Exit.Signal != 0 {
-		return nil, fmt.Errorf("bench: %s under %s died: %s", path, l.Name(), p.Exit)
-	}
-	return p, nil
+	return p, err
 }
 
-// runCycles is launchRun returning the process's total cycles.
+// runCycles is runToExit returning the process's total cycles.
 func runCycles(w *interpose.World, l interpose.Launcher, path string, argv []string, requests int) (uint64, error) {
-	p, err := launchRun(w, l, path, argv, requests)
+	p, err := runToExit(w, l, path, argv, requests)
 	if err != nil {
 		return 0, err
 	}
@@ -209,7 +196,7 @@ func Table5() ([]MicroRow, error) {
 // speed probe for the top-level BenchmarkSimulator.
 func SimulatorThroughput(spec variants.Spec) (uint64, error) {
 	w := MicroWorld()
-	if _, err := launchRun(w, spec.New(interpose.Config{}, ""), MicroPath, []string{"micro", "2000"}, 0); err != nil {
+	if _, err := runToExit(w, spec.New(interpose.Config{}, ""), MicroPath, []string{"micro", "2000"}, 0); err != nil {
 		return 0, err
 	}
 	return machine.Insts(w.K), nil

@@ -83,7 +83,7 @@ func obsOverheadOnce(spec variants.Spec, opts obsv.Options, installEmpty bool) (
 	}
 	before := machine.Insts(w.K)
 	start := time.Now()
-	if _, err := launchRun(w, l, MicroPath, []string{"micro", strconv.Itoa(obsOverheadIters)}, 0); err != nil {
+	if _, err := runToExit(w, l, MicroPath, []string{"micro", strconv.Itoa(obsOverheadIters)}, 0); err != nil {
 		return 0, 0, err
 	}
 	wall := time.Since(start)

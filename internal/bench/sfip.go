@@ -146,7 +146,7 @@ func sfipAppSnapshot(spec variants.Spec, wl appWorkload, oo obsv.Options) (*obsv
 	}
 	o := obsv.New(oo)
 	o.Install(w.K)
-	if _, err := launchRun(w, l, wl.path, wl.argv, wl.requests); err != nil {
+	if _, err := runToExit(w, l, wl.path, wl.argv, wl.requests); err != nil {
 		return nil, fmt.Errorf("bench: sfip %s: %w", wl.name, err)
 	}
 	return o.Snapshot(), nil

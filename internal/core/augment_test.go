@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/apps"
@@ -11,6 +12,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 // TestAugmentStaticWidensCoverage: a short dynamic profile of cat misses
@@ -30,7 +32,7 @@ func TestAugmentStaticWidensCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(run.Process()); err != nil {
+	if err := w.K.RunUntilExit(run.Process(), machine.DefaultMaxInsts); err != nil {
 		t.Fatal(err)
 	}
 	dynamic, err := run.Finish()
@@ -85,11 +87,8 @@ func TestAugmentStaticWidensCoverage(t *testing.T) {
 
 	// Reuse cat's log for a getuid-calling program: register one.
 	w.Reg.MustAdd(buildUIDProg())
-	p, err := k23.Launch(w, "/bin/uid", []string{"uid"}, nil)
+	_, err = machine.Exec(context.Background(), w, k23, "/bin/uid", []string{"uid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if uidMech != interpose.MechRewrite {

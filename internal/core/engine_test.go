@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/apps"
 	"k23/internal/core"
 	"k23/internal/interpose"
+	"k23/internal/machine"
 )
 
 // TestOfflineEnginesAgree: the seccomp-backed libLogger must produce the
@@ -23,7 +25,7 @@ func TestOfflineEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("engine %q: %v", engine, err)
 		}
-		if err := w.Run(run.Process()); err != nil {
+		if err := w.K.RunUntilExit(run.Process(), machine.DefaultMaxInsts); err != nil {
 			t.Fatalf("engine %q: %v", engine, err)
 		}
 		if _, err := run.Finish(); err != nil {
@@ -69,7 +71,7 @@ func TestSeccompEngineFeedsK23(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(run.Process()); err != nil {
+	if err := w.K.RunUntilExit(run.Process(), machine.DefaultMaxInsts); err != nil {
 		t.Fatal(err)
 	}
 	n, err := run.Finish()
@@ -81,11 +83,8 @@ func TestSeccompEngineFeedsK23(t *testing.T) {
 	}
 
 	k23 := core.New(interpose.Config{}, off.LogPath("cat"))
-	p, err := k23.Launch(w, apps.CatPath, []string{"cat", "/data/notes.txt"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, apps.CatPath, []string{"cat", "/data/notes.txt"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 0 || p.Exit.Signal != 0 {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 // buildApp builds a program calling getpid n times, then getuid once,
@@ -41,7 +43,7 @@ func runOffline(t *testing.T, w *interpose.World) (logPath string, n int) {
 	if err != nil {
 		t.Fatalf("offline start: %v", err)
 	}
-	if err := w.Run(run.Process()); err != nil {
+	if err := w.K.RunUntilExit(run.Process(), machine.DefaultMaxInsts); err != nil {
 		t.Fatalf("offline run: %v", err)
 	}
 	n, err = run.Finish()
@@ -123,11 +125,8 @@ func TestLogFormatRoundTrip(t *testing.T) {
 func launchOnline(t *testing.T, w *interpose.World, cfg interpose.Config, logPath string) (*core.K23, *kernel.Process) {
 	t.Helper()
 	k23 := core.New(cfg, logPath)
-	p, err := k23.Launch(w, "/bin/app", []string{"app"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, "/bin/app", []string{"app"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatalf("online launch: %v", err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatalf("online run: %v", err)
 	}
 	return k23, p
@@ -272,11 +271,10 @@ func TestK23P1bPrctlGuardAborts(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	k23 := core.New(interpose.Config{}, "")
-	p, err := k23.Launch(w, "/bin/p1b", []string{"p1b"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, "/bin/p1b", []string{"p1b"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w.Run(p)
 	if p.Exit.Signal == 0 {
 		t.Fatalf("exit = %+v; K23 must abort on SUD tampering (P1b)", p.Exit)
 	}
@@ -322,11 +320,8 @@ func TestK23P1aExecveReinjection(t *testing.T) {
 		},
 	}
 	k23 := core.New(cfg, logPath)
-	p, err := k23.Launch(w, "/bin/execer", []string{"execer"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, "/bin/execer", []string{"execer"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != p.PID&0xff {
@@ -360,11 +355,10 @@ func TestK23UltraAbortsNullCall(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	k23 := core.New(interpose.Config{NullExecCheck: true}, logPath)
-	p, err := k23.Launch(w, "/bin/nullcall", []string{"nullcall"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, "/bin/nullcall", []string{"nullcall"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w.Run(p)
 	if p.Exit.Signal == 0 {
 		t.Fatalf("exit = %+v; k23-ultra must abort NULL-pointer trampoline entries (P4a)", p.Exit)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 // TestFakeSyscallOriginCheck: the ptracer must refuse fake handoff
@@ -48,11 +50,8 @@ func TestFakeSyscallOriginCheck(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	k23 := core.New(interpose.Config{}, "")
-	p, err := k23.Launch(w, "/bin/evil", []string{"evil"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, "/bin/evil", []string{"evil"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 0 {
@@ -94,11 +93,8 @@ func TestTamperedLogIsRefused(t *testing.T) {
 	}
 
 	k23 := core.New(interpose.Config{}, "/var/k23/logs/app.log")
-	p, err := k23.Launch(w, "/bin/app", []string{"app"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, "/bin/app", []string{"app"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	// The program must be unharmed (rbx survived) and nothing rewritten.
@@ -149,7 +145,7 @@ func TestOfflineSkipsDynamicCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(run.Process()); err != nil {
+	if err := w.K.RunUntilExit(run.Process(), machine.DefaultMaxInsts); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := run.Finish(); err != nil {
@@ -187,7 +183,7 @@ func TestOfflineExcludesDynamicLinker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(run.Process()); err != nil {
+	if err := w.K.RunUntilExit(run.Process(), machine.DefaultMaxInsts); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range run.Entries() {

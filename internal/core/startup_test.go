@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/apps"
 	"k23/internal/core"
 	"k23/internal/interpose"
+	"k23/internal/machine"
 )
 
 // TestStartupSyscallCount reproduces the §6.1 claim: even a simple
@@ -19,11 +21,8 @@ func TestStartupSyscallCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	k23 := core.New(interpose.Config{}, "")
-	p, err := k23.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, apps.LsPath, []string{"ls", "/data"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 0 || p.Exit.Signal != 0 {

@@ -213,7 +213,7 @@ type Launcher interface {
 	// Name identifies the interposer variant, e.g. "zpoline-default".
 	Name() string
 	// Launch starts the program interposed. The returned process is not
-	// yet run; drive it with World.K.RunUntilExit or World.K.Run.
+	// yet run; machine.Exec launches and runs it to exit.
 	Launch(w *World, path string, argv, env []string) (*kernel.Process, error)
 	// Stats returns interposition statistics for a launched process.
 	Stats(p *kernel.Process) *Stats
@@ -237,11 +237,6 @@ func NewWorld(opts ...kernel.Option) *World {
 	reg.MustAdd(libc.Image())
 	l := loader.New(k, reg)
 	return &World{K: k, L: l, Reg: reg}
-}
-
-// Run drives the process to completion with a generous budget.
-func (w *World) Run(p *kernel.Process) error {
-	return w.K.RunUntilExit(p, 500_000_000)
 }
 
 // MustRegister adds an image to the registry, panicking on structural

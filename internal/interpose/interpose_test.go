@@ -1,6 +1,7 @@
 package interpose_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/asm"
@@ -9,6 +10,7 @@ import (
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 func TestMechanismString(t *testing.T) {
@@ -46,11 +48,8 @@ func TestNativeLauncher(t *testing.T) {
 	if n.Name() != "native" {
 		t.Fatal("name")
 	}
-	p, err := n.Launch(w, "/t/p", []string{"p"}, nil)
+	p, err := machine.Exec(context.Background(), w, n, "/t/p", []string{"p"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 5 {

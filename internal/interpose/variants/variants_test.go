@@ -125,11 +125,8 @@ func TestHookContract(t *testing.T) {
 						resolves = append(resolves, e)
 					}
 				})
-				p, err := l.Launch(w, "/bin/getpid2", []string{"getpid2"}, nil)
+				p, err := machine.Exec(context.Background(), w, l, "/bin/getpid2", []string{"getpid2"}, 0, machine.DefaultMaxInsts)
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Run(p); err != nil {
 					t.Fatal(err)
 				}
 				if want := h.want(p) & 0xff; p.Exit.Signal != 0 || p.Exit.Code != want {

@@ -1,6 +1,7 @@
 package lazypoline_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/asm"
@@ -10,6 +11,7 @@ import (
 	"k23/internal/kernel"
 	"k23/internal/lazypoline"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 func buildGetpidProg(n int) *image.Image {
@@ -40,11 +42,8 @@ func TestLazypolineLazyRewrite(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := lz.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, lz, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != p.PID {
@@ -77,11 +76,8 @@ func TestLazypolineRewriteBytes(t *testing.T) {
 	w.MustRegister(buildGetpidProg(2))
 
 	lz := lazypoline.New(interpose.Config{})
-	p, err := lz.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, lz, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	// Find libc's getpid syscall site and confirm it now reads FF D0.
@@ -124,11 +120,8 @@ func TestLazypolineP3bHijackCorruptsData(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	lz := lazypoline.New(interpose.Config{})
-	p, err := lz.Launch(w, "/bin/hijack", []string{"hijack"}, nil)
+	p, err := machine.Exec(context.Background(), w, lz, "/bin/hijack", []string{"hijack"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	st := lz.Stats(p)
@@ -186,11 +179,10 @@ func TestLazypolinePermClobberBreaksJIT(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	lz := lazypoline.New(interpose.Config{})
-	p, err := lz.Launch(w, "/bin/jit", []string{"jit"}, nil)
+	p, err := machine.Exec(context.Background(), w, lz, "/bin/jit", []string{"jit"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w.Run(p)
 	if p.Exit.Signal != kernel.SIGSEGV {
 		t.Fatalf("exit = %+v; want SIGSEGV from the clobbered JIT page", p.Exit)
 	}
@@ -215,11 +207,8 @@ func TestLazypolineNullCallSilent(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	lz := lazypoline.New(interpose.Config{})
-	p, err := lz.Launch(w, "/bin/nullcall", []string{"nullcall"}, nil)
+	p, err := machine.Exec(context.Background(), w, lz, "/bin/nullcall", []string{"nullcall"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Signal != 0 || p.Exit.Code != 55 {
@@ -239,11 +228,8 @@ func TestLazypolineEmulation(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := lz.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, lz, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 99 {

@@ -1,6 +1,7 @@
 package libc_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 func TestImageIsMemoizedAndValid(t *testing.T) {
@@ -102,11 +104,8 @@ func run(t *testing.T, build func(tx *asm.SectionBuilder, d *asm.SectionBuilder)
 	tx.Label("_start")
 	build(tx, d)
 	w.MustRegister(b.MustBuild())
-	p, err := w.L.Spawn("/t/prog", []string{"prog"}, nil)
+	p, err := machine.Exec(context.Background(), w, interpose.Native{}, "/t/prog", []string{"prog"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	return p

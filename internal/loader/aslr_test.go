@@ -1,6 +1,7 @@
 package loader_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/apps"
@@ -11,6 +12,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 // newASLRWorld builds a world with randomized load bases.
@@ -88,7 +90,7 @@ func TestK23SurvivesASLR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(run.Process()); err != nil {
+	if err := w.K.RunUntilExit(run.Process(), machine.DefaultMaxInsts); err != nil {
 		t.Fatal(err)
 	}
 	logged, err := run.Finish()
@@ -107,11 +109,8 @@ func TestK23SurvivesASLR(t *testing.T) {
 		},
 		NullExecCheck: true,
 	}, off.LogPath("ls"))
-	p, err := k23.Launch(w, apps.LsPath, []string{"ls", "/data"}, nil)
+	p, err := machine.Exec(context.Background(), w, k23, apps.LsPath, []string{"ls", "/data"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	onlineBase := libcBase(t, w, p)
@@ -144,11 +143,8 @@ func TestDlmopenPrivateNamespace(t *testing.T) {
 	host := buildDlHost(t, "/bin/dlmhost", "/usr/lib/priv.so", "private_fn", true)
 	w.Reg.MustAdd(host)
 
-	p, err := w.L.Spawn("/bin/dlmhost", []string{"dlmhost"}, nil)
+	p, err := machine.Exec(context.Background(), w, interpose.Native{}, "/bin/dlmhost", []string{"dlmhost"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	// dlmopen succeeded (exit 0 = base != 0) but dlsym must NOT find the
@@ -160,11 +156,8 @@ func TestDlmopenPrivateNamespace(t *testing.T) {
 	w2 := interpose.NewWorld()
 	w2.Reg.MustAdd(buildNamed(t, "/usr/lib/priv.so", "private_fn"))
 	w2.Reg.MustAdd(buildDlHost(t, "/bin/dlmhost", "/usr/lib/priv.so", "private_fn", false))
-	p2, err := w2.L.Spawn("/bin/dlmhost", []string{"dlmhost"}, nil)
+	p2, err := machine.Exec(context.Background(), w2, interpose.Native{}, "/bin/dlmhost", []string{"dlmhost"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Run(p2); err != nil {
 		t.Fatal(err)
 	}
 	if p2.Exit.Code != 1 {

@@ -181,6 +181,32 @@ func Launcher(ctx context.Context, w *interpose.World, mech variants.Spec, cfg i
 	return mech.New(cfg, logPath), nil
 }
 
+// Exec launches path under l in w and runs it to exit: the step for a
+// caller that launches on its own. A server (requests > 0) first gets
+// one keepalive connection of requests all-zero requests through Listen.
+// The run is kernel.RunUntilExit under budget with ctx checked before
+// every slice. Its slices are ExitSlice, not Slice: a slice boundary
+// restarts the scheduler's round-robin, and these runs' results (P5's
+// quantum-1 scan among them) are pinned at ExitSlice. Errors name path
+// and l. The process is returned whenever the launch succeeded.
+func Exec(ctx context.Context, w *interpose.World, l interpose.Launcher, path string, argv []string,
+	requests int, budget uint64) (*kernel.Process, error) {
+	p, err := l.Launch(w, path, argv, nil)
+	if err != nil {
+		return nil, fmt.Errorf("machine: %s under %s: %w", path, l.Name(), err)
+	}
+	if requests > 0 {
+		err = Listen(ctx, w.K, p, make([]byte, apps.RequestSize), requests)
+	}
+	if err == nil {
+		err = w.K.RunUntilExit(p, budget, ctx.Err)
+	}
+	if err != nil {
+		return p, fmt.Errorf("machine: %s under %s: %w", path, l.Name(), err)
+	}
+	return p, nil
+}
+
 // Point names a boundary of the drive at which Run.Observe is called.
 type Point int
 

@@ -1,10 +1,19 @@
 package machine
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"k23/internal/asm"
 	"k23/internal/canon"
+	"k23/internal/image"
+	"k23/internal/interpose"
+	"k23/internal/interpose/variants"
+	"k23/internal/kernel"
+	"k23/internal/libc"
 )
 
 // TestSeedPayload: the seed-derived payload is deterministic per seed
@@ -56,4 +65,56 @@ func TestEventLineMatchesFormat(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Event allocates %.0f times per call", n)
 	}
+}
+
+// spinner assembles /bin/spin, a guest that calls getpid forever.
+func spinner() *image.Image {
+	b := asm.NewBuilder("/bin/spin")
+	b.Needed(libc.Path)
+	t := b.Text()
+	t.Label("_start")
+	t.CallSym("getpid")
+	t.Jmp("_start")
+	return b.MustBuild()
+}
+
+// TestExecStops: Exec on a guest that never exits stops within one
+// kernel.ExitSlice of a cancellation, with an error wrapping
+// context.Canceled, and an exhausted budget is an error naming the path
+// and the mechanism.
+func TestExecStops(t *testing.T) {
+	zp, _ := variants.ByName("zpoline-default")
+	t.Run("cancel", func(t *testing.T) {
+		w := interpose.NewWorld()
+		w.MustRegister(spinner())
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var at uint64
+		w.K.AddEventHook(func(e kernel.Event) {
+			if e.Kind == kernel.EvEnter && at == 0 && Insts(w.K) > 3*kernel.ExitSlice/2 {
+				at = Insts(w.K)
+				cancel()
+			}
+		})
+		_, err := Exec(ctx, w, zp.New(interpose.Config{}, ""), "/bin/spin", []string{"spin"}, 0, DefaultMaxInsts)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run: err = %v, want one wrapping context.Canceled", err)
+		}
+		if n := Insts(w.K) - at; n > kernel.ExitSlice {
+			t.Errorf("run went on for %d instructions after the cancellation, more than one slice (%d)", n, kernel.ExitSlice)
+		}
+	})
+	t.Run("budget", func(t *testing.T) {
+		w := interpose.NewWorld()
+		w.MustRegister(spinner())
+		_, err := Exec(context.Background(), w, zp.New(interpose.Config{}, ""), "/bin/spin", []string{"spin"}, 0, 50_000)
+		if err == nil {
+			t.Fatal("run of a guest that never exits ended without an error")
+		}
+		for _, want := range []string{"/bin/spin under zpoline-default: ", "budget exhausted"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		}
+	})
 }

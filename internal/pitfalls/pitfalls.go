@@ -38,55 +38,65 @@ type PoC struct {
 	ID string
 	// Title is a one-line description.
 	Title string
-	// Run executes the PoC under the given variant and reports whether
-	// the interposer handles the pitfall. Kernel options apply to every
-	// world the PoC builds internally (the decode-cache parity tests
-	// run whole scenarios with the cache disabled this way).
-	Run func(spec variants.Spec, opts ...kernel.Option) (handled bool, detail string, err error)
 
 	run func(h harness, spec variants.Spec) (bool, string, error)
-}
-
-// newPoC builds a PoC whose Run uses a harness without observers.
-func newPoC(id, title string, run func(h harness, spec variants.Spec) (bool, string, error)) PoC {
-	return PoC{ID: id, Title: title, run: run,
-		Run: func(spec variants.Spec, opts ...kernel.Option) (bool, string, error) {
-			return run(harness{opts: opts}, spec)
-		}}
 }
 
 // All returns the PoCs in paper order.
 func All() []PoC {
 	return []PoC{
-		newPoC("P1a", "Interposition bypass via environment scrubbing (Listing 1)", runP1a),
-		newPoC("P1b", "Interposition bypass via prctl SUD-off (Listing 2)", runP1b),
-		newPoC("P2a", "System call overlook: code loaded after rewriting", runP2a),
-		newPoC("P2b", "System call overlook: startup and vdso calls", runP2b),
-		newPoC("P3a", "Misidentification: embedded data rewritten (disassembly)", runP3a),
-		newPoC("P3b", "Misidentification: hijacked partial instruction rewritten", runP3b),
-		newPoC("P4a", "NULL-code-pointer execution diverted into the trampoline", runP4a),
-		newPoC("P4b", "NULL-execution-check memory overhead", runP4b),
-		newPoC("P5", "Runtime rewriting: torn writes, stale I-cache, lost permissions", runP5),
+		{"P1a", "Interposition bypass via environment scrubbing (Listing 1)", runP1a},
+		{"P1b", "Interposition bypass via prctl SUD-off (Listing 2)", runP1b},
+		{"P2a", "System call overlook: code loaded after rewriting", runP2a},
+		{"P2b", "System call overlook: startup and vdso calls", runP2b},
+		{"P3a", "Misidentification: embedded data rewritten (disassembly)", runP3a},
+		{"P3b", "Misidentification: hijacked partial instruction rewritten", runP3b},
+		{"P4a", "NULL-code-pointer execution diverted into the trampoline", runP4a},
+		{"P4b", "NULL-execution-check memory overhead", runP4b},
+		{"P5", "Runtime rewriting: torn writes, stale I-cache, lost permissions", runP5},
 	}
+}
+
+// Run executes the PoC under the given variant and reports whether the
+// interposer handles the pitfall. Kernel options apply to every world
+// the PoC builds (the decode-cache parity tests run whole scenarios with
+// the cache disabled this way).
+func (poc PoC) Run(spec variants.Spec, opts ...kernel.Option) (handled bool, detail string, err error) {
+	c, err := poc.Observe(spec, nil, opts...)
+	return c.Handled, c.Detail, err
+}
+
+// Observe runs the PoC under spec as one Table 3 cell. With optsFor
+// non-nil, each world the PoC builds gets an observer with the
+// collectors optsFor chooses for it (by creation index), attached at the
+// runner's attach point: after any offline phase, which is the paper's
+// controlled environment and not part of the production attack surface.
+// The observers see only the kernel's event stream, never the PoC's own
+// hook counters.
+func (poc PoC) Observe(spec variants.Spec, optsFor func(world int) obsv.Options,
+	opts ...kernel.Option) (ObservedCell, error) {
+	h := harness{opts: opts}
+	if optsFor != nil {
+		h.optsFor, h.observers = optsFor, new([]*obsv.Observer)
+	}
+	handled, detail, err := poc.run(h, spec)
+	c := ObservedCell{Result: Result{Pitfall: poc.ID, Interposer: spec.Name, Handled: handled, Detail: detail}}
+	if h.observers != nil {
+		c.Observers = *h.observers
+	}
+	return c, err
 }
 
 // Matrix runs every PoC against every given variant. Kernel options are
 // forwarded to every world the PoCs construct.
 func Matrix(specs []variants.Spec, opts ...kernel.Option) ([]Result, error) {
-	var out []Result
-	for _, poc := range All() {
-		for _, spec := range specs {
-			handled, detail, err := poc.Run(spec, opts...)
-			if err != nil {
-				return nil, fmt.Errorf("pitfalls: %s under %s: %w", poc.ID, spec.Name, err)
-			}
-			out = append(out, Result{
-				Pitfall:    poc.ID,
-				Interposer: spec.Name,
-				Handled:    handled,
-				Detail:     detail,
-			})
-		}
+	cells, err := ObservedMatrix(specs, nil, opts...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(cells))
+	for i := range cells {
+		out[i] = cells[i].Result
 	}
 	return out, nil
 }
@@ -117,42 +127,24 @@ type ObservedCell struct {
 	Observers []*obsv.Observer
 }
 
-// ObservedMatrix runs every PoC against every variant with an observer
-// attached to each world at production start — after any offline phase,
-// which is the paper's controlled environment and not part of the
-// production attack surface. optsFor chooses the collectors per (PoC,
-// variant, world index); the observers see only the kernel's event
-// stream, never the PoCs' internal hook counters. AuditMatrix and the
-// SFIP evaluation (internal/bench) are built on this runner.
+// ObservedMatrix runs every PoC against every variant as
+// PoC.Observe cells; optsFor chooses the collectors per (PoC, variant,
+// world index), and nil attaches none. Matrix, AuditMatrix and the SFIP
+// evaluation (internal/bench) are built on this runner.
 func ObservedMatrix(specs []variants.Spec, optsFor func(poc PoC, spec variants.Spec, world int) obsv.Options,
 	opts ...kernel.Option) ([]ObservedCell, error) {
 	var out []ObservedCell
 	for _, poc := range All() {
 		for _, spec := range specs {
-			var observers []*obsv.Observer
-			attach := func(w *interpose.World) {
-				oo := optsFor(poc, spec, len(observers))
-				if !oo.Enabled() {
-					observers = append(observers, nil)
-					return
-				}
-				o := obsv.New(oo)
-				o.Install(w.K)
-				observers = append(observers, o)
+			var cellOpts func(int) obsv.Options
+			if optsFor != nil {
+				cellOpts = func(world int) obsv.Options { return optsFor(poc, spec, world) }
 			}
-			handled, detail, err := poc.run(harness{opts: opts, attach: attach}, spec)
+			c, err := poc.Observe(spec, cellOpts, opts...)
 			if err != nil {
 				return nil, fmt.Errorf("pitfalls: %s under %s: %w", poc.ID, spec.Name, err)
 			}
-			out = append(out, ObservedCell{
-				Result: Result{
-					Pitfall:    poc.ID,
-					Interposer: spec.Name,
-					Handled:    handled,
-					Detail:     detail,
-				},
-				Observers: observers,
-			})
+			out = append(out, c)
 		}
 	}
 	return out, nil
@@ -263,11 +255,12 @@ func verdict(handled bool) string {
 // ---------------------------------------------------------------------
 
 // harness is what a PoC builds its worlds with: the kernel options for
-// every world, and the function attaching observers to each world at
-// the runner's attach point (nil: none).
+// every world and, when optsFor is set, the collectors of the observer
+// each world gets at the runner's attach point, appended to *observers.
 type harness struct {
-	opts   []kernel.Option
-	attach func(w *interpose.World)
+	opts      []kernel.Option
+	optsFor   func(world int) obsv.Options
+	observers *[]*obsv.Observer
 }
 
 // world builds a fresh world with the PoC binaries and workload apps
@@ -290,16 +283,21 @@ func (h harness) launcher(w *interpose.World, spec variants.Spec, cfg interpose.
 	if err != nil {
 		return nil, err
 	}
-	if h.attach != nil {
-		h.attach(w)
+	if h.optsFor != nil {
+		var o *obsv.Observer
+		if oo := h.optsFor(len(*h.observers)); oo.Enabled() {
+			o = obsv.New(oo)
+			o.Install(w.K)
+		}
+		*h.observers = append(*h.observers, o)
 	}
 	return l, nil
 }
 
-// runUnder launches target under the spec with the hook config, runs it
-// to completion (tolerating signal deaths), and returns launcher+process.
-// A run that exhausts its budget or deadlocks is an error naming the
-// target and the mechanism, not a verdict.
+// runUnder runs target under the spec with the hook config to exit
+// through machine.Exec (signal deaths are verdicts, not errors) and
+// returns world, launcher and process. A run that exhausts its budget
+// or deadlocks is an error naming the target and the mechanism.
 func (h harness) runUnder(spec variants.Spec, cfg interpose.Config, target string,
 	benignArgv, attackArgv []string) (*interpose.World, interpose.Launcher, *kernel.Process, error) {
 	w := h.world()
@@ -307,12 +305,9 @@ func (h harness) runUnder(spec variants.Spec, cfg interpose.Config, target strin
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	p, err := l.Launch(w, target, attackArgv, nil)
+	p, err := machine.Exec(context.Background(), w, l, target, attackArgv, 0, 200_000_000)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if err := w.K.RunUntilExit(p, 200_000_000); err != nil {
-		return nil, nil, nil, fmt.Errorf("pitfalls: %s under %s: %w", target, spec.Name, err)
 	}
 	return w, l, p, nil
 }

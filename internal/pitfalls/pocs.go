@@ -1,6 +1,8 @@
 package pitfalls
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -11,6 +13,7 @@ import (
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 )
 
 // PoC binary paths.
@@ -567,12 +570,10 @@ func runP5(h harness, spec variants.Spec) (bool, string, error) {
 		return false, "", err
 	}
 	for k := 0; k <= 90; k += 1 {
-		pm, err := lmt.Launch(wmt, p5mtPath, []string{"p5mt", fmt.Sprintf("%d", k)}, nil)
+		pm, err := machine.Exec(context.Background(), wmt, lmt, p5mtPath, []string{"p5mt", fmt.Sprintf("%d", k)}, 0, 100_000_000)
 		if err != nil {
-			return false, "", err
-		}
-		if err := wmt.K.RunUntilExit(pm, 100_000_000); err != nil {
-			return false, "", fmt.Errorf("pitfalls: %s under %s at delay %d: %w", p5mtPath, spec.Name, k, err)
+			// Exec's error names the target and the mechanism; add the delay.
+			return false, "", fmt.Errorf("pitfalls: %s under %s at delay %d: %w", p5mtPath, spec.Name, k, errors.Unwrap(err))
 		}
 		var cmc uint64
 		for _, th := range pm.Threads {

@@ -1,6 +1,7 @@
 package ptracer_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/asm"
@@ -9,6 +10,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 	"k23/internal/ptracer"
 )
 
@@ -50,7 +52,7 @@ func TestPtracerExhaustive(t *testing.T) {
 	if startupSeen < 20 {
 		t.Fatalf("ptracer saw only %d startup syscalls; must be exhaustive from the first instruction", startupSeen)
 	}
-	if err := w.Run(p); err != nil {
+	if err := w.K.RunUntilExit(p, machine.DefaultMaxInsts); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != p.PID {
@@ -89,11 +91,8 @@ func TestPtracerEmulates(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := pt.Launch(w, "/bin/prog", []string{"prog"}, nil)
+	p, err := machine.Exec(context.Background(), w, pt, "/bin/prog", []string{"prog"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 88 {
@@ -115,11 +114,8 @@ func TestPtracerKeepVDSOMissesTimeCalls(t *testing.T) {
 		},
 	})
 	pt.KeepVDSO = true
-	p, err := pt.Launch(w, "/bin/prog", []string{"prog"}, nil)
+	_, err := machine.Exec(context.Background(), w, pt, "/bin/prog", []string{"prog"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if timeCalls != 0 {
@@ -137,11 +133,8 @@ func TestPtracerIsSlow(t *testing.T) {
 		if traced {
 			l = ptracer.New(interpose.Config{})
 		}
-		p, err := l.Launch(w, "/bin/prog", []string{"prog"}, nil)
+		p, err := machine.Exec(context.Background(), w, l, "/bin/prog", []string{"prog"}, 0, machine.DefaultMaxInsts)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Run(p); err != nil {
 			t.Fatal(err)
 		}
 		var total uint64

@@ -1,6 +1,7 @@
 package sud_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/asm"
@@ -9,6 +10,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 	"k23/internal/sud"
 )
 
@@ -44,11 +46,8 @@ func TestSUDInterposesEverySyscall(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := s.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, s, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != p.PID {
@@ -78,11 +77,8 @@ func TestSUDEmulates(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := s.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, s, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 65 { // exit codes are 8-bit: 321 & 0xff = 65
@@ -130,11 +126,8 @@ func TestSUDArgumentRewrite(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := s.Launch(w, "/bin/writer", []string{"writer"}, nil)
+	p, err := machine.Exec(context.Background(), w, s, "/bin/writer", []string{"writer"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if got := string(p.Stdout); got != "BBBB" {
@@ -147,11 +140,8 @@ func TestSUDPassiveInterposesNothing(t *testing.T) {
 	w.MustRegister(buildGetpidProg(2))
 
 	s := sud.NewPassive()
-	p, err := s.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, s, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != p.PID {
@@ -195,11 +185,8 @@ func TestSUDPrctlOffBypasses(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := s.Launch(w, "/bin/p1b", []string{"p1b"}, nil)
+	p, err := machine.Exec(context.Background(), w, s, "/bin/p1b", []string{"p1b"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if !sawPrctl {

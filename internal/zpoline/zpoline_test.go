@@ -1,6 +1,7 @@
 package zpoline_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/asm"
@@ -9,6 +10,7 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 	"k23/internal/zpoline"
 )
 
@@ -42,11 +44,8 @@ func TestZpolineInterposesViaRewrite(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := z.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, z, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if p.Exit.Code != p.PID {
@@ -85,11 +84,8 @@ func TestZpolineHookEmulates(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := z.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, z, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != 123 {
@@ -111,11 +107,8 @@ func TestZpolineMissesStartupSyscalls(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := z.Launch(w, "/bin/getpid", []string{"getpid"}, nil)
+	p, err := machine.Exec(context.Background(), w, z, "/bin/getpid", []string{"getpid"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	// The loader issued many openat calls; zpoline saw none of them.
@@ -172,11 +165,8 @@ func TestZpolineMissesDlopenedCode(t *testing.T) {
 			return 0, false
 		},
 	})
-	p, err := z.Launch(w, "/bin/dlhost", []string{"dlhost"}, nil)
+	p, err := machine.Exec(context.Background(), w, z, "/bin/dlhost", []string{"dlhost"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Code != p.PID {
@@ -205,11 +195,8 @@ func TestZpolineCorruptsEmbeddedData(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	z := zpoline.New(interpose.Config{})
-	p, err := z.Launch(w, "/bin/databed", []string{"databed"}, nil)
+	p, err := machine.Exec(context.Background(), w, z, "/bin/databed", []string{"databed"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if z.Stats(p).Corruptions == 0 {
@@ -262,11 +249,8 @@ func TestZpolineDefaultSilentOnNullCall(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	z := zpoline.New(interpose.Config{}) // default: no NULL-exec check
-	p, err := z.Launch(w, "/bin/nullcall", []string{"nullcall"}, nil)
+	p, err := machine.Exec(context.Background(), w, z, "/bin/nullcall", []string{"nullcall"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Exit.Signal != 0 || p.Exit.Code != 55 {
@@ -290,11 +274,11 @@ func TestZpolineUltraAbortsNullCall(t *testing.T) {
 	w.MustRegister(b.MustBuild())
 
 	z := zpoline.New(interpose.Config{NullExecCheck: true})
-	p, err := z.Launch(w, "/bin/nullcall", []string{"nullcall"}, nil)
+	// The abort surfaces as a process kill, not as a run error.
+	p, err := machine.Exec(context.Background(), w, z, "/bin/nullcall", []string{"nullcall"}, 0, machine.DefaultMaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w.Run(p) // the abort surfaces as a process kill
 	if p.Exit.Signal == 0 {
 		t.Fatalf("exit = %+v; ultra variant must abort the unknown entry", p.Exit)
 	}
