@@ -117,7 +117,7 @@ const runBudget = 3_000_000_000
 // runBudget and rejects a signal death: every number the harness reports
 // comes from a completed run.
 func runToExit(w *interpose.World, l interpose.Launcher, path string, argv []string, requests int) (*kernel.Process, error) {
-	p, err := machine.Exec(context.Background(), w, l, path, argv, requests, runBudget)
+	p, err := machine.Exec(context.TODO(), w, l, path, argv, requests, runBudget)
 	if err == nil && p.Exit.Signal != 0 {
 		err = fmt.Errorf("bench: %s under %s died: %s", path, l.Name(), p.Exit)
 	}

@@ -91,7 +91,7 @@ func TestExecStops(t *testing.T) {
 		defer cancel()
 		var at uint64
 		w.K.AddEventHook(func(e kernel.Event) {
-			if e.Kind == kernel.EvEnter && at == 0 && Insts(w.K) > 3*kernel.ExitSlice/2 {
+			if e.Kind == kernel.EvEnter && at == 0 && Insts(w.K) > 2*kernel.ExitSlice {
 				at = Insts(w.K)
 				cancel()
 			}

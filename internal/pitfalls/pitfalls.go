@@ -279,7 +279,7 @@ func (h harness) world() *interpose.World {
 // deliberately crashing benign path) still produce a usable log.
 func (h harness) launcher(w *interpose.World, spec variants.Spec, cfg interpose.Config,
 	target string, benignArgv []string) (interpose.Launcher, error) {
-	l, err := machine.Launcher(context.Background(), w, spec, cfg, target, benignArgv, 0)
+	l, err := machine.Launcher(context.TODO(), w, spec, cfg, target, benignArgv, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +305,7 @@ func (h harness) runUnder(spec variants.Spec, cfg interpose.Config, target strin
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	p, err := machine.Exec(context.Background(), w, l, target, attackArgv, 0, 200_000_000)
+	p, err := machine.Exec(context.TODO(), w, l, target, attackArgv, 0, 200_000_000)
 	if err != nil {
 		return nil, nil, nil, err
 	}
