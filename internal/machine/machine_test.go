@@ -83,20 +83,21 @@ func spinner() *image.Image {
 // context.Canceled, and an exhausted budget is an error naming the path
 // and the mechanism.
 func TestExecStops(t *testing.T) {
-	zp, _ := variants.ByName("zpoline-default")
 	t.Run("cancel", func(t *testing.T) {
+		// The cancellation lands mid-slice, so a drive in slices twice as
+		// long would run on for more than one ExitSlice after it.
 		w := interpose.NewWorld()
 		w.MustRegister(spinner())
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		var at uint64
 		w.K.AddEventHook(func(e kernel.Event) {
-			if e.Kind == kernel.EvEnter && at == 0 && Insts(w.K) > 2*kernel.ExitSlice {
+			if e.Kind == kernel.EvEnter && at == 0 && Insts(w.K) > 5*kernel.ExitSlice/2 {
 				at = Insts(w.K)
 				cancel()
 			}
 		})
-		_, err := Exec(ctx, w, zp.New(interpose.Config{}, ""), "/bin/spin", []string{"spin"}, 0, DefaultMaxInsts)
+		_, err := Exec(ctx, w, interpose.Native{}, "/bin/spin", []string{"spin"}, 0, DefaultMaxInsts)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled run: err = %v, want one wrapping context.Canceled", err)
 		}
@@ -105,6 +106,7 @@ func TestExecStops(t *testing.T) {
 		}
 	})
 	t.Run("budget", func(t *testing.T) {
+		zp, _ := variants.ByName("zpoline-default")
 		w := interpose.NewWorld()
 		w.MustRegister(spinner())
 		_, err := Exec(context.Background(), w, zp.New(interpose.Config{}, ""), "/bin/spin", []string{"spin"}, 0, 50_000)

@@ -87,8 +87,6 @@ func recvType(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.StarExpr:
 		return "*" + recvType(e.X)
-	case *ast.IndexExpr:
-		return recvType(e.X)
 	case *ast.Ident:
 		return e.Name
 	}
