@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
 
 	"k23/internal/apps"
@@ -38,6 +39,8 @@ func main() {
 		os.Exit(2)
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	w := interpose.NewWorld()
 	if err := machine.StandardSetup(w); err != nil {
 		fmt.Fprintln(os.Stderr, "k23-offline:", err)
@@ -52,12 +55,12 @@ func main() {
 	}
 	// Drive server workloads with a representative request stream.
 	if apps.IsServer(path) {
-		if err := machine.Listen(context.Background(), w.K, run.Process(), make([]byte, apps.RequestSize), *requests); err != nil {
+		if err := machine.Listen(ctx, w.K, run.Process(), make([]byte, apps.RequestSize), *requests); err != nil {
 			fmt.Fprintln(os.Stderr, "k23-offline:", err)
 			os.Exit(1)
 		}
 	}
-	if err := w.K.RunUntilExit(run.Process(), 2_000_000_000); err != nil {
+	if err := w.K.RunUntilExit(run.Process(), 2_000_000_000, ctx.Err); err != nil {
 		fmt.Fprintln(os.Stderr, "k23-offline: run:", err)
 		os.Exit(1)
 	}

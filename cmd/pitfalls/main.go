@@ -13,9 +13,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
@@ -23,14 +25,18 @@ import (
 	"k23/internal/pitfalls"
 )
 
-// explainPoC reruns one PoC under spec with a flight recorder attached
-// to every world it builds at the runner's attach point, and prints the
-// trace excerpt around the triggering event of the last world that
-// recorded one.
-func explainPoC(poc pitfalls.PoC, spec variants.Spec) {
-	c, err := poc.Observe(spec, func(int) obsv.Options { return obsv.Options{Trace: true, RingSize: 1024} })
+// runPoC runs one PoC under spec and prints its verdict. With explain
+// set, a flight recorder is attached to every world the PoC builds at
+// the runner's attach point, and the trace excerpt around the
+// triggering event of the last world that recorded one is printed too.
+func runPoC(ctx context.Context, poc pitfalls.PoC, spec variants.Spec, explain bool) {
+	var optsFor func(int) obsv.Options
+	if explain {
+		optsFor = func(int) obsv.Options { return obsv.Options{Trace: true, RingSize: 1024} }
+	}
+	c, err := poc.Observe(ctx, spec, optsFor)
 	if err != nil {
-		fmt.Printf("  %-18s ERROR: %v\n", spec.Name, err)
+		fmt.Fprintf(os.Stderr, "  %-18s ERROR: %v\n", spec.Name, err)
 		return
 	}
 	mark := "not handled"
@@ -38,6 +44,9 @@ func explainPoC(poc pitfalls.PoC, spec variants.Spec) {
 		mark = "HANDLED"
 	}
 	fmt.Printf("  %-18s %-12s %s\n", spec.Name, mark, c.Detail)
+	if !explain {
+		return
+	}
 	// Prefer the last world whose recorder caught a fault-class event
 	// (signal, SIGSYS, process death) — that is where the PoC fired.
 	var best []obsv.Record
@@ -73,6 +82,8 @@ func main() {
 	explain := flag.Bool("explain", false, "print a flight-recorder excerpt around each PoC's triggering event")
 	auditFlag := flag.Bool("audit", false, "rerun the matrix with the shadow-map auditor attached and cross-check each verdict against the streams alone")
 	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 
 	specs := variants.Table3Columns()
 	if *all {
@@ -95,20 +106,7 @@ func main() {
 			found = true
 			fmt.Printf("%s — %s\n", poc.ID, poc.Title)
 			for _, spec := range specs {
-				if *explain {
-					explainPoC(poc, spec)
-					continue
-				}
-				handled, detail, err := poc.Run(spec)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "  %-18s ERROR: %v\n", spec.Name, err)
-					continue
-				}
-				mark := "not handled"
-				if handled {
-					mark = "HANDLED"
-				}
-				fmt.Printf("  %-18s %-12s %s\n", spec.Name, mark, detail)
+				runPoC(ctx, poc, spec, *explain)
 			}
 			if *onePoc != "" {
 				return

@@ -978,9 +978,12 @@ func (k *Kernel) threadReady(t *Thread) bool {
 	}
 }
 
-// Run drives the scheduler until no thread is runnable or maxInsts
-// instructions have been retired across all threads. It returns the
-// number of instructions retired.
+// Run drives the scheduler in rounds until no thread is runnable or
+// maxInsts instructions have been retired, and returns the count
+// retired. maxInsts is checked only when a round ends, so a call may
+// retire one round (each ready thread's quantum) past it, and Run(a);
+// Run(b) schedules exactly as Run(a+b). A StopAtSeq stop still ends a
+// round early; every caller Restores a checkpoint after such a seek.
 // Processes and threads created mid-round wait for the next round. Run
 // must not be re-entered from a hook or hostcall.
 func (k *Kernel) Run(maxInsts uint64) uint64 {
@@ -1013,9 +1016,6 @@ func (k *Kernel) Run(maxInsts uint64) uint64 {
 					k.stopHit = false
 					return retired
 				}
-				if retired >= maxInsts {
-					return retired
-				}
 			}
 		}
 		if !progress {
@@ -1025,14 +1025,15 @@ func (k *Kernel) Run(maxInsts uint64) uint64 {
 	return retired
 }
 
-// ExitSlice is the instruction count RunUntilExit hands to Run per
-// slice.
-const ExitSlice = 10_000
+// Slice is the instruction count drive loops hand to Run per call. No
+// schedule depends on it, since Run cuts only at round ends.
+const Slice = 20_000
 
-// RunUntilExit runs the scheduler in ExitSlice slices until process p
+// RunUntilExit runs the scheduler in Slice slices until process p
 // leaves ProcRunning or the instruction budget is exhausted. It returns
-// an error on budget exhaustion or deadlock. Each stop check is called
-// before every slice; a non-nil error ends the run with that error.
+// an error on budget exhaustion (which may report up to one round past
+// maxInsts) or deadlock. Each stop check is called before every slice;
+// a non-nil error ends the run with that error.
 func (k *Kernel) RunUntilExit(p *Process, maxInsts uint64, stop ...func() error) error {
 	var retired uint64
 	for p.State == ProcRunning {
@@ -1044,7 +1045,7 @@ func (k *Kernel) RunUntilExit(p *Process, maxInsts uint64, stop ...func() error)
 		if retired >= maxInsts {
 			return fmt.Errorf("kernel: budget exhausted after %d instructions (pid %d still running)", retired, p.PID)
 		}
-		n := k.Run(min(ExitSlice, maxInsts-retired))
+		n := k.Run(min(Slice, maxInsts-retired))
 		retired += n
 		if n == 0 && p.State == ProcRunning {
 			return fmt.Errorf("kernel: deadlock: pid %d has no runnable threads", p.PID)

@@ -553,8 +553,8 @@ func TestRunUntilExitStop(t *testing.T) {
 		t.Fatalf("err = %v, want one wrapping %v", err, errStop)
 	}
 	twin, tp := spin(t)
-	twin.Run(kernel.ExitSlice)
-	twin.Run(kernel.ExitSlice)
+	twin.Run(kernel.Slice)
+	twin.Run(kernel.Slice)
 	if calls != 3 || insts(p) != insts(tp) {
 		t.Errorf("stop called %d times over %d instructions, want 3 calls and two slices' %d",
 			calls, insts(p), insts(tp))

@@ -224,10 +224,10 @@ func (g cloner) restoreHost(ref, state any) {
 // returns an error — and no snapshot — if any process carries host
 // state that does not implement HostState.
 //
-// Checkpoint must be taken at a quiescent point: between scheduler
-// slices (Run returns), never from inside a syscall service routine.
-// The rr drive loop guarantees this by checkpointing only on slice
-// boundaries.
+// Checkpoint must be taken at a quiescent point: between Run calls
+// (round boundaries, unless a StopAtSeq stop ended one), never from
+// inside a syscall service routine. The rr drive loop guarantees this
+// by checkpointing only on slice boundaries.
 func (k *Kernel) Checkpoint(prev *Snapshot) (*Snapshot, error) {
 	g := cloner{}
 	s := &Snapshot{

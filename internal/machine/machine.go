@@ -27,21 +27,15 @@ import (
 	"k23/internal/kernel"
 )
 
-// Canonical drive constants. Replay equivalence requires every
-// re-execution to issue the exact Run-slice sequence the recorded run
-// did (a slice boundary restarts the scheduler's round-robin sweep, so
-// slicing is observable for multithreaded guests), so every run uses
-// these.
+// The listen-poll constants; the drive loops run in kernel.Slice slices.
 const (
-	// PollSlice is the Run slice while waiting for a server to listen,
-	// and the offline phase's slice.
+	// PollSlice is the Run slice while waiting for a server to listen.
+	// The host injects the connection after the first poll slice in
+	// which the server listens, so PollSlice sets when the guest sees
+	// its input: it is part of the workload, not a scheduling choice.
 	PollSlice = 10_000
 	// PollTries bounds the listen-poll loop.
 	PollTries = 5_000
-	// Slice is the main-loop Run slice. Observers see the run only on
-	// slice boundaries (the recorder's checkpoints land there), and the
-	// context is checked once per slice.
-	Slice = 20_000
 )
 
 // DefaultMaxInsts is the instruction budget of a run whose Spec leaves
@@ -185,10 +179,8 @@ func Launcher(ctx context.Context, w *interpose.World, mech variants.Spec, cfg i
 // caller that launches on its own. A server (requests > 0) first gets
 // one keepalive connection of requests all-zero requests through Listen.
 // The run is kernel.RunUntilExit under budget with ctx checked before
-// every slice. Its slices are ExitSlice, not Slice: a slice boundary
-// restarts the scheduler's round-robin, and these runs' results (P5's
-// quantum-1 scan among them) are pinned at ExitSlice. Errors name path
-// and l. The process is returned whenever the launch succeeded.
+// every slice. Errors name path and l. The process is returned whenever
+// the launch succeeded.
 func Exec(ctx context.Context, w *interpose.World, l interpose.Launcher, path string, argv []string,
 	requests int, budget uint64) (*kernel.Process, error) {
 	p, err := l.Launch(w, path, argv, nil)
@@ -324,9 +316,11 @@ func (r *Run) observe(at Point) error {
 
 // Drive runs the machine until its process exits: it injects the
 // server's connection first (polling in PollSlice slices until the
-// server listens), then runs Slice-sized slices. ctx, the budget and
-// deadlock are checked before every slice. With untilSeq > 0 it stops
-// as soon as the kernel has emitted untilSeq events.
+// server listens), then runs kernel.Slice slices. Observers see the
+// run only on slice boundaries (the recorder's checkpoints land there).
+// ctx, the budget and deadlock are checked before every slice. With
+// untilSeq > 0 it stops as soon as the kernel has emitted untilSeq
+// events.
 func (r *Run) Drive(ctx context.Context, untilSeq uint64) error {
 	k := r.W.K
 	reached := func() bool { return untilSeq > 0 && k.EventSeq() >= untilSeq }
@@ -356,7 +350,7 @@ func (r *Run) Drive(ctx context.Context, untilSeq uint64) error {
 		if err := r.check(ctx); err != nil {
 			return err
 		}
-		if k.Run(Slice) == 0 && r.P.State == kernel.ProcRunning {
+		if k.Run(kernel.Slice) == 0 && r.P.State == kernel.ProcRunning {
 			return fmt.Errorf("machine: deadlock: pid %d has no runnable threads", r.P.PID)
 		}
 		if err := r.observe(Sliced); err != nil {

@@ -79,20 +79,20 @@ func spinner() *image.Image {
 }
 
 // TestExecStops: Exec on a guest that never exits stops within one
-// kernel.ExitSlice of a cancellation, with an error wrapping
+// kernel.Slice of a cancellation, with an error wrapping
 // context.Canceled, and an exhausted budget is an error naming the path
 // and the mechanism.
 func TestExecStops(t *testing.T) {
 	t.Run("cancel", func(t *testing.T) {
 		// The cancellation lands mid-slice, so a drive in slices twice as
-		// long would run on for more than one ExitSlice after it.
+		// long would run on for more than one Slice after it.
 		w := interpose.NewWorld()
 		w.MustRegister(spinner())
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		var at uint64
 		w.K.AddEventHook(func(e kernel.Event) {
-			if e.Kind == kernel.EvEnter && at == 0 && Insts(w.K) > 5*kernel.ExitSlice/2 {
+			if e.Kind == kernel.EvEnter && at == 0 && Insts(w.K) > 5*kernel.Slice/2 {
 				at = Insts(w.K)
 				cancel()
 			}
@@ -101,8 +101,8 @@ func TestExecStops(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled run: err = %v, want one wrapping context.Canceled", err)
 		}
-		if n := Insts(w.K) - at; n > kernel.ExitSlice {
-			t.Errorf("run went on for %d instructions after the cancellation, more than one slice (%d)", n, kernel.ExitSlice)
+		if n := Insts(w.K) - at; n > kernel.Slice {
+			t.Errorf("run went on for %d instructions after the cancellation, more than one slice (%d)", n, kernel.Slice)
 		}
 	})
 	t.Run("budget", func(t *testing.T) {

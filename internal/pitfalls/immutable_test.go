@@ -63,9 +63,9 @@ var pinnedDecodeStats = map[string]cpu.DecodeCacheStats{
 	"P4b/zpoline-ultra": {Hits: 3966, Misses: 649, Invalidations: 35},
 	"P4b/lazypoline":    {Hits: 1886, Misses: 635, Invalidations: 3},
 	"P4b/k23-ultra+":    {Hits: 3105, Misses: 758, Invalidations: 3},
-	"P5/zpoline-ultra":  {Hits: 1536089, Misses: 154882, Invalidations: 3223},
+	"P5/zpoline-ultra":  {Hits: 1536291, Misses: 154882, Invalidations: 3223},
 	"P5/lazypoline":     {Hits: 412, Misses: 169, Invalidations: 10},
-	"P5/k23-ultra+":     {Hits: 1342713, Misses: 157845, Invalidations: 742},
+	"P5/k23-ultra+":     {Hits: 1343065, Misses: 157835, Invalidations: 742},
 }
 
 // TestImagesImmutable: the images every world shares (the workload

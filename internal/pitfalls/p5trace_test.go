@@ -17,10 +17,10 @@ import (
 // change to which thread runs when moves these hashes.
 var p5Pins = map[string][]p5Kernel{
 	// The permission probe's world, then the delay-scan world.
-	"zpoline-ultra": {{0x8f576d24a3a442e3, 0}, {0xc4debb60871a9bc9, 0}},
+	"zpoline-ultra": {{0x8f576d24a3a442e3, 0}, {0xf5b52099b0376bd8, 0}},
 	// lazypoline loses the JIT page permission, so the scan never runs.
 	"lazypoline": {{0x79d4998c6432af98, 0}},
-	"k23-ultra+": {{0x2c5dd009917da888, 0}, {0x193958f2005f8b09, 0}},
+	"k23-ultra+": {{0x2c5dd009917da888, 0}, {0x8c0e77e49ddb6242, 0}},
 }
 
 // p5Kernel is one kernel's pinned outcome.

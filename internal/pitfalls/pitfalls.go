@@ -62,7 +62,7 @@ func All() []PoC {
 // the PoC builds (the decode-cache parity tests run whole scenarios with
 // the cache disabled this way).
 func (poc PoC) Run(spec variants.Spec, opts ...kernel.Option) (handled bool, detail string, err error) {
-	c, err := poc.Observe(spec, nil, opts...)
+	c, err := poc.Observe(context.Background(), spec, nil, opts...)
 	return c.Handled, c.Detail, err
 }
 
@@ -72,10 +72,10 @@ func (poc PoC) Run(spec variants.Spec, opts ...kernel.Option) (handled bool, det
 // runner's attach point: after any offline phase, which is the paper's
 // controlled environment and not part of the production attack surface.
 // The observers see only the kernel's event stream, never the PoC's own
-// hook counters.
-func (poc PoC) Observe(spec variants.Spec, optsFor func(world int) obsv.Options,
+// hook counters. Every run the PoC drives checks ctx before each slice.
+func (poc PoC) Observe(ctx context.Context, spec variants.Spec, optsFor func(world int) obsv.Options,
 	opts ...kernel.Option) (ObservedCell, error) {
-	h := harness{opts: opts}
+	h := harness{ctx: ctx, opts: opts}
 	if optsFor != nil {
 		h.optsFor, h.observers = optsFor, new([]*obsv.Observer)
 	}
@@ -140,7 +140,7 @@ func ObservedMatrix(specs []variants.Spec, optsFor func(poc PoC, spec variants.S
 			if optsFor != nil {
 				cellOpts = func(world int) obsv.Options { return optsFor(poc, spec, world) }
 			}
-			c, err := poc.Observe(spec, cellOpts, opts...)
+			c, err := poc.Observe(context.Background(), spec, cellOpts, opts...)
 			if err != nil {
 				return nil, fmt.Errorf("pitfalls: %s under %s: %w", poc.ID, spec.Name, err)
 			}
@@ -254,10 +254,12 @@ func verdict(handled bool) string {
 // shared harness
 // ---------------------------------------------------------------------
 
-// harness is what a PoC builds its worlds with: the kernel options for
-// every world and, when optsFor is set, the collectors of the observer
-// each world gets at the runner's attach point, appended to *observers.
+// harness is what a PoC builds its worlds with: the context its runs
+// check, the kernel options for every world and, when optsFor is set,
+// the collectors of the observer each world gets at the runner's attach
+// point, appended to *observers.
 type harness struct {
+	ctx       context.Context
 	opts      []kernel.Option
 	optsFor   func(world int) obsv.Options
 	observers *[]*obsv.Observer
@@ -279,7 +281,7 @@ func (h harness) world() *interpose.World {
 // deliberately crashing benign path) still produce a usable log.
 func (h harness) launcher(w *interpose.World, spec variants.Spec, cfg interpose.Config,
 	target string, benignArgv []string) (interpose.Launcher, error) {
-	l, err := machine.Launcher(context.TODO(), w, spec, cfg, target, benignArgv, 0)
+	l, err := machine.Launcher(h.ctx, w, spec, cfg, target, benignArgv, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +307,7 @@ func (h harness) runUnder(spec variants.Spec, cfg interpose.Config, target strin
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	p, err := machine.Exec(context.TODO(), w, l, target, attackArgv, 0, 200_000_000)
+	p, err := machine.Exec(h.ctx, w, l, target, attackArgv, 0, 200_000_000)
 	if err != nil {
 		return nil, nil, nil, err
 	}

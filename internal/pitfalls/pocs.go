@@ -1,7 +1,6 @@
 package pitfalls
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -570,7 +569,7 @@ func runP5(h harness, spec variants.Spec) (bool, string, error) {
 		return false, "", err
 	}
 	for k := 0; k <= 90; k += 1 {
-		pm, err := machine.Exec(context.TODO(), wmt, lmt, p5mtPath, []string{"p5mt", fmt.Sprintf("%d", k)}, 0, 100_000_000)
+		pm, err := machine.Exec(h.ctx, wmt, lmt, p5mtPath, []string{"p5mt", fmt.Sprintf("%d", k)}, 0, 100_000_000)
 		if err != nil {
 			// Exec's error names the target and the mechanism; add the delay.
 			return false, "", fmt.Errorf("pitfalls: %s under %s at delay %d: %w", p5mtPath, spec.Name, k, errors.Unwrap(err))

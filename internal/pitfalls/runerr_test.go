@@ -1,12 +1,16 @@
 package pitfalls
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"k23/internal/asm"
 	"k23/internal/cpu"
 	"k23/internal/image"
+	"k23/internal/interpose/variants"
+	"k23/internal/kernel"
 	"k23/internal/libc"
 )
 
@@ -80,4 +84,50 @@ func TestRunErrorFailsCell(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestObserveCancelled: a done context stops a P5 cell with an error
+// wrapping context.Canceled instead of a verdict, whether it is done
+// before the PoC starts (offline phases included) or during the delay
+// scan, where the error also names the delay.
+func TestObserveCancelled(t *testing.T) {
+	var p5 PoC
+	for _, poc := range All() {
+		if poc.ID == "P5" {
+			p5 = poc
+		}
+	}
+	for _, spec := range variants.Table3Columns() {
+		t.Run(spec.Name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			c, err := p5.Observe(ctx, spec, nil)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v (verdict handled=%v, %s), want one wrapping context.Canceled", err, c.Handled, c.Detail)
+			}
+		})
+	}
+	t.Run("mid-scan", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// The second world is the scan's; cancel when its third run exits.
+		worlds := 0
+		cancelInScan := func(k *kernel.Kernel) {
+			if worlds++; worlds != 2 {
+				return
+			}
+			exits := 0
+			k.AddEventHook(func(e kernel.Event) {
+				if e.Kind == kernel.EvExitProc {
+					if exits++; exits == 3 {
+						cancel()
+					}
+				}
+			})
+		}
+		_, err := p5.Observe(ctx, specByName(t, "zpoline-ultra"), nil, cancelInScan)
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "at delay 3: ") {
+			t.Fatalf("err = %v, want one at delay 3 wrapping context.Canceled", err)
+		}
+	})
 }
