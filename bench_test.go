@@ -205,18 +205,20 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(float64(insts), "insts/run")
 }
 
-// BenchmarkStepDecodeCache measures the decoded-instruction cache's
-// effect on raw simulator stepping speed, cached vs uncached, on the
+// BenchmarkEngine measures raw simulator stepping speed on the
 // syscall-500 tight loop (Table 5's workload) and the redis-like macro
-// workload (Table 6's). Reported metrics: steps/sec in each mode, the
-// speedup factor, and the cache hit rate. The guest-visible results are
-// proven identical by internal/cpu/difftest; this benchmark shows the
-// host-side win.
-func BenchmarkStepDecodeCache(b *testing.B) {
-	type runner func(m difftest.Mode) (bench.EngineRun, error)
+// workload (Table 6's) under each execution-engine mode: jit (decode
+// cache plus superblocks), cache-only and cache-off. A cache-only/
+// cache-off pair isolates the decode cache, a jit/cache-only pair the
+// superblock engine. Each op builds a world and runs the workload to
+// exit; steps/s is retired guest instructions over b.Elapsed(), world
+// build included. internal/cpu/difftest proves the modes' guest-visible
+// results identical, and `benchtab -claim decodecache` and `-claim jit`
+// pin their counters.
+func BenchmarkEngine(b *testing.B) {
 	workloads := []struct {
 		name string
-		run  runner
+		run  func(m difftest.Mode) (bench.EngineRun, error)
 	}{
 		{"micro-syscall500", func(m difftest.Mode) (bench.EngineRun, error) {
 			return bench.MeasureEngineMicro(3000, m)
@@ -226,25 +228,20 @@ func BenchmarkStepDecodeCache(b *testing.B) {
 		}},
 	}
 	for _, w := range workloads {
-		w := w
-		b.Run(w.name, func(b *testing.B) {
-			var on, off bench.EngineRun
-			for i := 0; i < b.N; i++ {
-				var err error
-				if on, err = w.run(difftest.ModeCacheOnly); err != nil {
-					b.Fatal(err)
+		for _, m := range []difftest.Mode{difftest.ModeJIT, difftest.ModeCacheOnly, difftest.ModeCacheOff} {
+			b.Run(w.name+"/"+m.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				var steps uint64
+				for i := 0; i < b.N; i++ {
+					r, err := w.run(m)
+					if err != nil {
+						b.Fatal(err)
+					}
+					steps += r.Steps
 				}
-				if off, err = w.run(difftest.ModeCacheOff); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(on.StepsPerSec(), "cached-steps/s")
-			b.ReportMetric(off.StepsPerSec(), "uncached-steps/s")
-			if off.StepsPerSec() > 0 {
-				b.ReportMetric(on.StepsPerSec()/off.StepsPerSec(), "speedup-x")
-			}
-			b.ReportMetric(on.Cache.HitRate()*100, "hit-%")
-		})
+				b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+			})
+		}
 	}
 }
 

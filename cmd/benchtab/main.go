@@ -1,7 +1,11 @@
 // Command benchtab regenerates the paper's evaluation artifacts: every
 // table (2, 3, 5, 6) and the content of every figure (1, 2, 4 — Figure 3
 // is the log file printed by k23-offline), plus the standalone measured
-// claims (startup syscall count, P4b memory overhead).
+// claims (startup syscall count, P4b memory overhead, engine counters,
+// coverage, rr, phases, SFIP, probes), a fleet run and the chaos sweep.
+// Every number it prints is simulated, so each output can be goldened or
+// compared with cmp; the simulator's host time is measured by
+// cmd/k23bench and by go test -bench.
 //
 // Usage:
 //
@@ -12,7 +16,7 @@
 //	benchtab -claim decodecache
 //	benchtab -claim coverage
 //	benchtab -fleet 16 -workers 8
-//	benchtab -fleet 16 -workers 1,2,4,8 -fleet-workload macro
+//	benchtab -fleet 16 -chaos 7 -fleet-trace fleet.jsonl
 package main
 
 import (
@@ -21,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"k23/internal/bench"
 	"k23/internal/chaos"
@@ -55,56 +58,26 @@ func reportSweep(rep *chaos.Report) error {
 	return fmt.Errorf("%d invariant violations", len(rep.Violations))
 }
 
-// enginePairs measures the micro (3000 iterations) and redis-like (200
-// requests) workloads under engine modes on and off, one pair each.
-func enginePairs(on, off difftest.Mode) ([][2]bench.EngineRun, error) {
-	var pairs [][2]bench.EngineRun
-	for _, measure := range []func(difftest.Mode) (bench.EngineRun, error){
-		func(m difftest.Mode) (bench.EngineRun, error) { return bench.MeasureEngineMicro(3000, m) },
-		func(m difftest.Mode) (bench.EngineRun, error) { return bench.MeasureEngineMacro(200, m) },
-	} {
-		a, err := measure(on)
-		if err != nil {
-			return nil, err
-		}
-		b, err := measure(off)
-		if err != nil {
-			return nil, err
-		}
-		pairs = append(pairs, [2]bench.EngineRun{a, b})
+// engineRuns runs the micro (3000 iterations) and redis-like (200
+// requests) workloads under engine mode m.
+func engineRuns(m difftest.Mode) ([]bench.EngineRun, error) {
+	micro, err := bench.MeasureEngineMicro(3000, m)
+	if err != nil {
+		return nil, err
 	}
-	return pairs, nil
-}
-
-// parseWorkers turns "8" or "1,2,4,8" into worker counts, prepending a
-// workers=1 baseline when absent so the speedup column has a reference.
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	haveOne := false
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", part)
-		}
-		if n == 1 {
-			haveOne = true
-		}
-		out = append(out, n)
+	macro, err := bench.MeasureEngineMacro(200, m)
+	if err != nil {
+		return nil, err
 	}
-	if !haveOne {
-		out = append([]int{1}, out...)
-	}
-	return out, nil
+	return []bench.EngineRun{micro, macro}, nil
 }
 
 func main() {
 	table := flag.String("table", "", "regenerate a table: 2, 3, 5, 6, or all")
 	figure := flag.String("figure", "", "regenerate a figure's content: 1, 2, or 4")
-	claim := flag.String("claim", "", "measure a standalone claim: startup, p4b, decodecache, jit, obsoverhead, probes, coverage, rr, phases or sfip")
-	fleetN := flag.Int("fleet", 0, "run a fleet of N simulated machines and report scaling")
-	workersSpec := flag.String("workers", "8", "worker counts for -fleet: a number or comma list (1,2,4,8)")
-	fleetWorkload := flag.String("fleet-workload", "micro", "fleet machine type: micro (syscall loop), macro (redis server), or apps (difftest mix)")
-	fleetIters := flag.Int("fleet-iters", 20000, "micro loop iterations / macro requests per fleet machine")
+	claim := flag.String("claim", "", "measure a standalone claim: startup, p4b, decodecache, jit, probes, coverage, rr, phases or sfip")
+	fleetN := flag.Int("fleet", 0, "run the standard fleet of N simulated machines (the app workload mix) and print its report")
+	workers := flag.Int("workers", 8, "with -fleet: the worker count")
 	sidecar := flag.Bool("metrics-sidecar", false, "print the per-variant observability sidecar (instrumented representative runs)")
 	fleetTrace := flag.String("fleet-trace", "", "with -fleet: record each machine's flight-recorder trace and write tagged JSONL to FILE")
 	chaosSeed := flag.Uint64("chaos", 0, "with -fleet: arm deterministic fault injection salted with this seed; with -chaos-sweep: the sweep base seed (0 = default)")
@@ -113,7 +86,7 @@ func main() {
 	flag.Parse()
 
 	if *table == "" && *figure == "" && *claim == "" && *fleetN == 0 && !*sidecar && *chaosSweep == 0 && *chaosRepro == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchtab -table 2|3|5|6|all | -figure 1|2|4 | -claim startup|p4b|decodecache|jit|obsoverhead|probes|coverage|rr|phases|sfip | -fleet N -workers W | -metrics-sidecar | -chaos-sweep N | -chaos-repro SEED")
+		fmt.Fprintln(os.Stderr, "usage: benchtab -table 2|3|5|6|all | -figure 1|2|4 | -claim startup|p4b|decodecache|jit|probes|coverage|rr|phases|sfip | -fleet N [-workers W] | -metrics-sidecar | -chaos-sweep N | -chaos-repro SEED")
 		os.Exit(2)
 	}
 
@@ -231,23 +204,21 @@ func main() {
 			return nil
 		})
 	case "decodecache":
-		run("Claim — decoded-instruction cache simulator speedup", func() error {
-			pairs, err := enginePairs(difftest.ModeCacheOnly, difftest.ModeCacheOff)
+		run("Claim — decoded-instruction cache counters", func() error {
+			runs, err := engineRuns(difftest.ModeCacheOnly)
 			if err != nil {
 				return err
 			}
-			fmt.Print(bench.FormatDecodeCache(pairs))
+			fmt.Print(bench.FormatDecodeCache(runs))
 			return nil
 		})
 	case "jit":
-		run("Claim — trace-JIT superblock simulator speedup (E18)", func() error {
-			pairs, err := enginePairs(difftest.ModeJIT, difftest.ModeCacheOnly)
+		run("Claim — trace-JIT superblock engagement (E18)", func() error {
+			runs, err := engineRuns(difftest.ModeJIT)
 			if err != nil {
 				return err
 			}
-			fmt.Print(bench.FormatJIT(pairs))
-			fmt.Println()
-			fmt.Print(bench.FormatJITEngagement([]bench.EngineRun{pairs[0][0], pairs[1][0]}))
+			fmt.Print(bench.FormatJITEngagement(runs))
 			return nil
 		})
 	case "coverage":
@@ -295,16 +266,6 @@ func main() {
 			fmt.Print(bench.FormatProbes(snap))
 			return nil
 		})
-	case "obsoverhead":
-		run("Claim — observability overhead on the micro workload (E15)", func() error {
-			const variant = "k23-default"
-			rows, err := bench.MeasureObsOverhead(variant)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatObsOverhead(variant, rows))
-			return nil
-		})
 	default:
 		fmt.Fprintf(os.Stderr, "benchtab: unknown claim %q\n", *claim)
 		os.Exit(2)
@@ -323,87 +284,38 @@ func main() {
 	}
 
 	if *fleetN > 0 {
-		counts, err := parseWorkers(*workersSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(2)
-		}
-		var machines []fleet.Machine
-		switch *fleetWorkload {
-		case "micro":
-			machines = bench.FleetMicroMachines(*fleetN, *fleetIters)
-		case "macro":
-			machines = bench.FleetMacroMachines(*fleetN, *fleetIters)
-		case "apps":
-			machines = fleet.StandardFleet(*fleetN)
-		default:
-			fmt.Fprintf(os.Stderr, "benchtab: unknown fleet workload %q\n", *fleetWorkload)
-			os.Exit(2)
-		}
-		var tmpl fleet.Options
+		opt := fleet.Options{Workers: *workers}
 		chaosTag := ""
 		if *chaosSeed != 0 {
 			prof := kernel.DefaultChaosProfile()
-			tmpl.Chaos = &prof
-			tmpl.ChaosSeed = *chaosSeed
+			opt.Chaos = &prof
+			opt.ChaosSeed = *chaosSeed
 			chaosTag = fmt.Sprintf(", chaos seed %#x", *chaosSeed)
 		}
-		run(fmt.Sprintf("Fleet — %d %s machines, workers vs throughput%s", *fleetN, *fleetWorkload, chaosTag), func() error {
-			rows, err := bench.MeasureFleetScaling(context.Background(), machines, counts, tmpl)
+		if *fleetTrace != "" {
+			opt.Obs = obsv.Options{Trace: true, Metrics: true}
+		}
+		run(fmt.Sprintf("Fleet — %d machines%s", *fleetN, chaosTag), func() error {
+			rep, err := fleet.Run(context.Background(), fleet.StandardFleet(*fleetN), opt)
 			if err != nil {
 				return err
 			}
-			fmt.Print(bench.FormatFleetScaling(rows))
-			if *chaosSeed != 0 && len(rows) > 0 {
+			if err := rep.FirstErr(); err != nil {
+				return err
+			}
+			fmt.Print(rep.Format())
+			if *chaosSeed != 0 {
 				var injected uint64
-				for i := range rows[0].Report.Machines {
-					injected += rows[0].Report.Machines[i].ChaosInjected
+				for i := range rep.Machines {
+					injected += rep.Machines[i].ChaosInjected
 				}
-				fmt.Printf("chaos: %d perturbations injected per run\n", injected)
+				fmt.Printf("chaos: %d perturbations injected\n", injected)
+			}
+			if *fleetTrace != "" {
+				return writeFleetTrace(rep, *fleetTrace)
 			}
 			return nil
 		})
-		if *fleetTrace != "" {
-			opt := tmpl
-			opt.Workers = counts[len(counts)-1]
-			opt.Obs = obsv.Options{Trace: true, Metrics: true}
-			run("Fleet — observed run (flight recorder + metrics)", func() error {
-				rep, err := fleet.Run(context.Background(), machines, opt)
-				if err != nil {
-					return err
-				}
-				if err := rep.FirstErr(); err != nil {
-					return err
-				}
-				var rings []obsv.Ring
-				for i := range rep.Machines {
-					if m := &rep.Machines[i]; m.Obs != nil {
-						rings = append(rings, obsv.Ring{Machine: m.Name, Recs: m.Obs.Trace})
-					}
-				}
-				f, err := os.Create(*fleetTrace)
-				if err != nil {
-					return err
-				}
-				err = obsv.WriteJSONL(f, rings...)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					return err
-				}
-				fmt.Printf("per-machine traces written to %s\n", *fleetTrace)
-				if merged := rep.MergedObs(); merged != nil && merged.Metrics != nil {
-					fmt.Printf("fleet-wide: %d syscalls across %d machines, mechanisms:",
-						merged.Metrics.TotalSyscalls(), len(rep.Machines))
-					for _, m := range merged.Metrics.Mechanisms {
-						fmt.Printf(" %s=%d", m.Mechanism, m.Count)
-					}
-					fmt.Println()
-				}
-				return nil
-			})
-		}
 	}
 
 	if *chaosSweep > 0 {
@@ -434,4 +346,36 @@ func main() {
 			return reportSweep(rep)
 		})
 	}
+}
+
+// writeFleetTrace writes every machine's flight-recorder trace of rep to
+// path as tagged JSONL and prints the fleet-wide mechanism counts.
+func writeFleetTrace(rep *fleet.Report, path string) error {
+	var rings []obsv.Ring
+	for i := range rep.Machines {
+		if m := &rep.Machines[i]; m.Obs != nil {
+			rings = append(rings, obsv.Ring{Machine: m.Name, Recs: m.Obs.Trace})
+		}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = obsv.WriteJSONL(f, rings...)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("per-machine traces written to %s\n", path)
+	if merged := rep.MergedObs(); merged != nil && merged.Metrics != nil {
+		fmt.Printf("fleet-wide: %d syscalls across %d machines, mechanisms:",
+			merged.Metrics.TotalSyscalls(), len(rep.Machines))
+		for _, m := range merged.Metrics.Mechanisms {
+			fmt.Printf(" %s=%d", m.Mechanism, m.Count)
+		}
+		fmt.Println()
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -73,21 +72,19 @@ func TestMain(m *testing.M) {
 
 // TestClaimsRun runs `benchtab -claim decodecache`, `jit`, `rr`,
 // `phases` and `probes` as the command: each must exit 0 and print every
-// table header. The decodecache and jit wall-clock columns are
-// host-dependent; TestGoldenJIT, TestGoldenRR, TestGoldenPhases and
-// TestGoldenProbes pin the deterministic tables.
+// table header. TestGoldenJIT, TestGoldenRR, TestGoldenPhases and
+// TestGoldenProbes pin the tables themselves.
 func TestClaimsRun(t *testing.T) {
 	for _, row := range []struct {
 		claim   string
 		headers []string
 	}{
 		{"decodecache", []string{
-			"==== Claim — decoded-instruction cache simulator speedup ====",
-			"Workload           cached         uncached       speedup   hit-rate  hits/misses/inval\n",
+			"==== Claim — decoded-instruction cache counters ====",
+			"Workload           steps        hit-rate  hits/misses/inval\n",
 		}},
 		{"jit", []string{
-			"==== Claim — trace-JIT superblock simulator speedup (E18) ====",
-			"Workload           jit            interp         speedup   coverage\n",
+			"==== Claim — trace-JIT superblock engagement (E18) ====",
 			"Workload           steps        blocks   entries   block-insts  coverage  bails  selfwr  evict\n",
 		}},
 		{"rr", []string{
@@ -159,61 +156,27 @@ func TestGoldenTable6(t *testing.T) {
 	checkGolden(t, "table6.golden", bench.FormatTable6(rows))
 }
 
-// TestParseWorkers covers the -workers flag grammar, including the
-// implicit workers=1 baseline.
-func TestParseWorkers(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-		err  bool
-	}{
-		{in: "8", want: "[1 8]"},
-		{in: "1", want: "[1]"},
-		{in: "1,2,4,8", want: "[1 2 4 8]"},
-		{in: "4, 2", want: "[1 4 2]"},
-		{in: "0", err: true},
-		{in: "x", err: true},
-		{in: "", err: true},
-	}
-	for _, c := range cases {
-		got, err := parseWorkers(c.in)
-		if c.err {
-			if err == nil {
-				t.Errorf("parseWorkers(%q): want error, got %v", c.in, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseWorkers(%q): %v", c.in, err)
-			continue
-		}
-		if s := fmt.Sprint(got); s != c.want {
-			t.Errorf("parseWorkers(%q) = %s, want %s", c.in, s, c.want)
-		}
-	}
-}
-
-// TestGoldenJIT pins the deterministic half of `benchtab -claim jit`
-// (E18): the superblock-engine engagement counters — blocks compiled,
-// entries, instructions retired in blocks, coverage, bails, self-write
-// exits, evictions — on the micro and redis-like macro workloads. The
-// wall-clock speedup table (FormatJIT) is host-dependent and
-// deliberately not goldened; these counters depend only on the workload
-// and the formation heuristics, so drift means the engine's behavior
-// actually changed.
+// TestGoldenJIT pins `benchtab -claim jit` (E18) and `-claim
+// decodecache` (E13) on the micro and redis-like macro workloads: the
+// superblock-engine engagement counters (blocks compiled, entries,
+// instructions retired in blocks, coverage, bails, self-write exits,
+// evictions) of jit-mode runs, and the decode-cache hits, misses and
+// invalidations of cache-only runs. The counters depend only on the
+// workload, the formation heuristics and the cache, so drift means an
+// engine's behavior actually changed.
 func TestGoldenJIT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("JIT claim regeneration runs the full macro workload; skipped in -short")
 	}
-	micro, err := bench.MeasureEngineMicro(3000, difftest.ModeJIT)
+	runs, err := engineRuns(difftest.ModeJIT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	macro, err := bench.MeasureEngineMacro(200, difftest.ModeJIT)
-	if err != nil {
+	checkGolden(t, "jit.golden", bench.FormatJITEngagement(runs))
+	if runs, err = engineRuns(difftest.ModeCacheOnly); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "jit.golden", bench.FormatJITEngagement([]bench.EngineRun{micro, macro}))
+	checkGolden(t, "decodecache.golden", bench.FormatDecodeCache(runs))
 }
 
 // TestGoldenRR pins `benchtab -claim rr` (E19): the checkpoint-interval

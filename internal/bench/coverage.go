@@ -62,11 +62,11 @@ func coreutilConfigs() (pwd, ls, cat MacroConfig) {
 	return
 }
 
-// WriteCoverageTable runs every coverage app under every coverage
+// writeCoverageTable runs every coverage app under every coverage
 // variant and writes the golden-comparable coverage matrix: per-cell
 // totals plus the full per-syscall x per-mechanism counts and escapes by
 // category. All ordering comes from the audit snapshot's sorted slices.
-func WriteCoverageTable(w io.Writer) error {
+func writeCoverageTable(w io.Writer) error {
 	for _, name := range CoverageVariants() {
 		spec, ok := variants.ByName(name)
 		if !ok {
@@ -77,25 +77,25 @@ func WriteCoverageTable(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			FormatCoverageCell(w, app.Name, name, s)
+			formatCoverageCell(w, app.Name, name, s)
 		}
 	}
 	return nil
 }
 
-// CoverageTable is WriteCoverageTable into a string, for benchtab and
+// CoverageTable is writeCoverageTable into a string, for benchtab and
 // the golden test.
 func CoverageTable() (string, error) {
 	var b strings.Builder
-	if err := WriteCoverageTable(&b); err != nil {
+	if err := writeCoverageTable(&b); err != nil {
 		return "", err
 	}
 	return b.String(), nil
 }
 
-// FormatCoverageCell renders one (app, variant) audit snapshot in the
+// formatCoverageCell renders one (app, variant) audit snapshot in the
 // golden table format.
-func FormatCoverageCell(w io.Writer, app, variant string, s *audit.Snapshot) {
+func formatCoverageCell(w io.Writer, app, variant string, s *audit.Snapshot) {
 	t := &s.Totals
 	ttfc := uint64(0)
 	if p := s.MainProc(); p != nil {

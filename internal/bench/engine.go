@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"k23/internal/apps"
 	"k23/internal/cpu"
@@ -12,33 +11,21 @@ import (
 	"k23/internal/machine"
 )
 
-// EngineRun is one wall-clock measurement of raw simulator speed under
-// one execution-engine mode. Unlike the Table 5 and 6 rows — which
-// measure simulated guest cycles and are by construction identical in
-// every mode — this measures how fast the simulator itself steps, which
-// is what the decode cache and the superblock engine exist to improve.
-// A cache-only/cache-off pair isolates the decode cache, a
-// jit/cache-only pair the superblock engine. Elapsed is host-dependent;
-// Steps and the counters are deterministic and golden-testable.
+// EngineRun is one run of a workload under one execution-engine mode:
+// the decode-cache and superblock-engine counters the run left. Unlike
+// the Table 5 and 6 rows, which are by construction identical in every
+// mode, these counters show what the decode cache and the superblock
+// engine did. Every field is deterministic and golden-testable; the
+// simulator's host speed in each mode is BenchmarkEngine's to measure.
 type EngineRun struct {
 	Workload string
 	Mode     difftest.Mode
 	// Steps is the number of guest instructions retired.
 	Steps uint64
-	// Elapsed is host wall-clock time.
-	Elapsed time.Duration
 	// Cache and JIT aggregate the decode-cache and superblock counters
 	// over every core.
 	Cache cpu.DecodeCacheStats
 	JIT   cpu.JITStats
-}
-
-// StepsPerSec returns retired guest instructions per host second.
-func (r EngineRun) StepsPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Steps) / r.Elapsed.Seconds()
 }
 
 // MeasureEngineMicro runs the syscall-500 stress loop (the Table 5
@@ -50,8 +37,7 @@ func MeasureEngineMicro(n int, m difftest.Mode) (EngineRun, error) {
 
 // MeasureEngineMacro runs the redis-like single-I/O-thread server (the
 // Table 6 redis row) natively under engine mode m, driven with requests
-// injected requests — the paper-shape macro workload the ≥2x superblock
-// speedup claim is made on.
+// injected requests.
 func MeasureEngineMacro(requests int, m difftest.Mode) (EngineRun, error) {
 	w, err := macroWorld(m.Options()...)
 	if err != nil {
@@ -61,66 +47,32 @@ func MeasureEngineMacro(requests int, m difftest.Mode) (EngineRun, error) {
 }
 
 func measureEngine(w *interpose.World, m difftest.Mode, name, path string, argv []string, requests int) (EngineRun, error) {
-	start := time.Now()
 	if _, err := runToExit(w, interpose.Native{}, path, argv, requests); err != nil {
 		return EngineRun{}, err
 	}
 	return EngineRun{
 		Workload: name,
 		Mode:     m,
-		Elapsed:  time.Since(start),
 		Steps:    machine.Insts(w.K),
 		Cache:    w.K.DecodeCacheStats(),
 		JIT:      w.K.JITStats(),
 	}, nil
 }
 
-// FormatDecodeCache renders cache-only/cache-off measurement pairs with
-// the speedup factor, for cmd/benchtab and EXPERIMENTS.md.
-func FormatDecodeCache(pairs [][2]EngineRun) string {
-	out := fmt.Sprintf("%-18s %-14s %-14s %-9s %-9s %s\n",
-		"Workload", "cached", "uncached", "speedup", "hit-rate", "hits/misses/inval")
-	for _, pr := range pairs {
-		on := pr[0]
-		out += fmt.Sprintf("%-18s %-14s %-14s %-9s %-9s %d/%d/%d\n",
-			on.Workload, stepRate(on), stepRate(pr[1]), speedup(pr),
-			fmt.Sprintf("%.1f%%", on.Cache.HitRate()*100),
-			on.Cache.Hits, on.Cache.Misses, on.Cache.Invalidations)
+// FormatDecodeCache renders the decode-cache counters of cache-only
+// runs, the golden file for `benchtab -claim decodecache`.
+func FormatDecodeCache(runs []EngineRun) string {
+	out := fmt.Sprintf("%-18s %-12s %-9s %s\n", "Workload", "steps", "hit-rate", "hits/misses/inval")
+	for _, r := range runs {
+		out += fmt.Sprintf("%-18s %-12d %-9s %d/%d/%d\n",
+			r.Workload, r.Steps, fmt.Sprintf("%.1f%%", r.Cache.HitRate()*100),
+			r.Cache.Hits, r.Cache.Misses, r.Cache.Invalidations)
 	}
 	return out
 }
 
-// FormatJIT renders jit/cache-only measurement pairs with the speedup
-// factor, for cmd/benchtab and EXPERIMENTS.md E18. Wall-clock derived
-// columns are host-dependent and must not be golden-tested.
-func FormatJIT(pairs [][2]EngineRun) string {
-	out := fmt.Sprintf("%-18s %-14s %-14s %-9s %s\n",
-		"Workload", "jit", "interp", "speedup", "coverage")
-	for _, pr := range pairs {
-		on := pr[0]
-		out += fmt.Sprintf("%-18s %-14s %-14s %-9s %s\n",
-			on.Workload, stepRate(on), stepRate(pr[1]), speedup(pr),
-			fmt.Sprintf("%.1f%%", on.JIT.Coverage(on.Steps)*100))
-	}
-	return out
-}
-
-// stepRate renders a run's stepping speed.
-func stepRate(r EngineRun) string { return fmt.Sprintf("%.2fM st/s", r.StepsPerSec()/1e6) }
-
-// speedup renders how much faster the first run of a pair stepped.
-func speedup(pr [2]EngineRun) string {
-	x := 0.0
-	if off := pr[1].StepsPerSec(); off > 0 {
-		x = pr[0].StepsPerSec() / off
-	}
-	return fmt.Sprintf("%.2fx", x)
-}
-
-// FormatJITEngagement renders the deterministic superblock-engine
-// counters of jit-mode runs: every column depends only on the workload,
-// never on host speed, which is what makes this table the golden file
-// for `benchtab -claim jit`.
+// FormatJITEngagement renders the superblock-engine counters of
+// jit-mode runs, the golden file for `benchtab -claim jit`.
 func FormatJITEngagement(runs []EngineRun) string {
 	out := fmt.Sprintf("%-18s %-12s %-8s %-9s %-12s %-9s %-6s %-7s %s\n",
 		"Workload", "steps", "blocks", "entries", "block-insts", "coverage", "bails", "selfwr", "evict")

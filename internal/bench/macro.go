@@ -154,9 +154,29 @@ func redisMainCycles(spec variants.Spec) (float64, error) {
 	return float64(total) / float64(apps.RedisMainIters), nil
 }
 
+// slopes keeps the per-request slopes one Table 6 measurement has taken,
+// keyed by mechanism, program and argv. cyclesPerRequest does not read
+// Workers (the model has no contention between workers), so a 10-worker
+// row reuses its 1-worker row's slope.
+type slopes map[string]float64
+
+// cyclesPerRequest is the package's cyclesPerRequest, measured once per
+// key.
+func (s slopes) cyclesPerRequest(spec variants.Spec, cfg MacroConfig) (float64, error) {
+	key := spec.Name + "\x00" + cfg.Path + "\x00" + strings.Join(cfg.Argv, "\x00")
+	if v, ok := s[key]; ok {
+		return v, nil
+	}
+	v, err := cyclesPerRequest(spec, cfg)
+	if err == nil {
+		s[key] = v
+	}
+	return v, err
+}
+
 // throughput computes a configuration's req/s under a variant.
-func throughput(spec variants.Spec, cfg MacroConfig) (float64, error) {
-	perReq, err := cyclesPerRequest(spec, cfg)
+func (s slopes) throughput(spec variants.Spec, cfg MacroConfig) (float64, error) {
+	perReq, err := s.cyclesPerRequest(spec, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -202,7 +222,11 @@ func sqliteCycles(spec variants.Spec, cfg MacroConfig) (float64, error) {
 }
 
 // Table6Row measures one configuration across all variants.
-func Table6Row(cfg MacroConfig) (MacroRow, error) {
+func Table6Row(cfg MacroConfig) (MacroRow, error) { return slopes{}.row(cfg) }
+
+// row measures one configuration across all variants, reusing the
+// slopes s already holds.
+func (s slopes) row(cfg MacroConfig) (MacroRow, error) {
 	row := MacroRow{Config: cfg.Name, Relative: map[string]float64{}}
 	nativeSpec, _ := variants.ByName("native")
 
@@ -210,7 +234,7 @@ func Table6Row(cfg MacroConfig) (MacroRow, error) {
 		if cfg.Sqlite {
 			return sqliteCycles(spec, cfg)
 		}
-		return throughput(spec, cfg)
+		return s.throughput(spec, cfg)
 	}
 
 	native, err := measure(nativeSpec)
@@ -236,11 +260,12 @@ func Table6Row(cfg MacroConfig) (MacroRow, error) {
 	return row, nil
 }
 
-// Table6 measures every configuration.
+// Table6 measures every configuration, each slope once.
 func Table6() ([]MacroRow, error) {
 	var rows []MacroRow
+	s := slopes{}
 	for _, cfg := range MacroConfigs() {
-		row, err := Table6Row(cfg)
+		row, err := s.row(cfg)
 		if err != nil {
 			return nil, err
 		}

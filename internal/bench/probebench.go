@@ -27,9 +27,9 @@ var probesConfig = MacroConfig{
 	Argv: []string{"lighttpd", "0"}, Workers: 1,
 }
 
-// ProbesVariants lists the claim's rows: native plus the Table 5
+// probesVariants lists the claim's rows: native plus the Table 5
 // interposers.
-func ProbesVariants() []string {
+func probesVariants() []string {
 	return append([]string{"native"}, Table5Variants()...)
 }
 
@@ -46,7 +46,7 @@ func MeasureProbes() (*probe.Snapshot, error) {
 		return nil, err
 	}
 	merged := &probe.Snapshot{}
-	for _, name := range ProbesVariants() {
+	for _, name := range probesVariants() {
 		spec, ok := variants.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
@@ -84,7 +84,7 @@ func FormatProbes(s *probe.Snapshot) string {
 	fmt.Fprintf(&b, "workload: %s, %d requests per variant; prog hash %016x\n",
 		probesConfig.Name, probesRequests, s.ProgHash)
 	fmt.Fprintf(&b, "%-22s %-8s %-12s %s\n", "Mechanism", "writes", "mean-cycles", "log2 histogram (bucket:count)")
-	for _, name := range ProbesVariants() {
+	for _, name := range probesVariants() {
 		r := byMech[name]
 		if r == nil {
 			fmt.Fprintf(&b, "%-22s %-8d %-12s -\n", name, 0, "-")

@@ -43,14 +43,14 @@ type SfipCell struct {
 	Denied uint64
 }
 
-// Tripped reports whether enforcement caught anything.
-func (c *SfipCell) Tripped() bool { return c.Trips > 0 }
+// tripped reports whether enforcement caught anything.
+func (c *SfipCell) tripped() bool { return c.Trips > 0 }
 
-// SfipPitfallMatrix runs the two-pass pitfall-trip evaluation over the
+// sfipPitfallMatrix runs the two-pass pitfall-trip evaluation over the
 // Table 3 columns. Worlds correspond across passes by creation order
 // (the PoCs are deterministic), so each enforcement-pass world runs
 // under the policy its own training-pass twin learned.
-func SfipPitfallMatrix() ([]SfipCell, error) {
+func sfipPitfallMatrix() ([]SfipCell, error) {
 	specs := variants.Table3Columns()
 	type cellKey struct{ pitfall, interposer string }
 
@@ -152,11 +152,11 @@ func sfipAppSnapshot(spec variants.Spec, wl appWorkload, oo obsv.Options) (*obsv
 	return o.Snapshot(), nil
 }
 
-// SfipAppTable self-trains and then enforces every Table 2 application
+// sfipAppTable self-trains and then enforces every Table 2 application
 // under k23-ultra+. A non-zero violation count is a learner or
 // enforcer defect, not an application property: training and
 // enforcement see identical runs.
-func SfipAppTable() ([]SfipAppRow, error) {
+func sfipAppTable() ([]SfipAppRow, error) {
 	spec, ok := variants.ByName(sfipVariant)
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown variant %s", sfipVariant)
@@ -238,9 +238,9 @@ func sfipMicroSlope(spec variants.Spec, policy *sfip.Policy, mode sfip.Mode) (fl
 	return float64(c2-c1) / float64(microN2-microN1), nil
 }
 
-// SfipMicroTable measures the enforcement hot-path cost for every
+// sfipMicroTable measures the enforcement hot-path cost for every
 // Table 3 column.
-func SfipMicroTable() ([]SfipMicroRow, error) {
+func sfipMicroTable() ([]SfipMicroRow, error) {
 	var rows []SfipMicroRow
 	for _, spec := range variants.Table3Columns() {
 		off, err := MicroSlope(spec)
@@ -260,10 +260,10 @@ func SfipMicroTable() ([]SfipMicroRow, error) {
 	return rows, nil
 }
 
-// WriteSfipTable runs all three SFIP measurements and writes the
+// writeSfipTable runs all three SFIP measurements and writes the
 // golden-comparable report.
-func WriteSfipTable(w io.Writer) error {
-	cells, err := SfipPitfallMatrix()
+func writeSfipTable(w io.Writer) error {
+	cells, err := sfipPitfallMatrix()
 	if err != nil {
 		return err
 	}
@@ -273,7 +273,7 @@ func WriteSfipTable(w io.Writer) error {
 		c := &cells[i]
 		fmt.Fprintf(w, "[%s/%s] escapes=%d origins=%d edges=%d trips=%d denied=%d\n",
 			c.Pitfall, c.Interposer, c.Escapes, c.Origins, c.Edges, c.Trips, c.Denied)
-		if c.Escapes > 0 && !c.Tripped() {
+		if c.Escapes > 0 && !c.tripped() {
 			missed++
 		}
 	}
@@ -283,7 +283,7 @@ func WriteSfipTable(w io.Writer) error {
 		fmt.Fprintf(w, "criterion: %d cell(s) escaped in training without tripping enforcement: FAIL\n", missed)
 	}
 
-	rows, err := SfipAppTable()
+	rows, err := sfipAppTable()
 	if err != nil {
 		return err
 	}
@@ -296,7 +296,7 @@ func WriteSfipTable(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "false-positive total: %d\n", fps)
 
-	micro, err := SfipMicroTable()
+	micro, err := sfipMicroTable()
 	if err != nil {
 		return err
 	}
@@ -307,11 +307,11 @@ func WriteSfipTable(w io.Writer) error {
 	return nil
 }
 
-// SfipTable is WriteSfipTable into a string, for benchtab and the
+// SfipTable is writeSfipTable into a string, for benchtab and the
 // golden test.
 func SfipTable() (string, error) {
 	var b strings.Builder
-	if err := WriteSfipTable(&b); err != nil {
+	if err := writeSfipTable(&b); err != nil {
 		return "", err
 	}
 	return b.String(), nil

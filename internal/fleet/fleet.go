@@ -188,23 +188,6 @@ func (r *Report) TotalSyscalls() uint64 {
 	return n
 }
 
-// StepsPerSec is the aggregate simulation throughput in retired guest
-// instructions per host second.
-func (r *Report) StepsPerSec() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.TotalSteps()) / r.Wall.Seconds()
-}
-
-// MachinesPerSec is the fleet completion rate.
-func (r *Report) MachinesPerSec() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(len(r.Machines)) / r.Wall.Seconds()
-}
-
 // MergedObs folds every machine's observability snapshot into one
 // fleet-wide view: histograms add bucketwise, mechanism and decode-cache
 // counters sum, traces concatenate in machine order. Returns nil when no
@@ -233,11 +216,13 @@ func (r *Report) FirstErr() error {
 	return nil
 }
 
-// Format renders the per-machine table and the aggregate line.
+// Format renders the per-machine table and the aggregate line. Every
+// column is simulated, so the output depends only on the machines and
+// the worker count, never on host speed.
 func (r *Report) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %-12s %-10s %-9s %-9s %-10s %s\n",
-		"Machine", "steps", "syscalls", "hit-rate", "wall", "exit", "err")
+	fmt.Fprintf(&b, "%-20s %-12s %-10s %-9s %-10s %s\n",
+		"Machine", "steps", "syscalls", "hit-rate", "exit", "err")
 	for i := range r.Machines {
 		m := &r.Machines[i]
 		exit := "-"
@@ -247,13 +232,12 @@ func (r *Report) Format() string {
 				exit = fmt.Sprintf("sig=%d", m.Exit.Signal)
 			}
 		}
-		fmt.Fprintf(&b, "%-20s %-12d %-10d %-9s %-9s %-10s %s\n",
+		fmt.Fprintf(&b, "%-20s %-12d %-10d %-9s %-10s %s\n",
 			m.Name, m.Steps, m.Syscalls,
-			fmt.Sprintf("%.1f%%", m.DecodeCache.HitRate()*100),
-			m.Wall.Round(time.Millisecond), exit, m.Err)
+			fmt.Sprintf("%.1f%%", m.DecodeCache.HitRate()*100), exit, m.Err)
 	}
-	fmt.Fprintf(&b, "fleet: %d machines, %d workers, %.2fM steps/s aggregate, %.1f machines/s, wall %s\n",
-		len(r.Machines), r.Workers, r.StepsPerSec()/1e6, r.MachinesPerSec(), r.Wall.Round(time.Millisecond))
+	fmt.Fprintf(&b, "fleet: %d machines, %d workers, %d steps, %d syscalls\n",
+		len(r.Machines), r.Workers, r.TotalSteps(), r.TotalSyscalls())
 	return b.String()
 }
 

@@ -369,7 +369,8 @@ func TestStandardFleetStable(t *testing.T) {
 	}
 }
 
-// TestReportAggregates: aggregate arithmetic over a synthetic report.
+// TestReportAggregates: aggregate arithmetic over a synthetic report,
+// and a Format that reads no host time.
 func TestReportAggregates(t *testing.T) {
 	rep := &Report{
 		Workers: 2,
@@ -385,17 +386,16 @@ func TestReportAggregates(t *testing.T) {
 	if got := rep.TotalSyscalls(); got != 42 {
 		t.Errorf("TotalSyscalls = %d, want 42", got)
 	}
-	if got := rep.StepsPerSec(); got != 2_000_000 {
-		t.Errorf("StepsPerSec = %v, want 2e6", got)
-	}
-	if got := rep.MachinesPerSec(); got != 1 {
-		t.Errorf("MachinesPerSec = %v, want 1", got)
-	}
 	out := rep.Format()
-	for _, want := range []string{"a", "b", "2 machines", "2 workers"} {
+	for _, want := range []string{"a", "b", "2 machines", "2 workers", "4000000 steps", "42 syscalls"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format() missing %q:\n%s", want, out)
 		}
+	}
+	// Host time is not part of the report's text.
+	rep.Wall, rep.Machines[0].Wall = time.Hour, time.Minute
+	if again := rep.Format(); again != out {
+		t.Errorf("Format() depends on Wall:\n%s\nvs\n%s", out, again)
 	}
 }
 

@@ -517,8 +517,9 @@ type Kernel struct {
 	// NewProcess and fork append to it and Restore rebuilds it, so a
 	// round costs the live processes, not every PID ever created.
 	live []*Process
-	// reap is set when a process stops: the next round drops the
-	// stopped processes from live and from vvars.
+	// reap is set when a process stops: Run drops the stopped processes
+	// from live and from vvars at the end of that round, or at the start
+	// of its next round for a stop outside Run.
 	reap bool
 	// Run's per-round copy of one process's Threads.
 	roundThreads []*Thread
@@ -1017,6 +1018,9 @@ func (k *Kernel) Run(maxInsts uint64) uint64 {
 					return retired
 				}
 			}
+		}
+		if k.reap {
+			k.dropStopped()
 		}
 		if !progress {
 			return retired

@@ -2,6 +2,7 @@ package obsv_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 )
 
@@ -288,50 +290,54 @@ func BenchmarkTraceFold(b *testing.B) {
 	}
 }
 
-// benchLoop measures steps/s through the guest loop for benchmarks.
-func benchLoop(b *testing.B, install func(k *kernel.Kernel)) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := loopWorld(1000)
-		if install != nil {
-			install(w.K)
-		}
-		p, err := w.L.Spawn(loopPath, []string{"obsloop"}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.K.RunUntilExit(p, 500_000_000); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkObserver measures what each collector set costs the
+// simulator: the Table 5 micro loop, 20,000 iterations under
+// k23-default, with the observer of each configuration installed. The
+// world, the offline phase and the launcher are built with the timer
+// stopped; steps/s is retired guest instructions over b.Elapsed().
+// "no observer" installs nothing, "all off" installs an Observer with
+// every collector off, which must cost what "no observer" costs.
+func BenchmarkObserver(b *testing.B) {
+	const variant = "k23-default"
+	spec, _ := variants.ByName(variant)
+	probes, err := obsv.CompileProbes(`syscall:*:exit { hist(cycles) by (mech) }`)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkHookDisabled is the baseline the acceptance criterion
-// compares against: kernel with no observer installed.
-func BenchmarkHookDisabled(b *testing.B) {
-	benchLoop(b, func(k *kernel.Kernel) {
-		obsv.New(obsv.Options{}).Install(k) // installs nothing
-	})
-}
-
-// BenchmarkHookEnabled measures the recorder-on overhead (<10% target,
-// EXPERIMENTS.md E15).
-func BenchmarkHookEnabled(b *testing.B) {
-	benchLoop(b, func(k *kernel.Kernel) {
-		obsv.New(obsv.Options{Trace: true, Metrics: true}).Install(k)
-	})
-}
-
-// BenchmarkHookMetrics measures the metrics probe engine alone
-// (EXPERIMENTS.md E15).
-func BenchmarkHookMetrics(b *testing.B) {
-	benchLoop(b, func(k *kernel.Kernel) {
-		obsv.New(obsv.Options{Metrics: true}).Install(k)
-	})
-}
-
-// BenchmarkHookBaseline runs with no Observer object at all, pinning
-// the "disabled" path to the true native baseline.
-func BenchmarkHookBaseline(b *testing.B) {
-	benchLoop(b, nil)
+	for _, c := range []struct {
+		name string
+		opts *obsv.Options
+	}{
+		{"no-observer", nil},
+		{"all-off", &obsv.Options{}},
+		{"metrics", &obsv.Options{Metrics: true}},
+		{"audit", &obsv.Options{Audit: true}},
+		{"spans", &obsv.Options{Spans: true}},
+		{"probes", &obsv.Options{Probes: probes, ProbeMech: variant}},
+		{"trace+metrics", &obsv.Options{Trace: true, Metrics: true}},
+		{"trace+metrics+profile", &obsv.Options{Trace: true, Metrics: true, ProfileEvery: obsv.DefaultProfileEvery}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var steps uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w := bench.MicroWorld()
+				l, err := bench.MicroLauncher(w, spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if c.opts != nil {
+					obsv.New(*c.opts).Install(w.K)
+				}
+				before := machine.Insts(w.K)
+				b.StartTimer()
+				if _, err := machine.Exec(context.Background(), w, l, bench.MicroPath, []string{"micro", "20000"}, 0, 1_000_000_000); err != nil {
+					b.Fatal(err)
+				}
+				steps += machine.Insts(w.K) - before
+			}
+			b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+		})
+	}
 }

@@ -23,8 +23,8 @@ const sliceCutsBudget = 100_000_000
 // same retired-instruction trace hash and the same kernel state hash.
 //
 // cuts holds the slice lengths as little-endian uint16 pairs, each plus
-// one, repeated until a call retires nothing, which is where one
-// uninterrupted Run returns too; none means kernel.Slice. The checkpoint
+// one, repeated until the first call after which p has exited, where a
+// drive loop stops calling Run; none means kernel.Slice. The checkpoint
 // is taken before call at, or right after launch if the run ends first.
 func FuzzSliceCuts(f *testing.F) {
 	f.Add(uint8(0), uint8(1), false, []byte{6, 0}, uint8(3))
@@ -32,7 +32,7 @@ func FuzzSliceCuts(f *testing.F) {
 	f.Add(uint8(45), uint8(1), false, []byte{0xe8, 3, 0, 0}, uint8(40))
 	f.Add(uint8(90), uint8(1), true, []byte{}, uint8(1))
 	f.Add(uint8(33), uint8(50), false, []byte{0x18, 0, 0x2f, 0}, uint8(5))
-	// The exit lands in a call's last round: only the next call reaps.
+	// The exit lands in a call's last round, which must reap it.
 	f.Add(uint8(128), uint8(1), false, []byte{0x21, 0}, uint8(40))
 	f.Fuzz(func(t *testing.T, delay, quantum uint8, k23 bool, cuts []byte, at uint8) {
 		mech := "zpoline-ultra"
@@ -86,7 +86,7 @@ func FuzzSliceCuts(f *testing.F) {
 				n = uint64(binary.LittleEndian.Uint16(cuts[2*(i%pairs):])) + 1
 			}
 			got := k.Run(n)
-			if got == 0 {
+			if got == 0 || p.State != kernel.ProcRunning {
 				break
 			}
 			if retired += got; retired > sliceCutsBudget {
