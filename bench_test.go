@@ -1,8 +1,9 @@
 // Package k23_test holds the top-level benchmark harness: one benchmark
 // per paper table/figure (see DESIGN.md's experiment index E1-E9). The
 // benchmarks report the reproduced quantities as custom metrics —
-// x-native overheads for Table 5, %-of-native throughput for Table 6 —
-// so `go test -bench=.` regenerates the paper's evaluation.
+// x-native overheads for Table 5 — so `go test -bench=.` regenerates the
+// paper's evaluation. Table 6 is benchmarked a row at a time inside
+// internal/bench (BenchmarkTable6Macro), where its rows are declared.
 package k23_test
 
 import (
@@ -76,27 +77,6 @@ func BenchmarkTable5Micro(b *testing.B) {
 			}
 			b.ReportMetric(slope/native, "x-native")
 			b.ReportMetric(bench.PaperTable5[name], "x-native-paper")
-		})
-	}
-}
-
-// BenchmarkTable6Macro (E4): the server/database macrobenchmarks;
-// reports relative throughput (% of native) per variant.
-func BenchmarkTable6Macro(b *testing.B) {
-	for _, cfg := range bench.MacroConfigs() {
-		cfg := cfg
-		b.Run(cfg.Name, func(b *testing.B) {
-			var row bench.MacroRow
-			for i := 0; i < b.N; i++ {
-				var err error
-				row, err = bench.Table6Row(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, v := range bench.Table6Variants() {
-				b.ReportMetric(row.Relative[v], v+"-%native")
-			}
 		})
 	}
 }
@@ -188,21 +168,6 @@ func BenchmarkAblationNullCheck(b *testing.B) {
 	b.ReportMetric(zDelta, "bitmap-check-cycles")
 	b.ReportMetric(kDelta, "robinset-check-cycles")
 	b.ReportMetric(sDelta, "stack-switch-cycles")
-}
-
-// BenchmarkSimulator measures raw simulator speed (instructions/sec) to
-// contextualize the harness runtimes.
-func BenchmarkSimulator(b *testing.B) {
-	nativeSpec, _ := variants.ByName("native")
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		n, err := bench.SimulatorThroughput(nativeSpec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts = n
-	}
-	b.ReportMetric(float64(insts), "insts/run")
 }
 
 // BenchmarkEngine measures raw simulator stepping speed on the

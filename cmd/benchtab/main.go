@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strconv"
 
 	"k23/internal/bench"
@@ -84,6 +85,8 @@ func main() {
 	chaosSweep := flag.Int("chaos-sweep", 0, "run the chaos invariant battery (apps + pitfall matrix + fleet) over N seeds (E16)")
 	chaosRepro := flag.String("chaos-repro", "", "re-run the chaos invariant battery on one exact seed (hex or decimal), as printed by a failing sweep")
 	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 
 	if *table == "" && *figure == "" && *claim == "" && *fleetN == 0 && !*sidecar && *chaosSweep == 0 && *chaosRepro == "" {
 		fmt.Fprintln(os.Stderr, "usage: benchtab -table 2|3|5|6|all | -figure 1|2|4 | -claim startup|p4b|decodecache|jit|probes|coverage|rr|phases|sfip | -fleet N [-workers W] | -metrics-sidecar | -chaos-sweep N | -chaos-repro SEED")
@@ -296,7 +299,7 @@ func main() {
 			opt.Obs = obsv.Options{Trace: true, Metrics: true}
 		}
 		run(fmt.Sprintf("Fleet — %d machines%s", *fleetN, chaosTag), func() error {
-			rep, err := fleet.Run(context.Background(), fleet.StandardFleet(*fleetN), opt)
+			rep, err := fleet.Run(ctx, fleet.StandardFleet(*fleetN), opt)
 			if err != nil {
 				return err
 			}

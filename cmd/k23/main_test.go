@@ -11,8 +11,10 @@ import (
 
 	"k23/internal/audit"
 	"k23/internal/obsv"
+	"k23/internal/probe"
 	"k23/internal/rr"
 	"k23/internal/sfip"
+	"k23/internal/span"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files from current output")
@@ -161,6 +163,49 @@ func TestObservabilityPipelines(t *testing.T) {
 				if !bytes.Contains(stderr, []byte(want)) {
 					t.Errorf("replay output lacks %q:\n%s", want, stderr)
 				}
+			}
+		}},
+		// A chaos-armed recorded run with live span tracing: the span
+		// JSONL passes its schema check, the Perfetto export is a
+		// non-empty trace_event document, and replaying the recording
+		// with -spans derives byte-identical spans (the spans observer
+		// rides a side-stream and cannot perturb the recorded schedule).
+		{"spans-live-replay-parity", func(t *testing.T, dir string) {
+			rec, live, retro := filepath.Join(dir, "rec.jsonl"), filepath.Join(dir, "live.jsonl"), filepath.Join(dir, "retro.jsonl")
+			perfetto := filepath.Join(dir, "spans.perfetto.json")
+			run(t, "-record", rec, "-variant", "k23-ultra", "-chaos", "3",
+				"-spans", live, "-perfetto", perfetto, "-critpath", "cat", "/data/notes.txt")
+			if rep, err := span.ValidateJSONL(bytes.NewReader(read(t, live))); err != nil || !rep.Ok() {
+				t.Errorf("live spans fail the schema check: %v %v", err, rep)
+			}
+			if !bytes.Contains(read(t, perfetto), []byte(`"traceEvents":[{`)) {
+				t.Error("empty Perfetto trace")
+			}
+			run(t, "-replay", rec, "-spans", retro)
+			if !bytes.Equal(read(t, live), read(t, retro)) {
+				t.Error("replay-derived spans differ from live spans")
+			}
+		}},
+		// A chaos-armed recorded run with a live probe program: the
+		// aggregations pass the probe schema check and carry the chaos
+		// emits, and replaying the recording with the same program
+		// derives byte-identical output.
+		{"probes-live-replay-parity", func(t *testing.T, dir string) {
+			rec, live, retro := filepath.Join(dir, "rec.jsonl"), filepath.Join(dir, "live.jsonl"), filepath.Join(dir, "retro.jsonl")
+			prog := filepath.Join(dir, "prog.bt")
+			if err := os.WriteFile(prog, []byte("syscall:*:exit { count() by (name); hist(cycles) by (mech) }\n"+
+				"phase:*:kernel { sum(cycles) }\nchaos:inject { emit() }\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			run(t, "-record", rec, "-variant", "k23-ultra", "-chaos", "7",
+				"-probe-file", prog, "-probe-out", live, "cat", "/data/notes.txt")
+			validate(t, probe.ValidateJSONL, live)
+			if !bytes.Contains(read(t, live), []byte(`"t":"emit"`)) {
+				t.Error("chaos emits missing from the probe output")
+			}
+			run(t, "-replay", rec, "-probe-file", prog, "-probe-out", retro)
+			if !bytes.Equal(read(t, live), read(t, retro)) {
+				t.Error("replay-derived probe output differs from live output")
 			}
 		}},
 		// Every coverage app under each mechanism family with the

@@ -97,7 +97,7 @@ var images = sync.OnceValue(func() []*image.Image {
 	for _, dep := range LsDeps {
 		out = append(out, buildAuxLib(dep, auxLibConfigs[dep]))
 	}
-	return append(out, Pwd(), Touch(), Ls(), Cat(), Clear(), Nginx(), Lighttpd(), Redis(), Sqlite())
+	return append(out, buildPwd(), buildTouch(), buildLs(), buildCat(), buildClear(), buildNginx(), buildLighttpd(), buildRedis(), buildSqlite())
 })
 
 // RegisterAll adds every workload binary to the registry.
@@ -166,9 +166,9 @@ func exitWith(t *asm.SectionBuilder, code uint32) {
 	t.CallSym("exit_group")
 }
 
-// Pwd builds the pwd coreutil: 7 unique syscall sites during a run
+// buildPwd builds the pwd coreutil: 7 unique syscall sites during a run
 // (Table 2).
-func Pwd() *image.Image {
+func buildPwd() *image.Image {
 	b := asm.NewBuilder(PwdPath)
 	b.Needed(libc.Path)
 	d := b.Data()
@@ -206,8 +206,8 @@ func Pwd() *image.Image {
 	return b.MustBuild()
 }
 
-// Touch builds the touch coreutil: 9 unique sites. Usage: touch FILE.
-func Touch() *image.Image {
+// buildTouch builds the touch coreutil: 9 unique sites. Usage: touch FILE.
+func buildTouch() *image.Image {
 	b := asm.NewBuilder(TouchPath)
 	b.Needed(libc.Path)
 	d := b.Data()
@@ -254,8 +254,8 @@ func Touch() *image.Image {
 	return b.MustBuild()
 }
 
-// Ls builds the ls coreutil: 10 unique sites. Usage: ls DIR.
-func Ls() *image.Image {
+// buildLs builds the ls coreutil: 10 unique sites. Usage: ls DIR.
+func buildLs() *image.Image {
 	b := asm.NewBuilder(LsPath)
 	b.Needed(libc.Path)
 	b.Needed(LsDeps...)
@@ -313,8 +313,8 @@ func Ls() *image.Image {
 	return b.MustBuild()
 }
 
-// Cat builds the cat coreutil: 11 unique sites. Usage: cat FILE.
-func Cat() *image.Image {
+// buildCat builds the cat coreutil: 11 unique sites. Usage: cat FILE.
+func buildCat() *image.Image {
 	b := asm.NewBuilder(CatPath)
 	b.Needed(libc.Path)
 	d := b.Data()
@@ -377,8 +377,8 @@ func Cat() *image.Image {
 	return b.MustBuild()
 }
 
-// Clear builds the clear coreutil: 13 unique sites.
-func Clear() *image.Image {
+// buildClear builds the clear coreutil: 13 unique sites.
+func buildClear() *image.Image {
 	b := asm.NewBuilder(ClearPath)
 	b.Needed(libc.Path)
 	d := b.Data()

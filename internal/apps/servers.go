@@ -231,13 +231,15 @@ func buildHTTPServer(path string, bank int, workIters uint32) *image.Image {
 	return b.MustBuild()
 }
 
-// Nginx builds the nginx-like worker (Table 2: 43 unique sites).
-func Nginx() *image.Image { return buildHTTPServer(NginxPath, nginxBank, nginxWorkIters) }
+// buildNginx builds the nginx-like worker (Table 2: 43 unique sites).
+func buildNginx() *image.Image { return buildHTTPServer(NginxPath, nginxBank, nginxWorkIters) }
 
-// Lighttpd builds the lighttpd-like worker (Table 2: 44 unique sites).
-func Lighttpd() *image.Image { return buildHTTPServer(LighttpdPath, lighttpdBank, lighttpdWorkIters) }
+// buildLighttpd builds the lighttpd-like worker (Table 2: 44 unique sites).
+func buildLighttpd() *image.Image {
+	return buildHTTPServer(LighttpdPath, lighttpdBank, lighttpdWorkIters)
+}
 
-// Redis builds the redis-like server (Table 2: 92 unique sites).
+// buildRedis builds the redis-like server (Table 2: 92 unique sites).
 //
 // Modes (argv[1]):
 //
@@ -246,7 +248,7 @@ func Lighttpd() *image.Image { return buildHTTPServer(LighttpdPath, lighttpdBank
 //	"main" main-thread component: RedisMainIters x (8 futex wakeups to
 //	       the I/O threads + command execution) with no network — the
 //	       serial bottleneck of the 6-I/O-thread configuration.
-func Redis() *image.Image {
+func buildRedis() *image.Image {
 	b := asm.NewBuilder(RedisPath)
 	b.Needed(libc.Path)
 	d := b.Data()
@@ -312,10 +314,10 @@ func Redis() *image.Image {
 	return b.MustBuild()
 }
 
-// Sqlite builds the sqlite-like binary running a speedtest1-style
+// buildSqlite builds the sqlite-like binary running a speedtest1-style
 // workload (Table 2: 20 unique sites): SqliteOps operations, each a
 // compute step plus a WAL append, with a periodic fstat checkpoint probe.
-func Sqlite() *image.Image {
+func buildSqlite() *image.Image {
 	b := asm.NewBuilder(SqlitePath)
 	b.Needed(libc.Path)
 	d := b.Data()

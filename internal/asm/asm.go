@@ -92,7 +92,6 @@ type relocFixup struct {
 	section *SectionBuilder
 	off     uint64 // offset of the imm64 within the section
 	symbol  string
-	addend  int64
 }
 
 // SectionBuilder emits code or data into one section.
@@ -181,9 +180,6 @@ func (s *SectionBuilder) inst(i cpu.Inst) *SectionBuilder {
 	return s
 }
 
-// Nop emits a one-byte NOP.
-func (s *SectionBuilder) Nop() *SectionBuilder { return s.inst(cpu.Inst{Op: cpu.OpNop}) }
-
 // Syscall emits the two-byte SYSCALL instruction and records it as a
 // ground-truth site.
 func (s *SectionBuilder) Syscall() *SectionBuilder {
@@ -235,13 +231,8 @@ func (s *SectionBuilder) MovImm32(r cpu.Reg, v uint32) *SectionBuilder {
 // MovImmSym emits a 64-bit immediate load whose value is the absolute
 // address of symbol, patched at load time.
 func (s *SectionBuilder) MovImmSym(r cpu.Reg, symbol string) *SectionBuilder {
-	return s.MovImmSymOff(r, symbol, 0)
-}
-
-// MovImmSymOff is MovImmSym plus a constant addend.
-func (s *SectionBuilder) MovImmSymOff(r cpu.Reg, symbol string, addend int64) *SectionBuilder {
 	// The imm64 operand starts 2 bytes into the MOVIMM encoding.
-	s.relocs = append(s.relocs, relocFixup{section: s, off: s.Off() + 2, symbol: symbol, addend: addend})
+	s.relocs = append(s.relocs, relocFixup{section: s, off: s.Off() + 2, symbol: symbol})
 	return s.inst(cpu.Inst{Op: cpu.OpMovImm, A: r, Imm: 0})
 }
 
@@ -363,7 +354,7 @@ func (s *SectionBuilder) CallSym(symbol string) *SectionBuilder {
 // Build assembles the image: sections are laid out page-aligned in
 // creation order, labels become symbols, same-section branches are
 // resolved, and symbol references become load-time relocations.
-func (b *Builder) Build() (*image.Image, error) {
+func (b *Builder) build() (*image.Image, error) {
 	im := &image.Image{
 		Path:       b.path,
 		Symbols:    make(map[string]uint64),
@@ -431,7 +422,6 @@ func (b *Builder) Build() (*image.Image, error) {
 			im.Relocs = append(im.Relocs, image.Reloc{
 				Off:    base[s] + r.off,
 				Symbol: r.symbol,
-				Addend: r.addend,
 			})
 		}
 	}
@@ -455,7 +445,7 @@ func (b *Builder) Build() (*image.Image, error) {
 // MustBuild is Build that panics on error (assembly-time programming
 // errors in static program definitions).
 func (b *Builder) MustBuild() *image.Image {
-	im, err := b.Build()
+	im, err := b.build()
 	if err != nil {
 		panic(err)
 	}

@@ -17,7 +17,7 @@ func TestBuildSimpleImage(t *testing.T) {
 	d := b.Data()
 	d.Label("buf").Space(16)
 
-	im, err := b.Build()
+	im, err := b.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestBranchResolution(t *testing.T) {
 	tx := b.Text()
 	tx.Label("_start")
 	tx.Jmp("target") // 5 bytes
-	tx.Nop()
+	tx.Raw(cpu.ByteNop)
 	tx.Label("target")
 	tx.Ret()
-	im, err := b.Build()
+	im, err := b.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,9 @@ func TestBackwardBranch(t *testing.T) {
 	tx := b.Text()
 	tx.Label("_start")
 	tx.Label(".top")
-	tx.Nop()
+	tx.Raw(cpu.ByteNop)
 	tx.Jnz(".top")
-	im, err := b.Build()
+	im, err := b.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestUndefinedBranchTarget(t *testing.T) {
 	tx := b.Text()
 	tx.Label("_start")
 	tx.Jmp("nowhere")
-	if _, err := b.Build(); err == nil {
+	if _, err := b.build(); err == nil {
 		t.Fatal("Build accepted undefined branch target")
 	}
 }
@@ -115,7 +115,7 @@ func TestRelocsRecorded(t *testing.T) {
 	tx.CallSym("external_fn")
 	d := b.Data()
 	d.Label("ptr").AddrOf("another")
-	im, err := b.Build()
+	im, err := b.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestTrueSitesRecorded(t *testing.T) {
 	b := NewBuilder("/t/sites")
 	tx := b.Text()
 	tx.Label("_start")
-	tx.Nop()
+	tx.Raw(cpu.ByteNop)
 	tx.Syscall()       // offset 1
 	tx.Sysenter()      // offset 3
 	tx.Raw(0x0F, 0x05) // raw bytes: NOT a ground-truth site
-	im, err := b.Build()
+	im, err := b.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAlignAndData(t *testing.T) {
 	d.Align(8)
 	d.Label("v").U64(0xdeadbeef)
 	d.CString("hi")
-	im, err := b.Build()
+	im, err := b.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTextAlignPadsWithNops(t *testing.T) {
 	if tx.Off() != 4 {
 		t.Fatalf("off = %d", tx.Off())
 	}
-	im, _ := b.Build()
+	im, _ := b.build()
 	sec, _ := im.Section(".text")
 	for i := 1; i < 4; i++ {
 		if sec.Data[i] != cpu.ByteNop {
@@ -201,7 +201,7 @@ func TestInitHostAndNeeded(t *testing.T) {
 	tx := b.Text()
 	tx.Label("myinit")
 	tx.Ret()
-	im, err := b.Build()
+	im, err := b.build()
 	if err != nil {
 		t.Fatal(err)
 	}

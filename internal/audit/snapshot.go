@@ -124,17 +124,6 @@ func (s *Snapshot) EscapedIn(category string) uint64 {
 	return n
 }
 
-// CoveredBy sums the coverage counts of one mechanism.
-func (s *Snapshot) CoveredBy(mech string) uint64 {
-	var n uint64
-	for i := range s.Coverage {
-		if s.Coverage[i].Mech == mech {
-			n += s.Coverage[i].Count
-		}
-	}
-	return n
-}
-
 // MainProc returns the report of the first process observed (the
 // workload's root), or nil.
 func (s *Snapshot) MainProc() *ProcReport {

@@ -17,26 +17,26 @@ import (
 	"k23/internal/obsv"
 )
 
-// CoverageApps returns the coreutils workloads the coverage claim runs:
+// coverageApps returns the coreutils workloads the coverage claim runs:
 // quick, deterministic, and with overlapping syscall sets so the
 // per-mechanism matrices are comparable across columns.
-func CoverageApps() []MacroConfig {
+func coverageApps() []MacroConfig {
 	pwd, ls, cat := coreutilConfigs()
 	return []MacroConfig{pwd, ls, cat}
 }
 
-// CoverageVariants lists the coverage-claim columns: one per
+// coverageVariants lists the coverage-claim columns: one per
 // interposition path (load-time rewriting, lazy rewriting, SUD, ptrace,
 // and the full K23 stack).
-func CoverageVariants() []string {
+func coverageVariants() []string {
 	return []string{"zpoline-ultra", "lazypoline", "sud", "ptrace", "k23-ultra+"}
 }
 
-// AuditApp runs one non-server workload to completion under the given
+// auditApp runs one non-server workload to completion under the given
 // variant with the shadow-map auditor attached at production start —
 // after any offline phase, which is the controlled environment — and
 // returns the audit snapshot.
-func AuditApp(spec variants.Spec, path string, argv []string) (*audit.Snapshot, error) {
+func auditApp(spec variants.Spec, path string, argv []string) (*audit.Snapshot, error) {
 	w, err := macroWorld()
 	if err != nil {
 		return nil, err
@@ -67,13 +67,13 @@ func coreutilConfigs() (pwd, ls, cat MacroConfig) {
 // totals plus the full per-syscall x per-mechanism counts and escapes by
 // category. All ordering comes from the audit snapshot's sorted slices.
 func writeCoverageTable(w io.Writer) error {
-	for _, name := range CoverageVariants() {
+	for _, name := range coverageVariants() {
 		spec, ok := variants.ByName(name)
 		if !ok {
 			return fmt.Errorf("bench: unknown coverage variant %q", name)
 		}
-		for _, app := range CoverageApps() {
-			s, err := AuditApp(spec, app.Path, app.Argv)
+		for _, app := range coverageApps() {
+			s, err := auditApp(spec, app.Path, app.Argv)
 			if err != nil {
 				return err
 			}

@@ -15,7 +15,7 @@ func auditLs(t *testing.T, variant string) *audit.Snapshot {
 	if !ok {
 		t.Fatalf("unknown variant %q", variant)
 	}
-	s, err := AuditApp(spec, apps.LsPath, []string{"ls", "/data"})
+	s, err := auditApp(spec, apps.LsPath, []string{"ls", "/data"})
 	if err != nil {
 		t.Fatalf("audit ls under %s: %v", variant, err)
 	}
@@ -74,8 +74,8 @@ func TestStartupWindowExecAttached(t *testing.T) {
 // interposer infrastructure.
 func TestK23FullConfigZeroEscapes(t *testing.T) {
 	spec, _ := variants.ByName("k23-ultra+")
-	for _, app := range CoverageApps() {
-		s, err := AuditApp(spec, app.Path, app.Argv)
+	for _, app := range coverageApps() {
+		s, err := auditApp(spec, app.Path, app.Argv)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
@@ -100,7 +100,7 @@ func TestCoverageTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := len(CoverageApps()) * len(CoverageVariants())
+	cells := len(coverageApps()) * len(coverageVariants())
 	if got := strings.Count(out, "["); got != cells {
 		t.Errorf("coverage table has %d cell headers, want %d", got, cells)
 	}

@@ -40,7 +40,7 @@ type MacroConfig struct {
 	OfflineArgv []string
 }
 
-// MacroConfigs returns the Table 6 rows in paper order.
+// macroConfigs returns the Table 6 rows in paper order.
 //
 // Client capacities model wrk/redis-benchmark sharing the machine
 // (paper: clients and servers colocated). For the HTTP workloads the
@@ -49,7 +49,7 @@ type MacroConfig struct {
 // invisible there, and why the 6-thread configuration collapses under
 // SUD (the serial main thread absorbs the signal costs), reproducing the
 // paper's redis anomaly.
-func MacroConfigs() []MacroConfig {
+func macroConfigs() []MacroConfig {
 	return []MacroConfig{
 		{Name: "nginx (1 worker, 0 KB)", Path: apps.NginxPath, Argv: []string{"nginx", "0"}, Workers: 1},
 		{Name: "nginx (1 worker, 4 KB)", Path: apps.NginxPath, Argv: []string{"nginx", "4"}, Workers: 1},
@@ -77,8 +77,8 @@ type MacroRow struct {
 	Relative map[string]float64
 }
 
-// Table6Variants lists the Table 6 columns.
-func Table6Variants() []string {
+// table6Variants lists the Table 6 columns.
+func table6Variants() []string {
 	return []string{
 		"zpoline-default", "zpoline-ultra", "lazypoline",
 		"k23-default", "k23-ultra", "k23-ultra+", "sud",
@@ -221,9 +221,6 @@ func sqliteCycles(spec variants.Spec, cfg MacroConfig) (float64, error) {
 	return float64(c2-c1) / float64(ops2-ops1), nil
 }
 
-// Table6Row measures one configuration across all variants.
-func Table6Row(cfg MacroConfig) (MacroRow, error) { return slopes{}.row(cfg) }
-
 // row measures one configuration across all variants, reusing the
 // slopes s already holds.
 func (s slopes) row(cfg MacroConfig) (MacroRow, error) {
@@ -244,7 +241,7 @@ func (s slopes) row(cfg MacroConfig) (MacroRow, error) {
 	if !cfg.Sqlite {
 		row.Native = native
 	}
-	for _, name := range Table6Variants() {
+	for _, name := range table6Variants() {
 		spec, _ := variants.ByName(name)
 		v, err := measure(spec)
 		if err != nil {
@@ -264,7 +261,7 @@ func (s slopes) row(cfg MacroConfig) (MacroRow, error) {
 func Table6() ([]MacroRow, error) {
 	var rows []MacroRow
 	s := slopes{}
-	for _, cfg := range MacroConfigs() {
+	for _, cfg := range macroConfigs() {
 		row, err := s.row(cfg)
 		if err != nil {
 			return nil, err
@@ -292,7 +289,7 @@ var PaperTable6 = map[string]map[string]float64{
 // FormatTable6 renders rows with measured vs paper values.
 func FormatTable6(rows []MacroRow) string {
 	var b strings.Builder
-	cols := Table6Variants()
+	cols := table6Variants()
 	fmt.Fprintf(&b, "%-30s %12s", "Application (workload)", "native r/s")
 	for _, c := range cols {
 		fmt.Fprintf(&b, " %18s", c)

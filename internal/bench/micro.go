@@ -191,17 +191,6 @@ func Table5() ([]MicroRow, error) {
 	return rows, nil
 }
 
-// SimulatorThroughput runs the microbenchmark once under a variant and
-// returns the number of guest instructions retired — a raw simulator
-// speed probe for the top-level BenchmarkSimulator.
-func SimulatorThroughput(spec variants.Spec) (uint64, error) {
-	w := MicroWorld()
-	if _, err := runToExit(w, spec.New(interpose.Config{}, ""), MicroPath, []string{"micro", "2000"}, 0); err != nil {
-		return 0, err
-	}
-	return machine.Insts(w.K), nil
-}
-
 // PaperTable5 holds the paper's reported overheads for comparison in
 // EXPERIMENTS.md and the benchtab tool.
 var PaperTable5 = map[string]float64{

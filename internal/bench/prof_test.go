@@ -8,7 +8,7 @@ import (
 )
 
 func TestProfileOneConfig(t *testing.T) {
-	cfg := MacroConfigs()[0] // nginx 1w 0KB
+	cfg := macroConfigs()[0] // nginx 1w 0KB
 	for _, name := range []string{"native", "sud", "k23-ultra"} {
 		spec, _ := variants.ByName(name)
 		start := time.Now()

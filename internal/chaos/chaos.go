@@ -126,14 +126,14 @@ func diffSnap(a, b *difftest.Snapshot) []string {
 	return out
 }
 
-// SweepApps runs every app workload under chaos for each seed, twice,
+// sweepApps runs every app workload under chaos for each seed, twice,
 // asserting replay determinism and convergence. Batch workloads (no
 // injected connections) must additionally match the chaos-free baseline
 // byte for byte: the libc retry loops make transient faults invisible.
 // Server workloads legitimately take extra serve iterations under short
 // reads, so for them convergence means a clean exit (no signal, no
 // harness error) with at least the baseline's request count served.
-func SweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
+func sweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 	rep := &Report{Seeds: len(seeds)}
 	workloads := difftest.AppWorkloads()
 
@@ -205,14 +205,14 @@ func SweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 	return rep, nil
 }
 
-// SweepMatrix replays the full Table 3 pitfall matrix under chaos for
+// sweepMatrix replays the full Table 3 pitfall matrix under chaos for
 // each seed and asserts every verdict matches the chaos-free baseline:
 // signal-wakeup storms must neither mask a pitfall (a bypass suddenly
 // "handled") nor break an interposer (a handled case suddenly failing).
 // Use SignalChaosProfile here — the PoC attack payloads deliberately
 // issue raw retry-less syscalls, so resource-errno injection would change
 // what they do rather than when.
-func SweepMatrix(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
+func sweepMatrix(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 	rep := &Report{Seeds: len(seeds)}
 	specs := variants.Table3Columns()
 	baseline, err := pitfalls.Matrix(specs)
@@ -250,10 +250,10 @@ func SweepMatrix(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 	return rep, nil
 }
 
-// SweepFleet runs a chaos-armed standard fleet once per seed at two
+// sweepFleet runs a chaos-armed standard fleet once per seed at two
 // worker counts and asserts identical per-machine results: the injector
 // is instance-local state, so concurrency must not leak into outcomes.
-func SweepFleet(seeds []uint64, machines, workersA, workersB int, prof kernel.ChaosProfile) (*Report, error) {
+func sweepFleet(seeds []uint64, machines, workersA, workersB int, prof kernel.ChaosProfile) (*Report, error) {
 	rep := &Report{Seeds: len(seeds)}
 	ms := fleet.StandardFleet(machines)
 
@@ -282,10 +282,7 @@ func SweepFleet(seeds []uint64, machines, workersA, workersB int, prof kernel.Ch
 				})
 				continue
 			}
-			if a.TraceHash != b.TraceHash || a.EventHash != b.EventHash ||
-				a.VFSHash != b.VFSHash || a.Exit != b.Exit || a.Err != b.Err ||
-				a.Steps != b.Steps || a.Syscalls != b.Syscalls ||
-				a.ChaosInjected != b.ChaosInjected {
+			if a.Outcome != b.Outcome {
 				rep.Violations = append(rep.Violations, Violation{
 					Seed: seed, Area: "fleet",
 					What: fmt.Sprintf("machine %s differs between workers=%d and workers=%d",
@@ -301,17 +298,17 @@ func SweepFleet(seeds []uint64, machines, workersA, workersB int, prof kernel.Ch
 // reports: the full invariant battery for one seed set.
 func Sweep(seeds []uint64, machines int) (*Report, error) {
 	rep := &Report{}
-	apps, err := SweepApps(seeds, kernel.DefaultChaosProfile())
+	apps, err := sweepApps(seeds, kernel.DefaultChaosProfile())
 	if err != nil {
 		return nil, err
 	}
 	rep.Merge(apps)
-	matrix, err := SweepMatrix(seeds, kernel.SignalChaosProfile())
+	matrix, err := sweepMatrix(seeds, kernel.SignalChaosProfile())
 	if err != nil {
 		return nil, err
 	}
 	rep.Merge(matrix)
-	flt, err := SweepFleet(seeds, machines, 1, 8, kernel.DefaultChaosProfile())
+	flt, err := sweepFleet(seeds, machines, 1, 8, kernel.DefaultChaosProfile())
 	if err != nil {
 		return nil, err
 	}

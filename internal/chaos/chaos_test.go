@@ -23,7 +23,7 @@ func testSeeds(t *testing.T, n int) []uint64 {
 }
 
 func TestSweepAppsInvariants(t *testing.T) {
-	rep, err := SweepApps(testSeeds(t, 4), kernel.DefaultChaosProfile())
+	rep, err := sweepApps(testSeeds(t, 4), kernel.DefaultChaosProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSweepAppsInvariants(t *testing.T) {
 }
 
 func TestSweepMatrixInvariants(t *testing.T) {
-	rep, err := SweepMatrix(testSeeds(t, 4), kernel.SignalChaosProfile())
+	rep, err := sweepMatrix(testSeeds(t, 4), kernel.SignalChaosProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSweepMatrixInvariants(t *testing.T) {
 }
 
 func TestSweepFleetInvariants(t *testing.T) {
-	rep, err := SweepFleet(testSeeds(t, 2), 6, 1, 4, kernel.DefaultChaosProfile())
+	rep, err := sweepFleet(testSeeds(t, 2), 6, 1, 4, kernel.DefaultChaosProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

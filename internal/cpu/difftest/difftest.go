@@ -166,9 +166,3 @@ func Run(w Workload, opts ...kernel.Option) (*Snapshot, error) {
 	snap.Stderr = string(p.Stderr)
 	return snap, nil
 }
-
-// RunMode executes one workload natively under the given engine mode
-// with extra kernel options (chaos profiles, clock seeds).
-func RunMode(w Workload, m Mode, opts ...kernel.Option) (*Snapshot, error) {
-	return Run(w, append(m.Options(), opts...)...)
-}

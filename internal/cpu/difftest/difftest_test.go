@@ -184,3 +184,9 @@ func diffSnapshots(t *testing.T, mode string, ref, got *Snapshot) {
 		t.Errorf("chaos injection counts differ: jit=%d %s=%d", ref.ChaosInjected, mode, got.ChaosInjected)
 	}
 }
+
+// RunMode executes one workload natively under the given engine mode
+// with extra kernel options (chaos profiles, clock seeds).
+func RunMode(w Workload, m Mode, opts ...kernel.Option) (*Snapshot, error) {
+	return Run(w, append(m.Options(), opts...)...)
+}

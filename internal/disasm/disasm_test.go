@@ -15,10 +15,7 @@ func textOf(t *testing.T, build func(tx *asm.SectionBuilder)) ([]byte, map[strin
 	b := asm.NewBuilder("/tmp/t")
 	tx := b.Text()
 	build(tx)
-	im, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	im := b.MustBuild()
 	sec, _ := im.Section(".text")
 	return sec.Data, im.Symbols
 }
@@ -94,12 +91,7 @@ func TestLinearSweepOverlooksDesyncedSite(t *testing.T) {
 		tx.Raw(0xB8, 0x00) // looks like MOVIMM reg=0, imm = next 8 bytes
 		tx.Label("real_site")
 		tx.Syscall() // 0F 05 swallowed into the bogus immediate
-		tx.Nop()
-		tx.Nop()
-		tx.Nop()
-		tx.Nop()
-		tx.Nop()
-		tx.Nop()
+		tx.Raw(cpu.ByteNop, cpu.ByteNop, cpu.ByteNop, cpu.ByteNop, cpu.ByteNop, cpu.ByteNop)
 		tx.Ret()
 	})
 	res := LinearSweep(code, 0)

@@ -1,15 +1,16 @@
-// Package fleet is the sharded multi-machine executor: it runs N
-// independent simulated machines (interpose.World instances) across a
-// bounded pool of host worker goroutines, with per-machine deterministic
-// seeds, per-machine statistics, and context-based cancellation so one
-// wedged guest cannot stall the pool.
+// Package fleet is a worker pool over machine.Start: it runs N
+// independent simulated machines across a bounded pool of host worker
+// goroutines, with per-machine deterministic seeds, per-machine
+// statistics, and context-based cancellation so one wedged guest cannot
+// stall the pool. Everything a machine run can carry besides the pool's
+// own knobs (collectors, probes, SFIP policies) rides in Options.Obs;
+// recording a run is internal/rr's business, not the pool's.
 //
 // The package's correctness contract is the no-shared-state invariant:
 // two Worlds never alias mutable state, so running machines concurrently
 // is race-free by construction and — because each machine is itself a
-// deterministic single-goroutine simulation — the observable result of
-// every machine (step-trace hash, kernel event stream, exit status, VFS
-// tree hash) is identical regardless of the worker count. The fleet
+// deterministic single-goroutine simulation — every machine's
+// machine.Outcome is identical regardless of the worker count. The fleet
 // determinism tests and `go test -race ./...` enforce both halves.
 package fleet
 
@@ -27,9 +28,6 @@ import (
 	"k23/internal/kernel"
 	"k23/internal/machine"
 	"k23/internal/obsv"
-	"k23/internal/probe"
-	"k23/internal/rr"
-	"k23/internal/sfip"
 )
 
 // Machine describes one simulated machine: a program to boot and the
@@ -45,13 +43,12 @@ type Machine struct {
 	// Path and Argv name the program to boot.
 	Path string
 	Argv []string
-	Env  []string
 	// Mechanism, when non-empty, boots the machine under the named
 	// interposer variant (variants.ByName) instead of natively, running
 	// the variant's offline phase on the same machine first when it
-	// needs a log. Per-machine SFIP policies (Options.SfipPolicies) only
-	// bite on interposed machines: native machines never issue
-	// trap-origin syscalls.
+	// needs a log. An SFIP policy (Options.Obs.SfipPolicy) only bites on
+	// interposed machines: native machines never issue trap-origin
+	// syscalls.
 	Mechanism string
 	// Server marks a workload driven by an injected client connection.
 	Server bool
@@ -70,29 +67,13 @@ type Machine struct {
 type Result struct {
 	Name string
 	Seed uint64
-
-	// TraceHash is the cpu.TraceHash of the (tid, rip, op) retired-
-	// instruction stream, 0 unless Options.Hash was set.
-	TraceHash uint64
-	// EventHash hashes the kernel event stream (always computed).
-	EventHash uint64
-	// Steps counts retired guest instructions. Like the hashes, it covers
-	// the run from the runner's attach point: a K23 machine's offline
-	// phase is not part of it.
-	Steps uint64
-	// Syscalls counts syscall-entry kernel events.
-	Syscalls uint64
-	// Exit is how the booted process finished.
-	Exit kernel.ExitInfo
-	// VFSHash hashes the final filesystem tree.
-	VFSHash uint64
-	// ChaosInjected counts fault-injector perturbations (0 when the run
-	// had no chaos profile).
-	ChaosInjected uint64
+	// Outcome is the machine's observable result from the attach point
+	// on (a K23 machine's offline phase is not part of it); its
+	// TraceHash is 0 unless Options.Hash was set.
+	machine.Outcome
 	// DecodeCache aggregates decode-cache counters over every core.
 	DecodeCache cpu.DecodeCacheStats
-	// JIT aggregates superblock-engine counters over every core (all
-	// zero when Options.JITOff disabled the engine).
+	// JIT aggregates superblock-engine counters over every core.
 	JIT cpu.JITStats
 	// Wall is the host wall-clock time this machine took.
 	Wall time.Duration
@@ -100,14 +81,11 @@ type Result struct {
 	// cancellation), as a string so Results compare with ==.
 	Err string
 	// Obs carries the machine's observability snapshot (flight-recorder
-	// trace, metrics, profile), nil unless Options.Obs enabled a
-	// collector. Each machine owns its Observer — the no-shared-state
-	// invariant — and snapshots are merged only at report time.
+	// trace, metrics, profile, probes, SFIP report), nil unless
+	// Options.Obs enabled a collector. Each machine owns its Observer —
+	// the no-shared-state invariant — and snapshots are merged only at
+	// report time.
 	Obs *obsv.Snapshot
-	// Recording is the machine's replayable record (frontier, event
-	// stream, checkpoints, final state), nil unless Options.Record was
-	// set. Feed it to rr.Replay or write it out with rr.WriteJSONL.
-	Recording *rr.Recording
 }
 
 // Options configures a fleet run.
@@ -118,15 +96,14 @@ type Options struct {
 	// It costs a function call per retired instruction, so throughput
 	// benchmarks leave it off; determinism tests turn it on.
 	Hash bool
-	// Obs selects per-machine observability collectors (flight
-	// recorder, metrics, profiler). The zero value installs nothing.
+	// Obs selects the observability collectors every machine gets (the
+	// zero value installs nothing). Each machine builds its own Observer
+	// from it, with Machine set to the machine's name and, when Probes
+	// is set, ProbeMech to its mechanism; the shared read-only parts (a
+	// compiled probe program, an SFIP policy) are never written, so
+	// probe output and enforcement reports are bit-identical at any
+	// worker count.
 	Obs obsv.Options
-	// JITOff disables the trace-JIT superblock engine on every machine
-	// (kernel.WithJITOff), leaving only the decode cache. The observable
-	// hashes are bit-identical either way — TestFleetJITDeterminism
-	// enforces it — so this is a diagnostic/benchmark knob, not a
-	// semantic one.
-	JITOff bool
 	// Chaos, when non-nil, arms deterministic fault injection on every
 	// machine. Each machine's injector seed is derived from its own
 	// Machine.Seed xor ChaosSeed, so a fleet replays bit-identically at
@@ -135,31 +112,6 @@ type Options struct {
 	Chaos *kernel.ChaosProfile
 	// ChaosSeed salts the per-machine chaos seed derivation.
 	ChaosSeed uint64
-	// Record captures each machine as a replayable recording
-	// (Result.Recording): the recorder attaches at the runner's attach
-	// point as one more observer, so a recorded machine is the same
-	// execution as an unrecorded one: hashes, steps, syscalls and exit
-	// equal the unrecorded run's with Hash set. Trace hashing is always
-	// on under Record. Machines with a custom
-	// Setup cannot be recorded (a replay could not rebuild their world)
-	// and report an error.
-	Record bool
-	// CheckpointEvery is the recorded checkpoint interval in virtual
-	// ticks (0 = the rr default); only meaningful with Record.
-	CheckpointEvery uint64
-	// SfipPolicies maps machine names to SFIP policies: a machine whose
-	// name has an entry gets an enforcer for that policy in SfipMode
-	// (per-app policies, the paper's deployment model). Machines without
-	// an entry run unpoliced.
-	SfipPolicies map[string]*sfip.Policy
-	// SfipMode is the enforcement posture for SfipPolicies.
-	SfipMode sfip.Mode
-	// Probes runs a compiled probe program (internal/probe) on every
-	// machine. The Compiled is immutable and shared read-only; each
-	// machine instantiates its own engine keyed by machine name and
-	// mechanism, and per-machine snapshots merge commutatively in
-	// MergedObs — so probe output is bit-identical at any worker count.
-	Probes *probe.Compiled
 }
 
 // Report aggregates a fleet run.
@@ -285,9 +237,7 @@ func Run(ctx context.Context, machines []Machine, opt Options) (*Report, error) 
 
 // runMachine boots and drives one machine to completion on the calling
 // goroutine through the machine runner. Everything it touches is private
-// to the machine's World. Recording only adds the recorder observer at
-// the runner's attach point, so a recorded machine is the same execution
-// as an unrecorded one.
+// to the machine's World.
 func runMachine(ctx context.Context, m Machine, opt Options) (res Result) {
 	res = Result{Name: m.Name, Seed: m.Seed}
 	start := time.Now()
@@ -296,47 +246,25 @@ func runMachine(ctx context.Context, m Machine, opt Options) (res Result) {
 		res.Err = err.Error()
 		return res
 	}
-	if opt.Record && m.Setup != nil {
-		res.Err = "record: custom Setup not supported"
-		return res
-	}
 	spec := machine.Spec{
-		Name: m.Name, Mechanism: m.Mechanism,
-		Path: m.Path, Argv: m.Argv, Env: m.Env,
+		Name: m.Name, Mechanism: m.Mechanism, Path: m.Path, Argv: m.Argv,
 		Server: m.Server, Requests: m.Requests,
 		Seed: m.Seed, MaxInsts: m.MaxInsts,
 		Chaos: opt.Chaos, ChaosSeed: opt.ChaosSeed,
-		CheckpointEvery: opt.CheckpointEvery,
-	}
-	var kopts []kernel.Option
-	if opt.JITOff {
-		kopts = append(kopts, kernel.WithJITOff(true))
 	}
 	oo := opt.Obs
 	oo.Machine = m.Name
-	if p := opt.SfipPolicies[m.Name]; p != nil {
-		oo.SfipPolicy = p
-		oo.SfipMode = opt.SfipMode
-	}
-	if opt.Probes != nil {
-		oo.Probes = opt.Probes
+	if oo.Probes != nil {
 		oo.ProbeMech = spec.Mech()
 	}
 	var obs *obsv.Observer
-	var rec *rr.Session
-	r, err := machine.Start(ctx, spec, machine.Config{Setup: m.Setup, Kernel: kopts, Attach: func(r *machine.Run) {
+	r, err := machine.Start(ctx, spec, machine.Config{Setup: m.Setup, Attach: func(r *machine.Run) {
 		if opt.Hash {
 			r.HashTrace()
 		}
-		// The observer is private to this World, keeping the machine
-		// race-free and bit-identical at any worker count. Span sets are
-		// keyed by machine name so a fleet merge stays deterministic.
 		if oo.Enabled() {
 			obs = obsv.New(oo)
 			obs.Install(r.W.K)
-		}
-		if opt.Record {
-			rec = rr.Attach(r)
 		}
 	}})
 	if err == nil {
@@ -346,14 +274,7 @@ func runMachine(ctx context.Context, m Machine, opt Options) (res Result) {
 		res.Err = err.Error()
 		return res
 	}
-	if rec != nil {
-		rec.Finish()
-		res.Recording = rec.Rec
-	}
-	o := r.Outcome()
-	res.TraceHash, res.EventHash, res.VFSHash = o.TraceHash, o.EventHash, o.VFSHash
-	res.Steps, res.Syscalls, res.Exit = o.Steps, o.Syscalls, o.Exit
-	res.ChaosInjected = o.ChaosInjected
+	res.Outcome = r.Outcome()
 	res.DecodeCache = r.W.K.DecodeCacheStats()
 	res.JIT = r.W.K.JITStats()
 	if obs != nil {

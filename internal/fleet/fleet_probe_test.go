@@ -27,7 +27,7 @@ func TestFleetProbeDeterminism(t *testing.T) {
 		rep, err := Run(context.Background(), machines, Options{
 			Workers: workers,
 			Hash:    true,
-			Probes:  compiled,
+			Obs:     obsv.Options{Probes: compiled},
 		})
 		if err != nil {
 			t.Fatalf("fleet run (workers=%d): %v", workers, err)

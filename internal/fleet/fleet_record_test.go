@@ -4,43 +4,60 @@ import (
 	"context"
 	"testing"
 
-	"k23/internal/interpose"
+	"k23/internal/kernel"
+	"k23/internal/machine"
 	"k23/internal/rr"
 )
 
-// TestFleetRecord proves Options.Record attaches a valid, replayable
-// recording to every machine: each recording validates, replays without
-// divergence, and the replay's final state matches the fleet result's
-// own hashes.
-func TestFleetRecord(t *testing.T) {
-	machines := StandardFleet(4)
-	rep, err := Run(context.Background(), machines, Options{
-		Workers: 2, Record: true, CheckpointEvery: 30_000,
-	})
+// recordMachine records m's run through rr, the one recorder, with the
+// same spec the fleet derives for it.
+func recordMachine(t *testing.T, m Machine) *rr.Recording {
+	t.Helper()
+	s, err := rr.Record(rr.RunSpec{Name: m.Name, Mechanism: m.Mechanism, Path: m.Path, Argv: m.Argv,
+		Server: m.Server, Requests: m.Requests, Seed: m.Seed, MaxInsts: m.MaxInsts,
+		CheckpointEvery: 30_000}, rr.Hooks{})
+	if err == nil {
+		err = s.Run()
+	}
+	if err != nil {
+		t.Fatalf("machine %s: record: %v", m.Name, err)
+	}
+	return s.Rec
+}
+
+func runHashed(t *testing.T, machines []Machine) []Result {
+	t.Helper()
+	rep, err := Run(context.Background(), machines, Options{Workers: 4, Hash: true})
+	if err == nil {
+		err = rep.FirstErr()
+	}
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	if err := rep.FirstErr(); err != nil {
-		t.Fatalf("fleet run: %v", err)
-	}
-	for i := range rep.Machines {
-		m := &rep.Machines[i]
-		if m.Recording == nil {
-			t.Fatalf("machine %s: no recording", m.Name)
-		}
-		if err := m.Recording.Validate(); err != nil {
+	return rep.Machines
+}
+
+// TestFleetRecord proves every fleet machine records into a valid,
+// replayable recording: each recording validates, replays without
+// divergence, and its final state matches the fleet result's hashes.
+func TestFleetRecord(t *testing.T) {
+	machines := StandardFleet(4)
+	results := runHashed(t, machines)
+	for i, m := range machines {
+		rec := recordMachine(t, m)
+		if err := rec.Validate(); err != nil {
 			t.Fatalf("machine %s: invalid recording: %v", m.Name, err)
 		}
-		f := m.Recording.Final
-		if f.TraceHash != m.TraceHash || f.EventHash != m.EventHash || f.VFSHash != m.VFSHash {
+		f, res := rec.Final, results[i]
+		if f.TraceHash != res.TraceHash || f.EventHash != res.EventHash || f.VFSHash != res.VFSHash {
 			t.Fatalf("machine %s: result hashes disagree with recording final", m.Name)
 		}
-		s, err := rr.Replay(m.Recording, rr.Hooks{})
-		if err != nil {
-			t.Fatalf("machine %s: Replay: %v", m.Name, err)
+		s, err := rr.Replay(rec, rr.Hooks{})
+		if err == nil {
+			err = s.Run()
 		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("machine %s: replay run: %v", m.Name, err)
+		if err != nil {
+			t.Fatalf("machine %s: replay: %v", m.Name, err)
 		}
 		if idx, d := s.Diverged(); d {
 			t.Fatalf("machine %s: replay diverged at checkpoint %d", m.Name, idx)
@@ -48,78 +65,28 @@ func TestFleetRecord(t *testing.T) {
 	}
 }
 
-// TestFleetRecordDeterministic: a recorded fleet is still worker-count
-// invariant — same recordings at workers=1 and workers=4.
-func TestFleetRecordDeterministic(t *testing.T) {
-	machines := StandardFleet(4)
-	run := func(workers int) *Report {
-		rep, err := Run(context.Background(), machines, Options{
-			Workers: workers, Record: true, CheckpointEvery: 30_000,
-		})
-		if err != nil {
-			t.Fatalf("fleet run (workers=%d): %v", workers, err)
-		}
-		return rep
-	}
-	a, b := run(1), run(4)
-	for i := range a.Machines {
-		ra, rb := a.Machines[i].Recording, b.Machines[i].Recording
-		if ra == nil || rb == nil {
-			t.Fatalf("machine %d: missing recording", i)
-		}
-		if err := ra.EquivalentTo(rb); err != nil {
-			t.Fatalf("machine %d: workers=1 vs workers=4 recordings differ: %v", i, err)
-		}
-	}
-}
-
-// TestFleetRecordRejectsCustomSetup: machines with a private Setup
-// cannot be captured; they must fail loudly, not record garbage.
-func TestFleetRecordRejectsCustomSetup(t *testing.T) {
-	machines := StandardFleet(1)
-	machines[0].Setup = func(w *interpose.World) error { return nil }
-	rep, err := Run(context.Background(), machines, Options{Record: true})
-	if err != nil {
-		t.Fatalf("fleet run: %v", err)
-	}
-	if rep.Machines[0].Err == "" {
-		t.Fatalf("custom-Setup machine recorded without error")
-	}
-}
-
 // TestFleetRecordedEqualsUnrecorded: recording is an observer, not a
 // second way of running a machine — every observable of a recorded
-// machine equals the unrecorded run's, including machines whose
+// machine equals the unrecorded fleet run's, including machines whose
 // mechanism runs an offline phase and servers under K23.
 func TestFleetRecordedEqualsUnrecorded(t *testing.T) {
 	machines := StandardFleet(9)
 	for _, w := range StandardFleet(9) {
-		switch w.Name[:len(w.Name)-3] {
-		case "pwd", "touch", "ls", "cat", "clear", "nginx", "lighttpd", "redis":
-			w.Name += "@k23-ultra+"
-			w.Mechanism = "k23-ultra+"
-			machines = append(machines, w)
-		}
+		w.Name += "@k23-ultra+"
+		w.Mechanism = "k23-ultra+"
+		machines = append(machines, w)
 	}
-	run := func(record bool) []Result {
-		rep, err := Run(context.Background(), machines, Options{Workers: 4, Hash: true, Record: record})
-		if err != nil {
-			t.Fatalf("fleet run (record=%v): %v", record, err)
-		}
-		if err := rep.FirstErr(); err != nil {
-			t.Fatalf("fleet run (record=%v): %v", record, err)
-		}
-		return rep.Machines
-	}
-	plain, recorded := run(false), run(true)
-	for i := range plain {
-		p, r := plain[i], recorded[i]
-		if p.TraceHash != r.TraceHash || p.EventHash != r.EventHash || p.VFSHash != r.VFSHash ||
-			p.Steps != r.Steps || p.Syscalls != r.Syscalls || p.Exit != r.Exit {
-			t.Errorf("machine %s: recorded run differs from unrecorded:\n plain    %+v\n recorded %+v", p.Name, p, r)
-		}
-		if p.Recording != nil || r.Recording == nil {
-			t.Errorf("machine %s: recording attached only with Record", p.Name)
+	results := runHashed(t, machines)
+	for i, m := range machines {
+		f := recordMachine(t, m).Final
+		got := machine.Outcome{TraceHash: f.TraceHash, EventHash: f.EventHash, VFSHash: f.VFSHash,
+			Steps: f.Steps, Syscalls: f.Syscalls,
+			Exit:          kernel.ExitInfo{Code: f.ExitCode, Signal: f.ExitSignal},
+			ChaosInjected: f.ChaosInjected}
+		want := results[i].Outcome
+		want.Exit.Fault = ""
+		if got != want || got.TraceHash == 0 {
+			t.Errorf("machine %s: recorded run differs from unrecorded:\n recorded   %+v\n unrecorded %+v", m.Name, got, want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"k23/internal/apps"
 	"k23/internal/interpose"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 	"k23/internal/rr"
 	"k23/internal/sfip"
@@ -70,20 +71,33 @@ func TestFleetSfipLearnDeterminism(t *testing.T) {
 	}
 }
 
-// TestFleetSfipEnforceDeterminism: per-machine policies installed via
-// Options.SfipPolicies are checked deterministically — self-trained
-// machines run violation-free in enforce mode, with bit-identical
-// enforcement reports at workers=1 and workers=8 — and log mode is
-// non-perturbing: on a violation-free run, every observable hash matches
-// an unpoliced run of the same machines exactly.
+// fleetPolicy merges the policies the machines learned into the one
+// fleet-wide policy Options.Obs.SfipPolicy installs on every machine. A
+// merged policy allows what any machine learned, so each self-trained
+// machine still runs violation-free under it.
+func fleetPolicy(t *testing.T) *sfip.Policy {
+	t.Helper()
+	p := sfip.NewPolicy("fleet", "k23-ultra+")
+	for _, q := range learnPolicies(t, 8) {
+		p.Merge(q)
+	}
+	return p
+}
+
+// TestFleetSfipEnforceDeterminism: a fleet-wide policy installed via
+// Options.Obs is checked deterministically — self-trained machines run
+// violation-free in enforce mode, with bit-identical enforcement reports
+// at workers=1 and workers=8 — and log mode is non-perturbing: on a
+// violation-free run, every observable hash matches an unpoliced run of
+// the same machines exactly.
 func TestFleetSfipEnforceDeterminism(t *testing.T) {
 	machines := sfipMachines()
-	policies := learnPolicies(t, 8)
+	policy := fleetPolicy(t)
 
 	run := func(workers int, mode sfip.Mode) *Report {
 		rep, err := Run(context.Background(), machines, Options{
 			Workers: workers, Hash: true,
-			SfipPolicies: policies, SfipMode: mode,
+			Obs: obsv.Options{SfipPolicy: policy, SfipMode: mode},
 		})
 		if err != nil {
 			t.Fatalf("enforce fleet (workers=%d mode=%s): %v", workers, mode, err)
@@ -111,7 +125,7 @@ func TestFleetSfipEnforceDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(s.Obs.Sfip, p.Obs.Sfip) {
 			t.Errorf("machine %s: enforcement report differs between workers=1 and workers=8", s.Name)
 		}
-		if s.TraceHash != p.TraceHash || s.EventHash != p.EventHash || s.VFSHash != p.VFSHash {
+		if s.Outcome != p.Outcome {
 			t.Errorf("machine %s: enforced run not bit-identical across worker counts", s.Name)
 		}
 	}
@@ -124,35 +138,32 @@ func TestFleetSfipEnforceDeterminism(t *testing.T) {
 	logged := run(8, sfip.ModeLog)
 	for i := range plain.Machines {
 		u, l := &plain.Machines[i], &logged.Machines[i]
-		if u.TraceHash != l.TraceHash || u.EventHash != l.EventHash || u.VFSHash != l.VFSHash {
-			t.Errorf("machine %s: log-mode SFIP perturbed execution: unpoliced={%#x %#x %#x} logged={%#x %#x %#x}",
-				u.Name, u.TraceHash, u.EventHash, u.VFSHash, l.TraceHash, l.EventHash, l.VFSHash)
-		}
-		if u.Exit != l.Exit {
-			t.Errorf("machine %s: log-mode SFIP changed the exit status", u.Name)
+		if u.Outcome != l.Outcome {
+			t.Errorf("machine %s: log-mode SFIP perturbed execution:\n unpoliced %+v\n logged    %+v",
+				u.Name, u.Outcome, l.Outcome)
 		}
 	}
 }
 
 // TestFleetSfipChaosReplayStable: with deterministic fault injection
-// armed, a policed fleet is a pure function of (machines, policies,
-// chaos seed) — identical hashes and enforcement reports across worker
-// counts and repeated runs, for two distinct chaos seeds — and a
-// recorded policed machine replays bit-identically with the enforcer's
-// host state verified through the kernel state hash.
+// armed, a policed fleet is a pure function of (machines, policy, chaos
+// seed) — identical outcomes and enforcement reports across worker
+// counts, for two distinct chaos seeds — and a policed chaos run
+// recorded through rr replays bit-identically with the enforcer's host
+// state verified through the kernel state hash.
 func TestFleetSfipChaosReplayStable(t *testing.T) {
 	machines := sfipMachines()
-	policies := learnPolicies(t, 8)
+	policy := fleetPolicy(t)
+	prof := kernel.DefaultChaosProfile()
+	// Log mode: chaos retry loops may walk off a policy learned without
+	// chaos, and replay stability must hold through the violations
+	// themselves, not dodge them by denial.
+	policed := obsv.Options{SfipPolicy: policy, SfipMode: sfip.ModeLog}
 
 	run := func(seed uint64, workers int) []Result {
-		prof := kernel.DefaultChaosProfile()
 		rep, err := Run(context.Background(), machines, Options{
-			Workers: workers, Hash: true, Record: true,
+			Workers: workers, Hash: true, Obs: policed,
 			Chaos: &prof, ChaosSeed: seed,
-			// Log mode: chaos retry loops may walk off a policy learned
-			// without chaos, and replay stability must hold through the
-			// violations themselves, not dodge them by denial.
-			SfipPolicies: policies, SfipMode: sfip.ModeLog,
 		})
 		if err != nil {
 			t.Fatalf("chaos fleet (seed=%#x workers=%d): %v", seed, workers, err)
@@ -168,7 +179,7 @@ func TestFleetSfipChaosReplayStable(t *testing.T) {
 		parallel := run(seed, 8)
 		for i := range serial {
 			s, p := &serial[i], &parallel[i]
-			if s.TraceHash != p.TraceHash || s.EventHash != p.EventHash || s.VFSHash != p.VFSHash {
+			if s.Outcome != p.Outcome {
 				t.Errorf("seed %#x machine %s: policed chaos run differs across worker counts", seed, s.Name)
 			}
 			if !reflect.DeepEqual(s.Obs.Sfip, p.Obs.Sfip) {
@@ -176,16 +187,29 @@ func TestFleetSfipChaosReplayStable(t *testing.T) {
 			}
 		}
 
-		// Replay the first machine's recording with the same policy: the
-		// rr engine re-checks every checkpoint's kernel state hash, which
-		// folds in the enforcer's predecessor chains and counters.
-		name := serial[0].Name
+		// Record the first machine with the same policy and chaos seed,
+		// and replay it with the policy attached again: the rr engine
+		// re-checks every checkpoint's kernel state hash, which folds in
+		// the enforcer's predecessor chains and counters.
+		m := machines[0]
+		spec := machine.Spec{Name: m.Name, Mechanism: m.Mechanism, Path: m.Path, Argv: m.Argv,
+			Seed: m.Seed, Chaos: &prof, ChaosSeed: seed}
 		hooks := rr.Hooks{BeforeLaunch: func(w *interpose.World) {
-			o := obsv.New(obsv.Options{Machine: name,
-				SfipPolicy: policies[name], SfipMode: sfip.ModeLog})
-			o.Install(w.K)
+			o := policed
+			o.Machine = m.Name
+			obsv.New(o).Install(w.K)
 		}}
-		s, err := rr.Replay(serial[0].Recording, hooks)
+		rec, err := rr.Record(spec, hooks)
+		if err != nil {
+			t.Fatalf("seed %#x: record setup: %v", seed, err)
+		}
+		if err := rec.Run(); err != nil {
+			t.Fatalf("seed %#x: record run: %v", seed, err)
+		}
+		if f := rec.Rec.Final; f.TraceHash != serial[0].TraceHash || f.EventHash != serial[0].EventHash {
+			t.Errorf("seed %#x machine %s: recorded run differs from the fleet's", seed, m.Name)
+		}
+		s, err := rr.Replay(rec.Rec, hooks)
 		if err != nil {
 			t.Fatalf("seed %#x: replay setup: %v", seed, err)
 		}
@@ -193,7 +217,7 @@ func TestFleetSfipChaosReplayStable(t *testing.T) {
 			t.Fatalf("seed %#x: replay run: %v", seed, err)
 		}
 		if i, diverged := s.Diverged(); diverged {
-			t.Errorf("seed %#x machine %s: policed replay diverged at checkpoint %d", seed, name, i)
+			t.Errorf("seed %#x machine %s: policed replay diverged at checkpoint %d", seed, m.Name, i)
 		}
 	}
 }

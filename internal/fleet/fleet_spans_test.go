@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
+	"k23/internal/canon"
 	"k23/internal/obsv"
 	"k23/internal/span"
 )
@@ -36,7 +38,11 @@ func TestFleetSpanDeterminism(t *testing.T) {
 			}
 			sets = append(sets, o.Spans...)
 		}
-		return normalize(rep), span.HashAll(sets)
+		h := canon.NewHash()
+		for _, s := range span.Merge(sets) {
+			h.Uint64(s.Hash())
+		}
+		return normalize(rep), uint64(h)
 	}
 
 	serial, serialHash := run(1)
@@ -69,7 +75,8 @@ func TestFleetSpanDeterminism(t *testing.T) {
 		}
 	}
 
-	// Every machine's sets validate and are tagged with its name.
+	// Every machine's sets are tagged with its name and pass the span
+	// schema check.
 	for i := range serial {
 		sets := serial[i].Obs.Spans
 		for _, st := range sets {
@@ -77,8 +84,12 @@ func TestFleetSpanDeterminism(t *testing.T) {
 				t.Errorf("machine %s: span set tagged %q", serial[i].Name, st.Machine)
 			}
 		}
-		if rep := span.ValidateSets(sets); !rep.Ok() {
-			t.Errorf("machine %s: invalid spans: %v", serial[i].Name, rep.Problems)
+		var buf bytes.Buffer
+		if err := span.WriteJSONL(&buf, sets...); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := span.ValidateJSONL(&buf); err != nil || !rep.Ok() {
+			t.Errorf("machine %s: invalid spans: %v %v", serial[i].Name, err, rep)
 		}
 	}
 }

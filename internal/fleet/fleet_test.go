@@ -11,6 +11,7 @@ import (
 	"k23/internal/cpu"
 	"k23/internal/cpu/difftest"
 	"k23/internal/interpose"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 )
 
@@ -150,7 +151,7 @@ func TestFleetTracingDeterminism(t *testing.T) {
 		if o.Metrics == nil || o.Metrics.TotalSyscalls() == 0 {
 			t.Errorf("machine %s: no metrics collected", serial[i].Name)
 		}
-		if o.Profile == nil || o.Profile.TotalSamples() == 0 {
+		if o.Profile == nil || len(o.Profile.Samples) == 0 {
 			t.Errorf("machine %s: no profile samples", serial[i].Name)
 		}
 	}
@@ -185,17 +186,23 @@ func TestFleetTracingDeterminism(t *testing.T) {
 // TestFleetJITDeterminism is the fleet half of the superblock-engine
 // contract: with the JIT on (the default), per-machine results must be
 // bit-identical at workers=1 and workers=8 — under `go test -race` this
-// also proves the per-core block caches share no state — and the
-// observable hash set (trace, events, VFS, exit, steps, syscalls) must
-// equal a JIT-off fleet's exactly. Full Results deliberately do NOT
-// DeepEqual across modes: the engine-internal counters (DecodeCache,
-// JIT) differ, which the test also pins so a future refactor can't
-// quietly make the comparison vacuous.
+// also proves the per-core block caches share no state — and every
+// machine's Outcome must equal a JIT-off fleet's exactly (the JIT is
+// switched off in each machine's Setup, before the offline phase).
+// Full Results deliberately do NOT DeepEqual across modes: the
+// engine-internal counters (DecodeCache, JIT) differ, which the test
+// also pins so a future refactor can't quietly make the comparison
+// vacuous.
 func TestFleetJITDeterminism(t *testing.T) {
-	machines := StandardFleet(12)
 	run := func(workers int, jitOff bool) []Result {
-		rep, err := Run(context.Background(), machines,
-			Options{Workers: workers, Hash: true, JITOff: jitOff})
+		machines := StandardFleet(12)
+		for i := range machines {
+			machines[i].Setup = func(w *interpose.World) error {
+				w.K.JITOff = jitOff
+				return machine.StandardSetup(w)
+			}
+		}
+		rep, err := Run(context.Background(), machines, Options{Workers: workers, Hash: true})
 		if err != nil {
 			t.Fatalf("fleet run (workers=%d jitOff=%v): %v", workers, jitOff, err)
 		}
@@ -217,9 +224,7 @@ func TestFleetJITDeterminism(t *testing.T) {
 	var jitEngaged bool
 	for i := range serial {
 		j, s := serial[i], interp[i]
-		if j.TraceHash != s.TraceHash || j.EventHash != s.EventHash ||
-			j.VFSHash != s.VFSHash || j.Exit != s.Exit ||
-			j.Steps != s.Steps || j.Syscalls != s.Syscalls {
+		if j.Outcome != s.Outcome {
 			t.Errorf("machine %s: observables differ between JIT and interpreter:\n jit: %+v\ninterp: %+v",
 				j.Name, j, s)
 		}
@@ -376,8 +381,8 @@ func TestReportAggregates(t *testing.T) {
 		Workers: 2,
 		Wall:    2 * time.Second,
 		Machines: []Result{
-			{Name: "a", Steps: 3_000_000, Syscalls: 10},
-			{Name: "b", Steps: 1_000_000, Syscalls: 32},
+			{Name: "a", Outcome: machine.Outcome{Steps: 3_000_000, Syscalls: 10}},
+			{Name: "b", Outcome: machine.Outcome{Steps: 1_000_000, Syscalls: 32}},
 		},
 	}
 	if got := rep.TotalSteps(); got != 4_000_000 {

@@ -61,14 +61,14 @@ func Observe(c *Call) {
 	c.Kernel.EmitInterposed(c.Thread, c.Mechanism.String(), c.Num, c.Site)
 }
 
-// Resolve publishes the outcome of a hooked call when it diverges from
+// resolve publishes the outcome of a hooked call when it diverges from
 // plain pass-through: the hook emulated it in-process (no kernel
 // execution of the claimed number will follow) or rewrote the number to
 // nr before forwarding. The audit joiner uses it to retire or update
 // the attribution claim Observe opened; pass-through calls need no
 // resolve — their kernel-side oracle closes the claim. Nil-cost when no
 // event observer is installed.
-func Resolve(c *Call, nr uint64, emulated bool) {
+func resolve(c *Call, nr uint64, emulated bool) {
 	c.Kernel.EmitResolve(c.Thread, c.Mechanism.String(), nr, c.Site, emulated)
 }
 
@@ -112,10 +112,10 @@ func Dispatch(c *Call, h Hook) (ret uint64, emulated bool) {
 	nr := c.Num
 	*c = *hc
 	if emulated {
-		Resolve(c, c.Num, true)
+		resolve(c, c.Num, true)
 		Phase(c, kernel.PhEmulate)
 	} else if c.Num != nr {
-		Resolve(c, c.Num, false)
+		resolve(c, c.Num, false)
 	}
 	return ret, emulated
 }

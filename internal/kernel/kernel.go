@@ -20,7 +20,7 @@ import (
 // CostModel holds the cycle costs of kernel-mediated events. The defaults
 // are calibrated so the microbenchmark (Table 5) and macrobenchmark
 // (Table 6) reproduce the shape of the paper's results; see
-// DefaultCostModel and EXPERIMENTS.md.
+// defaultCostModel and EXPERIMENTS.md.
 type CostModel struct {
 	// Trap is the user->kernel->user transition cost of a bare SYSCALL.
 	Trap uint64
@@ -48,8 +48,8 @@ type CostModel struct {
 	SfipCheck uint64
 }
 
-// DefaultCostModel returns the calibrated cost model.
-func DefaultCostModel() CostModel {
+// defaultCostModel returns the calibrated cost model.
+func defaultCostModel() CostModel {
 	return CostModel{
 		Trap:          150,
 		KernelWork:    50,
@@ -601,7 +601,7 @@ func WithVClock(start uint64) Option {
 func New(opts ...Option) *Kernel {
 	k := &Kernel{
 		FS:      vfs.New(),
-		Cost:    DefaultCostModel(),
+		Cost:    defaultCostModel(),
 		Quantum: 50,
 		procs:   make(map[int]*Process),
 		nextPID: 1,
@@ -939,23 +939,6 @@ func (k *Kernel) profileTick(t *Thread) {
 		k.profileNext += k.profileEvery
 		k.ProfileHook(t.TID, t.Core.Ctx.RIP)
 	}
-}
-
-// Runnable reports whether any thread in any running process can run.
-// It walks the run queue in PID order, so the wake marks threadReady
-// emits on the way come in the same order on every run.
-func (k *Kernel) Runnable() bool {
-	for _, p := range k.live {
-		if stopped(p) {
-			continue
-		}
-		for _, t := range p.Threads {
-			if k.threadReady(t) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // threadReady reports whether t can be scheduled, unblocking it if its

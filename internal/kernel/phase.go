@@ -90,11 +90,6 @@ type PhaseMark struct {
 	Detail string // mechanism name for handler phases, wake reason for PhWake
 }
 
-// PhaseTracing reports whether a phase observer is installed. Like
-// Tracing, emission sites bail before formatting anything when it is
-// false.
-func (k *Kernel) PhaseTracing() bool { return k.PhaseHook != nil }
-
 // EmitPhase publishes one phase mark on behalf of t. Nil-cost when no
 // phase observer is installed (the single guarded branch, mirroring the
 // main event stream's contract).

@@ -11,12 +11,12 @@ import (
 func (k *Kernel) registerProcMaps(p *Process) {
 	path := fmt.Sprintf("/proc/%d/maps", p.PID)
 	k.FS.RegisterSynthetic(path, func() ([]byte, error) {
-		return []byte(FormatMaps(p)), nil
+		return []byte(formatMaps(p)), nil
 	})
 }
 
-// FormatMaps renders p's address space in /proc/<pid>/maps format.
-func FormatMaps(p *Process) string {
+// formatMaps renders p's address space in /proc/<pid>/maps format.
+func formatMaps(p *Process) string {
 	var b strings.Builder
 	for _, r := range p.AS.Regions() {
 		name := r.Name

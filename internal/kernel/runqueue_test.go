@@ -109,7 +109,7 @@ func TestExitedVvarFrozen(t *testing.T) {
 	k, ps := spinWorld(t, 300, 30_000)
 	clock := func(p *kernel.Process) [2]uint64 {
 		t.Helper()
-		vvar, ok := p.AS.RegionByName("[vvar]")
+		vvar, ok := vvarRegion(p)
 		if !ok {
 			t.Fatal("no vvar region")
 		}

@@ -328,17 +328,3 @@ func (k *Kernel) signalProcess(caller *Thread, target *Process, sig int) (uint64
 	k.deliverSignal(dt, sig, sigInfo{signo: sig})
 	return 0, false
 }
-
-// WakePending reports whether t still holds a wake condition. Tests use
-// it to assert that interrupting a blocked syscall (restart or EINTR
-// abort alike) clears the condition rather than leaking it into the
-// thread's next block.
-func (t *Thread) WakePending() bool { return t.wakeDesc.kind != wakeNone }
-
-// PostSignal sends sig to p from host context (no calling thread) —
-// the chaos injector's and tests' signal source. Delivery follows the
-// same rules as kill(2): SA_RESTART decides whether a blocked syscall
-// restarts or aborts with EINTR.
-func (k *Kernel) PostSignal(p *Process, sig int) {
-	k.signalProcess(nil, p, sig)
-}

@@ -580,7 +580,7 @@ func (l *Loader) registerLoaderHostcalls(p *kernel.Process) {
 				t.Core.Ctx.R[cpu.RAX] = 0
 				return nil
 			}
-			li, err := l.Dlopen(t, path, private)
+			li, err := l.dlopen(t, path, private)
 			if err != nil {
 				t.Core.Ctx.R[cpu.RAX] = 0
 				return nil
@@ -694,10 +694,10 @@ func (l *Loader) GlobalSymbol(p *kernel.Process, name string) (uint64, bool) {
 	return l.global(st, name)
 }
 
-// Dlopen maps the image at path (and unmet dependencies) into the running
+// dlopen maps the image at path (and unmet dependencies) into the running
 // process, issuing the same syscall trail ld.so would, and runs its
 // initializers. Private selects dlmopen-style namespace isolation.
-func (l *Loader) Dlopen(t *kernel.Thread, path string, private bool) (*LoadedImage, error) {
+func (l *Loader) dlopen(t *kernel.Thread, path string, private bool) (*LoadedImage, error) {
 	p := t.Proc
 	st, ok := p.LoaderState.(*procState)
 	if !ok {
@@ -713,7 +713,7 @@ func (l *Loader) Dlopen(t *kernel.Thread, path string, private bool) (*LoadedIma
 		return nil, fmt.Errorf("loader: dlopen: %s not registered", path)
 	}
 	for _, dep := range img.Needed {
-		if _, err := l.Dlopen(t, dep, private); err != nil {
+		if _, err := l.dlopen(t, dep, private); err != nil {
 			return nil, err
 		}
 	}

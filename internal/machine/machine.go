@@ -56,7 +56,6 @@ type Spec struct {
 	// Path and Argv name the program to boot.
 	Path string   `json:"path"`
 	Argv []string `json:"argv"`
-	Env  []string `json:"env,omitempty"`
 	// Server marks a workload driven by an injected client connection.
 	Server bool `json:"server,omitempty"`
 	// Requests is the number of requests per injected connection.
@@ -145,10 +144,18 @@ func Offline(ctx context.Context, w *interpose.World, path string, argv []string
 }
 
 // Listen runs k in PollSlice slices until p's server listens, then
-// queues one keepalive connection of requests copies of req.
+// queues one keepalive connection of requests copies of req. It returns
+// nil at once if p stops running first: there is nothing to serve, and
+// how p ended is the caller's to read.
 func Listen(ctx context.Context, k *kernel.Kernel, p *kernel.Process, req []byte, requests int) error {
 	port := apps.BasePort + p.PID
-	for i := 0; i < PollTries; i++ {
+	for i := 0; ; i++ {
+		if p.State != kernel.ProcRunning {
+			return nil
+		}
+		if i == PollTries {
+			return fmt.Errorf("machine: server on port %d never listened", port)
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -157,7 +164,6 @@ func Listen(ctx context.Context, k *kernel.Kernel, p *kernel.Process, req []byte
 			return nil
 		}
 	}
-	return fmt.Errorf("machine: server on port %d never listened", port)
 }
 
 // Launcher returns mech's launcher for path in w, running the offline
@@ -296,7 +302,7 @@ func Start(ctx context.Context, spec Spec, c Config) (*Run, error) {
 	if c.Attach != nil {
 		c.Attach(r)
 	}
-	if r.P, err = r.L.Launch(w, spec.Path, spec.Argv, spec.Env); err != nil {
+	if r.P, err = r.L.Launch(w, spec.Path, spec.Argv, nil); err != nil {
 		return nil, err
 	}
 	return r, r.observe(Launched)

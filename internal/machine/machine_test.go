@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"k23/internal/apps"
 	"k23/internal/asm"
 	"k23/internal/canon"
 	"k23/internal/image"
@@ -119,4 +120,21 @@ func TestExecStops(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestExecExitBeforeListen: a process given requests that exits without
+// ever listening is a finished run, not a server that never listened:
+// Exec returns without an error, and the process carries its exit.
+func TestExecExitBeforeListen(t *testing.T) {
+	w := interpose.NewWorld()
+	if err := StandardSetup(w); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Exec(context.Background(), w, interpose.Native{}, apps.PwdPath, []string{"pwd"}, 10, DefaultMaxInsts)
+	if err != nil {
+		t.Fatalf("Exec: %v", err)
+	}
+	if p.State == kernel.ProcRunning || p.Exit != (kernel.ExitInfo{}) {
+		t.Errorf("pwd: state %v, exit %v; want exited with code 0", p.State, p.Exit)
+	}
 }

@@ -142,17 +142,6 @@ func (p PKRU) DenyAccess(key int) PKRU {
 	return p | PKRU(0b11<<(2*key))
 }
 
-// DenyWrite returns a PKRU value equal to p with writes through key
-// denied (WD=1) but reads allowed.
-func (p PKRU) DenyWrite(key int) PKRU {
-	return p | PKRU(0b10<<(2*key))
-}
-
-// Allow returns a PKRU value equal to p with key fully allowed.
-func (p PKRU) Allow(key int) PKRU {
-	return p &^ PKRU(0b11<<(2*key))
-}
-
 // mayRead reports whether the PKRU permits reads through key.
 func (p PKRU) mayRead(key int) bool { return p&(1<<(2*key)) == 0 }
 
@@ -259,8 +248,8 @@ func (a *AddressSpace) Clone() *AddressSpace {
 	return c
 }
 
-// PageNum returns the page number containing addr.
-func PageNum(addr uint64) uint64 { return addr >> PageShift }
+// pageNum returns the page number containing addr.
+func pageNum(addr uint64) uint64 { return addr >> PageShift }
 
 // PageBase returns the base address of the page containing addr.
 func PageBase(addr uint64) uint64 { return addr &^ (PageSize - 1) }
@@ -271,8 +260,8 @@ func PageCount(addr, length uint64) uint64 {
 	if length == 0 {
 		return 0
 	}
-	first := PageNum(addr)
-	last := PageNum(addr + length - 1)
+	first := pageNum(addr)
+	last := pageNum(addr + length - 1)
 	return last - first + 1
 }
 
@@ -290,7 +279,7 @@ func (a *AddressSpace) Map(addr, length uint64, perm Perm, name string) error {
 	n := PageCount(addr, length)
 	for i := uint64(0); i < n; i++ {
 		a.genClock++
-		a.pages[PageNum(addr)+i] = &page{perm: perm, gen: a.genClock}
+		a.pages[pageNum(addr)+i] = &page{perm: perm, gen: a.genClock}
 	}
 	end := addr + n*PageSize
 	a.setRegionRange(addr, end, Region{Start: addr, End: end, Perm: perm, Name: name})
@@ -317,7 +306,7 @@ func (a *AddressSpace) MapShared(addr, length uint64, perm Perm, name string, da
 		return err
 	}
 	for i := uint64(0); i < n; i++ {
-		pg := a.pages[PageNum(addr)+i]
+		pg := a.pages[pageNum(addr)+i]
 		pg.data = (*[PageSize]byte)(data[i*PageSize : (i+1)*PageSize])
 		pg.shared = true
 		a.genClock++
@@ -334,7 +323,7 @@ func (a *AddressSpace) Unmap(addr, length uint64) error {
 	a.lastPage = nil
 	n := PageCount(addr, length)
 	for i := uint64(0); i < n; i++ {
-		delete(a.pages, PageNum(addr)+i)
+		delete(a.pages, pageNum(addr)+i)
 	}
 	a.setRegionRange(addr, addr+n*PageSize)
 	return nil
@@ -394,16 +383,6 @@ func (a *AddressSpace) RegionAt(addr uint64) (Region, bool) {
 	return Region{}, false
 }
 
-// RegionByName returns the first region with the given name.
-func (a *AddressSpace) RegionByName(name string) (Region, bool) {
-	for _, r := range a.regions {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
 // Protect changes the permission of the pages covering [addr, addr+length).
 // All covered pages must be mapped. Mirrors mprotect(2).
 func (a *AddressSpace) Protect(addr, length uint64, perm Perm) error {
@@ -412,7 +391,7 @@ func (a *AddressSpace) Protect(addr, length uint64, perm Perm) error {
 	}
 	n := PageCount(addr, length)
 	for i := uint64(0); i < n; i++ {
-		pg := a.pageAt(PageNum(addr) + i)
+		pg := a.pageAt(pageNum(addr) + i)
 		if pg == nil {
 			return &Fault{Addr: addr + i*PageSize, Access: AccessWrite, Cause: CauseUnmapped}
 		}
@@ -436,7 +415,7 @@ func (a *AddressSpace) ProtectWithKey(addr, length uint64, perm Perm, pkey int) 
 	}
 	n := PageCount(addr, length)
 	for i := uint64(0); i < n; i++ {
-		a.pageAt(PageNum(addr) + i).pkey = pkey
+		a.pageAt(pageNum(addr) + i).pkey = pkey
 	}
 	return nil
 }
@@ -444,7 +423,7 @@ func (a *AddressSpace) ProtectWithKey(addr, length uint64, perm Perm, pkey int) 
 // PermAt returns the permission and protection key of the page containing
 // addr. ok is false if the page is unmapped.
 func (a *AddressSpace) PermAt(addr uint64) (perm Perm, pkey int, ok bool) {
-	pg := a.pageAt(PageNum(addr))
+	pg := a.pageAt(pageNum(addr))
 	if pg == nil {
 		return 0, 0, false
 	}
@@ -455,7 +434,7 @@ func (a *AddressSpace) PermAt(addr uint64) (perm Perm, pkey int, ok bool) {
 func (a *AddressSpace) Mapped(addr, length uint64) bool {
 	n := PageCount(addr, length)
 	for i := uint64(0); i < n; i++ {
-		if a.pageAt(PageNum(addr)+i) == nil {
+		if a.pageAt(pageNum(addr)+i) == nil {
 			return false
 		}
 	}
@@ -466,7 +445,7 @@ func (a *AddressSpace) Mapped(addr, length uint64) bool {
 // the page is unmapped. The CPU I-cache uses this to decide whether a
 // cached line is stale.
 func (a *AddressSpace) Gen(addr uint64) uint64 {
-	if pg := a.pageAt(PageNum(addr)); pg != nil {
+	if pg := a.pageAt(pageNum(addr)); pg != nil {
 		return pg.gen
 	}
 	return 0
@@ -475,7 +454,7 @@ func (a *AddressSpace) Gen(addr uint64) uint64 {
 // check validates an access of the given kind to the page containing
 // addr under pkru and returns the page, or a fault.
 func (a *AddressSpace) check(addr uint64, kind AccessKind, pkru PKRU) (*page, *Fault) {
-	pg := a.pageAt(PageNum(addr))
+	pg := a.pageAt(pageNum(addr))
 	if pg == nil {
 		return nil, &Fault{Addr: addr, Access: kind, Cause: CauseUnmapped}
 	}
@@ -508,12 +487,6 @@ func (a *AddressSpace) check(addr uint64, kind AccessKind, pkru PKRU) (*page, *F
 // permissions and pkru.
 func (a *AddressSpace) Load(addr uint64, n int, pkru PKRU) ([]byte, error) {
 	return a.copyOut(addr, n, AccessRead, pkru)
-}
-
-// Fetch reads n instruction bytes at addr, enforcing execute permission.
-// Protection keys are ignored for fetches, which is what enables PKU-XOM.
-func (a *AddressSpace) Fetch(addr uint64, n int) ([]byte, error) {
-	return a.copyOut(addr, n, AccessExec, 0)
 }
 
 // FetchLine fills buf with the cache line containing addr (buf length
@@ -581,7 +554,7 @@ func (a *AddressSpace) KRead(addr uint64, dst []byte) error {
 	off := 0
 	for off < len(dst) {
 		cur := addr + uint64(off)
-		pg := a.pageAt(PageNum(cur))
+		pg := a.pageAt(pageNum(cur))
 		if pg == nil {
 			return &Fault{Addr: cur, Access: AccessRead, Cause: CauseUnmapped}
 		}
@@ -595,12 +568,12 @@ func (a *AddressSpace) KRead(addr uint64, dst []byte) error {
 // kernel-plane code modification too.
 func (a *AddressSpace) KStore(addr uint64, b []byte) error {
 	for off := 0; off < len(b); off += PageSize {
-		if a.pageAt(PageNum(addr+uint64(off))) == nil {
+		if a.pageAt(pageNum(addr+uint64(off))) == nil {
 			return &Fault{Addr: addr + uint64(off), Access: AccessWrite, Cause: CauseUnmapped}
 		}
 	}
 	if len(b) > 0 {
-		if a.pageAt(PageNum(addr+uint64(len(b)-1))) == nil {
+		if a.pageAt(pageNum(addr+uint64(len(b)-1))) == nil {
 			return &Fault{Addr: addr + uint64(len(b)-1), Access: AccessWrite, Cause: CauseUnmapped}
 		}
 	}
@@ -614,7 +587,7 @@ func (a *AddressSpace) write(addr uint64, b []byte) {
 	off := 0
 	for off < len(b) {
 		cur := addr + uint64(off)
-		pg := a.pageAt(PageNum(cur))
+		pg := a.pageAt(pageNum(cur))
 		po := cur % PageSize
 		c := copy(pg.writable()[po:], b[off:])
 		a.genClock++
@@ -641,17 +614,11 @@ func (a *AddressSpace) LoadU64(addr uint64, pkru PKRU) (uint64, error) {
 	return leU64(b), nil
 }
 
-// StoreU64 writes a little-endian uint64 under the user plane.
-func (a *AddressSpace) StoreU64(addr, v uint64, pkru PKRU) error {
-	b := putLeU64(v)
-	return a.Store(addr, b[:], pkru)
-}
-
 // KLoadU64 reads a little-endian uint64 on the kernel plane, in place
 // unless the word straddles a page.
 func (a *AddressSpace) KLoadU64(addr uint64) (uint64, error) {
 	if po := addr % PageSize; po <= PageSize-8 {
-		pg := a.pageAt(PageNum(addr))
+		pg := a.pageAt(pageNum(addr))
 		if pg == nil {
 			return 0, &Fault{Addr: addr, Access: AccessRead, Cause: CauseUnmapped}
 		}
@@ -677,7 +644,7 @@ func (a *AddressSpace) KLoadString(addr uint64, max int) (string, error) {
 	var out []byte
 	for len(out) < max {
 		cur := addr + uint64(len(out))
-		pg := a.pageAt(PageNum(cur))
+		pg := a.pageAt(pageNum(cur))
 		if pg == nil {
 			return "", &Fault{Addr: cur, Access: AccessRead, Cause: CauseUnmapped}
 		}

@@ -88,21 +88,10 @@ func (pg *page) state() PageState {
 	return PageState{Perm: pg.perm, Pkey: pg.pkey, Gen: pg.gen, Data: pg.data}
 }
 
-// StateHash returns a deterministic FNV-1a hash of the full address
-// space state — every page's number, permission, pkey, generation and
-// bytes (in sorted page order; a page without data hashes as 4,096
-// zeros) plus the region table and generation clock. The checkpoint
-// property tests compare it across Checkpoint/mutate/Restore cycles.
-func (a *AddressSpace) StateHash() uint64 {
-	pages := make(map[uint64]PageState, len(a.pages))
-	for pn, pg := range a.pages {
-		pages[pn] = pg.state()
-	}
-	return hashState(pages, a.regions, a.genClock)
-}
-
-// Hash returns the StateHash the address space had when the snapshot
-// was taken.
+// Hash returns a deterministic FNV-1a hash of the address space state
+// the snapshot captured: every page's number, permission, pkey,
+// generation and bytes (in sorted page order; a page without data hashes
+// as 4,096 zeros) plus the region table and generation clock.
 func (s *ASState) Hash() uint64 { return hashState(s.Pages, s.Regions, s.GenClock) }
 
 func hashState(pages map[uint64]PageState, regions []Region, genClock uint64) uint64 {

@@ -101,7 +101,7 @@ func FormatRecord(r Record, enterArgs []uint64) string {
 			fmt.Fprintf(&b, " <%s>", r.Detail)
 		}
 	case kernel.EvSignal:
-		fmt.Fprintf(&b, "--- %s {site=%#x} ---", SignalName(int(r.Num)), r.Site)
+		fmt.Fprintf(&b, "--- %s {site=%#x} ---", signalName(int(r.Num)), r.Site)
 	case kernel.EvSudSigsys:
 		fmt.Fprintf(&b, "--- SIGSYS (syscall user dispatch) {nr=%s, site=%#x} ---", kernel.SyscallName(r.Num), r.Site)
 	case kernel.EvSeccompSigsys:
@@ -215,9 +215,9 @@ func formatRet(ret uint64) string {
 	return fmt.Sprintf("%d", int64(ret))
 }
 
-// SignalName returns the conventional name for the signals the
+// signalName returns the conventional name for the signals the
 // simulation delivers.
-func SignalName(sig int) string {
+func signalName(sig int) string {
 	switch sig {
 	case kernel.SIGILL:
 		return "SIGILL"

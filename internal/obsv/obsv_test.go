@@ -30,8 +30,8 @@ func errnoRet(e int) uint64 { return uint64(-int64(e)) }
 // records, oldest-first, with the sequence gap making drops observable.
 func TestRingWraparound(t *testing.T) {
 	r := NewRecorder(8)
-	if r.Cap() != 8 {
-		t.Fatalf("Cap = %d, want 8", r.Cap())
+	if len(r.buf) != 8 {
+		t.Fatalf("Cap = %d, want 8", len(r.buf))
 	}
 	for i := 0; i < 20; i++ {
 		e := mkEvent(kernel.EvEnter, 100, uint64(i))
@@ -58,11 +58,11 @@ func TestRingWraparound(t *testing.T) {
 
 // TestRingRoundsToPowerOfTwo: sizes round up; zero selects the default.
 func TestRingRoundsToPowerOfTwo(t *testing.T) {
-	if got := NewRecorder(100).Cap(); got != 128 {
-		t.Errorf("NewRecorder(100).Cap() = %d, want 128", got)
+	if got := len(NewRecorder(100).buf); got != 128 {
+		t.Errorf("len(NewRecorder(100).buf) = %d, want 128", got)
 	}
-	if got := NewRecorder(0).Cap(); got != DefaultRingSize {
-		t.Errorf("NewRecorder(0).Cap() = %d, want %d", got, DefaultRingSize)
+	if got := len(NewRecorder(0).buf); got != DefaultRingSize {
+		t.Errorf("len(NewRecorder(0).buf) = %d, want %d", got, DefaultRingSize)
 	}
 }
 
@@ -376,11 +376,11 @@ func TestNames(t *testing.T) {
 	if got := kernel.ErrnoName(kernel.ENOSYS); got != "ENOSYS" {
 		t.Errorf("ErrnoName(ENOSYS) = %q", got)
 	}
-	if got := SignalName(kernel.SIGSYS); got != "SIGSYS" {
-		t.Errorf("SignalName(31) = %q", got)
+	if got := signalName(kernel.SIGSYS); got != "SIGSYS" {
+		t.Errorf("signalName(31) = %q", got)
 	}
-	if got := SignalName(7); got != "SIG7" {
-		t.Errorf("SignalName(7) = %q", got)
+	if got := signalName(7); got != "SIG7" {
+		t.Errorf("signalName(7) = %q", got)
 	}
 }
 

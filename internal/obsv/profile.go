@@ -125,15 +125,6 @@ func (s *ProfileSnapshot) Merge(o *ProfileSnapshot) {
 	})
 }
 
-// TotalSamples sums the sample weights.
-func (s *ProfileSnapshot) TotalSamples() uint64 {
-	var n uint64
-	for i := range s.Samples {
-		n += s.Samples[i].Count
-	}
-	return n
-}
-
 // WriteFolded emits the profile in folded-stack format
 // ("prog;site count" per line), ready for flamegraph.pl or speedscope.
 func (s *ProfileSnapshot) WriteFolded(w io.Writer) error {

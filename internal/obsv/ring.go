@@ -60,9 +60,6 @@ func NewRecorder(size int) *Recorder {
 	}
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int { return len(r.buf) }
-
 // Seq returns the number of events ever appended.
 func (r *Recorder) Seq() uint64 { return r.seq.Load() }
 

@@ -34,9 +34,9 @@ type SpanPhaseHist struct {
 	Hist  Hist   `json:"latency"`
 }
 
-// SpanPhaseHists builds sorted per-(mech, phase) histograms from span
+// spanPhaseHists builds sorted per-(mech, phase) histograms from span
 // sets. Deterministic: ordering is (mech, phase).
-func SpanPhaseHists(sets []*span.Set) []SpanPhaseHist {
+func spanPhaseHists(sets []*span.Set) []SpanPhaseHist {
 	type key struct{ mech, phase string }
 	agg := make(map[key]*SpanPhaseHist)
 	for _, s := range span.Merge(sets) {
@@ -86,7 +86,7 @@ func SpanPhaseHists(sets []*span.Set) []SpanPhaseHist {
 // histograms to a Prometheus exposition (same label conventions as
 // MetricsSnapshot.WritePrometheus).
 func WriteSpanPrometheus(w io.Writer, sets []*span.Set, extraLabels [][2]string) {
-	hists := SpanPhaseHists(sets)
+	hists := spanPhaseHists(sets)
 	fmt.Fprintln(w, "# HELP k23_span_phase_cost_cycles Span-layer self cycles per interposition mechanism and lifecycle phase (log2 buckets).")
 	fmt.Fprintln(w, "# TYPE k23_span_phase_cost_cycles histogram")
 	for i := range hists {

@@ -79,7 +79,7 @@ func TestSpanPrometheus(t *testing.T) {
 	}
 	sets := []*span.Set{b.Finish()}
 
-	hists := SpanPhaseHists(sets)
+	hists := spanPhaseHists(sets)
 	if len(hists) != 2 {
 		t.Fatalf("got %d (mech, phase) histograms, want 2: %+v", len(hists), hists)
 	}

@@ -119,7 +119,7 @@ func TestObserverEndToEnd(t *testing.T) {
 
 	// Profile: virtual-clock sampling caught the loop, and the samples
 	// symbolize against the guest's memory map.
-	if snap.Profile == nil || snap.Profile.TotalSamples() == 0 {
+	if snap.Profile == nil || len(snap.Profile.Samples) == 0 {
 		t.Fatal("no profile samples")
 	}
 	symbolized := false

@@ -281,14 +281,6 @@ func (c *Compiled) NewEngine(machine, mech string) *Engine {
 	return e
 }
 
-// HasEventProbes reports whether any probe attaches to the main event
-// stream (engine install skips the hook otherwise).
-func (c *Compiled) HasEventProbes() bool { return c.hasEv }
-
-// HasPhaseProbes reports whether any probe attaches to the phase
-// side-stream.
-func (c *Compiled) HasPhaseProbes() bool { return c.hasPh }
-
 // Install attaches the engine to k's side-stream hooks, chaining any
 // observers already present. Only the streams the program actually
 // probes get a hook, preserving the kernel's single nil-check disabled

@@ -237,15 +237,15 @@ func TestEngineInstallHooksOnlyProbedStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.HasEventProbes() || c.HasPhaseProbes() {
-		t.Fatalf("stream classification wrong: ev=%v ph=%v", c.HasEventProbes(), c.HasPhaseProbes())
+	if !c.hasEv || c.hasPh {
+		t.Fatalf("stream classification wrong: ev=%v ph=%v", c.hasEv, c.hasPh)
 	}
 	k := kernel.New()
 	c.NewEngine("", "").Install(k)
 	if !k.Tracing() {
 		t.Error("event probe did not install an event hook")
 	}
-	if k.PhaseTracing() {
+	if k.PhaseHook != nil {
 		t.Error("event-only program installed a phase hook")
 	}
 }

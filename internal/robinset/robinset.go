@@ -3,7 +3,8 @@
 // to validate that indirect entries into the trampoline originate from
 // known, rewritten syscall sites (paper §5.3): bounded by the offline
 // logs, its footprint is a few cache lines, versus zpoline's
-// address-space-sized bitmap (pitfall P4b).
+// address-space-sized bitmap (pitfall P4b). The set only grows: K23's
+// site set is built from the offline log and never shrinks.
 package robinset
 
 // Set is a robin-hood hash set. The zero value is ready to use.
@@ -126,57 +127,6 @@ func (s *Set) Contains(key uint64) bool {
 		}
 		idx = (idx + 1) & mask
 	}
-}
-
-// Delete removes key using backward-shift deletion; returns whether it
-// was present.
-func (s *Set) Delete(key uint64) bool {
-	if len(s.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(s.slots) - 1)
-	idx := hash(key) & mask
-	var dist int8 = 1
-	for {
-		sl := &s.slots[idx]
-		if sl.dist == 0 || sl.dist < dist {
-			return false
-		}
-		if sl.key == key {
-			break
-		}
-		dist++
-		if dist < 0 {
-			return false
-		}
-		idx = (idx + 1) & mask
-	}
-	// Backward-shift: pull successors left until an empty or
-	// distance-1 slot.
-	for {
-		next := (idx + 1) & mask
-		ns := s.slots[next]
-		if ns.dist <= 1 {
-			s.slots[idx] = slot{}
-			break
-		}
-		ns.dist--
-		s.slots[idx] = ns
-		idx = next
-	}
-	s.count--
-	return true
-}
-
-// Keys returns all elements (unordered).
-func (s *Set) Keys() []uint64 {
-	out := make([]uint64, 0, s.count)
-	for _, sl := range s.slots {
-		if sl.dist != 0 {
-			out = append(out, sl.key)
-		}
-	}
-	return out
 }
 
 // MemBytes estimates the resident footprint in bytes.

@@ -15,8 +15,8 @@ import (
 const FormatVersion = 3
 
 // EventRec is one recorded kernel event. It carries the syscall
-// arguments (EvEnter only) so reverse queries can filter on them
-// without re-executing.
+// arguments (EvEnter only), so the recorded stream shows what each call
+// was passed.
 type EventRec struct {
 	Seq    uint64   `json:"seq"`
 	PID    int      `json:"pid"`

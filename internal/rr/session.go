@@ -99,7 +99,7 @@ func start(spec RunSpec, hooks Hooks, kopts []kernel.Option, replayOf *Recording
 		if hooks.BeforeLaunch != nil {
 			hooks.BeforeLaunch(r.W)
 		}
-		s = Attach(r)
+		s = attach(r)
 		s.replayOf = replayOf
 	}})
 	if err != nil {
@@ -108,11 +108,10 @@ func start(spec RunSpec, hooks Hooks, kopts []kernel.Option, replayOf *Recording
 	return s, nil
 }
 
-// Attach attaches a recorder to r: it turns on trace hashing, captures
-// every kernel event, and takes checkpoints on r's drive boundaries.
-// Call it from a machine.Config.Attach function, after the run's other
-// observers; after r.Drive returns, Finish completes the recording.
-func Attach(r *machine.Run) *Session {
+// attach attaches a recorder to r, after the run's other observers: it
+// turns on trace hashing, captures every kernel event, and takes
+// checkpoints on r's drive boundaries.
+func attach(r *machine.Run) *Session {
 	s := &Session{
 		Spec: r.Spec, W: r.W, m: r, divergence: -1,
 		Rec: &Recording{Spec: r.Spec, VClock0: r.VClock0},
@@ -194,14 +193,12 @@ func (s *Session) Run() error {
 	if err := s.m.Drive(context.Background(), 0); err != nil {
 		return err
 	}
-	s.Finish()
+	s.finish()
 	return nil
 }
 
-// Finish captures the run's observable outcome into Rec. Run calls it;
-// a caller that drives an attached run itself calls it once the drive
-// has returned.
-func (s *Session) Finish() {
+// finish captures the run's observable outcome into Rec.
+func (s *Session) finish() {
 	k := s.W.K
 	s.Rec.Chaos = append([]kernel.ChaosDecision(nil), k.ChaosDecisions()...)
 	s.Rec.Events = s.events // restoreTo caps its capacity: re-execution never writes into it

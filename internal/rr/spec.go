@@ -5,15 +5,17 @@
 // through kernel.Checkpoint, and replays the run — from the beginning or
 // from any checkpoint — bit-identically. On top of the recording it
 // offers time-travel: seeking to an arbitrary event ordinal by restoring
-// the nearest checkpoint and re-executing forward, reverse queries over
-// the recorded event stream ("last write to fd N before seq S"), and a
-// divergence bisector that localizes the first mismatch between two
-// recordings to a checkpoint window and an event ordinal.
+// the nearest checkpoint and re-executing forward, and a divergence
+// bisector that localizes the first mismatch between two recordings to
+// a checkpoint window and an event ordinal.
 //
 // Runs themselves belong to internal/machine: the recorder is an
 // observer attached at the runner's attach point, taking checkpoints on
 // the runner's slice boundaries, so a recorded run is the same
-// execution as an unrecorded one.
+// execution as an unrecorded one (fleet's TestFleetRecordedEqualsUnrecorded). Record
+// and Replay are the one way to record a run: the k23 CLI, the
+// benchmarks and the tests call them, with any observers in
+// Hooks.BeforeLaunch.
 //
 // The engine's correctness contract is frontier sufficiency: a replay
 // consumes only what the recording carries — it re-derives nothing from

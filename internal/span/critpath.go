@@ -35,16 +35,6 @@ type Report struct {
 	Blocked []BlockedEdge // sorted by reason
 }
 
-// PhaseCycles returns the aggregate for one (mech, phase) cell.
-func (r *Report) PhaseCycles(mech, phase string) (count, cycles uint64) {
-	for _, pc := range r.Phases {
-		if pc.Mech == mech && pc.Phase == phase {
-			return pc.Count, pc.Cycles
-		}
-	}
-	return 0, 0
-}
-
 // mechOf resolves a span's mechanism by walking the parent chain: trap
 // spans nested under a handler inherit its mechanism; unattributed spans
 // (native kernel work) report "kernel".

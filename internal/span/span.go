@@ -423,12 +423,3 @@ func (s *Set) Hash() uint64 {
 	}
 	return w.Sum()
 }
-
-// HashAll folds per-set hashes in merge order.
-func HashAll(sets []*Set) uint64 {
-	h := canon.NewHash()
-	for _, s := range Merge(sets) {
-		h.Uint64(s.Hash())
-	}
-	return uint64(h)
-}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"k23/internal/canon"
 	"k23/internal/kernel"
 )
 
@@ -268,7 +269,7 @@ func TestValidatorCatchesStructuralDamage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sp := tc.sp
-		rep := ValidateSets([]*Set{{Machine: "m", Spans: []*Span{&sp}}})
+		rep := validateSets([]*Set{{Machine: "m", Spans: []*Span{&sp}}})
 		if rep.Ok() {
 			t.Errorf("%s: validator found no problem", tc.name)
 		}
@@ -291,7 +292,7 @@ func TestAnalyzeAndCriticalPath(t *testing.T) {
 	if rep.Spans != 2 || rep.Causes[CauseBlock] != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if _, cyc := rep.PhaseCycles("kernel", "trap"); cyc != 310 {
+	if _, cyc := phaseCycles(rep, "kernel", "trap"); cyc != 310 {
 		t.Errorf("trap cycles = %d, want 310 (160+150)", cyc)
 	}
 	if len(rep.Blocked) != 1 || rep.Blocked[0].Reason != "conn-read" || rep.Blocked[0].Wait != 480 {
@@ -322,17 +323,36 @@ func TestAnalyzeAndCriticalPath(t *testing.T) {
 	}
 }
 
-// TestHashAllOrderIndependence: HashAll folds sets in merge (machine)
+// TestHashAllOrderIndependence: hashAll folds sets in merge (machine)
 // order, so input order does not matter; different content does.
 func TestHashAllOrderIndependence(t *testing.T) {
 	a := feed(mk(kernel.PhTrap, 100, 10, 10, 1, 0x40, ""), mk(kernel.PhReturn, 100, 10, 210, 1, 0x40, ""))
 	a.Machine = "a"
 	b := feed(mk(kernel.PhTrap, 100, 10, 10, 2, 0x40, ""), mk(kernel.PhReturn, 100, 10, 210, 2, 0x40, ""))
 	b.Machine = "b"
-	if HashAll([]*Set{a, b}) != HashAll([]*Set{b, a}) {
-		t.Error("HashAll depends on input order")
+	if hashAll([]*Set{a, b}) != hashAll([]*Set{b, a}) {
+		t.Error("hashAll depends on input order")
 	}
-	if HashAll([]*Set{a, a}) == HashAll([]*Set{a, b}) {
-		t.Error("HashAll ignores content")
+	if hashAll([]*Set{a, a}) == hashAll([]*Set{a, b}) {
+		t.Error("hashAll ignores content")
 	}
+}
+
+// phaseCycles returns the aggregate for one (mech, phase) cell of r.
+func phaseCycles(r *Report, mech, phase string) (count, cycles uint64) {
+	for _, pc := range r.Phases {
+		if pc.Mech == mech && pc.Phase == phase {
+			return pc.Count, pc.Cycles
+		}
+	}
+	return 0, 0
+}
+
+// hashAll folds per-set hashes in merge order.
+func hashAll(sets []*Set) uint64 {
+	h := canon.NewHash()
+	for _, s := range Merge(sets) {
+		h.Uint64(s.Hash())
+	}
+	return uint64(h)
 }

@@ -47,16 +47,11 @@ func ValidateJSONL(r io.Reader) (*ValidationReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &ValidationReport{Machines: len(sets)}
-	for _, s := range sets {
-		validateSet(s, rep)
-	}
-	return rep, nil
+	return validateSets(sets), nil
 }
 
-// ValidateSets runs the same checks on in-memory sets (tests use this to
-// check a builder's output without a serialization round trip).
-func ValidateSets(sets []*Set) *ValidationReport {
+// validateSets runs the checks on in-memory sets.
+func validateSets(sets []*Set) *ValidationReport {
 	rep := &ValidationReport{Machines: len(sets)}
 	for _, s := range sets {
 		validateSet(s, rep)

@@ -293,8 +293,8 @@ func (f *FS) IsImmutable(p string) bool {
 	return err == nil && n.immutable
 }
 
-// ReadDir lists the names in directory p, sorted.
-func (f *FS) ReadDir(p string) ([]string, error) {
+// readDir lists the names in directory p, sorted.
+func (f *FS) readDir(p string) ([]string, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	n, err := f.lookupLocked(p)
@@ -333,12 +333,11 @@ func (fs *FS) TreeHash() uint64 {
 	h := fnv.New64a()
 	var walk func(dir string)
 	walk = func(dir string) {
-		names, err := fs.ReadDir(dir)
+		names, err := fs.readDir(dir)
 		if err != nil {
 			fmt.Fprintf(h, "!%s:%v", dir, err)
 			return
 		}
-		sort.Strings(names)
 		for _, name := range names {
 			p := dir + "/" + name
 			if dir == "/" {

@@ -88,9 +88,9 @@ func TestUnlinkAndReadDir(t *testing.T) {
 	fs := New()
 	_ = fs.WriteFile("/d/x", nil, ModeRW)
 	_ = fs.WriteFile("/d/y", nil, ModeRW)
-	names, err := fs.ReadDir("/d")
+	names, err := fs.readDir("/d")
 	if err != nil || len(names) != 2 || names[0] != "x" || names[1] != "y" {
-		t.Fatalf("ReadDir = %v, %v", names, err)
+		t.Fatalf("readDir = %v, %v", names, err)
 	}
 	if err := fs.Unlink("/d/x"); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestDirErrors(t *testing.T) {
 	if err := fs.Unlink("/d"); err != ErrIsDir {
 		t.Fatalf("unlink non-empty dir err = %v", err)
 	}
-	if _, err := fs.ReadDir("/d/sub"); err != nil {
+	if _, err := fs.readDir("/d/sub"); err != nil {
 		t.Fatal(err)
 	}
 	_ = fs.WriteFile("/file", nil, ModeRW)
