@@ -262,3 +262,48 @@ func TestGoldenCoverage(t *testing.T) {
 	}
 	checkGolden(t, "coverage.golden", got)
 }
+
+// TestGoldenFigures pins `benchtab -figure 1`, `-figure 2` and `-figure
+// 4`: the misidentification anatomy, the offline-phase trace of `ls`
+// and its online-phase trace under K23. Drift means a disassembler, the
+// offline logger or K23's startup, rewriting or fallback counts changed.
+func TestGoldenFigures(t *testing.T) {
+	checkGolden(t, "figure1.golden", bench.Figure1())
+	for name, fig := range map[string]func() (string, error){
+		"figure2.golden": bench.Figure2,
+		"figure4.golden": bench.Figure4,
+	} {
+		got, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, name, got)
+	}
+}
+
+// TestGoldenStartupP4b pins `benchtab -claim startup` (§6.1: the system
+// calls ls issues before an LD_PRELOAD library loads) and `-claim p4b`
+// (zpoline's bitmap against K23's robin set for `ls`).
+func TestGoldenStartupP4b(t *testing.T) {
+	for name, claim := range map[string]func() (string, error){
+		"startup.golden": bench.ClaimStartup,
+		"p4b.golden":     bench.ClaimP4b,
+	} {
+		got, err := claim()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, name, got)
+	}
+}
+
+// TestGoldenSidecar pins `benchtab -metrics-sidecar`: one metrics-observed
+// micro run per Table 5 row, its syscall volume, errors, mean cost,
+// decode-cache hit rate and per-mechanism counts.
+func TestGoldenSidecar(t *testing.T) {
+	rows, err := bench.MetricsSidecar(append([]string{"native"}, bench.Table5Variants()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "sidecar.golden", bench.FormatMetricsSidecar(rows))
+}

@@ -41,9 +41,9 @@ const MaxLedgerPerCategory = 4
 // excerptRing is the number of recent events kept for ledger excerpts.
 const excerptRing = 32
 
-// DefaultWindowCycles is the virtual-clock window width for the
-// per-window tallies (~1ms at the simulated 3.2GHz).
-const DefaultWindowCycles = 3_200_000
+// windowCycles is the virtual-clock window width for the per-window
+// tallies (~1ms at the simulated 3.2GHz).
+const windowCycles = 3_200_000
 
 // claim is one pending attribution: the interposer said "I am handling
 // syscall nr at site via mech" and the matching oracle has not arrived.
@@ -80,10 +80,6 @@ type procState struct {
 // the differential join. Not safe for concurrent use — like the other
 // collectors it is owned by its World's event hook.
 type Auditor struct {
-	// WindowCycles is the virtual-clock window width; zero selects
-	// DefaultWindowCycles.
-	WindowCycles uint64
-
 	// OnOracle, if non-nil, observes every classified ground-truth
 	// oracle after the join: class is "covered", "internal",
 	// "signal-infra", or "escape:<category>". The SFIP learner rides
@@ -170,11 +166,7 @@ func (a *Auditor) proc(pid int) *procState {
 }
 
 func (a *Auditor) window(clock uint64) *windowTally {
-	wc := a.WindowCycles
-	if wc == 0 {
-		wc = DefaultWindowCycles
-	}
-	idx := clock / wc
+	idx := clock / windowCycles
 	w := a.windows[idx]
 	if w == nil {
 		w = &windowTally{}

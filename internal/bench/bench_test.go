@@ -3,9 +3,7 @@ package bench
 import (
 	"testing"
 
-	"k23/internal/interpose"
-	"k23/internal/interpose/variants"
-	"k23/internal/machine"
+	"k23/internal/cpu/difftest"
 )
 
 // BenchmarkTable6Macro (E4): the server/database macrobenchmarks, one
@@ -13,7 +11,7 @@ import (
 // native) per variant.
 func BenchmarkTable6Macro(b *testing.B) {
 	for _, cfg := range macroConfigs() {
-		b.Run(cfg.Name, func(b *testing.B) {
+		b.Run(cfg.name, func(b *testing.B) {
 			var row MacroRow
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -33,14 +31,13 @@ func BenchmarkTable6Macro(b *testing.B) {
 // microbenchmark natively once and reports the guest instructions it
 // retired.
 func BenchmarkSimulator(b *testing.B) {
-	native, _ := variants.ByName("native")
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		w := MicroWorld()
-		if _, err := runToExit(w, native.New(interpose.Config{}, ""), MicroPath, []string{"micro", "2000"}, 0); err != nil {
+		r, err := MeasureEngineMicro(2000, difftest.ModeJIT)
+		if err != nil {
 			b.Fatal(err)
 		}
-		insts = machine.Insts(w.K)
+		insts = r.Steps
 	}
 	b.ReportMetric(float64(insts), "insts/run")
 }

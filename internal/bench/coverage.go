@@ -4,62 +4,25 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
 
-	"k23/internal/apps"
 	"k23/internal/audit"
-	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
-	"k23/internal/machine"
 	"k23/internal/obsv"
 )
 
 // coverageApps returns the coreutils workloads the coverage claim runs:
 // quick, deterministic, and with overlapping syscall sets so the
 // per-mechanism matrices are comparable across columns.
-func coverageApps() []MacroConfig {
-	pwd, ls, cat := coreutilConfigs()
-	return []MacroConfig{pwd, ls, cat}
-}
+func coverageApps() []workload { return []workload{pwd, ls, cat} }
 
 // coverageVariants lists the coverage-claim columns: one per
 // interposition path (load-time rewriting, lazy rewriting, SUD, ptrace,
 // and the full K23 stack).
 func coverageVariants() []string {
 	return []string{"zpoline-ultra", "lazypoline", "sud", "ptrace", "k23-ultra+"}
-}
-
-// auditApp runs one non-server workload to completion under the given
-// variant with the shadow-map auditor attached at production start —
-// after any offline phase, which is the controlled environment — and
-// returns the audit snapshot.
-func auditApp(spec variants.Spec, path string, argv []string) (*audit.Snapshot, error) {
-	w, err := macroWorld()
-	if err != nil {
-		return nil, err
-	}
-	l, err := machine.Launcher(context.Background(), w, spec, interpose.Config{}, path, argv, 0)
-	if err != nil {
-		return nil, err
-	}
-	o := obsv.New(obsv.Options{Audit: true})
-	o.Install(w.K)
-	if _, err := runToExit(w, l, path, argv, 0); err != nil {
-		return nil, err
-	}
-	return o.Snapshot().Audit, nil
-}
-
-// coreutilConfigs builds the non-server workload configs the coverage
-// claim uses (reusing MacroConfig for its Name/Path/Argv triple).
-func coreutilConfigs() (pwd, ls, cat MacroConfig) {
-	pwd = MacroConfig{Name: "pwd", Path: apps.PwdPath, Argv: []string{"pwd"}}
-	ls = MacroConfig{Name: "ls", Path: apps.LsPath, Argv: []string{"ls", "/data"}}
-	cat = MacroConfig{Name: "cat", Path: apps.CatPath, Argv: []string{"cat", "/data/notes.txt"}}
-	return
 }
 
 // writeCoverageTable runs every coverage app under every coverage
@@ -73,11 +36,13 @@ func writeCoverageTable(w io.Writer) error {
 			return fmt.Errorf("bench: unknown coverage variant %q", name)
 		}
 		for _, app := range coverageApps() {
-			s, err := auditApp(spec, app.Path, app.Argv)
+			// The auditor attaches after any offline phase, which is the
+			// controlled environment.
+			s, err := observe(spec, app, obsv.New(obsv.Options{Audit: true}), 0)
 			if err != nil {
 				return err
 			}
-			formatCoverageCell(w, app.Name, name, s)
+			formatCoverageCell(w, app.name, name, s.Audit)
 		}
 	}
 	return nil

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"k23/internal/apps"
 	"k23/internal/audit"
 	"k23/internal/interpose/variants"
+	"k23/internal/obsv"
 )
 
 func auditLs(t *testing.T, variant string) *audit.Snapshot {
@@ -15,10 +15,11 @@ func auditLs(t *testing.T, variant string) *audit.Snapshot {
 	if !ok {
 		t.Fatalf("unknown variant %q", variant)
 	}
-	s, err := auditApp(spec, apps.LsPath, []string{"ls", "/data"})
+	snap, err := observe(spec, ls, obsv.New(obsv.Options{Audit: true}), 0)
 	if err != nil {
 		t.Fatalf("audit ls under %s: %v", variant, err)
 	}
+	s := snap.Audit
 	if s == nil || s.MainProc() == nil {
 		t.Fatalf("audit ls under %s: empty snapshot", variant)
 	}
@@ -75,19 +76,20 @@ func TestStartupWindowExecAttached(t *testing.T) {
 func TestK23FullConfigZeroEscapes(t *testing.T) {
 	spec, _ := variants.ByName("k23-ultra+")
 	for _, app := range coverageApps() {
-		s, err := auditApp(spec, app.Path, app.Argv)
+		snap, err := observe(spec, app, obsv.New(obsv.Options{Audit: true}), 0)
 		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
+			t.Fatalf("%s: %v", app.name, err)
 		}
+		s := snap.Audit
 		if s.Totals.Escaped != 0 {
-			t.Errorf("%s under k23-ultra+: %d escapes, want 0: %+v", app.Name, s.Totals.Escaped, s.Escapes)
+			t.Errorf("%s under k23-ultra+: %d escapes, want 0: %+v", app.name, s.Totals.Escaped, s.Escapes)
 		}
 		if s.Totals.Covered == 0 {
-			t.Errorf("%s under k23-ultra+: no covered syscalls — join broken?", app.Name)
+			t.Errorf("%s under k23-ultra+: no covered syscalls — join broken?", app.name)
 		}
 		if s.Totals.Misattributed != 0 || s.Totals.DoubleInterposition != 0 {
 			t.Errorf("%s under k23-ultra+: misattributed=%d double=%d, want 0",
-				app.Name, s.Totals.Misattributed, s.Totals.DoubleInterposition)
+				app.name, s.Totals.Misattributed, s.Totals.DoubleInterposition)
 		}
 	}
 }

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
-	"k23/internal/apps"
 	"k23/internal/cpu"
 	"k23/internal/cpu/difftest"
 	"k23/internal/interpose"
+	"k23/internal/interpose/variants"
+	"k23/internal/kernel"
 	"k23/internal/machine"
 )
 
@@ -31,31 +31,38 @@ type EngineRun struct {
 // MeasureEngineMicro runs the syscall-500 stress loop (the Table 5
 // workload) natively for n iterations under engine mode m.
 func MeasureEngineMicro(n int, m difftest.Mode) (EngineRun, error) {
-	return measureEngine(MicroWorld(m.Options()...), m, "micro-syscall500",
-		MicroPath, []string{"micro", strconv.Itoa(n)}, 0)
+	return measureEngine("micro-syscall500", micro, n, m)
 }
 
 // MeasureEngineMacro runs the redis-like single-I/O-thread server (the
 // Table 6 redis row) natively under engine mode m, driven with requests
 // injected requests.
 func MeasureEngineMacro(requests int, m difftest.Mode) (EngineRun, error) {
-	w, err := macroWorld(m.Options()...)
-	if err != nil {
-		return EngineRun{}, err
-	}
-	return measureEngine(w, m, "redis-like", apps.RedisPath, []string{"redis-server", "1"}, requests)
+	return measureEngine("redis-like", redis, requests, m)
 }
 
-func measureEngine(w *interpose.World, m difftest.Mode, name, path string, argv []string, requests int) (EngineRun, error) {
-	if _, err := runToExit(w, interpose.Native{}, path, argv, requests); err != nil {
+// measureEngine runs wl natively at size n under engine mode m. The
+// mode's options are applied at the attach point: they set fields the
+// kernel reads when it creates a core, and a native run creates none
+// before it.
+func measureEngine(name string, wl workload, n int, m difftest.Mode) (EngineRun, error) {
+	native, _ := variants.ByName("native")
+	var k *kernel.Kernel
+	_, _, err := measure(native, wl, func(w *interpose.World) {
+		k = w.K
+		for _, o := range m.Options() {
+			o(k)
+		}
+	}, n)
+	if err != nil {
 		return EngineRun{}, err
 	}
 	return EngineRun{
 		Workload: name,
 		Mode:     m,
-		Steps:    machine.Insts(w.K),
-		Cache:    w.K.DecodeCacheStats(),
-		JIT:      w.K.JITStats(),
+		Steps:    machine.Insts(k),
+		Cache:    k.DecodeCacheStats(),
+		JIT:      k.JITStats(),
 	}, nil
 }
 

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"k23/internal/apps"
 	"k23/internal/asm"
 	"k23/internal/core"
 	"k23/internal/cpu"
@@ -13,7 +11,6 @@ import (
 	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
-	"k23/internal/machine"
 )
 
 // Figure1 regenerates the content of the paper's Figure 1: a code region
@@ -92,7 +89,7 @@ func Figure1() string {
 // an event trace: kernel trap -> libLogger -> log entry -> original
 // syscall -> return.
 func Figure2() (string, error) {
-	w, err := macroWorld()
+	w, err := World()
 	if err != nil {
 		return "", err
 	}
@@ -108,7 +105,7 @@ func Figure2() (string, error) {
 			fmt.Fprintf(&out, "  (4) libLogger re-executes the call, returns its result, resumes the app\n\n")
 		}
 	}
-	_, n, err := machine.Offline(context.Background(), w, apps.LsPath, []string{"ls", "/data"}, 0)
+	_, n, err := offline(w, ls)
 	if err != nil {
 		return "", err
 	}
@@ -116,24 +113,25 @@ func Figure2() (string, error) {
 	return out.String(), nil
 }
 
+// runLs runs ls once under the named variant, after the offline phase
+// when the variant needs one.
+func runLs(name string) (interpose.Launcher, *kernel.Process, error) {
+	spec, _ := variants.ByName(name)
+	l, ps, err := measure(spec, ls, nil, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, ps[0], nil
+}
+
 // Figure4 regenerates the online-phase flow of the paper's Figure 4 as a
 // phase-annotated trace of `ls` under K23.
 func Figure4() (string, error) {
-	w, err := macroWorld()
+	l, p, err := runLs("k23-ultra+")
 	if err != nil {
 		return "", err
 	}
-	// Offline first, so the single rewriting step has sites.
-	logPath, _, err := machine.Offline(context.Background(), w, apps.LsPath, []string{"ls", "/data"}, 0)
-	if err != nil {
-		return "", err
-	}
-	spec, _ := variants.ByName("k23-ultra+")
-	k23 := spec.New(interpose.Config{}, logPath).(*core.K23)
-	p, err := runToExit(w, k23, apps.LsPath, []string{"ls", "/data"}, 0)
-	if err != nil {
-		return "", err
-	}
+	k23 := l.(*core.K23)
 	st := k23.Stats(p)
 
 	var out strings.Builder
@@ -149,18 +147,13 @@ func Figure4() (string, error) {
 }
 
 // ClaimStartup measures the §6.1 claim: ls issues over 100 system calls
-// before the interposition library loads.
+// before the interposition library loads. K23's ptracer counts them.
 func ClaimStartup() (string, error) {
-	w, err := macroWorld()
+	l, p, err := runLs("k23-default")
 	if err != nil {
 		return "", err
 	}
-	k23 := core.New(interpose.Config{}, "")
-	p, err := runToExit(w, k23, apps.LsPath, []string{"ls", "/data"}, 0)
-	if err != nil {
-		return "", err
-	}
-	n := k23.StartupSyscalls(p)
+	n := l.(*core.K23).StartupSyscalls(p)
 	return fmt.Sprintf("ls issued %d system calls during startup, before any LD_PRELOAD\n"+
 		"interposition library initialized (paper §6.1: over 100).\n", n), nil
 }
@@ -168,30 +161,15 @@ func ClaimStartup() (string, error) {
 // ClaimP4b compares the NULL-execution-check memory footprint: zpoline's
 // address-space bitmap versus K23's robin-hood set.
 func ClaimP4b() (string, error) {
-	run := func(name string) (*interpose.Stats, error) {
-		w, err := macroWorld()
+	var st [2]*interpose.Stats
+	for i, name := range []string{"zpoline-ultra", "k23-ultra"} {
+		l, p, err := runLs(name)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		spec, _ := variants.ByName(name)
-		l, err := machine.Launcher(context.Background(), w, spec, interpose.Config{}, apps.LsPath, []string{"ls", "/data"}, 0)
-		if err != nil {
-			return nil, err
-		}
-		p, err := runToExit(w, l, apps.LsPath, []string{"ls", "/data"}, 0)
-		if err != nil {
-			return nil, err
-		}
-		return l.Stats(p), nil
+		st[i] = l.Stats(p)
 	}
-	zp, err := run("zpoline-ultra")
-	if err != nil {
-		return "", err
-	}
-	k, err := run("k23-ultra")
-	if err != nil {
-		return "", err
-	}
+	zp, k := st[0], st[1]
 	return fmt.Sprintf("NULL-execution-check memory per process (P4b, `ls`):\n"+
 		"  zpoline bitmap:  %d bytes reserved virtual, %d bytes resident\n"+
 		"  K23 robin set:   %d bytes reserved virtual, %d bytes resident (%d sites)\n",

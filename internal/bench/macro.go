@@ -1,46 +1,42 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"k23/internal/apps"
-	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
-	"k23/internal/machine"
 )
 
-// Request counts for the per-request slope measurement.
+// Sizes of the Table 6 slopes: requests for a server, speedtest1
+// operations for sqlite.
 const (
-	macroR1 = 40
-	macroR2 = 240
+	macroR1    = 40
+	macroR2    = 240
+	sqliteOps1 = 300
+	sqliteOps2 = 1500
 )
 
-// MacroConfig is one Table 6 row.
-type MacroConfig struct {
-	// Name matches the paper's row label.
-	Name string
-	Path string
-	Argv []string
-	// Workers is the process count (nginx/lighttpd worker model).
-	Workers int
-	// ClientCap is the benchmarking client's capacity in requests per
+// macroConfig is one Table 6 row.
+type macroConfig struct {
+	// name is the paper's row label.
+	name string
+	wl   workload
+	// workers is the process count (nginx/lighttpd worker model).
+	workers int
+	// clientCap is the benchmarking client's capacity in requests per
 	// second on the shared machine; throughput is min(client, server).
 	// Zero means the client is never the bottleneck.
-	ClientCap float64
-	// RedisMain marks the redis 6-I/O-thread configuration: the serial
+	clientCap float64
+	// redisMain marks the redis 6-I/O-thread configuration: the serial
 	// main thread (5 futex wakeups + command execution per request) is
 	// measured separately and bounds throughput.
-	RedisMain bool
-	// Sqlite marks the completion-time (not throughput) workload.
-	Sqlite bool
-	// OfflineArgv overrides Argv for the offline profiling run.
-	OfflineArgv []string
+	redisMain bool
 }
 
-// macroConfigs returns the Table 6 rows in paper order.
+// macroConfigs returns the Table 6 rows in paper order. A server row
+// reports throughput; sqlite, the one other row, completion time.
 //
 // Client capacities model wrk/redis-benchmark sharing the machine
 // (paper: clients and servers colocated). For the HTTP workloads the
@@ -49,22 +45,23 @@ type MacroConfig struct {
 // invisible there, and why the 6-thread configuration collapses under
 // SUD (the serial main thread absorbs the signal costs), reproducing the
 // paper's redis anomaly.
-func macroConfigs() []MacroConfig {
-	return []MacroConfig{
-		{Name: "nginx (1 worker, 0 KB)", Path: apps.NginxPath, Argv: []string{"nginx", "0"}, Workers: 1},
-		{Name: "nginx (1 worker, 4 KB)", Path: apps.NginxPath, Argv: []string{"nginx", "4"}, Workers: 1},
-		{Name: "nginx (10 workers, 0 KB)", Path: apps.NginxPath, Argv: []string{"nginx", "0"}, Workers: 10},
-		{Name: "nginx (10 workers, 4 KB)", Path: apps.NginxPath, Argv: []string{"nginx", "4"}, Workers: 10},
-		{Name: "lighttpd (1 worker, 0 KB)", Path: apps.LighttpdPath, Argv: []string{"lighttpd", "0"}, Workers: 1},
-		{Name: "lighttpd (1 worker, 4 KB)", Path: apps.LighttpdPath, Argv: []string{"lighttpd", "4"}, Workers: 1},
-		{Name: "lighttpd (10 workers, 0 KB)", Path: apps.LighttpdPath, Argv: []string{"lighttpd", "0"}, Workers: 10},
-		{Name: "lighttpd (10 workers, 4 KB)", Path: apps.LighttpdPath, Argv: []string{"lighttpd", "4"}, Workers: 10},
-		{Name: "redis (1 I/O thread)", Path: apps.RedisPath, Argv: []string{"redis-server", "1"}, Workers: 1,
-			ClientCap: 145_000},
-		{Name: "redis (6 I/O threads)", Path: apps.RedisPath, Argv: []string{"redis-server", "io"}, Workers: 6,
-			ClientCap: 400_000, RedisMain: true},
-		{Name: "sqlite (speedtest1, size 800)", Path: apps.SqlitePath, Argv: []string{"sqlite3"}, Workers: 1,
-			Sqlite: true, OfflineArgv: []string{"sqlite3", "120"}},
+func macroConfigs() []macroConfig {
+	nginx4 := workload{name: "nginx", path: apps.NginxPath, offline: []string{"nginx", "4"}, server: true}
+	lighttpd4 := workload{name: "lighttpd", path: apps.LighttpdPath, offline: []string{"lighttpd", "4"}, server: true}
+	redisIO := workload{name: "redis", path: apps.RedisPath, offline: []string{"redis-server", "io"}, server: true}
+	speedtest := workload{name: "sqlite", path: apps.SqlitePath, offline: []string{"sqlite3", "120"}, sized: true}
+	return []macroConfig{
+		{"nginx (1 worker, 0 KB)", nginx, 1, 0, false},
+		{"nginx (1 worker, 4 KB)", nginx4, 1, 0, false},
+		{"nginx (10 workers, 0 KB)", nginx, 10, 0, false},
+		{"nginx (10 workers, 4 KB)", nginx4, 10, 0, false},
+		{"lighttpd (1 worker, 0 KB)", lighttpd, 1, 0, false},
+		{"lighttpd (1 worker, 4 KB)", lighttpd4, 1, 0, false},
+		{"lighttpd (10 workers, 0 KB)", lighttpd, 10, 0, false},
+		{"lighttpd (10 workers, 4 KB)", lighttpd4, 10, 0, false},
+		{"redis (1 I/O thread)", redis, 1, 145_000, false},
+		{"redis (6 I/O threads)", redisIO, 6, 400_000, true},
+		{"sqlite (speedtest1, size 800)", speedtest, 1, 0, false},
 	}
 }
 
@@ -85,173 +82,85 @@ func table6Variants() []string {
 	}
 }
 
-// macroWorld builds a fresh world with workloads registered, its kernel
-// built with opts.
-func macroWorld(opts ...kernel.Option) (*interpose.World, error) {
-	w := interpose.NewWorld(opts...)
-	return w, machine.StandardSetup(w)
-}
+// redisMain is the redis main-thread binary: a fixed count of
+// iterations, apps.RedisMainIters, with no connection to serve.
+var redisMain = workload{name: "redis-main", path: apps.RedisPath, offline: []string{"redis-server", "main"}}
 
-// macroLauncher returns spec's launcher for a macro workload in w,
-// running the offline phase first when spec needs a log (servers get a
-// representative request stream, §6.2).
-func macroLauncher(w *interpose.World, spec variants.Spec, cfg MacroConfig) (interpose.Launcher, error) {
-	argv, requests := cfg.Argv, 40
-	if cfg.OfflineArgv != nil {
-		argv = cfg.OfflineArgv
-	}
-	if cfg.Sqlite {
-		requests = 0
-	}
-	return machine.Launcher(context.Background(), w, spec, interpose.Config{}, cfg.Path, argv, requests)
-}
-
-// cyclesPerRequest measures the marginal per-request cycle cost via the
-// two-point slope.
-func cyclesPerRequest(spec variants.Spec, cfg MacroConfig) (float64, error) {
-	w, err := macroWorld()
-	if err != nil {
-		return 0, err
-	}
-	l, err := macroLauncher(w, spec, cfg)
-	if err != nil {
-		return 0, err
-	}
-	c1, err := runCycles(w, l, cfg.Path, cfg.Argv, macroR1)
-	if err != nil {
-		return 0, err
-	}
-	c2, err := runCycles(w, l, cfg.Path, cfg.Argv, macroR2)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c2-c1) / float64(macroR2-macroR1), nil
-}
-
-// redisMainCycles measures the redis main thread's serial cost per
-// request (5 futex wakeups plus command execution): the cycles of one
-// run of the main-mode binary, startup included, divided by its fixed
-// iteration count, apps.RedisMainIters.
-func redisMainCycles(spec variants.Spec) (float64, error) {
-	w, err := macroWorld()
-	if err != nil {
-		return 0, err
-	}
-	mainCfg := MacroConfig{
-		Path:        apps.RedisPath,
-		Argv:        []string{"redis-server", "main"},
-		Sqlite:      true, // no connection driving
-		OfflineArgv: []string{"redis-server", "main"},
-	}
-	l, err := macroLauncher(w, spec, mainCfg)
-	if err != nil {
-		return 0, err
-	}
-	total, err := runCycles(w, l, apps.RedisPath, []string{"redis-server", "main"}, 0)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total) / float64(apps.RedisMainIters), nil
-}
-
-// slopes keeps the per-request slopes one Table 6 measurement has taken,
-// keyed by mechanism, program and argv. cyclesPerRequest does not read
-// Workers (the model has no contention between workers), so a 10-worker
-// row reuses its 1-worker row's slope.
+// slopes keeps the slopes one Table 6 measurement has taken, keyed by
+// mechanism and argv. A slope does not depend on workers (the model has
+// no contention between workers), so a 10-worker row reuses its
+// 1-worker row's slope.
 type slopes map[string]float64
 
-// cyclesPerRequest is the package's cyclesPerRequest, measured once per
-// key.
-func (s slopes) cyclesPerRequest(spec variants.Spec, cfg MacroConfig) (float64, error) {
-	key := spec.Name + "\x00" + cfg.Path + "\x00" + strings.Join(cfg.Argv, "\x00")
+// of returns wl's marginal cycles per request (a server) or per
+// operation (sqlite) under spec, measured once per key.
+func (s slopes) of(spec variants.Spec, wl workload) (float64, error) {
+	key := spec.Name + "\x00" + strings.Join(wl.offline, "\x00")
 	if v, ok := s[key]; ok {
 		return v, nil
 	}
-	v, err := cyclesPerRequest(spec, cfg)
+	n1, n2 := macroR1, macroR2
+	if !wl.server {
+		n1, n2 = sqliteOps1, sqliteOps2
+	}
+	v, err := slope(spec, wl, nil, n1, n2)
 	if err == nil {
 		s[key] = v
 	}
 	return v, err
 }
 
-// throughput computes a configuration's req/s under a variant.
-func (s slopes) throughput(spec variants.Spec, cfg MacroConfig) (float64, error) {
-	perReq, err := s.cyclesPerRequest(spec, cfg)
-	if err != nil {
-		return 0, err
+// value returns cfg's Table 6 quantity under spec: a server's req/s,
+// or sqlite's cycles per operation (completion time per op, startup
+// excluded, matching the paper's long-running speedtest1).
+func (s slopes) value(spec variants.Spec, cfg macroConfig) (float64, error) {
+	perUnit, err := s.of(spec, cfg.wl)
+	if err != nil || !cfg.wl.server {
+		return perUnit, err
 	}
-	server := float64(cfg.Workers) * kernel.CyclesPerSecond / perReq
-	if cfg.RedisMain {
-		mainPerReq, err := redisMainCycles(spec)
+	server := float64(cfg.workers) * kernel.CyclesPerSecond / perUnit
+	if cfg.redisMain {
+		// The main thread's serial cost per request: one run's cycles,
+		// startup included, over its fixed iteration count.
+		_, ps, err := measure(spec, redisMain, nil, 0)
 		if err != nil {
 			return 0, err
 		}
+		mainPerReq := float64(cycles(ps[0])) / float64(apps.RedisMainIters)
 		serial := kernel.CyclesPerSecond / mainPerReq
 		if serial < server {
 			server = serial
 		}
 	}
-	if cfg.ClientCap > 0 && cfg.ClientCap < server {
-		return cfg.ClientCap, nil
+	if cfg.clientCap > 0 && cfg.clientCap < server {
+		return cfg.clientCap, nil
 	}
 	return server, nil
 }
 
-// sqliteCycles measures the marginal per-operation cycle cost of the
-// sqlite workload via the two-point slope (completion time per op,
-// startup excluded, matching the paper's long-running speedtest1).
-func sqliteCycles(spec variants.Spec, cfg MacroConfig) (float64, error) {
-	w, err := macroWorld()
-	if err != nil {
-		return 0, err
-	}
-	l, err := macroLauncher(w, spec, cfg)
-	if err != nil {
-		return 0, err
-	}
-	const ops1, ops2 = 300, 1500
-	c1, err := runCycles(w, l, cfg.Path, []string{cfg.Argv[0], fmt.Sprintf("%d", ops1)}, 0)
-	if err != nil {
-		return 0, err
-	}
-	c2, err := runCycles(w, l, cfg.Path, []string{cfg.Argv[0], fmt.Sprintf("%d", ops2)}, 0)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c2-c1) / float64(ops2-ops1), nil
-}
-
 // row measures one configuration across all variants, reusing the
 // slopes s already holds.
-func (s slopes) row(cfg MacroConfig) (MacroRow, error) {
-	row := MacroRow{Config: cfg.Name, Relative: map[string]float64{}}
+func (s slopes) row(cfg macroConfig) (MacroRow, error) {
+	row := MacroRow{Config: cfg.name, Relative: map[string]float64{}}
 	nativeSpec, _ := variants.ByName("native")
-
-	measure := func(spec variants.Spec) (float64, error) {
-		if cfg.Sqlite {
-			return sqliteCycles(spec, cfg)
-		}
-		return s.throughput(spec, cfg)
-	}
-
-	native, err := measure(nativeSpec)
+	native, err := s.value(nativeSpec, cfg)
 	if err != nil {
 		return row, err
 	}
-	if !cfg.Sqlite {
+	if cfg.wl.server {
 		row.Native = native
 	}
 	for _, name := range table6Variants() {
 		spec, _ := variants.ByName(name)
-		v, err := measure(spec)
+		v, err := s.value(spec, cfg)
 		if err != nil {
-			return row, fmt.Errorf("%s under %s: %w", cfg.Name, name, err)
+			return row, fmt.Errorf("%s under %s: %w", cfg.name, name, err)
 		}
-		if cfg.Sqlite {
+		if cfg.wl.server {
+			row.Relative[name] = 100 * v / native
+		} else {
 			// relative runtime = native_time / interposed_time x 100.
 			row.Relative[name] = 100 * native / v
-		} else {
-			row.Relative[name] = 100 * v / native
 		}
 	}
 	return row, nil

@@ -8,7 +8,10 @@
 // runs the workload at two sizes and divides the cycle delta by the size
 // delta, cancelling all fixed startup costs (interposer initialization,
 // loading, rewriting) exactly — the simulated analogue of the paper's
-// 100M-iteration amortization.
+// 100M-iteration amortization. Every launch goes through one step,
+// measure: a fresh World, the workload's offline phase, an attach point
+// for collectors, then one run per size. Table 2 and Figure 2 run the
+// offline phase alone.
 package bench
 
 import (
@@ -25,6 +28,7 @@ import (
 	"k23/internal/kernel"
 	"k23/internal/libc"
 	"k23/internal/machine"
+	"k23/internal/obsv"
 )
 
 // MicroPath is the microbenchmark binary.
@@ -90,70 +94,125 @@ type MicroRow struct {
 	CyclesPerIter float64
 }
 
-// MicroWorld builds a world with the micro binary registered, its
-// kernel built with opts.
-func MicroWorld(opts ...kernel.Option) *interpose.World {
-	w := interpose.NewWorld(opts...)
+// World builds a world with the standard workload set and the micro
+// binary registered: every world the harness measures in.
+func World() (*interpose.World, error) {
+	w := interpose.NewWorld()
 	w.MustRegister(microImage())
-	return w
+	return w, machine.StandardSetup(w)
 }
 
-// MicroLauncher returns spec's launcher in w, profiling a short micro
-// run offline first when spec needs a log.
-func MicroLauncher(w *interpose.World, spec variants.Spec) (interpose.Launcher, error) {
-	return machine.Launcher(context.Background(), w, spec, interpose.Config{}, MicroPath, []string{"micro", "50"}, 0)
+// workload is one program the harness runs.
+type workload struct {
+	name string
+	path string
+	// offline is the argv the offline phase profiles.
+	offline []string
+	// server marks a program that serves its size in requests; sized
+	// one that takes its size as argv[1] (the micro loop, speedtest1).
+	// Any other program runs its offline argv at every size.
+	server, sized bool
 }
 
-// runMicroOnce runs the stress test for n iterations under l and returns
-// the process's total cycles.
-func runMicroOnce(w *interpose.World, l interpose.Launcher, n int) (uint64, error) {
-	return runCycles(w, l, MicroPath, []string{"micro", strconv.Itoa(n)}, 0)
+// at returns the argv and the request count of a run of wl at size n.
+func (wl workload) at(n int) ([]string, int) {
+	switch {
+	case wl.server:
+		return wl.offline, n
+	case wl.sized:
+		return []string{wl.offline[0], strconv.Itoa(n)}, 0
+	}
+	return wl.offline, 0
+}
+
+// micro is the Table 5 stress test; its offline phase runs 50 iterations.
+var micro = workload{name: "micro", path: MicroPath, offline: []string{"micro", "50"}, sized: true}
+
+// offlineRequests is the request count a server's offline phase serves:
+// a representative request stream (§6.2).
+const offlineRequests = 40
+
+// offline runs wl's offline phase in w and returns the log path and the
+// number of unique sites the log holds.
+func offline(w *interpose.World, wl workload) (string, int, error) {
+	requests := 0
+	if wl.server {
+		requests = offlineRequests
+	}
+	return machine.Offline(context.TODO(), w, wl.path, wl.offline, requests)
 }
 
 // runBudget bounds every run the harness drives itself.
 const runBudget = 3_000_000_000
 
-// runToExit runs path under l in w to exit through machine.Exec under
-// runBudget and rejects a signal death: every number the harness reports
-// comes from a completed run.
-func runToExit(w *interpose.World, l interpose.Launcher, path string, argv []string, requests int) (*kernel.Process, error) {
-	p, err := machine.Exec(context.TODO(), w, l, path, argv, requests, runBudget)
-	if err == nil && p.Exit.Signal != 0 {
-		err = fmt.Errorf("bench: %s under %s died: %s", path, l.Name(), p.Exit)
+// measure is the harness's one measurement step. In a fresh World it
+// runs wl's offline phase when spec needs a log, calls attach (when not
+// nil) at the attach point, where collectors go, and then runs wl under
+// spec once per size to exit through machine.Exec. It returns the
+// launcher and each run's process. A signal death is an error: every
+// number the harness reports comes from a completed run.
+func measure(spec variants.Spec, wl workload, attach func(*interpose.World), sizes ...int) (interpose.Launcher, []*kernel.Process, error) {
+	w, err := World()
+	if err != nil {
+		return nil, nil, err
 	}
-	return p, err
+	logPath := ""
+	if spec.NeedsOfflineLog {
+		if logPath, _, err = offline(w, wl); err != nil {
+			return nil, nil, fmt.Errorf("bench: %s under %s: %w", wl.name, spec.Name, err)
+		}
+	}
+	l := spec.New(interpose.Config{}, logPath)
+	if attach != nil {
+		attach(w)
+	}
+	ps := make([]*kernel.Process, len(sizes))
+	for i, n := range sizes {
+		argv, requests := wl.at(n)
+		p, err := machine.Exec(context.TODO(), w, l, wl.path, argv, requests, runBudget)
+		if err == nil && p.Exit.Signal != 0 {
+			err = fmt.Errorf("bench: %s under %s died: %s", wl.path, l.Name(), p.Exit)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		ps[i] = p
+	}
+	return l, ps, nil
 }
 
-// runCycles is runToExit returning the process's total cycles.
-func runCycles(w *interpose.World, l interpose.Launcher, path string, argv []string, requests int) (uint64, error) {
-	p, err := runToExit(w, l, path, argv, requests)
+// cycles is the total cycles of p's threads.
+func cycles(p *kernel.Process) uint64 {
+	var c uint64
+	for _, t := range p.Threads {
+		c += t.Cycles()
+	}
+	return c
+}
+
+// slope measures wl's marginal cycles per unit of size under spec: the
+// cycle delta of runs at sizes n1 and n2 over the size delta.
+func slope(spec variants.Spec, wl workload, attach func(*interpose.World), n1, n2 int) (float64, error) {
+	_, ps, err := measure(spec, wl, attach, n1, n2)
 	if err != nil {
 		return 0, err
 	}
-	var cycles uint64
-	for _, t := range p.Threads {
-		cycles += t.Cycles()
+	return float64(cycles(ps[1])-cycles(ps[0])) / float64(n2-n1), nil
+}
+
+// observe is measure with o installed at the attach point: it returns
+// o's snapshot of the runs at sizes.
+func observe(spec variants.Spec, wl workload, o *obsv.Observer, sizes ...int) (*obsv.Snapshot, error) {
+	if _, _, err := measure(spec, wl, func(w *interpose.World) { o.Install(w.K) }, sizes...); err != nil {
+		return nil, err
 	}
-	return cycles, nil
+	return o.Snapshot(), nil
 }
 
 // MicroSlope measures the marginal per-iteration cycle cost under a
 // variant.
 func MicroSlope(spec variants.Spec) (float64, error) {
-	w := MicroWorld()
-	l, err := MicroLauncher(w, spec)
-	if err != nil {
-		return 0, err
-	}
-	c1, err := runMicroOnce(w, l, microN1)
-	if err != nil {
-		return 0, err
-	}
-	c2, err := runMicroOnce(w, l, microN2)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c2-c1) / float64(microN2-microN1), nil
+	return slope(spec, micro, nil, microN1, microN2)
 }
 
 // Table5Variants lists the Table 5 rows in paper order.

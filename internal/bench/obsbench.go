@@ -32,17 +32,11 @@ func MetricsSidecar(names []string) ([]SidecarRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
-		w := MicroWorld()
-		l, err := MicroLauncher(w, spec)
+		snap, err := observe(spec, micro, obsv.New(obsv.Options{Metrics: true}), sidecarIters)
 		if err != nil {
-			return nil, err
-		}
-		obs := obsv.New(obsv.Options{Metrics: true})
-		obs.Install(w.K)
-		if _, err := runMicroOnce(w, l, sidecarIters); err != nil {
 			return nil, fmt.Errorf("bench: sidecar %s: %w", name, err)
 		}
-		rows = append(rows, SidecarRow{Variant: name, Snap: obs.Snapshot().Metrics})
+		rows = append(rows, SidecarRow{Variant: name, Snap: snap.Metrics})
 	}
 	return rows, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/obsv"
 	"k23/internal/span"
@@ -30,37 +31,13 @@ type PhasesRow struct {
 	Other float64
 }
 
-// measurePhasesOnce runs the micro workload for n iterations in a fresh
-// world under spec with a span observer attached at the production
-// boundary, returning total main-thread cycles and per-phase attributed
-// self-cycles. The span observer rides side-streams, so the cycle
-// numbers are identical to an unobserved run (the E15 non-perturbation
-// property); the slope over two sizes then cancels launch and offline
-// fixed costs exactly as MicroSlope does.
-func measurePhasesOnce(spec variants.Spec, n int) (uint64, map[string]uint64, error) {
-	w := MicroWorld()
-	l, err := MicroLauncher(w, spec)
-	if err != nil {
-		return 0, nil, err
-	}
-	obs := obsv.New(obsv.Options{Spans: true})
-	obs.Install(w.K)
-	total, err := runMicroOnce(w, l, n)
-	if err != nil {
-		return 0, nil, err
-	}
-	rep := span.Analyze(obs.Snapshot().Spans...)
-	attributed := make(map[string]uint64)
-	for _, pc := range rep.Phases {
-		attributed[pc.Phase] += pc.Cycles
-	}
-	return total, attributed, nil
-}
-
 // MeasurePhases decomposes the Table 5 microbenchmark cost of every
-// variant into lifecycle phases (E20). Each variant runs at two sizes;
-// per-phase slopes attribute the marginal per-iteration cost, and the
-// residual against the total slope is the un-spanned dispatch cost.
+// variant into lifecycle phases (E20). Each variant runs at two sizes,
+// each in its own world with a span observer attached at the production
+// boundary. The span observer rides side-streams, so the cycle numbers
+// are identical to an unobserved run (the E15 non-perturbation
+// property): the total slope is Table 5's, per-phase slopes attribute
+// it, and the residual is the un-spanned dispatch cost.
 func MeasurePhases() ([]PhasesRow, error) {
 	names := append([]string{"native"}, Table5Variants()...)
 	rows := make([]PhasesRow, 0, len(names))
@@ -69,23 +46,29 @@ func MeasurePhases() ([]PhasesRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
-		t1, a1, err := measurePhasesOnce(spec, microN1)
-		if err != nil {
-			return nil, fmt.Errorf("bench: phases %s: %w", name, err)
-		}
-		t2, a2, err := measurePhasesOnce(spec, microN2)
-		if err != nil {
-			return nil, fmt.Errorf("bench: phases %s: %w", name, err)
+		var total [2]uint64
+		var phases [2]map[string]uint64
+		for i, n := range []int{microN1, microN2} {
+			o := obsv.New(obsv.Options{Spans: true})
+			_, ps, err := measure(spec, micro, func(w *interpose.World) { o.Install(w.K) }, n)
+			if err != nil {
+				return nil, fmt.Errorf("bench: phases %s: %w", name, err)
+			}
+			total[i] = cycles(ps[0])
+			phases[i] = map[string]uint64{}
+			for _, pc := range span.Analyze(o.Snapshot().Spans...).Phases {
+				phases[i][pc.Phase] += pc.Cycles
+			}
 		}
 		d := float64(microN2 - microN1)
 		row := PhasesRow{
 			Name:   name,
-			Total:  float64(t2-t1) / d,
+			Total:  float64(total[1]-total[0]) / d,
 			Phases: make(map[string]float64, len(PhaseColumns)),
 		}
 		var attributed float64
 		for _, ph := range PhaseColumns {
-			v := (float64(a2[ph]) - float64(a1[ph])) / d
+			v := (float64(phases[1][ph]) - float64(phases[0][ph])) / d
 			row.Phases[ph] = v
 			attributed += v
 		}

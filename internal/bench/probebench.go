@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"k23/internal/apps"
 	"k23/internal/interpose/variants"
 	"k23/internal/obsv"
 	"k23/internal/probe"
@@ -21,11 +20,9 @@ const ProbesProgram = `syscall:write:exit { hist(cycles) by (mech) }`
 // costs.
 const probesRequests = 40
 
-// probesConfig is the workload the claim drives under every variant.
-var probesConfig = MacroConfig{
-	Name: "lighttpd (1 worker, 0 KB)", Path: apps.LighttpdPath,
-	Argv: []string{"lighttpd", "0"}, Workers: 1,
-}
+// probesRow is the Table 6 row of the workload the claim drives under
+// every variant: lighttpd.
+const probesRow = "lighttpd (1 worker, 0 KB)"
 
 // probesVariants lists the claim's rows: native plus the Table 5
 // interposers.
@@ -51,20 +48,11 @@ func MeasureProbes() (*probe.Snapshot, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
-		w, err := macroWorld()
+		snap, err := observe(spec, lighttpd, obsv.New(obsv.Options{Probes: compiled, ProbeMech: name}), probesRequests)
 		if err != nil {
-			return nil, err
-		}
-		l, err := macroLauncher(w, spec, probesConfig)
-		if err != nil {
-			return nil, err
-		}
-		obs := obsv.New(obsv.Options{Probes: compiled, ProbeMech: name})
-		obs.Install(w.K)
-		if _, err := runCycles(w, l, probesConfig.Path, probesConfig.Argv, probesRequests); err != nil {
 			return nil, fmt.Errorf("bench: probes %s: %w", name, err)
 		}
-		merged.Merge(obs.Snapshot().Probes)
+		merged.Merge(snap.Probes)
 	}
 	return merged, nil
 }
@@ -82,7 +70,7 @@ func FormatProbes(s *probe.Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "probe: %s\n", ProbesProgram)
 	fmt.Fprintf(&b, "workload: %s, %d requests per variant; prog hash %016x\n",
-		probesConfig.Name, probesRequests, s.ProgHash)
+		probesRow, probesRequests, s.ProgHash)
 	fmt.Fprintf(&b, "%-22s %-8s %-12s %s\n", "Mechanism", "writes", "mean-cycles", "log2 histogram (bucket:count)")
 	for _, name := range probesVariants() {
 		r := byMech[name]

@@ -12,7 +12,7 @@ func TestProfileOneConfig(t *testing.T) {
 	for _, name := range []string{"native", "sud", "k23-ultra"} {
 		spec, _ := variants.ByName(name)
 		start := time.Now()
-		c, err := cyclesPerRequest(spec, cfg)
+		c, err := slope(spec, cfg.wl, nil, macroR1, macroR2)
 		if err != nil {
 			t.Fatal(err)
 		}

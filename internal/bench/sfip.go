@@ -20,6 +20,7 @@ import (
 	"io"
 	"strings"
 
+	"k23/internal/interpose"
 	"k23/internal/interpose/variants"
 	"k23/internal/obsv"
 	"k23/internal/pitfalls"
@@ -132,25 +133,9 @@ type SfipAppRow struct {
 // coverage is what makes zero false positives achievable.
 const sfipVariant = "k23-ultra+"
 
-// sfipAppSnapshot runs one Table 2 workload to completion under spec
-// with the given collectors installed at production start, and returns
-// the observer snapshot.
-func sfipAppSnapshot(spec variants.Spec, wl appWorkload, oo obsv.Options) (*obsv.Snapshot, error) {
-	w, err := macroWorld()
-	if err != nil {
-		return nil, err
-	}
-	l, err := macroLauncher(w, spec, MacroConfig{Name: wl.name, Path: wl.path, Argv: wl.argv, Sqlite: !wl.server})
-	if err != nil {
-		return nil, fmt.Errorf("bench: sfip offline %s: %w", wl.name, err)
-	}
-	o := obsv.New(oo)
-	o.Install(w.K)
-	if _, err := runToExit(w, l, wl.path, wl.argv, wl.requests); err != nil {
-		return nil, fmt.Errorf("bench: sfip %s: %w", wl.name, err)
-	}
-	return o.Snapshot(), nil
-}
+// sfipAppRequests is the request count a server serves in the app
+// table's training and enforcement runs.
+const sfipAppRequests = 30
 
 // sfipAppTable self-trains and then enforces every Table 2 application
 // under k23-ultra+. A non-zero violation count is a learner or
@@ -162,13 +147,15 @@ func sfipAppTable() ([]SfipAppRow, error) {
 		return nil, fmt.Errorf("bench: unknown variant %s", sfipVariant)
 	}
 	var rows []SfipAppRow
-	for _, wl := range table2Workloads {
-		train, err := sfipAppSnapshot(spec, wl, obsv.Options{SfipLearn: true})
+	for _, wl := range table2Apps {
+		// Both runs attach after the offline phase: the controlled
+		// environment is not policed.
+		train, err := observe(spec, wl, obsv.New(obsv.Options{SfipLearn: true}), sfipAppRequests)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip train %s: %w", wl.name, err)
 		}
 		policy := train.SfipPolicy
-		enforce, err := sfipAppSnapshot(spec, wl, obsv.Options{SfipPolicy: policy, SfipMode: sfip.ModeEnforce})
+		enforce, err := observe(spec, wl, obsv.New(obsv.Options{SfipPolicy: policy, SfipMode: sfip.ModeEnforce}), sfipAppRequests)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip enforce %s: %w", wl.name, err)
 		}
@@ -192,54 +179,14 @@ type SfipMicroRow struct {
 	Delta float64
 }
 
-// sfipTrainMicro learns a complete policy for the micro workload under
-// spec (LearnAll: the overhead measurement wants a violation-free
-// enforcement path, not a security verdict).
-func sfipTrainMicro(spec variants.Spec) (*sfip.Policy, error) {
-	w := MicroWorld()
-	l, err := MicroLauncher(w, spec)
-	if err != nil {
-		return nil, err
-	}
-	o := obsv.New(obsv.Options{SfipLearn: true})
-	o.Learner.LearnAll = true
-	o.Install(w.K)
-	// Train at both measurement sizes so every transition either run
-	// exercises is in the policy.
-	if _, err := runMicroOnce(w, l, microN1); err != nil {
-		return nil, err
-	}
-	if _, err := runMicroOnce(w, l, microN2); err != nil {
-		return nil, err
-	}
-	return o.Snapshot().SfipPolicy, nil
-}
-
-// sfipMicroSlope measures the micro loop's marginal cycles/iter with an
-// enforcer installed bare on the kernel (no event hook, so the delta vs
-// the plain slope isolates the SFIP check itself).
-func sfipMicroSlope(spec variants.Spec, policy *sfip.Policy, mode sfip.Mode) (float64, error) {
-	w := MicroWorld()
-	l, err := MicroLauncher(w, spec)
-	if err != nil {
-		return 0, err
-	}
-	// Installed after the offline phase: the controlled environment is
-	// not policed.
-	w.K.Sfip = sfip.NewEnforcer(policy, mode)
-	c1, err := runMicroOnce(w, l, microN1)
-	if err != nil {
-		return 0, err
-	}
-	c2, err := runMicroOnce(w, l, microN2)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c2-c1) / float64(microN2-microN1), nil
-}
-
 // sfipMicroTable measures the enforcement hot-path cost for every
-// Table 3 column.
+// Table 3 column. Training learns a complete policy for the micro loop
+// (LearnAll: the overhead measurement wants a violation-free
+// enforcement path, not a security verdict) at both measurement sizes,
+// so every transition either run exercises is in the policy. The
+// enforcer is then installed bare on the kernel after the offline phase
+// (no event hook, so the delta vs the plain slope isolates the SFIP
+// check itself).
 func sfipMicroTable() ([]SfipMicroRow, error) {
 	var rows []SfipMicroRow
 	for _, spec := range variants.Table3Columns() {
@@ -247,11 +194,15 @@ func sfipMicroTable() ([]SfipMicroRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip micro %s: %w", spec.Name, err)
 		}
-		policy, err := sfipTrainMicro(spec)
+		o := obsv.New(obsv.Options{SfipLearn: true})
+		o.Learner.LearnAll = true
+		train, err := observe(spec, micro, o, microN1, microN2)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip micro train %s: %w", spec.Name, err)
 		}
-		enf, err := sfipMicroSlope(spec, policy, sfip.ModeEnforce)
+		enf, err := slope(spec, micro, func(w *interpose.World) {
+			w.K.Sfip = sfip.NewEnforcer(train.SfipPolicy, sfip.ModeEnforce)
+		}, microN1, microN2)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip micro enforce %s: %w", spec.Name, err)
 		}

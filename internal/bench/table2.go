@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"k23/internal/apps"
-	"k23/internal/machine"
 )
 
 // Table2Row is one application's offline-phase profile.
@@ -16,44 +14,50 @@ type Table2Row struct {
 	Paper int
 }
 
-// appWorkload is one Table 2 application: its command line, the
-// requests a server is driven with, and the paper's site count.
-type appWorkload struct {
-	name     string
-	path     string
-	argv     []string
-	server   bool
-	requests int
-	paper    int
+// The Table 2 applications the figures, the coverage claim, the probes
+// claim and Table 6 also run.
+var (
+	pwd      = workload{name: "pwd", path: apps.PwdPath, offline: []string{"pwd"}}
+	ls       = workload{name: "ls", path: apps.LsPath, offline: []string{"ls", "/data"}}
+	cat      = workload{name: "cat", path: apps.CatPath, offline: []string{"cat", "/data/notes.txt"}}
+	nginx    = workload{name: "nginx", path: apps.NginxPath, offline: []string{"nginx", "0"}, server: true}
+	lighttpd = workload{name: "lighttpd", path: apps.LighttpdPath, offline: []string{"lighttpd", "0"}, server: true}
+	redis    = workload{name: "redis", path: apps.RedisPath, offline: []string{"redis-server", "1"}, server: true}
+)
+
+// table2Apps lists the Table 2 applications in the paper's order.
+var table2Apps = []workload{
+	pwd,
+	{name: "touch", path: apps.TouchPath, offline: []string{"touch", "/data/new.txt"}},
+	ls,
+	cat,
+	{name: "clear", path: apps.ClearPath, offline: []string{"clear"}},
+	{name: "sqlite", path: apps.SqlitePath, offline: []string{"sqlite3", "120"}},
+	nginx,
+	lighttpd,
+	redis,
 }
 
-// table2Workloads lists the Table 2 applications with the paper's counts.
-var table2Workloads = []appWorkload{
-	{"pwd", apps.PwdPath, []string{"pwd"}, false, 0, 7},
-	{"touch", apps.TouchPath, []string{"touch", "/data/new.txt"}, false, 0, 9},
-	{"ls", apps.LsPath, []string{"ls", "/data"}, false, 0, 10},
-	{"cat", apps.CatPath, []string{"cat", "/data/notes.txt"}, false, 0, 11},
-	{"clear", apps.ClearPath, []string{"clear"}, false, 0, 13},
-	{"sqlite", apps.SqlitePath, []string{"sqlite3", "120"}, false, 0, 20},
-	{"nginx", apps.NginxPath, []string{"nginx", "0"}, true, 30, 43},
-	{"lighttpd", apps.LighttpdPath, []string{"lighttpd", "0"}, true, 30, 44},
-	{"redis", apps.RedisPath, []string{"redis-server", "1"}, true, 30, 92},
+// paperTable2 holds the paper's unique-site counts.
+var paperTable2 = map[string]int{
+	"pwd": 7, "touch": 9, "ls": 10, "cat": 11, "clear": 13,
+	"sqlite": 20, "nginx": 43, "lighttpd": 44, "redis": 92,
 }
 
 // Table2 runs the offline phase for every Table 2 application and
 // reports the unique syscall-site counts.
 func Table2() ([]Table2Row, error) {
 	var rows []Table2Row
-	for _, wl := range table2Workloads {
-		w, err := macroWorld()
+	for _, wl := range table2Apps {
+		w, err := World()
 		if err != nil {
 			return nil, err
 		}
-		_, n, err := machine.Offline(context.Background(), w, wl.path, wl.argv, wl.requests)
+		_, n, err := offline(w, wl)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", wl.name, err)
 		}
-		rows = append(rows, Table2Row{Name: wl.name, Sites: n, Paper: wl.paper})
+		rows = append(rows, Table2Row{Name: wl.name, Sites: n, Paper: paperTable2[wl.name]})
 	}
 	return rows, nil
 }

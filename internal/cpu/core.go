@@ -180,11 +180,6 @@ type Core struct {
 	CMCViolations uint64
 	LastCMC       *CMCEvent
 
-	// Coherent, if set, disables staleness (every fetch revalidates
-	// against memory). Used to contrast correct behaviour in tests. It
-	// also bypasses the decode cache entirely.
-	Coherent bool
-
 	// DecodeCacheOff disables the decoded-instruction cache, forcing
 	// every fetch through the full fetch/EncodedLen/Decode path. The
 	// differential test harness uses it to prove cached and uncached
@@ -263,11 +258,11 @@ func (c *Core) FlushICache() {
 }
 
 // fetchByte returns the instruction byte at addr through the I-cache,
-// filling the containing line on a miss (always, when Coherent).
+// filling the containing line on a miss.
 func (c *Core) fetchByte(addr uint64) (byte, error) {
 	lineNum := addr / cacheLineSize
 	ln := c.slot(lineNum)
-	if ln.epoch != c.flushEpoch || c.Coherent {
+	if ln.epoch != c.flushEpoch {
 		if err := c.fill(ln, lineNum); err != nil {
 			return 0, err
 		}
@@ -282,7 +277,7 @@ func (c *Core) fetchByte(addr uint64) (byte, error) {
 // instruction is decoded exactly once, then installs a cache entry.
 func (c *Core) fetchInst() (Inst, error) {
 	rip := c.Ctx.RIP
-	useCache := !c.DecodeCacheOff && !c.Coherent
+	useCache := !c.DecodeCacheOff
 	if useCache {
 		if inst, ok := c.lookupDecoded(rip); ok {
 			return inst, nil
@@ -346,7 +341,7 @@ func (c *Core) fetchInst() (Inst, error) {
 // noteStaleness records a CMC violation if cached, the bytes executed,
 // differ from current memory.
 func (c *Core) noteStaleness(cached []byte, stale bool) {
-	if !stale || c.Coherent {
+	if !stale {
 		return
 	}
 	fresh, err := c.AS.KLoad(c.Ctx.RIP, len(cached))

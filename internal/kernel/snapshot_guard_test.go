@@ -52,7 +52,6 @@ var guardExempt = map[string]map[string]string{
 	"cpu.Core": {
 		"AS":             "pointer: the thread's address space, captured with its process",
 		"LastCMC":        "pointer: cloned into CoreState and hashed through it",
-		"Coherent":       "test configuration",
 		"DecodeCacheOff": "configuration: the decode cache is transparent",
 		"JITOff":         "configuration: the JIT is transparent (jit ≡ interp)",
 		"DecodeStats":    "checkpointed but not hashed, so jit and interp runs hash alike",

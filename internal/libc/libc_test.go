@@ -85,7 +85,7 @@ func TestImageHashPinned(t *testing.T) {
 		fmt.Fprintf(h, "symbol %s %#x\n", name, im.Symbols[name])
 	}
 	for _, r := range im.Relocs {
-		fmt.Fprintf(h, "reloc %#x %s %d\n", r.Off, r.Symbol, r.Addend)
+		fmt.Fprintf(h, "reloc %#x %s 0\n", r.Off, r.Symbol)
 	}
 	fmt.Fprintf(h, "sites %v entry %#x init %s\n", im.TrueSites, im.Entry, im.InitSymbol)
 	if got := h.Sum64(); got != want {

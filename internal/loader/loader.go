@@ -530,7 +530,7 @@ func (l *Loader) relocate(p *kernel.Process, st *procState, li *LoadedImage) err
 		} else {
 			return fmt.Errorf("loader: %s: undefined symbol %q", li.Image.Path, r.Symbol)
 		}
-		if err := p.AS.KStoreU64(li.Base+r.Off, uint64(int64(addr)+r.Addend)); err != nil {
+		if err := p.AS.KStoreU64(li.Base+r.Off, addr); err != nil {
 			return err
 		}
 	}

@@ -184,14 +184,6 @@ func (o *Observer) installEventHook(k *kernel.Kernel) {
 	})
 }
 
-// Option adapts the observer into a kernel.Option so call sites that
-// build kernels indirectly (the pitfall PoCs) can thread observability
-// through without importing anything beyond the option slice they
-// already accept.
-func Option(o *Observer) kernel.Option {
-	return func(k *kernel.Kernel) { o.Install(k) }
-}
-
 // Snapshot is the frozen, mergeable, DeepEqual-comparable output of one
 // Observer (or, after Merge, of a whole fleet).
 type Snapshot struct {

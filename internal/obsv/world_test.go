@@ -220,8 +220,11 @@ func TestWarmSyscallAllocs(t *testing.T) {
 	for _, name := range bench.Table5Variants() {
 		t.Run(name, func(t *testing.T) {
 			spec, _ := variants.ByName(name)
-			w := bench.MicroWorld()
-			l, err := bench.MicroLauncher(w, spec)
+			w, err := bench.World()
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := machine.Launcher(context.Background(), w, spec, interpose.Config{}, bench.MicroPath, []string{"micro", "50"}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,8 +325,11 @@ func BenchmarkObserver(b *testing.B) {
 			var steps uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				w := bench.MicroWorld()
-				l, err := bench.MicroLauncher(w, spec)
+				w, err := bench.World()
+				if err != nil {
+					b.Fatal(err)
+				}
+				l, err := machine.Launcher(context.Background(), w, spec, interpose.Config{}, bench.MicroPath, []string{"micro", "50"}, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

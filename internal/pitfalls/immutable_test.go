@@ -30,7 +30,7 @@ func imageHash(im *image.Image) uint64 {
 		fmt.Fprintf(h, "symbol %s %#x\n", name, im.Symbols[name])
 	}
 	for _, r := range im.Relocs {
-		fmt.Fprintf(h, "reloc %#x %s %d\n", r.Off, r.Symbol, r.Addend)
+		fmt.Fprintf(h, "reloc %#x %s 0\n", r.Off, r.Symbol)
 	}
 	fmt.Fprintf(h, "needed %q entry %#x init %s sites %v\n", im.Needed, im.Entry, im.InitSymbol, im.TrueSites)
 	return h.Sum64()

@@ -20,7 +20,8 @@
 // The engine's correctness contract is frontier sufficiency: a replay
 // consumes only what the recording carries — it re-derives nothing from
 // the original seed — so if any source of nondeterminism escaped the
-// frontier, replay hashes diverge and the rrtest battery fails.
+// frontier, replay hashes diverge and the replay-equivalence battery
+// (internal/rr/rrtest) fails.
 package rr
 
 import "k23/internal/machine"

@@ -11,22 +11,17 @@ import (
 	"testing"
 )
 
-// rrtestReason is why internal/rr/rrtest's functions stay exported.
-const rrtestReason = "test-support package: the record/replay equivalence battery, run by its battery_test.go"
-
 // reachAllow maps an exported function or method that no other non-test
 // file names (its label in TestExportedReachable's report) to the reason
 // it stays.
 var reachAllow = map[string]string{
-	"internal/asm.(*SectionBuilder).MovImm":  "the assembler's 64-bit immediate load: kernel and cpu tests build guests with constants wider than MovImm32 takes",
-	"internal/canon.Seal":                    "builds sealed artifacts by hand for the parser tests and fuzz seeds of canon, obsv, probe, audit and obsvcheck",
-	"internal/image.(*Image).SortedSymbols":  "test oracle: the stable symbol order the image pins hash (libc, interposer and pitfall images)",
-	"internal/image.(*Registry).Paths":       "test oracle: TestImagesImmutable hashes every registered image",
-	"internal/kernel.(*Kernel).StateHash":    "test oracle: the whole-kernel state hash the kernel, checkpoint and slice-cut tests compare",
-	"internal/loader.(*Loader).GlobalSymbol": "test oracle: resolves guest symbols for the kernel and loader tests that read or patch guest memory",
-	"internal/rr/rrtest.AppSpecs":            rrtestReason,
-	"internal/rr/rrtest.Battery":             rrtestReason,
-	"internal/rr/rrtest.SubtestName":         rrtestReason,
+	"internal/asm.(*SectionBuilder).MovImm":    "the assembler's 64-bit immediate load: kernel and cpu tests build guests with constants wider than MovImm32 takes",
+	"internal/canon.Seal":                      "builds sealed artifacts by hand for the parser tests and fuzz seeds of canon, obsv, probe, audit and obsvcheck",
+	"internal/image.(*Image).SortedSymbols":    "test oracle: the stable symbol order the image pins hash (libc, interposer and pitfall images)",
+	"internal/image.(*Registry).Paths":         "test oracle: TestImagesImmutable hashes every registered image",
+	"internal/kernel.(*Kernel).StateHash":      "test oracle: the whole-kernel state hash the kernel, checkpoint and slice-cut tests compare",
+	"internal/loader.(*Loader).GlobalSymbol":   "test oracle: resolves guest symbols for the kernel and loader tests that read or patch guest memory",
+	"internal/rr.(*Session).RunFromCheckpoint": "test oracle: the replay-equivalence battery (internal/rr/rrtest, tests only) re-executes from every checkpoint",
 }
 
 // TestExportedReachable fails on an exported top-level function or
