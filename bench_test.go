@@ -7,6 +7,7 @@
 package k23_test
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/bench"
@@ -40,7 +41,7 @@ func BenchmarkTable3PitfallMatrix(b *testing.B) {
 	var results []pitfalls.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = pitfalls.Matrix(variants.Table3Columns())
+		results, err = pitfalls.Matrix(context.Background(), variants.Table3Columns())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -38,23 +39,23 @@ import (
 )
 
 // chaosSweepBase is the default -chaos-sweep base seed (also the one the
-// internal/chaos tier-1 tests use), so CI failures reproduce locally
-// without copying flags.
+// internal/chaos tier-1 tests use), so a seed a failing test names
+// reproduces with this command without copying flags.
 const chaosSweepBase = 0xc1a05
 
 // reportSweep prints one sweep report in the E16 shape, including a
 // copy-pasteable repro command for every failing seed.
-func reportSweep(rep *chaos.Report) error {
-	fmt.Printf("seeds swept:    %d\n", rep.Seeds)
-	fmt.Printf("runs executed:  %d\n", rep.Runs)
-	fmt.Printf("perturbations:  %d\n", rep.Injected)
-	fmt.Printf("violations:     %d\n", len(rep.Violations))
+func reportSweep(w io.Writer, rep *chaos.Report) error {
+	fmt.Fprintf(w, "seeds swept:    %d\n", rep.Seeds)
+	fmt.Fprintf(w, "runs executed:  %d\n", rep.Runs)
+	fmt.Fprintf(w, "perturbations:  %d\n", rep.Injected)
+	fmt.Fprintf(w, "violations:     %d\n", len(rep.Violations))
 	if len(rep.Violations) == 0 {
 		return nil
 	}
 	for _, v := range rep.Violations {
-		fmt.Printf("  VIOLATION %s\n", v)
-		fmt.Printf("    repro: go run ./cmd/benchtab -chaos-repro %#x\n", v.Seed)
+		fmt.Fprintf(w, "  VIOLATION %s\n", v)
+		fmt.Fprintf(w, "    repro: go run ./cmd/benchtab -chaos-repro %#x\n", v.Seed)
 	}
 	return fmt.Errorf("%d invariant violations", len(rep.Violations))
 }
@@ -115,7 +116,7 @@ func main() {
 			})
 		case "3":
 			run("Table 3 — pitfall matrix", func() error {
-				results, err := pitfalls.Matrix(variants.Table3Columns())
+				results, err := pitfalls.Matrix(ctx, variants.Table3Columns())
 				if err != nil {
 					return err
 				}
@@ -331,7 +332,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return reportSweep(rep)
+			return reportSweep(os.Stdout, rep)
 		})
 	}
 
@@ -346,7 +347,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return reportSweep(rep)
+			return reportSweep(os.Stdout, rep)
 		})
 	}
 }

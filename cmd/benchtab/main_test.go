@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,8 +12,11 @@ import (
 	"testing"
 
 	"k23/internal/bench"
+	"k23/internal/chaos"
 	"k23/internal/cpu/difftest"
+	"k23/internal/fleet"
 	"k23/internal/interpose/variants"
+	"k23/internal/obsv"
 	"k23/internal/pitfalls"
 )
 
@@ -118,6 +124,62 @@ func TestClaimsRun(t *testing.T) {
 	}
 }
 
+// TestCommandPipelines runs the command's artifact-writing paths
+// in-process, each row checking its output the way a user would.
+func TestCommandPipelines(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		check func(t *testing.T, dir string)
+	}{
+		// `benchtab -fleet 4 -fleet-trace F` writes the same trace at one
+		// worker and at two, and it passes the trace schema check: every
+		// record parses, carries its kind's fields and keeps seq/clock
+		// monotonic per machine section.
+		{"fleet-trace-schema", func(t *testing.T, dir string) {
+			var traces [2][]byte
+			for i, workers := range []int{1, 2} {
+				rep, err := fleet.Run(context.Background(), fleet.StandardFleet(4),
+					fleet.Options{Workers: workers, Obs: obsv.Options{Trace: true, Metrics: true}})
+				if err == nil {
+					err = rep.FirstErr()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, fmt.Sprintf("w%d.jsonl", workers))
+				if err := writeFleetTrace(rep, path); err != nil {
+					t.Fatal(err)
+				}
+				if traces[i], err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(traces[0], traces[1]) {
+				t.Error("fleet trace differs between 1 and 2 workers")
+			}
+			if n, err := obsv.ValidateJSONL(bytes.NewReader(traces[1])); err != nil || n == 0 {
+				t.Errorf("fleet trace fails the schema check: %d records, %v", n, err)
+			}
+		}},
+		// A sweep report with a violation names the seed's -chaos-repro
+		// command and fails the run.
+		{"sweep-repro-line", func(t *testing.T, dir string) {
+			var out bytes.Buffer
+			rep := &chaos.Report{Seeds: 1, Runs: 3, Violations: []chaos.Violation{{Seed: 0xbeef, Area: "apps", What: "exit status differs"}}}
+			if err := reportSweep(&out, rep); err == nil {
+				t.Error("a report with a violation returned no error")
+			}
+			for _, want := range []string{"violations:     1\n", "VIOLATION seed 0xbeef [apps]", "repro: go run ./cmd/benchtab -chaos-repro 0xbeef\n"} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("report lacks %q:\n%s", want, out.String())
+				}
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) { row.check(t, t.TempDir()) })
+	}
+}
+
 func TestGoldenTable2(t *testing.T) {
 	rows, err := bench.Table2()
 	if err != nil {
@@ -127,7 +189,7 @@ func TestGoldenTable2(t *testing.T) {
 }
 
 func TestGoldenTable3(t *testing.T) {
-	results, err := pitfalls.Matrix(variants.Table3Columns())
+	results, err := pitfalls.Matrix(context.Background(), variants.Table3Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +206,11 @@ func TestGoldenTable5(t *testing.T) {
 
 func TestGoldenTable6(t *testing.T) {
 	if testing.Short() {
-		t.Skip("Table 6 regeneration takes ~1 minute; skipped in -short")
+		t.Skip("Table 6 regeneration takes about 6 s; skipped in -short")
 	}
 	if raceEnabled {
-		t.Skip("Table 6 regeneration is several minutes under -race; covered by the non-race run")
+		t.Skip("Table 6 regeneration takes 80–90 s under -race on a 2-CPU host, and internal/bench " +
+			"starts no goroutine, so the race detector has nothing to check there; covered by the non-race run")
 	}
 	rows, err := bench.Table6()
 	if err != nil {
@@ -165,9 +228,6 @@ func TestGoldenTable6(t *testing.T) {
 // workload, the formation heuristics and the cache, so drift means an
 // engine's behavior actually changed.
 func TestGoldenJIT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("JIT claim regeneration runs the full macro workload; skipped in -short")
-	}
 	runs, err := engineRuns(difftest.ModeJIT)
 	if err != nil {
 		t.Fatal(err)

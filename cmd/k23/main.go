@@ -339,9 +339,9 @@ func main() {
 	if obs != nil {
 		snap := obs.Snapshot()
 		if *trace {
-			if snap.TraceSeq > uint64(len(snap.Trace)) {
+			if n := len(snap.Trace); n > 0 && snap.Trace[0].Ord > 0 {
 				fmt.Fprintf(os.Stderr, "[trace] ring dropped the oldest %d of %d events\n",
-					snap.TraceSeq-uint64(len(snap.Trace)), snap.TraceSeq)
+					snap.Trace[0].Ord, snap.Trace[n-1].Ord+1)
 			}
 			if p.Exit.Signal != 0 {
 				// Fault dump: the recorder excerpt around the fatal event.

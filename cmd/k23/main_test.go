@@ -289,6 +289,34 @@ func TestGoldenMetrics(t *testing.T) {
 	}
 }
 
+// TestGoldenTraceAndProfile pins the flight recorder's two renderings
+// of one wrapped ring (the strace text on stderr and the -trace-json
+// artifact) and a folded profile sampled every 7 ticks, a period that
+// falls mid-quantum, so the samples' RIPs pin where runs are cut.
+// Deliberate refreshes: go test ./cmd/k23 -run TestGoldenTraceAndProfile -update
+func TestGoldenTraceAndProfile(t *testing.T) {
+	dir := t.TempDir()
+	trace, folded := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "ls.folded")
+	_, stderr, code := k23Stderr(t, "-variant", "k23-ultra", "-ring", "64", "-trace", "-trace-json", trace, "redis-server")
+	if code != 0 {
+		t.Fatalf("k23 -trace exited %d", code)
+	}
+	stderr = bytes.ReplaceAll(stderr, []byte(dir), []byte("DIR"))
+	checkGolden(t, filepath.Join("testdata", "trace", "redis-server_k23-ultra.strace"), stderr)
+	got, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "trace", "redis-server_k23-ultra.jsonl"), got)
+	if _, code := k23(t, "-variant", "sud", "-profile-every", "7", "-folded", folded, "ls"); code != 0 {
+		t.Fatalf("k23 -folded exited %d", code)
+	}
+	if got, err = os.ReadFile(folded); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "trace", "ls_sud_every7.folded"), got)
+}
+
 // checkGolden compares got with the golden file at path, or rewrites the
 // file under -update.
 func checkGolden(t *testing.T, path string, got []byte) {

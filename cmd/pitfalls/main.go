@@ -23,6 +23,7 @@ import (
 	"k23/internal/kernel"
 	"k23/internal/obsv"
 	"k23/internal/pitfalls"
+	"k23/internal/probe"
 )
 
 // runPoC runs one PoC under spec and prints its verdict. With explain
@@ -49,7 +50,7 @@ func runPoC(ctx context.Context, poc pitfalls.PoC, spec variants.Spec, explain b
 	}
 	// Prefer the last world whose recorder caught a fault-class event
 	// (signal, SIGSYS, process death) — that is where the PoC fired.
-	var best []obsv.Record
+	var best []*probe.Emit
 	for _, o := range c.Observers {
 		recs := o.Snapshot().Trace
 		ex := obsv.Excerpt(recs, 3)
@@ -61,7 +62,7 @@ func runPoC(ctx context.Context, poc pitfalls.PoC, spec variants.Spec, explain b
 			continue
 		}
 		for _, r := range ex {
-			switch r.Kind {
+			switch k, _ := kernel.EventKindByName(r.Kind); k {
 			case kernel.EvSignal, kernel.EvSudSigsys, kernel.EvSeccompSigsys, kernel.EvExitProc:
 				best = ex
 			}
@@ -125,7 +126,7 @@ func main() {
 		fmt.Println("Each verdict is independently rederived by the shadow-map auditor")
 		fmt.Println("from the ground-truth vs attribution syscall streams alone.")
 		fmt.Println()
-		cells, err := pitfalls.AuditMatrix(specs)
+		cells, err := pitfalls.AuditMatrix(ctx, specs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pitfalls:", err)
 			os.Exit(1)
@@ -150,7 +151,7 @@ func main() {
 	fmt.Println("System Call Interposition Pitfalls (paper Table 3)")
 	fmt.Println("YES = pitfall handled or not applicable; no = vulnerable")
 	fmt.Println()
-	results, err := pitfalls.Matrix(specs)
+	results, err := pitfalls.Matrix(ctx, specs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pitfalls:", err)
 		os.Exit(1)

@@ -32,12 +32,13 @@ type PhasesRow struct {
 }
 
 // MeasurePhases decomposes the Table 5 microbenchmark cost of every
-// variant into lifecycle phases (E20). Each variant runs at two sizes,
-// each in its own world with a span observer attached at the production
-// boundary. The span observer rides side-streams, so the cycle numbers
-// are identical to an unobserved run (the E15 non-perturbation
-// property): the total slope is Table 5's, per-phase slopes attribute
-// it, and the residual is the un-spanned dispatch cost.
+// variant into lifecycle phases (E20). Each variant runs at two sizes in
+// one world, with a span observer attached at the production boundary;
+// each run is credited with the spans of its own process. The span
+// observer rides side-streams, so the cycle numbers are identical to an
+// unobserved run (the E15 non-perturbation property): the total slope is
+// Table 5's, per-phase slopes attribute it, and the residual is the
+// un-spanned dispatch cost.
 func MeasurePhases() ([]PhasesRow, error) {
 	names := append([]string{"native"}, Table5Variants()...)
 	rows := make([]PhasesRow, 0, len(names))
@@ -46,17 +47,24 @@ func MeasurePhases() ([]PhasesRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
+		o := obsv.New(obsv.Options{Spans: true})
+		_, ps, err := measure(spec, micro, func(w *interpose.World) { o.Install(w.K) }, microN1, microN2)
+		if err != nil {
+			return nil, fmt.Errorf("bench: phases %s: %w", name, err)
+		}
+		all := o.SpanBuilder.Finish()
 		var total [2]uint64
 		var phases [2]map[string]uint64
-		for i, n := range []int{microN1, microN2} {
-			o := obsv.New(obsv.Options{Spans: true})
-			_, ps, err := measure(spec, micro, func(w *interpose.World) { o.Install(w.K) }, n)
-			if err != nil {
-				return nil, fmt.Errorf("bench: phases %s: %w", name, err)
+		for i, p := range ps {
+			total[i] = cycles(p)
+			own := &span.Set{}
+			for _, sp := range all.Spans {
+				if sp.PID == p.PID {
+					own.Spans = append(own.Spans, sp)
+				}
 			}
-			total[i] = cycles(ps[0])
 			phases[i] = map[string]uint64{}
-			for _, pc := range span.Analyze(o.Snapshot().Spans...).Phases {
+			for _, pc := range span.Analyze(own).Phases {
 				phases[i][pc.Phase] += pc.Cycles
 			}
 		}

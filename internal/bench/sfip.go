@@ -16,6 +16,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -55,7 +56,7 @@ func sfipPitfallMatrix() ([]SfipCell, error) {
 	specs := variants.Table3Columns()
 	type cellKey struct{ pitfall, interposer string }
 
-	learned, err := pitfalls.ObservedMatrix(specs,
+	learned, err := pitfalls.ObservedMatrix(context.TODO(), specs,
 		func(pitfalls.PoC, variants.Spec, int) obsv.Options {
 			return obsv.Options{Audit: true, SfipLearn: true}
 		})
@@ -87,7 +88,7 @@ func sfipPitfallMatrix() ([]SfipCell, error) {
 		cells = append(cells, cell)
 	}
 
-	enforced, err := pitfalls.ObservedMatrix(specs,
+	enforced, err := pitfalls.ObservedMatrix(context.TODO(), specs,
 		func(poc pitfalls.PoC, spec variants.Spec, world int) obsv.Options {
 			ps := policies[cellKey{poc.ID, spec.Name}]
 			if world >= len(ps) || ps[world] == nil {

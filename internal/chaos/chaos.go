@@ -215,13 +215,13 @@ func sweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 func sweepMatrix(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 	rep := &Report{Seeds: len(seeds)}
 	specs := variants.Table3Columns()
-	baseline, err := pitfalls.Matrix(specs)
+	baseline, err := pitfalls.Matrix(context.Background(), specs)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: baseline matrix: %w", err)
 	}
 
 	for _, seed := range seeds {
-		res, err := pitfalls.Matrix(specs, kernel.WithChaos(seed, prof))
+		res, err := pitfalls.Matrix(context.Background(), specs, kernel.WithChaos(seed, prof))
 		rep.Runs++
 		if err != nil {
 			rep.Violations = append(rep.Violations, Violation{

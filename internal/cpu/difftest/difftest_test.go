@@ -1,27 +1,24 @@
 package difftest
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"k23/internal/interpose/variants"
 	"k23/internal/kernel"
+	"k23/internal/machine"
 	"k23/internal/pitfalls"
 )
 
-// chaosSeeds mirrors chaos.Seeds (splitmix64 stream); internal/chaos
-// imports this package, so the harness can't import it back.
+// chaosSeeds mirrors chaos.Seeds (the machine.Splitmix64 stream);
+// internal/chaos imports this package, so the harness can't import it
+// back.
 func chaosSeeds(base uint64, n int) []uint64 {
-	splitmix64 := func(x uint64) uint64 {
-		x += 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		return x ^ (x >> 31)
-	}
 	out := make([]uint64, n)
 	s := base
 	for i := range out {
-		s = splitmix64(s)
+		s = machine.Splitmix64(s)
 		out[i] = s
 	}
 	return out
@@ -61,7 +58,7 @@ func TestAppsThreeWayIdentical(t *testing.T) {
 func TestPitfallMatrixThreeWayIdentical(t *testing.T) {
 	specs := variants.Table3Columns()
 	runMatrix := func(m Mode) []pitfalls.Result {
-		res, err := pitfalls.Matrix(specs, m.Options()...)
+		res, err := pitfalls.Matrix(context.Background(), specs, m.Options()...)
 		if err != nil {
 			t.Fatalf("matrix (%s): %v", m, err)
 		}
@@ -84,7 +81,7 @@ func TestPitfallMatrixThreeWayIdentical(t *testing.T) {
 func TestAuditMatrixJITParity(t *testing.T) {
 	specs := variants.Table3Columns()
 	runAudit := func(m Mode) []pitfalls.AuditCell {
-		res, err := pitfalls.AuditMatrix(specs, m.Options()...)
+		res, err := pitfalls.AuditMatrix(context.Background(), specs, m.Options()...)
 		if err != nil {
 			t.Fatalf("audit matrix (%s): %v", m, err)
 		}

@@ -1041,50 +1041,43 @@ func (k *Kernel) RunUntilExit(p *Process, maxInsts uint64, stop ...func() error)
 	return nil
 }
 
-// runThread steps t for up to quantum instructions, handling stops.
-// Returns instructions retired.
+// runThread runs t for up to quantum instructions through Core.Run,
+// which dispatches hot code via superblocks, and handles the stop that
+// ends the slice. Returns instructions retired. The virtual clock is
+// advanced in bulk by the retired-instruction count, which is
+// observationally identical because the clock is only read at kernel
+// entries — and a stop ends the slice either way.
 //
-// With the sampling profiler armed the thread runs one Step at a time —
-// the JIT deopt path — because samples are taken at per-instruction
-// virtual-clock deadlines and must land on the same RIPs as interpreted
-// execution. Otherwise the quantum goes through Core.Run, which
-// dispatches hot code via superblocks; the virtual clock is advanced in
-// bulk by the retired-instruction count, which is observationally
-// identical because the clock is only read at kernel entries — and a
-// stop ends the slice either way.
+// With the sampling profiler armed, Run is also cut at each sample
+// deadline (at least one instruction per cut), so every sample is taken
+// right after the instruction that reached its deadline, at the RIP one
+// Step at a time would have sampled.
 func (k *Kernel) runThread(t *Thread, quantum int) uint64 {
 	if t.State != ThreadRunnable || t.Proc.State != ProcRunning {
 		return 0
 	}
-	if k.profileEvery != 0 {
-		var retired uint64
-		for i := 0; i < quantum; i++ {
-			if t.State != ThreadRunnable || t.Proc.State != ProcRunning {
-				break
-			}
-			before := t.Core.Insts
-			stop := t.Core.Step()
-			retired += t.Core.Insts - before
-			k.VClock += t.Core.Insts - before
-			k.profileTick(t)
-			if stop.Kind == cpu.StopNone {
-				continue
-			}
-			k.handleStop(t, stop)
-			// A stop ends the slice: kernel entries are natural
-			// preemption points and serialize the core.
-			break
+	var retired uint64
+	for {
+		n := uint64(quantum) - retired
+		if k.profileEvery != 0 {
+			n = min(n, max(k.profileNext, k.VClock+1)-k.VClock)
 		}
-		return retired
+		before := t.Core.Insts
+		stop := t.Core.Run(int(n))
+		ran := t.Core.Insts - before
+		retired += ran
+		k.VClock += ran
+		if k.profileEvery != 0 {
+			k.profileTick(t)
+		}
+		if stop.Kind != cpu.StopNone {
+			k.handleStop(t, stop)
+			return retired
+		}
+		if retired >= uint64(quantum) {
+			return retired
+		}
 	}
-	before := t.Core.Insts
-	stop := t.Core.Run(quantum)
-	retired := t.Core.Insts - before
-	k.VClock += retired
-	if stop.Kind != cpu.StopNone {
-		k.handleStop(t, stop)
-	}
-	return retired
 }
 
 // handleStop services a non-trivial CPU stop.

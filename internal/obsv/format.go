@@ -7,6 +7,7 @@ import (
 
 	"k23/internal/canon"
 	"k23/internal/kernel"
+	"k23/internal/probe"
 )
 
 // Kind names the flight-recorder trace artifact (canon envelope): per
@@ -17,10 +18,10 @@ import (
 //	{"t":"event","seq":12,"clock":40,...}
 const Kind = "trace"
 
-// ringRec opens one machine's section. The recorder's sequence numbers
-// are monotonic from zero, so the first retained record's Seq IS the
-// number of events the ring overwrote; Dropped makes that loss explicit
-// instead of leaving readers to infer it.
+// ringRec opens one machine's section. A record's seq is its emit
+// ordinal, monotonic from zero, so the first retained record's seq IS
+// the number of events the ring overwrote; Dropped makes that loss
+// explicit instead of leaving readers to infer it.
 type ringRec struct {
 	Machine string `json:"m,omitempty"`
 	Dropped uint64 `json:"dropped"`
@@ -46,7 +47,7 @@ type jsonRecord struct {
 // empty for a single-machine trace.
 type Ring struct {
 	Machine string
-	Recs    []Record
+	Recs    []*probe.Emit
 }
 
 // WriteJSONL writes the rings as one trace artifact, one section per
@@ -56,29 +57,27 @@ func WriteJSONL(w io.Writer, rings ...Ring) error {
 	for _, ring := range rings {
 		hdr := ringRec{Machine: ring.Machine}
 		if len(ring.Recs) > 0 {
-			hdr.Dropped = ring.Recs[0].Seq
+			hdr.Dropped = ring.Recs[0].Ord
 		}
 		cw.Record("ring", &hdr)
 		for _, r := range ring.Recs {
 			jr := jsonRecord{
-				Seq:    r.Seq,
+				Seq:    r.Ord,
 				Clock:  r.Clock,
 				PID:    r.PID,
 				TID:    r.TID,
-				Kind:   r.Kind.String(),
+				Kind:   r.Kind,
 				Num:    r.Num,
 				Site:   r.Site,
 				Detail: r.Detail,
 			}
-			switch r.Kind {
+			switch kindOf(r) {
 			case kernel.EvEnter:
 				jr.Name = kernel.SyscallName(r.Num)
-				args := r.Args
-				jr.Args = args[:]
+				jr.Args = r.Args[:]
 			case kernel.EvExit, kernel.EvFork, kernel.EvOracle, kernel.EvResolve:
 				jr.Name = kernel.SyscallName(r.Num)
-				ret := int64(r.Ret)
-				jr.Ret = &ret
+				jr.Ret = &r.Ret
 			}
 			cw.Record("event", &jr)
 		}
@@ -86,17 +85,24 @@ func WriteJSONL(w io.Writer, rings ...Ring) error {
 	return cw.Close()
 }
 
+// kindOf returns the kernel event kind a trace record names.
+func kindOf(r *probe.Emit) kernel.EventKind {
+	k, _ := kernel.EventKindByName(r.Kind)
+	return k
+}
+
 // FormatRecord renders one record as a strace-flavored line. Exit
 // records carry the full call (the paired enter's arguments arrive via
 // args; pass nil when unknown).
-func FormatRecord(r Record, enterArgs []uint64) string {
+func FormatRecord(r *probe.Emit, enterArgs []uint64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%12d] %d/%d  ", r.Clock, r.PID, r.TID)
-	switch r.Kind {
+	ret := uint64(r.Ret)
+	switch kindOf(r) {
 	case kernel.EvEnter:
 		fmt.Fprintf(&b, "%s(%s) ...", kernel.SyscallName(r.Num), formatArgs(r.Num, r.Args[:]))
 	case kernel.EvExit:
-		fmt.Fprintf(&b, "%s(%s) = %s", kernel.SyscallName(r.Num), formatArgs(r.Num, enterArgs), formatRet(r.Ret))
+		fmt.Fprintf(&b, "%s(%s) = %s", kernel.SyscallName(r.Num), formatArgs(r.Num, enterArgs), formatRet(ret))
 		if r.Detail != "" {
 			fmt.Fprintf(&b, " <%s>", r.Detail)
 		}
@@ -107,7 +113,7 @@ func FormatRecord(r Record, enterArgs []uint64) string {
 	case kernel.EvSeccompSigsys:
 		fmt.Fprintf(&b, "--- SIGSYS (seccomp trap) {nr=%s, site=%#x} ---", kernel.SyscallName(r.Num), r.Site)
 	case kernel.EvFork:
-		fmt.Fprintf(&b, "%s() = %d (child)", kernel.SyscallName(r.Num), int64(r.Ret))
+		fmt.Fprintf(&b, "%s() = %d (child)", kernel.SyscallName(r.Num), r.Ret)
 	case kernel.EvExec:
 		fmt.Fprintf(&b, "execve(%s)", r.Detail)
 	case kernel.EvExitProc:
@@ -117,7 +123,7 @@ func FormatRecord(r Record, enterArgs []uint64) string {
 	case kernel.EvChaos:
 		fmt.Fprintf(&b, "!!! chaos %s on %s {site=%#x} !!!", r.Detail, kernel.SyscallName(r.Num), r.Site)
 	case kernel.EvOracle:
-		fmt.Fprintf(&b, "=== oracle %s = %s {site=%#x, origin=%s} ===", kernel.SyscallName(r.Num), formatRet(r.Ret), r.Site, r.Detail)
+		fmt.Fprintf(&b, "=== oracle %s = %s {site=%#x, origin=%s} ===", kernel.SyscallName(r.Num), formatRet(ret), r.Site, r.Detail)
 	case kernel.EvResolve:
 		verb := "renumbered"
 		if r.Ret == 1 {
@@ -145,41 +151,31 @@ func FormatRecord(r Record, enterArgs []uint64) string {
 // WriteStrace renders the records as strace-compatible text: enters and
 // exits are folded into single call lines where both are present in the
 // window (an enter whose exit was dropped by wraparound still prints).
-func WriteStrace(w io.Writer, recs []Record) error {
-	// Pending enter args per TID so the exit line shows the call.
-	pending := make(map[int][6]uint64)
-	pendingSeq := make(map[int]uint64)
+func WriteStrace(w io.Writer, recs []*probe.Emit) error {
+	// The pending enter per TID, so the exit line shows the call.
+	pending := make(map[int]*probe.Emit)
 	for _, r := range recs {
-		switch r.Kind {
+		var args []uint64
+		switch kindOf(r) {
 		case kernel.EvEnter:
-			pending[r.TID] = r.Args
-			pendingSeq[r.TID] = r.Seq
+			pending[r.TID] = r
 			continue // folded into the exit line
 		case kernel.EvExit:
-			var args []uint64
-			if seq, ok := pendingSeq[r.TID]; ok && seq < r.Seq {
-				a := pending[r.TID]
-				args = a[:]
+			if enter := pending[r.TID]; enter != nil {
+				args = enter.Args[:]
 				delete(pending, r.TID)
-				delete(pendingSeq, r.TID)
 			}
-			if _, err := fmt.Fprintln(w, FormatRecord(r, args)); err != nil {
-				return err
-			}
-			continue
 		}
-		if _, err := fmt.Fprintln(w, FormatRecord(r, nil)); err != nil {
+		if _, err := fmt.Fprintln(w, FormatRecord(r, args)); err != nil {
 			return err
 		}
 	}
 	// Enters whose exit never arrived (in-flight at dump time or the
-	// exit was beyond the window): print them un-folded.
-	for tid := range pending {
-		for _, r := range recs {
-			if r.Kind == kernel.EvEnter && r.TID == tid && r.Seq == pendingSeq[tid] {
-				if _, err := fmt.Fprintln(w, FormatRecord(r, nil)); err != nil {
-					return err
-				}
+	// exit was beyond the window): print them un-folded, in trace order.
+	for _, r := range recs {
+		if pending[r.TID] == r {
+			if _, err := fmt.Fprintln(w, FormatRecord(r, nil)); err != nil {
+				return err
 			}
 		}
 	}
@@ -235,8 +231,8 @@ func signalName(sig int) string {
 
 // interesting reports whether a record is a likely fault trigger worth
 // centering an excerpt on.
-func interesting(r Record) bool {
-	switch r.Kind {
+func interesting(r *probe.Emit) bool {
+	switch kindOf(r) {
 	case kernel.EvSignal, kernel.EvSudSigsys, kernel.EvSeccompSigsys, kernel.EvExitProc:
 		return true
 	}
@@ -248,7 +244,7 @@ func interesting(r Record) bool {
 // the flight-recorder view pitfalls -explain prints under each PoC.
 // If nothing interesting is retained, the tail of the trace is
 // returned. context is the number of records kept on each side.
-func Excerpt(recs []Record, context int) []Record {
+func Excerpt(recs []*probe.Emit, context int) []*probe.Emit {
 	if len(recs) == 0 {
 		return nil
 	}

@@ -65,16 +65,6 @@ type MetricsSnapshot struct {
 	DecodeCache cpu.DecodeCacheStats `json:"decode_cache"`
 }
 
-// metricsProgram is probe.MetricsProgram compiled once, shared
-// read-only by every machine's metrics engine.
-var metricsProgram = func() *probe.Compiled {
-	c, err := CompileProbes(probe.MetricsProgram)
-	if err != nil {
-		panic("obsv: built-in metrics program: " + err.Error())
-	}
-	return c
-}()
-
 // metricsView renders the metrics program's (possibly merged) snapshot;
 // rows are addressed by their (probe, action) position in
 // probe.MetricsProgram.

@@ -1,5 +1,5 @@
 // Package obsv is K23's observability subsystem: a flight-recorder
-// trace ring, per-syscall/per-mechanism metrics, and a deterministic
+// trace, per-syscall/per-mechanism metrics, and a deterministic
 // sampling guest profiler, all fed from the kernel's event stream.
 //
 // Design rules (ISSUE 3):
@@ -26,10 +26,11 @@ import (
 
 // Options selects which collectors an Observer runs.
 type Options struct {
-	// Trace enables the flight recorder.
+	// Trace enables the flight recorder: a third probe engine running
+	// traceProgram, whose emit() ring keeps the most recent events.
 	Trace bool
 	// RingSize is the flight-recorder capacity (events). Zero selects
-	// DefaultRingSize. Rounded up to a power of two.
+	// DefaultRingSize.
 	RingSize int
 	// Metrics enables per-syscall / per-process / per-mechanism
 	// aggregation: a second probe engine running probe.MetricsProgram.
@@ -79,7 +80,7 @@ func (o Options) Enabled() bool {
 // with New, attach with Install, read with Snapshot.
 type Observer struct {
 	Opts        Options
-	Ring        *Recorder      // nil unless Opts.Trace
+	Trace       *probe.Engine  // nil unless Opts.Trace
 	Metrics     *probe.Engine  // nil unless Opts.Metrics
 	Profiler    *Profiler      // nil unless Opts.ProfileEvery != 0
 	Audit       *audit.Auditor // nil unless Opts.Audit
@@ -96,10 +97,10 @@ type Observer struct {
 func New(opts Options) *Observer {
 	o := &Observer{Opts: opts}
 	if opts.Trace {
-		o.Ring = NewRecorder(opts.RingSize)
+		o.Trace = traceProgram.NewEngine(opts.Machine, opts.ProbeMech, opts.RingSize)
 	}
 	if opts.Metrics {
-		o.Metrics = metricsProgram.NewEngine(opts.Machine, opts.ProbeMech)
+		o.Metrics = metricsProgram.NewEngine(opts.Machine, opts.ProbeMech, 0)
 	}
 	if opts.ProfileEvery != 0 {
 		o.Profiler = NewProfiler()
@@ -118,7 +119,7 @@ func New(opts Options) *Observer {
 		o.SpanBuilder = span.NewBuilder(opts.Machine)
 	}
 	if opts.Probes != nil {
-		o.Probe = opts.Probes.NewEngine(opts.Machine, opts.ProbeMech)
+		o.Probe = opts.Probes.NewEngine(opts.Machine, opts.ProbeMech, 0)
 	}
 	return o
 }
@@ -133,6 +134,26 @@ func CompileProbes(src string) (*probe.Compiled, error) {
 	return probe.Compile(prog)
 }
 
+// The built-in probe programs, compiled once and shared read-only by
+// every machine's engines: metricsProgram aggregates the metrics, and
+// traceProgram is the flight recorder, one emit() per kernel event.
+var (
+	metricsProgram = builtin(probe.MetricsProgram)
+	traceProgram   = builtin("event:* { emit() }")
+)
+
+// DefaultRingSize is the flight-recorder capacity when
+// Options.RingSize is zero.
+const DefaultRingSize = probe.EmitCap
+
+func builtin(src string) *probe.Compiled {
+	c, err := CompileProbes(src)
+	if err != nil {
+		panic("obsv: built-in probe program: " + err.Error())
+	}
+	return c
+}
+
 // Install attaches the observer to k. With no collectors enabled this
 // installs nothing: EventHook and the profiler slot stay nil, so the
 // kernel's `if k.Tracing()` guards keep the hot path branch-only.
@@ -143,8 +164,11 @@ func (o *Observer) Install(k *kernel.Kernel) {
 	if o.Enforcer != nil {
 		k.Sfip = o.Enforcer
 	}
-	if o.Ring != nil || o.Audit != nil || o.SpanBuilder != nil || o.Enforcer != nil {
+	if o.Audit != nil || o.SpanBuilder != nil || o.Enforcer != nil {
 		o.installEventHook(k)
+	}
+	if o.Trace != nil {
+		o.Trace.Install(k)
 	}
 	if o.Metrics != nil {
 		o.Metrics.Install(k)
@@ -165,13 +189,10 @@ func (o *Observer) Install(k *kernel.Kernel) {
 }
 
 func (o *Observer) installEventHook(k *kernel.Kernel) {
-	ring, auditor, spans, enf := o.Ring, o.Audit, o.SpanBuilder, o.Enforcer
+	auditor, spans, enf := o.Audit, o.SpanBuilder, o.Enforcer
 	k.AddEventHook(func(e kernel.Event) {
 		// Pass down by pointer: the collectors only read the event for
 		// the duration of the call, and the hook fires per syscall.
-		if ring != nil {
-			ring.Append(&e)
-		}
 		if auditor != nil {
 			auditor.Handle(&e)
 		}
@@ -188,10 +209,9 @@ func (o *Observer) installEventHook(k *kernel.Kernel) {
 // Observer (or, after Merge, of a whole fleet).
 type Snapshot struct {
 	// Trace holds the retained flight-recorder records, oldest first.
-	Trace []Record `json:"trace,omitempty"`
-	// TraceSeq is the total number of events ever recorded; TraceSeq -
-	// len(Trace) events were dropped to ring wraparound.
-	TraceSeq uint64 `json:"trace_seq,omitempty"`
+	// Each record's Ord is its event's position in the run, so the
+	// first one's Ord is the number of events the ring dropped.
+	Trace []*probe.Emit `json:"trace,omitempty"`
 	// Metrics is nil when metrics were off. It is a view rendered from
 	// metricsRows, which is what merges.
 	Metrics     *MetricsSnapshot `json:"metrics,omitempty"`
@@ -218,9 +238,8 @@ type Snapshot struct {
 // symbolization and decode-cache counters for metrics.
 func (o *Observer) Snapshot() *Snapshot {
 	s := &Snapshot{}
-	if o.Ring != nil {
-		s.Trace = o.Ring.Snapshot()
-		s.TraceSeq = o.Ring.Seq()
+	if o.Trace != nil {
+		s.Trace = o.Trace.Snapshot().Emits
 	}
 	if o.Metrics != nil {
 		var dc cpu.DecodeCacheStats
@@ -259,7 +278,6 @@ func (s *Snapshot) Merge(other *Snapshot) {
 		return
 	}
 	s.Trace = append(s.Trace, other.Trace...)
-	s.TraceSeq += other.TraceSeq
 	if other.metricsRows != nil {
 		dc := other.Metrics.DecodeCache
 		if s.metricsRows == nil {

@@ -26,43 +26,44 @@ func mkEvent(kind kernel.EventKind, tid int, nr uint64) kernel.Event {
 // errnoRet builds the kernel's negative-errno return encoding.
 func errnoRet(e int) uint64 { return uint64(-int64(e)) }
 
-// TestRingWraparound: the recorder retains exactly the newest Cap()
-// records, oldest-first, with the sequence gap making drops observable.
-func TestRingWraparound(t *testing.T) {
-	r := NewRecorder(8)
-	if len(r.buf) != 8 {
-		t.Fatalf("Cap = %d, want 8", len(r.buf))
+// traceOf feeds events to a flight recorder holding size records
+// (0: DefaultRingSize) and returns what it retained.
+func traceOf(size int, events ...kernel.Event) []*probe.Emit {
+	o := New(Options{Trace: true, RingSize: size})
+	for _, e := range events {
+		o.Trace.HandleEvent(e)
 	}
+	return o.Snapshot().Trace
+}
+
+// TestRingWraparound: the flight recorder retains exactly the newest
+// RingSize records, oldest-first, with the ordinal gap making drops
+// observable. Any size is exact (5 is kept as 5), and zero selects
+// DefaultRingSize.
+func TestRingWraparound(t *testing.T) {
+	var evs []kernel.Event
 	for i := 0; i < 20; i++ {
 		e := mkEvent(kernel.EvEnter, 100, uint64(i))
 		e.Clock = uint64(i)
-		r.Append(&e)
+		evs = append(evs, e)
 	}
-	if r.Seq() != 20 {
-		t.Errorf("Seq = %d, want 20", r.Seq())
-	}
-	if r.Dropped() != 12 {
-		t.Errorf("Dropped = %d, want 12", r.Dropped())
-	}
-	recs := r.Snapshot()
-	if len(recs) != 8 {
-		t.Fatalf("Snapshot len = %d, want 8", len(recs))
-	}
-	for i, rec := range recs {
-		want := uint64(12 + i) // oldest retained is seq 12
-		if rec.Seq != want || rec.Num != want {
-			t.Errorf("rec[%d]: seq=%d num=%d, want both %d", i, rec.Seq, rec.Num, want)
+	for _, size := range []int{8, 5} {
+		recs := traceOf(size, evs...)
+		if len(recs) != size {
+			t.Fatalf("ring of %d kept %d records", size, len(recs))
+		}
+		for i, rec := range recs {
+			want := uint64(20 - size + i) // the oldest retained ordinal is the drop count
+			if rec.Ord != want || rec.Num != want {
+				t.Errorf("ring of %d, rec[%d]: ord=%d num=%d, want both %d", size, i, rec.Ord, rec.Num, want)
+			}
 		}
 	}
-}
-
-// TestRingRoundsToPowerOfTwo: sizes round up; zero selects the default.
-func TestRingRoundsToPowerOfTwo(t *testing.T) {
-	if got := len(NewRecorder(100).buf); got != 128 {
-		t.Errorf("len(NewRecorder(100).buf) = %d, want 128", got)
+	if DefaultRingSize != probe.EmitCap {
+		t.Errorf("DefaultRingSize = %d, want probe.EmitCap", DefaultRingSize)
 	}
-	if got := len(NewRecorder(0).buf); got != DefaultRingSize {
-		t.Errorf("len(NewRecorder(0).buf) = %d, want %d", got, DefaultRingSize)
+	if recs := traceOf(0, evs...); len(recs) != len(evs) || recs[0].Ord != 0 {
+		t.Errorf("default ring dropped records: kept %d of %d", len(recs), len(evs))
 	}
 }
 
@@ -165,21 +166,17 @@ func TestMetricsAggregation(t *testing.T) {
 // TestJSONLRoundTrip: WriteJSONL output passes the schema validator,
 // and the validator rejects each class of violation.
 func TestJSONLRoundTrip(t *testing.T) {
-	r := NewRecorder(16)
 	enter := mkEvent(kernel.EvEnter, 100, kernel.SysWrite)
 	enter.Args = [6]uint64{1, 0x5000, 12}
 	enter.Clock = 10
-	r.Append(&enter)
 	exit := mkEvent(kernel.EvExit, 100, kernel.SysWrite)
 	exit.Ret = 12
 	exit.Clock = 20
-	r.Append(&exit)
 	sig := mkEvent(kernel.EvSignal, 100, kernel.SIGSYS)
 	sig.Clock = 30
-	r.Append(&sig)
 
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, Ring{Recs: r.Snapshot()}); err != nil {
+	if err := WriteJSONL(&buf, Ring{Recs: traceOf(16, enter, exit, sig)}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ValidateJSONL(bytes.NewReader(buf.Bytes()))
@@ -220,23 +217,26 @@ func TestJSONLRoundTrip(t *testing.T) {
 // returns render symbolically, signals and process deaths use strace's
 // --- / +++ framing.
 func TestStraceFormat(t *testing.T) {
-	r := NewRecorder(16)
 	enter := mkEvent(kernel.EvEnter, 100, kernel.SysOpen)
 	enter.Args = [6]uint64{0x5000, 0}
-	r.Append(&enter)
 	exit := mkEvent(kernel.EvExit, 100, kernel.SysOpen)
 	exit.Ret = errnoRet(kernel.ENOENT)
-	r.Append(&exit)
 	death := mkEvent(kernel.EvExitProc, 100, 0)
 	death.Detail = "killed by signal 31 (bad syscall)"
-	r.Append(&death)
+	// Calls still in flight on three threads print last, in trace order.
+	var inflight []kernel.Event
+	for _, tid := range []int{302, 301, 303} {
+		inflight = append(inflight, mkEvent(kernel.EvEnter, tid, kernel.SysRead))
+	}
 
+	recs := traceOf(16, append([]kernel.Event{enter, exit, death}, inflight...)...)
 	var buf bytes.Buffer
-	if err := WriteStrace(&buf, r.Snapshot()); err != nil {
+	if err := WriteStrace(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"open(0x5000, 0x0)", "-1 ENOENT", "+++ killed by signal 31"} {
+	for _, want := range []string{"open(0x5000, 0x0)", "-1 ENOENT", "+++ killed by signal 31",
+		"3/302  read(0x0, 0x0, 0x0) ...\n[           0] 3/301  read(0x0, 0x0, 0x0) ...\n[           0] 3/303  read(0x0, 0x0, 0x0) ...\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("strace output missing %q:\n%s", want, out)
 		}
@@ -246,22 +246,20 @@ func TestStraceFormat(t *testing.T) {
 // TestExcerpt centers on the last interesting event and clamps at the
 // trace edges.
 func TestExcerpt(t *testing.T) {
-	var recs []Record
+	var recs []*probe.Emit
 	for i := 0; i < 10; i++ {
-		recs = append(recs, Record{Seq: uint64(i), Kind: kernel.EvEnter})
+		recs = append(recs, &probe.Emit{Ord: uint64(i), Kind: "enter"})
 	}
-	recs[6].Kind = kernel.EvSignal // the trigger
+	recs[6].Kind = "signal" // the trigger
 	got := Excerpt(recs, 2)
-	if len(got) != 5 || got[0].Seq != 4 || got[4].Seq != 8 {
-		t.Errorf("excerpt = seqs %d..%d len %d, want 4..8 len 5", got[0].Seq, got[len(got)-1].Seq, len(got))
+	if len(got) != 5 || got[0].Ord != 4 || got[4].Ord != 8 {
+		t.Errorf("excerpt = ords %d..%d len %d, want 4..8 len 5", got[0].Ord, got[len(got)-1].Ord, len(got))
 	}
 	// Nothing interesting: the tail is returned.
-	for i := range recs {
-		recs[i].Kind = kernel.EvEnter
-	}
+	recs[6].Kind = "enter"
 	got = Excerpt(recs, 3)
-	if got[len(got)-1].Seq != 9 {
-		t.Errorf("fallback excerpt should end at the tail, got seq %d", got[len(got)-1].Seq)
+	if got[len(got)-1].Ord != 9 {
+		t.Errorf("fallback excerpt should end at the tail, got ord %d", got[len(got)-1].Ord)
 	}
 	if Excerpt(nil, 3) != nil {
 		t.Error("empty trace should excerpt to nil")
@@ -338,16 +336,16 @@ func TestSnapshotMerge(t *testing.T) {
 		return e
 	}
 	a := metricsOf(exit(100, kernel.SysGetpid, 100), exit(100, kernel.SysOpen, 300))
-	a.Trace, a.TraceSeq = []Record{{Seq: 0}, {Seq: 1}}, 2
+	a.Trace = []*probe.Emit{{Ord: 0}, {Ord: 1}}
 	a.Profile = &ProfileSnapshot{Period: 64, Samples: []ProfSample{{TID: 100, RIP: 0x10, Count: 1}}}
 	a.Metrics.DecodeCache.Hits = 5
 	b := metricsOf(exit(200, kernel.SysGetpid, 50))
-	b.Trace, b.TraceSeq = []Record{{Seq: 0}}, 1
+	b.Trace = []*probe.Emit{{Ord: 0}}
 	b.Profile = &ProfileSnapshot{Period: 64, Samples: []ProfSample{{TID: 100, RIP: 0x10, Count: 2}}}
 	b.Metrics.DecodeCache.Hits = 7
 	a.Merge(b)
-	if len(a.Trace) != 3 || a.TraceSeq != 3 {
-		t.Errorf("merged trace len=%d seq=%d, want 3/3", len(a.Trace), a.TraceSeq)
+	if len(a.Trace) != 3 {
+		t.Errorf("merged trace len=%d, want 3", len(a.Trace))
 	}
 	if len(a.Profile.Samples) != 1 || a.Profile.Samples[0].Count != 3 {
 		t.Errorf("merged profile = %+v, want single site count 3", a.Profile.Samples)

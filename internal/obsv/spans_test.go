@@ -16,13 +16,13 @@ import (
 // lost). The validator cross-checks it, so a writer that forgets
 // wraparound — or a dump re-sealed after an edit — is rejected.
 func TestJSONLRingHeader(t *testing.T) {
-	r := NewRecorder(8)
+	var evs []kernel.Event
 	for i := 0; i < 20; i++ {
 		e := mkEvent(kernel.EvSignal, 100, 31)
 		e.Clock = uint64(i)
-		r.Append(&e)
+		evs = append(evs, e)
 	}
-	recs := r.Snapshot()
+	recs := traceOf(8, evs...)
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, Ring{Machine: "m-03", Recs: recs}); err != nil {
 		t.Fatal(err)

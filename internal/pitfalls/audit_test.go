@@ -1,6 +1,8 @@
 package pitfalls
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,7 +17,7 @@ import (
 // attribution streams alone — the PoC's internal hook counters and
 // assertions never feed the auditor.
 func TestAuditMatrixParity(t *testing.T) {
-	cells, err := AuditMatrix(variants.Table3Columns())
+	cells, err := AuditMatrix(context.Background(), variants.Table3Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestAuditMatrixParity(t *testing.T) {
 // TestAuditVerdictMatchesTable3 pins the audit-derived verdicts to the
 // paper's published Table 3, independently of the PoCs' own assertions.
 func TestAuditVerdictMatchesTable3(t *testing.T) {
-	cells, err := AuditMatrix(variants.Table3Columns())
+	cells, err := AuditMatrix(context.Background(), variants.Table3Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestAuditVerdictMatchesTable3(t *testing.T) {
 func TestObservedMatrixConcurrent(t *testing.T) {
 	specs := []variants.Spec{specByName(t, "native"), specByName(t, "k23-ultra+")}
 	run := func() ([]ObservedCell, error) {
-		return ObservedMatrix(specs, func(PoC, variants.Spec, int) obsv.Options { return obsv.Options{Audit: true} })
+		return ObservedMatrix(context.Background(), specs, func(PoC, variants.Spec, int) obsv.Options { return obsv.Options{Audit: true} })
 	}
 	serial, err := run()
 	if err != nil {
@@ -107,5 +109,27 @@ func TestObservedMatrixConcurrent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMatricesStopOnCancelledContext: a matrix whose context is already
+// done returns context.Canceled without building a world for any cell.
+func TestMatricesStopOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	specs := variants.Table3Columns()
+	worlds := 0
+	_, err := ObservedMatrix(ctx, specs, func(PoC, variants.Spec, int) obsv.Options {
+		worlds++
+		return obsv.Options{Audit: true}
+	})
+	if !errors.Is(err, context.Canceled) || worlds != 0 {
+		t.Errorf("ObservedMatrix: err %v after %d worlds, want context.Canceled after none", err, worlds)
+	}
+	if _, err := Matrix(ctx, specs); !errors.Is(err, context.Canceled) {
+		t.Errorf("Matrix: err %v, want context.Canceled", err)
+	}
+	if _, err := AuditMatrix(ctx, specs); !errors.Is(err, context.Canceled) {
+		t.Errorf("AuditMatrix: err %v, want context.Canceled", err)
 	}
 }

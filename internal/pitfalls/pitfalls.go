@@ -89,8 +89,8 @@ func (poc PoC) Observe(ctx context.Context, spec variants.Spec, optsFor func(wor
 
 // Matrix runs every PoC against every given variant. Kernel options are
 // forwarded to every world the PoCs construct.
-func Matrix(specs []variants.Spec, opts ...kernel.Option) ([]Result, error) {
-	cells, err := ObservedMatrix(specs, nil, opts...)
+func Matrix(ctx context.Context, specs []variants.Spec, opts ...kernel.Option) ([]Result, error) {
+	cells, err := ObservedMatrix(ctx, specs, nil, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -130,17 +130,22 @@ type ObservedCell struct {
 // ObservedMatrix runs every PoC against every variant as
 // PoC.Observe cells; optsFor chooses the collectors per (PoC, variant,
 // world index), and nil attaches none. Matrix, AuditMatrix and the SFIP
-// evaluation (internal/bench) are built on this runner.
-func ObservedMatrix(specs []variants.Spec, optsFor func(poc PoC, spec variants.Spec, world int) obsv.Options,
+// evaluation (internal/bench) are built on this runner. Every cell runs
+// under ctx, and no cell starts once ctx is done: the matrix then
+// returns ctx's error.
+func ObservedMatrix(ctx context.Context, specs []variants.Spec, optsFor func(poc PoC, spec variants.Spec, world int) obsv.Options,
 	opts ...kernel.Option) ([]ObservedCell, error) {
 	var out []ObservedCell
 	for _, poc := range All() {
 		for _, spec := range specs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			var cellOpts func(int) obsv.Options
 			if optsFor != nil {
 				cellOpts = func(world int) obsv.Options { return optsFor(poc, spec, world) }
 			}
-			c, err := poc.Observe(context.Background(), spec, cellOpts, opts...)
+			c, err := poc.Observe(ctx, spec, cellOpts, opts...)
 			if err != nil {
 				return nil, fmt.Errorf("pitfalls: %s under %s: %w", poc.ID, spec.Name, err)
 			}
@@ -152,8 +157,8 @@ func ObservedMatrix(specs []variants.Spec, optsFor func(poc PoC, spec variants.S
 
 // AuditMatrix runs every PoC against every variant with a shadow-map
 // auditor attached to each world at production start.
-func AuditMatrix(specs []variants.Spec, opts ...kernel.Option) ([]AuditCell, error) {
-	cells, err := ObservedMatrix(specs,
+func AuditMatrix(ctx context.Context, specs []variants.Spec, opts ...kernel.Option) ([]AuditCell, error) {
+	cells, err := ObservedMatrix(ctx, specs,
 		func(PoC, variants.Spec, int) obsv.Options { return obsv.Options{Audit: true} }, opts...)
 	if err != nil {
 		return nil, err

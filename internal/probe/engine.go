@@ -14,7 +14,8 @@ import (
 // (bucket 0 holds zeros), with one overflow bucket at the top.
 const HistBuckets = 33
 
-// EmitCap bounds each engine's emit() flight-recorder ring.
+// EmitCap is the capacity of an engine's emit() flight-recorder ring
+// when NewEngine is given none.
 const EmitCap = 4096
 
 // Compiled is an immutable compiled program: per-kind dispatch tables,
@@ -263,15 +264,20 @@ type Engine struct {
 	keyBuf []byte
 
 	emits   []Emit // emit() ring, emitOrd-stamped
+	emitCap int
 	emitOrd uint64
 }
 
 // NewEngine instantiates per-machine state for a compiled program.
 // machine tags emit records (fleet merges keep machines separate);
 // mech is the static mechanism context the `mech` field reports when
-// the stream itself does not carry one.
-func (c *Compiled) NewEngine(machine, mech string) *Engine {
-	e := &Engine{c: c, machine: machine, mech: mech}
+// the stream itself does not carry one; emitCap is the number of most
+// recent emit records the engine keeps (0 selects EmitCap).
+func (c *Compiled) NewEngine(machine, mech string, emitCap int) *Engine {
+	if emitCap <= 0 {
+		emitCap = EmitCap
+	}
+	e := &Engine{c: c, machine: machine, mech: mech, emitCap: emitCap}
 	e.evCtx = evctx{eng: e, ev: &e.ev}
 	e.pmCtx = evctx{eng: e, pm: &e.pm}
 	e.cells = make([]map[string]*cell, len(c.acts))
@@ -428,8 +434,8 @@ func BucketUpperBound(i int) uint64 {
 }
 
 // emit appends one record to the engine's flight-recorder ring
-// (most-recent-wins, like the obsv trace ring; the first retained ord
-// reveals how many were dropped).
+// (most-recent-wins; the first retained ord reveals how many were
+// dropped).
 func (e *Engine) emit(probeIdx int, ctx *evctx) {
 	var em Emit
 	em.Machine = e.machine
@@ -444,7 +450,9 @@ func (e *Engine) emit(probeIdx int, ctx *evctx) {
 		em.TID = ev.TID
 		em.Kind = ev.Kind.String()
 		em.Num = ev.Num
+		em.Site = ev.Site
 		em.Ret = int64(ev.Ret)
+		em.Args = ev.Args
 		em.Detail = ev.Detail
 	} else {
 		m := ctx.pm
@@ -455,12 +463,13 @@ func (e *Engine) emit(probeIdx int, ctx *evctx) {
 		em.TID = m.TID
 		em.Kind = m.Phase.String()
 		em.Num = m.Num
+		em.Site = m.Site
 		em.Detail = m.Detail
 	}
-	if len(e.emits) < EmitCap {
+	if len(e.emits) < e.emitCap {
 		e.emits = append(e.emits, em)
 	} else {
-		e.emits[em.Ord%uint64(EmitCap)] = em
+		e.emits[em.Ord%uint64(e.emitCap)] = em
 	}
 }
 

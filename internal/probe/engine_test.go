@@ -18,7 +18,7 @@ func mustEngine(t *testing.T, src string) *Engine {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	return c.NewEngine("m0", "k23")
+	return c.NewEngine("m0", "k23", 0)
 }
 
 func exitEvent(nr, ret, cost uint64, tid int) kernel.Event {
@@ -91,20 +91,23 @@ func TestEngineEmitRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two emits past the cap overwrite the two oldest.
-	e := c.NewEngine("m0", "")
-	for i := 0; i < EmitCap+2; i++ {
-		e.HandleEvent(kernel.Event{Kind: kernel.EvChaos, Num: uint64(i), Seq: uint64(i), Detail: "short read"})
-	}
-	s := e.Snapshot()
-	if len(s.Emits) != EmitCap {
-		t.Fatalf("ring retained %d, want %d", len(s.Emits), EmitCap)
-	}
-	if first, last := s.Emits[0].Ord, s.Emits[EmitCap-1].Ord; first != 2 || last != EmitCap+1 {
-		t.Errorf("ring order wrong: first ord %d last ord %d", first, last)
-	}
-	if s.Emits[0].Stream != "ev" || s.Emits[0].Kind != "chaos" {
-		t.Errorf("emit record wrong: %+v", s.Emits[0])
+	// Two emits past the cap overwrite the two oldest, at the default
+	// capacity and at one that is not a power of two.
+	for _, tc := range []struct{ arg, keep int }{{0, EmitCap}, {5, 5}} {
+		e := c.NewEngine("m0", "", tc.arg)
+		for i := 0; i < tc.keep+2; i++ {
+			e.HandleEvent(kernel.Event{Kind: kernel.EvChaos, Num: uint64(i), Seq: uint64(i), Detail: "short read"})
+		}
+		s := e.Snapshot()
+		if len(s.Emits) != tc.keep {
+			t.Fatalf("cap %d: ring retained %d, want %d", tc.arg, len(s.Emits), tc.keep)
+		}
+		if first, last := s.Emits[0].Ord, s.Emits[tc.keep-1].Ord; first != 2 || last != uint64(tc.keep+1) {
+			t.Errorf("cap %d: ring order wrong: first ord %d last ord %d", tc.arg, first, last)
+		}
+		if s.Emits[0].Stream != "ev" || s.Emits[0].Kind != "chaos" {
+			t.Errorf("cap %d: emit record wrong: %+v", tc.arg, s.Emits[0])
+		}
 	}
 }
 
@@ -241,7 +244,7 @@ func TestEngineInstallHooksOnlyProbedStreams(t *testing.T) {
 		t.Fatalf("stream classification wrong: ev=%v ph=%v", c.hasEv, c.hasPh)
 	}
 	k := kernel.New()
-	c.NewEngine("", "").Install(k)
+	c.NewEngine("", "", 0).Install(k)
 	if !k.Tracing() {
 		t.Error("event probe did not install an event hook")
 	}

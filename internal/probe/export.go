@@ -25,21 +25,24 @@ type Row struct {
 }
 
 // Emit is one emit() flight-recorder record. Ord is the engine's emit
-// ordinal: like the trace ring's loss record, a first retained Ord
-// above zero reveals how many earlier records the ring dropped.
+// ordinal: a first retained Ord above zero reveals how many earlier
+// records the ring dropped. Args are the event's six argument words
+// (phase marks carry none).
 type Emit struct {
-	Machine string `json:"m,omitempty"`
-	Ord     uint64 `json:"ord"`
-	Probe   int    `json:"probe"`
-	Stream  string `json:"s"` // "ev" | "ph"
-	Seq     uint64 `json:"seq"`
-	Clock   uint64 `json:"clock"`
-	PID     int    `json:"pid"`
-	TID     int    `json:"tid"`
-	Kind    string `json:"kind"`
-	Num     uint64 `json:"num"`
-	Ret     int64  `json:"ret,omitempty"`
-	Detail  string `json:"detail,omitempty"`
+	Machine string    `json:"m,omitempty"`
+	Ord     uint64    `json:"ord"`
+	Probe   int       `json:"probe"`
+	Stream  string    `json:"s"` // "ev" | "ph"
+	Seq     uint64    `json:"seq"`
+	Clock   uint64    `json:"clock"`
+	PID     int       `json:"pid"`
+	TID     int       `json:"tid"`
+	Kind    string    `json:"kind"`
+	Num     uint64    `json:"num"`
+	Site    uint64    `json:"site,omitempty"`
+	Ret     int64     `json:"ret,omitempty"`
+	Args    [6]uint64 `json:"args,omitzero"`
+	Detail  string    `json:"detail,omitempty"`
 }
 
 // Snapshot is the frozen, mergeable result of one engine (or, after

@@ -50,6 +50,34 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEmitCarriesSiteAndArgs: an emitted enter record keeps the call's
+// site and six argument words, and they survive the artifact round
+// trip; a record without them writes neither field.
+func TestEmitCarriesSiteAndArgs(t *testing.T) {
+	e := mustEngine(t, `syscall:write:entry { emit() }
+syscall:write:exit { emit() }`)
+	e.HandleEvent(kernel.Event{Kind: kernel.EvEnter, Num: kernel.SysWrite, PID: 1, TID: 100, Site: 0x401005, Args: [6]uint64{1, 0x5000, 12}})
+	e.HandleEvent(kernel.Event{Kind: kernel.EvExit, Num: kernel.SysWrite, PID: 1, TID: 100, Ret: 12})
+	var buf bytes.Buffer
+	if err := e.Snapshot().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	if want := `"site":4198405,"args":[1,20480,12,0,0,0]`; !strings.Contains(lines[2], want) {
+		t.Errorf("enter emit lacks %s: %s", want, lines[2])
+	}
+	if strings.Contains(lines[3], `"site"`) || strings.Contains(lines[3], `"args"`) {
+		t.Errorf("exit emit writes an empty site or args: %s", lines[3])
+	}
+	got, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em := got.Emits[0]; em.Site != 0x401005 || em.Args != [6]uint64{1, 0x5000, 12} {
+		t.Errorf("read back site %#x args %v", em.Site, em.Args)
+	}
+}
+
 func TestJSONLDetectsTampering(t *testing.T) {
 	s := sampleSnapshot(t)
 	var buf bytes.Buffer
