@@ -328,7 +328,7 @@ func main() {
 			base = chaosSweepBase
 		}
 		run(fmt.Sprintf("Chaos — invariant sweep, %d seeds from base %#x (E16)", *chaosSweep, base), func() error {
-			rep, err := chaos.Sweep(chaos.Seeds(base, *chaosSweep), 8)
+			rep, err := chaos.Sweep(ctx, chaos.Seeds(base, *chaosSweep), 8)
 			if err != nil {
 				return err
 			}
@@ -343,7 +343,7 @@ func main() {
 			os.Exit(2)
 		}
 		run(fmt.Sprintf("Chaos — repro sweep, exact seed %#x", seed), func() error {
-			rep, err := chaos.Sweep([]uint64{seed}, 8)
+			rep, err := chaos.Sweep(ctx, []uint64{seed}, 8)
 			if err != nil {
 				return err
 			}

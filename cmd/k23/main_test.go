@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"k23/internal/audit"
+	"k23/internal/machine"
 	"k23/internal/obsv"
 	"k23/internal/probe"
 	"k23/internal/rr"
@@ -234,6 +235,18 @@ func TestObservabilityPipelines(t *testing.T) {
 			validate(t, sfip.ValidatePolicyJSONL, policy)
 			validate(t, sfip.ValidateJSONL, self)
 			validate(t, sfip.ValidateJSONL, cross)
+			f, err := os.Open(policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			p, err := sfip.ReadPolicy(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (machine.Spec{Mechanism: "k23-ultra+"}).Mech(); p.Mech != want {
+				t.Errorf("learned policy mech = %q, want %q", p.Mech, want)
+			}
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) { row.check(t, t.TempDir()) })

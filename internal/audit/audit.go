@@ -13,8 +13,9 @@
 // left mapped is a structural blind spot that never even reaches the
 // syscall stream.
 //
-// Design rules match internal/obsv: one Auditor per World fed from the
-// same event hook, no shared state, deterministic sorted snapshots that
+// Design rules match internal/obsv: one Auditor per World subscribed to
+// its kernel's event stream (Handle, by pointer, like every other
+// collector), no shared state, deterministic sorted snapshots that
 // merge at report time and compare bit-identical across fleet worker
 // counts and chaos seeds.
 package audit
@@ -78,12 +79,13 @@ type procState struct {
 
 // Auditor consumes the kernel event stream of one World and maintains
 // the differential join. Not safe for concurrent use — like the other
-// collectors it is owned by its World's event hook.
+// collectors it is owned by its World's kernel, which calls Handle.
 type Auditor struct {
 	// OnOracle, if non-nil, observes every classified ground-truth
 	// oracle after the join: class is "covered", "internal",
-	// "signal-infra", or "escape:<category>". The SFIP learner rides
-	// this hook — it trains on the auditor's classification (covered
+	// "signal-infra", or "escape:<category>". e is the kernel's event,
+	// valid only for the call. The SFIP learner rides this callback —
+	// it trains on the auditor's classification (covered
 	// trampoline-origin calls plus signal infrastructure) rather than
 	// the raw stream, so escapes never contaminate a learned policy.
 	OnOracle func(e *kernel.Event, class string)

@@ -96,7 +96,7 @@ func Figure2() (string, error) {
 	var out strings.Builder
 	out.WriteString("Figure 2 — offline phase (libLogger over SUD), first traps of `ls`:\n\n")
 	shown := 0
-	w.K.EventHook = func(ev kernel.Event) {
+	w.K.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvSudSigsys && shown < 4 {
 			shown++
 			fmt.Fprintf(&out, "  (1) syscall %d invoked at site %#x\n", ev.Num, ev.Site)
@@ -104,7 +104,7 @@ func Figure2() (string, error) {
 			fmt.Fprintf(&out, "  (3) libLogger resolves the site via /proc/<pid>/maps and logs (region, offset)\n")
 			fmt.Fprintf(&out, "  (4) libLogger re-executes the call, returns its result, resumes the app\n\n")
 		}
-	}
+	})
 	_, n, err := offline(w, ls)
 	if err != nil {
 		return "", err

@@ -133,13 +133,13 @@ func diffSnap(a, b *difftest.Snapshot) []string {
 // Server workloads legitimately take extra serve iterations under short
 // reads, so for them convergence means a clean exit (no signal, no
 // harness error) with at least the baseline's request count served.
-func sweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
+func sweepApps(ctx context.Context, seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 	rep := &Report{Seeds: len(seeds)}
 	workloads := difftest.AppWorkloads()
 
 	base := make(map[string]*difftest.Snapshot, len(workloads))
 	for _, w := range workloads {
-		snap, err := difftest.Run(w)
+		snap, err := difftest.Run(ctx, w)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: baseline %s: %w", w.Name, err)
 		}
@@ -151,7 +151,7 @@ func sweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 			runs := [2]*difftest.Snapshot{}
 			failed := false
 			for i := range runs {
-				snap, err := difftest.Run(w, kernel.WithChaos(seed, prof))
+				snap, err := difftest.Run(ctx, w, kernel.WithChaos(seed, prof))
 				rep.Runs++
 				if err != nil {
 					rep.Violations = append(rep.Violations, Violation{
@@ -212,16 +212,16 @@ func sweepApps(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 // Use SignalChaosProfile here — the PoC attack payloads deliberately
 // issue raw retry-less syscalls, so resource-errno injection would change
 // what they do rather than when.
-func sweepMatrix(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
+func sweepMatrix(ctx context.Context, seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 	rep := &Report{Seeds: len(seeds)}
 	specs := variants.Table3Columns()
-	baseline, err := pitfalls.Matrix(context.Background(), specs)
+	baseline, err := pitfalls.Matrix(ctx, specs)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: baseline matrix: %w", err)
 	}
 
 	for _, seed := range seeds {
-		res, err := pitfalls.Matrix(context.Background(), specs, kernel.WithChaos(seed, prof))
+		res, err := pitfalls.Matrix(ctx, specs, kernel.WithChaos(seed, prof))
 		rep.Runs++
 		if err != nil {
 			rep.Violations = append(rep.Violations, Violation{
@@ -253,14 +253,14 @@ func sweepMatrix(seeds []uint64, prof kernel.ChaosProfile) (*Report, error) {
 // sweepFleet runs a chaos-armed standard fleet once per seed at two
 // worker counts and asserts identical per-machine results: the injector
 // is instance-local state, so concurrency must not leak into outcomes.
-func sweepFleet(seeds []uint64, machines, workersA, workersB int, prof kernel.ChaosProfile) (*Report, error) {
+func sweepFleet(ctx context.Context, seeds []uint64, machines, workersA, workersB int, prof kernel.ChaosProfile) (*Report, error) {
 	rep := &Report{Seeds: len(seeds)}
 	ms := fleet.StandardFleet(machines)
 
 	for _, seed := range seeds {
 		run := func(workers int) (*fleet.Report, error) {
 			rep.Runs++
-			return fleet.Run(context.Background(), ms, fleet.Options{
+			return fleet.Run(ctx, ms, fleet.Options{
 				Workers: workers, Hash: true, Chaos: &prof, ChaosSeed: seed,
 			})
 		}
@@ -295,24 +295,29 @@ func sweepFleet(seeds []uint64, machines, workersA, workersB int, prof kernel.Ch
 }
 
 // Sweep runs all three sweeps over the same seed list and merges the
-// reports: the full invariant battery for one seed set.
-func Sweep(seeds []uint64, machines int) (*Report, error) {
+// reports: the full invariant battery for one seed set. It stops when
+// ctx is done and then returns ctx's error, not the report: the runs
+// the cancellation cut short are not violations.
+func Sweep(ctx context.Context, seeds []uint64, machines int) (*Report, error) {
 	rep := &Report{}
-	apps, err := sweepApps(seeds, kernel.DefaultChaosProfile())
+	apps, err := sweepApps(ctx, seeds, kernel.DefaultChaosProfile())
 	if err != nil {
 		return nil, err
 	}
 	rep.Merge(apps)
-	matrix, err := sweepMatrix(seeds, kernel.SignalChaosProfile())
+	matrix, err := sweepMatrix(ctx, seeds, kernel.SignalChaosProfile())
 	if err != nil {
 		return nil, err
 	}
 	rep.Merge(matrix)
-	flt, err := sweepFleet(seeds, machines, 1, 8, kernel.DefaultChaosProfile())
+	flt, err := sweepFleet(ctx, seeds, machines, 1, 8, kernel.DefaultChaosProfile())
 	if err != nil {
 		return nil, err
 	}
 	rep.Merge(flt)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// Seeds were shared across the three sweeps: count them once.
 	rep.Seeds = len(seeds)
 	return rep, nil

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -23,7 +24,7 @@ func testSeeds(t *testing.T, n int) []uint64 {
 }
 
 func TestSweepAppsInvariants(t *testing.T) {
-	rep, err := sweepApps(testSeeds(t, 4), kernel.DefaultChaosProfile())
+	rep, err := sweepApps(context.Background(), testSeeds(t, 4), kernel.DefaultChaosProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestSweepAppsInvariants(t *testing.T) {
 }
 
 func TestSweepMatrixInvariants(t *testing.T) {
-	rep, err := sweepMatrix(testSeeds(t, 4), kernel.SignalChaosProfile())
+	rep, err := sweepMatrix(context.Background(), testSeeds(t, 4), kernel.SignalChaosProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSweepMatrixInvariants(t *testing.T) {
 }
 
 func TestSweepFleetInvariants(t *testing.T) {
-	rep, err := sweepFleet(testSeeds(t, 2), 6, 1, 4, kernel.DefaultChaosProfile())
+	rep, err := sweepFleet(context.Background(), testSeeds(t, 2), 6, 1, 4, kernel.DefaultChaosProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +60,23 @@ func TestSweepFleetInvariants(t *testing.T) {
 		t.Fatal("fleet sweep injected nothing")
 	}
 	t.Logf("fleet: %d runs, %d perturbations", rep.Runs, rep.Injected)
+}
+
+// TestSweepStopsOnCancelledContext: a sweep whose context is already
+// done returns context.Canceled, and no report, without booting a
+// world (one machine.Start allocates about 400 objects).
+func TestSweepStopsOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var rep *Report
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { rep, err = Sweep(ctx, Seeds(0xc1a05, 2), 2) })
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("Sweep = %v, %v; want no report and context.Canceled", rep, err)
+	}
+	if allocs > 100 {
+		t.Errorf("cancelled sweep made %v allocations, want under 100 (no world booted)", allocs)
+	}
 }
 
 // TestSeedsDeterministic pins the seed expansion: a violation report

@@ -233,11 +233,11 @@ func TestOnlineExhaustiveTotal(t *testing.T) {
 	logPath, _ := runOffline(t, w)
 
 	var kernelEnters int
-	w.K.EventHook = func(ev kernel.Event) {
+	w.K.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvEnter {
 			kernelEnters++
 		}
-	}
+	})
 	k23, p := launchOnline(t, w, interpose.Config{}, logPath)
 	st := k23.Stats(p)
 	if st.Total() == 0 {

@@ -128,13 +128,12 @@ func (m Mode) Options() []kernel.Option {
 // profile — applied to the kernel after the seed-derived ones, and
 // returns its observable snapshot. Without options it runs the
 // production engine (ModeJIT).
-func Run(w Workload, opts ...kernel.Option) (*Snapshot, error) {
-	ctx := context.Background()
+func Run(ctx context.Context, w Workload, opts ...kernel.Option) (*Snapshot, error) {
 	snap := &Snapshot{}
 	spec := machine.Spec{Name: w.Name, Path: w.Path, Argv: w.Argv, Server: w.Server, Requests: w.Requests}
 	r, err := machine.Start(ctx, spec, machine.Config{Kernel: opts, Attach: func(r *machine.Run) {
 		r.HashTrace()
-		r.W.K.AddEventHook(func(e kernel.Event) {
+		r.W.K.OnEvent(func(e *kernel.Event) {
 			snap.Events = append(snap.Events, fmt.Sprintf(
 				"%d/%d %s num=%d site=%#x ret=%#x %s",
 				e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail))

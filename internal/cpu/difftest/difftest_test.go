@@ -185,5 +185,5 @@ func diffSnapshots(t *testing.T, mode string, ref, got *Snapshot) {
 // RunMode executes one workload natively under the given engine mode
 // with extra kernel options (chaos profiles, clock seeds).
 func RunMode(w Workload, m Mode, opts ...kernel.Option) (*Snapshot, error) {
-	return Run(w, append(m.Options(), opts...)...)
+	return Run(context.Background(), w, append(m.Options(), opts...)...)
 }

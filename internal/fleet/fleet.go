@@ -98,11 +98,10 @@ type Options struct {
 	Hash bool
 	// Obs selects the observability collectors every machine gets (the
 	// zero value installs nothing). Each machine builds its own Observer
-	// from it, with Machine set to the machine's name and, when Probes
-	// is set, ProbeMech to its mechanism; the shared read-only parts (a
-	// compiled probe program, an SFIP policy) are never written, so
-	// probe output and enforcement reports are bit-identical at any
-	// worker count.
+	// from it, with Machine set to the machine's name and ProbeMech to
+	// its mechanism; the shared read-only parts (a compiled probe
+	// program, an SFIP policy) are never written, so probe output and
+	// enforcement reports are bit-identical at any worker count.
 	Obs obsv.Options
 	// Chaos, when non-nil, arms deterministic fault injection on every
 	// machine. Each machine's injector seed is derived from its own
@@ -254,9 +253,7 @@ func runMachine(ctx context.Context, m Machine, opt Options) (res Result) {
 	}
 	oo := opt.Obs
 	oo.Machine = m.Name
-	if oo.Probes != nil {
-		oo.ProbeMech = spec.Mech()
-	}
+	oo.ProbeMech = spec.Mech()
 	var obs *obsv.Observer
 	r, err := machine.Start(ctx, spec, machine.Config{Setup: m.Setup, Attach: func(r *machine.Run) {
 		if opt.Hash {

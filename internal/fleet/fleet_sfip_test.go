@@ -31,7 +31,8 @@ func sfipMachines() []Machine {
 // learnPolicies trains one policy per machine at the given worker count.
 func learnPolicies(t *testing.T, workers int) map[string]*sfip.Policy {
 	t.Helper()
-	rep, err := Run(context.Background(), sfipMachines(),
+	machines := sfipMachines()
+	rep, err := Run(context.Background(), machines,
 		Options{Workers: workers, Hash: true, Obs: obsv.Options{SfipLearn: true}})
 	if err != nil {
 		t.Fatalf("learn fleet (workers=%d): %v", workers, err)
@@ -44,6 +45,9 @@ func learnPolicies(t *testing.T, workers int) map[string]*sfip.Policy {
 		m := &rep.Machines[i]
 		if m.Obs == nil || m.Obs.SfipPolicy == nil {
 			t.Fatalf("machine %s: no learned policy in the snapshot", m.Name)
+		}
+		if want := (machine.Spec{Mechanism: machines[i].Mechanism}).Mech(); m.Obs.SfipPolicy.Mech != want {
+			t.Errorf("machine %s: learned policy mech %q, want %q", m.Name, m.Obs.SfipPolicy.Mech, want)
 		}
 		out[m.Name] = m.Obs.SfipPolicy
 	}

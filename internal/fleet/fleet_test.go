@@ -416,7 +416,7 @@ func TestDifftestMatchesFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range workloads {
-		snap, err := difftest.Run(w)
+		snap, err := difftest.Run(context.Background(), w)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -120,9 +120,9 @@ func TestHookContract(t *testing.T) {
 				o := obsv.New(obsv.Options{Audit: true, Spans: true, Machine: name})
 				o.Install(w.K)
 				var resolves []kernel.Event
-				w.K.AddEventHook(func(e kernel.Event) {
+				w.K.OnEvent(func(e *kernel.Event) {
 					if e.Kind == kernel.EvResolve {
-						resolves = append(resolves, e)
+						resolves = append(resolves, *e)
 					}
 				})
 				p, err := machine.Exec(context.Background(), w, l, "/bin/getpid2", []string{"getpid2"}, 0, machine.DefaultMaxInsts)

@@ -47,11 +47,11 @@ func TestRestartRewindJITParity(t *testing.T) {
 
 		trace := cpu.NewTraceHash()
 		k.Trace = &trace
-		k.EventHook = func(e kernel.Event) {
+		k.OnEvent(func(e *kernel.Event) {
 			cap.events = append(cap.events, fmt.Sprintf(
 				"%d/%d %s num=%d site=%#x ret=%#x %s",
 				e.PID, e.TID, e.Kind, e.Num, e.Site, e.Ret, e.Detail))
-		}
+		})
 
 		p, err := l.Spawn("/bin/rewind-syscall", []string{"/bin/rewind-syscall"}, nil)
 		if err != nil {

@@ -461,24 +461,12 @@ type Kernel struct {
 	// Quantum is the scheduler preemption quantum in instructions.
 	Quantum int
 
-	// EventHook, if non-nil, receives kernel trace events. Observability
-	// layers that want to stack on an existing hook should install via
-	// AddEventHook.
-	EventHook func(Event)
-
 	// Sfip, if non-nil, is the in-kernel syscall-flow-integrity policy
 	// (simulated SFIP, §2h): every completed trap-origin syscall is
 	// checked against a learned origin set and transition digraph before
 	// execution. The disabled path is a single nil-check in
-	// executeSyscall, the same cost contract as EventHook.
+	// executeSyscall, the same cost contract as the event stream.
 	Sfip SfipHook
-
-	// PhaseHook, if non-nil, receives fine-grained lifecycle phase marks
-	// (see phase.go). It is a separate side-stream with its own ordinal
-	// counter: installing it never perturbs the main event stream, its
-	// seq numbering, or anything derived from them. Install via
-	// AddPhaseHook to stack on an existing hook.
-	PhaseHook func(PhaseMark)
 
 	// ProfileHook, if non-nil, receives one (tid, rip) sample every
 	// profileEvery retired instructions. Sampling is driven by the
@@ -535,10 +523,19 @@ type Kernel struct {
 	// chaos, when non-nil, is the seeded fault injector (WithChaos).
 	chaos *chaosState
 
+	// events and phases are the sinks of the event stream and the phase
+	// side-stream, in subscription order (OnEvent, OnPhase). ev and pm
+	// hold the event or mark being dispatched: every sink receives a
+	// pointer to them, valid only for the call.
+	events []func(*Event)
+	phases []func(*PhaseMark)
+	ev     Event
+	pm     PhaseMark
+
 	// eventSeq numbers emitted events. It is stamped by the kernel (not
-	// per-observer) so every hook in the chain — the flight recorder,
-	// the auditor, the record/replay recorder — agrees on one global
-	// ordinal per event, regardless of when each observer attached.
+	// per-observer) so every sink — the flight recorder, the auditor,
+	// the record/replay recorder — agrees on one global ordinal per
+	// event, regardless of when each sink subscribed.
 	// It only advances while an observer is installed (emission is
 	// guarded by Tracing()), which is identical across a recorded run
 	// and its replays.
@@ -823,14 +820,27 @@ func (k *Kernel) TraceeRegs(t *Thread) *cpu.Context {
 	return &t.Core.Ctx
 }
 
-// Tracing reports whether an event observer is installed. Emit sites
+// Tracing reports whether an event sink is subscribed. Emit sites
 // check it BEFORE constructing the Event, so the disabled path neither
 // allocates nor formats Detail strings — the single guarded branch the
 // observability cost contract requires.
-func (k *Kernel) Tracing() bool { return k.EventHook != nil }
+func (k *Kernel) Tracing() bool { return len(k.events) != 0 }
+
+// OnEvent subscribes fn to the event stream. Sinks run in subscription
+// order. Each receives a pointer to kernel-owned storage that is valid
+// only for the call: a sink that keeps anything must copy it, and a
+// sink must not emit.
+func (k *Kernel) OnEvent(fn func(*Event)) { k.events = append(k.events, fn) }
+
+// AddEventHook subscribes fn to the event stream by value. It is kept
+// only because cmd/k23bench calls it, and that harness's sources stay
+// fixed so its timings compare across versions; new code uses OnEvent.
+func (k *Kernel) AddEventHook(fn func(Event)) {
+	k.OnEvent(func(ev *Event) { fn(*ev) })
+}
 
 // emit stamps the virtual clock and the global event ordinal onto the
-// event and sends it to the hook. Callers must have checked Tracing()
+// event and hands it to every sink. Callers must have checked Tracing()
 // first (lazy construction).
 func (k *Kernel) emit(ev Event) {
 	ev.Clock = k.VClock
@@ -839,35 +849,21 @@ func (k *Kernel) emit(ev Event) {
 	if k.StopAtSeq != 0 && ev.Seq >= k.StopAtSeq {
 		k.stopHit = true
 	}
-	k.EventHook(ev)
+	k.ev = ev
+	for _, fn := range k.events {
+		fn(&k.ev)
+	}
 }
 
 // EventSeq returns the number of events emitted so far — equivalently,
 // the Seq the next emitted event will carry.
 func (k *Kernel) EventSeq() uint64 { return k.eventSeq }
 
-// AddEventHook installs fn as an event observer, chaining any hook that
-// is already installed (the new hook runs first). It returns the
-// previous hook, which the caller may use to restore the old state.
-func (k *Kernel) AddEventHook(fn func(Event)) (prev func(Event)) {
-	prev = k.EventHook
-	if prev == nil {
-		k.EventHook = fn
-		return nil
-	}
-	old := prev
-	k.EventHook = func(ev Event) {
-		fn(ev)
-		old(ev)
-	}
-	return prev
-}
-
 // EmitInterposed publishes a mechanism-attribution event on behalf of an
 // interposer layer: syscall nr at site was handled by mechanism mech
 // ("rewrite", "sud", "ptrace"). Nil-cost when no observer is installed.
 func (k *Kernel) EmitInterposed(t *Thread, mech string, nr, site uint64) {
-	if k.EventHook == nil {
+	if !k.Tracing() {
 		return
 	}
 	k.emit(Event{PID: t.Proc.PID, TID: t.TID, Kind: EvInterposed, Num: nr, Site: site, Detail: mech})
@@ -878,7 +874,7 @@ func (k *Kernel) EmitInterposed(t *Thread, mech string, nr, site uint64) {
 // will follow) or rewrote its number to nr before forwarding. The audit
 // joiner uses it to retire or update the pending attribution claim.
 func (k *Kernel) EmitResolve(t *Thread, mech string, nr, site uint64, emulated bool) {
-	if k.EventHook == nil {
+	if !k.Tracing() {
 		return
 	}
 	var ret uint64
@@ -892,7 +888,7 @@ func (k *Kernel) EmitResolve(t *Thread, mech string, nr, site uint64, emulated b
 // image: Detail is "mapped" (the P2b structural blind spot exists) or
 // "disabled" (the interposer asked for WithDisableVDSO).
 func (k *Kernel) EmitVdso(p *Process, detail string) {
-	if k.EventHook == nil {
+	if !k.Tracing() {
 		return
 	}
 	k.emit(Event{PID: p.PID, Kind: EvVdso, Detail: detail})
@@ -902,7 +898,7 @@ func (k *Kernel) EmitVdso(p *Process, detail string) {
 // "genuine" or "misidentified", with ",perm-clobber" appended when the
 // rewriter lost the original page permission (P5).
 func (k *Kernel) EmitRewrite(t *Thread, site uint64, detail string) {
-	if k.EventHook == nil {
+	if !k.Tracing() {
 		return
 	}
 	k.emit(Event{PID: t.Proc.PID, TID: t.TID, Kind: EvRewrite, Site: site, Detail: detail})
@@ -911,7 +907,7 @@ func (k *Kernel) EmitRewrite(t *Thread, site uint64, detail string) {
 // EmitGuardMem publishes the current guard-structure footprint of an
 // interposer (bitmap, robin set): Args[0] reserved, Args[1] resident.
 func (k *Kernel) EmitGuardMem(p *Process, kind string, reserved, resident uint64) {
-	if k.EventHook == nil {
+	if !k.Tracing() {
 		return
 	}
 	ev := Event{PID: p.PID, Kind: EvGuardMem, Detail: kind}
@@ -950,7 +946,7 @@ func (k *Kernel) threadReady(t *Thread) bool {
 	case ThreadBlocked:
 		if k.wakeReady(t) {
 			t.State = ThreadRunnable
-			if k.PhaseHook != nil {
+			if len(k.phases) != 0 {
 				k.EmitPhase(t, PhWake, t.Core.Ctx.R[cpu.RAX], t.entrySite, t.wakeDesc.describe())
 			}
 			t.wakeDesc = wakeDesc{}

@@ -113,11 +113,11 @@ func TestSUDInterceptsAndEmulates(t *testing.T) {
 	reg.MustAdd(buildSUDProgram())
 
 	var sigsys int
-	k.EventHook = func(ev kernel.Event) {
+	k.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvSudSigsys {
 			sigsys++
 		}
-	}
+	})
 	p := spawnAndRun(t, k, l, "/bin/sudtest")
 	if p.Exit.Code != 0 {
 		t.Fatalf("exit = %+v; SUD emulation failed", p.Exit)
@@ -199,11 +199,11 @@ func TestPrctlOffDisablesSUD(t *testing.T) {
 	reg.MustAdd(b.MustBuild())
 
 	var sigsys int
-	k.EventHook = func(ev kernel.Event) {
+	k.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvSudSigsys {
 			sigsys++
 		}
-	}
+	})
 	p := spawnAndRun(t, k, l, "/bin/sudoff")
 	if p.Exit.Code != 0 || p.Exit.Signal != 0 {
 		t.Fatalf("exit = %+v", p.Exit)

@@ -3,12 +3,12 @@ package kernel
 // Phase side-stream: fine-grained lifecycle marks for the causal span
 // tracer (internal/span). Phase marks are deliberately NOT part of the
 // main event stream: they carry their own ordinal counter and their own
-// hook, so enabling span tracing never advances eventSeq — recordings,
+// sinks, so enabling span tracing never advances eventSeq — recordings,
 // checkpoint metadata (CkptMeta.Seq), audit ledgers, and every
 // seq-anchored golden stay bit-identical with spans on or off. That
 // invariant is what makes replay-derived retroactive traces provably
 // equal to live-traced runs. The cost contract matches the main stream:
-// every emission site pays a single nil-check when no hook is installed.
+// every emission site pays a single branch when no sink is subscribed.
 
 // Phase identifies one fine-grained stage of a syscall, signal, or
 // interposer-handler lifecycle.
@@ -90,14 +90,19 @@ type PhaseMark struct {
 	Detail string // mechanism name for handler phases, wake reason for PhWake
 }
 
+// OnPhase subscribes fn to the phase side-stream, under the same rules
+// as OnEvent: sinks run in subscription order, the mark is valid only
+// for the call, and a sink must not emit.
+func (k *Kernel) OnPhase(fn func(*PhaseMark)) { k.phases = append(k.phases, fn) }
+
 // EmitPhase publishes one phase mark on behalf of t. Nil-cost when no
-// phase observer is installed (the single guarded branch, mirroring the
+// phase sink is subscribed (the single guarded branch, mirroring the
 // main event stream's contract).
 func (k *Kernel) EmitPhase(t *Thread, ph Phase, nr, site uint64, detail string) {
-	if k.PhaseHook == nil {
+	if len(k.phases) == 0 {
 		return
 	}
-	m := PhaseMark{
+	k.pm = PhaseMark{
 		Seq:    k.phaseSeq,
 		Clock:  k.VClock,
 		Cycles: t.Cycles(),
@@ -109,24 +114,9 @@ func (k *Kernel) EmitPhase(t *Thread, ph Phase, nr, site uint64, detail string) 
 		Detail: detail,
 	}
 	k.phaseSeq++
-	k.PhaseHook(m)
-}
-
-// AddPhaseHook installs fn as a phase observer, chaining any hook that
-// is already installed (the new hook runs first). It returns the
-// previous hook.
-func (k *Kernel) AddPhaseHook(fn func(PhaseMark)) (prev func(PhaseMark)) {
-	prev = k.PhaseHook
-	if prev == nil {
-		k.PhaseHook = fn
-		return nil
+	for _, fn := range k.phases {
+		fn(&k.pm)
 	}
-	old := prev
-	k.PhaseHook = func(m PhaseMark) {
-		fn(m)
-		old(m)
-	}
-	return prev
 }
 
 // describe renders a wake predicate for PhWake marks and span

@@ -158,7 +158,7 @@ func TestForkedChildWaitsForNextRound(t *testing.T) {
 	k.Quantum = 5
 	var tids []int
 	forked := false
-	k.AddEventHook(func(ev kernel.Event) {
+	k.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvFork {
 			forked = true
 		}
@@ -208,7 +208,7 @@ func TestRunnableWakeOrder(t *testing.T) {
 			}
 		}
 		var woke []int
-		k.AddPhaseHook(func(m kernel.PhaseMark) {
+		k.OnPhase(func(m *kernel.PhaseMark) {
 			if m.Phase == kernel.PhWake {
 				woke = append(woke, m.TID)
 			}

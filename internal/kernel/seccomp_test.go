@@ -132,11 +132,11 @@ func TestSeccompTrapWithCookieAllow(t *testing.T) {
 	reg.MustAdd(b.MustBuild())
 
 	var seccompTraps int
-	k.EventHook = func(ev kernel.Event) {
+	k.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvSeccompSigsys {
 			seccompTraps++
 		}
-	}
+	})
 	p := spawnAndRun(t, k, l, "/bin/sftrap")
 	if p.Exit.Signal != 0 {
 		t.Fatalf("exit = %+v", p.Exit)

@@ -256,7 +256,7 @@ func (k *Kernel) findZombieChild(p *Process, pid int) *Process {
 func (k *Kernel) interruptBlockedSyscall(t *Thread, flags uint64) {
 	t.State = ThreadRunnable
 	t.wakeDesc = wakeDesc{}
-	if k.PhaseHook != nil && t.blockedLen != 0 {
+	if len(k.phases) != 0 && t.blockedLen != 0 {
 		ph := PhRestart
 		if flags&SARestart == 0 {
 			ph = PhEINTR
@@ -272,7 +272,7 @@ func (k *Kernel) interruptBlockedSyscall(t *Thread, flags uint64) {
 			// as executeSyscall would have on normal completion.
 			k.Sfip.Commit(t.Proc.PID, t.TID, t.Core.Ctx.R[cpu.RAX])
 		}
-		if k.EventHook != nil {
+		if k.Tracing() {
 			// The aborted call logically completed with -EINTR: emit its
 			// ground-truth oracle here, since the blocked executeSyscall
 			// deliberately did not. RIP is still rewound to the entry

@@ -211,11 +211,11 @@ func TestDirectSyscallBypassesDispatch(t *testing.T) {
 	}
 	mt := p.MainThread()
 	var sigsys int
-	k.EventHook = func(ev kernel.Event) {
+	k.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvSudSigsys {
 			sigsys++
 		}
-	}
+	})
 	ret := k.DirectSyscall(mt, kernel.SysGetpid, [6]uint64{})
 	if int(ret) != p.PID {
 		t.Fatalf("getpid = %d", ret)

@@ -19,9 +19,7 @@ var guardExempt = map[string]map[string]string{
 		"FS":             "pointer: the tree is captured as a vfs.FSState and hashed through it",
 		"Cost":           "configuration set at construction",
 		"Quantum":        "configuration set at construction",
-		"EventHook":      "host hook",
 		"Sfip":           "host hook: its state is captured by SnapshotHostState and hashed by HashState",
-		"PhaseHook":      "host hook",
 		"ProfileHook":    "host hook",
 		"DecodeCacheOff": "configuration: the decode cache is transparent",
 		"JITOff":         "configuration: the JIT is transparent (jit ≡ interp)",
@@ -36,6 +34,10 @@ var guardExempt = map[string]map[string]string{
 		"chaos":          "pointer: guarded as chaosState",
 		"StopAtSeq":      "run control set by the caller",
 		"stopHit":        "run control, cleared by Restore",
+		"events":         "host sinks of the event stream",
+		"phases":         "host sinks of the phase side-stream",
+		"ev":             "scratch: the event being dispatched",
+		"pm":             "scratch: the phase mark being dispatched",
 		"lines":          "decoded-line cache keyed by line bytes, a pure function of them",
 	},
 	"Process": {

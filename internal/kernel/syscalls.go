@@ -326,7 +326,7 @@ func (k *Kernel) executeSyscall(t *Thread, nr uint64, a [6]uint64, site uint64) 
 	// Phase mark: kernel service work begins (charged kernel cycles from
 	// here to PhReturn/PhBlock are the "kernel" slice of the span).
 	k.EmitPhase(t, PhKernel, nr, site, "")
-	if k.EventHook == nil && k.Sfip == nil {
+	if !k.Tracing() && k.Sfip == nil {
 		return k.serviceSyscall(t, nr, a, site)
 	}
 	trapped := t.entryLen != 0
@@ -363,7 +363,7 @@ func (k *Kernel) executeSyscall(t *Thread, nr uint64, a [6]uint64, site uint64) 
 		if k.Sfip != nil && origin == "trap" {
 			k.Sfip.Commit(pid, tid, nr)
 		}
-		if k.EventHook != nil {
+		if k.Tracing() {
 			ev := Event{PID: pid, TID: tid, Kind: EvOracle, Num: nr, Site: site, Ret: ret, Args: a, Detail: origin}
 			k.emit(ev)
 		}

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"reflect"
 	"testing"
 
 	"k23/internal/kernel"
@@ -17,12 +18,20 @@ import (
 func TestUnknownSyscallVisibility(t *testing.T) {
 	k, p, mt, scratch := confWorld(t)
 
+	// Two sinks see every event in subscription order, with one Seq.
+	type seen struct {
+		sink int
+		seq  uint64
+	}
 	var events []kernel.Event
-	k.AddEventHook(func(e kernel.Event) {
+	var order []seen
+	k.OnEvent(func(e *kernel.Event) {
+		order = append(order, seen{1, e.Seq})
 		if e.Kind == kernel.EvUnknownSyscall {
-			events = append(events, e)
+			events = append(events, *e)
 		}
 	})
+	k.OnEvent(func(e *kernel.Event) { order = append(order, seen{2, e.Seq}) })
 
 	// Detach any exec handler the loader installed so execve takes the
 	// no-handler rejection path.
@@ -60,11 +69,26 @@ func TestUnknownSyscallVisibility(t *testing.T) {
 		}
 	}
 
-	// Untraced worlds take the nil-check fast path: no hook, no events.
-	k.EventHook = nil
-	before := len(events)
+	if len(order) == 0 || len(order)%2 != 0 {
+		t.Fatalf("sinks saw %v, want every event twice", order)
+	}
+	for i := 0; i < len(order); i += 2 {
+		if want := []seen{{1, order[i].seq}, {2, order[i].seq}}; !reflect.DeepEqual(order[i:i+2], want) {
+			t.Fatalf("sinks saw %v, want %v: sink 1 then sink 2, one Seq", order[i:i+2], want)
+		}
+	}
+
+	// Untraced worlds take the single-branch fast path: a phase sink
+	// alone neither turns tracing on nor advances the event ordinal.
+	k, _, mt, _ = confWorld(t)
+	marks := 0
+	k.OnPhase(func(*kernel.PhaseMark) { marks++ })
+	seq := k.EventSeq()
 	wantErrno(t, "nr-500 untraced", k.DirectSyscall(mt, 500, [6]uint64{}), kernel.ENOSYS)
-	if len(events) != before {
-		t.Errorf("untraced rejection emitted an event")
+	if k.Tracing() || k.EventSeq() != seq {
+		t.Errorf("a phase sink alone: Tracing() = %v, EventSeq %d -> %d", k.Tracing(), seq, k.EventSeq())
+	}
+	if marks == 0 {
+		t.Error("the phase sink saw no marks")
 	}
 }

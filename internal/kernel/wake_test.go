@@ -28,9 +28,9 @@ type wakeRun struct {
 func runTwiceFrom(t *testing.T, k *kernel.Kernel, l *loader.Loader, p *kernel.Process, resume func()) wakeRun {
 	t.Helper()
 	var wakes []kernel.PhaseMark
-	k.AddPhaseHook(func(m kernel.PhaseMark) {
+	k.OnPhase(func(m *kernel.PhaseMark) {
 		if m.Phase == kernel.PhWake {
-			wakes = append(wakes, m)
+			wakes = append(wakes, *m)
 		}
 	})
 	snap, err := k.Checkpoint(nil)

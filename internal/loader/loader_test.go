@@ -110,11 +110,11 @@ func TestVdsoGettimeofdayIssuesNoSyscall(t *testing.T) {
 	reg.MustAdd(b.MustBuild())
 
 	var timeCalls int
-	k.EventHook = func(ev kernel.Event) {
+	k.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvEnter && ev.Num == kernel.SysGettimeofday {
 			timeCalls++
 		}
-	}
+	})
 	p, err := l.Spawn("/usr/bin/timer", []string{"timer"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +143,11 @@ func TestDisableVDSOForcesSyscall(t *testing.T) {
 	reg.MustAdd(b.MustBuild())
 
 	var timeCalls int
-	k.EventHook = func(ev kernel.Event) {
+	k.OnEvent(func(ev *kernel.Event) {
 		if ev.Kind == kernel.EvEnter && ev.Num == kernel.SysGettimeofday {
 			timeCalls++
 		}
-	}
+	})
 	p, err := l.Spawn("/usr/bin/timer", []string{"timer"}, nil, loader.WithDisableVDSO())
 	if err != nil {
 		t.Fatal(err)

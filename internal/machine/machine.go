@@ -262,8 +262,12 @@ type Run struct {
 // Start boots spec: it builds the world (the seed derives the initial
 // virtual clock, Seed ^ ChaosSeed the chaos stream), runs the offline
 // phase when the mechanism needs one, installs the outcome hooks, calls
-// c.Attach, and launches the program. Drive runs it.
+// c.Attach, and launches the program. Drive runs it. A done ctx stops
+// it before it builds anything.
 func Start(ctx context.Context, spec Spec, c Config) (*Run, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	mech, ok := variants.ByName(spec.Mech())
 	if !ok {
 		return nil, fmt.Errorf("machine: unknown mechanism %q", spec.Mechanism)
@@ -293,7 +297,7 @@ func Start(ctx context.Context, spec Spec, c Config) (*Run, error) {
 		return nil, err
 	}
 	r.base = Insts(w.K)
-	w.K.AddEventHook(func(e kernel.Event) {
+	w.K.OnEvent(func(e *kernel.Event) {
 		if e.Kind == kernel.EvEnter {
 			r.Syscalls++
 		}

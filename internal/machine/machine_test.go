@@ -92,7 +92,7 @@ func TestExecStops(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		var at uint64
-		w.K.AddEventHook(func(e kernel.Event) {
+		w.K.OnEvent(func(e *kernel.Event) {
 			if e.Kind == kernel.EvEnter && at == 0 && Insts(w.K) > 5*kernel.Slice/2 {
 				at = Insts(w.K)
 				cancel()

@@ -2,10 +2,13 @@
 // trace, per-syscall/per-mechanism metrics, and a deterministic
 // sampling guest profiler, all fed from the kernel's event stream.
 //
-// Design rules (ISSUE 3):
+// Design rules:
 //
-//   - Nil-cost when disabled. An Observer with everything off installs
-//     no hooks at all; the kernel's fast paths stay behind a single
+//   - One attach point. Every collector subscribes to the kernel's
+//     event and phase streams with k.OnEvent/k.OnPhase and reads each
+//     event in place, through a pointer valid only for the call.
+//   - Nil-cost when disabled. An Observer with everything off
+//     subscribes nothing; the kernel's fast paths stay behind a single
 //     `if k.Tracing()` branch and never construct events.
 //   - No shared state. One Observer per World/kernel; fleets merge
 //     per-machine Snapshots at report time. Nothing here takes a lock
@@ -64,9 +67,9 @@ type Options struct {
 	// engine (keyed by Machine/ProbeMech), preserving the fleet's
 	// no-shared-state invariant.
 	Probes *probe.Compiled
-	// ProbeMech is the static mechanism context the probe `mech` field
-	// reports when the stream itself does not carry one (callers pass
-	// the interposition mechanism the machine runs under).
+	// ProbeMech is the interposition mechanism the machine runs under.
+	// The probe `mech` field reports it when the stream itself does not
+	// carry one, and a learned SFIP policy records it as its mechanism.
 	ProbeMech string
 }
 
@@ -109,7 +112,7 @@ func New(opts Options) *Observer {
 		o.Audit = audit.New()
 	}
 	if opts.SfipLearn {
-		o.Learner = sfip.NewLearner(opts.Machine, "")
+		o.Learner = sfip.NewLearner(opts.Machine, opts.ProbeMech)
 		o.Audit.OnOracle = o.Learner.OnOracle
 	}
 	if opts.SfipPolicy != nil {
@@ -154,18 +157,23 @@ func builtin(src string) *probe.Compiled {
 	return c
 }
 
-// Install attaches the observer to k. With no collectors enabled this
-// installs nothing: EventHook and the profiler slot stay nil, so the
-// kernel's `if k.Tracing()` guards keep the hot path branch-only.
-// Install chains with any previously installed event hook (the fleet's
-// event hasher keeps running).
+// Install subscribes the observer's collectors to k's event and phase
+// streams, after any sinks already there (the fleet's event hasher
+// keeps running). With no collectors enabled this subscribes nothing
+// and leaves the profiler slot nil, so the kernel's `if k.Tracing()`
+// guards keep the hot path branch-only.
 func (o *Observer) Install(k *kernel.Kernel) {
 	o.k = k
+	if o.Audit != nil {
+		k.OnEvent(o.Audit.Handle)
+	}
+	if o.SpanBuilder != nil {
+		k.OnEvent(o.SpanBuilder.HandleEvent)
+		k.OnPhase(o.SpanBuilder.HandlePhase)
+	}
 	if o.Enforcer != nil {
 		k.Sfip = o.Enforcer
-	}
-	if o.Audit != nil || o.SpanBuilder != nil || o.Enforcer != nil {
-		o.installEventHook(k)
+		k.OnEvent(o.Enforcer.HandleEvent)
 	}
 	if o.Trace != nil {
 		o.Trace.Install(k)
@@ -173,36 +181,15 @@ func (o *Observer) Install(k *kernel.Kernel) {
 	if o.Metrics != nil {
 		o.Metrics.Install(k)
 	}
-	if o.SpanBuilder != nil {
-		o.installSpanHooks(k)
-	}
 	if o.Probe != nil {
-		// The engine chains onto the same side-stream hooks and only
-		// touches the streams the program actually probes, so a probed
-		// run advances neither eventSeq nor phaseSeq differently from an
-		// unprobed one.
+		// The engine subscribes only to the streams the program actually
+		// probes, so a probed run advances neither eventSeq nor phaseSeq
+		// differently from an unprobed one.
 		o.Probe.Install(k)
 	}
 	if o.Profiler != nil {
 		k.SetProfile(o.Opts.ProfileEvery, o.Profiler.Sample)
 	}
-}
-
-func (o *Observer) installEventHook(k *kernel.Kernel) {
-	auditor, spans, enf := o.Audit, o.SpanBuilder, o.Enforcer
-	k.AddEventHook(func(e kernel.Event) {
-		// Pass down by pointer: the collectors only read the event for
-		// the duration of the call, and the hook fires per syscall.
-		if auditor != nil {
-			auditor.Handle(&e)
-		}
-		if spans != nil {
-			spans.HandleEvent(e)
-		}
-		if enf != nil {
-			enf.HandleEvent(&e)
-		}
-	})
 }
 
 // Snapshot is the frozen, mergeable, DeepEqual-comparable output of one

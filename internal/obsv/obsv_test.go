@@ -31,7 +31,7 @@ func errnoRet(e int) uint64 { return uint64(-int64(e)) }
 func traceOf(size int, events ...kernel.Event) []*probe.Emit {
 	o := New(Options{Trace: true, RingSize: size})
 	for _, e := range events {
-		o.Trace.HandleEvent(e)
+		o.Trace.HandleEvent(&e)
 	}
 	return o.Snapshot().Trace
 }
@@ -71,7 +71,7 @@ func TestRingWraparound(t *testing.T) {
 func metricsOf(events ...kernel.Event) *Snapshot {
 	o := New(Options{Metrics: true})
 	for _, e := range events {
-		o.Metrics.HandleEvent(e)
+		o.Metrics.HandleEvent(&e)
 	}
 	return o.Snapshot()
 }

@@ -5,22 +5,15 @@ import (
 	"io"
 	"sort"
 
-	"k23/internal/kernel"
 	"k23/internal/probe"
 	"k23/internal/span"
 )
 
-// Span integration: the observer owns a span.Builder fed from two
-// kernel streams — the phase-mark side-stream (its own hook and ordinal,
-// so recordings and seq-anchored goldens stay bit-identical with spans
-// on or off) and the main event stream (annotations: return values,
-// mechanism attribution, chaos and clone cause edges).
-
-// installSpanHooks attaches the builder's phase consumer. The event-side
-// consumer rides the shared event hook (installEventHook).
-func (o *Observer) installSpanHooks(k *kernel.Kernel) {
-	k.AddPhaseHook(o.SpanBuilder.HandlePhase)
-}
+// Span integration: the observer owns a span.Builder subscribed to two
+// kernel streams — the phase-mark side-stream (its own sinks and
+// ordinal, so recordings and seq-anchored goldens stay bit-identical
+// with spans on or off) and the main event stream (annotations: return
+// values, mechanism attribution, chaos and clone cause edges).
 
 // SpanPhaseHist aggregates slice self-cycles into one per-(mechanism,
 // phase) histogram, in the metrics layer's log2 layout so the Prometheus

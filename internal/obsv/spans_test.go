@@ -75,7 +75,7 @@ func TestSpanPrometheus(t *testing.T) {
 		{TID: 100, Cycles: 210, Phase: kernel.PhReturn, Num: 1, Site: 0x40},
 	}
 	for _, m := range marks {
-		b.HandlePhase(m)
+		b.HandlePhase(&m)
 	}
 	sets := []*span.Set{b.Finish()}
 

@@ -15,6 +15,7 @@ import (
 	"k23/internal/libc"
 	"k23/internal/machine"
 	"k23/internal/obsv"
+	"k23/internal/sfip"
 )
 
 const loopPath = "/bin/obsloop"
@@ -173,16 +174,23 @@ func TestObserverDeterministic(t *testing.T) {
 }
 
 // TestDisabledObserverInstallsNoHook is the structural half of the
-// nil-cost contract: an Observer with no collectors installs no hooks
-// at all. The timing half, TestDisabledHookGuard, is a wall-clock test
-// behind the timing build tag.
+// nil-cost contract: an Observer with no collectors subscribes no sink
+// to either stream and installs no profiler. A sink on the event or
+// the phase stream would advance that stream's ordinal, which the
+// state hash covers. The timing half, TestDisabledHookGuard, is a
+// wall-clock test behind the timing build tag.
 func TestDisabledObserverInstallsNoHook(t *testing.T) {
+	plain := loopWorld(10)
+	runLoop(t, plain, 10)
 	w := loopWorld(10)
 	obsv.New(obsv.Options{}).Install(w.K)
-	if w.K.EventHook != nil || w.K.ProfileHook != nil {
-		t.Fatal("disabled observer installed a hook")
+	if w.K.Tracing() || w.K.ProfileHook != nil {
+		t.Fatal("disabled observer subscribed an event sink or a profiler")
 	}
 	runLoop(t, w, 10)
+	if w.K.StateHash() != plain.K.StateHash() {
+		t.Fatal("disabled observer subscribed a sink: the run's state differs from an unobserved one")
+	}
 }
 
 // endlessLoop is an obsloop guest that outlives any test: 2^30 getpid
@@ -241,14 +249,40 @@ func TestWarmSyscallAllocs(t *testing.T) {
 
 // TestDisabledHookAllocs is the clock-free companion of the timing
 // test TestDisabledHookGuard: an installed all-off observer adds no
-// allocation to any syscall event.
+// allocation to any syscall event, and neither do the collectors that
+// read each event in place, the auditor and an SFIP enforcer in log
+// mode. Spans are left out: the span builder allocates for every
+// syscall span it opens (10,000 allocations per slice).
 func TestDisabledHookAllocs(t *testing.T) {
 	plain := sliceAllocs(t, loopWorld(endlessLoop))
-	w := loopWorld(endlessLoop)
-	obsv.New(obsv.Options{}).Install(w.K)
-	if disabled := sliceAllocs(t, w); disabled != plain {
-		t.Errorf("disabled observer: %v allocations per slice, plain run %v", disabled, plain)
+	for _, tc := range []struct {
+		name string
+		opts obsv.Options
+	}{
+		{"all-off", obsv.Options{}},
+		{"audit", obsv.Options{Audit: true}},
+		{"sfip-log", obsv.Options{SfipPolicy: loopPolicy(t), SfipMode: sfip.ModeLog}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := loopWorld(endlessLoop)
+			obsv.New(tc.opts).Install(w.K)
+			if n := sliceAllocs(t, w); n != plain {
+				t.Errorf("%v allocations per slice, plain run %v", n, plain)
+			}
+		})
 	}
+}
+
+// loopPolicy learns an SFIP policy from a warm obsloop run, so an
+// enforcer holding it sees no violation in the loop's steady state.
+func loopPolicy(t *testing.T) *sfip.Policy {
+	t.Helper()
+	w := loopWorld(endlessLoop)
+	o := obsv.New(obsv.Options{SfipLearn: true})
+	o.Learner.LearnAll = true
+	o.Install(w.K)
+	spawnWarm(t, w)
+	return o.Learner.Policy()
 }
 
 // TestTraceFoldAllocs: hashing the retired-instruction stream

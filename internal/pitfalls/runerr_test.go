@@ -117,7 +117,7 @@ func TestObserveCancelled(t *testing.T) {
 				return
 			}
 			exits := 0
-			k.AddEventHook(func(e kernel.Event) {
+			k.OnEvent(func(e *kernel.Event) {
 				if e.Kind == kernel.EvExitProc {
 					if exits++; exits == 3 {
 						cancel()

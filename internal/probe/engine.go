@@ -244,10 +244,9 @@ type cell struct {
 // are single-writer (the machine's simulation goroutine) like every
 // other collector; fleets merge Snapshots afterwards.
 //
-// The steady state allocates nothing: the current event or mark is
-// copied into the engine, probes see it through the engine's own evctx,
-// and cell keys are built in a reused buffer, so only a new cell
-// allocates.
+// The steady state allocates nothing: probes see the kernel's event or
+// mark through the engine's own evctx, and cell keys are built in a
+// reused buffer, so only a new cell allocates.
 type Engine struct {
 	c       *Compiled
 	machine string
@@ -257,10 +256,8 @@ type Engine struct {
 	// tuple.
 	cells []map[string]*cell
 
-	ev     kernel.Event     // the event HandleEvent is running
-	pm     kernel.PhaseMark // the mark HandlePhase is running
-	evCtx  evctx            // views ev
-	pmCtx  evctx            // views pm
+	evCtx  evctx // views the event HandleEvent is running
+	pmCtx  evctx // views the mark HandlePhase is running
 	keyBuf []byte
 
 	emits   []Emit // emit() ring, emitOrd-stamped
@@ -278,8 +275,8 @@ func (c *Compiled) NewEngine(machine, mech string, emitCap int) *Engine {
 		emitCap = EmitCap
 	}
 	e := &Engine{c: c, machine: machine, mech: mech, emitCap: emitCap}
-	e.evCtx = evctx{eng: e, ev: &e.ev}
-	e.pmCtx = evctx{eng: e, pm: &e.pm}
+	e.evCtx = evctx{eng: e}
+	e.pmCtx = evctx{eng: e}
 	e.cells = make([]map[string]*cell, len(c.acts))
 	for i := range e.cells {
 		e.cells[i] = make(map[string]*cell)
@@ -287,21 +284,20 @@ func (c *Compiled) NewEngine(machine, mech string, emitCap int) *Engine {
 	return e
 }
 
-// Install attaches the engine to k's side-stream hooks, chaining any
-// observers already present. Only the streams the program actually
-// probes get a hook, preserving the kernel's single nil-check disabled
-// path for the other.
+// Install subscribes the engine to k's streams. Only the streams the
+// program actually probes get a sink, preserving the kernel's
+// single-branch disabled path for the other.
 func (e *Engine) Install(k *kernel.Kernel) {
 	if e.c.hasEv {
-		k.AddEventHook(e.HandleEvent)
+		k.OnEvent(e.HandleEvent)
 	}
 	if e.c.hasPh {
-		k.AddPhaseHook(e.HandlePhase)
+		k.OnPhase(e.HandlePhase)
 	}
 }
 
 // HandleEvent runs the event-stream probes against one kernel event.
-func (e *Engine) HandleEvent(ev kernel.Event) {
+func (e *Engine) HandleEvent(ev *kernel.Event) {
 	probes := e.c.evAnyKind
 	if int(ev.Kind) < len(e.c.evByKind) {
 		probes = e.c.evByKind[ev.Kind]
@@ -309,7 +305,7 @@ func (e *Engine) HandleEvent(ev kernel.Event) {
 	if len(probes) == 0 {
 		return
 	}
-	e.ev = ev
+	e.evCtx.ev = ev
 	for _, p := range probes {
 		if p.anyNr || ev.Num == p.nr {
 			e.run(p, &e.evCtx)
@@ -318,8 +314,8 @@ func (e *Engine) HandleEvent(ev kernel.Event) {
 }
 
 // HandlePhase runs the phase-stream probes against one phase mark.
-func (e *Engine) HandlePhase(m kernel.PhaseMark) {
-	e.pm = m
+func (e *Engine) HandlePhase(m *kernel.PhaseMark) {
+	e.pmCtx.pm = m
 	for _, p := range e.c.phProbes {
 		if p.match(&e.pmCtx) {
 			e.run(p, &e.pmCtx)

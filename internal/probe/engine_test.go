@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"k23/internal/cpu"
 	"k23/internal/kernel"
 )
 
@@ -21,8 +22,8 @@ func mustEngine(t *testing.T, src string) *Engine {
 	return c.NewEngine("m0", "k23", 0)
 }
 
-func exitEvent(nr, ret, cost uint64, tid int) kernel.Event {
-	return kernel.Event{PID: 1, TID: tid, Kind: kernel.EvExit, Num: nr, Ret: ret, Cost: cost, Clock: 100, Seq: 7}
+func exitEvent(nr, ret, cost uint64, tid int) *kernel.Event {
+	return &kernel.Event{PID: 1, TID: tid, Kind: kernel.EvExit, Num: nr, Ret: ret, Cost: cost, Clock: 100, Seq: 7}
 }
 
 func TestEngineCountSumMinMaxHist(t *testing.T) {
@@ -60,8 +61,8 @@ func TestEnginePhaseStreamAndMechContext(t *testing.T) {
 	e := mustEngine(t, `phase:zpoline:handler { count() }
 sched:block { count() by (name) }
 phase:*:kernel { count() by (mech) }`)
-	mark := func(ph kernel.Phase, detail string, nr uint64) kernel.PhaseMark {
-		return kernel.PhaseMark{Phase: ph, Detail: detail, Num: nr, PID: 1, TID: 1}
+	mark := func(ph kernel.Phase, detail string, nr uint64) *kernel.PhaseMark {
+		return &kernel.PhaseMark{Phase: ph, Detail: detail, Num: nr, PID: 1, TID: 1}
 	}
 	e.HandlePhase(mark(kernel.PhHandler, "zpoline", 1))
 	e.HandlePhase(mark(kernel.PhHandler, "seccomp-user", 1)) // mech mismatch
@@ -96,7 +97,7 @@ func TestEngineEmitRing(t *testing.T) {
 	for _, tc := range []struct{ arg, keep int }{{0, EmitCap}, {5, 5}} {
 		e := c.NewEngine("m0", "", tc.arg)
 		for i := 0; i < tc.keep+2; i++ {
-			e.HandleEvent(kernel.Event{Kind: kernel.EvChaos, Num: uint64(i), Seq: uint64(i), Detail: "short read"})
+			e.HandleEvent(&kernel.Event{Kind: kernel.EvChaos, Num: uint64(i), Seq: uint64(i), Detail: "short read"})
 		}
 		s := e.Snapshot()
 		if len(s.Emits) != tc.keep {
@@ -112,7 +113,7 @@ func TestEngineEmitRing(t *testing.T) {
 }
 
 func TestSnapshotMergeCommutative(t *testing.T) {
-	build := func(events ...kernel.Event) *Snapshot {
+	build := func(events ...*kernel.Event) *Snapshot {
 		e := mustEngine(t, `syscall:*:exit { count() by (name); hist(cycles) by (name); min(cycles); max(cycles) }`)
 		for _, ev := range events {
 			e.HandleEvent(ev)
@@ -163,7 +164,7 @@ func TestSnapshotMergeCommutative(t *testing.T) {
 		if i%7 == 0 {
 			ev.Ret = uint64(-enoent)
 		}
-		machines[m] = append(machines[m], ev)
+		machines[m] = append(machines[m], *ev)
 		switch i % 9 {
 		case 0:
 			machines[m] = append(machines[m], kernel.Event{Kind: kernel.EvInterposed, Detail: []string{"rewrite", "sud", "ptrace"}[i%3]})
@@ -177,7 +178,7 @@ func TestSnapshotMergeCommutative(t *testing.T) {
 		e := mustEngine(t, MetricsProgram)
 		for _, batch := range evs {
 			for _, ev := range batch {
-				e.HandleEvent(ev)
+				e.HandleEvent(&ev)
 			}
 		}
 		return e.Snapshot()
@@ -200,8 +201,8 @@ func TestSnapshotMergeCommutative(t *testing.T) {
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	write := exitEvent(1, 8, 100, 1)
 	read := exitEvent(0, 8, 100, 1)
-	interposed := kernel.Event{PID: 1, TID: 1, Kind: kernel.EvInterposed, Num: 1, Detail: "rewrite"}
-	kmark := kernel.PhaseMark{Phase: kernel.PhKernel, PID: 1, TID: 1, Num: 1, Cycles: 40}
+	interposed := &kernel.Event{PID: 1, TID: 1, Kind: kernel.EvInterposed, Num: 1, Detail: "rewrite"}
+	kmark := &kernel.PhaseMark{Phase: kernel.PhKernel, PID: 1, TID: 1, Num: 1, Cycles: 40}
 	cases := []struct {
 		name, prog string
 		feed       func(e *Engine)
@@ -246,10 +247,15 @@ func TestEngineInstallHooksOnlyProbedStreams(t *testing.T) {
 	k := kernel.New()
 	c.NewEngine("", "", 0).Install(k)
 	if !k.Tracing() {
-		t.Error("event probe did not install an event hook")
+		t.Error("event probe did not subscribe an event sink")
 	}
-	if k.PhaseHook != nil {
-		t.Error("event-only program installed a phase hook")
+	// A phase sink would advance the phase ordinal, which the state
+	// hash covers.
+	th := k.NewThread(k.NewProcess("/bin/x", nil, nil), cpu.Context{})
+	h := k.StateHash()
+	k.EmitPhase(th, kernel.PhKernel, 0, 0, "")
+	if k.StateHash() != h {
+		t.Error("event-only program subscribed a phase sink")
 	}
 }
 

@@ -16,7 +16,7 @@ func sampleSnapshot(t *testing.T) *Snapshot {
 chaos:inject { emit() }`)
 	e.HandleEvent(exitEvent(1, 8, 100, 1))
 	e.HandleEvent(exitEvent(0, 8, 300, 1))
-	e.HandleEvent(kernel.Event{Kind: kernel.EvChaos, Num: 1, Seq: 9, Clock: 40, Detail: "short write"})
+	e.HandleEvent(&kernel.Event{Kind: kernel.EvChaos, Num: 1, Seq: 9, Clock: 40, Detail: "short write"})
 	return e.Snapshot()
 }
 
@@ -56,8 +56,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestEmitCarriesSiteAndArgs(t *testing.T) {
 	e := mustEngine(t, `syscall:write:entry { emit() }
 syscall:write:exit { emit() }`)
-	e.HandleEvent(kernel.Event{Kind: kernel.EvEnter, Num: kernel.SysWrite, PID: 1, TID: 100, Site: 0x401005, Args: [6]uint64{1, 0x5000, 12}})
-	e.HandleEvent(kernel.Event{Kind: kernel.EvExit, Num: kernel.SysWrite, PID: 1, TID: 100, Ret: 12})
+	e.HandleEvent(&kernel.Event{Kind: kernel.EvEnter, Num: kernel.SysWrite, PID: 1, TID: 100, Site: 0x401005, Args: [6]uint64{1, 0x5000, 12}})
+	e.HandleEvent(&kernel.Event{Kind: kernel.EvExit, Num: kernel.SysWrite, PID: 1, TID: 100, Ret: 12})
 	var buf bytes.Buffer
 	if err := e.Snapshot().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package probe is K23's programmable dynamic-tracing engine: a tiny
 // bpftrace-style DSL compiled to closures that ride the kernel's
-// existing observability side-streams (the chained event hook and the
-// phase-mark hook). It turns the simulator into its own DTrace — and,
+// existing observability streams (the kernel's event and phase-mark
+// sinks, kernel.Kernel.OnEvent and OnPhase). It turns the simulator into its own DTrace — and,
 // because those side-streams are provably non-perturbing, the same
 // probe program runs live or retroactively over an rr recording with
 // byte-identical output.

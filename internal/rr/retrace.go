@@ -14,8 +14,8 @@ import (
 // during the original run can be derived after the fact by replaying
 // the recording with it ON. It is sound because every collector rides
 // a side-stream — phase marks carry their own ordinal (kernel.PhaseMark.Seq)
-// and never touch the event sequence the recording hashes, and the
-// event hook chains without consuming — so attaching one cannot perturb
+// and never touch the event sequence the recording hashes, and an event
+// sink only reads the event it is handed — so attaching one cannot perturb
 // the recorded schedule. Retrace enforces that by failing loudly if the
 // traced replay diverges from the recording at any checkpoint: a
 // divergence here means an observer leaked into execution, not that the

@@ -121,7 +121,7 @@ func attach(r *machine.Run) *Session {
 		s.Rec.PayloadDigest = canon.Digest(r.Payload)
 	}
 	r.HashTrace()
-	r.W.K.AddEventHook(func(e kernel.Event) {
+	r.W.K.OnEvent(func(e *kernel.Event) {
 		ev := EventRec{
 			Seq: e.Seq, PID: e.PID, TID: e.TID, Kind: e.Kind.String(),
 			Num: e.Num, Site: e.Site, Ret: e.Ret, Clock: e.Clock, Detail: e.Detail,

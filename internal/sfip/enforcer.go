@@ -83,8 +83,8 @@ type Violation struct {
 
 // Enforcer checks trap-origin syscalls against a learned Policy. It
 // implements kernel.SfipHook; install it with kernel.Kernel.Sfip and
-// chain HandleEvent onto the event hook so violations are Seq-stamped
-// into the ledger. All state is per-kernel and deterministic: the rr
+// subscribe HandleEvent with kernel.Kernel.OnEvent so violations are
+// Seq-stamped into the ledger. All state is per-kernel and deterministic: the rr
 // engine snapshots/restores it through the SfipHook host-state methods,
 // and HashState folds it into the kernel StateHash.
 type Enforcer struct {
@@ -169,9 +169,9 @@ func (e *Enforcer) Commit(pid, tid int, nr uint64) {
 // cost charged).
 func (e *Enforcer) Enforcing() bool { return e.mode == ModeEnforce }
 
-// HandleEvent consumes EvSfipViolation events off the kernel event hook
-// to build the Seq-stamped violation ledger. Chain it in front of any
-// existing hook with kernel.AddEventHook.
+// HandleEvent consumes EvSfipViolation events off the kernel's event
+// stream to build the Seq-stamped violation ledger. Subscribe it with
+// kernel.Kernel.OnEvent.
 func (e *Enforcer) HandleEvent(ev *kernel.Event) {
 	if ev.Kind != kernel.EvSfipViolation {
 		return

@@ -141,7 +141,7 @@ func NewBuilder(machine string) *Builder {
 }
 
 // HandlePhase consumes one phase mark.
-func (b *Builder) HandlePhase(m kernel.PhaseMark) {
+func (b *Builder) HandlePhase(m *kernel.PhaseMark) {
 	b.lastClock = m.Clock
 	b.lastCycles[m.TID] = m.Cycles
 	switch m.Phase {
@@ -198,8 +198,8 @@ func (b *Builder) HandlePhase(m kernel.PhaseMark) {
 }
 
 // HandleEvent consumes one main-stream trace event, annotating the spans
-// the phase stream built. Chain it after any existing event hook.
-func (b *Builder) HandleEvent(ev kernel.Event) {
+// the phase stream built.
+func (b *Builder) HandleEvent(ev *kernel.Event) {
 	switch ev.Kind {
 	case kernel.EvExit:
 		if os := b.nearestKind(ev.TID, KindSyscall); os != nil {
@@ -237,7 +237,7 @@ func (b *Builder) Finish() *Set {
 	sort.Ints(tids)
 	for _, tid := range tids {
 		stack := b.stacks[tid]
-		m := kernel.PhaseMark{Clock: b.lastClock, Cycles: b.lastCycles[tid], TID: tid}
+		m := &kernel.PhaseMark{Clock: b.lastClock, Cycles: b.lastCycles[tid], TID: tid}
 		for i := len(stack) - 1; i >= 0; i-- {
 			b.closeSpan(tid, stack[i], m, "", true)
 		}
@@ -271,7 +271,7 @@ func (b *Builder) nearestKind(tid int, kind string) *openSpan {
 }
 
 // open pushes a new span and starts its first slice.
-func (b *Builder) open(m kernel.PhaseMark, kind, mech, firstSlice string) *Span {
+func (b *Builder) open(m *kernel.PhaseMark, kind, mech, firstSlice string) *Span {
 	// Cut the enclosing span's current slice at the boundary so child
 	// time is not double-counted inside a parent slice interval; the
 	// phase resumes when the child closes.
@@ -304,7 +304,7 @@ func (b *Builder) open(m kernel.PhaseMark, kind, mech, firstSlice string) *Span 
 }
 
 // resolveCause links a fresh syscall span to its causal predecessor.
-func (b *Builder) resolveCause(sp *Span, m kernel.PhaseMark) {
+func (b *Builder) resolveCause(sp *Span, m *kernel.PhaseMark) {
 	if sp.Cause != 0 {
 		return // clone edge already attached
 	}
@@ -322,7 +322,7 @@ func (b *Builder) resolveCause(sp *Span, m kernel.PhaseMark) {
 // slice transitions the innermost open span's current phase. Marks with
 // no open span (DirectSyscall kernel work outside any handler) are
 // dropped; that time shows up in the analyzer's residual.
-func (b *Builder) slice(m kernel.PhaseMark) {
+func (b *Builder) slice(m *kernel.PhaseMark) {
 	top := b.top(m.TID)
 	if top == nil {
 		return
@@ -336,7 +336,7 @@ func (b *Builder) slice(m kernel.PhaseMark) {
 }
 
 // endSlice closes the current slice at m's timestamps.
-func (b *Builder) endSlice(os *openSpan, m kernel.PhaseMark) {
+func (b *Builder) endSlice(os *openSpan, m *kernel.PhaseMark) {
 	if os.cur == "" {
 		return
 	}
@@ -351,7 +351,7 @@ func (b *Builder) endSlice(os *openSpan, m kernel.PhaseMark) {
 // Returns nil when no such span is open — a close mark for a lifecycle an
 // earlier mark already retired (e.g. the trailing return of rt_sigreturn,
 // whose trap span the sigreturn mark closed).
-func (b *Builder) closeKind(m kernel.PhaseMark, kind, detail string) *Span {
+func (b *Builder) closeKind(m *kernel.PhaseMark, kind, detail string) *Span {
 	stack := b.stacks[m.TID]
 	idx := -1
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -372,7 +372,7 @@ func (b *Builder) closeKind(m kernel.PhaseMark, kind, detail string) *Span {
 }
 
 // closeSpan finalizes one open span and pops it from its stack.
-func (b *Builder) closeSpan(tid int, os *openSpan, m kernel.PhaseMark, detail string, forced bool) {
+func (b *Builder) closeSpan(tid int, os *openSpan, m *kernel.PhaseMark, detail string, forced bool) {
 	b.endSlice(os, m)
 	sp := os.span
 	sp.C1, sp.Y1 = m.Clock, m.Cycles

@@ -22,7 +22,7 @@ func mk(ph kernel.Phase, tid int, clock, cycles, num, site uint64, detail string
 func feed(marks ...kernel.PhaseMark) *Set {
 	b := NewBuilder("m0")
 	for _, m := range marks {
-		b.HandlePhase(m)
+		b.HandlePhase(&m)
 	}
 	return b.Finish()
 }
@@ -174,15 +174,16 @@ func TestBuilderSignalDivert(t *testing.T) {
 // return values, mechanism attribution, chaos tags, and clone edges.
 func TestBuilderEventAnnotations(t *testing.T) {
 	b := NewBuilder("m0")
-	b.HandlePhase(mk(kernel.PhTrap, 100, 10, 10, 1, 0x40, ""))
-	b.HandleEvent(kernel.Event{Kind: kernel.EvInterposed, TID: 100, Detail: "ptrace"})
-	b.HandleEvent(kernel.Event{Kind: kernel.EvChaos, TID: 100, Detail: "eintr"})
-	b.HandleEvent(kernel.Event{Kind: kernel.EvFork, TID: 100, Ret: 201})
-	b.HandleEvent(kernel.Event{Kind: kernel.EvExit, TID: 100, Ret: 42})
-	b.HandlePhase(mk(kernel.PhReturn, 100, 10, 210, 1, 0x40, ""))
+	phase := func(m kernel.PhaseMark) { b.HandlePhase(&m) }
+	phase(mk(kernel.PhTrap, 100, 10, 10, 1, 0x40, ""))
+	b.HandleEvent(&kernel.Event{Kind: kernel.EvInterposed, TID: 100, Detail: "ptrace"})
+	b.HandleEvent(&kernel.Event{Kind: kernel.EvChaos, TID: 100, Detail: "eintr"})
+	b.HandleEvent(&kernel.Event{Kind: kernel.EvFork, TID: 100, Ret: 201})
+	b.HandleEvent(&kernel.Event{Kind: kernel.EvExit, TID: 100, Ret: 42})
+	phase(mk(kernel.PhReturn, 100, 10, 210, 1, 0x40, ""))
 	// The clone child's first span gets the cause edge.
-	b.HandlePhase(mk(kernel.PhTrap, 201, 20, 0, 2, 0x50, ""))
-	b.HandlePhase(mk(kernel.PhReturn, 201, 20, 200, 2, 0x50, ""))
+	phase(mk(kernel.PhTrap, 201, 20, 0, 2, 0x50, ""))
+	phase(mk(kernel.PhReturn, 201, 20, 200, 2, 0x50, ""))
 	s := b.Finish()
 
 	parent, child := s.Spans[0], s.Spans[1]
