@@ -33,6 +33,10 @@ func FuzzAddressSpace(f *testing.F) {
 		f.Fatal("sharedScript does not survive encodeSteps/decodeSteps")
 	}
 	f.Add(encodeSteps(sharedScript))
+	if !reflect.DeepEqual(decodeSteps(encodeSteps(slotScript)), slotScript) {
+		f.Fatal("slotScript does not survive encodeSteps/decodeSteps")
+	}
+	f.Add(encodeSteps(slotScript))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r, m := newASRun(), newModelRun()
 		var hashes []uint64
@@ -92,6 +96,33 @@ var sharedScript = []asStep{
 	{op: opKRead, side: 1, addr: fuzzBase + 7*PageSize, length: 32},
 }
 
+// slotScript works two pages that share a slot of the page table
+// cache, fuzzBase's pages 0 and 13, the window holding no more pages
+// than the table has slots: word stores and loads alternate between
+// them, and one of them is remapped, unmapped and restored.
+var slotScript = []asStep{
+	{op: opMap, addr: fuzzBase, length: PageSize, perm: PermRW},
+	{op: opMap, addr: fuzzBase + 13*PageSize, length: PageSize, perm: PermRW},
+	{op: opKStoreU64, addr: fuzzBase + 8, data: []byte("pagezero")},
+	{op: opKStoreU64, addr: fuzzBase + 13*PageSize + 8, data: []byte("page13!!")},
+	{op: opLoadU64, addr: fuzzBase + 8},
+	{op: opLoadU64, addr: fuzzBase + 13*PageSize + 8},
+	{op: opSnapshot, snap: -1},
+	{op: opKStoreU64, addr: fuzzBase + 13*PageSize - 4, data: []byte("straddle")},
+	{op: opMap, addr: fuzzBase + 13*PageSize, length: PageSize, perm: PermRW},
+	{op: opLoadU64, addr: fuzzBase + 13*PageSize + 8},
+	{op: opKStoreU64, addr: fuzzBase + 8, data: []byte("again!!!")},
+	{op: opUnmap, addr: fuzzBase + 13*PageSize, length: PageSize},
+	{op: opLoadU64, addr: fuzzBase + 13*PageSize + 8},
+	{op: opKStoreU64, addr: fuzzBase + 13*PageSize + 8, data: []byte("unmapped")},
+	{op: opLoadU64, addr: fuzzBase + 8},
+	{op: opRestore, snap: 0},
+	{op: opLoadU64, addr: fuzzBase + 13*PageSize + 8},
+	{op: opClone},
+	{op: opKStoreU64, side: 1, addr: fuzzBase + 13*PageSize + 8, data: []byte("clone!!!")},
+	{op: opLoadU64, addr: fuzzBase + 13*PageSize + 8},
+}
+
 // fuzzBase is where decoded steps map and access memory: page ops start
 // in its first 16 pages, byte ops in its first 64 KiB.
 const fuzzBase = pinBase
@@ -108,6 +139,7 @@ const maxFuzzSteps = 48
 //	        a mapshared's data capacity is its length if v&32
 //	h[3]    a page op's length in 512-byte units (low 6 bits); a
 //	        read's length or KLoadString's max; a store's data length
+//	        (a kstoreu64's word is the 8 bytes after the header)
 //	h[4]    perm (low 3 bits) and pkey (top 4 bits)
 //	h[5]    pkru for stores and reads; a snapshot's prev index plus
 //	        one (0: no prev); a restore's snapshot index; a mapshared's
@@ -132,6 +164,11 @@ func decodeSteps(in []byte) []asStep {
 			n := min(int(h[3]), len(in))
 			s.data, in = in[:n:n], in[n:]
 			s.pkru = PKRU(h[5])
+		case opKStoreU64:
+			s.addr = fuzzBase + v
+			w := make([]byte, 8)
+			in = in[copy(w, in):]
+			s.data = w
 		case opLoad, opKRead, opLoadU64, opKLoadString, opFetch:
 			s.addr, s.length, s.pkru = fuzzBase+v, uint64(h[3]), PKRU(h[5])
 		case opFetchLine:
@@ -287,10 +324,10 @@ func (r *modelRun) apply(s asStep) (string, error) {
 			}
 		}
 		return "", nil
-	case opStore, opKStore:
+	case opStore, opKStore, opKStoreU64:
 		if len(s.data) > 0 {
 			for _, addr := range []uint64{s.addr, s.addr + uint64(len(s.data)) - 1} {
-				if f := m.check(addr, AccessWrite, s.pkru, s.op == opKStore); f != nil {
+				if f := m.check(addr, AccessWrite, s.pkru, s.op != opStore); f != nil {
 					return "", f
 				}
 			}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -25,75 +26,152 @@ func mustLoadU64(t *testing.T, a *AddressSpace, addr uint64) uint64 {
 	return v
 }
 
-func TestLastPageResetByMap(t *testing.T) {
-	a := NewAddressSpace()
-	mustMap(t, a, 0x1000, PageSize, PermRW, "data")
-	mustStoreU64(t, a, 0x1010, 7)
-	mustLoadU64(t, a, 0x1010) // the page is now the cached one
-	mustMap(t, a, 0x1000, PageSize, PermRW, "fresh")
-	if v := mustLoadU64(t, a, 0x1010); v != 0 {
-		t.Fatalf("load after remap read %d from the replaced page", v)
+// slotPages returns page numbers that fill every slot of the page
+// table cache, plus a last one that shares a slot with an earlier one.
+func slotPages() []uint64 {
+	var pns []uint64
+	var filled [pageCacheSize]bool
+	for pn := uint64(1); len(pns) < pageCacheSize; pn++ {
+		if s := pageSlot(pn); !filled[s] {
+			filled[s] = true
+			pns = append(pns, pn)
+		}
+	}
+	for pn := pns[len(pns)-1] + 1; ; pn++ {
+		if pageSlot(pn) == pageSlot(pns[0]) {
+			return append(pns, pn)
+		}
 	}
 }
 
-func TestLastPageResetByUnmap(t *testing.T) {
+// cachedSpace maps one page at each of slotPages, stores word pn+off
+// at +0x10 of page pn, and loads every word back, the two pages that
+// share a slot in turn, so that every slot of the cache holds a page.
+func cachedSpace(t *testing.T, off uint64) (*AddressSpace, []uint64) {
+	t.Helper()
 	a := NewAddressSpace()
-	mustMap(t, a, 0x1000, PageSize, PermRW, "data")
-	mustLoadU64(t, a, 0x1010)
-	if err := a.Unmap(0x1000, PageSize); err != nil {
-		t.Fatal(err)
+	pns := slotPages()
+	for _, pn := range pns {
+		mustMap(t, a, pn*PageSize, PageSize, PermRW, "data")
+		mustStoreU64(t, a, pn*PageSize+0x10, pn+off)
 	}
-	want := &Fault{Addr: 0x1010, Access: AccessRead, Cause: CauseUnmapped}
-	if _, err := a.LoadU64(0x1010, 0); !reflect.DeepEqual(err, want) {
-		t.Fatalf("LoadU64 after unmap: %v, want %v", err, want)
-	}
-	if _, err := a.KLoadU64(0x1010); !reflect.DeepEqual(err, want) {
-		t.Fatalf("KLoadU64 after unmap: %v, want %v", err, want)
+	checkWords(t, a, pns, off, nil, nil)
+	return a, pns
+}
+
+// checkWords loads every page's word at +0x10 twice, alternating the
+// pages, and checks it reads pn+off, or a fault for a page in unmapped
+// and 0 for a page in zeroed.
+func checkWords(t *testing.T, a *AddressSpace, pns []uint64, off uint64, unmapped, zeroed map[uint64]bool) {
+	t.Helper()
+	for round := 0; round < 2; round++ {
+		for _, pn := range pns {
+			addr := pn*PageSize + 0x10
+			v, err := a.LoadU64(addr, 0)
+			kv, kerr := a.KLoadU64(addr)
+			switch {
+			case unmapped[pn]:
+				want := &Fault{Addr: addr, Access: AccessRead, Cause: CauseUnmapped}
+				if !reflect.DeepEqual(err, want) || !reflect.DeepEqual(kerr, want) {
+					t.Fatalf("page %#x: LoadU64 %v, KLoadU64 %v, want %v", pn, err, kerr, want)
+				}
+			case err != nil || kerr != nil:
+				t.Fatalf("page %#x: LoadU64 %v, KLoadU64 %v", pn, err, kerr)
+			case zeroed[pn] && (v != 0 || kv != 0):
+				t.Fatalf("page %#x: read %d/%d from the replaced page", pn, v, kv)
+			case !zeroed[pn] && (v != pn+off || kv != pn+off):
+				t.Fatalf("page %#x: read %d/%d, want %d", pn, v, kv, pn+off)
+			}
+		}
 	}
 }
 
-func TestLastPageResetByRestore(t *testing.T) {
-	a := NewAddressSpace()
-	mustMap(t, a, 0x1000, PageSize, PermRW, "data")
-	mustStoreU64(t, a, 0x1010, 1)
-	snap := a.SnapshotState(nil)
-	want := a.StateHash()
-	mustStoreU64(t, a, 0x1010, 2) // the pre-restore page is cached
-	a.RestoreState(snap)
-	if v := mustLoadU64(t, a, 0x1010); v != 1 {
-		t.Fatalf("load after restore read %d, want 1", v)
-	}
-	if got := a.StateHash(); got != want {
-		t.Fatalf("state hash after restore %#x, want %#x", got, want)
-	}
-	// A store after the restore must land in the restored page.
-	mustStoreU64(t, a, 0x1010, 3)
-	b, err := a.KLoad(0x1010, 1)
-	if err != nil || b[0] != 3 {
-		t.Fatalf("store after restore not visible: %v, %v", b, err)
-	}
-}
-
-func TestCloneDoesNotShareLastPage(t *testing.T) {
-	a := NewAddressSpace()
-	mustMap(t, a, 0x1000, PageSize, PermRW, "data")
-	mustStoreU64(t, a, 0x1010, 1)
-	c := a.Clone()
-	if c.lastPage != nil {
-		t.Fatal("clone starts with a cached page")
-	}
-	mustStoreU64(t, c, 0x1010, 2)
-	if v := mustLoadU64(t, a, 0x1010); v != 1 {
-		t.Fatalf("parent reads %d after the clone's store", v)
-	}
-	if v := mustLoadU64(t, c, 0x1010); v != 2 {
-		t.Fatalf("clone reads %d, want 2", v)
+// TestPageCacheReset: after Map, MapShared, Unmap and RestoreState, no
+// slot of the page table cache still serves a page that is gone, for
+// every slot and for two pages that share one.
+func TestPageCacheReset(t *testing.T) {
+	shared := make([]byte, PageSize)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"map", func(t *testing.T) {
+			a, pns := cachedSpace(t, 7)
+			zeroed := map[uint64]bool{}
+			for _, pn := range pns {
+				mustMap(t, a, pn*PageSize, PageSize, PermRW, "fresh")
+				zeroed[pn] = true
+				checkWords(t, a, pns, 7, nil, zeroed)
+			}
+		}},
+		{"mapshared", func(t *testing.T) {
+			a, pns := cachedSpace(t, 7)
+			for _, pn := range pns {
+				if err := a.MapShared(pn*PageSize, PageSize, PermRW, "shared", shared); err != nil {
+					t.Fatal(err)
+				}
+				if v := mustLoadU64(t, a, pn*PageSize+0x10); v != 0 {
+					t.Fatalf("page %#x: read %d, not the shared data", pn, v)
+				}
+				mustStoreU64(t, a, pn*PageSize+0x10, pn+7)
+			}
+			checkWords(t, a, pns, 7, nil, nil)
+			if !bytes.Equal(shared, make([]byte, PageSize)) {
+				t.Fatal("a store wrote through to the shared data")
+			}
+		}},
+		{"unmap", func(t *testing.T) {
+			a, pns := cachedSpace(t, 7)
+			unmapped := map[uint64]bool{}
+			for _, pn := range pns {
+				if err := a.Unmap(pn*PageSize, PageSize); err != nil {
+					t.Fatal(err)
+				}
+				unmapped[pn] = true
+				checkWords(t, a, pns, 7, unmapped, nil)
+			}
+		}},
+		{"restore", func(t *testing.T) {
+			a, pns := cachedSpace(t, 1)
+			snap := a.SnapshotState(nil)
+			want := a.StateHash()
+			for _, pn := range pns {
+				mustStoreU64(t, a, pn*PageSize+0x10, pn+2) // the pre-restore pages are cached
+			}
+			checkWords(t, a, pns, 2, nil, nil)
+			a.RestoreState(snap)
+			checkWords(t, a, pns, 1, nil, nil)
+			if got := a.StateHash(); got != want {
+				t.Fatalf("state hash after restore %#x, want %#x", got, want)
+			}
+			// A store after the restore must land in the restored page.
+			for _, pn := range pns {
+				mustStoreU64(t, a, pn*PageSize+0x10, pn+3)
+			}
+			checkWords(t, a, pns, 3, nil, nil)
+		}},
+		{"clone", func(t *testing.T) {
+			a, pns := cachedSpace(t, 1)
+			c := a.Clone()
+			if c.cache != ([pageCacheSize]pageCacheEntry{}) {
+				t.Fatal("clone starts with cached pages")
+			}
+			for _, pn := range pns {
+				mustStoreU64(t, c, pn*PageSize+0x10, pn+2)
+			}
+			checkWords(t, a, pns, 1, nil, nil)
+			checkWords(t, c, pns, 2, nil, nil)
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }
 
 // TestU64StraddleMatchesSlicePath compares every word accessor with
-// the byte-slice accessor it stands for, at the offsets where a word
-// leaves its page, for page pairs that fault in each way.
+// the byte-slice accessor it stands for, at every offset in a page and
+// where a word leaves its page, for page pairs that fault in each way.
+// A word store must leave the same state (bytes, generations and
+// generation clock) as the slice store, not just the same error.
 func TestU64StraddleMatchesSlicePath(t *testing.T) {
 	layouts := []struct {
 		name          string
@@ -118,7 +196,19 @@ func TestU64StraddleMatchesSlicePath(t *testing.T) {
 				}
 			}
 		}
-		for off := uint64(PageSize - 16); off < PageSize; off++ {
+		word := [8]byte{1, 2, 3, 4, 5, 6, 7, 8}
+		stores := []struct {
+			name       string
+			word, wide func(c *AddressSpace, addr uint64) error
+		}{
+			{"StoreU64",
+				func(c *AddressSpace, addr uint64) error { return c.StoreU64(addr, leU64(word[:]), 0) },
+				func(c *AddressSpace, addr uint64) error { return c.Store(addr, word[:], 0) }},
+			{"KStoreU64",
+				func(c *AddressSpace, addr uint64) error { return c.KStoreU64(addr, leU64(word[:])) },
+				func(c *AddressSpace, addr uint64) error { return c.KStore(addr, word[:]) }},
+		}
+		for off := uint64(0); off < PageSize; off++ {
 			addr := 0x1000 + off
 
 			v, err := a.LoadU64(addr, 0)
@@ -129,16 +219,15 @@ func TestU64StraddleMatchesSlicePath(t *testing.T) {
 			b, werr = a.KLoad(addr, 8)
 			checkWord(t, l.name, "KLoadU64", addr, v, err, b, werr)
 
-			word := [8]byte{1, 2, 3, 4, 5, 6, 7, 8}
-			err = a.StoreU64(addr, leU64(word[:]), 0)
-			werr = a.Clone().Store(addr, word[:], 0)
-			if !reflect.DeepEqual(err, werr) {
-				t.Errorf("%s: StoreU64(%#x) = %v, Store = %v", l.name, addr, err, werr)
-			}
-			err = a.KStoreU64(addr, leU64(word[:]))
-			werr = a.Clone().KStore(addr, word[:])
-			if !reflect.DeepEqual(err, werr) {
-				t.Errorf("%s: KStoreU64(%#x) = %v, KStore = %v", l.name, addr, err, werr)
+			for _, st := range stores {
+				c, w := a.Clone(), a.Clone()
+				err, werr := st.word(c, addr), st.wide(w, addr)
+				if !reflect.DeepEqual(err, werr) {
+					t.Errorf("%s: %s(%#x) = %v, slice path %v", l.name, st.name, addr, err, werr)
+				}
+				if h, wh := c.StateHash(), w.StateHash(); h != wh {
+					t.Errorf("%s: %s(%#x) leaves state %#x, slice path %#x", l.name, st.name, addr, h, wh)
+				}
 			}
 		}
 	}
@@ -233,5 +322,34 @@ func TestKLoadStringStraddle(t *testing.T) {
 	check(0x1803, 64)
 	if n := testing.AllocsPerRun(100, func() { a.KLoadString(0x1800, 64) }); n != 1 {
 		t.Errorf("one-page KLoadString: %v allocations, want 1 (the string)", n)
+	}
+}
+
+// BenchmarkPageLookup replays the page mix of one quantum-1 step of
+// P5's scan: the decode cache checks the generation of the page-0
+// trampoline and of a code page that shares page 0's slot under
+// pn % 16 (Gen ×2), the guest loads a stack word, and the scheduler
+// stores the clock into the vvar page (KStoreU64 ×2).
+func BenchmarkPageLookup(b *testing.B) {
+	const (
+		tramp = 0x0
+		code  = 16 * PageSize
+		stack = 0x7ffc_ffff_f000
+		vvar  = 0x7f7e_0001_0000
+	)
+	a := NewAddressSpace()
+	for _, addr := range []uint64{tramp, code, stack, vvar} {
+		if err := a.Map(addr, PageSize, PermRW, "page"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := uint64(0); i < uint64(b.N); i++ {
+		a.Gen(tramp)
+		a.Gen(code + 0x40)
+		a.LoadU64(stack+0xff0, 0)
+		a.KStoreU64(vvar, i)
+		a.KStoreU64(vvar+8, i)
 	}
 }

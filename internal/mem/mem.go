@@ -216,10 +216,9 @@ type AddressSpace struct {
 	pages   map[uint64]*page // page number -> page
 	regions []Region         // sorted by Start
 
-	// lastPN and lastPage cache the most recent successful page lookup
-	// (see pageAt). Map, Unmap and RestoreState reset them.
-	lastPN   uint64
-	lastPage *page
+	// cache holds recent successful page lookups, one per slot (see
+	// pageAt). Map, Unmap and RestoreState clear it; Clone starts empty.
+	cache [pageCacheSize]pageCacheEntry
 
 	// genClock issues write generations. It is monotone across the whole
 	// address space so a generation value is never reused, even when a
@@ -275,7 +274,7 @@ func (a *AddressSpace) Map(addr, length uint64, perm Perm, name string) error {
 	if length == 0 {
 		return fmt.Errorf("mem: map length is zero")
 	}
-	a.lastPage = nil
+	clear(a.cache[:])
 	n := PageCount(addr, length)
 	for i := uint64(0); i < n; i++ {
 		a.genClock++
@@ -320,7 +319,7 @@ func (a *AddressSpace) Unmap(addr, length uint64) error {
 	if addr%PageSize != 0 {
 		return fmt.Errorf("mem: unmap address %#x is not page-aligned", addr)
 	}
-	a.lastPage = nil
+	clear(a.cache[:])
 	n := PageCount(addr, length)
 	for i := uint64(0); i < n; i++ {
 		delete(a.pages, pageNum(addr)+i)
@@ -329,18 +328,36 @@ func (a *AddressSpace) Unmap(addr, length uint64) error {
 	return nil
 }
 
+// pageCacheSize is the number of slots in an address space's page
+// table cache.
+const pageCacheSize = 16
+
+// pageCacheEntry is one slot of the page table cache: a page number
+// and the page it maps to, or a nil page.
+type pageCacheEntry struct {
+	pn uint64
+	pg *page
+}
+
+// pageSlot is pn's slot in the page table cache: the top four bits of
+// pn times 2^64 divided by the golden ratio (Fibonacci hashing).
+func pageSlot(pn uint64) uint64 { return (pn * 0x9E3779B97F4A7C15) >> 60 }
+
 // pageAt returns the page with page number pn, or nil if it is
-// unmapped. The last page found is kept and checked before the map:
-// consecutive lookups hit the same page 62-79% of the time on the
-// k23bench workloads, and keeping it raises micro and macro jobs/s by
-// about 10% and 14% (BENCH_17.json, "last_page_lookup").
+// unmapped. Hits are kept in a direct-mapped table in front of the
+// map, at the slot a multiplicative hash of pn picks. The hash keeps
+// the pages one quantum-1 step touches apart: under pn % 16 the page-0
+// trampoline and the vvar page share slot 0, and a one-entry memo
+// evicts on every page change; the table's reset rule is the memo's
+// (BENCH_37.json).
 func (a *AddressSpace) pageAt(pn uint64) *page {
-	if a.lastPage != nil && a.lastPN == pn {
-		return a.lastPage
+	e := &a.cache[pageSlot(pn)]
+	if e.pg != nil && e.pn == pn {
+		return e.pg
 	}
 	pg := a.pages[pn]
 	if pg != nil {
-		a.lastPN, a.lastPage = pn, pg
+		e.pn, e.pg = pn, pg
 	}
 	return pg
 }

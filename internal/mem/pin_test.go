@@ -26,13 +26,14 @@ const (
 	opRestore
 	opClone
 	opMapShared
+	opKStoreU64
 	numASOps
 )
 
 var asOpNames = [numASOps]string{
 	"map", "unmap", "protect", "protectkey", "store", "kstore", "load",
 	"kread", "loadu64", "kloadstring", "fetch", "fetchline", "snapshot",
-	"restore", "clone", "mapshared",
+	"restore", "clone", "mapshared", "kstoreu64",
 }
 
 func (o asOp) String() string { return asOpNames[o] }
@@ -43,6 +44,7 @@ func (o asOp) String() string { return asOpNames[o] }
 //	                                 names its region after pkey)
 //	mapshared:                       as map, and src (see sharedData)
 //	store, kstore:                   addr, data (pkru)
+//	kstoreu64:                       addr, data (the word's 8 bytes)
 //	load, kread, loadu64, fetch:     addr, length (pkru)
 //	kloadstring:                     addr, length (the max)
 //	fetchline:                       addr (a 64-byte line)
@@ -167,6 +169,8 @@ func (r *asRun) apply(s asStep) (string, error) {
 		return "", nil
 	case opMapShared:
 		return "", a.MapShared(s.addr, s.length, s.perm, fmt.Sprintf("r%d", s.pkey), s.sharedData())
+	case opKStoreU64:
+		return "", a.KStoreU64(s.addr, leU64(s.data))
 	}
 	panic(fmt.Sprintf("unknown op %d", s.op))
 }

@@ -74,7 +74,7 @@ func (a *AddressSpace) SnapshotState(prev *ASState) *ASState {
 // genClock are replaced by the snapshot's. The restored pages share the
 // snapshot's data.
 func (a *AddressSpace) RestoreState(s *ASState) {
-	a.lastPage = nil
+	clear(a.cache[:])
 	a.pages = make(map[uint64]*page, len(s.Pages))
 	for pn, ps := range s.Pages {
 		a.pages[pn] = &page{data: ps.Data, shared: true, perm: ps.Perm, pkey: ps.Pkey, gen: ps.Gen}
