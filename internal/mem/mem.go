@@ -648,9 +648,21 @@ func (a *AddressSpace) KLoadU64(addr uint64) (uint64, error) {
 	return leU64(b), nil
 }
 
-// KStoreU64 writes a little-endian uint64 on the kernel plane.
+// KStoreU64 writes a little-endian uint64 on the kernel plane. A word
+// inside one page is stored in place with the one generation bump
+// KStore gives it; only a page-straddling word goes through KStore.
 func (a *AddressSpace) KStoreU64(addr, v uint64) error {
 	b := putLeU64(v)
+	if po := addr % PageSize; po <= PageSize-8 {
+		pg := a.pageAt(pageNum(addr))
+		if pg == nil {
+			return &Fault{Addr: addr, Access: AccessWrite, Cause: CauseUnmapped}
+		}
+		*(*[8]byte)(pg.writable()[po:]) = b
+		a.genClock++
+		pg.gen = a.genClock
+		return nil
+	}
 	return a.KStore(addr, b[:])
 }
 
