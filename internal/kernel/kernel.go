@@ -509,8 +509,6 @@ type Kernel struct {
 	// from live and from vvars at the end of that round, or at the start
 	// of its next round for a stop outside Run.
 	reap bool
-	// Run's per-round copy of one process's Threads.
-	roundThreads []*Thread
 
 	// profileEvery is the sampling period in virtual-clock ticks
 	// (0 = profiling off); profileNext is the next sample deadline.
@@ -982,8 +980,10 @@ func (k *Kernel) Run(maxInsts uint64) uint64 {
 			if stopped(p) {
 				continue
 			}
-			k.roundThreads = append(k.roundThreads[:0], p.Threads...)
-			for _, t := range k.roundThreads {
+			// The range takes p.Threads once: a thread cloned
+			// mid-round is appended past it, and an execve mid-round
+			// replaces the slice whole, so neither joins this round.
+			for _, t := range p.Threads {
 				if !k.threadReady(t) {
 					continue
 				}

@@ -10,6 +10,7 @@ import (
 	"k23/internal/image"
 	"k23/internal/kernel"
 	"k23/internal/libc"
+	"k23/internal/loader"
 )
 
 // buildSpin is a program at path that counts RBX down from n, then
@@ -176,6 +177,122 @@ func TestForkedChildWaitsForNextRound(t *testing.T) {
 	want := []int{other.MainThread().TID, parent.MainThread().TID, other.MainThread().TID, child}
 	if len(tids) < len(want) || !slices.Equal(tids[:len(want)], want) {
 		t.Fatalf("threads run after the fork: %v, want %v first", tids, want)
+	}
+}
+
+// buildCloner is a program at path whose main thread makes a raw clone
+// that shares its stack. Both threads then execve execPath if it is
+// set, or else count RBX down from n and exit.
+func buildCloner(path string, n uint32, execPath string) *image.Image {
+	b := asm.NewBuilder(path)
+	b.Needed(libc.Path)
+	if execPath != "" {
+		d := b.Data()
+		d.Label(".path").CString(execPath)
+		d.Label(".argv").AddrOf(".path").U64(0)
+	}
+	tx := b.Text()
+	tx.Label("_start")
+	tx.MovImm32(cpu.RAX, kernel.SysClone)
+	tx.MovImm32(cpu.RDI, 0)
+	tx.MovImm32(cpu.RSI, 0)
+	tx.Syscall()
+	if execPath != "" {
+		tx.MovImm32(cpu.RAX, kernel.SysExecve)
+		tx.MovImmSym(cpu.RDI, ".path")
+		tx.MovImmSym(cpu.RSI, ".argv")
+		tx.MovImm32(cpu.RDX, 0)
+		tx.Syscall()
+	}
+	tx.MovImm32(cpu.RBX, n)
+	tx.Label(".l")
+	tx.AddImm(cpu.RBX, -1)
+	tx.Jnz(".l")
+	tx.MovImm32(cpu.RDI, 0)
+	tx.CallSym("exit_group")
+	return b.MustBuild()
+}
+
+// switchesAfter spawns each path in order, runs the world at quantum
+// 5 for 200 instructions and returns the processes and the TIDs that
+// ran after the first event from is true of, one per thread switch.
+func switchesAfter(t *testing.T, k *kernel.Kernel, l *loader.Loader, from func(*kernel.Event) bool, paths ...string) ([]*kernel.Process, []int) {
+	t.Helper()
+	var procs []*kernel.Process
+	for _, path := range paths {
+		p, err := l.Spawn(path, []string{path}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs = append(procs, p)
+	}
+	k.Quantum = 5
+	var tids []int
+	seen := false
+	k.OnEvent(func(ev *kernel.Event) { seen = seen || from(ev) })
+	k.SetProfile(1, func(tid int, _ uint64) {
+		if seen && (len(tids) == 0 || tids[len(tids)-1] != tid) {
+			tids = append(tids, tid)
+		}
+	})
+	k.Run(200)
+	if !seen {
+		t.Fatal("the event did not happen")
+	}
+	return procs, tids
+}
+
+// TestClonedThreadWaitsForNextRound: a thread cloned mid-round joins
+// its process but not the round in progress. The main thread clones in
+// round r, the process spawned after it still runs in round r, and the
+// new thread first runs in round r+1, right after the main thread.
+func TestClonedThreadWaitsForNextRound(t *testing.T) {
+	k, l, reg := newWorld(t)
+	reg.MustAdd(buildCloner("/bin/cloner", 200, ""))
+	reg.MustAdd(buildSpin("/bin/other", 200, false))
+	cloned := func(ev *kernel.Event) bool { return ev.Kind == kernel.EvExit && ev.Num == kernel.SysClone }
+	ps, tids := switchesAfter(t, k, l, cloned, "/bin/cloner", "/bin/other")
+	if len(ps[0].Threads) != 2 {
+		t.Fatalf("cloner has %d threads, want 2", len(ps[0].Threads))
+	}
+	main, clone, other := ps[0].Threads[0].TID, ps[0].Threads[1].TID, ps[1].MainThread().TID
+	want := []int{other, main, clone, other}
+	if len(tids) < len(want) || !slices.Equal(tids[:len(want)], want) {
+		t.Fatalf("threads run after the clone: %v, want %v first", tids, want)
+	}
+}
+
+// TestExecveDropsSiblingsMidRound: a thread that execve's mid-round
+// ends its siblings, and they do not run later in that round. The
+// sibling was cloned in round r; in round r+1 the main thread runs
+// first and execve's, and the next thread to run is the other
+// process's, never the sibling.
+func TestExecveDropsSiblingsMidRound(t *testing.T) {
+	k, l, reg := newWorld(t)
+	reg.MustAdd(buildCloner("/bin/execer", 0, "/bin/spin"))
+	reg.MustAdd(buildSpin("/bin/spin", 200, false))
+	reg.MustAdd(buildSpin("/bin/other", 200, false))
+	var sibling *kernel.Thread
+	execd := func(ev *kernel.Event) bool {
+		if ev.Kind == kernel.EvEnter && ev.Num == kernel.SysExecve && sibling == nil {
+			p, _ := k.Process(ev.PID)
+			sibling = p.Threads[1]
+		}
+		// The loader runs the new image's startup inside the call; the
+		// oracle event marks its return.
+		return ev.Kind == kernel.EvOracle && ev.Num == kernel.SysExecve
+	}
+	ps, tids := switchesAfter(t, k, l, execd, "/bin/execer", "/bin/other")
+	if sibling == nil || sibling.State != kernel.ThreadExited || len(ps[0].Threads) != 1 {
+		t.Fatalf("execve left %d threads and a sibling %v", len(ps[0].Threads), sibling != nil && sibling.State == kernel.ThreadExited)
+	}
+	main, other := ps[0].MainThread().TID, ps[1].MainThread().TID
+	if slices.Contains(tids, sibling.TID) {
+		t.Fatalf("the sibling ran after the execve: %v", tids)
+	}
+	want := []int{other, main, other}
+	if len(tids) < len(want) || !slices.Equal(tids[:len(want)], want) {
+		t.Fatalf("threads run after the execve: %v, want %v first", tids, want)
 	}
 }
 

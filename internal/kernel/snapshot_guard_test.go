@@ -28,7 +28,6 @@ var guardExempt = map[string]map[string]string{
 		"procs":          "walked through order; each Process is guarded on its own",
 		"live":           "derived: Restore rebuilds the run queue from order and process states",
 		"reap":           "derived: set by Restore so the next round compacts live and vvars",
-		"roundThreads":   "scratch of one scheduler round",
 		"profileEvery":   "sampling configuration (SetProfile), not guest state",
 		"net":            "pointer: its listeners are guarded as listener",
 		"chaos":          "pointer: guarded as chaosState",
