@@ -25,7 +25,7 @@ func BenchmarkTable2OfflinePhase(b *testing.B) {
 	var rows []bench.Table2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.Table2()
+		rows, err = bench.Table2(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkTable3PitfallMatrix(b *testing.B) {
 // reports the overhead factor relative to native.
 func BenchmarkTable5Micro(b *testing.B) {
 	nativeSpec, _ := variants.ByName("native")
-	native, err := bench.MicroSlope(nativeSpec)
+	native, err := bench.MicroSlope(context.Background(), nativeSpec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkTable5Micro(b *testing.B) {
 			spec, _ := variants.ByName(name)
 			var slope float64
 			for i := 0; i < b.N; i++ {
-				slope, err = bench.MicroSlope(spec)
+				slope, err = bench.MicroSlope(context.Background(), spec)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -94,7 +94,7 @@ func BenchmarkFigure1Anatomy(b *testing.B) {
 // BenchmarkFigure2OfflineFlow (E6): the offline-phase event trace.
 func BenchmarkFigure2OfflineFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure2(); err != nil {
+		if _, err := bench.Figure2(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkFigure2OfflineFlow(b *testing.B) {
 // BenchmarkFigure4OnlineFlow (E6): the online-phase event trace.
 func BenchmarkFigure4OnlineFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure4(); err != nil {
+		if _, err := bench.Figure4(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func BenchmarkFigure4OnlineFlow(b *testing.B) {
 // BenchmarkStartupClaim (E7): ls's pre-interposition startup syscalls.
 func BenchmarkStartupClaim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.ClaimStartup(); err != nil {
+		if _, err := bench.ClaimStartup(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func BenchmarkNullCheckMemory(b *testing.B) {
 func BenchmarkAblationNullCheck(b *testing.B) {
 	measure := func(name string) float64 {
 		spec, _ := variants.ByName(name)
-		s, err := bench.MicroSlope(spec)
+		s, err := bench.MicroSlope(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,10 +187,10 @@ func BenchmarkEngine(b *testing.B) {
 		run  func(m difftest.Mode) (bench.EngineRun, error)
 	}{
 		{"micro-syscall500", func(m difftest.Mode) (bench.EngineRun, error) {
-			return bench.MeasureEngineMicro(3000, m)
+			return bench.MeasureEngineMicro(context.Background(), 3000, m)
 		}},
 		{"redis-like", func(m difftest.Mode) (bench.EngineRun, error) {
-			return bench.MeasureEngineMacro(200, m)
+			return bench.MeasureEngineMacro(context.Background(), 200, m)
 		}},
 	}
 	for _, w := range workloads {
@@ -217,7 +217,7 @@ func TestBenchSurfaceSmoke(t *testing.T) {
 		t.Skip("short")
 	}
 	spec, _ := variants.ByName("zpoline-default")
-	if _, err := bench.MicroSlope(spec); err != nil {
+	if _, err := bench.MicroSlope(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	_ = interpose.Config{}

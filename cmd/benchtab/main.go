@@ -62,12 +62,12 @@ func reportSweep(w io.Writer, rep *chaos.Report) error {
 
 // engineRuns runs the micro (3000 iterations) and redis-like (200
 // requests) workloads under engine mode m.
-func engineRuns(m difftest.Mode) ([]bench.EngineRun, error) {
-	micro, err := bench.MeasureEngineMicro(3000, m)
+func engineRuns(ctx context.Context, m difftest.Mode) ([]bench.EngineRun, error) {
+	micro, err := bench.MeasureEngineMicro(ctx, 3000, m)
 	if err != nil {
 		return nil, err
 	}
-	macro, err := bench.MeasureEngineMacro(200, m)
+	macro, err := bench.MeasureEngineMacro(ctx, 200, m)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func main() {
 		switch which {
 		case "2":
 			run("Table 2 — offline-phase unique syscall sites", func() error {
-				rows, err := bench.Table2()
+				rows, err := bench.Table2(ctx)
 				if err != nil {
 					return err
 				}
@@ -125,7 +125,7 @@ func main() {
 			})
 		case "5":
 			run("Table 5 — microbenchmark overhead vs native", func() error {
-				rows, err := bench.Table5()
+				rows, err := bench.Table5(ctx)
 				if err != nil {
 					return err
 				}
@@ -134,7 +134,7 @@ func main() {
 			})
 		case "6":
 			run("Table 6 — macrobenchmark relative throughput", func() error {
-				rows, err := bench.Table6()
+				rows, err := bench.Table6(ctx)
 				if err != nil {
 					return err
 				}
@@ -166,7 +166,7 @@ func main() {
 		})
 	case "2":
 		run("Figure 2 — offline phase flow", func() error {
-			s, err := bench.Figure2()
+			s, err := bench.Figure2(ctx)
 			if err != nil {
 				return err
 			}
@@ -175,7 +175,7 @@ func main() {
 		})
 	case "4":
 		run("Figure 4 — online phase flow", func() error {
-			s, err := bench.Figure4()
+			s, err := bench.Figure4(ctx)
 			if err != nil {
 				return err
 			}
@@ -191,7 +191,7 @@ func main() {
 	case "":
 	case "startup":
 		run("Claim — startup syscalls before interposition (§6.1)", func() error {
-			s, err := bench.ClaimStartup()
+			s, err := bench.ClaimStartup(ctx)
 			if err != nil {
 				return err
 			}
@@ -200,7 +200,7 @@ func main() {
 		})
 	case "p4b":
 		run("Claim — NULL-exec check memory overhead (P4b)", func() error {
-			s, err := bench.ClaimP4b()
+			s, err := bench.ClaimP4b(ctx)
 			if err != nil {
 				return err
 			}
@@ -209,7 +209,7 @@ func main() {
 		})
 	case "decodecache":
 		run("Claim — decoded-instruction cache counters", func() error {
-			runs, err := engineRuns(difftest.ModeCacheOnly)
+			runs, err := engineRuns(ctx, difftest.ModeCacheOnly)
 			if err != nil {
 				return err
 			}
@@ -218,7 +218,7 @@ func main() {
 		})
 	case "jit":
 		run("Claim — trace-JIT superblock engagement (E18)", func() error {
-			runs, err := engineRuns(difftest.ModeJIT)
+			runs, err := engineRuns(ctx, difftest.ModeJIT)
 			if err != nil {
 				return err
 			}
@@ -227,7 +227,7 @@ func main() {
 		})
 	case "coverage":
 		run("Claim — audited syscall coverage matrices (E17)", func() error {
-			s, err := bench.CoverageTable()
+			s, err := bench.CoverageTable(ctx)
 			if err != nil {
 				return err
 			}
@@ -245,7 +245,7 @@ func main() {
 		})
 	case "phases":
 		run("Claim — per-mechanism lifecycle phase cost decomposition (E20)", func() error {
-			rows, err := bench.MeasurePhases()
+			rows, err := bench.MeasurePhases(ctx)
 			if err != nil {
 				return err
 			}
@@ -254,7 +254,7 @@ func main() {
 		})
 	case "sfip":
 		run("Claim — syscall-flow-integrity policies: trips, false positives, hot-path cost (E21)", func() error {
-			s, err := bench.SfipTable()
+			s, err := bench.SfipTable(ctx)
 			if err != nil {
 				return err
 			}
@@ -263,7 +263,7 @@ func main() {
 		})
 	case "probes":
 		run("Claim — probe DSL: per-mechanism write latency from one probe line (E22)", func() error {
-			snap, err := bench.MeasureProbes()
+			snap, err := bench.MeasureProbes(ctx)
 			if err != nil {
 				return err
 			}
@@ -278,7 +278,7 @@ func main() {
 	if *sidecar {
 		run("Observability sidecar — instrumented representative runs", func() error {
 			names := append([]string{"native"}, bench.Table5Variants()...)
-			rows, err := bench.MetricsSidecar(names)
+			rows, err := bench.MetricsSidecar(ctx, names)
 			if err != nil {
 				return err
 			}

@@ -181,7 +181,7 @@ func TestCommandPipelines(t *testing.T) {
 }
 
 func TestGoldenTable2(t *testing.T) {
-	rows, err := bench.Table2()
+	rows, err := bench.Table2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestGoldenTable3(t *testing.T) {
 }
 
 func TestGoldenTable5(t *testing.T) {
-	rows, err := bench.Table5()
+	rows, err := bench.Table5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestGoldenTable6(t *testing.T) {
 		t.Skip("Table 6 regeneration takes 80–90 s under -race on a 2-CPU host, and internal/bench " +
 			"starts no goroutine, so the race detector has nothing to check there; covered by the non-race run")
 	}
-	rows, err := bench.Table6()
+	rows, err := bench.Table6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +228,12 @@ func TestGoldenTable6(t *testing.T) {
 // workload, the formation heuristics and the cache, so drift means an
 // engine's behavior actually changed.
 func TestGoldenJIT(t *testing.T) {
-	runs, err := engineRuns(difftest.ModeJIT)
+	runs, err := engineRuns(context.Background(), difftest.ModeJIT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "jit.golden", bench.FormatJITEngagement(runs))
-	if runs, err = engineRuns(difftest.ModeCacheOnly); err != nil {
+	if runs, err = engineRuns(context.Background(), difftest.ModeCacheOnly); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "decodecache.golden", bench.FormatDecodeCache(runs))
@@ -259,7 +259,7 @@ func TestGoldenRR(t *testing.T) {
 // other) to that table's cycles/iter; drift means either an interposer's
 // cost moved or the span builder's attribution changed.
 func TestGoldenPhases(t *testing.T) {
-	rows, err := bench.MeasurePhases()
+	rows, err := bench.MeasurePhases(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestGoldenPhases(t *testing.T) {
 // of the same PoCs, so drift means the learner, the enforcer, or an
 // interposer's escape behavior actually changed.
 func TestGoldenSfip(t *testing.T) {
-	got, err := bench.SfipTable()
+	got, err := bench.SfipTable(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestGoldenSfip(t *testing.T) {
 // cycles; drift means a mechanism's write path cost actually moved or
 // the probe engine's aggregation changed.
 func TestGoldenProbes(t *testing.T) {
-	snap, err := bench.MeasureProbes()
+	snap, err := bench.MeasureProbes(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestGoldenProbes(t *testing.T) {
 // variant. The join is deterministic, so any drift means interposition
 // behavior actually changed.
 func TestGoldenCoverage(t *testing.T) {
-	got, err := bench.CoverageTable()
+	got, err := bench.CoverageTable(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,11 +329,11 @@ func TestGoldenCoverage(t *testing.T) {
 // offline logger or K23's startup, rewriting or fallback counts changed.
 func TestGoldenFigures(t *testing.T) {
 	checkGolden(t, "figure1.golden", bench.Figure1())
-	for name, fig := range map[string]func() (string, error){
+	for name, fig := range map[string]func(context.Context) (string, error){
 		"figure2.golden": bench.Figure2,
 		"figure4.golden": bench.Figure4,
 	} {
-		got, err := fig()
+		got, err := fig(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,11 +345,11 @@ func TestGoldenFigures(t *testing.T) {
 // calls ls issues before an LD_PRELOAD library loads) and `-claim p4b`
 // (zpoline's bitmap against K23's robin set for `ls`).
 func TestGoldenStartupP4b(t *testing.T) {
-	for name, claim := range map[string]func() (string, error){
+	for name, claim := range map[string]func(context.Context) (string, error){
 		"startup.golden": bench.ClaimStartup,
 		"p4b.golden":     bench.ClaimP4b,
 	} {
-		got, err := claim()
+		got, err := claim(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestGoldenStartupP4b(t *testing.T) {
 // micro run per Table 5 row, its syscall volume, errors, mean cost,
 // decode-cache hit rate and per-mechanism counts.
 func TestGoldenSidecar(t *testing.T) {
-	rows, err := bench.MetricsSidecar(append([]string{"native"}, bench.Table5Variants()...))
+	rows, err := bench.MetricsSidecar(context.Background(), append([]string{"native"}, bench.Table5Variants()...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/cpu/difftest"
@@ -15,7 +16,7 @@ func BenchmarkTable6Macro(b *testing.B) {
 			var row MacroRow
 			for i := 0; i < b.N; i++ {
 				var err error
-				row, err = slopes{}.row(cfg)
+				row, err = slopes{}.row(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -33,7 +34,7 @@ func BenchmarkTable6Macro(b *testing.B) {
 func BenchmarkSimulator(b *testing.B) {
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		r, err := MeasureEngineMicro(2000, difftest.ModeJIT)
+		r, err := MeasureEngineMicro(context.Background(), 2000, difftest.ModeJIT)
 		if err != nil {
 			b.Fatal(err)
 		}

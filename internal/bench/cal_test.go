@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -12,7 +13,7 @@ func TestCalibrationPrintTable5(t *testing.T) {
 	if os.Getenv("K23_CALIBRATE") == "" {
 		t.Skip("set K23_CALIBRATE=1 to run the full Table 5 calibration")
 	}
-	rows, err := Table5()
+	rows, err := Table5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

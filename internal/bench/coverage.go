@@ -4,6 +4,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -29,7 +30,7 @@ func coverageVariants() []string {
 // variant and writes the golden-comparable coverage matrix: per-cell
 // totals plus the full per-syscall x per-mechanism counts and escapes by
 // category. All ordering comes from the audit snapshot's sorted slices.
-func writeCoverageTable(w io.Writer) error {
+func writeCoverageTable(ctx context.Context, w io.Writer) error {
 	for _, name := range coverageVariants() {
 		spec, ok := variants.ByName(name)
 		if !ok {
@@ -38,7 +39,7 @@ func writeCoverageTable(w io.Writer) error {
 		for _, app := range coverageApps() {
 			// The auditor attaches after any offline phase, which is the
 			// controlled environment.
-			s, err := observe(spec, app, obsv.New(obsv.Options{Audit: true}), 0)
+			s, err := observe(ctx, spec, app, obsv.New(obsv.Options{Audit: true}), 0)
 			if err != nil {
 				return err
 			}
@@ -50,9 +51,9 @@ func writeCoverageTable(w io.Writer) error {
 
 // CoverageTable is writeCoverageTable into a string, for benchtab and
 // the golden test.
-func CoverageTable() (string, error) {
+func CoverageTable(ctx context.Context) (string, error) {
 	var b strings.Builder
-	if err := writeCoverageTable(&b); err != nil {
+	if err := writeCoverageTable(ctx, &b); err != nil {
 		return "", err
 	}
 	return b.String(), nil

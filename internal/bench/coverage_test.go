@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func auditLs(t *testing.T, variant string) *audit.Snapshot {
 	if !ok {
 		t.Fatalf("unknown variant %q", variant)
 	}
-	snap, err := observe(spec, ls, obsv.New(obsv.Options{Audit: true}), 0)
+	snap, err := observe(context.Background(), spec, ls, obsv.New(obsv.Options{Audit: true}), 0)
 	if err != nil {
 		t.Fatalf("audit ls under %s: %v", variant, err)
 	}
@@ -76,7 +77,7 @@ func TestStartupWindowExecAttached(t *testing.T) {
 func TestK23FullConfigZeroEscapes(t *testing.T) {
 	spec, _ := variants.ByName("k23-ultra+")
 	for _, app := range coverageApps() {
-		snap, err := observe(spec, app, obsv.New(obsv.Options{Audit: true}), 0)
+		snap, err := observe(context.Background(), spec, app, obsv.New(obsv.Options{Audit: true}), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", app.name, err)
 		}
@@ -98,7 +99,7 @@ func TestK23FullConfigZeroEscapes(t *testing.T) {
 // pinning numbers (that is the golden's job): one header per cell, and
 // every mechanism line belongs to the mechanisms the variant can use.
 func TestCoverageTableShape(t *testing.T) {
-	out, err := CoverageTable()
+	out, err := CoverageTable(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

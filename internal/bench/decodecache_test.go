@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"k23/internal/cpu/difftest"
@@ -12,22 +13,22 @@ import (
 // hit almost always.
 func TestDecodeCacheParity(t *testing.T) {
 	t.Run("micro", func(t *testing.T) {
-		on, err := MeasureEngineMicro(300, difftest.ModeCacheOnly)
+		on, err := MeasureEngineMicro(context.Background(), 300, difftest.ModeCacheOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := MeasureEngineMicro(300, difftest.ModeCacheOff)
+		off, err := MeasureEngineMicro(context.Background(), 300, difftest.ModeCacheOff)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkParity(t, on, off)
 	})
 	t.Run("redis", func(t *testing.T) {
-		on, err := MeasureEngineMacro(10, difftest.ModeCacheOnly)
+		on, err := MeasureEngineMacro(context.Background(), 10, difftest.ModeCacheOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := MeasureEngineMacro(10, difftest.ModeCacheOff)
+		off, err := MeasureEngineMacro(context.Background(), 10, difftest.ModeCacheOff)
 		if err != nil {
 			t.Fatal(err)
 		}

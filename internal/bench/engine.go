@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"k23/internal/cpu"
@@ -30,25 +31,25 @@ type EngineRun struct {
 
 // MeasureEngineMicro runs the syscall-500 stress loop (the Table 5
 // workload) natively for n iterations under engine mode m.
-func MeasureEngineMicro(n int, m difftest.Mode) (EngineRun, error) {
-	return measureEngine("micro-syscall500", micro, n, m)
+func MeasureEngineMicro(ctx context.Context, n int, m difftest.Mode) (EngineRun, error) {
+	return measureEngine(ctx, "micro-syscall500", micro, n, m)
 }
 
 // MeasureEngineMacro runs the redis-like single-I/O-thread server (the
 // Table 6 redis row) natively under engine mode m, driven with requests
 // injected requests.
-func MeasureEngineMacro(requests int, m difftest.Mode) (EngineRun, error) {
-	return measureEngine("redis-like", redis, requests, m)
+func MeasureEngineMacro(ctx context.Context, requests int, m difftest.Mode) (EngineRun, error) {
+	return measureEngine(ctx, "redis-like", redis, requests, m)
 }
 
 // measureEngine runs wl natively at size n under engine mode m. The
 // mode's options are applied at the attach point: they set fields the
 // kernel reads when it creates a core, and a native run creates none
 // before it.
-func measureEngine(name string, wl workload, n int, m difftest.Mode) (EngineRun, error) {
+func measureEngine(ctx context.Context, name string, wl workload, n int, m difftest.Mode) (EngineRun, error) {
 	native, _ := variants.ByName("native")
 	var k *kernel.Kernel
-	_, _, err := measure(native, wl, func(w *interpose.World) {
+	_, _, err := measure(ctx, native, wl, func(w *interpose.World) {
 		k = w.K
 		for _, o := range m.Options() {
 			o(k)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -88,8 +89,8 @@ func Figure1() string {
 // Figure2 regenerates the offline-phase flow of the paper's Figure 2 as
 // an event trace: kernel trap -> libLogger -> log entry -> original
 // syscall -> return.
-func Figure2() (string, error) {
-	w, err := World()
+func Figure2(ctx context.Context) (string, error) {
+	w, err := World(ctx)
 	if err != nil {
 		return "", err
 	}
@@ -105,7 +106,7 @@ func Figure2() (string, error) {
 			fmt.Fprintf(&out, "  (4) libLogger re-executes the call, returns its result, resumes the app\n\n")
 		}
 	})
-	_, n, err := offline(w, ls)
+	_, n, err := offline(ctx, w, ls)
 	if err != nil {
 		return "", err
 	}
@@ -115,9 +116,9 @@ func Figure2() (string, error) {
 
 // runLs runs ls once under the named variant, after the offline phase
 // when the variant needs one.
-func runLs(name string) (interpose.Launcher, *kernel.Process, error) {
+func runLs(ctx context.Context, name string) (interpose.Launcher, *kernel.Process, error) {
 	spec, _ := variants.ByName(name)
-	l, ps, err := measure(spec, ls, nil, 0)
+	l, ps, err := measure(ctx, spec, ls, nil, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,8 +127,8 @@ func runLs(name string) (interpose.Launcher, *kernel.Process, error) {
 
 // Figure4 regenerates the online-phase flow of the paper's Figure 4 as a
 // phase-annotated trace of `ls` under K23.
-func Figure4() (string, error) {
-	l, p, err := runLs("k23-ultra+")
+func Figure4(ctx context.Context) (string, error) {
+	l, p, err := runLs(ctx, "k23-ultra+")
 	if err != nil {
 		return "", err
 	}
@@ -148,8 +149,8 @@ func Figure4() (string, error) {
 
 // ClaimStartup measures the §6.1 claim: ls issues over 100 system calls
 // before the interposition library loads. K23's ptracer counts them.
-func ClaimStartup() (string, error) {
-	l, p, err := runLs("k23-default")
+func ClaimStartup(ctx context.Context) (string, error) {
+	l, p, err := runLs(ctx, "k23-default")
 	if err != nil {
 		return "", err
 	}
@@ -160,10 +161,10 @@ func ClaimStartup() (string, error) {
 
 // ClaimP4b compares the NULL-execution-check memory footprint: zpoline's
 // address-space bitmap versus K23's robin-hood set.
-func ClaimP4b() (string, error) {
+func ClaimP4b(ctx context.Context) (string, error) {
 	var st [2]*interpose.Stats
 	for i, name := range []string{"zpoline-ultra", "k23-ultra"} {
-		l, p, err := runLs(name)
+		l, p, err := runLs(ctx, name)
 		if err != nil {
 			return "", err
 		}

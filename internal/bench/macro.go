@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -94,7 +95,7 @@ type slopes map[string]float64
 
 // of returns wl's marginal cycles per request (a server) or per
 // operation (sqlite) under spec, measured once per key.
-func (s slopes) of(spec variants.Spec, wl workload) (float64, error) {
+func (s slopes) of(ctx context.Context, spec variants.Spec, wl workload) (float64, error) {
 	key := spec.Name + "\x00" + strings.Join(wl.offline, "\x00")
 	if v, ok := s[key]; ok {
 		return v, nil
@@ -103,7 +104,7 @@ func (s slopes) of(spec variants.Spec, wl workload) (float64, error) {
 	if !wl.server {
 		n1, n2 = sqliteOps1, sqliteOps2
 	}
-	v, err := slope(spec, wl, nil, n1, n2)
+	v, err := slope(ctx, spec, wl, nil, n1, n2)
 	if err == nil {
 		s[key] = v
 	}
@@ -113,8 +114,8 @@ func (s slopes) of(spec variants.Spec, wl workload) (float64, error) {
 // value returns cfg's Table 6 quantity under spec: a server's req/s,
 // or sqlite's cycles per operation (completion time per op, startup
 // excluded, matching the paper's long-running speedtest1).
-func (s slopes) value(spec variants.Spec, cfg macroConfig) (float64, error) {
-	perUnit, err := s.of(spec, cfg.wl)
+func (s slopes) value(ctx context.Context, spec variants.Spec, cfg macroConfig) (float64, error) {
+	perUnit, err := s.of(ctx, spec, cfg.wl)
 	if err != nil || !cfg.wl.server {
 		return perUnit, err
 	}
@@ -122,7 +123,7 @@ func (s slopes) value(spec variants.Spec, cfg macroConfig) (float64, error) {
 	if cfg.redisMain {
 		// The main thread's serial cost per request: one run's cycles,
 		// startup included, over its fixed iteration count.
-		_, ps, err := measure(spec, redisMain, nil, 0)
+		_, ps, err := measure(ctx, spec, redisMain, nil, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -140,10 +141,10 @@ func (s slopes) value(spec variants.Spec, cfg macroConfig) (float64, error) {
 
 // row measures one configuration across all variants, reusing the
 // slopes s already holds.
-func (s slopes) row(cfg macroConfig) (MacroRow, error) {
+func (s slopes) row(ctx context.Context, cfg macroConfig) (MacroRow, error) {
 	row := MacroRow{Config: cfg.name, Relative: map[string]float64{}}
 	nativeSpec, _ := variants.ByName("native")
-	native, err := s.value(nativeSpec, cfg)
+	native, err := s.value(ctx, nativeSpec, cfg)
 	if err != nil {
 		return row, err
 	}
@@ -152,7 +153,7 @@ func (s slopes) row(cfg macroConfig) (MacroRow, error) {
 	}
 	for _, name := range table6Variants() {
 		spec, _ := variants.ByName(name)
-		v, err := s.value(spec, cfg)
+		v, err := s.value(ctx, spec, cfg)
 		if err != nil {
 			return row, fmt.Errorf("%s under %s: %w", cfg.name, name, err)
 		}
@@ -167,11 +168,11 @@ func (s slopes) row(cfg macroConfig) (MacroRow, error) {
 }
 
 // Table6 measures every configuration, each slope once.
-func Table6() ([]MacroRow, error) {
+func Table6(ctx context.Context) ([]MacroRow, error) {
 	var rows []MacroRow
 	s := slopes{}
 	for _, cfg := range macroConfigs() {
-		row, err := s.row(cfg)
+		row, err := s.row(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -95,8 +95,12 @@ type MicroRow struct {
 }
 
 // World builds a world with the standard workload set and the micro
-// binary registered: every world the harness measures in.
-func World() (*interpose.World, error) {
+// binary registered: every world the harness measures in. It builds
+// nothing and returns ctx's error once ctx is done.
+func World(ctx context.Context) (*interpose.World, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	w := interpose.NewWorld()
 	w.MustRegister(microImage())
 	return w, machine.StandardSetup(w)
@@ -134,12 +138,12 @@ const offlineRequests = 40
 
 // offline runs wl's offline phase in w and returns the log path and the
 // number of unique sites the log holds.
-func offline(w *interpose.World, wl workload) (string, int, error) {
+func offline(ctx context.Context, w *interpose.World, wl workload) (string, int, error) {
 	requests := 0
 	if wl.server {
 		requests = offlineRequests
 	}
-	return machine.Offline(context.TODO(), w, wl.path, wl.offline, requests)
+	return machine.Offline(ctx, w, wl.path, wl.offline, requests)
 }
 
 // runBudget bounds every run the harness drives itself.
@@ -151,14 +155,14 @@ const runBudget = 3_000_000_000
 // spec once per size to exit through machine.Exec. It returns the
 // launcher and each run's process. A signal death is an error: every
 // number the harness reports comes from a completed run.
-func measure(spec variants.Spec, wl workload, attach func(*interpose.World), sizes ...int) (interpose.Launcher, []*kernel.Process, error) {
-	w, err := World()
+func measure(ctx context.Context, spec variants.Spec, wl workload, attach func(*interpose.World), sizes ...int) (interpose.Launcher, []*kernel.Process, error) {
+	w, err := World(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	logPath := ""
 	if spec.NeedsOfflineLog {
-		if logPath, _, err = offline(w, wl); err != nil {
+		if logPath, _, err = offline(ctx, w, wl); err != nil {
 			return nil, nil, fmt.Errorf("bench: %s under %s: %w", wl.name, spec.Name, err)
 		}
 	}
@@ -169,7 +173,7 @@ func measure(spec variants.Spec, wl workload, attach func(*interpose.World), siz
 	ps := make([]*kernel.Process, len(sizes))
 	for i, n := range sizes {
 		argv, requests := wl.at(n)
-		p, err := machine.Exec(context.TODO(), w, l, wl.path, argv, requests, runBudget)
+		p, err := machine.Exec(ctx, w, l, wl.path, argv, requests, runBudget)
 		if err == nil && p.Exit.Signal != 0 {
 			err = fmt.Errorf("bench: %s under %s died: %s", wl.path, l.Name(), p.Exit)
 		}
@@ -192,8 +196,8 @@ func cycles(p *kernel.Process) uint64 {
 
 // slope measures wl's marginal cycles per unit of size under spec: the
 // cycle delta of runs at sizes n1 and n2 over the size delta.
-func slope(spec variants.Spec, wl workload, attach func(*interpose.World), n1, n2 int) (float64, error) {
-	_, ps, err := measure(spec, wl, attach, n1, n2)
+func slope(ctx context.Context, spec variants.Spec, wl workload, attach func(*interpose.World), n1, n2 int) (float64, error) {
+	_, ps, err := measure(ctx, spec, wl, attach, n1, n2)
 	if err != nil {
 		return 0, err
 	}
@@ -202,8 +206,8 @@ func slope(spec variants.Spec, wl workload, attach func(*interpose.World), n1, n
 
 // observe is measure with o installed at the attach point: it returns
 // o's snapshot of the runs at sizes.
-func observe(spec variants.Spec, wl workload, o *obsv.Observer, sizes ...int) (*obsv.Snapshot, error) {
-	if _, _, err := measure(spec, wl, func(w *interpose.World) { o.Install(w.K) }, sizes...); err != nil {
+func observe(ctx context.Context, spec variants.Spec, wl workload, o *obsv.Observer, sizes ...int) (*obsv.Snapshot, error) {
+	if _, _, err := measure(ctx, spec, wl, func(w *interpose.World) { o.Install(w.K) }, sizes...); err != nil {
 		return nil, err
 	}
 	return o.Snapshot(), nil
@@ -211,8 +215,8 @@ func observe(spec variants.Spec, wl workload, o *obsv.Observer, sizes ...int) (*
 
 // MicroSlope measures the marginal per-iteration cycle cost under a
 // variant.
-func MicroSlope(spec variants.Spec) (float64, error) {
-	return slope(spec, micro, nil, microN1, microN2)
+func MicroSlope(ctx context.Context, spec variants.Spec) (float64, error) {
+	return slope(ctx, spec, micro, nil, microN1, microN2)
 }
 
 // Table5Variants lists the Table 5 rows in paper order.
@@ -225,9 +229,9 @@ func Table5Variants() []string {
 }
 
 // Table5 measures the Table 5 microbenchmark for every variant.
-func Table5() ([]MicroRow, error) {
+func Table5(ctx context.Context) ([]MicroRow, error) {
 	nativeSpec, _ := variants.ByName("native")
-	native, err := MicroSlope(nativeSpec)
+	native, err := MicroSlope(ctx, nativeSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +241,7 @@ func Table5() ([]MicroRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
-		slope, err := MicroSlope(spec)
+		slope, err := MicroSlope(ctx, spec)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -25,14 +26,14 @@ const sidecarIters = 400
 // metrics collector installed and returns the per-variant snapshots.
 // The observer attaches after any offline phase, so the sidecar
 // describes the interposed online run only.
-func MetricsSidecar(names []string) ([]SidecarRow, error) {
+func MetricsSidecar(ctx context.Context, names []string) ([]SidecarRow, error) {
 	rows := make([]SidecarRow, 0, len(names))
 	for _, name := range names {
 		spec, ok := variants.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
-		snap, err := observe(spec, micro, obsv.New(obsv.Options{Metrics: true}), sidecarIters)
+		snap, err := observe(ctx, spec, micro, obsv.New(obsv.Options{Metrics: true}), sidecarIters)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sidecar %s: %w", name, err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -39,7 +40,7 @@ type PhasesRow struct {
 // unobserved run (the E15 non-perturbation property): the total slope is
 // Table 5's, per-phase slopes attribute it, and the residual is the
 // un-spanned dispatch cost.
-func MeasurePhases() ([]PhasesRow, error) {
+func MeasurePhases(ctx context.Context) ([]PhasesRow, error) {
 	names := append([]string{"native"}, Table5Variants()...)
 	rows := make([]PhasesRow, 0, len(names))
 	for _, name := range names {
@@ -48,7 +49,7 @@ func MeasurePhases() ([]PhasesRow, error) {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
 		o := obsv.New(obsv.Options{Spans: true})
-		_, ps, err := measure(spec, micro, func(w *interpose.World) { o.Install(w.K) }, microN1, microN2)
+		_, ps, err := measure(ctx, spec, micro, func(w *interpose.World) { o.Install(w.K) }, microN1, microN2)
 		if err != nil {
 			return nil, fmt.Errorf("bench: phases %s: %w", name, err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -37,7 +38,7 @@ func probesVariants() []string {
 // cycles, so every histogram value is exactly what the unprobed run
 // costs (the E15 non-perturbation property), which is what makes the
 // output golden-able.
-func MeasureProbes() (*probe.Snapshot, error) {
+func MeasureProbes(ctx context.Context) (*probe.Snapshot, error) {
 	compiled, err := obsv.CompileProbes(ProbesProgram)
 	if err != nil {
 		return nil, err
@@ -48,7 +49,7 @@ func MeasureProbes() (*probe.Snapshot, error) {
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown variant %s", name)
 		}
-		snap, err := observe(spec, lighttpd, obsv.New(obsv.Options{Probes: compiled, ProbeMech: name}), probesRequests)
+		snap, err := observe(ctx, spec, lighttpd, obsv.New(obsv.Options{Probes: compiled, ProbeMech: name}), probesRequests)
 		if err != nil {
 			return nil, fmt.Errorf("bench: probes %s: %w", name, err)
 		}

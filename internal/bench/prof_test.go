@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ func TestProfileOneConfig(t *testing.T) {
 	for _, name := range []string{"native", "sud", "k23-ultra"} {
 		spec, _ := variants.ByName(name)
 		start := time.Now()
-		c, err := slope(spec, cfg.wl, nil, macroR1, macroR2)
+		c, err := slope(context.Background(), spec, cfg.wl, nil, macroR1, macroR2)
 		if err != nil {
 			t.Fatal(err)
 		}

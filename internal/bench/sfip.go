@@ -52,11 +52,11 @@ func (c *SfipCell) tripped() bool { return c.Trips > 0 }
 // Table 3 columns. Worlds correspond across passes by creation order
 // (the PoCs are deterministic), so each enforcement-pass world runs
 // under the policy its own training-pass twin learned.
-func sfipPitfallMatrix() ([]SfipCell, error) {
+func sfipPitfallMatrix(ctx context.Context) ([]SfipCell, error) {
 	specs := variants.Table3Columns()
 	type cellKey struct{ pitfall, interposer string }
 
-	learned, err := pitfalls.ObservedMatrix(context.TODO(), specs,
+	learned, err := pitfalls.ObservedMatrix(ctx, specs,
 		func(pitfalls.PoC, variants.Spec, int) obsv.Options {
 			return obsv.Options{Audit: true, SfipLearn: true}
 		})
@@ -88,7 +88,7 @@ func sfipPitfallMatrix() ([]SfipCell, error) {
 		cells = append(cells, cell)
 	}
 
-	enforced, err := pitfalls.ObservedMatrix(context.TODO(), specs,
+	enforced, err := pitfalls.ObservedMatrix(ctx, specs,
 		func(poc pitfalls.PoC, spec variants.Spec, world int) obsv.Options {
 			ps := policies[cellKey{poc.ID, spec.Name}]
 			if world >= len(ps) || ps[world] == nil {
@@ -142,7 +142,7 @@ const sfipAppRequests = 30
 // under k23-ultra+. A non-zero violation count is a learner or
 // enforcer defect, not an application property: training and
 // enforcement see identical runs.
-func sfipAppTable() ([]SfipAppRow, error) {
+func sfipAppTable(ctx context.Context) ([]SfipAppRow, error) {
 	spec, ok := variants.ByName(sfipVariant)
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown variant %s", sfipVariant)
@@ -151,12 +151,12 @@ func sfipAppTable() ([]SfipAppRow, error) {
 	for _, wl := range table2Apps {
 		// Both runs attach after the offline phase: the controlled
 		// environment is not policed.
-		train, err := observe(spec, wl, obsv.New(obsv.Options{SfipLearn: true}), sfipAppRequests)
+		train, err := observe(ctx, spec, wl, obsv.New(obsv.Options{SfipLearn: true}), sfipAppRequests)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip train %s: %w", wl.name, err)
 		}
 		policy := train.SfipPolicy
-		enforce, err := observe(spec, wl, obsv.New(obsv.Options{SfipPolicy: policy, SfipMode: sfip.ModeEnforce}), sfipAppRequests)
+		enforce, err := observe(ctx, spec, wl, obsv.New(obsv.Options{SfipPolicy: policy, SfipMode: sfip.ModeEnforce}), sfipAppRequests)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip enforce %s: %w", wl.name, err)
 		}
@@ -188,20 +188,20 @@ type SfipMicroRow struct {
 // enforcer is then installed bare on the kernel after the offline phase
 // (no event hook, so the delta vs the plain slope isolates the SFIP
 // check itself).
-func sfipMicroTable() ([]SfipMicroRow, error) {
+func sfipMicroTable(ctx context.Context) ([]SfipMicroRow, error) {
 	var rows []SfipMicroRow
 	for _, spec := range variants.Table3Columns() {
-		off, err := MicroSlope(spec)
+		off, err := MicroSlope(ctx, spec)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip micro %s: %w", spec.Name, err)
 		}
 		o := obsv.New(obsv.Options{SfipLearn: true})
 		o.Learner.LearnAll = true
-		train, err := observe(spec, micro, o, microN1, microN2)
+		train, err := observe(ctx, spec, micro, o, microN1, microN2)
 		if err != nil {
 			return nil, fmt.Errorf("bench: sfip micro train %s: %w", spec.Name, err)
 		}
-		enf, err := slope(spec, micro, func(w *interpose.World) {
+		enf, err := slope(ctx, spec, micro, func(w *interpose.World) {
 			w.K.Sfip = sfip.NewEnforcer(train.SfipPolicy, sfip.ModeEnforce)
 		}, microN1, microN2)
 		if err != nil {
@@ -214,8 +214,8 @@ func sfipMicroTable() ([]SfipMicroRow, error) {
 
 // writeSfipTable runs all three SFIP measurements and writes the
 // golden-comparable report.
-func writeSfipTable(w io.Writer) error {
-	cells, err := sfipPitfallMatrix()
+func writeSfipTable(ctx context.Context, w io.Writer) error {
+	cells, err := sfipPitfallMatrix(ctx)
 	if err != nil {
 		return err
 	}
@@ -235,7 +235,7 @@ func writeSfipTable(w io.Writer) error {
 		fmt.Fprintf(w, "criterion: %d cell(s) escaped in training without tripping enforcement: FAIL\n", missed)
 	}
 
-	rows, err := sfipAppTable()
+	rows, err := sfipAppTable(ctx)
 	if err != nil {
 		return err
 	}
@@ -248,7 +248,7 @@ func writeSfipTable(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "false-positive total: %d\n", fps)
 
-	micro, err := sfipMicroTable()
+	micro, err := sfipMicroTable(ctx)
 	if err != nil {
 		return err
 	}
@@ -261,9 +261,9 @@ func writeSfipTable(w io.Writer) error {
 
 // SfipTable is writeSfipTable into a string, for benchtab and the
 // golden test.
-func SfipTable() (string, error) {
+func SfipTable(ctx context.Context) (string, error) {
 	var b strings.Builder
-	if err := writeSfipTable(&b); err != nil {
+	if err := writeSfipTable(ctx, &b); err != nil {
 		return "", err
 	}
 	return b.String(), nil

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -46,14 +47,14 @@ var paperTable2 = map[string]int{
 
 // Table2 runs the offline phase for every Table 2 application and
 // reports the unique syscall-site counts.
-func Table2() ([]Table2Row, error) {
+func Table2(ctx context.Context) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, wl := range table2Apps {
-		w, err := World()
+		w, err := World(ctx)
 		if err != nil {
 			return nil, err
 		}
-		_, n, err := offline(w, wl)
+		_, n, err := offline(ctx, w, wl)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", wl.name, err)
 		}

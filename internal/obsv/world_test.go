@@ -228,7 +228,7 @@ func TestWarmSyscallAllocs(t *testing.T) {
 	for _, name := range bench.Table5Variants() {
 		t.Run(name, func(t *testing.T) {
 			spec, _ := variants.ByName(name)
-			w, err := bench.World()
+			w, err := bench.World(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,7 +359,7 @@ func BenchmarkObserver(b *testing.B) {
 			var steps uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				w, err := bench.World()
+				w, err := bench.World(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
