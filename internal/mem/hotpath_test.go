@@ -342,6 +342,7 @@ func BenchmarkPageLookup(b *testing.B) {
 		if err := a.Map(addr, PageSize, PermRW, "page"); err != nil {
 			b.Fatal(err)
 		}
+		a.KStoreU64(addr, 1) // the page's first store allocates it
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
