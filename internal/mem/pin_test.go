@@ -65,10 +65,11 @@ type asStep struct {
 	src    int
 }
 
-// sharedSrc is the fixed source a mapshared step maps its data from.
-// Nothing may ever write it: FuzzAddressSpace checks it against
-// sharedPristine after every step.
-var sharedSrc, sharedPristine = func() (a, b [8 * PageSize]byte) {
+// sharedSrc is the fixed source a mapshared step maps its data from,
+// long enough for the largest span sharedData cuts (from page 7, up to
+// 31*256 bytes, capacity to a page end). Nothing may ever write it:
+// FuzzAddressSpace checks it against sharedPristine after every step.
+var sharedSrc, sharedPristine = func() (a, b [16 * PageSize]byte) {
 	for i := range a {
 		a[i] = byte(i*7 + i>>12)
 	}
