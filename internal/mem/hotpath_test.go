@@ -153,7 +153,7 @@ func TestPageCacheReset(t *testing.T) {
 		{"clone", func(t *testing.T) {
 			a, pns := cachedSpace(t, 1)
 			c := a.Clone()
-			if c.cache != ([pageCacheSize]pageCacheEntry{}) {
+			if c.cache != (AddressSpace{}).cache {
 				t.Fatal("clone starts with cached pages")
 			}
 			for _, pn := range pns {
@@ -347,10 +347,12 @@ func BenchmarkPageLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := uint64(0); i < uint64(b.N); i++ {
-		a.Gen(tramp)
-		a.Gen(code + 0x40)
-		a.LoadU64(stack+0xff0, 0)
+		v, _ := a.LoadU64(stack+0xff0, 0)
+		pageLookupSink += a.Gen(tramp) + a.Gen(code+0x40) + v
 		a.KStoreU64(vvar, i)
 		a.KStoreU64(vvar+8, i)
 	}
 }
+
+// pageLookupSink keeps BenchmarkPageLookup's loads live.
+var pageLookupSink uint64

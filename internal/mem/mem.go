@@ -216,9 +216,12 @@ type AddressSpace struct {
 	pages   map[uint64]*page // page number -> page
 	regions []Region         // sorted by Start
 
-	// cache holds recent successful page lookups, one per slot (see
-	// pageAt). Map, Unmap and RestoreState clear it; Clone starts empty.
-	cache [pageCacheSize]pageCacheEntry
+	// cache holds pages pageAt found, each at its page number's
+	// pageSlot. Map, Unmap and RestoreState clear it; Clone starts empty.
+	cache [pageCacheSize]struct {
+		pn uint64
+		pg *page
+	}
 
 	// genClock issues write generations. It is monotone across the whole
 	// address space so a generation value is never reused, even when a
@@ -328,28 +331,20 @@ func (a *AddressSpace) Unmap(addr, length uint64) error {
 	return nil
 }
 
-// pageCacheSize is the number of slots in an address space's page
-// table cache.
+// pageCacheSize is the number of slots in the page table cache.
 const pageCacheSize = 16
-
-// pageCacheEntry is one slot of the page table cache: a page number
-// and the page it maps to, or a nil page.
-type pageCacheEntry struct {
-	pn uint64
-	pg *page
-}
 
 // pageSlot is pn's slot in the page table cache: the top four bits of
 // pn times 2^64 divided by the golden ratio (Fibonacci hashing).
 func pageSlot(pn uint64) uint64 { return (pn * 0x9E3779B97F4A7C15) >> 60 }
 
 // pageAt returns the page with page number pn, or nil if it is
-// unmapped. Hits are kept in a direct-mapped table in front of the
-// map, at the slot a multiplicative hash of pn picks. The hash keeps
-// the pages one quantum-1 step touches apart: under pn % 16 the page-0
-// trampoline and the vvar page share slot 0, and a one-entry memo
-// evicts on every page change; the table's reset rule is the memo's
-// (BENCH_37.json).
+// unmapped. Pages found are kept in a direct-mapped table in front of
+// the map, at pn's pageSlot. The hash keeps apart the pages one
+// quantum-1 step of P5 touches: the page-0 trampoline, code at
+// 0x5500_0000 and the vvar page all share slot 0 under pn % 16. One
+// k23-ultra+ P5 cell makes 1.27M map lookups behind a one-entry memo,
+// 1.18M with pn % 16 and 38.7K with the hash (BENCH_37.json).
 func (a *AddressSpace) pageAt(pn uint64) *page {
 	e := &a.cache[pageSlot(pn)]
 	if e.pg != nil && e.pn == pn {
@@ -599,7 +594,8 @@ func (a *AddressSpace) KStore(addr uint64, b []byte) error {
 }
 
 // write performs the raw write and generation bumps. All touched
-// pages must exist. It is the only writer of page data.
+// pages must exist. It and KStoreU64's in-page path are the only
+// writers of page data.
 func (a *AddressSpace) write(addr uint64, b []byte) {
 	off := 0
 	for off < len(b) {
