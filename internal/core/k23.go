@@ -207,9 +207,6 @@ func (tr *k23Tracer) fromLibK23(t *kernel.Thread, site uint64) bool {
 	return ok && (r.Name == tr.k23.LibraryPath() || r.Name == loader.LdsoPath)
 }
 
-// SyscallExit implements kernel.Tracer: the exit stop observes nothing.
-func (tr *k23Tracer) SyscallExit(k *kernel.Kernel, t *kernel.Thread, nr, ret uint64) {}
-
 // Execve implements kernel.Tracer: if LD_PRELOAD no longer carries
 // libK23 — attacker scrubbing or benign empty environments (Listing 1) —
 // the ptracer overwrites it, defeating P1a.

@@ -281,8 +281,6 @@ func (g *preloadGuard) SyscallEnter(k *kernel.Kernel, t *kernel.Thread, nr, site
 	return false
 }
 
-func (g *preloadGuard) SyscallExit(k *kernel.Kernel, t *kernel.Thread, nr, ret uint64) {}
-
 func (g *preloadGuard) Execve(k *kernel.Kernel, t *kernel.Thread, path string, argv, env []string) []string {
 	if cur, ok := kernel.GetEnv(env, loader.LdPreloadVar); ok && strings.Contains(cur, g.libPath) {
 		return nil

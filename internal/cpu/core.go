@@ -224,6 +224,11 @@ type Core struct {
 	// hotN counts the live anchor counters across all lines.
 	hotN int
 
+	// cur is the instruction Step is executing: fetchInst decodes into
+	// it, and Step passes its address to the op, which keeps the
+	// instruction from escaping to the heap.
+	cur Inst
+
 	// jitSeq numbers superblock validation epochs: it advances at every
 	// Run quantum entry and every I-cache flush, the only two points
 	// where a fully validated superblock's lines could cease to be
@@ -270,24 +275,26 @@ func (c *Core) fetchByte(addr uint64) (byte, error) {
 	return ln.dec.data[addr%cacheLineSize], nil
 }
 
-// fetchInst fetches and decodes the instruction at RIP, honouring the
-// I-cache staleness model. A decode-cache hit skips the whole
-// fetch/EncodedLen/Decode path; a miss derives the encoding length from
-// the first byte (or first two, for prefixed encodings) so each
-// instruction is decoded exactly once, then installs a cache entry.
-func (c *Core) fetchInst() (Inst, error) {
+// fetchInst fetches and decodes the instruction at RIP into c.cur,
+// honouring the I-cache staleness model. A decode-cache hit skips the
+// whole fetch/EncodedLen/Decode path; a miss derives the encoding
+// length from the first byte (or first two, for prefixed encodings) so
+// each instruction is decoded exactly once, then installs a cache
+// entry.
+func (c *Core) fetchInst() error {
 	rip := c.Ctx.RIP
 	useCache := !c.DecodeCacheOff
 	if useCache {
-		if inst, ok := c.lookupDecoded(rip); ok {
-			return inst, nil
+		var ok bool
+		if c.cur, ok = c.lookupDecoded(rip); ok {
+			return nil
 		}
 	}
 
 	var buf [MaxInstLen]byte
 	b0, err := c.fetchByte(rip)
 	if err != nil {
-		return Inst{}, err
+		return err
 	}
 	buf[0] = b0
 	have := 1
@@ -296,25 +303,24 @@ func (c *Core) fetchInst() (Inst, error) {
 	if needSecond {
 		b1, err := c.fetchByte(rip + 1)
 		if err != nil {
-			return Inst{}, err
+			return err
 		}
 		buf[1] = b1
 		have = 2
 		n, _ = EncodedLen(b0, b1, 2)
 	}
 	if n <= 0 {
-		return Inst{}, DecodeError{Byte: b0}
+		return DecodeError{Byte: b0}
 	}
 	for i := have; i < n; i++ {
 		bi, err := c.fetchByte(rip + uint64(i))
 		if err != nil {
-			return Inst{}, err
+			return err
 		}
 		buf[i] = bi
 	}
-	inst, derr := Decode(buf[:n])
-	if derr != nil {
-		return Inst{}, derr
+	if c.cur, err = Decode(buf[:n]); err != nil {
+		return err
 	}
 	// One staleness check per distinct line the encoding covers (at most
 	// two, since MaxInstLen < cacheLineSize). Every covered line is
@@ -330,12 +336,12 @@ func (c *Core) fetchInst() (Inst, error) {
 			staleAny = true
 		}
 	}
-	c.noteStaleness(buf[:inst.Len], staleAny)
+	c.noteStaleness(buf[:c.cur.Len], staleAny)
 	if useCache {
 		c.DecodeStats.Misses++
-		c.installDecoded(rip, inst)
+		c.installDecoded(rip, c.cur)
 	}
-	return inst, nil
+	return nil
 }
 
 // noteStaleness records a CMC violation if cached, the bytes executed,
@@ -381,207 +387,21 @@ func (c *Core) StoreAsSelf(addr uint64, b []byte) error { return c.store(addr, b
 // instruction; on syscalls/hostcalls, RIP has advanced.
 func (c *Core) Step() Stop {
 	site := c.Ctx.RIP
-	inst, err := c.fetchInst()
-	if err != nil {
+	if err := c.fetchInst(); err != nil {
 		if f, ok := err.(*mem.Fault); ok {
 			return Stop{Kind: StopFault, Fault: f, Site: site}
 		}
 		return Stop{Kind: StopIll, Site: site}
 	}
+	in := &c.cur
 	if c.Trace != nil {
-		c.Trace.Fold(c.TID, site, inst.Op)
+		c.Trace.Fold(c.TID, site, in.Op)
 	}
-
-	c.Cycles += InstCost(inst.Op)
+	c.Cycles += InstCost(in.Op)
 	c.Insts++
-	next := site + uint64(inst.Len)
-	r := &c.Ctx.R
-
-	setZS := func(v uint64) {
-		c.Ctx.ZF = v == 0
-		c.Ctx.SF = int64(v) < 0
+	if run := ops[in.Op]; run != nil {
+		stop, _ := run(c, in, site)
+		return stop
 	}
-
-	switch inst.Op {
-	case OpNop:
-	case OpSyscall, OpSysenter:
-		// Hardware behaviour: RCX <- return RIP, R11 <- RFLAGS.
-		r[RCX] = next
-		r[R11] = c.Ctx.Flags()
-		c.Ctx.RIP = next
-		kind := StopSyscall
-		if inst.Op == OpSysenter {
-			kind = StopSysenter
-		}
-		return Stop{Kind: kind, Site: site}
-	case OpCpuid, OpMfence:
-		c.FlushICache()
-	case OpUd2:
-		return Stop{Kind: StopIll, Site: site}
-	case OpRdtsc:
-		r[RAX] = c.Cycles
-		r[RDX] = 0
-	case OpWrpkru:
-		c.PKRU = mem.PKRU(uint32(r[RAX]))
-	case OpRdpkru:
-		r[RAX] = uint64(uint32(c.PKRU))
-	case OpRdfsbase:
-		r[inst.A] = c.TLS
-	case OpWrfsbase:
-		c.TLS = r[inst.A]
-	case OpHostcall:
-		c.Ctx.RIP = next
-		return Stop{Kind: StopHostcall, Site: site, HostcallID: int32(inst.Imm)}
-	case OpCallReg:
-		target := r[inst.A]
-		r[RSP] -= 8
-		if err := c.store(r[RSP], putLE64(next)); err != nil {
-			r[RSP] += 8
-			return faultStop(err, site)
-		}
-		c.Ctx.RIP = target
-		return Stop{Kind: StopNone}
-	case OpJmpReg:
-		c.Ctx.RIP = r[inst.A]
-		return Stop{Kind: StopNone}
-	case OpMovImm, OpMovImm32:
-		r[inst.A] = uint64(inst.Imm)
-	case OpMovRR:
-		r[inst.A] = r[inst.B]
-	case OpAdd:
-		r[inst.A] += r[inst.B]
-		setZS(r[inst.A])
-	case OpSub:
-		r[inst.A] -= r[inst.B]
-		setZS(r[inst.A])
-	case OpXor:
-		r[inst.A] ^= r[inst.B]
-		setZS(r[inst.A])
-	case OpAnd:
-		r[inst.A] &= r[inst.B]
-		setZS(r[inst.A])
-	case OpOr:
-		r[inst.A] |= r[inst.B]
-		setZS(r[inst.A])
-	case OpMul:
-		r[inst.A] *= r[inst.B]
-		setZS(r[inst.A])
-	case OpAddImm:
-		r[inst.A] = uint64(int64(r[inst.A]) + inst.Imm)
-		setZS(r[inst.A])
-	case OpShl:
-		r[inst.A] <<= uint(inst.Imm)
-		setZS(r[inst.A])
-	case OpShr:
-		r[inst.A] >>= uint(inst.Imm)
-		setZS(r[inst.A])
-	case OpCmp:
-		setZS(r[inst.A] - r[inst.B])
-	case OpCmpImm:
-		setZS(uint64(int64(r[inst.A]) - inst.Imm))
-	case OpTest:
-		setZS(r[inst.A] & r[inst.B])
-	case OpLoad:
-		v, err := c.AS.LoadU64(r[inst.B]+uint64(inst.Imm), c.PKRU)
-		if err != nil {
-			return faultStop(err, site)
-		}
-		r[inst.A] = v
-	case OpLoadB:
-		b, err := c.AS.Load(r[inst.B]+uint64(inst.Imm), 1, c.PKRU)
-		if err != nil {
-			return faultStop(err, site)
-		}
-		r[inst.A] = uint64(b[0])
-	case OpStore:
-		if err := c.store(r[inst.A]+uint64(inst.Imm), putLE64(r[inst.B])); err != nil {
-			return faultStop(err, site)
-		}
-	case OpStoreB:
-		if err := c.store(r[inst.A]+uint64(inst.Imm), []byte{byte(r[inst.B])}); err != nil {
-			return faultStop(err, site)
-		}
-	case OpStoreW:
-		v := uint16(r[inst.B])
-		if err := c.store(r[inst.A]+uint64(inst.Imm), []byte{byte(v), byte(v >> 8)}); err != nil {
-			return faultStop(err, site)
-		}
-	case OpCall:
-		r[RSP] -= 8
-		if err := c.store(r[RSP], putLE64(next)); err != nil {
-			r[RSP] += 8
-			return faultStop(err, site)
-		}
-		c.Ctx.RIP = uint64(int64(next) + inst.Imm)
-		return Stop{Kind: StopNone}
-	case OpJmp:
-		c.Ctx.RIP = uint64(int64(next) + inst.Imm)
-		return Stop{Kind: StopNone}
-	case OpJz, OpJnz, OpJl, OpJge, OpJle, OpJg:
-		taken := false
-		switch inst.Op {
-		case OpJz:
-			taken = c.Ctx.ZF
-		case OpJnz:
-			taken = !c.Ctx.ZF
-		case OpJl:
-			taken = c.Ctx.SF
-		case OpJge:
-			taken = !c.Ctx.SF
-		case OpJle:
-			taken = c.Ctx.ZF || c.Ctx.SF
-		case OpJg:
-			taken = !c.Ctx.ZF && !c.Ctx.SF
-		}
-		if taken {
-			c.Ctx.RIP = uint64(int64(next) + inst.Imm)
-		} else {
-			c.Ctx.RIP = next
-		}
-		return Stop{Kind: StopNone}
-	case OpRet:
-		v, err := c.AS.LoadU64(r[RSP], c.PKRU)
-		if err != nil {
-			return faultStop(err, site)
-		}
-		r[RSP] += 8
-		c.Ctx.RIP = v
-		return Stop{Kind: StopNone}
-	case OpPush:
-		r[RSP] -= 8
-		if err := c.store(r[RSP], putLE64(r[inst.A])); err != nil {
-			r[RSP] += 8
-			return faultStop(err, site)
-		}
-	case OpPop:
-		v, err := c.AS.LoadU64(r[RSP], c.PKRU)
-		if err != nil {
-			return faultStop(err, site)
-		}
-		r[RSP] += 8
-		r[inst.A] = v
-	case OpHlt:
-		return Stop{Kind: StopHalt, Site: site}
-	case OpInt3:
-		c.Ctx.RIP = next
-		return Stop{Kind: StopTrap, Site: site}
-	default:
-		return Stop{Kind: StopIll, Site: site}
-	}
-	c.Ctx.RIP = next
-	return Stop{Kind: StopNone}
-}
-
-func faultStop(err error, site uint64) Stop {
-	if f, ok := err.(*mem.Fault); ok {
-		return Stop{Kind: StopFault, Fault: f, Site: site}
-	}
-	return Stop{Kind: StopFault, Fault: &mem.Fault{}, Site: site}
-}
-
-func putLE64(v uint64) []byte {
-	return []byte{
-		byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24),
-		byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56),
-	}
+	return Stop{Kind: StopIll, Site: site}
 }

@@ -1,12 +1,12 @@
 package cpu
 
-import "k23/internal/mem"
-
 // This file implements the trace-JIT superblock engine layered over the
 // decoded-instruction cache: hot straight-line regions are "compiled"
-// into superblocks — threaded-code arrays of pre-bound instruction
-// closures — that execute without per-instruction fetch, decode-cache
-// lookup, or switch dispatch.
+// into superblocks — arrays of decoded instructions, each stored with
+// its op-table entry (see ops in exec.go), site and cycle cost — that
+// execute without per-instruction fetch or decode-cache lookup. The op
+// table is the one definition of every instruction: Step and a
+// superblock call the same function, so the two engines cannot drift.
 //
 // The correctness contract is the same observational-equivalence
 // discipline the decode cache lives under, but stricter, because a
@@ -16,8 +16,11 @@ import "k23/internal/mem"
 // exactly the same bytes AND observe no cross-modifying-code hazard.
 // Anything else — a bumped page generation, a stale resident line, an
 // unmapped code page — bails back to the interpreter BEFORE the
-// affected instruction executes, so faults, CMC accounting (pitfall
-// P5), and trap sites are bit-identical to interpreted execution.
+// affected instruction is charged or executed, so fetch faults, CMC
+// accounting (pitfall P5), and trap sites are bit-identical to
+// interpreted execution. An instruction that faults on a data access
+// is charged and retired, with RIP left at its site, exactly as Step
+// does: it is the same op function.
 //
 // I-cache residency is part of the observable state (the P5 scenarios
 // depend on which lines are resident), so superblock formation never
@@ -32,12 +35,14 @@ import "k23/internal/mem"
 // serializes the core (SYSCALL, SYSENTER, HOSTCALL, CPUID, MFENCE,
 // UD2, HLT, INT3), so interposition boundaries — traps, audit taps,
 // signal delivery with RIP rewind — always occur between blocks, never
-// inside one. Unconditional transfers may terminate a block;
-// conditional branches side-exit when taken and fall through in-block
-// otherwise. A store that hits the block's own code lines completes,
-// evicts the block (via the same invalidateLine path that guards the
-// decode cache), and side-exits so the interpreter refetches the new
-// bytes — the same-core self-modifying-code rule.
+// inside one. Unconditional transfers end a block; a conditional
+// branch side-exits when taken and falls through in-block otherwise
+// (an op reports both as leaving straight-line flow). A store that
+// hits the block's own code lines completes and evicts the block, via
+// the same invalidateLine path that guards the decode cache; the
+// dispatcher sees the block dead after the instruction and side-exits
+// so the interpreter refetches the new bytes — the same-core
+// self-modifying-code rule.
 
 // Superblock formation and dispatch tuning. The thresholds are
 // deliberately deterministic: hotness counts depend only on the
@@ -105,32 +110,15 @@ func (s JITStats) Coverage(totalInsts uint64) float64 {
 	return float64(s.BlockInsts) / float64(totalInsts)
 }
 
-// sbRes says how a superblock instruction left the core.
-type sbRes uint8
-
-const (
-	// sbNext: retired; fall through to the next block instruction.
-	sbNext sbRes = iota
-	// sbExit: retired; control left the block (taken branch, terminal
-	// transfer, or self-write side exit). RIP is already correct.
-	sbExit
-	// sbStop: the instruction stopped with a non-StopNone Stop (fault).
-	// RIP is at the faulting site, exactly as Step leaves it.
-	sbStop
-)
-
-// sbClosure executes one pre-bound instruction.
-type sbClosure func(c *Core) (sbRes, Stop)
-
-// sbInst is one compiled instruction: its pre-bound body closure, the
-// retirement metadata the dispatcher charges before running it (site,
-// op, cycle cost — mirroring Step's accounting order), and the index
-// (into superblock.lines) of the last code line its encoding covers,
-// which drives the lazy line-fill watermark.
+// sbInst is one compiled instruction: its op from the op table, the
+// decoded instruction, the retirement metadata the dispatcher charges
+// before running it (site, cycle cost — mirroring Step's accounting
+// order), and the index (into superblock.lines) of the last code line
+// its encoding covers, which drives the lazy line-fill watermark.
 type sbInst struct {
-	run     sbClosure
+	run     opFunc
+	inst    Inst
 	site    uint64
-	op      Op
 	cost    uint64
 	endLine int
 }
@@ -210,9 +198,10 @@ func (c *Core) Run(budget int) Stop {
 	for budget > 0 {
 		rip := c.Ctx.RIP
 		var sb *superblock
-		if prev != nil && prev.next != nil && prev.next.entry == rip && !prev.next.dead {
-			sb = prev.next
-		} else if sb = c.blockAt(rip); prev != nil {
+		if prev == nil {
+			sb = c.blockAt(rip)
+		} else if sb = prev.next; sb == nil || sb.entry != rip || sb.dead {
+			sb = c.blockAt(rip)
 			prev.next = sb
 		}
 		prev = nil
@@ -257,25 +246,27 @@ func (c *Core) Run(budget int) Stop {
 // instruction stopped) and the number of instructions retired.
 func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 	c.JITStats.Entries++
-	validated := sb.seq == c.jitSeq
 	trace := c.Trace
+	// filled counts the code lines validated so far; a block already
+	// fully validated in this epoch has nothing left to fill.
 	filled := 0
-	executed := 0
-	for i := range sb.code {
-		if executed >= budget {
-			c.JITStats.BlockInsts += uint64(executed)
-			return Stop{Kind: StopNone}, executed
-		}
-		si := &sb.code[i]
+	if sb.seq == c.jitSeq {
+		filled = len(sb.lines)
+	}
+	code := sb.code
+	if len(code) > budget {
+		code = code[:budget]
+	}
+	for i := range code {
+		si := &code[i]
 		// Lazy line fill: validate (and make resident) every code line
 		// this instruction's encoding covers, in fetch order, exactly
-		// when the interpreter's fetch would have. Skipped entirely when
-		// the block already fully validated in this epoch.
-		for !validated && filled <= si.endLine {
+		// when the interpreter's fetch would have.
+		for filled <= si.endLine {
 			if !c.sbValidateLine(sb, filled) {
 				c.JITStats.Bails++
-				c.JITStats.BlockInsts += uint64(executed)
-				return Stop{Kind: StopNone}, executed
+				c.JITStats.BlockInsts += uint64(i)
+				return Stop{Kind: StopNone}, i
 			}
 			filled++
 			if filled == len(sb.lines) {
@@ -284,23 +275,24 @@ func (c *Core) execBlock(sb *superblock, budget int) (Stop, int) {
 		}
 		// Retirement accounting in Step's order: trace, charge, execute.
 		if trace != nil {
-			trace.Fold(c.TID, si.site, si.op)
+			trace.Fold(c.TID, si.site, si.inst.Op)
 		}
 		c.Cycles += si.cost
 		c.Insts++
-		res, stop := si.run(c)
-		executed++
-		switch res {
-		case sbExit:
-			c.JITStats.BlockInsts += uint64(executed)
-			return Stop{Kind: StopNone}, executed
-		case sbStop:
-			c.JITStats.BlockInsts += uint64(executed)
-			return stop, executed
+		stop, jumped := si.run(c, &si.inst, si.site)
+		if stop.Kind != StopNone || jumped || sb.dead {
+			// A block dead after a store was evicted by it: the store hit
+			// the block's own lines, so side-exit and let the interpreter
+			// refetch the new bytes.
+			if stop.Kind == StopNone && !jumped {
+				c.JITStats.SelfWrites++
+			}
+			c.JITStats.BlockInsts += uint64(i + 1)
+			return stop, i + 1
 		}
 	}
-	c.JITStats.BlockInsts += uint64(executed)
-	return Stop{Kind: StopNone}, executed
+	c.JITStats.BlockInsts += uint64(len(code))
+	return Stop{Kind: StopNone}, len(code)
 }
 
 // sbValidateLine checks (and, if needed, fills) code line index idx of
@@ -455,349 +447,13 @@ scan:
 	for _, s := range insts {
 		endLine := int((s.site+uint64(s.inst.Len)-1)/cacheLineSize) - int(firstLine)
 		sb.code = append(sb.code, sbInst{
-			run:     bindInst(s.inst, s.site, firstLine, lastLine),
+			run:     ops[s.inst.Op],
+			inst:    s.inst,
 			site:    s.site,
-			op:      s.inst.Op,
 			cost:    InstCost(s.inst.Op),
 			endLine: endLine,
 		})
 	}
 	c.installBlock(sb)
 	c.JITStats.Blocks++
-}
-
-// bindInst compiles one instruction into a body closure with its
-// operands, site and successor RIP pre-bound. The dispatcher performs
-// the retirement prologue (trace fold, cycle/instruction accounting)
-// before calling the body; the body replays Step's op semantics
-// exactly: identical fault behaviour (the instruction retires, RIP
-// stays at the site), identical RIP updates.
-func bindInst(inst Inst, site uint64, firstLine, lastLine uint64) sbClosure {
-	op := inst.Op
-	a, b := inst.A, inst.B
-	imm := inst.Imm
-	uimm := uint64(imm)
-	next := site + uint64(inst.Len)
-
-	// overlaps reports whether a completed store touched the block's
-	// own code lines; such a store evicted the block via invalidateLine,
-	// so the closure side-exits and the interpreter refetches.
-	overlaps := func(addr uint64, n int) bool {
-		lo := addr / cacheLineSize
-		hi := (addr + uint64(n) - 1) / cacheLineSize
-		return hi >= firstLine && lo <= lastLine
-	}
-
-	var body sbClosure
-	switch op {
-	case OpNop:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpRdtsc:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.R[RAX] = c.Cycles
-			c.Ctx.R[RDX] = 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpWrpkru:
-		body = func(c *Core) (sbRes, Stop) {
-			c.PKRU = mem.PKRU(uint32(c.Ctx.R[RAX]))
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpRdpkru:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.R[RAX] = uint64(uint32(c.PKRU))
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpRdfsbase:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.R[a] = c.TLS
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpWrfsbase:
-		body = func(c *Core) (sbRes, Stop) {
-			c.TLS = c.Ctx.R[a]
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpMovImm, OpMovImm32:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.R[a] = uimm
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpMovRR:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.R[a] = c.Ctx.R[b]
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpAdd:
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] + c.Ctx.R[b]
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpSub:
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] - c.Ctx.R[b]
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpXor:
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] ^ c.Ctx.R[b]
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpAnd:
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] & c.Ctx.R[b]
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpOr:
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] | c.Ctx.R[b]
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpMul:
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] * c.Ctx.R[b]
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpAddImm:
-		body = func(c *Core) (sbRes, Stop) {
-			v := uint64(int64(c.Ctx.R[a]) + imm)
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpShl:
-		sh := uint(imm)
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] << sh
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpShr:
-		sh := uint(imm)
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] >> sh
-			c.Ctx.R[a] = v
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpCmp:
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] - c.Ctx.R[b]
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpCmpImm:
-		body = func(c *Core) (sbRes, Stop) {
-			v := uint64(int64(c.Ctx.R[a]) - imm)
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpTest:
-		body = func(c *Core) (sbRes, Stop) {
-			v := c.Ctx.R[a] & c.Ctx.R[b]
-			c.Ctx.ZF, c.Ctx.SF = v == 0, int64(v) < 0
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpLoad:
-		body = func(c *Core) (sbRes, Stop) {
-			v, err := c.AS.LoadU64(c.Ctx.R[b]+uimm, c.PKRU)
-			if err != nil {
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.R[a] = v
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpLoadB:
-		body = func(c *Core) (sbRes, Stop) {
-			bs, err := c.AS.Load(c.Ctx.R[b]+uimm, 1, c.PKRU)
-			if err != nil {
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.R[a] = uint64(bs[0])
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpStore:
-		body = func(c *Core) (sbRes, Stop) {
-			addr := c.Ctx.R[a] + uimm
-			if err := c.store(addr, putLE64(c.Ctx.R[b])); err != nil {
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.RIP = next
-			if overlaps(addr, 8) {
-				c.JITStats.SelfWrites++
-				return sbExit, Stop{}
-			}
-			return sbNext, Stop{}
-		}
-	case OpStoreB:
-		body = func(c *Core) (sbRes, Stop) {
-			addr := c.Ctx.R[a] + uimm
-			if err := c.store(addr, []byte{byte(c.Ctx.R[b])}); err != nil {
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.RIP = next
-			if overlaps(addr, 1) {
-				c.JITStats.SelfWrites++
-				return sbExit, Stop{}
-			}
-			return sbNext, Stop{}
-		}
-	case OpStoreW:
-		body = func(c *Core) (sbRes, Stop) {
-			addr := c.Ctx.R[a] + uimm
-			v := uint16(c.Ctx.R[b])
-			if err := c.store(addr, []byte{byte(v), byte(v >> 8)}); err != nil {
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.RIP = next
-			if overlaps(addr, 2) {
-				c.JITStats.SelfWrites++
-				return sbExit, Stop{}
-			}
-			return sbNext, Stop{}
-		}
-	case OpPush:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.R[RSP] -= 8
-			addr := c.Ctx.R[RSP]
-			if err := c.store(addr, putLE64(c.Ctx.R[a])); err != nil {
-				c.Ctx.R[RSP] += 8
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.RIP = next
-			if overlaps(addr, 8) {
-				c.JITStats.SelfWrites++
-				return sbExit, Stop{}
-			}
-			return sbNext, Stop{}
-		}
-	case OpPop:
-		body = func(c *Core) (sbRes, Stop) {
-			v, err := c.AS.LoadU64(c.Ctx.R[RSP], c.PKRU)
-			if err != nil {
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.R[RSP] += 8
-			c.Ctx.R[a] = v
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	case OpCall:
-		target := uint64(int64(next) + imm)
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.R[RSP] -= 8
-			if err := c.store(c.Ctx.R[RSP], putLE64(next)); err != nil {
-				c.Ctx.R[RSP] += 8
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.RIP = target
-			return sbExit, Stop{}
-		}
-	case OpCallReg:
-		body = func(c *Core) (sbRes, Stop) {
-			target := c.Ctx.R[a]
-			c.Ctx.R[RSP] -= 8
-			if err := c.store(c.Ctx.R[RSP], putLE64(next)); err != nil {
-				c.Ctx.R[RSP] += 8
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.RIP = target
-			return sbExit, Stop{}
-		}
-	case OpJmp:
-		target := uint64(int64(next) + imm)
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.RIP = target
-			return sbExit, Stop{}
-		}
-	case OpJmpReg:
-		body = func(c *Core) (sbRes, Stop) {
-			c.Ctx.RIP = c.Ctx.R[a]
-			return sbExit, Stop{}
-		}
-	case OpRet:
-		body = func(c *Core) (sbRes, Stop) {
-			v, err := c.AS.LoadU64(c.Ctx.R[RSP], c.PKRU)
-			if err != nil {
-				return sbStop, faultStop(err, site)
-			}
-			c.Ctx.R[RSP] += 8
-			c.Ctx.RIP = v
-			return sbExit, Stop{}
-		}
-	case OpJz, OpJnz, OpJl, OpJge, OpJle, OpJg:
-		target := uint64(int64(next) + imm)
-		pred := jitPred(op)
-		body = func(c *Core) (sbRes, Stop) {
-			if pred(&c.Ctx) {
-				c.Ctx.RIP = target
-				return sbExit, Stop{}
-			}
-			c.Ctx.RIP = next
-			return sbNext, Stop{}
-		}
-	default:
-		// Unreachable: jitIncludable gates formation. A nil body would
-		// crash loudly; return an explicit always-bail closure instead.
-		body = func(c *Core) (sbRes, Stop) {
-			return sbStop, Stop{Kind: StopIll, Site: site}
-		}
-	}
-	return body
-}
-
-// jitPred returns the branch predicate for a conditional jump op,
-// mirroring Step's taken logic.
-func jitPred(op Op) func(*Context) bool {
-	switch op {
-	case OpJz:
-		return func(x *Context) bool { return x.ZF }
-	case OpJnz:
-		return func(x *Context) bool { return !x.ZF }
-	case OpJl:
-		return func(x *Context) bool { return x.SF }
-	case OpJge:
-		return func(x *Context) bool { return !x.SF }
-	case OpJle:
-		return func(x *Context) bool { return x.ZF || x.SF }
-	default: // OpJg
-		return func(x *Context) bool { return !x.ZF && !x.SF }
-	}
 }

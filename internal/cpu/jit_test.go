@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"k23/internal/mem"
@@ -626,4 +627,58 @@ func FuzzSuperblockFormation(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOpTable checks the op table that Step and superblocks share:
+// every op Decode can return has an entry, every op a superblock may
+// hold has a real one (not the illegal-instruction entry), and an op
+// without an entry stops with StopIll at its site under Step.
+func TestOpTable(t *testing.T) {
+	decodable := map[Op]bool{}
+	for b0 := 0; b0 < 256; b0++ {
+		for b1 := 0; b1 < 256; b1++ {
+			var buf [MaxInstLen]byte
+			buf[0], buf[1] = byte(b0), byte(b1)
+			if n, _ := EncodedLen(buf[0], buf[1], 2); n > 0 {
+				if inst, err := Decode(buf[:n]); err == nil {
+					decodable[inst.Op] = true
+				}
+			}
+		}
+	}
+	if len(decodable) != len(opNames)-1 { // all but OpInvalid
+		t.Errorf("two-byte sweep decoded %d ops, want %d", len(decodable), len(opNames)-1)
+	}
+	for op := range decodable {
+		if ops[op] == nil {
+			t.Errorf("%v: Decode returns it but it has no entry", op)
+		}
+	}
+	illPC := reflect.ValueOf(ill).Pointer()
+	for i := 0; i < 256; i++ {
+		if op := Op(i); jitIncludable(op) && (ops[op] == nil || reflect.ValueOf(ops[op]).Pointer() == illPC) {
+			t.Errorf("%v: superblocks may hold it but its entry is %v", op, ops[op])
+		}
+	}
+
+	// No decoder yields an op without an entry, so plant one in the
+	// decode cache: the NOP at 0x1000, once decoded, is replayed from it.
+	if ops[OpInvalid] != nil {
+		t.Fatal("OpInvalid has an entry")
+	}
+	c := buildCore(t, asm(Inst{Op: OpNop}))
+	if s := c.Step(); s.Kind != StopNone {
+		t.Fatalf("nop: %+v", s)
+	}
+	ln := c.line(0x1000 / cacheLineSize)
+	ln.dec.insts[0].Op = OpInvalid
+	c.Ctx.RIP = 0x1000
+	s := c.Step()
+	if s.Kind != StopIll || s.Site != 0x1000 || c.Ctx.RIP != 0x1000 || c.Insts != 2 {
+		t.Fatalf("op without an entry: stop %+v, rip %#x, insts %d; want StopIll at 0x1000, rip unmoved, 2 retired",
+			s, c.Ctx.RIP, c.Insts)
+	}
+	if c.DecodeStats.Hits != 1 {
+		t.Fatalf("second step did not replay the planted entry: %+v", c.DecodeStats)
+	}
 }

@@ -3,9 +3,9 @@ package cpu
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
 
+	"k23/internal/canon"
 	"k23/internal/mem"
 )
 
@@ -117,21 +117,21 @@ func (c *Core) RestoreState(s CoreState) {
 // statistics are left out, so a jitted and an interpreted run of the
 // same program hash alike.
 func (s *CoreState) Hash() uint64 {
-	h := fnv.New64a()
+	h := canon.NewHash()
 	for r, v := range s.Ctx.R {
-		fmt.Fprintf(h, "r%d %#x\n", r, v)
+		fmt.Fprintf(&h, "r%d %#x\n", r, v)
 	}
-	fmt.Fprintf(h, "rip %#x fl %#x pkru %#x tls %#x cyc %d in %d cmc %d\n",
+	fmt.Fprintf(&h, "rip %#x fl %#x pkru %#x tls %#x cyc %d in %d cmc %d\n",
 		s.Ctx.RIP, s.Ctx.Flags(), uint32(s.PKRU), s.TLS, s.Cycles, s.Insts, s.CMCViolations)
 	if ev := s.LastCMC; ev != nil {
-		fmt.Fprintf(h, "lastcmc %#x %x %x\n", ev.Addr, ev.Cached, ev.Fresh)
+		fmt.Fprintf(&h, "lastcmc %#x %x %x\n", ev.Addr, ev.Cached, ev.Fresh)
 	}
 	lines := slices.Clone(s.ICache)
 	slices.SortFunc(lines, func(a, b ICacheLine) int { return cmp.Compare(a.Base, b.Base) })
 	for _, ln := range lines {
-		fmt.Fprintf(h, "ic %#x %d ", ln.Base, ln.Gen)
+		fmt.Fprintf(&h, "ic %#x %d ", ln.Base, ln.Gen)
 		h.Write(ln.Data[:])
 		h.Write([]byte{'\n'})
 	}
-	return h.Sum64()
+	return uint64(h)
 }

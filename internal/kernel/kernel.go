@@ -299,14 +299,12 @@ type Hostcall struct {
 // Tracer observes and controls a traced process, modelling a ptrace
 // tracer. Implementations run in host space; the cost model charges the
 // tracee for every stop and access, as the real mechanism does in wall
-// time.
+// time, syscall-exit stops included, which no tracer observes.
 type Tracer interface {
 	// SyscallEnter is invoked at every syscall-entry stop. Returning
 	// suppress=true skips the kernel's execution of the call; the tracer
 	// must then set the return value itself via SetRegs.
 	SyscallEnter(k *Kernel, t *Thread, nr uint64, site uint64) (suppress bool)
-	// SyscallExit is invoked at every syscall-exit stop.
-	SyscallExit(k *Kernel, t *Thread, nr uint64, ret uint64)
 	// Execve is invoked before an execve is performed (PTRACE_EVENT_EXEC
 	// analogue). The tracer may rewrite the environment by returning a
 	// non-nil slice.

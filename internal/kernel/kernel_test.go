@@ -230,8 +230,6 @@ func (c *countingTracer) SyscallEnter(k *kernel.Kernel, t *kernel.Thread, nr, si
 	return false
 }
 
-func (c *countingTracer) SyscallExit(k *kernel.Kernel, t *kernel.Thread, nr, ret uint64) {}
-
 func (c *countingTracer) Execve(k *kernel.Kernel, t *kernel.Thread, path string, argv, env []string) []string {
 	return nil
 }

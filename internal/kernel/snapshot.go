@@ -30,11 +30,11 @@ package kernel
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"maps"
 	"slices"
 
+	"k23/internal/canon"
 	"k23/internal/cpu"
 	"k23/internal/mem"
 	"k23/internal/vfs"
@@ -371,20 +371,20 @@ func (k *Kernel) StateHash() uint64 {
 // Opaque host state (loader, interposer, tracer) and host callbacks
 // have no hash.
 func (s *Snapshot) Hash() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "k %d %d %d %d %d %v\n", s.vclock, s.eventSeq, s.phaseSeq, s.nextPID, s.profileNext, s.order)
+	h := canon.NewHash()
+	fmt.Fprintf(&h, "k %d %d %d %d %d %v\n", s.vclock, s.eventSeq, s.phaseSeq, s.nextPID, s.profileNext, s.order)
 	for _, v := range s.vvars {
-		fmt.Fprintf(h, "vvar %d %#x\n", v.p.PID, v.addr)
+		fmt.Fprintf(&h, "vvar %d %#x\n", v.p.PID, v.addr)
 	}
 	if c := s.chaos; c != nil {
-		fmt.Fprintf(h, "chaos %d %d %d %d %v\n", c.seed, c.injected, c.q, c.scriptIdx, c.hits)
+		fmt.Fprintf(&h, "chaos %d %d %d %d %v\n", c.seed, c.injected, c.q, c.scriptIdx, c.hits)
 	}
 	if s.sfip != nil {
-		fmt.Fprintf(h, "sfip %#x\n", s.sfipHash)
+		fmt.Fprintf(&h, "sfip %#x\n", s.sfipHash)
 	}
-	fmt.Fprintf(h, "fs %#x\n", s.fs.Hash())
+	fmt.Fprintf(&h, "fs %#x\n", s.fs.Hash())
 	for _, port := range sortedKeys(s.listeners) {
-		hashListener(h, s.listeners[port])
+		hashListener(&h, s.listeners[port])
 	}
 	for _, pid := range sortedKeys(s.procs) {
 		ps := s.procs[pid]
@@ -393,34 +393,34 @@ func (s *Snapshot) Hash() uint64 {
 		if p.Parent != nil {
 			parent = p.Parent.PID
 		}
-		fmt.Fprintf(h, "p %d %q %q %q %d %d %d %q %d %d %v %v %v %v %d\n",
+		fmt.Fprintf(&h, "p %d %q %q %q %d %d %d %q %d %d %v %v %v %v %d\n",
 			p.PID, p.Path, p.Argv, p.Env, p.State, p.Exit.Code, p.Exit.Signal, p.Exit.Fault,
 			parent, p.nextFD, p.sudEverArmed, p.VDSODisabled, p.traceExecve, p.pkeyAllocated, p.nextTID)
-		fmt.Fprintf(h, "out %q err %q\nas %#x sig %v\n", p.Stdout, p.Stderr, ps.as.Hash(), p.sigHandlers)
+		fmt.Fprintf(&h, "out %q err %q\nas %#x sig %v\n", p.Stdout, p.Stderr, ps.as.Hash(), p.sigHandlers)
 		for _, f := range p.seccomp {
-			fmt.Fprintf(h, "seccomp %v\n", *f)
+			fmt.Fprintf(&h, "seccomp %v\n", *f)
 		}
 		for _, id := range sortedKeys(ps.hostcalls) {
-			fmt.Fprintf(h, "hostcall %d %q %d\n", id, ps.hostcalls[id].Name, ps.hostcalls[id].Cost)
+			fmt.Fprintf(&h, "hostcall %d %q %d\n", id, ps.hostcalls[id].Name, ps.hostcalls[id].Cost)
 		}
 		for _, n := range sortedKeys(p.fds) {
 			f := p.fds[n]
-			fmt.Fprintf(h, "fd %d %d %q %q %d %#x\n", n, f.kind, f.path, f.data, f.off, f.flags)
+			fmt.Fprintf(&h, "fd %d %d %q %q %d %#x\n", n, f.kind, f.path, f.data, f.off, f.flags)
 			if f.listener != nil {
-				hashListener(h, f.listener)
+				hashListener(&h, f.listener)
 			}
 			if f.conn != nil {
-				hashConn(h, f.conn)
+				hashConn(&h, f.conn)
 			}
 		}
 		for i := range ps.threads {
 			t := &ps.threads[i].saved
-			fmt.Fprintf(h, "t %d %d %v %v %v %d %d %d %d %d core %#x\n",
+			fmt.Fprintf(&h, "t %d %d %v %v %v %d %d %d %d %d core %#x\n",
 				t.TID, t.State, t.sud, t.sigFrames, t.wakeDesc, t.entryLen, t.entrySite,
 				t.blockedLen, t.infraFrames, t.ExtraCycles, ps.threads[i].core.Hash())
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // sortedKeys returns m's keys in ascending order.

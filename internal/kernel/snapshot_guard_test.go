@@ -66,6 +66,7 @@ var guardExempt = map[string]map[string]string{
 		"storePN":        "code cache lookup memo, restarted cold",
 		"storePage":      "code cache lookup memo, restarted cold",
 		"flushEpoch":     "code cache epoch, advanced by every restore",
+		"cur":            "scratch: the instruction Step is executing, rewritten by every fetch",
 		"hotN":           "JIT anchor count, restarted cold",
 		"jitSeq":         "JIT validation epoch, advanced by every restore",
 	},

@@ -273,7 +273,6 @@ func (k *Kernel) handleSyscall(t *Thread, site uint64) {
 			// Suppressed: the tracer has set the result registers.
 			if p.tracer != nil {
 				t.charge(k.Cost.PtraceStop)
-				p.tracer.SyscallExit(k, t, nr, ctx.R[cpu.RAX])
 			}
 			if k.Tracing() {
 				k.emit(Event{PID: p.PID, TID: t.TID, Kind: EvExit, Num: nr, Site: site,
@@ -300,7 +299,6 @@ func (k *Kernel) handleSyscall(t *Thread, site uint64) {
 
 	if p.State == ProcRunning && p.tracer != nil && !noReturn {
 		t.charge(k.Cost.PtraceStop)
-		p.tracer.SyscallExit(k, t, nr, ret)
 	}
 
 	// A blocked call's span was closed by PhBlock (it re-enters through

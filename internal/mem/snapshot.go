@@ -15,8 +15,9 @@ package mem
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
+
+	"k23/internal/canon"
 )
 
 // PageState is the snapshot of one mapped page. Data is nil for a page
@@ -95,7 +96,7 @@ func (pg *page) state() PageState {
 func (s *ASState) Hash() uint64 { return hashState(s.Pages, s.Regions, s.GenClock) }
 
 func hashState(pages map[uint64]PageState, regions []Region, genClock uint64) uint64 {
-	h := fnv.New64a()
+	h := canon.NewHash()
 	pns := make([]uint64, 0, len(pages))
 	for pn := range pages {
 		pns = append(pns, pn)
@@ -107,13 +108,13 @@ func hashState(pages map[uint64]PageState, regions []Region, genClock uint64) ui
 		if data == nil {
 			data = &zeroPage
 		}
-		fmt.Fprintf(h, "p %d %d %d %d ", pn, ps.Perm, ps.Pkey, ps.Gen)
+		fmt.Fprintf(&h, "p %d %d %d %d ", pn, ps.Perm, ps.Pkey, ps.Gen)
 		h.Write(data[:])
 		h.Write([]byte{'\n'})
 	}
 	for _, r := range regions {
-		fmt.Fprintf(h, "r %#x %#x %s %q\n", r.Start, r.End, r.Perm, r.Name)
+		fmt.Fprintf(&h, "r %#x %#x %s %q\n", r.Start, r.End, r.Perm, r.Name)
 	}
-	fmt.Fprintf(h, "g %d\n", genClock)
-	return h.Sum64()
+	fmt.Fprintf(&h, "g %d\n", genClock)
+	return uint64(h)
 }

@@ -65,9 +65,6 @@ func Stop(k *kernel.Kernel, t *kernel.Thread, nr, site uint64, h interpose.Hook)
 	return suppress
 }
 
-// SyscallExit implements kernel.Tracer: the exit stop observes nothing.
-func (tr *tracer) SyscallExit(k *kernel.Kernel, t *kernel.Thread, nr, ret uint64) {}
-
 // Execve implements kernel.Tracer: the plain ptracer stays attached
 // across exec (Linux semantics) and does not rewrite the environment.
 func (tr *tracer) Execve(k *kernel.Kernel, t *kernel.Thread, path string, argv, env []string) []string {

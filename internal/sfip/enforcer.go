@@ -3,7 +3,6 @@ package sfip
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strings"
@@ -249,8 +248,8 @@ func (e *Enforcer) RestoreHostState(v any) {
 // cannot leak in) for the kernel StateHash — replay divergence in the
 // predecessor chains or counters surfaces as a hash mismatch.
 func (e *Enforcer) HashState() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "sfip-enf %d %d %d %d\n", e.mode, e.checked, e.violations, e.denied)
+	h := canon.NewHash()
+	fmt.Fprintf(&h, "sfip-enf %d %d %d %d\n", e.mode, e.checked, e.violations, e.denied)
 	keys := make([]threadKey, 0, len(e.last))
 	for k := range e.last {
 		keys = append(keys, k)
@@ -262,13 +261,13 @@ func (e *Enforcer) HashState() uint64 {
 		return keys[i].tid < keys[j].tid
 	})
 	for _, k := range keys {
-		fmt.Fprintf(h, "t %d/%d %d\n", k.pid, k.tid, e.last[k])
+		fmt.Fprintf(&h, "t %d/%d %d\n", k.pid, k.tid, e.last[k])
 	}
 	for i := range e.ledger {
 		l := &e.ledger[i]
-		fmt.Fprintf(h, "v %s %d/%d %d %#x %d %d\n", l.Category, l.PID, l.TID, l.Nr, l.Site, l.Clock, l.Seq)
+		fmt.Fprintf(&h, "v %s %d/%d %d %#x %d %d\n", l.Category, l.PID, l.TID, l.Nr, l.Site, l.Clock, l.Seq)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Report is the frozen, mergeable enforcement summary.

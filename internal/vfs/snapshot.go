@@ -2,8 +2,9 @@ package vfs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+
+	"k23/internal/canon"
 )
 
 // Checkpoint support: the node tree can be snapshotted and restored in
@@ -63,7 +64,7 @@ func (f *FS) Hash() uint64 {
 func (s *FSState) Hash() uint64 { return hashTree(s.root) }
 
 func hashTree(root *node) uint64 {
-	h := fnv.New64a()
+	h := canon.NewHash()
 	var walk func(prefix string, n *node)
 	walk = func(prefix string, n *node) {
 		names := make([]string, 0, len(n.children))
@@ -75,15 +76,15 @@ func hashTree(root *node) uint64 {
 			c := n.children[name]
 			p := prefix + "/" + name
 			if c.dir {
-				fmt.Fprintf(h, "d %s %o %v\n", p, c.mode, c.immutable)
+				fmt.Fprintf(&h, "d %s %o %v\n", p, c.mode, c.immutable)
 				walk(p, c)
 				continue
 			}
-			fmt.Fprintf(h, "f %s %o %v %d ", p, c.mode, c.immutable, len(c.data))
+			fmt.Fprintf(&h, "f %s %o %v %d ", p, c.mode, c.immutable, len(c.data))
 			h.Write(c.data)
 			h.Write([]byte{'\n'})
 		}
 	}
 	walk("", root)
-	return h.Sum64()
+	return uint64(h)
 }

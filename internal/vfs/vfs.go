@@ -7,11 +7,12 @@ package vfs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"path"
 	"sort"
 	"strings"
 	"sync"
+
+	"k23/internal/canon"
 )
 
 // Mode is a simplified permission mode.
@@ -330,12 +331,12 @@ func (f *FS) UnregisterSynthetic(p string) {
 // TreeHash hashes the filesystem tree: every path with its mode and
 // content, in sorted order.
 func (fs *FS) TreeHash() uint64 {
-	h := fnv.New64a()
+	h := canon.NewHash()
 	var walk func(dir string)
 	walk = func(dir string) {
 		names, err := fs.readDir(dir)
 		if err != nil {
-			fmt.Fprintf(h, "!%s:%v", dir, err)
+			fmt.Fprintf(&h, "!%s:%v", dir, err)
 			return
 		}
 		for _, name := range names {
@@ -344,21 +345,21 @@ func (fs *FS) TreeHash() uint64 {
 				p = "/" + name
 			}
 			if fs.IsDir(p) {
-				fmt.Fprintf(h, "d %s\n", p)
+				fmt.Fprintf(&h, "d %s\n", p)
 				walk(p)
 				continue
 			}
 			mode, _ := fs.Mode(p)
 			data, err := fs.ReadFile(p)
 			if err != nil {
-				fmt.Fprintf(h, "f %s %v !%v\n", p, mode, err)
+				fmt.Fprintf(&h, "f %s %v !%v\n", p, mode, err)
 				continue
 			}
-			fmt.Fprintf(h, "f %s %v %d ", p, mode, len(data))
+			fmt.Fprintf(&h, "f %s %v %d ", p, mode, len(data))
 			h.Write(data)
 			h.Write([]byte{'\n'})
 		}
 	}
 	walk("/")
-	return h.Sum64()
+	return uint64(h)
 }
